@@ -7,6 +7,7 @@ vertex oracle available: desk-scale row counts never exceed m + 2 <= 4.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -14,6 +15,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import BudgetError
+
+
+# Bound on each memo below, in entries (distinct A matrices).
+_MEMO_ENTRIES = 64
 
 
 def _ncr_total(n, r):
@@ -25,6 +30,38 @@ def _ncr_total(n, r):
     return total
 
 
+def _check_budget(n_rows, n_cols, max_bases):
+    if _ncr_total(n_cols, min(n_rows, n_cols)) > max_bases:
+        raise BudgetError("basis enumeration bound exceeded")
+
+
+def _key(A: np.ndarray):
+    """Hashable memo key holding A's exact bytes."""
+    return A.shape, A.dtype.str, A.tobytes()
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _smallest_singular_values(key):
+    """Per subset size s = 1..min(rows, cols), the smallest singular value
+    of every s-column subset of A, in combinations() order.
+
+    Singular values come sorted, so count_nonzero(sv > tol) == s, which is
+    np.linalg.matrix_rank(A_J, tol) == s, holds exactly when the smallest
+    one exceeds tol.
+    """
+    shape, dtype, data = key
+    A = np.frombuffer(data, dtype=dtype).reshape(shape)
+    n_rows, n_cols = shape
+    out = []
+    for size in range(1, min(n_rows, n_cols) + 1):
+        sv = [np.linalg.svd(A[:, J], compute_uv=False)[-1]
+              for J in combinations(range(n_cols), size)]
+        arr = np.array(sv)
+        arr.flags.writeable = False
+        out.append(arr)
+    return tuple(out)
+
+
 def basic_vertices(A: np.ndarray, b: np.ndarray, max_bases: int = 300000,
                    res_tol: Optional[float] = None):
     """All vertices of {w >= 0 : A w = b} by basic-solution enumeration.
@@ -34,25 +71,28 @@ def basic_vertices(A: np.ndarray, b: np.ndarray, max_bases: int = 300000,
     possibly some non-extreme feasible points, which is harmless for the
     hull-level consumers).  res_tol relaxes the residual acceptance (scaled
     by the data magnitude); callers working from grid-snapped points pass
-    their grid blur here.
+    their grid blur here.  The rank test's singular values depend on A
+    only and are memoised on A's bytes (LRU of _MEMO_ENTRIES), so each
+    further b costs one solve per independent subset.
     """
     n_rows, n_cols = A.shape
     scale = 1.0 + float(np.max(np.abs(A), initial=0.0)) + float(
         np.max(np.abs(b), initial=0.0))
     res_tol = (1e-9 if res_tol is None else res_tol) * scale
-    if _ncr_total(n_cols, min(n_rows, n_cols)) > max_bases:
-        raise BudgetError("basis enumeration bound exceeded")
+    _check_budget(n_rows, n_cols, max_bases)
+    smallest_sv = _smallest_singular_values(_key(A))
     out = []
     seen = set()
     zero = np.zeros(n_cols)
     if np.max(np.abs(b), initial=0.0) <= res_tol:
         out.append(zero.copy())
         seen.add(tuple(np.round(zero, 11)))
-    for size in range(1, min(n_rows, n_cols) + 1):
-        for J in combinations(range(n_cols), size):
-            AJ = A[:, J]
-            if np.linalg.matrix_rank(AJ, tol=1e-10 * scale) < size:
+    for size, sv in enumerate(smallest_sv, start=1):
+        independent = sv > 1e-10 * scale
+        for J, ok in zip(combinations(range(n_cols), size), independent):
+            if not ok:
                 continue
+            AJ = A[:, J]
             if size == n_rows:
                 try:
                     wJ = np.linalg.solve(AJ, b)
@@ -74,20 +114,35 @@ def basic_vertices(A: np.ndarray, b: np.ndarray, max_bases: int = 300000,
     return out
 
 
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _recession_rays(key, max_bases):
+    """Nonzero basic solutions of {w >= 0 : A w = 0, sum w = 1}, read-only."""
+    shape, dtype, data = key
+    A = np.frombuffer(data, dtype=dtype).reshape(shape)
+    aug = np.vstack([A, np.ones(shape[1])])
+    b_aug = np.concatenate([np.zeros(shape[0]), [1.0]])
+    rays = [r for r in basic_vertices(aug, b_aug, max_bases)
+            if np.max(np.abs(r)) > 0]
+    for r in rays:
+        r.flags.writeable = False
+    return tuple(rays)
+
+
 def standard_vrep(A: np.ndarray, b: np.ndarray, max_bases: int = 300000,
                   res_tol: Optional[float] = None):
     """(vertices, rays) of {w >= 0 : A w = b}.
 
     Rays come from the normalized recession system {A w = 0, sum w = 1}.
+    They depend on A only and are memoised on A's bytes (LRU of
+    _MEMO_ENTRIES); each call gets fresh copies.  The ray system's budget,
+    which covers the vertex system's, is checked before any enumeration,
+    and the rays are skipped when there is no vertex.
     """
+    _check_budget(A.shape[0] + 1, A.shape[1], max_bases)
     verts = basic_vertices(A, b, max_bases, res_tol)
-    aug = np.vstack([A, np.ones(A.shape[1])])
-    b_aug = np.concatenate([np.zeros(A.shape[0]), [1.0]])
-    rays = [r for r in basic_vertices(aug, b_aug, max_bases)
-            if np.max(np.abs(r)) > 0]
     if not verts:
         return [], []
-    return verts, rays
+    return verts, [r.copy() for r in _recession_rays(_key(A), max_bases)]
 
 
 class LPBuilder:

@@ -18,6 +18,7 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -119,7 +120,9 @@ def _solve_lower(prog: BilevelProgram, x_key: Tuple[float, ...], grid: GridSpec)
     """Sweep + refine the lower level at x.
 
     Returns (phi, pool_y (k, m), pool_f (k,), pool_F (k,)); every pooled
-    point is feasible within tol_feas.  Cached: treat arrays as read-only.
+    point is feasible within tol_feas.  Memoised in an LRU of 2048 entries
+    keyed on (program, x, grid); the three arrays are shared by every
+    caller, so they are returned read-only.
     """
     x = list(x_key)
     level_cell = np.array([
@@ -155,6 +158,8 @@ def _solve_lower(prog: BilevelProgram, x_key: Tuple[float, ...], grid: GridSpec)
         level_cell = level_cell / 10.0
 
     phi = float(np.min(pool_f))
+    for arr in (pool_y, pool_f, pool_F):
+        arr.flags.writeable = False
     return phi, pool_y, pool_f, pool_F
 
 
@@ -194,14 +199,26 @@ def _xkey(x):
     return tuple(float(v) for v in np.atleast_1d(np.asarray(x, dtype=float)))
 
 
-def _dedup_points(points: np.ndarray, keys: np.ndarray, resolution: float):
-    """Greedy dedup at the given spatial resolution, best key first."""
-    order = keys.argsort(kind="stable")
+def _dedup_points(points: np.ndarray, resolution: float):
+    """Greedy dedup at the given spatial resolution, in the given order.
+
+    A point is kept unless some already-kept point lies within resolution
+    in the max norm.  Kept points are indexed in buckets of width
+    2 * resolution, so each point is tested only against the kept points in
+    its 3^m neighbouring buckets; the kept list is exactly the one the
+    all-pairs greedy gives.
+    """
+    cells = np.floor(points / (2.0 * resolution))
+    offsets = list(product((-1, 0, 1), repeat=points.shape[1]))
+    buckets: dict = {}
     kept: list = []
-    for idx in order:
-        p = points[idx]
-        if all(np.max(np.abs(p - q)) > resolution for q in kept):
-            kept.append(p)
+    for p, cell in zip(points, cells.tolist()):
+        near = [q for off in offsets
+                for q in buckets.get(tuple(c + o for c, o in zip(cell, off)), ())]
+        if near and not np.all(np.max(np.abs(np.array(near) - p), axis=1) > resolution):
+            continue
+        kept.append(p)
+        buckets.setdefault(tuple(cell), []).append(p)
     return kept
 
 
@@ -219,7 +236,7 @@ def lower_solutions(
     keys = pool_f[mask]
     order = _pool_key_sort(pts, keys)
     cell = grid.finest_cell(prog.box_y)
-    kept = _dedup_points(pts[order], np.arange(len(order), dtype=float), cell * 0.999)
+    kept = _dedup_points(pts[order], cell * 0.999)
     return SolutionSet(
         tuple(tuple(p.tolist()) for p in kept), phi, band_tol, cell
     )
@@ -263,7 +280,7 @@ def optimistic_solutions(
     pts = pts[sel]
     order = _pool_key_sort(pts, Fb[sel])
     cell = grid.finest_cell(prog.box_y)
-    kept = _dedup_points(pts[order], np.arange(len(order), dtype=float), cell * 0.999)
+    kept = _dedup_points(pts[order], cell * 0.999)
     return SolutionSet(
         tuple(tuple(p.tolist()) for p in kept), phi_o, band_tol, cell
     )

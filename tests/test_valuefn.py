@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilevelsense.errors import InfeasibleError, UnsupportedDimensionError
 from bilevelsense.model import BilevelProgram, Expr, eval_expr, parse_program
 from bilevelsense.valuefn import (
     GridSpec,
+    _dedup_points,
+    _solve_lower,
     curve_to_csv,
     lower_solutions,
     lower_value,
@@ -233,3 +237,78 @@ y1 = -2, 2
 [mode]
 optimistic
 """
+
+
+# -- solution-set dedup against an all-pairs greedy -----------------------------
+
+
+def greedy_dedup_all_pairs(points, resolution):
+    """Reference: keep a point unless some kept point is within resolution
+    in the max norm; every candidate is compared with every kept point."""
+    kept = []
+    for p in points:
+        if all(max(abs(a - b) for a, b in zip(p, q)) > resolution for q in kept):
+            kept.append(p)
+    return kept
+
+
+def _lattice(box, count):
+    axes = [np.linspace(lo, hi, count) for lo, hi in box]
+    return [tuple(float(v) for v in combo)
+            for combo in np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(box), -1).T]
+
+
+@st.composite
+def solution_clouds(draw):
+    """Coarse lattice plus 21-point refinement windows of +-1 cell around
+    seeds, clipped at the box edge (half the usual spacing there), plus
+    near-duplicates about 1e-17 or one ulp apart, in a drawn order."""
+    m = draw(st.sampled_from([1, 2]))
+    lo = draw(st.floats(-1.5, 0.0))
+    hi = lo + draw(st.floats(0.25, 3.0))
+    box = [(lo, hi)] * m
+    count = draw(st.integers(3, 40 if m == 1 else 6))
+    cell = (hi - lo) / (count - 1)
+    coarse = _lattice(box, count)
+    points = list(coarse)
+    n_windows = draw(st.integers(1, 4 if m == 1 else 1))
+    for _ in range(n_windows):
+        # seeds on the box edge give the clipped windows
+        seed = coarse[draw(st.sampled_from([0, len(coarse) - 1,
+                                            draw(st.integers(0, len(coarse) - 1))]))]
+        window = [(max(lo, s - cell), min(hi, s + cell)) for s in seed]
+        points += _lattice(window, 21)
+    for _ in range(draw(st.integers(0, 6))):
+        p = points[draw(st.integers(0, len(points) - 1))]
+        j = draw(st.integers(0, m - 1))
+        shift = draw(st.sampled_from(["up", "down", "tiny", "-tiny"]))
+        v = {"up": np.nextafter(p[j], np.inf), "down": np.nextafter(p[j], -np.inf),
+             "tiny": p[j] + 1e-17, "-tiny": p[j] - 1e-17}[shift]
+        points.append(p[:j] + (float(v),) + p[j + 1:])
+    order = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).permutation(len(points))
+    points = [points[i] for i in order]
+    resolution = draw(st.sampled_from([0.999 * cell, cell, 0.999 * cell / 10,
+                                       cell / 10, cell / 20, 0.5 * cell]))
+    return points, resolution
+
+
+@settings(max_examples=60, deadline=None)
+@given(cloud=solution_clouds())
+def test_dedup_matches_all_pairs_greedy(cloud):
+    points, resolution = cloud
+    kept = _dedup_points(np.array(points), resolution)
+    assert [tuple(float(v) for v in p) for p in kept] == \
+        greedy_dedup_all_pairs(points, resolution)
+
+
+def test_dedup_drops_points_exactly_at_resolution():
+    pts = np.array([[0.0], [0.25], [0.5], [0.5 + 1e-17], [0.75 + 2 ** -40]])
+    kept = _dedup_points(pts, 0.25)
+    assert [float(p[0]) for p in kept] == [0.0, 0.5, 0.75 + 2 ** -40]
+
+
+def test_cached_sweep_arrays_are_read_only(prog_c):
+    _, pool_y, pool_f, pool_F = _solve_lower(prog_c, (0.3,), GRID)
+    for arr in (pool_y, pool_f, pool_F):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0

@@ -168,9 +168,6 @@ class LPBuilder:
         self.ub.append(ub)
         return len(self.lb) - 1
 
-    def vars(self, count, lb=0.0, ub=None):
-        return [self.var(lb, ub) for _ in range(count)]
-
     def eq(self, coeffs: dict, rhs: float):
         self.eq_rows.append(dict(coeffs))
         self.eq_rhs.append(float(rhs))
@@ -239,19 +236,3 @@ class LPBuilder:
             return None, None
         return -float(res.fun), res.x
 
-
-def simplex_grid(k: int, steps: int):
-    """Lattice points of the (k-1)-simplex with the given subdivision."""
-    if k == 1:
-        return [np.array([1.0])]
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(np.array(prefix + [remaining]) / steps)
-            return
-        for take in range(remaining + 1):
-            rec(prefix + [take], remaining - take, slots - 1)
-
-    rec([], steps, k)
-    return out

@@ -44,6 +44,9 @@ from .sensitivity import (
     stationary_cover_hull,
 )
 from .subdiff import (
+    FD_DIRS,
+    FD_RADIUS,
+    FD_STEP,
     Polytope,
     distance,
     fd_subgradient_samples,
@@ -61,9 +64,6 @@ from .valuefn import (
     value_function,
 )
 
-FD_RADIUS = 1e-5
-FD_STEP = 1e-3
-FD_DIRS = 6
 # fd-oracle uncertainty at interior points: curvature drift over the offset
 # radius plus grid-snapping noise over the step
 FD_SLACK = 2e-4
@@ -115,14 +115,7 @@ class Certificate:
             "tol_eff": float(self.tol_eff),
             "aux": clean(self.aux),
             "cq_verdicts": [v.to_dict() for v in self.cq],
-            "caps": {
-                "r_max": self.caps.r_max,
-                "log_r_min": self.caps.log_r_min,
-                "log_r_max": self.caps.log_r_max,
-                "simplex_steps": self.caps.simplex_steps,
-                "u_max": self.caps.u_max,
-                "max_solution_samples": self.caps.max_solution_samples,
-            },
+            "caps": self.caps.to_dict(),
             "seed": self.seed,
             "notes": list(self.notes),
         }
@@ -131,15 +124,9 @@ class Certificate:
 # -- shared pieces -------------------------------------------------------------
 
 
-def _gens(e, xbar, y, tol_active):
-    return clarke_generators(e, xbar, y, tol_active)
-
-
 def _clip0(value):
     """Emitted multipliers satisfy their sign constraints exactly; LP
     round-off below zero is clipped."""
-    if isinstance(value, np.ndarray):
-        return np.clip(value, 0.0, None)
     return max(0.0, float(value))
 
 
@@ -163,7 +150,7 @@ def _grid_slack(prog: BilevelProgram, xbar, y0, grid: GridSpec,
     Lipschitz modulus of the sampled value function."""
     mags = [1.0]
     for e in (prog.F, prog.f, *prog.g):
-        for g in _gens(e, xbar, y0, tol_active):
+        for g in clarke_generators(e, xbar, y0, tol_active):
             mags.append(float(np.max(np.abs(g))))
     return grid.finest_cell(prog.box_y) * max(mags)
 
@@ -232,47 +219,31 @@ def _fold_groups(gen_points, gen_meta, lam, mu, n_verts):
     return out
 
 
-def _tuple_data_from_cover(cover, vmeta, rmeta, lam, mu, n):
-    """(v_s, y_s, x*_s, u_s) lists padded to exactly n + 1 slots."""
-    pts = [np.array(v) for v in cover.vertices] + [np.array(r) for r in cover.rays]
-    metas = list(vmeta) + list(rmeta)
-    folded = _fold_groups(pts, metas, lam, mu, len(cover.vertices))
+def _tuple_data(pts, metas, w, n_verts, n, shift=0.0):
+    """(weights, y, x*, u) lists of the aggregation tuples behind hull
+    weights w over pts (n_verts vertices, then rays): folded per source y,
+    Caratheodory-reduced and padded to exactly n + 1 slots.  Each x* is its
+    folded point minus shift."""
+    folded = _fold_groups(pts, metas, w[:n_verts], w[n_verts:], n_verts)
     if not folded:
         return [], [], [], []
     points = [f[1] for f in folded]
-    weights = [f[0] for f in folded]
-    keep, w = caratheodory_reduce(points, weights, n)
-    v_list, y_list, x_list, u_list = [], [], [], []
-    for i in keep:
-        v_list.append(float(w[i]))
-        y_list.append(folded[i][2]["y"])
-        x_list.append(tuple(points[i].tolist()))
-        u_list.append(folded[i][2]["u"])
-    while len(v_list) < n + 1:
-        v_list.append(0.0)
-        y_list.append(y_list[0])
-        x_list.append(x_list[0])
-        u_list.append(u_list[0])
-    return v_list, y_list, x_list, u_list
+    keep, red = caratheodory_reduce(points, [f[0] for f in folded], n)
+    weights = [float(red[i]) for i in keep]
+    ys = [folded[i][2]["y"] for i in keep]
+    xs = [tuple((points[i] - shift).tolist()) for i in keep]
+    us = [folded[i][2]["u"] for i in keep]
+    _pad_slots(n, weights, ys, xs, us)
+    return weights, ys, xs, us
 
 
-def _alpha_columns(lp, prog, xbar, active_theta, tol_active, u_max):
-    """Per active upper constraint: lifted branch columns; returns
-    (columns, alpha index list) with alpha_j = sum of its column weights."""
-    cols = []
-    for j in active_theta:
-        gens = _gens(prog.theta1[j], xbar, [], tol_active)
-        vs = [(lp.var(), g[: prog.n]) for g in gens]
-        lp.le({v: 1.0 for v, _ in vs}, u_max)
-        cols.append((j, vs))
-    return cols
-
-
-def _alpha_values(cols, sol, k):
-    alpha = np.zeros(k)
-    for j, vs in cols:
-        alpha[j] = _clip0(sum(sol[v] for v, _ in vs))
-    return alpha
+def _pad_slots(n, weights, *lists):
+    """Pad to n + 1 slots with zero weights, repeating each list's first
+    entry."""
+    while len(weights) < n + 1:
+        weights.append(0.0)
+        for lst in lists:
+            lst.append(lst[0])
 
 
 # -- value-function stationarity ------------------------------------------------
@@ -323,10 +294,153 @@ def certify_value_stationarity(
         notes=(f"fd oracle: radius {FD_RADIUS}, step {FD_STEP}",))
 
 
+# -- multiplier systems --------------------------------------------------------
+
+
+class _System:
+    """One multiplier LP, declared as hull blocks and row specs.
+
+    A hull block is a list of (weight variable, generator) pairs, one
+    nonnegative weight per generator.  Variables and rows are created in
+    call order, so a declaration fixes the matrices handed to the solver.
+    """
+
+    def __init__(self, u_max):
+        self.lp = LPBuilder()
+        self.u_max = u_max
+
+    def hull(self, gens, **total):
+        """A hull block over gens; keyword arguments add its sum row."""
+        block = [(self.lp.var(), g) for g in gens]
+        if total:
+            self.total(block, **total)
+        return block
+
+    def total(self, block, value=0.0, var=None, k=1.0, cap=False):
+        """The block's weights sum to value + k * var; with cap, to at most
+        u_max (times var when given)."""
+        row = {v: 1.0 for v, _ in block}
+        if cap:
+            if var is None:
+                self.lp.le(row, self.u_max)
+                return
+            row[var] = -self.u_max
+            self.lp.le(row, 0.0)
+            return
+        if var is not None:
+            row[var] = -k
+        self.lp.eq(row, value)
+
+    def group_rays(self, lam, mu, lam_keys, mu_keys):
+        """Vertex weights lam sum to one; the ray weights mu of each source y
+        are at most u_max times that y's vertex weights, so ray mass only
+        lives where vertex mass does."""
+        self.lp.eq({v: 1.0 for v in lam}, 1.0)
+        for key in dict.fromkeys(mu_keys):
+            row = {mu[q]: 1.0 for q, kk in enumerate(mu_keys) if kk == key}
+            row.update((lam[q], -self.u_max)
+                       for q, kk in enumerate(lam_keys) if kk == key)
+            self.lp.le(row, 0.0)
+
+    def cover(self, pts, n_verts, vmeta, rmeta):
+        """Block over the stationarity-covector hull pts (n_verts vertices,
+        then rays); vmeta and rmeta give the source y of each generator."""
+        lam = [self.lp.var() for _ in pts[:n_verts]]
+        mu = [self.lp.var() for _ in pts[n_verts:]]
+        self.group_rays(lam, mu, [d["y"] for d in vmeta],
+                        [d["y"] for d in rmeta])
+        return list(zip(lam + mu, pts))
+
+    def stationarity(self, GF, Gf, Gg, r):
+        """Terms of dF + r df + sum_i u_i dg_i: the F and f weights sum to
+        one, u_i is the weight sum of g_i's block, at most u_max.  Returns
+        (terms, {i: g_i block})."""
+        aF = self.hull(GF, value=1.0)
+        bf = self.hull(Gf, value=1.0)
+        zg = {i: self.hull(G, cap=True) for i, G in Gg.items()}
+        return [(1.0, aF), (r, bf), *_ones(zg.values())], zg
+
+    def theta(self, prog, xbar, active_theta, tol_active):
+        """(j, block) per active upper constraint, weights at most u_max;
+        alpha_j is the block's weight sum."""
+        return [(j, self.hull(clarke_generators(prog.theta1[j], xbar, [],
+                                                tol_active), cap=True))
+                for j in active_theta]
+
+    def rows(self, hard, offset, dim, terms, extra=(), assign_first=True):
+        """Rows c < dim: sum of coef * g[offset + c] over the weights of each
+        (coef, block) term, plus coef * xs[c] for each (coef, xs) in extra,
+        equal to 0 (hard) or within the minimised violation t (soft).
+
+        The first term's products are stored as they are and later ones are
+        added to 0.0, which turns -0.0 into 0.0; assign_first=False adds
+        every term.  The rule fixes the signed zeros of the matrices, which
+        the certificates' byte identity rests on (README, "Design notes:
+        multiplier systems").
+        """
+        add = self.lp.eq if hard else self.lp.soft
+        for c in range(dim):
+            row = {}
+            for t, (coef, block) in enumerate(terms):
+                for v, g in block:
+                    val = coef * g[offset + c]
+                    row[v] = (val if t == 0 and assign_first
+                              else row.get(v, 0.0) + val)
+            for coef, xs in extra:
+                row[xs[c]] = row.get(xs[c], 0.0) + coef
+            add(row, 0.0)
+
+
+def _search(candidates, r_grid, build):
+    """Solve build(candidate, r) -> (system, decode) or None over every
+    candidate and r; keep the strictly best residual, decoding only
+    improvements."""
+    best = None
+    for cand in candidates:
+        for r in r_grid:
+            built = build(cand, r)
+            if built is None:
+                continue
+            system, decode = built
+            t_val, sol = system.lp.minimize_max_violation()
+            if t_val is None:
+                continue
+            if best is None or t_val < best["residual"] - 1e-15:
+                best = {"residual": t_val, "r": r, **decode(sol)}
+    return best
+
+
+def _clipped(values, size):
+    """Length-size tuple with entry i = _clip0(values[i]), zero elsewhere."""
+    out = np.zeros(size)
+    for i, val in values.items():
+        out[i] = _clip0(val)
+    return tuple(out.tolist())
+
+
+def _weight_sums(blocks, sol, size):
+    """_clipped weight sums of the (i, block) pairs."""
+    return _clipped({i: sum(sol[v] for v, _ in block) for i, block in blocks},
+                    size)
+
+
+def _ones(blocks):
+    return [(1.0, b) for b in blocks]
+
+
+def _generators_at(prog, xbar, y, tol_active):
+    """Clarke generators of F, of f and of each active g_i at (xbar, y)."""
+    active = _active_indices(prog, xbar, y, tol_active)
+    return (clarke_generators(prog.F, xbar, y, tol_active),
+            clarke_generators(prog.f, xbar, y, tol_active),
+            {i: clarke_generators(prog.g[i], xbar, y, tol_active)
+             for i in active})
+
+
 # -- optimistic variants ---------------------------------------------------------
 
 
-def _search_variant_ii(prog, xbar, samples, grid, caps, tol_active):
+def _search_variant_ii(prog, xbar, samples, caps, tol_active):
     """Fully-convex-regime system.
 
     Multiplier admissibility -- (r, beta) in the upper-objective
@@ -336,117 +450,66 @@ def _search_variant_ii(prog, xbar, samples, grid, caps, tol_active):
     multipliers; when the vertex set is empty, gamma becomes a free
     variable and the resulting bound is a relaxation bound.
     """
-    n, m = prog.n, prog.m
+    n, m, p = prog.n, prog.m, prog.p
     active_theta = _theta_active(prog, xbar, tol_active)
-    best = None
-    for ypt in samples:
-        y = list(ypt)
-        active = _active_indices(prog, xbar, y, tol_active)
-        lam_ms = lambda_set(prog, xbar, y, tol_active, caps)
-        gamma_candidates = [np.array(v) for v in lam_ms.vertices]
-        gamma_free = not gamma_candidates
-        if gamma_free:
-            gamma_candidates = [None]
-        GF = _gens(prog.F, xbar, y, tol_active)
-        Gf = _gens(prog.f, xbar, y, tol_active)
-        Gg = {i: _gens(prog.g[i], xbar, y, tol_active) for i in active}
-        for gamma in gamma_candidates:
-            for r in caps.r_grid():
-                lp = LPBuilder()
-                aFx = [(lp.var(), g[:n]) for g in GF]
-                lp.eq({v: 1.0 for v, _ in aFx}, 1.0)
-                aFy = [(lp.var(), g[n:]) for g in GF]
-                lp.eq({v: 1.0 for v, _ in aFy}, 1.0)
-                d1 = [(lp.var(), g[:n]) for g in Gf]
-                lp.eq({v: 1.0 for v, _ in d1}, 1.0)
-                d2 = [(lp.var(), g[:n]) for g in Gf]
-                lp.eq({v: 1.0 for v, _ in d2}, 1.0)
-                bfy = [(lp.var(), g[n:]) for g in Gf]
-                lp.eq({v: 1.0 for v, _ in bfy}, 1.0)
-                cfy = [(lp.var(), g[n:]) for g in Gf]
-                lp.eq({v: 1.0 for v, _ in cfy}, 1.0)
-                beta_vars = {i: lp.var(ub=caps.u_max) for i in active}
-                zx = {i: [(lp.var(), g[:n]) for g in Gg[i]] for i in active}
-                zy = {i: [(lp.var(), g[n:]) for g in Gg[i]] for i in active}
-                for i in active:
-                    lp.eq({**{v: 1.0 for v, _ in zx[i]},
-                           beta_vars[i]: -1.0}, 0.0)
-                    lp.eq({**{v: 1.0 for v, _ in zy[i]},
-                           beta_vars[i]: -1.0}, 0.0)
-                cgx = {i: [(lp.var(), g[:n]) for g in Gg[i]] for i in active}
-                cgy = {i: [(lp.var(), g[n:]) for g in Gg[i]] for i in active}
-                gamma_vars = None
+
+    def candidates():
+        for ypt in samples:
+            y = list(ypt)
+            lam_ms = lambda_set(prog, xbar, y, tol_active, caps)
+            GF, Gf, Gg = _generators_at(prog, xbar, y, tol_active)
+            for gamma in [np.array(v) for v in lam_ms.vertices] or [None]:
+                yield y, GF, Gf, Gg, gamma
+
+    def build(cand, r):
+        y, GF, Gf, Gg, gamma = cand
+        active = list(Gg)
+        s = _System(caps.u_max)
+        aFx, aFy, d1, d2, bfy, cfy = [s.hull(G, value=1.0)
+                                      for G in (GF, GF, Gf, Gf, Gf, Gf)]
+        beta = {i: s.lp.var(ub=caps.u_max) for i in active}
+        zx = {i: s.hull(Gg[i]) for i in active}
+        zy = {i: s.hull(Gg[i]) for i in active}
+        for i in active:
+            s.total(zx[i], var=beta[i])
+            s.total(zy[i], var=beta[i])
+        cgx = {i: s.hull(Gg[i]) for i in active}
+        cgy = {i: s.hull(Gg[i]) for i in active}
+        if gamma is None:
+            gvar = {i: s.lp.var(ub=caps.u_max) for i in active}
+        for i in active:
+            for b in (cgx[i], cgy[i]):
                 if gamma is None:
-                    gamma_vars = {i: lp.var(ub=caps.u_max) for i in active}
-                    for i in active:
-                        lp.eq({**{v: 1.0 for v, _ in cgx[i]},
-                               gamma_vars[i]: -1.0}, 0.0)
-                        lp.eq({**{v: 1.0 for v, _ in cgy[i]},
-                               gamma_vars[i]: -1.0}, 0.0)
+                    s.total(b, var=gvar[i])
                 else:
-                    for i in active:
-                        lp.eq({v: 1.0 for v, _ in cgx[i]}, float(gamma[i]))
-                        lp.eq({v: 1.0 for v, _ in cgy[i]}, float(gamma[i]))
-                theta_cols = _alpha_columns(lp, prog, xbar, active_theta,
-                                            tol_active, caps.u_max)
-                # soft: x-stationarity
-                for c in range(n):
-                    row = {v: g[c] for v, g in aFx}
-                    for v, g in d1:
-                        row[v] = row.get(v, 0.0) + r * g[c]
-                    for v, g in d2:
-                        row[v] = row.get(v, 0.0) - r * g[c]
-                    for i in active:
-                        for v, g in zx[i]:
-                            row[v] = row.get(v, 0.0) + g[c]
-                        for v, g in cgx[i]:
-                            row[v] = row.get(v, 0.0) - r * g[c]
-                    for _j, vs in theta_cols:
-                        for v, g in vs:
-                            row[v] = row.get(v, 0.0) + g[c]
-                    lp.soft(row, 0.0)
-                # hard: the two y-stationarity systems
-                for c in range(m):
-                    row = {v: g[c] for v, g in aFy}
-                    for v, g in bfy:
-                        row[v] = row.get(v, 0.0) + r * g[c]
-                    for i in active:
-                        for v, g in zy[i]:
-                            row[v] = row.get(v, 0.0) + g[c]
-                    lp.eq(row, 0.0)
-                for c in range(m):
-                    row = {v: g[c] for v, g in cfy}
-                    for i in active:
-                        for v, g in cgy[i]:
-                            row[v] = row.get(v, 0.0) + g[c]
-                    lp.eq(row, 0.0)
-                t_val, sol = lp.minimize_max_violation()
-                if t_val is None:
-                    continue
-                if best is None or t_val < best["residual"] - 1e-15:
-                    beta = np.zeros(prog.p)
-                    for i in active:
-                        beta[i] = _clip0(sol[beta_vars[i]])
-                    gamma_out = np.zeros(prog.p)
-                    if gamma is None:
-                        for i in active:
-                            gamma_out[i] = _clip0(sol[gamma_vars[i]])
-                    else:
-                        gamma_out = gamma.copy()
-                    best = {
-                        "residual": t_val,
-                        "y": tuple(y),
-                        "r": r,
-                        "beta": tuple(beta.tolist()),
-                        "gamma": tuple(gamma_out.tolist()),
-                        "alpha": tuple(_alpha_values(theta_cols, sol,
-                                                     prog.k).tolist()),
-                        "gamma_free": gamma_free,
-                    }
-    return best
+                    s.total(b, value=float(gamma[i]))
+        theta = s.theta(prog, xbar, active_theta, tol_active)
+        # soft: x-stationarity; hard: the two y-stationarity systems
+        s.rows(False, 0, n, [(1.0, aFx), (r, d1), (-r, d2),
+                             *_ones(zx.values()),
+                             *[(-r, b) for b in cgx.values()],
+                             *_ones(b for _, b in theta)])
+        s.rows(True, n, m, [(1.0, aFy), (r, bfy), *_ones(zy.values())])
+        s.rows(True, n, m, [(1.0, cfy), *_ones(cgy.values())])
+
+        def decode(sol):
+            if gamma is None:
+                gamma_out = _clipped({i: sol[gvar[i]] for i in active}, p)
+            else:
+                gamma_out = tuple(gamma.tolist())
+            return {
+                "y": tuple(y),
+                "beta": _clipped({i: sol[beta[i]] for i in active}, p),
+                "gamma": gamma_out,
+                "alpha": _weight_sums(theta, sol, prog.k),
+                "gamma_free": gamma is None,
+            }
+        return s, decode
+
+    return _search(candidates(), caps.r_grid(), build)
 
 
-def _search_variant_i(prog, xbar, samples, cover_pack, grid, caps, tol_active):
+def _search_variant_i(prog, xbar, samples, cover_pack, caps, tol_active):
     """Joint-subdifferential system with the Caratheodory aggregation
     entering through the exact covector hull."""
     n, m = prog.n, prog.m
@@ -454,170 +517,86 @@ def _search_variant_i(prog, xbar, samples, cover_pack, grid, caps, tol_active):
     if cover.is_empty:
         return None
     active_theta = _theta_active(prog, xbar, tol_active)
-    Vc = [np.array(v) for v in cover.vertices]
-    Rc = [np.array(r) for r in cover.rays]
-    # group cover generators by their source y for ray folding
-    group_of_vert: dict = {}
-    for q, mdat in enumerate(vmeta):
-        group_of_vert.setdefault(mdat["y"], []).append(q)
-    group_of_ray: dict = {}
-    for q, mdat in enumerate(rmeta):
-        group_of_ray.setdefault(mdat["y"], []).append(q)
-    best = None
-    for ypt in samples:
-        y = list(ypt)
-        active = _active_indices(prog, xbar, y, tol_active)
-        GF = _gens(prog.F, xbar, y, tol_active)
-        Gf = _gens(prog.f, xbar, y, tol_active)
-        Gg = {i: _gens(prog.g[i], xbar, y, tol_active) for i in active}
-        for r in caps.r_grid():
-            lp = LPBuilder()
-            aF = [(lp.var(), g) for g in GF]
-            lp.eq({v: 1.0 for v, _ in aF}, 1.0)
-            bf = [(lp.var(), g) for g in Gf]
-            lp.eq({v: 1.0 for v, _ in bf}, 1.0)
-            zg = {i: [(lp.var(), g) for g in Gg[i]] for i in active}
-            for i in active:
-                lp.le({v: 1.0 for v, _ in zg[i]}, caps.u_max)
-            lamv = [lp.var() for _ in Vc]
-            muv = [lp.var() for _ in Rc]
-            lp.eq({v: 1.0 for v in lamv}, 1.0)
-            for ykey, rqs in group_of_ray.items():
-                row = {muv[q]: 1.0 for q in rqs}
-                for q in group_of_vert.get(ykey, []):
-                    row[lamv[q]] = -caps.u_max
-                lp.le(row, 0.0)
-            theta_cols = _alpha_columns(lp, prog, xbar, active_theta,
-                                        tol_active, caps.u_max)
-            for c in range(n):
-                row = {v: g[c] for v, g in aF}
-                for v, g in bf:
-                    row[v] = row.get(v, 0.0) + r * g[c]
-                for i in active:
-                    for v, g in zg[i]:
-                        row[v] = row.get(v, 0.0) + g[c]
-                for _j, vs in theta_cols:
-                    for v, g in vs:
-                        row[v] = row.get(v, 0.0) + g[c]
-                for q, var in enumerate(lamv):
-                    row[var] = row.get(var, 0.0) - r * Vc[q][c]
-                for q, var in enumerate(muv):
-                    row[var] = row.get(var, 0.0) - r * Rc[q][c]
-                lp.soft(row, 0.0)
-            for c in range(m):
-                row = {v: g[n + c] for v, g in aF}
-                for v, g in bf:
-                    row[v] = row.get(v, 0.0) + r * g[n + c]
-                for i in active:
-                    for v, g in zg[i]:
-                        row[v] = row.get(v, 0.0) + g[n + c]
-                lp.eq(row, 0.0)
-            t_val, sol = lp.minimize_max_violation()
-            if t_val is None:
-                continue
-            if best is None or t_val < best["residual"] - 1e-15:
-                u = np.zeros(prog.p)
-                for i in active:
-                    u[i] = _clip0(sum(sol[v] for v, _ in zg[i]))
-                lam_w = np.array([sol[v] for v in lamv])
-                mu_w = np.array([sol[v] for v in muv])
-                v_list, y_list, x_list, u_list = _tuple_data_from_cover(
-                    cover, vmeta, rmeta, lam_w, mu_w, n)
-                best = {
-                    "residual": t_val,
-                    "y": tuple(y),
-                    "r": r,
-                    "u": tuple(u.tolist()),
-                    "alpha": tuple(_alpha_values(theta_cols, sol, prog.k).tolist()),
-                    "v": v_list,
-                    "y_s": y_list,
-                    "xstar_s": x_list,
-                    "u_s": u_list,
-                }
-    return best
+    cover_pts = ([np.array(v) for v in cover.vertices]
+                 + [np.array(r) for r in cover.rays])
+    n_verts = len(cover.vertices)
+    cover_meta = list(vmeta) + list(rmeta)
+
+    def candidates():
+        for ypt in samples:
+            y = list(ypt)
+            yield y, _generators_at(prog, xbar, y, tol_active)
+
+    def build(cand, r):
+        y, gens = cand
+        s = _System(caps.u_max)
+        main, zg = s.stationarity(*gens, r)
+        cov = s.cover(cover_pts, n_verts, vmeta, rmeta)
+        theta = s.theta(prog, xbar, active_theta, tol_active)
+        s.rows(False, 0, n, main + _ones(b for _, b in theta) + [(-r, cov)])
+        s.rows(True, n, m, main)
+
+        def decode(sol):
+            v_list, y_list, x_list, u_list = _tuple_data(
+                cover_pts, cover_meta, np.array([sol[v] for v, _ in cov]),
+                n_verts, n)
+            return {
+                "y": tuple(y),
+                "u": _weight_sums(zg.items(), sol, prog.p),
+                "alpha": _weight_sums(theta, sol, prog.k),
+                "v": v_list,
+                "y_s": y_list,
+                "xstar_s": x_list,
+                "u_s": u_list,
+            }
+        return s, decode
+
+    return _search(candidates(), caps.r_grid(), build)
 
 
-def _search_variant_iii(prog, xbar, ybar, grid, caps, tol_active):
-    """Designated-point system with the shared covector x* free in the LP."""
+def _search_designated(prog, xbar, ybar, caps, tol_active, theta_sign):
+    """Designated-point system with the shared covector x* free in the LP.
+
+    (r x*, 0) must meet dF + r df + sum_i beta_i dg_i + theta_sign *
+    sum_j alpha_j dtheta_j (soft x rows, hard y rows), and (x*, 0) lies in
+    df + sum_i gamma_i dg_i (hard).  The optimistic variant iii uses
+    theta_sign = +1.  The pessimistic one runs on the negated-upper program
+    with theta_sign = -1: its identical slots collapse into this single
+    aggregated block by convexity.
+    """
     n, m = prog.n, prog.m
     y = list(ybar)
-    active = _active_indices(prog, xbar, y, tol_active)
     active_theta = _theta_active(prog, xbar, tol_active)
-    GF = _gens(prog.F, xbar, y, tol_active)
-    Gf = _gens(prog.f, xbar, y, tol_active)
-    Gg = {i: _gens(prog.g[i], xbar, y, tol_active) for i in active}
-    best = None
-    for r in caps.r_grid():
-        lp = LPBuilder()
-        xstar = [lp.var(lb=None) for _ in range(n)]
-        aF = [(lp.var(), g) for g in GF]
-        lp.eq({v: 1.0 for v, _ in aF}, 1.0)
-        bf = [(lp.var(), g) for g in Gf]
-        lp.eq({v: 1.0 for v, _ in bf}, 1.0)
-        zg = {i: [(lp.var(), g) for g in Gg[i]] for i in active}
-        for i in active:
-            lp.le({v: 1.0 for v, _ in zg[i]}, caps.u_max)
-        cf = [(lp.var(), g) for g in Gf]
-        lp.eq({v: 1.0 for v, _ in cf}, 1.0)
-        cw = {i: [(lp.var(), g) for g in Gg[i]] for i in active}
-        for i in active:
-            lp.le({v: 1.0 for v, _ in cw[i]}, caps.u_max)
-        theta_cols = _alpha_columns(lp, prog, xbar, active_theta,
-                                    tol_active, caps.u_max)
-        for c in range(n):  # (r x*, 0) block, x rows
-            row = {v: g[c] for v, g in aF}
-            for v, g in bf:
-                row[v] = row.get(v, 0.0) + r * g[c]
-            for i in active:
-                for v, g in zg[i]:
-                    row[v] = row.get(v, 0.0) + g[c]
-            for _j, vs in theta_cols:
-                for v, g in vs:
-                    row[v] = row.get(v, 0.0) + g[c]
-            row[xstar[c]] = row.get(xstar[c], 0.0) - r
-            lp.soft(row, 0.0)
-        # admissibility is hard: the y-block of the main inclusion and the
-        # full covector-defining inclusion
-        for c in range(m):
-            row = {v: g[n + c] for v, g in aF}
-            for v, g in bf:
-                row[v] = row.get(v, 0.0) + r * g[n + c]
-            for i in active:
-                for v, g in zg[i]:
-                    row[v] = row.get(v, 0.0) + g[n + c]
-            lp.eq(row, 0.0)
-        for c in range(n):  # (x*, 0) block, x rows
-            row = {v: g[c] for v, g in cf}
-            for i in active:
-                for v, g in cw[i]:
-                    row[v] = row.get(v, 0.0) + g[c]
-            row[xstar[c]] = row.get(xstar[c], 0.0) - 1.0
-            lp.eq(row, 0.0)
-        for c in range(m):
-            row = {v: g[n + c] for v, g in cf}
-            for i in active:
-                for v, g in cw[i]:
-                    row[v] = row.get(v, 0.0) + g[n + c]
-            lp.eq(row, 0.0)
-        t_val, sol = lp.minimize_max_violation()
-        if t_val is None:
-            continue
-        if best is None or t_val < best["residual"] - 1e-15:
-            beta = np.zeros(prog.p)
-            gamma = np.zeros(prog.p)
-            for i in active:
-                beta[i] = _clip0(sum(sol[v] for v, _ in zg[i]))
-                gamma[i] = _clip0(sum(sol[v] for v, _ in cw[i]))
-            best = {
-                "residual": t_val,
+    GF, Gf, Gg = _generators_at(prog, xbar, y, tol_active)
+
+    def build(_, r):
+        s = _System(caps.u_max)
+        xstar = [s.lp.var(lb=None) for _ in range(n)]
+        main, zg = s.stationarity(GF, Gf, Gg, r)
+        cf = s.hull(Gf, value=1.0)
+        cw = {i: s.hull(G, cap=True) for i, G in Gg.items()}
+        theta = s.theta(prog, xbar, active_theta, tol_active)
+        covector = [(1.0, cf), *_ones(cw.values())]
+        s.rows(False, 0, n, main + [(theta_sign, b) for _, b in theta],
+               extra=[(-r, xstar)])
+        s.rows(True, n, m, main)
+        s.rows(True, 0, n, covector, extra=[(-1.0, xstar)])
+        s.rows(True, n, m, covector)
+
+        def decode(sol):
+            return {
                 "y": tuple(y),
-                "r": r,
-                "beta": tuple(beta.tolist()),
-                "gamma": tuple(gamma.tolist()),
-                "alpha": tuple(_alpha_values(theta_cols, sol, prog.k).tolist()),
+                "beta": _weight_sums(zg.items(), sol, prog.p),
+                "gamma": _weight_sums(cw.items(), sol, prog.p),
+                "alpha": _weight_sums(theta, sol, prog.k),
                 "xstar_phi": tuple(sol[v] for v in xstar),
             }
-    return best
+        return s, decode
+
+    return _search([None], caps.r_grid(), build)
+
+
+_CQ_VARIANT = {"i": "semicompact", "ii": "convex", "iii": "semicontinuous"}
 
 
 def certify_optimistic(
@@ -642,12 +621,11 @@ def certify_optimistic(
         f"searched region: r-grid {caps.r_grid()}, multipliers <= {caps.u_max}",
         f"{len(samples)} sampled best solutions",
     ]
-    variant_map = {"i": "semicompact", "ii": "convex", "iii": "semicontinuous"}
-    bundle = cq_bundle(prog, xbar_l, variant_map[variant], grid, caps,
+    bundle = cq_bundle(prog, xbar_l, _CQ_VARIANT[variant], grid, caps,
                        ybar=ybar, seed=seed) if with_cq else ()
 
     if variant == "ii":
-        best = _search_variant_ii(prog, xbar_l, samples, grid, caps, tol_active)
+        best = _search_variant_ii(prog, xbar_l, samples, caps, tol_active)
         if best and best.get("gamma_free"):
             notes.append("lower-level multiplier set had no vertices: "
                          "gamma searched freely (relaxation bound)")
@@ -658,13 +636,13 @@ def certify_optimistic(
         sol_all = lower_solutions(prog, xbar_l, grid)
         cover_pack = stationary_cover_hull(prog, xbar_l, sol_all,
                                            tol_active, caps)
-        best = _search_variant_i(prog, xbar_l, samples, cover_pack, grid,
-                                 caps, tol_active)
+        best = _search_variant_i(prog, xbar_l, samples, cover_pack, caps,
+                                 tol_active)
         if best is None:
             notes.append("no valid lower-level covector tuples on the grid")
     elif variant == "iii":
         ypt = list(ybar) if ybar is not None else list(samples[0])
-        best = _search_variant_iii(prog, xbar_l, ypt, grid, caps, tol_active)
+        best = _search_designated(prog, xbar_l, ypt, caps, tol_active, 1.0)
         notes.append(f"designated lower-level point {tuple(ypt)}")
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -702,7 +680,7 @@ def certify_optimistic(
 # -- pessimistic variants --------------------------------------------------------
 
 
-def _search_pessimistic_i(negp, xbar, t_samples, cover_pack, grid, caps,
+def _search_pessimistic_i(negp, xbar, t_samples, cover_pack, caps,
                           tol_active):
     """Aggregated worst-case system: per-t inclusion sets enter through
     exact V-representations; eta, the shared tuple weights and the
@@ -712,17 +690,12 @@ def _search_pessimistic_i(negp, xbar, t_samples, cover_pack, grid, caps,
     if cover.is_empty:
         return None
     active_theta = _theta_active(negp, xbar, tol_active)
-    Vc = [np.array(v) for v in cover.vertices]
-    Rc = [np.array(r) for r in cover.rays]
-    cover_vert_groups: dict = {}
-    for q, mdat in enumerate(vmeta):
-        cover_vert_groups.setdefault(mdat["y"], []).append(q)
-    cover_ray_groups: dict = {}
-    for q, mdat in enumerate(rmeta):
-        cover_ray_groups.setdefault(mdat["y"], []).append(q)
+    cover_pts = ([np.array(v) for v in cover.vertices]
+                 + [np.array(r) for r in cover.rays])
+    n_verts = len(cover.vertices)
+    cover_meta = list(vmeta) + list(rmeta)
 
-    best = None
-    for r in caps.r_grid():
+    def build(_, r):
         tagged = {}
         for ypt in t_samples:
             t_set = _inclusion_xset(negp, xbar, list(ypt), tol_active, caps,
@@ -730,88 +703,42 @@ def _search_pessimistic_i(negp, xbar, t_samples, cover_pack, grid, caps,
             if not t_set.polytope.is_empty:
                 tagged[tuple(ypt)] = t_set
         if not tagged:
-            continue
-        lp = LPBuilder()
-        lamA, muA, ptsA, metaA = [], [], [], []
-        groupA_vert: dict = {}
-        groupA_ray: dict = {}
+            return None
+        s = _System(caps.u_max)
+        lam, lam_keys, mu, mu_keys, pts, meta = [], [], [], [], [], []
         for ykey, t_set in sorted(tagged.items()):
-            for v, mdat in zip(t_set.polytope.vertices, t_set.vertex_meta):
-                var = lp.var()
-                groupA_vert.setdefault(ykey, []).append(len(lamA))
-                lamA.append(var)
-                ptsA.append(np.array(v))
-                metaA.append(mdat)
-            for rr, mdat in zip(t_set.polytope.rays, t_set.ray_meta):
-                var = lp.var()
-                groupA_ray.setdefault(ykey, []).append(len(muA))
-                muA.append(var)
-                ptsA.append(np.array(rr))
-                metaA.append(mdat)
-        n_vertA = len(lamA)
-        lp.eq({v: 1.0 for v in lamA}, 1.0)
-        for ykey, rqs in groupA_ray.items():
-            row = {muA[q]: 1.0 for q in rqs}
-            for q in groupA_vert.get(ykey, []):
-                row[lamA[q]] = -caps.u_max
-            lp.le(row, 0.0)
-        lam_c = [lp.var() for _ in Vc]
-        mu_c = [lp.var() for _ in Rc]
-        lp.eq({v: 1.0 for v in lam_c}, 1.0)
-        for ykey, rqs in cover_ray_groups.items():
-            row = {mu_c[q]: 1.0 for q in rqs}
-            for q in cover_vert_groups.get(ykey, []):
-                row[lam_c[q]] = -caps.u_max
-            lp.le(row, 0.0)
-        theta_cols = _alpha_columns(lp, negp, xbar, active_theta,
-                                    tol_active, caps.u_max)
-        for c in range(n):
-            row = {}
-            for q, var in enumerate(lamA):
-                row[var] = ptsA[q][c]
-            for q, var in enumerate(muA):
-                row[var] = ptsA[n_vertA + q][c]
-            for q, var in enumerate(lam_c):
-                row[var] = row.get(var, 0.0) - r * Vc[q][c]
-            for q, var in enumerate(mu_c):
-                row[var] = row.get(var, 0.0) - r * Rc[q][c]
-            for _j, vs in theta_cols:
-                for v, g in vs:
-                    row[v] = row.get(v, 0.0) - g[c]
-            lp.soft(row, 0.0)
-        t_val, sol = lp.minimize_max_violation()
-        if t_val is None:
-            continue
-        if best is None or t_val < best["residual"] - 1e-15:
-            lam_w = np.array([sol[v] for v in lamA])
-            mu_w = np.array([sol[v] for v in muA])
-            folded = _fold_groups(ptsA, metaA, lam_w, mu_w, n_vertA)
-            pts_t = [f[1] for f in folded]
-            w_t = [f[0] for f in folded]
-            keep, w_red = caratheodory_reduce(pts_t, w_t, n)
-            lamc_w = np.array([sol[v] for v in lam_c])
-            muc_w = np.array([sol[v] for v in mu_c])
-            v_list, y_list, x_list, u_list = _tuple_data_from_cover(
-                cover, vmeta, rmeta, lamc_w, muc_w, n)
+            poly = t_set.polytope
+            for v, mdat in zip(poly.vertices, t_set.vertex_meta):
+                lam.append(s.lp.var())
+                lam_keys.append(ykey)
+                pts.append(np.array(v))
+                meta.append(mdat)
+            for rr, mdat in zip(poly.rays, t_set.ray_meta):
+                mu.append(s.lp.var())
+                mu_keys.append(ykey)
+                pts.append(np.array(rr))
+                meta.append(mdat)
+        s.group_rays(lam, mu, lam_keys, mu_keys)
+        # vertex weights, then ray weights, meet the generators in creation
+        # order (each y's vertices and rays in turn); _fold_groups decodes
+        # with the same pairing
+        tagged_block = list(zip(lam + mu, pts))
+        cov = s.cover(cover_pts, n_verts, vmeta, rmeta)
+        theta = s.theta(negp, xbar, active_theta, tol_active)
+        s.rows(False, 0, n, [(1.0, tagged_block), (-r, cov),
+                             *[(-1.0, b) for _, b in theta]])
+
+        def decode(sol):
+            wc = np.array([sol[v] for v, _ in cov])
+            v_list, y_list, x_list, u_list = _tuple_data(
+                cover_pts, cover_meta, wc, n_verts, n)
             xi = np.zeros(n)
-            for q, w in enumerate(lamc_w):
-                xi += w * Vc[q]
-            for q, w in enumerate(muc_w):
-                xi += w * Rc[q]
-            eta, y_t, xstar_t, u_t = [], [], [], []
-            for i in keep:
-                eta.append(float(w_red[i]))
-                y_t.append(folded[i][2]["y"])
-                xstar_t.append(tuple((pts_t[i] - r * xi).tolist()))
-                u_t.append(folded[i][2]["u"])
-            while len(eta) < n + 1:
-                eta.append(0.0)
-                y_t.append(y_t[0])
-                xstar_t.append(xstar_t[0])
-                u_t.append(u_t[0])
-            best = {
-                "residual": t_val,
-                "r": r,
+            for w, pt in zip(wc, cover_pts):
+                xi += w * pt
+            eta, y_t, xstar_t, u_t = _tuple_data(
+                pts, meta, np.array([sol[v] for v in lam + mu]), len(lam), n,
+                shift=r * xi)
+            return {
                 "eta": eta,
                 "y_t": y_t,
                 "xstar_t": xstar_t,
@@ -820,9 +747,92 @@ def _search_pessimistic_i(negp, xbar, t_samples, cover_pack, grid, caps,
                 "y_s": y_list,
                 "xstar_s": x_list,
                 "u_s": u_list,
-                "alpha": tuple(_alpha_values(theta_cols, sol, negp.k).tolist()),
+                "alpha": _weight_sums(theta, sol, negp.k),
             }
-    return best
+        return s, decode
+
+    return _search([None], caps.r_grid(), build)
+
+
+def _search_pessimistic_ii(negp, xbar, t_samples, grid, caps, tol_active):
+    """Fully-convex worst-case system.
+
+    For every sampled y in S(xbar) (the universal quantifier) the per-slot
+    blocks are scaled by eta_t; the per-slot stationarity rows are hard, so
+    small weights cannot hide violations.  Reports the max residual over
+    the sampled y.
+    """
+    n, m = negp.n, negp.m
+    sol_all = lower_solutions(negp, xbar, grid)
+    y_samples = _subsample(sol_all.points, min(4, caps.max_solution_samples))
+    active_theta = _theta_active(negp, xbar, tol_active)
+    slot_gens = {}  # generators per sampled t, computed at first use
+
+    per_y_results = []
+    for yref in y_samples:
+        yref_l = list(yref)
+        lam_ms = lambda_set(negp, xbar, yref_l, tol_active, caps)
+        gamma_candidates = [np.array(v) for v in lam_ms.vertices]
+        if not gamma_candidates:
+            per_y_results.append(None)
+            continue
+        Gf_ref = clarke_generators(negp.f, xbar, yref_l, tol_active)
+        Gg_ref = {i: clarke_generators(negp.g[i], xbar, yref_l, tol_active)
+                  for i in range(negp.p)}
+        active_ref = _active_indices(negp, xbar, yref_l, tol_active)
+
+        def build(gamma, r):
+            s = _System(caps.u_max)
+            slots, soft = [], []
+            for ypt in t_samples:
+                key = tuple(ypt)
+                if key not in slot_gens:
+                    slot_gens[key] = _generators_at(negp, xbar, list(ypt),
+                                                    tol_active)
+                GF, Gf, Gg = slot_gens[key]
+                eta_t = s.lp.var()
+                GFx, GFy, d1, dref, bfy = [s.hull(G, var=eta_t)
+                                           for G in (GF, GF, Gf, Gf_ref, Gf)]
+                zg = {i: s.hull(G, var=eta_t, cap=True) for i, G in Gg.items()}
+                cg = [s.hull(Gg_ref[i], var=eta_t, k=float(gamma[i]))
+                      for i in active_ref if gamma[i] > 0]
+                # per-slot worst-case stationarity rows, hard
+                s.rows(True, n, m, [(1.0, GFy), (r, bfy), *_ones(zg.values())])
+                slots.append((key, eta_t, zg))
+                soft += [(1.0, GFx), (r, d1), (-r, dref), *_ones(zg.values()),
+                         *[(-r, b) for b in cg]]
+            s.lp.eq({eta_t: 1.0 for _, eta_t, _ in slots}, 1.0)
+            theta = s.theta(negp, xbar, active_theta, tol_active)
+            s.rows(False, 0, n, soft + [(-1.0, b) for _, b in theta],
+                   assign_first=False)
+
+            def decode(sol):
+                beta_t, y_t, eta = [], [], []
+                for ypt, eta_t, zg in slots:
+                    ev = sol[eta_t]
+                    if ev <= 1e-12:
+                        continue
+                    beta_t.append(_clipped(
+                        {i: sum(sol[v] for v, _ in b) / ev
+                         for i, b in zg.items()}, negp.p))
+                    y_t.append(ypt)
+                    eta.append(ev)
+                _pad_slots(n, eta, y_t, beta_t)
+                return {
+                    "y": tuple(yref_l),
+                    "gamma": tuple(gamma.tolist()),
+                    "eta": eta,
+                    "y_t": y_t,
+                    "beta_t": beta_t,
+                    "alpha": _weight_sums(theta, sol, negp.k),
+                }
+            return s, decode
+
+        per_y_results.append(_search(gamma_candidates, caps.r_grid(), build))
+    if any(r is None for r in per_y_results) or not per_y_results:
+        return None
+    # the conditions must hold for every sampled y: report the worst
+    return max(per_y_results, key=lambda r: r["residual"])
 
 
 def certify_pessimistic(
@@ -846,10 +856,7 @@ def certify_pessimistic(
     t_samples = _subsample(sol_p.points, caps.max_solution_samples)
     slack = _grid_slack(prog, xbar_l, list(t_samples[0]), grid)
     tol_eff = tol + slack
-    pess = prog if prog.mode == "pessimistic" else None
-    bundle_prog = pess or prog
-    variant_map = {"i": "semicompact", "ii": "convex", "iii": "semicontinuous"}
-    bundle = cq_bundle(bundle_prog, xbar_l, variant_map[variant], grid, caps,
+    bundle = cq_bundle(prog, xbar_l, _CQ_VARIANT[variant], grid, caps,
                        ybar=ybar, seed=seed) if with_cq else ()
     notes = [
         "conditions evaluated on the negated-upper program",
@@ -862,13 +869,17 @@ def certify_pessimistic(
         cover_pack = stationary_cover_hull(negp, xbar_l, sol_all,
                                            tol_active, caps)
         best = _search_pessimistic_i(negp, xbar_l, t_samples, cover_pack,
-                                     grid, caps, tol_active)
+                                     caps, tol_active)
     elif variant == "ii":
-        best = _search_pessimistic_ii(negp, prog, xbar_l, t_samples, grid,
-                                      caps, tol_active)
+        best = _search_pessimistic_ii(negp, xbar_l, t_samples, grid, caps,
+                                      tol_active)
     elif variant == "iii":
         ypt = list(ybar) if ybar is not None else list(t_samples[0])
-        best = _search_pessimistic_iii(negp, xbar_l, ypt, caps, tol_active)
+        best = _search_designated(negp, xbar_l, ypt, caps, tol_active, -1.0)
+        if best is not None:
+            n = negp.n
+            best.update(y_t=[best["y"]] * (n + 1), eta=[1.0] + [0.0] * n,
+                        beta_t=[best["beta"]] * (n + 1))
         notes.append(f"designated lower-level point {tuple(ypt)}")
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -903,235 +914,15 @@ def certify_pessimistic(
         caps=caps, seed=seed, notes=tuple(notes))
 
 
-def _search_pessimistic_ii(negp, orig, xbar, t_samples, grid, caps, tol_active):
-    """Fully-convex worst-case system.
-
-    For every sampled y in S(xbar) (the universal quantifier) the per-slot
-    blocks are scaled by eta_t; the per-slot stationarity rows are hard, so
-    small weights cannot hide violations.  Reports the max residual over
-    the sampled y.
-    """
-    n, m = negp.n, negp.m
-    sol_all = lower_solutions(negp, xbar, grid)
-    y_samples = _subsample(sol_all.points, min(4, caps.max_solution_samples))
-    active_theta = _theta_active(negp, xbar, tol_active)
-    overall = None
-    per_y_results = []
-    for yref in y_samples:
-        yref_l = list(yref)
-        lam_ms = lambda_set(negp, xbar, yref_l, tol_active, caps)
-        gamma_candidates = [np.array(v) for v in lam_ms.vertices]
-        if not gamma_candidates:
-            per_y_results.append(None)
-            continue
-        Gf_ref_x = [g[:n] for g in _gens(negp.f, xbar, yref_l, tol_active)]
-        Gg_ref = {i: [g[:n] for g in _gens(negp.g[i], xbar, yref_l, tol_active)]
-                  for i in range(negp.p)}
-        active_ref = _active_indices(negp, xbar, yref_l, tol_active)
-        best_y = None
-        for gamma in gamma_candidates:
-            for r in caps.r_grid():
-                lp = LPBuilder()
-                eta = {}
-                blocks = {}
-                for ypt in t_samples:
-                    yt = list(ypt)
-                    active_t = _active_indices(negp, xbar, yt, tol_active)
-                    eta_t = lp.var()
-                    GFx = [(lp.var(), g[:n])
-                           for g in _gens(negp.F, xbar, yt, tol_active)]
-                    lp.eq({**{v: 1.0 for v, _ in GFx}, eta_t: -1.0}, 0.0)
-                    GFy = [(lp.var(), g[n:])
-                           for g in _gens(negp.F, xbar, yt, tol_active)]
-                    lp.eq({**{v: 1.0 for v, _ in GFy}, eta_t: -1.0}, 0.0)
-                    d1 = [(lp.var(), g[:n])
-                          for g in _gens(negp.f, xbar, yt, tol_active)]
-                    lp.eq({**{v: 1.0 for v, _ in d1}, eta_t: -1.0}, 0.0)
-                    dref = [(lp.var(), g) for g in Gf_ref_x]
-                    lp.eq({**{v: 1.0 for v, _ in dref}, eta_t: -1.0}, 0.0)
-                    bfy = [(lp.var(), g[n:])
-                           for g in _gens(negp.f, xbar, yt, tol_active)]
-                    lp.eq({**{v: 1.0 for v, _ in bfy}, eta_t: -1.0}, 0.0)
-                    zg = {i: [(lp.var(), g)
-                              for g in _gens(negp.g[i], xbar, yt, tol_active)]
-                          for i in active_t}
-                    for i in active_t:
-                        lp.le({**{v: 1.0 for v, _ in zg[i]},
-                               eta_t: -caps.u_max}, 0.0)
-                    cg = {}
-                    for i in active_ref:
-                        if gamma[i] > 0:
-                            cg[i] = [(lp.var(), g) for g in Gg_ref[i]]
-                            lp.eq({**{v: 1.0 for v, _ in cg[i]},
-                                   eta_t: -float(gamma[i])}, 0.0)
-                    # per-slot worst-case stationarity rows, hard
-                    for c in range(m):
-                        row = {v: g[c] for v, g in GFy}
-                        for v, g in bfy:
-                            row[v] = row.get(v, 0.0) + r * g[c]
-                        for i in active_t:
-                            for v, g in zg[i]:
-                                row[v] = row.get(v, 0.0) + g[n + c]
-                        lp.eq(row, 0.0)
-                    eta[tuple(ypt)] = eta_t
-                    blocks[tuple(ypt)] = (GFx, d1, dref, zg, cg, active_t)
-                lp.eq({v: 1.0 for v in eta.values()}, 1.0)
-                theta_cols = _alpha_columns(lp, negp, xbar, active_theta,
-                                            tol_active, caps.u_max)
-                for c in range(n):
-                    row = {}
-                    for ypt, (GFx, d1, dref, zg, cg, active_t) in blocks.items():
-                        for v, g in GFx:
-                            row[v] = row.get(v, 0.0) + g[c]
-                        for v, g in d1:
-                            row[v] = row.get(v, 0.0) + r * g[c]
-                        for v, g in dref:
-                            row[v] = row.get(v, 0.0) - r * g[c]
-                        for i, cols in zg.items():
-                            for v, g in cols:
-                                row[v] = row.get(v, 0.0) + g[c]
-                        for i, cols in cg.items():
-                            for v, g in cols:
-                                row[v] = row.get(v, 0.0) - r * g[c]
-                    for _j, vs in theta_cols:
-                        for v, g in vs:
-                            row[v] = row.get(v, 0.0) - g[c]
-                    lp.soft(row, 0.0)
-                t_val, sol = lp.minimize_max_violation()
-                if t_val is None:
-                    continue
-                if best_y is None or t_val < best_y["residual"] - 1e-15:
-                    eta_vals = {k: sol[v] for k, v in eta.items()}
-                    beta_t = []
-                    y_t, eta_list = [], []
-                    for ypt, (GFx, d1, dref, zg, cg, active_t) in blocks.items():
-                        ev = eta_vals[ypt]
-                        if ev <= 1e-12:
-                            continue
-                        bt = np.zeros(negp.p)
-                        for i, cols in zg.items():
-                            bt[i] = _clip0(sum(sol[v] for v, _ in cols) / ev)
-                        beta_t.append(tuple(bt.tolist()))
-                        y_t.append(ypt)
-                        eta_list.append(ev)
-                    while len(eta_list) < n + 1:
-                        eta_list.append(0.0)
-                        y_t.append(y_t[0])
-                        beta_t.append(beta_t[0])
-                    best_y = {
-                        "residual": t_val,
-                        "r": r,
-                        "y": tuple(yref_l),
-                        "gamma": tuple(gamma.tolist()),
-                        "eta": eta_list,
-                        "y_t": y_t,
-                        "beta_t": beta_t,
-                        "alpha": tuple(_alpha_values(theta_cols, sol,
-                                                     negp.k).tolist()),
-                    }
-        per_y_results.append(best_y)
-    if any(r is None for r in per_y_results) or not per_y_results:
-        return None
-    # the conditions must hold for every sampled y: report the worst
-    overall = max(per_y_results, key=lambda r: r["residual"])
-    return overall
-
-
-def _search_pessimistic_iii(negp, xbar, ybar, caps, tol_active):
-    """Designated-point worst-case system; identical slots collapse into a
-    single aggregated block by convexity."""
-    n, m = negp.n, negp.m
-    y = list(ybar)
-    active = _active_indices(negp, xbar, y, tol_active)
-    active_theta = _theta_active(negp, xbar, tol_active)
-    GF = _gens(negp.F, xbar, y, tol_active)
-    Gf = _gens(negp.f, xbar, y, tol_active)
-    Gg = {i: _gens(negp.g[i], xbar, y, tol_active) for i in active}
-    best = None
-    for r in caps.r_grid():
-        lp = LPBuilder()
-        xphi = [lp.var(lb=None) for _ in range(n)]
-        aF = [(lp.var(), g) for g in GF]
-        lp.eq({v: 1.0 for v, _ in aF}, 1.0)
-        bf = [(lp.var(), g) for g in Gf]
-        lp.eq({v: 1.0 for v, _ in bf}, 1.0)
-        zg = {i: [(lp.var(), g) for g in Gg[i]] for i in active}
-        for i in active:
-            lp.le({v: 1.0 for v, _ in zg[i]}, caps.u_max)
-        cf = [(lp.var(), g) for g in Gf]
-        lp.eq({v: 1.0 for v, _ in cf}, 1.0)
-        cw = {i: [(lp.var(), g) for g in Gg[i]] for i in active}
-        for i in active:
-            lp.le({v: 1.0 for v, _ in cw[i]}, caps.u_max)
-        theta_cols = _alpha_columns(lp, negp, xbar, active_theta,
-                                    tol_active, caps.u_max)
-        # aggregated slot block: combo_x - r*xphi must land in the
-        # upper-level multiplier cone; slot y-rows are hard
-        for c in range(m):
-            row = {v: g[n + c] for v, g in aF}
-            for v, g in bf:
-                row[v] = row.get(v, 0.0) + r * g[n + c]
-            for i in active:
-                for v, g in zg[i]:
-                    row[v] = row.get(v, 0.0) + g[n + c]
-            lp.eq(row, 0.0)
-        for c in range(n):
-            row = {v: g[c] for v, g in aF}
-            for v, g in bf:
-                row[v] = row.get(v, 0.0) + r * g[c]
-            for i in active:
-                for v, g in zg[i]:
-                    row[v] = row.get(v, 0.0) + g[c]
-            row[xphi[c]] = row.get(xphi[c], 0.0) - r
-            for _j, vs in theta_cols:
-                for v, g in vs:
-                    row[v] = row.get(v, 0.0) - g[c]
-            lp.soft(row, 0.0)
-        for c in range(n):  # covector block x rows (defines xphi, hard)
-            row = {v: g[c] for v, g in cf}
-            for i in active:
-                for v, g in cw[i]:
-                    row[v] = row.get(v, 0.0) + g[c]
-            row[xphi[c]] = row.get(xphi[c], 0.0) - 1.0
-            lp.eq(row, 0.0)
-        for c in range(m):
-            row = {v: g[n + c] for v, g in cf}
-            for i in active:
-                for v, g in cw[i]:
-                    row[v] = row.get(v, 0.0) + g[n + c]
-            lp.eq(row, 0.0)
-        t_val, sol = lp.minimize_max_violation()
-        if t_val is None:
-            continue
-        if best is None or t_val < best["residual"] - 1e-15:
-            beta = np.zeros(negp.p)
-            gamma = np.zeros(negp.p)
-            for i in active:
-                beta[i] = _clip0(sum(sol[v] for v, _ in zg[i]))
-                gamma[i] = _clip0(sum(sol[v] for v, _ in cw[i]))
-            best = {
-                "residual": t_val,
-                "r": r,
-                "y": tuple(y),
-                "y_t": [tuple(y)] * (n + 1),
-                "eta": [1.0] + [0.0] * n,
-                "beta_t": [tuple(beta.tolist())] * (n + 1),
-                "gamma": tuple(gamma.tolist()),
-                "alpha": tuple(_alpha_values(theta_cols, sol, negp.k).tolist()),
-                "xstar_phi": tuple(sol[v] for v in xphi),
-            }
-    return best
-
-
 # -- independent re-check --------------------------------------------------------
 
 
 def _joint_hull(e, xbar, y, tol_active, dim):
-    return hull(_gens(e, xbar, y, tol_active), dim=dim)
+    return hull(clarke_generators(e, xbar, y, tol_active), dim=dim)
 
 
 def _part_hull(e, xbar, y, tol_active, n, part):
-    gens = _gens(e, xbar, y, tol_active)
+    gens = clarke_generators(e, xbar, y, tol_active)
     pts = [g[:n] for g in gens] if part == "x" else [g[n:] for g in gens]
     return hull(pts, dim=len(pts[0]))
 
@@ -1143,7 +934,7 @@ def _theta_term(prog, xbar, alpha, tol_active, dim, pad_m=0):
     for j, a in enumerate(alpha or ()):
         if a <= 0:
             continue
-        gens = _gens(prog.theta1[j], xbar, [], tol_active)
+        gens = clarke_generators(prog.theta1[j], xbar, [], tol_active)
         pts = [np.concatenate([g[:n], np.zeros(pad_m)]) for g in gens]
         total = minkowski_sum(total, scale(hull(pts, dim=dim), a))
     return total
@@ -1450,7 +1241,7 @@ def minimax_reduction_check(
     maximizers = pessimistic_solutions(prog, xbar_l, grid)
     direct_gens = []
     for ypt in _subsample(maximizers.points, caps.max_solution_samples):
-        for g in _gens(prog.F, xbar_l, list(ypt), tol_active):
+        for g in clarke_generators(prog.F, xbar_l, list(ypt), tol_active):
             direct_gens.append(g[: prog.n])
     direct = hull(direct_gens, dim=prog.n)
     est = estimate_pessimistic(prog, xbar_l, "semicompact", grid, caps)

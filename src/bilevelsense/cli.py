@@ -25,7 +25,6 @@ from .errors import (
     NotApplicableError,
     NotPolyhedralError,
     ParseError,
-    ToolkitError,
     UnsupportedDimensionError,
 )
 from .certify import (
@@ -126,14 +125,7 @@ def _config_dict(args, grid, caps):
             "refine_depth": grid.refine_depth,
             "tol_feas": grid.tol_feas,
         },
-        "caps": {
-            "r_max": caps.r_max,
-            "log_r_min": caps.log_r_min,
-            "log_r_max": caps.log_r_max,
-            "simplex_steps": caps.simplex_steps,
-            "u_max": caps.u_max,
-            "max_solution_samples": caps.max_solution_samples,
-        },
+        "caps": caps.to_dict(),
         "tol": args.tol,
         "seed": args.seed,
     }
@@ -145,8 +137,11 @@ def _config_dict(args, grid, caps):
 
 def _emit(args, text):
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -164,7 +159,12 @@ def _poly_dict(poly):
 
 
 def run(args) -> int:
-    prog = parse_program(open(args.problem, encoding="utf-8").read())
+    try:
+        with open(args.problem, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {args.problem}: {exc}") from None
+    prog = parse_program(text)
     grid = GridSpec(points_per_dim=args.grid, refine_depth=args.refine)
     caps = Caps(r_max=args.rmax)
     cfg = _config_dict(args, grid, caps)
@@ -275,9 +275,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(_normalize_argv(list(argv)))
         return run(args)
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (InfeasibleError, InfeasiblePointError, NotApplicableError,

@@ -25,31 +25,31 @@ from .model import (
     BilevelProgram,
     affine_coefficients,
     clarke_generators,
-    eval_expr,
     is_smooth,
     used_indices,
 )
-from .sensitivity import Caps, DEFAULT_TOL_ACTIVE, _active_indices
+from .sensitivity import (
+    Caps,
+    DEFAULT_TOL_ACTIVE,
+    _active_indices,
+    _midpoint_convexity_ok,
+)
 from .subdiff import (
-    Polytope,
+    FD_DIRS,
+    FD_RADIUS,
+    FD_STEP,
     distance,
     fd_subgradient_samples,
     hull,
-    minkowski_sum,
     project,
     scale as poly_scale,
 )
 from .valuefn import (
     GridSpec,
-    lower_solutions,
     optimistic_solutions,
     pessimistic_solutions,
     value_function,
 )
-
-FD_RADIUS = 1e-5
-FD_STEP = 1e-3
-FD_DIRS = 6
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,6 @@ def check_polyhedral_calmness_all(prog: BilevelProgram):
 # -- pointbased coderivative-style checks -------------------------------------
 
 
-def _joint_gens(e, xbar, y, tol_active):
-    return clarke_generators(e, xbar, y, tol_active)
-
-
 def check_pointbased_cq(
     prog: BilevelProgram,
     which: str,
@@ -165,12 +161,12 @@ def check_pointbased_cq(
             lp = LPBuilder()
             g_cols = []       # (var, i, joint generator)
             for i in active:
-                for gvec in _joint_gens(prog.g[i], xbar_l, y_l, tol_active):
+                for gvec in clarke_generators(prog.g[i], xbar_l, y_l, tol_active):
                     g_cols.append((lp.var(), i, gvec))
             f_cols, p_cols, r_var = [], [], None
             if which == "S":
                 r_var = lp.var(ub=None)
-                for gvec in _joint_gens(prog.f, xbar_l, y_l, tol_active):
+                for gvec in clarke_generators(prog.f, xbar_l, y_l, tol_active):
                     f_cols.append((lp.var(), gvec))
                 for pv in phi_gens:
                     p_cols.append((lp.var(), np.concatenate([pv, np.zeros(m)])))
@@ -256,7 +252,7 @@ def recheck_pointbased_witness(prog: BilevelProgram, verdict: CQVerdict,
         vec = np.array(vec)
         u_i = w["u"][i]
         if u_i > 0:
-            gi_hull = hull(_joint_gens(prog.g[i], xbar_l, y_l, tol_active),
+            gi_hull = hull(clarke_generators(prog.g[i], xbar_l, y_l, tol_active),
                            dim=n + m)
             if distance(poly_scale(gi_hull, u_i), list(vec)) > 1e-8:
                 return False
@@ -292,7 +288,7 @@ def check_gen_mfcq(
     gens = []
     owner = []
     for i in active:
-        for gvec in _joint_gens(prog.g[i], xbar_l, y_l, tol_active):
+        for gvec in clarke_generators(prog.g[i], xbar_l, y_l, tol_active):
             gens.append(gvec)
             owner.append(i)
     poly = hull(gens, dim=prog.n + prog.m)
@@ -331,7 +327,7 @@ def recheck_mfcq_witness(prog: BilevelProgram, verdict: CQVerdict,
         i = int(i_str)
         vec = np.array(vec)
         if gamma[i] > 0:
-            gi_hull = hull(_joint_gens(prog.g[i], xbar_l, y_l, tol_active),
+            gi_hull = hull(clarke_generators(prog.g[i], xbar_l, y_l, tol_active),
                            dim=prog.n + prog.m)
             if distance(poly_scale(gi_hull, gamma[i]), list(vec)) > 1e-8:
                 return False
@@ -477,28 +473,12 @@ def check_codcq_convex(
     all_affine_y = all(
         affine_coefficients(gi, prog.n, prog.m) is not None for gi in prog.g
     )
-    if all_affine_y and is_smooth(prog.f) and _convex_spot_check(prog, seed):
+    if all_affine_y and is_smooth(prog.f) and _midpoint_convexity_ok(
+            prog, (prog.f, *prog.g), seed):
         return CQVerdict("CodCQConvex", "Guaranteed",
                          detail="affine-in-y constraints, smooth convex objective")
     return CQVerdict("CodCQConvex", "Unknown",
                      detail="sufficient conditions not syntactically verified")
-
-
-def _convex_spot_check(prog: BilevelProgram, seed: int, trials: int = 200,
-                       tol: float = 1e-9) -> bool:
-    rng = np.random.default_rng(seed)
-    box = list(prog.box_x) + list(prog.box_y)
-    for _ in range(trials):
-        a = np.array([rng.uniform(lo, hi) for lo, hi in box])
-        b = np.array([rng.uniform(lo, hi) for lo, hi in box])
-        mid = 0.5 * (a + b)
-        for e in (prog.f, *prog.g):
-            va = eval_expr(e, a[: prog.n], a[prog.n:])
-            vb = eval_expr(e, b[: prog.n], b[prog.n:])
-            vm = eval_expr(e, mid[: prog.n], mid[prog.n:])
-            if vm > 0.5 * (va + vb) + tol * (1 + abs(va) + abs(vb)):
-                return False
-    return True
 
 
 # -- bundles -------------------------------------------------------------------

@@ -572,9 +572,6 @@ class BilevelProgram:
     def k(self) -> int:
         return len(self.theta1)
 
-    def with_upper_objective(self, new_F: Expr) -> "BilevelProgram":
-        return replace(self, F=new_F)
-
     def negated_upper(self) -> "BilevelProgram":
         """Same program with F replaced by -F (the lower level is untouched)."""
         return replace(self, F=neg(self.F))
@@ -729,10 +726,6 @@ class _ExprParser:
                 )
             return Expr.x(idx) if mvar.group(1) == "x" else Expr.y(idx)
         raise ParseError(f"unknown identifier {tok!r}", self.line, col)
-
-
-def parse_expression(text: str, n: int, m: int, line: int = 1) -> Expr:
-    return _ExprParser(text, line, n, m).parse()
 
 
 def parse_program(text: str) -> BilevelProgram:

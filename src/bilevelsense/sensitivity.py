@@ -55,7 +55,6 @@ class Caps:
     r_max: float = 10.0
     log_r_min: int = -3
     log_r_max: int = 1
-    simplex_steps: int = 5
     u_max: float = 100.0
     max_solution_samples: int = 12
     max_bases: int = 300000
@@ -64,6 +63,16 @@ class Caps:
         vals = {0.0, float(self.r_max)}
         vals.update(10.0**j for j in range(self.log_r_min, self.log_r_max + 1))
         return tuple(sorted(vals))
+
+    def to_dict(self) -> dict:
+        """The caps every artifact records."""
+        return {
+            "r_max": self.r_max,
+            "log_r_min": self.log_r_min,
+            "log_r_max": self.log_r_max,
+            "u_max": self.u_max,
+            "max_solution_samples": self.max_solution_samples,
+        }
 
 
 @dataclass(frozen=True)
@@ -100,10 +109,6 @@ class MultiplierSet:
                 pts.append(np.array(v) + t * ray)
                 truncated = True
         return pts, truncated
-
-
-def _gens(e: Expr, xbar, y, tol_active):
-    return clarke_generators(e, xbar, y, tol_active)
 
 
 def _active_indices(prog: BilevelProgram, xbar, y, tol_active):
@@ -160,14 +165,14 @@ def lambda_set(prog: BilevelProgram, xbar, y,
     active = _active_indices(prog, xbar, y, tol_active)
     m, p = prog.m, prog.p
 
-    f_gens = _gens(prog.f, xbar, y, tol_active)
+    f_gens = clarke_generators(prog.f, xbar, y, tol_active)
     cols = []
     meta = []
     for gvec in f_gens:
         cols.append(np.concatenate([gvec[prog.n:], [1.0]]))
         meta.append(("f", None))
     for i in active:
-        for gvec in _gens(prog.g[i], xbar, y, tol_active):
+        for gvec in clarke_generators(prog.g[i], xbar, y, tol_active):
             cols.append(np.concatenate([gvec[prog.n:], [0.0]]))
             meta.append(("g", i))
     A = np.column_stack(cols)
@@ -207,14 +212,14 @@ def lambda_o_set(prog: BilevelProgram, xbar, y,
 
     cols = []
     meta = []
-    for gvec in _gens(prog.F, xbar, y, tol_active):
+    for gvec in clarke_generators(prog.F, xbar, y, tol_active):
         cols.append(np.concatenate([gvec[prog.n:], [1.0]]))
         meta.append(("F", None))
-    for gvec in _gens(prog.f, xbar, y, tol_active):
+    for gvec in clarke_generators(prog.f, xbar, y, tol_active):
         cols.append(np.concatenate([gvec[prog.n:], [0.0]]))
         meta.append(("r", None))
     for i in active:
-        for gvec in _gens(prog.g[i], xbar, y, tol_active):
+        for gvec in clarke_generators(prog.g[i], xbar, y, tol_active):
             cols.append(np.concatenate([gvec[prog.n:], [0.0]]))
             meta.append(("g", i))
     A = np.column_stack(cols)
@@ -289,18 +294,18 @@ def _inclusion_xset(
 
     if include_F:
         Fe = F_expr if F_expr is not None else prog.F
-        for gvec in _gens(Fe, xbar, y, tol_active):
+        for gvec in clarke_generators(Fe, xbar, y, tol_active):
             cols.append((gvec[:n], col_vec(gvec[n:], [1.0, 0.0])))
             meta.append(("F", None))
         f_sum = [0.0, 1.0]
     else:
         f_sum = [1.0]
-    for gvec in _gens(prog.f, xbar, y, tol_active):
+    for gvec in clarke_generators(prog.f, xbar, y, tol_active):
         cols.append((gvec[:n], col_vec(gvec[n:], f_sum)))
         meta.append(("f", None))
     zero_sum = [0.0, 0.0] if include_F else [0.0]
     for i in active:
-        for gvec in _gens(prog.g[i], xbar, y, tol_active):
+        for gvec in clarke_generators(prog.g[i], xbar, y, tol_active):
             cols.append((gvec[:n], col_vec(gvec[n:], zero_sum)))
             meta.append(("g", i))
 
@@ -337,13 +342,6 @@ def _inclusion_xset(
         tuple(vert_meta),
         tuple(ray_meta),
     )
-
-
-def stationary_cover_set(prog: BilevelProgram, xbar, y,
-                         tol_active: float = DEFAULT_TOL_ACTIVE,
-                         caps: Caps = Caps()) -> TaggedSet:
-    """Valid lower-level covectors x*_s at one y in S(xbar)."""
-    return _inclusion_xset(prog, xbar, y, tol_active, caps, include_F=False)
 
 
 def stationary_cover_hull(prog: BilevelProgram, xbar,
@@ -393,13 +391,6 @@ def _subsample(points: Sequence, cap: int):
     return uniq
 
 
-def _phi_star_set(prog: BilevelProgram, xbar, y, tol_active, caps,
-                  stat_tol=None) -> Polytope:
-    """Convexified lower-level stationarity covectors at the designated point."""
-    return _inclusion_xset(prog, xbar, y, tol_active, caps,
-                           stat_tol=stat_tol).polytope
-
-
 def grid_blur(grid: GridSpec, prog: BilevelProgram) -> float:
     """Activity/stationarity tolerance matched to solution sampling.
 
@@ -428,7 +419,7 @@ class Estimate:
 
 
 def _partial_hull(e: Expr, xbar, y, tol_active, part, n) -> Polytope:
-    gens = _gens(e, xbar, y, tol_active)
+    gens = clarke_generators(e, xbar, y, tol_active)
     if part == "x":
         pts = [g[:n] for g in gens]
         return Polytope.from_generators(n, pts)
@@ -577,8 +568,9 @@ def _estimate_convex(prog, xbar, samples, caps, tol_active, stat_tol=None):
 
 def _estimate_semicontinuous(prog, xbar, ypt, caps, tol_active,
                              stat_tol=None):
-    phi_star = _phi_star_set(prog, xbar, ypt, tol_active, caps,
-                             stat_tol=stat_tol)
+    # convexified lower-level stationarity covectors at the designated point
+    phi_star = _inclusion_xset(prog, xbar, ypt, tol_active, caps,
+                               stat_tol=stat_tol).polytope
     pieces = []
     for r in caps.r_grid():
         inc = _inclusion_xset(prog, xbar, ypt, tol_active, caps,
@@ -613,13 +605,14 @@ def estimate_simple_convex(
         if xi:
             raise NotApplicableError(
                 f"lower-level data {label} references x: parameter-dependent")
-    if not _midpoint_convexity_ok(prog, convexity_seed):
+    if not _midpoint_convexity_ok(prog, (prog.F, prog.f, *prog.g),
+                                  convexity_seed):
         raise NotApplicableError("midpoint convexity spot-check failed")
     sol_o = optimistic_solutions(prog, xbar_l, grid)
     samples = _subsample(sol_o.points, caps.max_solution_samples)
     pts = []
     for ypt in samples:
-        for gvec in _gens(prog.F, xbar_l, list(ypt), tol_active):
+        for gvec in clarke_generators(prog.F, xbar_l, list(ypt), tol_active):
             pts.append(gvec[: prog.n])
     return Estimate(
         Polytope.from_generators(prog.n, pts),
@@ -629,10 +622,12 @@ def estimate_simple_convex(
     )
 
 
-def _midpoint_convexity_ok(prog: BilevelProgram, seed: int, trials: int = 200,
-                           tol: float = 1e-9) -> bool:
+def _midpoint_convexity_ok(prog: BilevelProgram, exprs, seed: int,
+                           trials: int = 200, tol: float = 1e-9) -> bool:
+    """Seeded midpoint spot check of convexity over the box for each of
+    exprs.  The draws do not depend on exprs: one seed tests every
+    expression at the same points."""
     rng = np.random.default_rng(seed)
-    exprs = [prog.F, prog.f, *prog.g]
     box = list(prog.box_x) + list(prog.box_y)
     for _ in range(trials):
         a = np.array([rng.uniform(lo, hi) for lo, hi in box])

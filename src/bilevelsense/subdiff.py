@@ -303,6 +303,12 @@ def contains(p: Polytope, v, tol: float = 1e-9) -> bool:
 
 # -- sampling oracles ---------------------------------------------------------
 
+# fd-oracle settings shared by value stationarity and the pointbased
+# solution-map qualification
+FD_RADIUS = 1e-5
+FD_STEP = 1e-3
+FD_DIRS = 6
+
 
 @dataclass(frozen=True)
 class FdClusters:

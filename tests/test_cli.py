@@ -130,6 +130,28 @@ class TestErrorsAndDeterminism:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["non_utf8", "directory"])
+    def test_unreadable_problem_file_exit_one(self, tmp_path, kind):
+        if kind == "non_utf8":
+            target = tmp_path / "latin1.blp"
+            target.write_bytes("# caf\xe9\n[dims]\nn = 1\n".encode("latin-1"))
+        else:
+            target = tmp_path
+        proc = subprocess.run(
+            [sys.executable, "-m", "bilevelsense.cli", "sample",
+             str(target), "--which", "phi"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_unwritable_output_exit_one(self, instance_c_file, tmp_path,
+                                        capsys):
+        rc = main(["sample", instance_c_file, "--which", "phi",
+                   "--range", "0:1:3", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_usage_error_exit_one(self, instance_a_file):
         rc = main(["certify", instance_a_file, "--variant", "ii",
                    "--x", "not-a-number"])

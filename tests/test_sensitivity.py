@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -289,10 +290,16 @@ def test_estimate_constant_upper_is_zero_pessimistic(prog_c):
     assert distance(est.polytope, [0.0]) <= 1e-9
 
 
+def _simplex_lattice(k, steps):
+    """Lattice points of the (k-1)-simplex with the given subdivision."""
+    return [np.array(c) / steps
+            for c in itertools.product(range(steps + 1), repeat=k)
+            if sum(c) == steps]
+
+
 def test_simplex_discretization_cross_check(prog_b):
     # the hull-of-affine-images estimate is attained at simplex vertices;
     # interior lattice points of the tuple-weight simplex must land inside
-    from bilevelsense._polyalg import simplex_grid
     from bilevelsense.sensitivity import (
         _inclusion_xset,
         grid_blur,
@@ -314,7 +321,7 @@ def test_simplex_discretization_cross_check(prog_b):
                                   include_F=True, r_coef=r, stat_tol=blur)
             if inc.polytope.is_empty:
                 continue
-            for weights in simplex_grid(len(cover_pts), CAPS.simplex_steps):
+            for weights in _simplex_lattice(len(cover_pts), 5):
                 agg = sum(w * q for w, q in zip(weights, cover_pts))
                 for a in inc.polytope.vertices:
                     xstar = np.array(a) - r * agg

@@ -705,23 +705,24 @@ def _search_pessimistic_i(negp, xbar, t_samples, cover_pack, caps,
         if not tagged:
             return None
         s = _System(caps.u_max)
-        lam, lam_keys, mu, mu_keys, pts, meta = [], [], [], [], [], []
+        lam, lam_keys, mu, mu_keys = [], [], [], []
+        vpts, vmetas, rpts, rmetas = [], [], [], []
         for ykey, t_set in sorted(tagged.items()):
             poly = t_set.polytope
             for v, mdat in zip(poly.vertices, t_set.vertex_meta):
                 lam.append(s.lp.var())
                 lam_keys.append(ykey)
-                pts.append(np.array(v))
-                meta.append(mdat)
+                vpts.append(np.array(v))
+                vmetas.append(mdat)
             for rr, mdat in zip(poly.rays, t_set.ray_meta):
                 mu.append(s.lp.var())
                 mu_keys.append(ykey)
-                pts.append(np.array(rr))
-                meta.append(mdat)
+                rpts.append(np.array(rr))
+                rmetas.append(mdat)
         s.group_rays(lam, mu, lam_keys, mu_keys)
-        # vertex weights, then ray weights, meet the generators in creation
-        # order (each y's vertices and rays in turn); _fold_groups decodes
-        # with the same pairing
+        # every vertex, then every ray, in the order of lam + mu; the LP
+        # rows and _fold_groups pair each weight with its own generator
+        pts, meta = vpts + rpts, vmetas + rmetas
         tagged_block = list(zip(lam + mu, pts))
         cov = s.cover(cover_pts, n_verts, vmeta, rmeta)
         theta = s.theta(negp, xbar, active_theta, tol_active)

@@ -337,11 +337,9 @@ def _inclusion_xset(
             ray_meta.append(decode(w))
     if not vert_pts:
         return TaggedSet(Polytope.empty(n), (), ())
-    return TaggedSet(
-        Polytope.from_generators(n, vert_pts, ray_pts),
-        tuple(vert_meta),
-        tuple(ray_meta),
-    )
+    poly, vkeep, rkeep = Polytope.from_generators_indexed(n, vert_pts, ray_pts)
+    return TaggedSet(poly, tuple(vert_meta[q] for q in vkeep),
+                     tuple(ray_meta[q] for q in rkeep))
 
 
 def stationary_cover_hull(prog: BilevelProgram, xbar,
@@ -351,8 +349,9 @@ def stationary_cover_hull(prog: BilevelProgram, xbar,
                           stat_tol: Optional[float] = None):
     """Hull over sampled S(xbar) of the per-y covector sets.
 
-    Returns (polytope, per-generator metadata list aligned with
-    vertices + rays order).
+    Returns (polytope, vertex metadata, ray metadata): entry q of each list
+    describes polytope.vertices[q] / polytope.rays[q]; a generator found at
+    several sampled y keeps the first one's.
     """
     vert_pts, vert_meta, ray_pts, ray_meta = [], [], [], []
     for ypt in _subsample(solutions.points, caps.max_solution_samples):
@@ -366,8 +365,9 @@ def stationary_cover_hull(prog: BilevelProgram, xbar,
             ray_meta.append(mdat)
     if not vert_pts:
         return Polytope.empty(prog.n), [], []
-    poly = Polytope.from_generators(prog.n, vert_pts, ray_pts)
-    return poly, vert_meta, ray_meta
+    poly, vkeep, rkeep = Polytope.from_generators_indexed(prog.n, vert_pts,
+                                                          ray_pts)
+    return poly, [vert_meta[q] for q in vkeep], [ray_meta[q] for q in rkeep]
 
 
 def _subsample(points: Sequence, cap: int):

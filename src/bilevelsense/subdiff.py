@@ -61,14 +61,24 @@ class Polytope:
 
     @staticmethod
     def from_generators(dim, vertices, rays=()) -> "Polytope":
-        verts = _dedup(_rows(vertices, dim))
-        rays_arr = _dedup(_rows(rays, dim))
-        rays_arr = [r for r in rays_arr if np.max(np.abs(r)) > 0.0]
-        return Polytope(
+        return Polytope.from_generators_indexed(dim, vertices, rays)[0]
+
+    @staticmethod
+    def from_generators_indexed(dim, vertices, rays=()):
+        """(polytope, vertex sources, ray sources): the generators deduplicated
+        keeping each one's first occurrence, zero rays dropped, and for each
+        kept vertex and ray the index of the input generator it came from."""
+        verts = _rows(vertices, dim)
+        rays_arr = _rows(rays, dim)
+        vkeep = _first_rows(verts)
+        rkeep = [q for q in _first_rows(rays_arr)
+                 if np.max(np.abs(rays_arr[q])) > 0.0]
+        poly = Polytope(
             dim,
-            tuple(tuple(v) for v in verts),
-            tuple(tuple(r) for r in rays_arr),
+            tuple(tuple(verts[q]) for q in vkeep),
+            tuple(tuple(rays_arr[q]) for q in rkeep),
         )
+        return poly, vkeep, rkeep
 
     @staticmethod
     def singleton(point) -> "Polytope":
@@ -94,14 +104,15 @@ class Polytope:
         return _rows(self.rays, self.dim)
 
 
-def _dedup(arr: np.ndarray):
+def _first_rows(arr: np.ndarray):
+    """Indices of the first occurrence of each distinct row, in order."""
     seen = set()
     out = []
-    for row in arr:
+    for q, row in enumerate(arr):
         key = tuple(row.tolist())
         if key not in seen:
             seen.add(key)
-            out.append(row)
+            out.append(q)
     return out
 
 

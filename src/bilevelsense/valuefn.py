@@ -9,7 +9,11 @@ deterministic: ties break toward the lexicographically smallest y.
 
 The pessimistic value is computed as minus the optimistic value of the
 program with the upper objective negated, so the defining identity between
-the two holds to the last bit.
+the two holds to the last bit.  The lower-level sweep is keyed on the
+lower-level problem (m, f, g, box_y), the point x, the grid and F with its
+top-level negations stripped, so a program and its negated-upper twin
+share one sweep; the twin reads the pooled F values negated, which IEEE
+negation makes exactly the values of the negated F.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InfeasibleError, UnsupportedDimensionError
-from .model import BilevelProgram, eval_expr
+from .model import BilevelProgram, Expr, eval_expr
 
 DEFAULT_TOL_VAL_BASE = 1e-6
 
@@ -86,12 +90,12 @@ def _mesh(box, count):
     return np.column_stack([g.ravel() for g in grids])
 
 
-def _feasible(prog: BilevelProgram, x, ypts: np.ndarray, tol_feas: float):
+def _feasible(g, m: int, x, ypts: np.ndarray, tol_feas: float):
     if ypts.size == 0:
         return ypts
-    ycols = [ypts[:, j] for j in range(prog.m)]
+    ycols = [ypts[:, j] for j in range(m)]
     mask = np.ones(len(ypts), dtype=bool)
-    for gi in prog.g:
+    for gi in g:
         vals = np.asarray(eval_expr(gi, x, ycols), dtype=float)
         vals = np.broadcast_to(vals, (len(ypts),))
         mask &= vals <= tol_feas
@@ -116,23 +120,29 @@ def _pool_key_sort(ypts, fvals):
 
 
 @lru_cache(maxsize=2048)
-def _solve_lower(prog: BilevelProgram, x_key: Tuple[float, ...], grid: GridSpec):
-    """Sweep + refine the lower level at x.
+def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
+                 box_y: Tuple[Tuple[float, float], ...], F: Expr,
+                 x_key: Tuple[float, ...], grid: GridSpec):
+    """Sweep + refine the lower level min f(x, .) s.t. g(x, .) <= 0 over
+    box_y at x.
 
     Returns (phi, pool_y (k, m), pool_f (k,), pool_F (k,)); every pooled
-    point is feasible within tol_feas.  Memoised in an LRU of 2048 entries
-    keyed on (program, x, grid); the three arrays are shared by every
-    caller, so they are returned read-only.
+    point is feasible within tol_feas.  F only picks refinement seeds (both
+    of its extremes inside the band, so -F picks the same points) and fills
+    pool_F.  Memoised in an LRU of 2048 entries keyed on (m, f, g, box_y,
+    F, x, grid), with F's top-level negations stripped by the caller
+    (`_sweep`); the three arrays are shared by every caller, so they are
+    returned read-only.
     """
     x = list(x_key)
     level_cell = np.array([
-        (hi - lo) / (grid.points_per_dim - 1) for lo, hi in prog.box_y
+        (hi - lo) / (grid.points_per_dim - 1) for lo, hi in box_y
     ])
-    pts = _feasible(prog, x, _mesh(prog.box_y, grid.points_per_dim), grid.tol_feas)
+    pts = _feasible(g, m, x, _mesh(box_y, grid.points_per_dim), grid.tol_feas)
     if len(pts) == 0:
         raise InfeasibleError(f"no feasible lower-level point at x={x}")
-    fvals = _eval_on(prog.f, x, pts, prog.m)
-    Fvals = _eval_on(prog.F, x, pts, prog.m)
+    fvals = _eval_on(f, x, pts, m)
+    Fvals = _eval_on(F, x, pts, m)
 
     pool_y, pool_f, pool_F = pts, fvals, Fvals
     for _level in range(grid.refine_depth):
@@ -141,20 +151,20 @@ def _solve_lower(prog: BilevelProgram, x_key: Tuple[float, ...], grid: GridSpec)
         for seed in seeds:
             window = [
                 (
-                    max(prog.box_y[j][0], seed[j] - level_cell[j]),
-                    min(prog.box_y[j][1], seed[j] + level_cell[j]),
+                    max(box_y[j][0], seed[j] - level_cell[j]),
+                    min(box_y[j][1], seed[j] + level_cell[j]),
                 )
-                for j in range(prog.m)
+                for j in range(m)
             ]
-            cand = _feasible(prog, x, _mesh(window, grid.refine_points),
+            cand = _feasible(g, m, x, _mesh(window, grid.refine_points),
                              grid.tol_feas)
             if len(cand):
                 new_parts.append(cand)
         if new_parts:
             extra = np.vstack(new_parts)
             pool_y = np.vstack([pool_y, extra])
-            pool_f = np.concatenate([pool_f, _eval_on(prog.f, x, extra, prog.m)])
-            pool_F = np.concatenate([pool_F, _eval_on(prog.F, x, extra, prog.m)])
+            pool_f = np.concatenate([pool_f, _eval_on(f, x, extra, m)])
+            pool_F = np.concatenate([pool_F, _eval_on(F, x, extra, m)])
         level_cell = level_cell / 10.0
 
     phi = float(np.min(pool_f))
@@ -189,9 +199,24 @@ def _refine_seeds(pool_y, pool_f, pool_F, grid: GridSpec):
     return seeds
 
 
+def _sweep(prog: BilevelProgram, x, grid: GridSpec):
+    """(phi, pool_y, pool_f, pool_F) of prog at x, from the sweep prog
+    shares with its negated-upper twin; pool_F comes negated (a read-only
+    copy) when F carries an odd number of top-level negations."""
+    F, negated = prog.F, False
+    while F.kind == "neg":
+        F, negated = F.children[0], not negated
+    phi, pool_y, pool_f, pool_F = _solve_lower(
+        prog.m, prog.f, prog.g, prog.box_y, F, _xkey(x), grid)
+    if negated:
+        pool_F = -pool_F
+        pool_F.flags.writeable = False
+    return phi, pool_y, pool_f, pool_F
+
+
 def lower_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
     """phi(x): lower-level optimal value over the gridded feasible set."""
-    phi, *_ = _solve_lower(prog, _xkey(x), grid)
+    phi, *_ = _sweep(prog, x, grid)
     return phi
 
 
@@ -229,7 +254,7 @@ def lower_solutions(
     tol_val: Optional[float] = None,
 ) -> SolutionSet:
     """S(x): feasible grid points whose f-value is within tol_val of phi(x)."""
-    phi, pool_y, pool_f, _ = _solve_lower(prog, _xkey(x), grid)
+    phi, pool_y, pool_f, _ = _sweep(prog, x, grid)
     band_tol = default_tol_val(phi) if tol_val is None else float(tol_val)
     mask = pool_f <= phi + band_tol
     pts = pool_y[mask]
@@ -244,7 +269,7 @@ def lower_solutions(
 
 def optimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
     """phi_o(x) = min F(x, .) over the near-optimal lower-level band."""
-    phi, pool_y, pool_f, pool_F = _solve_lower(prog, _xkey(x), grid)
+    phi, pool_y, pool_f, pool_F = _sweep(prog, x, grid)
     mask = pool_f <= phi + default_tol_val(phi)
     return float(np.min(pool_F[mask]))
 
@@ -258,7 +283,7 @@ def pessimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> f
 def pessimistic_value_direct(prog: BilevelProgram, x,
                              grid: GridSpec = GridSpec()) -> float:
     """Direct max over the band; cross-check path for the sign identity."""
-    phi, pool_y, pool_f, pool_F = _solve_lower(prog, _xkey(x), grid)
+    phi, pool_y, pool_f, pool_F = _sweep(prog, x, grid)
     mask = pool_f <= phi + default_tol_val(phi)
     return float(np.max(pool_F[mask]))
 
@@ -270,7 +295,7 @@ def optimistic_solutions(
     tol_val: Optional[float] = None,
 ) -> SolutionSet:
     """S_o(x): members of S(x) whose upper objective is near phi_o(x)."""
-    phi, pool_y, pool_f, pool_F = _solve_lower(prog, _xkey(x), grid)
+    phi, pool_y, pool_f, pool_F = _sweep(prog, x, grid)
     band_mask = pool_f <= phi + default_tol_val(phi)
     pts = pool_y[band_mask]
     Fb = pool_F[band_mask]

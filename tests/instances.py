@@ -50,6 +50,29 @@ pessimistic
 """
 
 
+PINNED_TEXT = """
+# y1 pinned between 0 and x1 (both bounds active at x1 = 0), y2 free on
+# [0, 1]: every solution carries a ray, and many share their covectors
+[dims]
+n = 1
+m = 2
+[upper]
+objective = x1
+[lower]
+objective = 0
+constraint = y1 - x1
+constraint = -y1
+constraint = -y2
+constraint = y2 - 1
+[box]
+x1 = -1, 1
+y1 = -2, 2
+y2 = -2, 2
+[mode]
+{mode}
+"""
+
+
 def instance_a():
     return parse_program(INSTANCE_A_TEXT)
 
@@ -78,6 +101,10 @@ def instance_b():
 
 def instance_c():
     return parse_program(INSTANCE_C_TEXT)
+
+
+def instance_pinned(mode="optimistic"):
+    return parse_program(PINNED_TEXT.format(mode=mode))
 
 
 def instance_mfcq_degenerate():

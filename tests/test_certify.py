@@ -255,3 +255,25 @@ class TestRefutationMonotonicity:
             c_big = run(prog, x, variant, GRID, big, with_cq=False)
             assert c_small.status == c_big.status == "Refuted"
             assert c_big.lower_bound <= c_small.lower_bound + 1e-12
+
+
+def test_pessimistic_i_pairs_tagged_weights_with_their_generators():
+    # every sampled t carries a ray (y1 is pinned by two active bounds), so
+    # pairing the vertex-then-ray weights with generators listed t by t
+    # would give later t's vertices ray weights; the re-check (no LP shared
+    # with the search) catches any such mismatch
+    from instances import instance_pinned
+    from bilevelsense.sensitivity import _inclusion_xset, _subsample
+    from bilevelsense.valuefn import optimistic_solutions
+
+    prog = instance_pinned("pessimistic")
+    negp = prog.negated_upper()
+    t_samples = sorted(_subsample(optimistic_solutions(negp, [0.0], GRID).points,
+                                  CAPS.max_solution_samples))
+    assert len(t_samples) >= 2
+    t_set = _inclusion_xset(negp, [0.0], list(t_samples[0]), 1e-8, CAPS,
+                            include_F=True, r_coef=0.1)
+    assert t_set.polytope.rays
+    cert = certify_pessimistic(prog, [0.0], "i", GRID, with_cq=False)
+    assert cert.status == "Certified"
+    assert recheck_certificate(prog, cert) <= cert.tol_eff

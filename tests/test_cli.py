@@ -6,7 +6,7 @@ import pytest
 
 from bilevelsense.cli import main
 
-from instances import INSTANCE_A_TEXT, INSTANCE_C_TEXT
+from instances import INSTANCE_A_TEXT, INSTANCE_C_TEXT, PINNED_TEXT
 
 
 @pytest.fixture()
@@ -228,3 +228,20 @@ optimistic
         f.write_text(text)
         rc = main(["estimate", f"{f}", "--variant", "semicompact", "--x", "0.5"])
         assert rc == 4
+
+
+class TestDegenerateLowerLevel:
+    @pytest.mark.parametrize("mode", ["optimistic", "pessimistic"])
+    def test_variant_i_ends_in_certificate(self, mode, tmp_path):
+        # y1 pinned by two active bounds: the covector hull repeats its
+        # generators, which once left its metadata longer than the hull
+        f = tmp_path / f"pinned_{mode}.blp"
+        f.write_text(PINNED_TEXT.format(mode=mode))
+        out = tmp_path / f"pinned_{mode}.json"
+        rc = main(["certify", str(f), "--variant", "i", "--x", "0",
+                   "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["mode"] == mode
+        assert payload["status"] == "Certified"
+        assert payload["recheck_residual"] <= payload["tol_eff"]

@@ -160,6 +160,32 @@ class TestStationaryCover:
         assert distance(cover, [0.0]) > 0.5
         assert vmeta[0]["u"][0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("case", ["pinned", "c_at_0", "c_at_1"])
+    def test_metadata_describes_kept_generators(self, case, prog_c):
+        # the hull drops repeated generators; entry q of each metadata list
+        # must still be the (y, u) that realizes vertex / ray q.  Smooth
+        # data, so each gradient is the single Clarke generator.
+        from instances import instance_pinned
+
+        prog, x = {"pinned": (instance_pinned(), [0.0]),
+                   "c_at_0": (prog_c, [0.0]), "c_at_1": (prog_c, [1.0])}[case]
+        sol = lower_solutions(prog, x, GRID)
+        cover, vmeta, rmeta = stationary_cover_hull(prog, x, sol)
+        assert len(vmeta) == len(cover.vertices)
+        assert len(rmeta) == len(cover.rays)
+        n = prog.n
+        for gens, metas, with_f in ((cover.vertices, vmeta, True),
+                                    (cover.rays, rmeta, False)):
+            for gen, meta in zip(gens, metas):
+                y = list(meta["y"])
+                total = (clarke_generators(prog.f, x, y)[0] if with_f
+                         else np.zeros(n + prog.m))
+                for u_i, g_i in zip(meta["u"], prog.g):
+                    if u_i:
+                        total = total + u_i * clarke_generators(g_i, x, y)[0]
+                assert np.allclose(total[:n], gen, atol=1e-9)
+                assert np.allclose(total[n:], 0.0, atol=1e-9)
+
 
 class TestEstimates:
     def test_convex_exact_cancellation_instance_a(self, prog_a):

@@ -1,0 +1,49 @@
+"""The benchmark's layer tracer names library entry points; keep them real.
+
+`perfbench/layertrace.py` wraps each entry point in its BOUNDARIES table by
+name and reads the sweep cache's `cache_info()`.  A rename in the library
+would silently drop a layer from `--trace 1`, so this reads the table
+(parsed, not imported, so nothing under perfbench/ is touched) and checks
+every name still resolves.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+
+
+def _boundaries():
+    tree = ast.parse(LAYERTRACE.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "BOUNDARIES"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("BOUNDARIES not found in layertrace.py")
+
+
+def test_every_traced_entry_point_resolves():
+    boundaries = _boundaries()
+    assert boundaries
+    for layer, modname, names in boundaries:
+        assert modname.startswith("bilevelsense"), layer
+        mod = importlib.import_module(modname)
+        for name in names:
+            if "." in name:
+                cls_name, meth = name.split(".")
+                assert callable(getattr(mod, cls_name).__dict__.get(meth)), \
+                    f"{layer}: {modname}.{name}"
+            else:
+                assert callable(getattr(mod, name, None)), \
+                    f"{layer}: {modname}.{name}"
+
+
+def test_sweep_cache_is_visible_to_the_tracer():
+    from bilevelsense import valuefn
+
+    info = valuefn._solve_lower.cache_info()
+    assert info.maxsize == 2048
+    # the tracer rebinds the module global, so callers must look it up there
+    assert "_solve_lower" in valuefn._sweep.__code__.co_names

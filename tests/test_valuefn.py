@@ -6,11 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilevelsense.errors import InfeasibleError, UnsupportedDimensionError
-from bilevelsense.model import BilevelProgram, Expr, eval_expr, parse_program
+from bilevelsense.model import (
+    BilevelProgram,
+    Expr,
+    eabs,
+    emax,
+    eval_expr,
+    neg,
+    parse_program,
+)
 from bilevelsense.valuefn import (
     GridSpec,
     _dedup_points,
     _solve_lower,
+    _sweep,
     curve_to_csv,
     lower_solutions,
     lower_value,
@@ -308,7 +317,106 @@ def test_dedup_drops_points_exactly_at_resolution():
 
 
 def test_cached_sweep_arrays_are_read_only(prog_c):
-    _, pool_y, pool_f, pool_F = _solve_lower(prog_c, (0.3,), GRID)
+    _, pool_y, pool_f, pool_F = _solve_lower(
+        prog_c.m, prog_c.f, prog_c.g, prog_c.box_y, prog_c.F, (0.3,), GRID)
     for arr in (pool_y, pool_f, pool_F):
         with pytest.raises(ValueError):
             arr[0] = 7.0
+
+
+# -- one sweep per lower-level problem ------------------------------------------
+
+SHARED_GRID = GridSpec(points_per_dim=11, refine_depth=2, refine_points=11)
+
+CALLS = (lower_value, optimistic_value, pessimistic_value,
+         pessimistic_value_direct, lower_solutions, optimistic_solutions,
+         pessimistic_solutions)
+
+
+def _affine(rng, n, m):
+    e = Expr.const(float(rng.integers(-4, 5)) / 4)
+    for i in range(1, n + 1):
+        e = e + float(rng.integers(-4, 5)) / 4 * Expr.x(i)
+    for j in range(1, m + 1):
+        e = e + float(rng.integers(-4, 5)) / 4 * Expr.y(j)
+    return e
+
+
+@st.composite
+def piecewise_affine_programs(draw):
+    """Seeded n, m <= 2 programs with max/abs kinks in F, f and g.  Every
+    constraint is at most 0 at y = 0 for all x in the box, and y = 0 is on
+    the sweep lattice, so every x is feasible.  F carries zero to two
+    top-level negations."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    F = emax(_affine(rng, n, m), _affine(rng, n, m)) + eabs(_affine(rng, n, m))
+    for _ in range(draw(st.integers(0, 2))):
+        F = neg(F)
+    # a constant f makes S(x) the whole feasible set
+    f = eabs(_affine(rng, n, m)) if rng.random() < 0.5 else Expr.const(0.0)
+    g = []
+    for _ in range(draw(st.integers(0, 2))):
+        # at y = 0 each affine piece is at most n + 1 for x in the box
+        g.append(emax(_affine(rng, n, m), _affine(rng, n, m)) - float(n + 1))
+    x = [float(v) for v in rng.uniform(-1.0, 1.0, n)]
+    prog = BilevelProgram(n=n, m=m, F=F, f=f, g=tuple(g),
+                          box_x=((-1.0, 1.0),) * n, box_y=((-1.0, 1.0),) * m)
+    return prog, x
+
+
+def _fresh(fn, prog, x):
+    _solve_lower.cache_clear()
+    return repr(fn(prog, x, SHARED_GRID))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=piecewise_affine_programs())
+def test_negated_twin_shares_one_sweep(case):
+    prog, x = case
+    negp = prog.negated_upper()
+    # a swept program's twin adds no sweep, for values and solution sets
+    _solve_lower.cache_clear()
+    optimistic_value(prog, x, SHARED_GRID)
+    misses = _solve_lower.cache_info().misses
+    pessimistic_value(prog, x, SHARED_GRID)
+    pessimistic_solutions(prog, x, SHARED_GRID)
+    assert _solve_lower.cache_info().misses == misses
+    # every result is bit-identical (repr keeps the sign of zero) to the
+    # same call on an empty cache, whichever twin is swept first
+    fresh = [_fresh(fn, p, x) for p in (prog, negp) for fn in CALLS]
+    for order in ((prog, negp), (negp, prog)):
+        _solve_lower.cache_clear()
+        got = {p: [repr(fn(p, x, SHARED_GRID)) for fn in CALLS] for p in order}
+        assert got[prog] + got[negp] == fresh
+        assert _solve_lower.cache_info().misses == 1
+    for p in (prog, negp):
+        assert pessimistic_value(p, x, SHARED_GRID) == \
+            pessimistic_value_direct(p, x, SHARED_GRID)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=piecewise_affine_programs())
+def test_twin_pool_is_the_negated_sweep(case):
+    # the shared pool holds the points a sweep of the negated program on
+    # its own would pool (only their order differs), and the twin's pool_F
+    # is bit for bit neg(F) evaluated there, and read-only
+    prog, x = case
+    negp = prog.negated_upper()
+    _, pool_y, pool_f, pool_F = _sweep(negp, x, SHARED_GRID)
+    with pytest.raises(ValueError):
+        pool_F[0] = 7.0
+    direct = np.broadcast_to(np.asarray(eval_expr(
+        negp.F, x, [pool_y[:, j] for j in range(negp.m)]), dtype=float),
+        pool_F.shape)
+    assert np.array_equal(pool_F, direct)
+    assert np.array_equal(np.signbit(pool_F), np.signbit(direct))
+    own = _solve_lower(negp.m, negp.f, negp.g, negp.box_y, negp.F,
+                       tuple(x), SHARED_GRID)
+
+    def rows(y, fv, Fv):
+        table = np.column_stack([y, fv, Fv])
+        return table[np.lexsort(table.T[::-1])]
+
+    assert np.array_equal(rows(pool_y, pool_f, pool_F), rows(*own[1:]))

@@ -82,12 +82,33 @@ def default_tol_val(value: float) -> float:
     return DEFAULT_TOL_VAL_BASE * (1.0 + abs(value))
 
 
-def _mesh(box, count):
-    axes = [np.linspace(lo, hi, count) for lo, hi in box]
-    if len(axes) == 1:
-        return axes[0].reshape(-1, 1)
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([g.ravel() for g in grids])
+def _mesh(lo, hi, count):
+    """Grid points of the boxes [lo[s], hi[s]] (arrays (S, m)), count per
+    axis, stacked box by box, each in np.meshgrid "ij" order.
+
+    The axes are np.linspace(lo[s, j], hi[s, j], count).  One call with
+    array endpoints does the scalar calls' arithmetic elementwise, except
+    that once any step is 0 (a window that rounds to one point, deep
+    refinement) numpy takes its denormal-step formula for every axis, so
+    then each axis gets its own call.
+    """
+    axes, step = np.linspace(lo, hi, count, axis=-1, retstep=True)
+    if np.any(step == 0):
+        axes = np.array([[np.linspace(a, b, count) for a, b in zip(row_lo, row_hi)]
+                         for row_lo, row_hi in zip(lo, hi)])
+    m = lo.shape[1]
+    index = np.indices((count,) * m).reshape(m, -1).T
+    return axes[:, np.arange(m), index].reshape(-1, m)
+
+
+@lru_cache(maxsize=8)
+def _coarse_mesh(box_y: Tuple[Tuple[float, float], ...], count: int):
+    """The coarse sweep grid of box_y, shared read-only by every sweep of
+    that box."""
+    box = np.array(box_y, dtype=float)
+    mesh = _mesh(box[None, :, 0], box[None, :, 1], count)
+    mesh.flags.writeable = False
+    return mesh
 
 
 def _feasible(g, m: int, x, ypts: np.ndarray, tol_feas: float):
@@ -127,8 +148,12 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
     box_y at x.
 
     Returns (phi, pool_y (k, m), pool_f (k,), pool_F (k,)); every pooled
-    point is feasible within tol_feas.  F only picks refinement seeds (both
-    of its extremes inside the band, so -F picks the same points) and fills
+    point is feasible within tol_feas.  Returns None when no coarse grid
+    point is feasible, so that an infeasible x is memoised as well (`_sweep`
+    raises InfeasibleError).  Each refinement level meshes the windows
+    around all its seeds as one batch, stacked in seed order, and evaluates
+    g, f and F once on it.  F only picks refinement seeds (both of its
+    extremes inside the band, so -F picks the same points) and fills
     pool_F.  Memoised in an LRU of 2048 entries keyed on (m, f, g, box_y,
     F, x, grid), with F's top-level negations stripped by the caller
     (`_sweep`); the three arrays are shared by every caller, so they are
@@ -138,33 +163,28 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
     level_cell = np.array([
         (hi - lo) / (grid.points_per_dim - 1) for lo, hi in box_y
     ])
-    pts = _feasible(g, m, x, _mesh(box_y, grid.points_per_dim), grid.tol_feas)
+    pts = _feasible(g, m, x, _coarse_mesh(box_y, grid.points_per_dim),
+                    grid.tol_feas)
     if len(pts) == 0:
-        raise InfeasibleError(f"no feasible lower-level point at x={x}")
+        return None
     fvals = _eval_on(f, x, pts, m)
     Fvals = _eval_on(F, x, pts, m)
 
+    box_lo, box_hi = np.array(box_y, dtype=float).T
     pool_y, pool_f, pool_F = pts, fvals, Fvals
     for _level in range(grid.refine_depth):
-        seeds = _refine_seeds(pool_y, pool_f, pool_F, grid)
-        new_parts = []
-        for seed in seeds:
-            window = [
-                (
-                    max(box_y[j][0], seed[j] - level_cell[j]),
-                    min(box_y[j][1], seed[j] + level_cell[j]),
-                )
-                for j in range(m)
-            ]
-            cand = _feasible(g, m, x, _mesh(window, grid.refine_points),
-                             grid.tol_feas)
-            if len(cand):
-                new_parts.append(cand)
-        if new_parts:
-            extra = np.vstack(new_parts)
-            pool_y = np.vstack([pool_y, extra])
-            pool_f = np.concatenate([pool_f, _eval_on(f, x, extra, m)])
-            pool_F = np.concatenate([pool_F, _eval_on(F, x, extra, m)])
+        seeds = np.array(_refine_seeds(pool_y, pool_f, pool_F, grid))
+        lo, hi = seeds - level_cell, seeds + level_cell
+        # clip to the box as Python's max/min would: np.maximum/np.minimum
+        # pick the other zero when the two compare equal as +0 and -0
+        lo = np.where(lo > box_lo, lo, box_lo)
+        hi = np.where(hi < box_hi, hi, box_hi)
+        cand = _feasible(g, m, x, _mesh(lo, hi, grid.refine_points),
+                         grid.tol_feas)
+        if len(cand):
+            pool_y = np.vstack([pool_y, cand])
+            pool_f = np.concatenate([pool_f, _eval_on(f, x, cand, m)])
+            pool_F = np.concatenate([pool_F, _eval_on(F, x, cand, m)])
         level_cell = level_cell / 10.0
 
     phi = float(np.min(pool_f))
@@ -173,11 +193,28 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
     return phi, pool_y, pool_f, pool_F
 
 
+def _first_in_order(pool_y, pool_f, k):
+    """The first k indices of the (f, lexicographic y) order of the pool.
+
+    Only the points whose f is at most the k-th smallest f (found by
+    np.partition) are sorted.  The sort is stable, so ties at that value
+    and duplicate rows resolve as in a sort of the whole pool, which runs
+    instead when the pool has no more than k points, when the k-th value
+    is NaN (fewer than k points pass) or when every point passes.
+    """
+    if 0 < k < len(pool_f):
+        top = np.flatnonzero(pool_f <= np.partition(pool_f, k - 1)[k - 1])
+        if k <= len(top) < len(pool_f):
+            return top[_pool_key_sort(pool_y[top], pool_f[top])[:k]]
+    return _pool_key_sort(pool_y, pool_f)[:k]
+
+
 def _refine_seeds(pool_y, pool_f, pool_F, grid: GridSpec):
-    """Deterministic refinement seeds: best-f incumbents plus the
-    upper-objective extremes inside the current optimality band."""
+    """Deterministic refinement seeds: the first max_seeds points of the
+    (f, lexicographic y) order (`_first_in_order`), plus the
+    upper-objective extremes inside the current optimality band,
+    near-duplicates dropped."""
     phi = float(np.min(pool_f))
-    order = _pool_key_sort(pool_y, pool_f)
     seeds = []
 
     def push(point):
@@ -186,7 +223,7 @@ def _refine_seeds(pool_y, pool_f, pool_F, grid: GridSpec):
                 return
         seeds.append(point.copy())
 
-    for idx in order[: grid.max_seeds]:
+    for idx in _first_in_order(pool_y, pool_f, grid.max_seeds):
         push(pool_y[idx])
     band = pool_f <= phi + default_tol_val(phi)
     if np.any(band):
@@ -202,12 +239,16 @@ def _refine_seeds(pool_y, pool_f, pool_F, grid: GridSpec):
 def _sweep(prog: BilevelProgram, x, grid: GridSpec):
     """(phi, pool_y, pool_f, pool_F) of prog at x, from the sweep prog
     shares with its negated-upper twin; pool_F comes negated (a read-only
-    copy) when F carries an odd number of top-level negations."""
+    copy) when F carries an odd number of top-level negations.  Raises
+    InfeasibleError when no grid point is feasible at x."""
     F, negated = prog.F, False
     while F.kind == "neg":
         F, negated = F.children[0], not negated
-    phi, pool_y, pool_f, pool_F = _solve_lower(
-        prog.m, prog.f, prog.g, prog.box_y, F, _xkey(x), grid)
+    x_key = _xkey(x)
+    swept = _solve_lower(prog.m, prog.f, prog.g, prog.box_y, F, x_key, grid)
+    if swept is None:
+        raise InfeasibleError(f"no feasible lower-level point at x={list(x_key)}")
+    phi, pool_y, pool_f, pool_F = swept
     if negated:
         pool_F = -pool_F
         pool_F.flags.writeable = False

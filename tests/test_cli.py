@@ -117,9 +117,14 @@ class TestOtherCommands:
         rc = main(["reduce", instance_a_file, "--x", "0.5"])
         assert rc == 2
 
-    def test_infeasible_point_exit_two(self, instance_a_file):
-        rc = main(["estimate", instance_a_file, "--x", "-1.0"])
-        assert rc == 2
+    def test_infeasible_point_exit_two(self, instance_a_file, capsys):
+        # the repeated request reads the memoised infeasibility verdict
+        errors = []
+        for _ in range(2):
+            assert main(["estimate", instance_a_file, "--x", "-1.0"]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "no feasible lower-level point at x=[-1.0]" in errors[0]
 
 
 class TestErrorsAndDeterminism:

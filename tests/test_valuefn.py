@@ -1,8 +1,10 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilevelsense.errors import InfeasibleError, UnsupportedDimensionError
@@ -11,13 +13,16 @@ from bilevelsense.model import (
     Expr,
     eabs,
     emax,
+    emin,
     eval_expr,
     neg,
     parse_program,
 )
+from bilevelsense import valuefn
 from bilevelsense.valuefn import (
     GridSpec,
     _dedup_points,
+    _refine_seeds,
     _solve_lower,
     _sweep,
     curve_to_csv,
@@ -420,3 +425,209 @@ def test_twin_pool_is_the_negated_sweep(case):
         return table[np.lexsort(table.T[::-1])]
 
     assert np.array_equal(rows(pool_y, pool_f, pool_F), rows(*own[1:]))
+
+
+# -- the batched sweep against an independent per-window sweep ------------------
+
+
+def _ref_values(e, x, ys):
+    cols = [ys[:, j] for j in range(ys.shape[1])]
+    return np.broadcast_to(np.asarray(eval_expr(e, list(x), cols), dtype=float),
+                           (len(ys),))
+
+
+def _ref_grid(box, count):
+    axes = [np.linspace(lo, hi, count) for lo, hi in box]
+    return np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, len(box))
+
+
+def reference_seeds(ys, fs, Fs, k):
+    """The first k points of one full (f, lexicographic y, index) sort, then
+    the first lexicographic minimiser and maximiser of F over the band
+    f <= phi + 1e-6 (1 + |phi|), each kept unless within 1e-15 of a kept
+    seed."""
+    picks = list(np.lexsort(tuple(ys.T[::-1]) + (fs,))[:k])
+    phi = float(np.min(fs))
+    band = sorted(np.flatnonzero(fs <= phi + 1e-6 * (1.0 + abs(phi))),
+                  key=lambda i: tuple(ys[i]))
+    if band:
+        picks += [min(band, key=lambda i: Fs[i]), max(band, key=lambda i: Fs[i])]
+    seeds = []
+    for i in picks:
+        if all(np.max(np.abs(s - ys[i])) >= 1e-15 for s in seeds):
+            seeds.append(ys[i])
+    return seeds
+
+
+def reference_sweep(prog, x, grid):
+    """Per-window sweep: every window is meshed, filtered and evaluated on
+    its own, clipped to the box with Python's max/min, around seeds from a
+    full sort.  (pool_y, pool_f, pool_F), or None when nothing is feasible."""
+    def feasible(ys):
+        keep = np.ones(len(ys), dtype=bool)
+        for gi in prog.g:
+            keep &= _ref_values(gi, x, ys) <= grid.tol_feas
+        return ys[keep]
+
+    ys = feasible(_ref_grid(prog.box_y, grid.points_per_dim))
+    if not len(ys):
+        return None
+    fs, Fs = _ref_values(prog.f, x, ys), _ref_values(prog.F, x, ys)
+    cell = [(hi - lo) / (grid.points_per_dim - 1) for lo, hi in prog.box_y]
+    for _ in range(grid.refine_depth):
+        for seed in reference_seeds(ys, fs, Fs, grid.max_seeds):
+            window = [(max(lo, s - c), min(hi, s + c))
+                      for (lo, hi), s, c in zip(prog.box_y, seed, cell)]
+            new = feasible(_ref_grid(window, grid.refine_points))
+            ys = np.vstack([ys, new])
+            fs = np.concatenate([fs, _ref_values(prog.f, x, new)])
+            Fs = np.concatenate([Fs, _ref_values(prog.F, x, new)])
+        cell = [c / 10.0 for c in cell]
+    return ys, fs, Fs
+
+
+SWEEP_GRIDS = (SHARED_GRID,
+               GridSpec(points_per_dim=9, refine_depth=3, refine_points=7, max_seeds=2))
+
+# minima at 0 and at the box edge 1: from about level 16 on the window at 1
+# is narrower than an ulp while the one at 0 is not, so one level holds
+# windows with zero and nonzero steps
+TWO_MINIMA = BilevelProgram(
+    n=1, m=1, F=Expr.y(1), f=emin(eabs(Expr.y(1)), eabs(Expr.y(1) - 1.0)),
+    box_x=((-1.0, 1.0),), box_y=((-1.0, 1.0),))
+DEEP_GRID = GridSpec(points_per_dim=5, refine_depth=18, refine_points=11)
+
+# the box ends at -0.0, and the window around the seed -0.25 ends at
+# -0.25 + 0.25 = +0.0: Python's min keeps the box's -0.0
+SIGNED_ZERO_EDGE = BilevelProgram(
+    n=1, m=1, F=Expr.y(1), f=eabs(Expr.y(1) + Expr.x(1)),
+    box_x=((-1.0, 1.0),), box_y=((-1.0, -0.0),))
+
+
+@st.composite
+def sweep_cases(draw):
+    """piecewise_affine_programs, optionally reshaped so the seeds sit on
+    the box edge (clipped windows), f is constant (ties at the k-th value,
+    duplicate pool rows), or a constraint cuts the windows around the
+    lower-level minimiser."""
+    prog, x = draw(piecewise_affine_programs())
+    shape = draw(st.sampled_from(["drawn", "edge", "flat", "cut"]))
+    if shape == "edge":
+        prog = replace(prog, f=eabs(Expr.y(1) - 1.0))
+    elif shape == "flat":
+        prog = replace(prog, f=Expr.const(0.0))
+    elif shape == "cut":
+        cut = draw(st.floats(-0.9, 0.9))
+        prog = replace(prog, f=neg(Expr.y(1)), g=prog.g + (Expr.y(1) - cut,))
+    return prog, x, draw(st.sampled_from(SWEEP_GRIDS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sweep_cases())
+@example(case=(TWO_MINIMA, [0.0], DEEP_GRID))
+@example(case=(SIGNED_ZERO_EDGE, [0.0], GridSpec(points_per_dim=5, refine_depth=2,
+                                                 refine_points=5)))
+def test_sweep_matches_per_window_reference(case):
+    prog, x, grid = case
+    _solve_lower.cache_clear()
+    got = _solve_lower(prog.m, prog.f, prog.g, prog.box_y, prog.F, tuple(x), grid)
+    want = reference_sweep(prog, x, grid)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert got[0] == float(np.min(want[1]))
+    for a, b in zip(got[1:], want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# -- seed selection against a full sort ------------------------------------------
+
+_NAN, _INF = float("nan"), float("inf")
+
+SEED_POOLS = {
+    # four points tie with the 3rd smallest f, in no lexicographic order
+    "ties_at_kth": ([[0.5, 0.0], [0.1, 0.2], [0.3, 0.0], [0.1, 0.1], [0.2, 0.0],
+                     [0.0, 0.9], [0.4, 0.4]],
+                    [1.0, 2.0, 2.0, 2.0, 0.5, 2.0, 3.0], 3),
+    "duplicate_rows": ([[0.2, 0.0], [0.1, 0.0], [0.2, 0.0], [0.1, 0.0], [0.3, 0.3],
+                        [0.1, 0.0]],
+                       [1.0, 1.0, 1.0, 1.0, 0.0, 1.0], 3),
+    "fewer_than_k": ([[0.3, 0.1], [0.1, 0.2], [0.2, 0.0]], [1.0, 1.0, 0.0], 5),
+    "inf_and_nan_kth_inf": ([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0],
+                             [0.4, 0.0], [0.5, 0.0], [0.6, 0.0]],
+                            [_NAN, _INF, 1.0, -_INF, _NAN, 2.0, _INF], 5),
+    "inf_and_nan_kth_nan": ([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.3, 0.0],
+                             [0.4, 0.0], [0.5, 0.0], [0.6, 0.0]],
+                            [_NAN, _INF, 1.0, -_INF, _NAN, 2.0, _INF], 6),
+    "signed_zeros": ([[0.2, 0.0], [0.1, 0.0], [0.0, 0.5], [0.3, 0.0]],
+                     [0.0, -0.0, 1.0, -0.0], 2),
+}
+
+
+def _assert_same_seeds(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("name", sorted(SEED_POOLS))
+def test_refine_seeds_match_a_full_sort(name):
+    ys, fs, k = SEED_POOLS[name]
+    ys, fs = np.array(ys), np.array(fs)
+    Fs = ys[:, 0] - ys[:, 1]
+    _assert_same_seeds(_refine_seeds(ys, fs, Fs, GridSpec(max_seeds=k)),
+                       reference_seeds(ys, fs, Fs, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.0, _INF, -_INF, _NAN]),
+                               st.sampled_from([-1.0, 0.0, 0.5]),
+                               st.sampled_from([0.0, 1.0]),
+                               st.sampled_from([0.0, 1.0, 2.0])),
+                     min_size=1, max_size=12),
+       k=st.integers(1, 6))
+def test_refine_seeds_match_a_full_sort_on_drawn_pools(rows, k):
+    fs, y1, y2, Fs = (np.array(col) for col in zip(*rows))
+    ys = np.column_stack([y1, y2])
+    _assert_same_seeds(_refine_seeds(ys, fs, Fs, GridSpec(max_seeds=k)),
+                       reference_seeds(ys, fs, Fs, k))
+
+
+# -- cost of one sweep and of an infeasible x -----------------------------------
+
+
+@pytest.mark.parametrize("depth,k", [(0, 0), (2, 1), (3, 2)])
+def test_sweep_evaluates_each_expression_once_per_level(monkeypatch, depth, k):
+    # constraints that hold on the whole box, so every level pools points
+    y1, y2 = Expr.y(1), Expr.y(2)
+    g = (y1 + y2 - 10.0, y1 - y2 - 10.0)[:k]
+    calls = []
+
+    def counting(e, x, y):
+        calls.append(e)
+        return eval_expr(e, x, y)
+
+    monkeypatch.setattr(valuefn, "eval_expr", counting)
+    _solve_lower.cache_clear()
+    grid = GridSpec(points_per_dim=21, refine_depth=depth, refine_points=5)
+    _solve_lower(2, eabs(y1 - 0.3) + eabs(y2), g, ((-1.0, 1.0), (-1.0, 1.0)),
+                 emax(y1, y2), (0.0,), grid)
+    assert len(calls) == (1 + depth) * (k + 2)
+
+
+def test_infeasible_x_is_swept_once(prog_a):
+    _solve_lower.cache_clear()
+    messages = []
+    for _ in range(3):
+        with pytest.raises(InfeasibleError) as err:
+            lower_value(prog_a, [-0.5], GRID)
+        messages.append(str(err.value))
+    assert messages == ["no feasible lower-level point at x=[-0.5]"] * 3
+    info = _solve_lower.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # the pessimistic twin shares the cached verdict
+    with pytest.raises(InfeasibleError):
+        pessimistic_value(prog_a, [-0.5], GRID)
+    assert _solve_lower.cache_info().misses == 1

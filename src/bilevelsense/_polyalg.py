@@ -17,8 +17,10 @@ from scipy.optimize import linprog
 from .errors import BudgetError
 
 
-# Bound on each memo below, in entries (distinct A matrices).
+# Bound on each A-keyed memo below, in entries (distinct A matrices).
 _MEMO_ENTRIES = 64
+# Bound on the V-representation memo, in entries (distinct (A, b) systems).
+_VREP_ENTRIES = 256
 
 
 def _ncr_total(n, r):
@@ -35,9 +37,9 @@ def _check_budget(n_rows, n_cols, max_bases):
         raise BudgetError("basis enumeration bound exceeded")
 
 
-def _key(A: np.ndarray):
-    """Hashable memo key holding A's exact bytes."""
-    return A.shape, A.dtype.str, A.tobytes()
+def _key(a: np.ndarray):
+    """Hashable memo key holding an array's shape, dtype and exact bytes."""
+    return a.shape, a.dtype.str, a.tobytes()
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
@@ -128,21 +130,40 @@ def _recession_rays(key, max_bases):
     return tuple(rays)
 
 
+@lru_cache(maxsize=_VREP_ENTRIES)
+def _vrep(key, b_key, max_bases, res_tol):
+    """(vertices, rays) of {w >= 0 : A w = b} for standard_vrep, read-only.
+
+    basic_vertices is looked up as a module global on every miss, so a
+    wrapper installed on it sees each enumeration that runs.
+    """
+    shape, dtype, data = key
+    A = np.frombuffer(data, dtype=dtype).reshape(shape)
+    b = np.frombuffer(b_key[2], dtype=b_key[1]).reshape(b_key[0])
+    verts = basic_vertices(A, b, max_bases, res_tol)
+    if not verts:
+        return (), ()
+    for v in verts:
+        v.flags.writeable = False
+    return tuple(verts), _recession_rays(key, max_bases)
+
+
 def standard_vrep(A: np.ndarray, b: np.ndarray, max_bases: int = 300000,
                   res_tol: Optional[float] = None):
     """(vertices, rays) of {w >= 0 : A w = b}.
 
-    Rays come from the normalized recession system {A w = 0, sum w = 1}.
-    They depend on A only and are memoised on A's bytes (LRU of
-    _MEMO_ENTRIES); each call gets fresh copies.  The ray system's budget,
-    which covers the vertex system's, is checked before any enumeration,
-    and the rays are skipped when there is no vertex.
+    Rays come from the normalized recession system {A w = 0, sum w = 1}
+    and are skipped when there is no vertex.  The ray system's budget,
+    which covers the vertex system's, is checked before any lookup or
+    enumeration, so an over-budget system raises BudgetError on every
+    call.  The result is memoised on the exact (A, b, max_bases, res_tol)
+    (LRU of _VREP_ENTRIES); the rays on A and max_bases alone (LRU of
+    _MEMO_ENTRIES).  Both hold read-only arrays, and each call gets fresh
+    copies.
     """
     _check_budget(A.shape[0] + 1, A.shape[1], max_bases)
-    verts = basic_vertices(A, b, max_bases, res_tol)
-    if not verts:
-        return [], []
-    return verts, [r.copy() for r in _recession_rays(_key(A), max_bases)]
+    verts, rays = _vrep(_key(A), _key(b), max_bases, res_tol)
+    return [v.copy() for v in verts], [r.copy() for r in rays]
 
 
 class LPBuilder:

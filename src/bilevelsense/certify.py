@@ -37,7 +37,8 @@ from .sensitivity import (
     Caps,
     DEFAULT_TOL_ACTIVE,
     _active_indices,
-    _inclusion_xset,
+    _inclusion_system,
+    _solve_inclusion,
     _subsample,
     estimate_pessimistic,
     lambda_set,
@@ -695,11 +696,15 @@ def _search_pessimistic_i(negp, xbar, t_samples, cover_pack, caps,
     n_verts = len(cover.vertices)
     cover_meta = list(vmeta) + list(rmeta)
 
+    systems = {}  # each sampled t's inclusion system, built on first use
+
     def build(_, r):
         tagged = {}
         for ypt in t_samples:
-            t_set = _inclusion_xset(negp, xbar, list(ypt), tol_active, caps,
-                                    include_F=True, r_coef=r)
+            if tuple(ypt) not in systems:
+                systems[tuple(ypt)] = _inclusion_system(
+                    negp, xbar, list(ypt), tol_active, include_F=True)
+            t_set = _solve_inclusion(systems[tuple(ypt)], caps, r)
             if not t_set.polytope.is_empty:
                 tagged[tuple(ypt)] = t_set
         if not tagged:

@@ -39,6 +39,13 @@ _KINK_KINDS = ("abs", "max", "min")
 # 2^16 smooth selections is the enumeration ceiling.
 MAX_KINK_NODES = 16
 
+# Deepest expression the parser accepts.  The nesting depth of a leaf is 1;
+# each operator, function call, sign and pair of parentheses adds a level,
+# so a chain of k additions nests k + 1 deep.  The tree walkers recurse on
+# every level and the parser five calls deep per pair of parentheses; 150
+# leaves room under Python's recursion limit for their callers' frames.
+MAX_EXPR_DEPTH = 150
+
 DEFAULT_KINK_TOL = 1e-8
 
 
@@ -589,7 +596,13 @@ _FUNCS = {"abs": 1, "max": 2, "min": 2, "exp": 1, "log": 1}
 
 
 class _ExprParser:
-    """Recursive-descent parser for the infix expression grammar."""
+    """Recursive-descent parser for the infix expression grammar.
+
+    Input nested deeper than MAX_EXPR_DEPTH raises ParseError: opening
+    parentheses, calls and signs are counted on the way down, before the
+    parser's own recursion gets deep, and every node's nesting depth on the
+    way up, which covers long operator chains.
+    """
 
     def __init__(self, text, line, n, m, col_offset=0):
         self.text = text
@@ -600,6 +613,26 @@ class _ExprParser:
         self.tokens = []
         self._tokenize()
         self.pos = 0
+        self.open = 0     # enclosing parentheses, calls and signs
+        self.depth = {}   # id of each node built so far -> its nesting depth
+
+    def _too_deep(self, col):
+        return ParseError(
+            f"expression nested deeper than {MAX_EXPR_DEPTH} levels",
+            self.line, col)
+
+    def _enter(self, col):
+        self.open += 1
+        if self.open > MAX_EXPR_DEPTH:
+            raise self._too_deep(col)
+
+    def _nest(self, e, parts, col):
+        """Record e one level deeper than the deepest of parts; returns e."""
+        d = 1 + max((self.depth.get(id(q), 1) for q in parts), default=0)
+        if d > MAX_EXPR_DEPTH:
+            raise self._too_deep(col)
+        self.depth[id(e)] = d
+        return e
 
     def _tokenize(self):
         i = 0
@@ -639,29 +672,31 @@ class _ExprParser:
     def _expr(self) -> Expr:
         e = self._term()
         while self._peek() in ("+", "-"):
-            op, _ = self._next()
+            op, col = self._next()
             rhs = self._term()
-            e = Expr("add" if op == "+" else "sub", (e, rhs))
+            e = self._nest(Expr("add" if op == "+" else "sub", (e, rhs)),
+                           (e, rhs), col)
         return e
 
     def _term(self) -> Expr:
         e = self._unary()
         while self._peek() in ("*", "/"):
-            op, _ = self._next()
+            op, col = self._next()
             rhs = self._unary()
             if op == "*":
-                e = Expr("mul", (e, rhs))
+                node = Expr("mul", (e, rhs))
             else:
-                e = Expr("div", (e, rhs), safe=True)
+                node = Expr("div", (e, rhs), safe=True)
+            e = self._nest(node, (e, rhs), col)
         return e
 
     def _unary(self) -> Expr:
-        if self._peek() == "-":
-            self._next()
-            return Expr("neg", (self._unary(),))
-        if self._peek() == "+":
-            self._next()
-            return self._unary()
+        if self._peek() in ("-", "+"):
+            op, col = self._next()
+            self._enter(col)
+            e = self._unary()
+            self.open -= 1
+            return self._nest(Expr("neg", (e,)) if op == "-" else e, (e,), col)
         return self._power()
 
     def _power(self) -> Expr:
@@ -676,7 +711,7 @@ class _ExprParser:
                                  self.line, tcol) from None
             if exponent < 0:
                 raise ParseError("exponent must be nonnegative", self.line, tcol)
-            return Expr("pow", (base,), exponent=exponent)
+            return self._nest(Expr("pow", (base,), exponent=exponent), (base,), col)
         return base
 
     def _atom(self) -> Expr:
@@ -684,12 +719,15 @@ class _ExprParser:
         if re.fullmatch(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?", tok):
             return Expr.const(float(tok))
         if tok == "(":
+            self._enter(col)
             e = self._expr()
+            self.open -= 1
             closing, ccol = self._next()
             if closing != ")":
                 raise ParseError("expected ')'", self.line, ccol)
-            return e
+            return self._nest(e, (e,), col)
         if tok in _FUNCS:
+            self._enter(col)
             opening, ocol = self._next()
             if opening != "(":
                 raise ParseError(f"expected '(' after {tok}", self.line, ocol)
@@ -697,21 +735,15 @@ class _ExprParser:
             while self._peek() == ",":
                 self._next()
                 args.append(self._expr())
+            self.open -= 1
             closing, ccol = self._next()
             if closing != ")":
                 raise ParseError("expected ')'", self.line, ccol)
             if len(args) != _FUNCS[tok]:
                 raise ParseError(f"{tok} takes {_FUNCS[tok]} argument(s)",
                                  self.line, col)
-            if tok == "abs":
-                return Expr("abs", tuple(args))
-            if tok == "max":
-                return Expr("max", tuple(args))
-            if tok == "min":
-                return Expr("min", tuple(args))
-            if tok == "exp":
-                return Expr("exp", tuple(args))
-            return Expr("log", tuple(args), safe=True)
+            node = Expr(tok, tuple(args), safe=tok == "log")
+            return self._nest(node, args, col)
         mvar = re.fullmatch(r"([xy])(\d+)", tok)
         if mvar:
             idx = int(mvar.group(2))

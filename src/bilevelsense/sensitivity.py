@@ -260,34 +260,38 @@ class TaggedSet:
     ray_meta: Tuple[dict, ...]
 
 
-def _inclusion_xset(
-    prog: BilevelProgram,
-    xbar,
-    y,
-    tol_active: float,
-    caps: Caps,
-    include_F: bool = False,
-    r_coef: float = 0.0,
-    F_expr: Optional[Expr] = None,
-    stat_tol: Optional[float] = None,
-) -> TaggedSet:
-    """{x-part : (x-part, 0) in [dF +] r df + sum_i u_i dg_i at (xbar, y)}.
+@dataclass(frozen=True)
+class _InclusionSystem:
+    """The r-independent part of one (xbar, y) inclusion system.
 
-    With include_F this is the per-(y, r) inclusion set of the value-function
-    estimate; without it, the set of valid lower-level stationarity covectors
-    x*_s.  u ranges over the nonnegative active-indexed multipliers, entering
-    through lifted branch-hull weights; unbounded u directions become rays.
-    stat_tol relaxes the vanishing-y-block rows (grid-snapped points miss
-    exact stationarity by the grid blur).
+    A holds the lifted standard-form columns (y-parts over the weight-sum
+    rows), proj their x-parts, meta each column's source ("F", "f" or
+    ("g", i)).  Only the right-hand side depends on r.
     """
+
+    n: int
+    m: int
+    p: int
+    y: Tuple[float, ...]
+    include_F: bool
+    A: np.ndarray
+    proj: np.ndarray
+    meta: Tuple[tuple, ...]
+
+
+def _inclusion_system(prog: BilevelProgram, xbar, y, tol_active: float,
+                      include_F: bool = False,
+                      F_expr: Optional[Expr] = None) -> _InclusionSystem:
+    """Build the inclusion system at (xbar, y): active set, Clarke
+    generators, A, the x-projection and the column metadata.  Raises
+    InfeasiblePointError when (xbar, y) violates a lower-level constraint."""
     xbar = [float(v) for v in np.atleast_1d(xbar)]
     y = [float(v) for v in np.atleast_1d(y)]
-    n, m, p = prog.n, prog.m, prog.p
+    n = prog.n
     active = _active_indices(prog, xbar, y, tol_active)
 
     cols = []
     meta = []
-    n_sum_rows = (1 if include_F else 0) + 1  # f-weights always constrained
     # rows: m stationarity rows, then the simplex/sum rows
     def col_vec(yp, sums):
         return np.concatenate([yp, sums])
@@ -309,29 +313,40 @@ def _inclusion_xset(
             cols.append((gvec[:n], col_vec(gvec[n:], zero_sum)))
             meta.append(("g", i))
 
-    A = np.column_stack([c[1] for c in cols])
-    if include_F:
+    return _InclusionSystem(
+        n, prog.m, prog.p, tuple(y), include_F,
+        np.column_stack([c[1] for c in cols]),
+        np.column_stack([c[0] for c in cols]),
+        tuple(meta),
+    )
+
+
+def _solve_inclusion(system: _InclusionSystem, caps: Caps,
+                     r_coef: float = 0.0,
+                     stat_tol: Optional[float] = None) -> TaggedSet:
+    """The inclusion set of a built system: V-representation at the
+    right-hand side [0; 1; r_coef] (or [0; 1] without F), projected to x."""
+    n, m = system.n, system.m
+    if system.include_F:
         b = np.concatenate([np.zeros(m), [1.0, r_coef]])
     else:
         b = np.concatenate([np.zeros(m), [1.0]])
-    verts, rays = _vrep_fallback(A, b, caps.max_bases, stat_tol)
-
-    proj = np.column_stack([c[0] for c in cols])
+    verts, rays = _vrep_fallback(system.A, b, caps.max_bases, stat_tol)
 
     def decode(w):
-        u = np.zeros(p)
-        for wv, (tag, i) in zip(w, meta):
+        u = np.zeros(system.p)
+        for wv, (tag, i) in zip(w, system.meta):
             if tag == "g":
                 u[i] += wv
-        return {"u": tuple(u.tolist()), "y": tuple(y)}
+        return {"u": tuple(u.tolist()), "y": system.y}
 
     vert_pts, vert_meta = [], []
     for w in verts:
-        vert_pts.append(proj @ w)
+        vert_pts.append(system.proj @ w)
         vert_meta.append(decode(w))
     ray_pts, ray_meta = [], []
     for w in rays:
-        pt = proj @ w
+        pt = system.proj @ w
         if np.max(np.abs(pt)) > 1e-12:
             ray_pts.append(pt)
             ray_meta.append(decode(w))
@@ -340,6 +355,34 @@ def _inclusion_xset(
     poly, vkeep, rkeep = Polytope.from_generators_indexed(n, vert_pts, ray_pts)
     return TaggedSet(poly, tuple(vert_meta[q] for q in vkeep),
                      tuple(ray_meta[q] for q in rkeep))
+
+
+def _inclusion_xset(
+    prog: BilevelProgram,
+    xbar,
+    y,
+    tol_active: float,
+    caps: Caps,
+    include_F: bool = False,
+    r_coef: float = 0.0,
+    F_expr: Optional[Expr] = None,
+    stat_tol: Optional[float] = None,
+) -> TaggedSet:
+    """{x-part : (x-part, 0) in [dF +] r df + sum_i u_i dg_i at (xbar, y)}.
+
+    With include_F this is the per-(y, r) inclusion set of the value-function
+    estimate; without it, the set of valid lower-level stationarity covectors
+    x*_s.  u ranges over the nonnegative active-indexed multipliers, entering
+    through lifted branch-hull weights; unbounded u directions become rays.
+    stat_tol relaxes the vanishing-y-block rows (grid-snapped points miss
+    exact stationarity by the grid blur).  One call builds the system
+    (`_inclusion_system`) and solves it (`_solve_inclusion`); loops over an
+    r-grid build each y's system once and solve it for every r, since r
+    moves only the right-hand side.
+    """
+    return _solve_inclusion(
+        _inclusion_system(prog, xbar, y, tol_active, include_F, F_expr),
+        caps, r_coef, stat_tol)
 
 
 def stationary_cover_hull(prog: BilevelProgram, xbar,
@@ -506,9 +549,10 @@ def _estimate_semicompact(prog, xbar, samples, grid, caps, tol_active,
         # every (y, r) contribution is empty
         raise EmptyEstimateError("lower-level covector set is empty at xbar")
     for ypt in samples:
+        system = _inclusion_system(prog, xbar, list(ypt), tol_active,
+                                   include_F=True)
         for r in caps.r_grid():
-            inc = _inclusion_xset(prog, xbar, list(ypt), tol_active, caps,
-                                  include_F=True, r_coef=r, stat_tol=stat_tol)
+            inc = _solve_inclusion(system, caps, r, stat_tol)
             if inc.polytope.is_empty:
                 continue
             shifted = minkowski_sum(inc.polytope, scale(negate(cover), r))
@@ -571,10 +615,10 @@ def _estimate_semicontinuous(prog, xbar, ypt, caps, tol_active,
     # convexified lower-level stationarity covectors at the designated point
     phi_star = _inclusion_xset(prog, xbar, ypt, tol_active, caps,
                                stat_tol=stat_tol).polytope
+    system = _inclusion_system(prog, xbar, ypt, tol_active, include_F=True)
     pieces = []
     for r in caps.r_grid():
-        inc = _inclusion_xset(prog, xbar, ypt, tol_active, caps,
-                              include_F=True, r_coef=r, stat_tol=stat_tol)
+        inc = _solve_inclusion(system, caps, r, stat_tol)
         if inc.polytope.is_empty:
             continue
         if phi_star.is_empty:

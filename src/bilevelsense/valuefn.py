@@ -228,12 +228,20 @@ def _refine_seeds(pool_y, pool_f, pool_F, grid: GridSpec):
     band = pool_f <= phi + default_tol_val(phi)
     if np.any(band):
         band_idx = np.nonzero(band)[0]
-        sub_order = band_idx[_lex_order(pool_y[band_idx])]
-        fmin_idx = sub_order[np.argmin(pool_F[sub_order])]
-        fmax_idx = sub_order[np.argmax(pool_F[sub_order])]
-        push(pool_y[fmin_idx])
-        push(pool_y[fmax_idx])
+        band_F = pool_F[band_idx]
+        for pick in (np.argmin, np.argmax):
+            push(pool_y[_lex_first_tied(pool_y, band_idx, band_F, pick)])
     return seeds
+
+
+def _lex_first_tied(pool_y, idx, vals, pick):
+    """The point np.argmin or np.argmax (`pick`) of vals would choose if idx
+    were in lexicographic y order: only the rows tied with the picked
+    value are lex-ordered.  A NaN is picked first and ties with every NaN;
+    -0.0 ties with +0.0."""
+    val = vals[pick(vals)]
+    tied = idx[np.isnan(vals)] if np.isnan(val) else idx[vals == val]
+    return tied[_lex_order(pool_y[tied])[0]]
 
 
 def _sweep(prog: BilevelProgram, x, grid: GridSpec):

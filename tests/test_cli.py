@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from bilevelsense.cli import main
+from bilevelsense.model import MAX_EXPR_DEPTH
 
 from instances import INSTANCE_A_TEXT, INSTANCE_C_TEXT, PINNED_TEXT
 
@@ -125,6 +126,66 @@ class TestOtherCommands:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
         assert "no feasible lower-level point at x=[-1.0]" in errors[0]
+
+
+DEEP_PROBLEM = """
+[dims]
+n = 1
+m = 1
+[upper]
+objective = {upper}
+[lower]
+objective = {lower}
+[box]
+x1 = -1, 1
+y1 = -2, 2
+"""
+
+
+def _deep_problem(tmp_path, extra_parens=0, extra_terms=0):
+    """A problem whose upper objective (5 levels deep before the
+    parentheses) and lower objective (4 levels before the chain) both
+    nest exactly MAX_EXPR_DEPTH deep, plus the given extra levels."""
+    parens = MAX_EXPR_DEPTH - 5 + extra_parens
+    terms = MAX_EXPR_DEPTH - 4 + extra_terms
+    path = tmp_path / "deep.blp"
+    path.write_text(DEEP_PROBLEM.format(
+        upper="(" * parens + "(x1 - 0.3)^2 + y1" + ")" * parens,
+        lower="abs(y1 - 0.5*x1)" + " + 0.001*y1" * terms))
+    return str(path)
+
+
+class TestDeepExpressions:
+    def test_at_the_depth_bound_every_command_runs(self, tmp_path, capsys):
+        path = _deep_problem(tmp_path)
+        assert main(["estimate", path, "--x", "0.2", "--grid", "41",
+                     "--refine", "1"]) == 0
+        assert main(["sample", path, "--which", "phi_o", "--grid", "41",
+                     "--refine", "1", "--range", "-1:1:5"]) == 0
+        out = tmp_path / "cert.json"
+        assert main(["certify", path, "--x", "0.2", "--variant", "value",
+                     "--grid", "41", "--refine", "1", "--out", str(out)]) == 0
+        # d/dx [(x - 0.3)^2 + x / 2] = 0.3 at x = 0.2: not stationary
+        assert json.loads(out.read_text())["status"] == "Refuted"
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [(1, 0), (0, 1)])
+    def test_past_the_depth_bound_exit_one(self, tmp_path, capsys, extra):
+        path = _deep_problem(tmp_path, *extra)
+        assert main(["estimate", path, "--x", "0.2", "--grid", "41",
+                     "--refine", "1"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: expression nested deeper than {MAX_EXPR_DEPTH} levels")
+
+    def test_long_sum_exits_without_traceback(self, tmp_path):
+        path = _deep_problem(tmp_path, extra_terms=600)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bilevelsense.cli", "estimate", path,
+             "--x", "0.2", "--grid", "41", "--refine", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: expression nested deeper")
+        assert "Traceback" not in proc.stderr
 
 
 class TestErrorsAndDeterminism:

@@ -11,6 +11,7 @@ from bilevelsense.errors import (
     VariableIndexError,
 )
 from bilevelsense.model import (
+    MAX_EXPR_DEPTH,
     BilevelProgram,
     Expr,
     affine_coefficients,
@@ -224,6 +225,29 @@ class TestParser:
         prog = parse_program(MINIMAL_FILE.replace(
             "objective = (y1 - 1)^2 + x1^2", "objective = 2 + 3 * x1^2"))
         assert eval_expr(prog.F, [2.0], [0.0]) == 14.0
+
+    # expressions nested k levels deeper than the leaf y1
+    DEEP = {
+        "sum_chain": lambda k: "y1" + " + y1" * k,
+        "product_chain": lambda k: "y1" + " * y1" * k,
+        "parentheses": lambda k: "(" * k + "y1" + ")" * k,
+        "signs": lambda k: "-+" * (k // 2) + "-" * (k % 2) + "y1",
+        "calls": lambda k: "exp(" * k + "y1" + ")" * k,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_nesting_depth_bound(self, shape):
+        def upper(k):
+            return MINIMAL_FILE.replace("objective = (y1 - 1)^2 + x1^2",
+                                        "objective = " + self.DEEP[shape](k))
+        parse_program(upper(MAX_EXPR_DEPTH - 1))
+        with pytest.raises(ParseError) as err:
+            parse_program(upper(MAX_EXPR_DEPTH))
+        assert str(err.value).startswith(
+            f"expression nested deeper than {MAX_EXPR_DEPTH} levels (line ")
+        # ten times the bound fails the same way, not with RecursionError
+        with pytest.raises(ParseError):
+            parse_program(upper(10 * MAX_EXPR_DEPTH))
 
 
 class TestProgramValidation:

@@ -23,6 +23,7 @@ def _b(r):
 def _clear_memos():
     _polyalg._smallest_singular_values.cache_clear()
     _polyalg._recession_rays.cache_clear()
+    _polyalg._vrep.cache_clear()
 
 
 def _same(vrep_a, vrep_b):
@@ -44,12 +45,17 @@ def test_r_grid_reuse_matches_fresh_enumeration():
 
 
 def test_returned_generators_are_not_shared():
+    _clear_memos()
     verts, rays = standard_vrep(A, _b(1.0))
     assert verts and rays
     first = ([v.copy() for v in verts], [r.copy() for r in rays])
     for arr in (*verts, *rays):
         arr[:] = 99.0
-    assert _same(first, standard_vrep(A, _b(1.0)))
+    again = standard_vrep(A, _b(1.0))
+    assert _polyalg._vrep.cache_info().hits == 1
+    assert _same(first, again)
+    for u, v in zip(verts + rays, again[0] + again[1]):
+        assert v.flags.writeable and not np.shares_memory(u, v)
 
 
 def test_ray_budget_checked_without_vertices():
@@ -107,3 +113,35 @@ def test_memoised_rank_test_matches_matrix_rank():
                 want.insert(0, np.zeros(A.shape[1]))
             assert len(got) == len(want)
             assert all(np.array_equal(u, v) for u, v in zip(got, want))
+
+
+def test_memo_keeps_strict_relaxed_and_budgets_apart():
+    # two equal rows with right-hand sides 1e-8 apart: no exact solution,
+    # but one within a relaxed residual tolerance
+    A2 = np.ones((2, 2))
+    b2 = np.array([1.0, 1.0 + 1e-8])
+    _clear_memos()
+    calls = [((), {}), ((), {"res_tol": 1e-6}), ((300001,), {}),
+             ((300001,), {"res_tol": 1e-6})]
+    warm = [standard_vrep(A2, b2, *a, **k) for a, k in calls]
+    assert _polyalg._vrep.cache_info().misses == len(calls)
+    assert not warm[0][0] and warm[1][0]
+    for (a, k), got in zip(calls, warm):
+        _clear_memos()
+        assert _same(got, standard_vrep(A2, b2, *a, **k))
+    # -0.0 and 0.0 differ in bytes: two entries, one answer
+    _clear_memos()
+    assert _same(standard_vrep(A, np.array([0.0, 1.0, 0.5])),
+                 standard_vrep(A, np.array([-0.0, 1.0, 0.5])))
+    assert _polyalg._vrep.cache_info().misses == 2
+
+
+def test_memoised_system_over_budget_raises_every_time():
+    _clear_memos()
+    verts, _ = standard_vrep(A, _b(1.0))
+    assert verts
+    # the ray system of the 3 x 5 system scans 1 + 5 + 10 + 10 + 5 = 31 bases
+    for _ in range(3):
+        with pytest.raises(BudgetError):
+            standard_vrep(A, _b(1.0), max_bases=30)
+    assert standard_vrep(A, _b(1.0), max_bases=31)[0]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from bilevelsense.errors import InfeasiblePointError, NotApplicableError
 from bilevelsense.model import BilevelProgram, Expr, clarke_generators, neg
@@ -25,6 +26,8 @@ from bilevelsense.subdiff import (
     scale,
 )
 from bilevelsense.valuefn import GridSpec, lower_solutions, value_function
+
+from test_valuefn import SHARED_GRID, piecewise_affine_programs
 
 X1 = Expr.x(1)
 Y1 = Expr.y(1)
@@ -352,3 +355,96 @@ def test_simplex_discretization_cross_check(prog_b):
                 for a in inc.polytope.vertices:
                     xstar = np.array(a) - r * agg
                     assert distance(est.polytope, list(xstar)) <= 1e-9
+
+
+# -- one inclusion system per sampled y, and the exact V-rep memo ----------------
+
+
+@pytest.mark.parametrize("variant", ["semicompact", "semicontinuous"])
+def test_inclusion_generators_do_not_scale_with_the_r_grid(monkeypatch, prog_a,
+                                                           prog_b, variant):
+    # r moves only the right-hand side, so the Clarke generators of each
+    # (sampled y, expression) are taken once per system, not once per r
+    from bilevelsense import sensitivity
+
+    calls = []
+
+    def counting(e, x, y, tol_active=None):
+        calls.append((e, tuple(y)))
+        return clarke_generators(e, x, y, tol_active)
+
+    monkeypatch.setattr(sensitivity, "clarke_generators", counting)
+    for prog, x in ((prog_a, [0.5]), (prog_b, [0.0])):
+        counts = []
+        for caps in (Caps(), Caps(log_r_min=-6, log_r_max=3)):
+            calls.clear()
+            estimate_optimistic(prog, x, variant, GRID, caps)
+            counts.append(len(calls))
+        assert len(caps.r_grid()) > len(Caps().r_grid())
+        assert counts[0] == counts[1]
+        # the covector system and the inclusion system of one y each take
+        # its generators once
+        assert len(calls) <= 2 * len(set(calls))
+
+
+def _outcomes(prog, x, grid):
+    """Every estimate variant at x, as arrays or as the error raised."""
+    from bilevelsense.errors import ToolkitError
+
+    out = []
+    for mode, variant in (("o", "semicompact"), ("o", "convex"),
+                          ("o", "semicontinuous"), ("p", "semicompact")):
+        fn = estimate_optimistic if mode == "o" else estimate_pessimistic
+        try:
+            est = fn(prog, x, variant, grid, CAPS)
+        except ToolkitError as exc:
+            out.append((type(exc).__name__, str(exc)))
+            continue
+        out.append((np.array(est.polytope.vertices, dtype=float),
+                    np.array(est.polytope.rays, dtype=float),
+                    est.truncated, est.notes))
+    return out
+
+
+def _assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert len(a) == len(b)
+        for u, v in zip(a, b):
+            if isinstance(u, np.ndarray):
+                assert u.shape == v.shape
+                assert np.array_equal(u, v)
+                assert np.array_equal(np.signbit(u), np.signbit(v))
+            else:
+                assert u == v
+
+
+def _same_with_and_without_vrep_memo(monkeypatch, prog, x, grid):
+    from bilevelsense import _polyalg
+
+    _polyalg._vrep.cache_clear()
+    cold = _outcomes(prog, x, grid)
+    warm = _outcomes(prog, x, grid)
+    with monkeypatch.context() as mp:
+        # every standard_vrep call enumerates afresh
+        mp.setattr(_polyalg, "_vrep", _polyalg._vrep.__wrapped__)
+        fresh = _outcomes(prog, x, grid)
+    _assert_same_outcomes(cold, fresh)
+    _assert_same_outcomes(warm, fresh)
+
+
+@pytest.mark.parametrize("case", [("a", [0.5]), ("a", [1.2]), ("b", [0.0]),
+                                  ("b", [0.4]), ("c", [0.0]), ("c", [-0.5])])
+def test_estimates_identical_with_and_without_vrep_memo(monkeypatch, case,
+                                                        prog_a, prog_b, prog_c):
+    name, x = case
+    prog = {"a": prog_a, "b": prog_b, "c": prog_c}[name]
+    _same_with_and_without_vrep_memo(monkeypatch, prog, x, GRID)
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=piecewise_affine_programs())
+def test_drawn_estimates_identical_with_and_without_vrep_memo(monkeypatch, case):
+    prog, x = case
+    _same_with_and_without_vrep_memo(monkeypatch, prog, x, SHARED_GRID)

@@ -47,3 +47,14 @@ def test_sweep_cache_is_visible_to_the_tracer():
     assert info.maxsize == 2048
     # the tracer rebinds the module global, so callers must look it up there
     assert "_solve_lower" in valuefn._sweep.__code__.co_names
+
+
+def test_vrep_memo_is_visible_to_the_tracer():
+    from bilevelsense import _polyalg
+
+    info = _polyalg._vrep.cache_info()
+    assert info.maxsize == _polyalg._VREP_ENTRIES == 256
+    # a miss looks basic_vertices up as a module global, so the tracer's
+    # wrapper of polyalg.bases counts every enumeration that runs
+    assert "basic_vertices" in _polyalg._vrep.__wrapped__.__code__.co_names
+    assert "_vrep" in _polyalg.standard_vrep.__code__.co_names

@@ -444,14 +444,15 @@ def _ref_grid(box, count):
 def reference_seeds(ys, fs, Fs, k):
     """The first k points of one full (f, lexicographic y, index) sort, then
     the first lexicographic minimiser and maximiser of F over the band
-    f <= phi + 1e-6 (1 + |phi|), each kept unless within 1e-15 of a kept
-    seed."""
+    f <= phi + 1e-6 (1 + |phi|) as np.argmin/np.argmax over the whole band
+    in lexicographic order pick them (a NaN wins), each kept unless within
+    1e-15 of a kept seed."""
     picks = list(np.lexsort(tuple(ys.T[::-1]) + (fs,))[:k])
     phi = float(np.min(fs))
     band = sorted(np.flatnonzero(fs <= phi + 1e-6 * (1.0 + abs(phi))),
                   key=lambda i: tuple(ys[i]))
     if band:
-        picks += [min(band, key=lambda i: Fs[i]), max(band, key=lambda i: Fs[i])]
+        picks += [band[int(np.argmin(Fs[band]))], band[int(np.argmax(Fs[band]))]]
     seeds = []
     for i in picks:
         if all(np.max(np.abs(s - ys[i])) >= 1e-15 for s in seeds):
@@ -504,12 +505,21 @@ SIGNED_ZERO_EDGE = BilevelProgram(
     box_x=((-1.0, 1.0),), box_y=((-1.0, -0.0),))
 
 
+# upper objectives whose band extremes tie: everywhere, on half the box, and
+# between -0.0 (y1 < 0) and +0.0 (y1 >= 0)
+TIED_UPPER = {
+    "const": Expr.const(0.0),
+    "tied": emax(Expr.y(1), Expr.const(0.0)),
+    "signed_zero": Expr.y(1) * 0.0,
+}
+
+
 @st.composite
 def sweep_cases(draw):
     """piecewise_affine_programs, optionally reshaped so the seeds sit on
     the box edge (clipped windows), f is constant (ties at the k-th value,
     duplicate pool rows), or a constraint cuts the windows around the
-    lower-level minimiser."""
+    lower-level minimiser; and F optionally tied (TIED_UPPER)."""
     prog, x = draw(piecewise_affine_programs())
     shape = draw(st.sampled_from(["drawn", "edge", "flat", "cut"]))
     if shape == "edge":
@@ -519,12 +529,23 @@ def sweep_cases(draw):
     elif shape == "cut":
         cut = draw(st.floats(-0.9, 0.9))
         prog = replace(prog, f=neg(Expr.y(1)), g=prog.g + (Expr.y(1) - cut,))
+    upper = draw(st.sampled_from(["drawn", *TIED_UPPER]))
+    if upper != "drawn":
+        prog = replace(prog, F=TIED_UPPER[upper])
     return prog, x, draw(st.sampled_from(SWEEP_GRIDS))
 
 
-@settings(max_examples=60, deadline=None)
+FLAT_2D = BilevelProgram(
+    n=1, m=2, F=Expr.y(1), f=Expr.const(0.0),
+    box_x=((-1.0, 1.0),), box_y=((-1.0, 1.0),) * 2)
+
+
+@settings(max_examples=80, deadline=None)
 @given(case=sweep_cases())
 @example(case=(TWO_MINIMA, [0.0], DEEP_GRID))
+@example(case=(replace(FLAT_2D, F=TIED_UPPER["const"]), [0.0], SHARED_GRID))
+@example(case=(replace(FLAT_2D, F=TIED_UPPER["tied"]), [0.0], SHARED_GRID))
+@example(case=(replace(FLAT_2D, F=TIED_UPPER["signed_zero"]), [0.0], SHARED_GRID))
 @example(case=(SIGNED_ZERO_EDGE, [0.0], GridSpec(points_per_dim=5, refine_depth=2,
                                                  refine_points=5)))
 def test_sweep_matches_per_window_reference(case):
@@ -565,6 +586,23 @@ SEED_POOLS = {
                      [0.0, -0.0, 1.0, -0.0], 2),
 }
 
+# (y rows, F) with a constant f, so the whole pool is the band; the rows are
+# in no lexicographic order
+BAND_POOLS = {
+    "constant_F": ([[0.3, 0.0], [0.1, 0.5], [0.1, 0.2], [0.2, 0.0]],
+                   [1.0, 1.0, 1.0, 1.0]),
+    "tied_F": ([[0.3, 0.0], [0.1, 0.5], [0.0, 0.9], [0.1, 0.2], [0.2, 0.0]],
+               [2.0, 0.0, 2.0, 0.0, 1.0]),
+    "signed_zero_F": ([[0.3, 0.0], [0.1, 0.5], [0.1, 0.2], [0.2, 0.0]],
+                      [0.0, -0.0, -0.0, 0.0]),
+    "signed_zero_y": ([[0.0, 0.5], [-0.0, 0.5], [0.0, -0.0], [-0.0, 0.0]],
+                      [1.0, 1.0, 2.0, 2.0]),
+    "nan_F": ([[0.3, 0.0], [0.1, 0.5], [0.2, 0.0], [0.1, 0.2], [0.0, 0.9]],
+              [-1.0, _NAN, 3.0, _NAN, 0.5]),
+    "inf_F": ([[0.3, 0.0], [0.1, 0.5], [0.2, 0.0], [0.1, 0.2]],
+              [_INF, -_INF, _INF, -_INF]),
+}
+
 
 def _assert_same_seeds(got, want):
     assert len(got) == len(want)
@@ -581,11 +619,19 @@ def test_refine_seeds_match_a_full_sort(name):
                        reference_seeds(ys, fs, Fs, k))
 
 
+@pytest.mark.parametrize("name", sorted(BAND_POOLS))
+def test_band_extremes_match_a_full_sort(name):
+    ys, Fs = (np.array(a) for a in BAND_POOLS[name])
+    fs = np.zeros(len(ys))
+    _assert_same_seeds(_refine_seeds(ys, fs, Fs, GridSpec(max_seeds=1)),
+                       reference_seeds(ys, fs, Fs, 1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.0, _INF, -_INF, _NAN]),
-                               st.sampled_from([-1.0, 0.0, 0.5]),
+                               st.sampled_from([-1.0, 0.0, -0.0, 0.5]),
                                st.sampled_from([0.0, 1.0]),
-                               st.sampled_from([0.0, 1.0, 2.0])),
+                               st.sampled_from([0.0, -0.0, 1.0, 2.0, _NAN])),
                      min_size=1, max_size=12),
        k=st.integers(1, 6))
 def test_refine_seeds_match_a_full_sort_on_drawn_pools(rows, k):

@@ -12,7 +12,6 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import BudgetError
 
@@ -171,7 +170,9 @@ class LPBuilder:
 
     Supports hard equality rows, soft rows |row - rhs| <= t with t the
     minimax objective, and plain linear objectives.  Deterministic by
-    construction (fixed variable and row order).
+    construction (fixed variable and row order).  scipy.optimize is
+    imported by the two solve methods, so a run that solves no LP (a
+    `sample` request, say) never loads it.
     """
 
     def __init__(self):
@@ -211,6 +212,8 @@ class LPBuilder:
 
     def minimize_max_violation(self):
         """Returns (optimal t, solution w) or (None, None) if infeasible."""
+        from scipy.optimize import linprog
+
         n = len(self.lb)
         c = np.zeros(n + 1)
         c[n] = 1.0  # t appended last
@@ -243,6 +246,8 @@ class LPBuilder:
 
     def maximize(self, coeffs: dict):
         """Returns (optimal value, solution) or (None, None)."""
+        from scipy.optimize import linprog
+
         n = len(self.lb)
         c = np.zeros(n)
         for j, v in coeffs.items():

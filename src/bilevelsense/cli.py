@@ -6,8 +6,11 @@ Five commands over a problem file: `sample` (CSV value-function curves),
 Every JSON artifact embeds the fully resolved configuration and the seed,
 and reruns with identical flags are byte-identical.
 
-Exit codes: 0 success, 1 usage/parse error, 2 infeasible or not applicable,
-3 inconclusive certification, 4 enumeration budget exceeded.
+Exit codes: 0 success, 1 usage/parse error, 2 infeasible, not applicable
+or not evaluable (every other library error, EvaluationError,
+DimensionMismatchError and EmptySetError included), 3 inconclusive
+certification, 4 enumeration or grid budget exceeded.  No library error
+ends in a traceback.
 """
 
 from __future__ import annotations
@@ -16,17 +19,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    BudgetError,
-    DomainError,
-    EmptyEstimateError,
-    InfeasibleError,
-    InfeasiblePointError,
-    NotApplicableError,
-    NotPolyhedralError,
-    ParseError,
-    UnsupportedDimensionError,
-)
+from .errors import BudgetError, ParseError, ToolkitError
 from .certify import (
     certify_optimistic,
     certify_pessimistic,
@@ -277,14 +270,12 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (InfeasibleError, InfeasiblePointError, NotApplicableError,
-            NotPolyhedralError, DomainError, UnsupportedDimensionError,
-            EmptyEstimateError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INFEASIBLE
     except BudgetError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return BUDGET
+    except ToolkitError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INFEASIBLE
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ Holds threshold is scale-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -46,10 +48,14 @@ from .subdiff import (
 )
 from .valuefn import (
     GridSpec,
+    _signs,
     optimistic_solutions,
     pessimistic_solutions,
     value_function,
 )
+
+# Bound on each of the two CQ verdict memos, in entries (distinct checks).
+_CQ_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,14 @@ class CQVerdict:
                 for k, v in self.witness.items()
             }
         return out
+
+
+def _fresh(verdict: CQVerdict) -> CQVerdict:
+    """verdict with a deep copy of its witness (a dict holding a dict), so
+    no caller can change what a memo holds."""
+    if verdict.witness is None:
+        return verdict
+    return replace(verdict, witness=copy.deepcopy(verdict.witness))
 
 
 # -- calmness ---------------------------------------------------------------
@@ -133,11 +147,27 @@ def check_pointbased_cq(
     g_i, fd-cluster generators for the negated lower value function in the
     S variant.  Holds when the maximum stays below tol; Fails ships the
     maximizing witness; ambiguous fd clustering degrades to Unknown.
+
+    The verdict is memoised on every input (`_pointbased_cq`); each call
+    gets its own copy of the witness.
     """
     if which not in ("K", "S"):
         raise ValueError("which must be 'K' or 'S'")
-    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
-    y_l = [float(v) for v in np.atleast_1d(y)]
+    xbar_t = tuple(float(v) for v in np.atleast_1d(xbar))
+    y_t = tuple(float(v) for v in np.atleast_1d(y))
+    return _fresh(_pointbased_cq(prog, which, xbar_t, y_t, tol, caps, grid,
+                                 tol_active, seed,
+                                 _signs(*xbar_t, *y_t, tol, tol_active)))
+
+
+@lru_cache(maxsize=_CQ_ENTRIES, typed=True)
+def _pointbased_cq(prog, which, xbar, y, tol, caps, grid, tol_active, seed,
+                   signs) -> CQVerdict:
+    """check_pointbased_cq's verdict, in an LRU of _CQ_ENTRIES entries keyed
+    on the whole program (mode included), which, the points as float
+    tuples, every tolerance, caps, grid and seed, arguments of different
+    types kept apart and `signs` holding the sign bits of the floats."""
+    xbar_l, y_l = list(xbar), list(y)
     n, m = prog.n, prog.m
     active = _active_indices(prog, xbar_l, y_l, tol_active)
 
@@ -363,9 +393,25 @@ def check_inner_regularity(
     an artifact of the box).  semicontinuous: dist(ybar, S(x)) must shrink
     with the sampling shell; a non-vanishing distance Fails with the
     offending x.
+
+    The verdict is memoised on every input (`_inner_regularity`); each
+    call gets its own copy of the witness.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
+    xbar_t = tuple(np.atleast_1d(np.asarray(xbar, dtype=float)).tolist())
+    ybar_t = (None if ybar is None
+              else tuple(np.atleast_1d(np.asarray(ybar, dtype=float)).tolist()))
+    return _fresh(_inner_regularity(prog, kind, xbar_t, ybar_t, radius,
+                                    n_samples, grid, seed,
+                                    _signs(*xbar_t, *(ybar_t or ()), radius)))
+
+
+@lru_cache(maxsize=_CQ_ENTRIES, typed=True)
+def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid, seed,
+                      signs) -> CQVerdict:
+    """check_inner_regularity's verdict, in an LRU of _CQ_ENTRIES entries
+    keyed like `_pointbased_cq`."""
     xbar_v = np.asarray(xbar, dtype=float)
     rng = np.random.default_rng(seed)
     margin = 2.0 * grid.coarse_cell(prog.box_y)

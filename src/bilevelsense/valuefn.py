@@ -20,17 +20,27 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import InfeasibleError, UnsupportedDimensionError
+from .errors import BudgetError, InfeasibleError, UnsupportedDimensionError
 from .model import BilevelProgram, Expr, eval_expr
 
 DEFAULT_TOL_VAL_BASE = 1e-6
+
+# Bound on the coarse sweep grid, points_per_dim ** m points: 2**24 admits
+# m = 3 at the default 201 points per axis (8.1M points, 195 MB of y).
+MAX_GRID_POINTS = 2 ** 24
+
+# Bound on the solution-set memo, in entries (distinct (problem, x, grid,
+# tol_val) requests).  An entry of a flat S(x) can hold every point of the
+# coarse grid as a tuple, so this stays well below the sweep memo's 2048.
+_SOLUTION_ENTRIES = 64
 
 
 @dataclass(frozen=True)
@@ -104,7 +114,12 @@ def _mesh(lo, hi, count):
 @lru_cache(maxsize=8)
 def _coarse_mesh(box_y: Tuple[Tuple[float, float], ...], count: int):
     """The coarse sweep grid of box_y, shared read-only by every sweep of
-    that box."""
+    that box.  Raises BudgetError, before allocating, when the grid would
+    hold more than MAX_GRID_POINTS points."""
+    if count ** len(box_y) > MAX_GRID_POINTS:
+        raise BudgetError(
+            f"coarse grid of {count}^{len(box_y)} points exceeds "
+            f"{MAX_GRID_POINTS} points")
     box = np.array(box_y, dtype=float)
     mesh = _mesh(box[None, :, 0], box[None, :, 1], count)
     mesh.flags.writeable = False
@@ -245,10 +260,11 @@ def _lex_first_tied(pool_y, idx, vals, pick):
 
 
 def _sweep(prog: BilevelProgram, x, grid: GridSpec):
-    """(phi, pool_y, pool_f, pool_F) of prog at x, from the sweep prog
-    shares with its negated-upper twin; pool_F comes negated (a read-only
-    copy) when F carries an odd number of top-level negations.  Raises
-    InfeasibleError when no grid point is feasible at x."""
+    """(phi, pool_y, pool_f, pool_F) of prog (a program or a `_Problem`) at
+    x, from the sweep prog shares with its negated-upper twin; pool_F comes
+    negated (a read-only copy) when F carries an odd number of top-level
+    negations.  Raises InfeasibleError when no grid point is feasible at
+    x."""
     F, negated = prog.F, False
     while F.kind == "neg":
         F, negated = F.children[0], not negated
@@ -296,6 +312,60 @@ def _dedup_points(points: np.ndarray, resolution: float):
     return kept
 
 
+class _Problem(NamedTuple):
+    """What a solution set reads of a program, and all that `_sweep`
+    reads: the lower-level problem and F, negations kept (their sign picks
+    S_o)."""
+
+    m: int
+    f: Expr
+    g: Tuple[Expr, ...]
+    box_y: Tuple[Tuple[float, float], ...]
+    F: Expr
+
+
+def _signs(*values):
+    """Sign bits of the given numbers (None counts as unsigned).  Memo keys
+    carry them because -0.0 == 0.0 and both hash alike, while a result can
+    show the sign of a zero it was given."""
+    return tuple(v is not None and math.copysign(1.0, v) < 0 for v in values)
+
+
+@lru_cache(maxsize=_SOLUTION_ENTRIES)
+def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
+                  grid: GridSpec, tol_val, signs):
+    """S(x) (which = "lower") or S_o(x) ("optimistic") of problem at x_key.
+
+    Memoised in an LRU of _SOLUTION_ENTRIES entries keyed on every input:
+    the problem, x as the sweep keys it, the grid and tol_val with its sign
+    bit (`signs`).  SolutionSet is frozen and holds only tuples, so every
+    caller shares one.  InfeasibleError is not cached; the sweep memo
+    answers a repeat.
+    """
+    phi, pool_y, pool_f, pool_F = _sweep(problem, x_key, grid)
+    if which == "lower":
+        pts, keys = pool_y, pool_f
+    else:
+        band = pool_f <= phi + default_tol_val(phi)
+        pts, keys = pool_y[band], pool_F[band]
+    value = float(np.min(keys))
+    band_tol = default_tol_val(value) if tol_val is None else float(tol_val)
+    sel = keys <= value + band_tol
+    pts = pts[sel]
+    order = _pool_key_sort(pts, keys[sel])
+    cell = grid.finest_cell(problem.box_y)
+    kept = _dedup_points(pts[order], cell * 0.999)
+    return SolutionSet(
+        tuple(tuple(p.tolist()) for p in kept), value, band_tol, cell
+    )
+
+
+def _solutions(which, prog: BilevelProgram, x, grid, tol_val) -> SolutionSet:
+    problem = _Problem(prog.m, prog.f, prog.g, prog.box_y, prog.F)
+    return _solution_set(which, problem, _xkey(x), grid, tol_val,
+                         _signs(tol_val))
+
+
 def lower_solutions(
     prog: BilevelProgram,
     x,
@@ -303,17 +373,7 @@ def lower_solutions(
     tol_val: Optional[float] = None,
 ) -> SolutionSet:
     """S(x): feasible grid points whose f-value is within tol_val of phi(x)."""
-    phi, pool_y, pool_f, _ = _sweep(prog, x, grid)
-    band_tol = default_tol_val(phi) if tol_val is None else float(tol_val)
-    mask = pool_f <= phi + band_tol
-    pts = pool_y[mask]
-    keys = pool_f[mask]
-    order = _pool_key_sort(pts, keys)
-    cell = grid.finest_cell(prog.box_y)
-    kept = _dedup_points(pts[order], cell * 0.999)
-    return SolutionSet(
-        tuple(tuple(p.tolist()) for p in kept), phi, band_tol, cell
-    )
+    return _solutions("lower", prog, x, grid, tol_val)
 
 
 def optimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
@@ -344,20 +404,7 @@ def optimistic_solutions(
     tol_val: Optional[float] = None,
 ) -> SolutionSet:
     """S_o(x): members of S(x) whose upper objective is near phi_o(x)."""
-    phi, pool_y, pool_f, pool_F = _sweep(prog, x, grid)
-    band_mask = pool_f <= phi + default_tol_val(phi)
-    pts = pool_y[band_mask]
-    Fb = pool_F[band_mask]
-    phi_o = float(np.min(Fb))
-    band_tol = default_tol_val(phi_o) if tol_val is None else float(tol_val)
-    sel = Fb <= phi_o + band_tol
-    pts = pts[sel]
-    order = _pool_key_sort(pts, Fb[sel])
-    cell = grid.finest_cell(prog.box_y)
-    kept = _dedup_points(pts[order], cell * 0.999)
-    return SolutionSet(
-        tuple(tuple(p.tolist()) for p in kept), phi_o, band_tol, cell
-    )
+    return _solutions("optimistic", prog, x, grid, tol_val)
 
 
 def pessimistic_solutions(

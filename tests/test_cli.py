@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from bilevelsense import cli, valuefn
 from bilevelsense.cli import main
+from bilevelsense.errors import BudgetError, ParseError, ToolkitError
 from bilevelsense.model import MAX_EXPR_DEPTH
 
 from instances import INSTANCE_A_TEXT, INSTANCE_C_TEXT, PINNED_TEXT
@@ -311,3 +313,131 @@ class TestDegenerateLowerLevel:
         assert payload["mode"] == mode
         assert payload["status"] == "Certified"
         assert payload["recheck_residual"] <= payload["tol_eff"]
+
+
+def _toolkit_errors(cls=ToolkitError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _toolkit_errors(sub)
+
+
+LOG_UPPER = """
+[dims]
+n = 1
+m = 1
+[upper]
+objective = log(x1) + y1
+[lower]
+objective = abs(y1 - x1)
+[box]
+x1 = -1, 1
+y1 = -1, 1
+[mode]
+optimistic
+"""
+
+TWO_FOLLOWERS = """
+[dims]
+n = 1
+m = 2
+[upper]
+objective = x1 + y1
+[lower]
+objective = y1^2 + y2^2
+[box]
+x1 = -1, 1
+y1 = -1, 1
+y2 = -1, 1
+[mode]
+optimistic
+"""
+
+
+class TestEveryLibraryErrorIsMapped:
+    @pytest.mark.parametrize("exc_type", sorted(set(_toolkit_errors()),
+                                                key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_mapped_exit_code_and_one_error_line(self, exc_type, instance_a_file,
+                                                  monkeypatch, capsys):
+        def fail(args):
+            raise exc_type("boom")
+
+        monkeypatch.setattr(cli, "run", fail)
+        rc = main(["cq", instance_a_file, "--x", "0.5"])
+        if issubclass(exc_type, ParseError):
+            assert rc == 1
+        elif issubclass(exc_type, BudgetError):
+            assert rc == 4
+        else:
+            assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("boom\n")
+        assert err.count("\n") == 1
+
+    def test_fd_evaluation_error_exits_two(self, tmp_path, capsys):
+        # the fd oracle samples log(x1) on both sides of x1 = 1e-6 and wraps
+        # the DomainError of a nonpositive sample in EvaluationError
+        path = tmp_path / "log_upper.blp"
+        path.write_text(LOG_UPPER)
+        rc = main(["certify", str(path), "--x", "0.000001", "--variant",
+                   "value", "--grid", "41", "--refine", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: EvaluationError: log of a nonpositive value\n"
+
+
+class TestGridBudget:
+    def test_coarse_grid_just_above_the_bound_exits_four(self, tmp_path,
+                                                          monkeypatch, capsys):
+        # m = 2: 4096^2 points is the bound itself, 4097^2 the next grid
+        assert 4096 ** 2 == valuefn.MAX_GRID_POINTS
+        path = tmp_path / "two_followers.blp"
+        path.write_text(TWO_FOLLOWERS)
+
+        def no_mesh(*args):
+            raise AssertionError("an over-budget grid was meshed")
+
+        monkeypatch.setattr(valuefn, "_mesh", no_mesh)
+        valuefn._coarse_mesh.cache_clear()
+        rc = main(["sample", str(path), "--which", "phi", "--grid", "4097"])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "error: budget exceeded: coarse grid of 4097^2 points exceeds "
+            "16777216 points\n")
+
+    def test_the_bound_itself_is_admitted(self, tmp_path, monkeypatch, capsys):
+        # the same comparison on a bound small enough to mesh: 9^2 points
+        # pass a bound of 81, 10^2 do not
+        path = tmp_path / "two_followers.blp"
+        path.write_text(TWO_FOLLOWERS)
+        monkeypatch.setattr(valuefn, "MAX_GRID_POINTS", 81)
+        valuefn._coarse_mesh.cache_clear()
+        args = ["sample", str(path), "--which", "phi", "--range", "0:1:2",
+                "--refine", "1"]
+        assert main(args + ["--grid", "9"]) == 0
+        assert main(args + ["--grid", "10"]) == 4
+        assert "coarse grid of 10^2 points exceeds 81 points" in capsys.readouterr().err
+
+    def test_default_grid_admits_three_followers(self):
+        assert 201 ** 3 <= valuefn.MAX_GRID_POINTS
+
+
+def test_requests_without_lps_leave_scipy_unloaded(instance_c_file, tmp_path):
+    # a sample request solves no LP, so scipy.optimize is never imported;
+    # the first LP imports it
+    code = "\n".join([
+        "import sys",
+        "from bilevelsense import cli",
+        "from bilevelsense._polyalg import LPBuilder",
+        f"assert cli.main(['sample', {instance_c_file!r}, '--which', 'phi_p',"
+        f" '--grid', '41', '--refine', '1', '--out', {str(tmp_path / 'c.csv')!r}]) == 0",
+        "print('scipy.optimize' in sys.modules)",
+        "lp = LPBuilder()",
+        "lp.var(ub=1.0)",
+        "assert lp.maximize({0: 1.0})[0] == 1.0",
+        "print('scipy.optimize' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

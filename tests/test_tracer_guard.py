@@ -58,3 +58,27 @@ def test_vrep_memo_is_visible_to_the_tracer():
     # wrapper of polyalg.bases counts every enumeration that runs
     assert "basic_vertices" in _polyalg._vrep.__wrapped__.__code__.co_names
     assert "_vrep" in _polyalg.standard_vrep.__code__.co_names
+
+
+def test_decision_memos_are_visible_to_the_tracer():
+    from bilevelsense import cq, valuefn
+
+    assert cq._pointbased_cq.cache_info().maxsize == cq._CQ_ENTRIES == 256
+    assert cq._inner_regularity.cache_info().maxsize == cq._CQ_ENTRIES
+    assert valuefn._solution_set.cache_info().maxsize == \
+        valuefn._SOLUTION_ENTRIES == 64
+    # the solution-set memo sits behind the traced public names, which stay
+    # plain functions, and pessimistic_solutions reaches its twin through
+    # the module global, so valuefn.solutions counts every request
+    for name in ("lower_solutions", "optimistic_solutions",
+                 "pessimistic_solutions"):
+        assert not hasattr(getattr(valuefn, name), "cache_info")
+    assert "optimistic_solutions" in valuefn.pessimistic_solutions.__code__.co_names
+    assert "_solution_set" in valuefn._solutions.__code__.co_names
+    # misses sweep, solve and sample through the traced module globals
+    assert "_sweep" in valuefn._solution_set.__wrapped__.__code__.co_names
+    assert "fd_subgradient_samples" in cq._pointbased_cq.__wrapped__.__code__.co_names
+    assert {"optimistic_solutions", "pessimistic_solutions"} <= set(
+        cq._mode_solutions.__code__.co_names)
+    # cq_bundle itself is not memoised, so cq.bundle counts every bundle
+    assert not hasattr(cq.cq_bundle, "cache_info")

@@ -23,6 +23,7 @@ from bilevelsense.valuefn import (
     GridSpec,
     _dedup_points,
     _refine_seeds,
+    _solution_set,
     _solve_lower,
     _sweep,
     curve_to_csv,
@@ -37,6 +38,7 @@ from bilevelsense.valuefn import (
 )
 
 from conftest import brute_force_lower
+from instances import instance_a, instance_b, instance_c
 
 GRID = GridSpec()
 FINE = GridSpec(points_per_dim=201, refine_depth=5)
@@ -676,4 +678,89 @@ def test_infeasible_x_is_swept_once(prog_a):
     # the pessimistic twin shares the cached verdict
     with pytest.raises(InfeasibleError):
         pessimistic_value(prog_a, [-0.5], GRID)
+    assert _solve_lower.cache_info().misses == 1
+
+
+# -- the solution-set memo ------------------------------------------------------
+
+SOLUTION_CALLS = (lower_solutions, optimistic_solutions, pessimistic_solutions)
+
+
+def _solution_sets(prog, x, grid):
+    return [fn(p, x, grid, tol) for p in (prog, prog.negated_upper())
+            for fn in SOLUTION_CALLS for tol in (None, 1e-3)]
+
+
+def _assert_solution_hit_equals_fresh(prog, x, grid):
+    _solution_set.cache_clear()
+    _solve_lower.cache_clear()
+    fresh = _solution_sets(prog, x, grid)
+    hits = _solution_set.cache_info().hits
+    again = _solution_sets(prog, x, grid)
+    assert _solution_set.cache_info().hits == hits + len(again)
+    # == on the frozen sets, and repr, which keeps the sign of a zero
+    assert again == fresh
+    assert [repr(s) for s in again] == [repr(s) for s in fresh]
+    # a set computed on empty memos for this request alone is the same one
+    for pos, s in enumerate(fresh):
+        _solution_set.cache_clear()
+        _solve_lower.cache_clear()
+        p = (prog, prog.negated_upper())[pos // 6]
+        fn, tol = SOLUTION_CALLS[pos % 6 // 2], (None, 1e-3)[pos % 2]
+        assert repr(fn(p, x, grid, tol)) == repr(s)
+
+
+@pytest.mark.parametrize("make,x", [(instance_a, [0.5]), (instance_a, [0.0]),
+                                    (instance_b, [0.3]), (instance_c, [0.0]),
+                                    (instance_c, [-0.4])])
+def test_solution_memo_hit_equals_a_fresh_set(make, x):
+    _assert_solution_hit_equals_fresh(make(), x, SHARED_GRID)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=piecewise_affine_programs())
+def test_solution_memo_hit_equals_a_fresh_set_on_drawn_programs(case):
+    prog, x = case
+    _assert_solution_hit_equals_fresh(prog, x, SHARED_GRID)
+
+
+def test_solution_keys_stay_apart(prog_c):
+    _solution_set.cache_clear()
+    x = [0.3]
+    requests = [
+        (optimistic_solutions, prog_c, SHARED_GRID, None),
+        (lower_solutions, prog_c, SHARED_GRID, None),
+        (optimistic_solutions, prog_c.negated_upper(), SHARED_GRID, None),
+        (optimistic_solutions, prog_c, GRID, None),
+        (optimistic_solutions, prog_c, SHARED_GRID, 1e-3),
+        (optimistic_solutions, prog_c, SHARED_GRID, 0.0),
+        (optimistic_solutions, prog_c, SHARED_GRID, -0.0),
+    ]
+    got = []
+    for i, (fn, prog, grid, tol) in enumerate(requests, start=1):
+        got.append(fn(prog, x, grid, tol))
+        assert _solution_set.cache_info().misses == i
+    # S_o of F = x * y at x > 0 is {0}; its twin's (the worst case) is {1}
+    assert got[0].points == ((0.0,),)
+    assert len(got[2]) == 1 and got[2].points[0][0] == pytest.approx(1.0)
+    assert len(got[1]) > 1
+    assert got[4].tol_val == 1e-3
+    assert [math.copysign(1.0, s.tol_val) for s in got[5:]] == [1.0, -1.0]
+    # pessimistic_solutions reads its twin's entry, and the mode, upper
+    # constraints and box_x are not part of the key
+    pessimistic_solutions(prog_c, x, SHARED_GRID)
+    optimistic_solutions(replace(prog_c, mode="optimistic",
+                                 box_x=((-5.0, 5.0),)), x, SHARED_GRID)
+    info = _solution_set.cache_info()
+    assert (info.hits, info.misses) == (2, len(requests))
+
+
+def test_infeasible_solution_sets_are_not_memoised(prog_a):
+    _solution_set.cache_clear()
+    _solve_lower.cache_clear()
+    for fn in SOLUTION_CALLS * 2:
+        with pytest.raises(InfeasibleError):
+            fn(prog_a, [-0.5], GRID)
+    assert _solution_set.cache_info().currsize == 0
+    # the sweep memo answers every repeat
     assert _solve_lower.cache_info().misses == 1

@@ -7,6 +7,7 @@ vertex oracle available: desk-scale row counts never exceed m + 2 <= 4.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional
@@ -20,6 +21,8 @@ from .errors import BudgetError
 _MEMO_ENTRIES = 64
 # Bound on the V-representation memo, in entries (distinct (A, b) systems).
 _VREP_ENTRIES = 256
+# Bound on the LP memo, in entries (distinct LPs).
+_LP_ENTRIES = 256
 
 
 def _ncr_total(n, r):
@@ -41,6 +44,14 @@ def _key(a: np.ndarray):
     return a.shape, a.dtype.str, a.tobytes()
 
 
+def _array(key):
+    """The read-only array a `_key` describes, or None for None."""
+    if key is None:
+        return None
+    shape, dtype, data = key
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
+
+
 @lru_cache(maxsize=_MEMO_ENTRIES)
 def _smallest_singular_values(key):
     """Per subset size s = 1..min(rows, cols), the smallest singular value
@@ -50,9 +61,8 @@ def _smallest_singular_values(key):
     np.linalg.matrix_rank(A_J, tol) == s, holds exactly when the smallest
     one exceeds tol.
     """
-    shape, dtype, data = key
-    A = np.frombuffer(data, dtype=dtype).reshape(shape)
-    n_rows, n_cols = shape
+    A = _array(key)
+    n_rows, n_cols = A.shape
     out = []
     for size in range(1, min(n_rows, n_cols) + 1):
         sv = [np.linalg.svd(A[:, J], compute_uv=False)[-1]
@@ -118,10 +128,9 @@ def basic_vertices(A: np.ndarray, b: np.ndarray, max_bases: int = 300000,
 @lru_cache(maxsize=_MEMO_ENTRIES)
 def _recession_rays(key, max_bases):
     """Nonzero basic solutions of {w >= 0 : A w = 0, sum w = 1}, read-only."""
-    shape, dtype, data = key
-    A = np.frombuffer(data, dtype=dtype).reshape(shape)
-    aug = np.vstack([A, np.ones(shape[1])])
-    b_aug = np.concatenate([np.zeros(shape[0]), [1.0]])
+    A = _array(key)
+    aug = np.vstack([A, np.ones(A.shape[1])])
+    b_aug = np.concatenate([np.zeros(A.shape[0]), [1.0]])
     rays = [r for r in basic_vertices(aug, b_aug, max_bases)
             if np.max(np.abs(r)) > 0]
     for r in rays:
@@ -136,10 +145,7 @@ def _vrep(key, b_key, max_bases, res_tol):
     basic_vertices is looked up as a module global on every miss, so a
     wrapper installed on it sees each enumeration that runs.
     """
-    shape, dtype, data = key
-    A = np.frombuffer(data, dtype=dtype).reshape(shape)
-    b = np.frombuffer(b_key[2], dtype=b_key[1]).reshape(b_key[0])
-    verts = basic_vertices(A, b, max_bases, res_tol)
+    verts = basic_vertices(_array(key), _array(b_key), max_bases, res_tol)
     if not verts:
         return (), ()
     for v in verts:
@@ -165,14 +171,57 @@ def standard_vrep(A: np.ndarray, b: np.ndarray, max_bases: int = 300000,
     return [v.copy() for v in verts], [r.copy() for r in rays]
 
 
+def _bound_key(v):
+    """A bound as (value, sign bit), or None for an absent one: -0.0 == 0.0
+    hashes alike, and None must not meet an infinite bound."""
+    return None if v is None else (float(v), math.copysign(1.0, v) < 0)
+
+
+@lru_cache(maxsize=_LP_ENTRIES)
+def _lp(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    """(success, fun, x) of HiGHS on the LP the keys describe, x read-only
+    (None when the solve failed).
+
+    HiGHS is deterministic, so a failed solve is memoised too; an
+    exception is not.  scipy.optimize is imported here, on a miss.
+    """
+    from scipy.optimize import linprog
+
+    res = linprog(_array(c), A_ub=_array(A_ub), b_ub=_array(b_ub),
+                  A_eq=_array(A_eq), b_eq=_array(b_eq),
+                  bounds=[tuple(None if v is None else v[0] for v in pair)
+                          for pair in bounds],
+                  method="highs")
+    if not res.success:
+        return False, None, None
+    x = np.array(res.x)
+    x.flags.writeable = False
+    return True, float(res.fun), x
+
+
+def _linprog(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    """(success, fun, x) of `linprog(..., method="highs")`, x a fresh copy.
+
+    Memoised in an LRU of _LP_ENTRIES entries keyed on every input linprog
+    reads: the shape, dtype and bytes of each array (None for an absent
+    block) and each bound with its sign bit (None kept apart from inf).
+    """
+    opt = [None if a is None else _key(a) for a in (A_ub, b_ub, A_eq, b_eq)]
+    success, fun, x = _lp(
+        _key(c), *opt,
+        tuple((_bound_key(lo), _bound_key(hi)) for lo, hi in bounds))
+    return success, fun, None if x is None else x.copy()
+
+
 class LPBuilder:
     """Tiny indexed LP front end over scipy's HiGHS solver.
 
     Supports hard equality rows, soft rows |row - rhs| <= t with t the
     minimax objective, and plain linear objectives.  Deterministic by
-    construction (fixed variable and row order).  scipy.optimize is
-    imported by the two solve methods, so a run that solves no LP (a
-    `sample` request, say) never loads it.
+    construction (fixed variable and row order).  Both solve methods hand
+    their dense arrays to `_linprog`, which answers a repeated LP from its
+    memo and imports scipy.optimize only on a miss, so a run that solves
+    no LP (a `sample` request, say) never loads it.
     """
 
     def __init__(self):
@@ -212,8 +261,6 @@ class LPBuilder:
 
     def minimize_max_violation(self):
         """Returns (optimal t, solution w) or (None, None) if infeasible."""
-        from scipy.optimize import linprog
-
         n = len(self.lb)
         c = np.zeros(n + 1)
         c[n] = 1.0  # t appended last
@@ -238,16 +285,13 @@ class LPBuilder:
             rhs.extend(self.le_rhs)
         A_ub = np.vstack(blocks) if blocks else None
         b_ub = np.array(rhs) if blocks else None
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs")
-        if not res.success:
+        success, _, x = _linprog(c, A_ub, b_ub, A_eq, b_eq, bounds)
+        if not success:
             return None, None
-        return float(res.x[-1]), res.x[:-1]
+        return float(x[-1]), x[:-1]
 
     def maximize(self, coeffs: dict):
         """Returns (optimal value, solution) or (None, None)."""
-        from scipy.optimize import linprog
-
         n = len(self.lb)
         c = np.zeros(n)
         for j, v in coeffs.items():
@@ -256,9 +300,9 @@ class LPBuilder:
         b_eq = np.array(self.eq_rhs) if self.eq_rows else None
         A_ub = self._dense(self.le_rows) if self.le_rows else None
         b_ub = np.array(self.le_rhs) if self.le_rows else None
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=list(zip(self.lb, self.ub)), method="highs")
-        if not res.success:
+        success, fun, x = _linprog(c, A_ub, b_ub, A_eq, b_eq,
+                                   list(zip(self.lb, self.ub)))
+        if not success:
             return None, None
-        return -float(res.fun), res.x
+        return -fun, x
 

@@ -33,8 +33,10 @@ from .model import BilevelProgram, Expr, eval_expr
 
 DEFAULT_TOL_VAL_BASE = 1e-6
 
-# Bound on the coarse sweep grid, points_per_dim ** m points: 2**24 admits
-# m = 3 at the default 201 points per axis (8.1M points, 195 MB of y).
+# Bound on the points one sweep level meshes: the coarse grid,
+# points_per_dim ** m, and each refinement level, (max_seeds + 2) windows of
+# refine_points ** m.  2**24 admits m = 3 at the default 201 points per
+# axis (8.1M points, 195 MB of y).
 MAX_GRID_POINTS = 2 ** 24
 
 # Bound on the solution-set memo, in entries (distinct (problem, x, grid,
@@ -158,22 +160,30 @@ def _pool_key_sort(ypts, fvals):
 @lru_cache(maxsize=2048)
 def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
                  box_y: Tuple[Tuple[float, float], ...], F: Expr,
-                 x_key: Tuple[float, ...], grid: GridSpec):
+                 x_key: Tuple[float, ...], grid: GridSpec, x_signs=None):
     """Sweep + refine the lower level min f(x, .) s.t. g(x, .) <= 0 over
     box_y at x.
 
     Returns (phi, pool_y (k, m), pool_f (k,), pool_F (k,)); every pooled
     point is feasible within tol_feas.  Returns None when no coarse grid
     point is feasible, so that an infeasible x is memoised as well (`_sweep`
-    raises InfeasibleError).  Each refinement level meshes the windows
-    around all its seeds as one batch, stacked in seed order, and evaluates
-    g, f and F once on it.  F only picks refinement seeds (both of its
-    extremes inside the band, so -F picks the same points) and fills
-    pool_F.  Memoised in an LRU of 2048 entries keyed on (m, f, g, box_y,
-    F, x, grid), with F's top-level negations stripped by the caller
-    (`_sweep`); the three arrays are shared by every caller, so they are
-    returned read-only.
+    raises InfeasibleError).  Raises BudgetError, before meshing anything,
+    when a refinement level could mesh more than MAX_GRID_POINTS points.
+    Each refinement level meshes the windows around all its seeds as one
+    batch, stacked in seed order, and evaluates g, f and F once on it.  F
+    only picks refinement seeds (both of its extremes inside the band, so
+    -F picks the same points) and fills pool_F.  Memoised in an LRU of
+    2048 entries keyed on (m, f, g, box_y, F, x, grid) and the sign bits of
+    x (`x_signs`, which `_sweep` passes as `_signs(*x_key)` when x holds a
+    zero, so that -0.0 and 0.0 get a sweep each), with F's top-level
+    negations stripped by the caller (`_sweep`); the three arrays are
+    shared by every caller, so they are returned read-only.
     """
+    refined = (grid.max_seeds + 2) * grid.refine_points ** m
+    if grid.refine_depth and refined > MAX_GRID_POINTS:
+        raise BudgetError(
+            f"refinement level of {grid.max_seeds + 2} x "
+            f"{grid.refine_points}^{m} points exceeds {MAX_GRID_POINTS} points")
     x = list(x_key)
     level_cell = np.array([
         (hi - lo) / (grid.points_per_dim - 1) for lo, hi in box_y
@@ -269,7 +279,9 @@ def _sweep(prog: BilevelProgram, x, grid: GridSpec):
     while F.kind == "neg":
         F, negated = F.children[0], not negated
     x_key = _xkey(x)
-    swept = _solve_lower(prog.m, prog.f, prog.g, prog.box_y, F, x_key, grid)
+    # only a zero's sign is not in its value: an x without zeros keys None
+    swept = _solve_lower(prog.m, prog.f, prog.g, prog.box_y, F, x_key, grid,
+                         _signs(*x_key) if 0.0 in x_key else None)
     if swept is None:
         raise InfeasibleError(f"no feasible lower-level point at x={list(x_key)}")
     phi, pool_y, pool_f, pool_F = swept
@@ -337,10 +349,10 @@ def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
     """S(x) (which = "lower") or S_o(x) ("optimistic") of problem at x_key.
 
     Memoised in an LRU of _SOLUTION_ENTRIES entries keyed on every input:
-    the problem, x as the sweep keys it, the grid and tol_val with its sign
-    bit (`signs`).  SolutionSet is frozen and holds only tuples, so every
-    caller shares one.  InfeasibleError is not cached; the sweep memo
-    answers a repeat.
+    the problem, x as the sweep keys it, the grid, tol_val, and the sign
+    bits of x and tol_val (`signs`).  SolutionSet is frozen and holds only
+    tuples, so every caller shares one.  InfeasibleError is not cached; the
+    sweep memo answers a repeat.
     """
     phi, pool_y, pool_f, pool_F = _sweep(problem, x_key, grid)
     if which == "lower":
@@ -362,8 +374,9 @@ def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
 
 def _solutions(which, prog: BilevelProgram, x, grid, tol_val) -> SolutionSet:
     problem = _Problem(prog.m, prog.f, prog.g, prog.box_y, prog.F)
-    return _solution_set(which, problem, _xkey(x), grid, tol_val,
-                         _signs(tol_val))
+    x_key = _xkey(x)
+    return _solution_set(which, problem, x_key, grid, tol_val,
+                         _signs(*x_key, tol_val))
 
 
 def lower_solutions(

@@ -407,13 +407,14 @@ class TestGridBudget:
 
     def test_the_bound_itself_is_admitted(self, tmp_path, monkeypatch, capsys):
         # the same comparison on a bound small enough to mesh: 9^2 points
-        # pass a bound of 81, 10^2 do not
+        # pass a bound of 81, 10^2 do not.  Refine depth 0 meshes the coarse
+        # level alone; a refinement level (7 x 21^2 points) is bounded too
         path = tmp_path / "two_followers.blp"
         path.write_text(TWO_FOLLOWERS)
         monkeypatch.setattr(valuefn, "MAX_GRID_POINTS", 81)
         valuefn._coarse_mesh.cache_clear()
         args = ["sample", str(path), "--which", "phi", "--range", "0:1:2",
-                "--refine", "1"]
+                "--refine", "0"]
         assert main(args + ["--grid", "9"]) == 0
         assert main(args + ["--grid", "10"]) == 4
         assert "coarse grid of 10^2 points exceeds 81 points" in capsys.readouterr().err

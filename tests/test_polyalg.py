@@ -1,9 +1,25 @@
+import copy
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilevelsense import _polyalg
 from bilevelsense._polyalg import standard_vrep
+from bilevelsense.certify import (
+    certify_optimistic,
+    certify_pessimistic,
+    recheck_certificate,
+)
 from bilevelsense.errors import BudgetError
+from bilevelsense.model import Expr, eabs, neg, parse_program
+from bilevelsense.valuefn import GridSpec
+from instances import instance_a
+from test_valuefn import piecewise_affine_programs
 
 # Lifted estimate system: one stationarity row, then the F-weight and
 # f-weight sum rows; columns 3 and 4 cancel in the first row, so the
@@ -145,3 +161,218 @@ def test_memoised_system_over_budget_raises_every_time():
         with pytest.raises(BudgetError):
             standard_vrep(A, _b(1.0), max_bases=30)
     assert standard_vrep(A, _b(1.0), max_bases=31)[0]
+
+
+# -- the LP memo ---------------------------------------------------------------
+
+SMALL = GridSpec(points_per_dim=41, refine_depth=2)
+VARIANTS = [(fn, v) for fn in (certify_optimistic, certify_pessimistic)
+            for v in ("i", "ii", "iii")]
+
+# y1 pinned to x1 by y1 <= x1 and the follower's -y1: every x1 in (0, 1]
+# has the same active constraint, and every datum is affine, so every
+# multiplier LP of one such point is an LP of any other
+PINNED_AFFINE = parse_program("""
+[dims]
+n = 1
+m = 1
+[upper]
+objective = x1 - y1
+[lower]
+objective = -y1
+constraint = y1 - x1
+constraint = -y1
+[box]
+x1 = -1, 1
+y1 = -2, 2
+[mode]
+optimistic
+""")
+
+
+def _certify_all(prog, x, grid):
+    return [fn(prog, x, v, grid) for fn, v in VARIANTS]
+
+
+def _same_lp(a, b):
+    """Equal (success, fun, x), bit for bit, the sign of a zero included."""
+    (sa, fa, xa), (sb, fb, xb) = a, b
+    if sa != sb or repr(fa) != repr(fb) or (xa is None) != (xb is None):
+        return False
+    return xa is None or (np.array_equal(xa, xb)
+                          and np.array_equal(np.signbit(xa), np.signbit(xb)))
+
+
+def _certified_lps(prog, x, grid):
+    """Every LP the six variants hand to _linprog at x, with its answer."""
+    seen = []
+    solve = _polyalg._linprog
+
+    def recording(*args):
+        got = solve(*args)
+        seen.append((copy.deepcopy(args),
+                     got[:2] + (None if got[2] is None else got[2].copy(),)))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_polyalg, "_linprog", recording)
+        _certify_all(prog, x, grid)
+    return seen
+
+
+def _assert_lp_hits_equal_fresh_solves(prog, x, grid):
+    _polyalg._lp.cache_clear()
+    seen = _certified_lps(prog, x, grid)
+    assert seen
+    for args, got in seen:
+        _polyalg._lp.cache_clear()
+        cold = _polyalg._linprog(*args)
+        warm = _polyalg._linprog(*args)
+        assert _polyalg._lp.cache_info().hits == 1
+        assert _same_lp(cold, got) and _same_lp(warm, cold)
+
+
+def test_lp_hit_equals_a_fresh_solve_on_instance_a():
+    _assert_lp_hits_equal_fresh_solves(instance_a(), [0.5], GridSpec())
+
+
+@settings(max_examples=2, deadline=None)
+@given(case=piecewise_affine_programs())
+def test_lp_hit_equals_a_fresh_solve_on_drawn_programs(case):
+    prog, x = case
+    _assert_lp_hits_equal_fresh_solves(prog, x, SMALL)
+
+
+def test_lp_keys_stay_apart():
+    c = np.array([1.0, 0.0])
+    A_eq, b_eq = np.array([[1.0, 1.0]]), np.array([1.0])
+    nonneg = [(0.0, None), (0.0, None)]
+    requests = [
+        (c, None, None, A_eq, b_eq, nonneg),
+        # a zero of another sign in an array, and in a bound
+        (np.array([1.0, -0.0]), None, None, A_eq, b_eq, nonneg),
+        (c, None, None, A_eq, b_eq, [(-0.0, None), (0.0, None)]),
+        # an absent bound and an infinite one
+        (c, None, None, A_eq, b_eq, [(0.0, np.inf), (0.0, None)]),
+        # an absent inequality block and an empty one
+        (c, np.zeros((0, 2)), np.zeros(0), A_eq, b_eq, nonneg),
+    ]
+    _polyalg._lp.cache_clear()
+    for i, args in enumerate(requests, start=1):
+        assert _polyalg._linprog(*args)[0]
+        assert _polyalg._lp.cache_info().misses == i
+    for args in requests:
+        _polyalg._linprog(*args)
+    info = _polyalg._lp.cache_info()
+    assert (info.hits, info.misses) == (len(requests), len(requests))
+
+
+def test_mutating_a_returned_solution_leaves_the_memo_intact():
+    def builder():
+        lp = _polyalg.LPBuilder()
+        a, b = lp.var(ub=1.0), lp.var(ub=2.0)
+        lp.le({a: 1.0, b: 1.0}, 2.5)
+        return lp
+
+    _polyalg._lp.cache_clear()
+    val, sol = builder().maximize({0: 1.0, 1: 1.0})
+    want = sol.copy()
+    sol[:] = 99.0
+    val2, sol2 = builder().maximize({0: 1.0, 1: 1.0})
+    assert _polyalg._lp.cache_info().hits == 1
+    assert val2 == val == 2.5 and np.array_equal(sol2, want)
+    assert sol2.flags.writeable and not np.shares_memory(sol, sol2)
+    # and through the soft-row solve, whose solution is a view of x
+    lp = builder()
+    lp.soft({0: 1.0}, 0.5)
+    t, w = lp.minimize_max_violation()
+    w_want = w.copy()
+    w[:] = -7.0
+    lp = builder()
+    lp.soft({0: 1.0}, 0.5)
+    assert lp.minimize_max_violation()[0] == t
+    assert np.array_equal(w_want, lp.minimize_max_violation()[1])
+
+
+def _counting_linprog(monkeypatch):
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    return calls
+
+
+def test_failed_solves_are_memoised_and_exceptions_are_not(monkeypatch):
+    calls = _counting_linprog(monkeypatch)
+    infeasible = (np.array([1.0]), None, None, np.array([[1.0]]),
+                  np.array([-1.0]), [(0.0, None)])
+    _polyalg._lp.cache_clear()
+    for _ in range(2):
+        assert _polyalg._linprog(*infeasible) == (False, None, None)
+    assert len(calls) == 1
+
+    def broken(*args, **kwargs):
+        calls.append(1)
+        raise ValueError("solver failure")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", broken)
+    calls.clear()
+    ok = (np.array([1.0]), None, None, None, None, [(0.0, 1.0)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="solver failure"):
+            _polyalg._linprog(*ok)
+    assert len(calls) == 2
+    assert _polyalg._lp.cache_info().currsize == 1
+
+
+def test_a_second_point_of_the_same_piece_solves_no_lp(monkeypatch):
+    calls = _counting_linprog(monkeypatch)
+    _polyalg._lp.cache_clear()
+    first = _certify_all(PINNED_AFFINE, [0.5], GridSpec())
+    assert calls
+    calls.clear()
+    second = _certify_all(PINNED_AFFINE, [0.75], GridSpec())
+    assert len(calls) == 0
+    assert [c.status for c in first] == [c.status for c in second] == \
+        ["Certified"] * 6
+
+
+# -- properties of the certificates on drawn programs --------------------------
+
+@st.composite
+def certifiable_programs(draw):
+    """piecewise_affine_programs with the y-box added as lower-level
+    constraints, so that a solution on the box edge has multipliers, and
+    k * |x_i - xbar_i| added to F, so that xbar can be stationary.  With
+    k = 4 most drawn points certify, with k = 1 some are refuted."""
+    prog, x = draw(piecewise_affine_programs())
+    k = draw(st.sampled_from((1.0, 4.0)))
+    F = prog.F
+    for i, xi in enumerate(x, start=1):
+        F = F + k * eabs(Expr.x(i) - xi)
+    box = []
+    for j in range(1, prog.m + 1):
+        box += [Expr.y(j) - 1.0, neg(Expr.y(j)) - 1.0]
+    return replace(prog, F=F, g=prog.g + tuple(box)), x
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=certifiable_programs())
+def test_drawn_certificates_recheck_and_ignore_the_lp_memo(case):
+    prog, x = case
+    cold = []
+    for fn, v in VARIANTS:
+        _polyalg._lp.cache_clear()
+        cold.append(fn(prog, x, v, SMALL))
+    hits = _polyalg._lp.cache_info().hits
+    warm = _certify_all(prog, x, SMALL)
+    assert _polyalg._lp.cache_info().hits > hits
+    assert [json.dumps(c.to_json_dict()) for c in warm] == \
+        [json.dumps(c.to_json_dict()) for c in cold]
+    for cert in cold:
+        if cert.status == "Certified":
+            assert recheck_certificate(prog, cert) <= cert.tol_eff

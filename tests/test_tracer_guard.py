@@ -82,3 +82,36 @@ def test_decision_memos_are_visible_to_the_tracer():
         cq._mode_solutions.__code__.co_names)
     # cq_bundle itself is not memoised, so cq.bundle counts every bundle
     assert not hasattr(cq.cq_bundle, "cache_info")
+
+
+def test_lp_memo_sits_behind_the_traced_solve_methods(monkeypatch):
+    import inspect
+
+    import scipy.optimize
+
+    from bilevelsense import _polyalg
+
+    assert _polyalg._lp.cache_info().maxsize == _polyalg._LP_ENTRIES == 256
+    # polyalg.lp wraps the two methods, which stay plain functions on the
+    # class and reach the memo through the module global, so the tracer
+    # counts every request, hit or miss
+    for name in ("minimize_max_violation", "maximize"):
+        method = _polyalg.LPBuilder.__dict__[name]
+        assert inspect.isfunction(method) and not hasattr(method, "cache_info")
+        assert "_linprog" in method.__code__.co_names
+    assert "_lp" in _polyalg._linprog.__code__.co_names
+    # a miss reaches scipy.optimize.linprog and a hit does not
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    _polyalg._lp.cache_clear()
+    for _ in range(2):
+        lp = _polyalg.LPBuilder()
+        lp.var(ub=2.0)
+        assert lp.maximize({0: 1.0})[0] == 2.0
+        assert len(calls) == 1

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bilevelsense.errors import InfeasibleError, UnsupportedDimensionError
+from bilevelsense.errors import (
+    BudgetError,
+    InfeasibleError,
+    UnsupportedDimensionError,
+)
 from bilevelsense.model import (
     BilevelProgram,
     Expr,
@@ -255,7 +259,7 @@ optimistic
 """
 
 
-# -- solution-set dedup against an all-pairs greedy -----------------------------
+# -- solution-set dedup against an all-pairs greedy ----------------------------
 
 
 def greedy_dedup_all_pairs(points, resolution):
@@ -331,7 +335,7 @@ def test_cached_sweep_arrays_are_read_only(prog_c):
             arr[0] = 7.0
 
 
-# -- one sweep per lower-level problem ------------------------------------------
+# -- one sweep per lower-level problem -----------------------------------------
 
 SHARED_GRID = GridSpec(points_per_dim=11, refine_depth=2, refine_points=11)
 
@@ -429,7 +433,7 @@ def test_twin_pool_is_the_negated_sweep(case):
     assert np.array_equal(rows(pool_y, pool_f, pool_F), rows(*own[1:]))
 
 
-# -- the batched sweep against an independent per-window sweep ------------------
+# -- the batched sweep against an independent per-window sweep -----------------
 
 
 def _ref_values(e, x, ys):
@@ -565,7 +569,7 @@ def test_sweep_matches_per_window_reference(case):
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-# -- seed selection against a full sort ------------------------------------------
+# -- seed selection against a full sort ----------------------------------------
 
 _NAN, _INF = float("nan"), float("inf")
 
@@ -643,7 +647,7 @@ def test_refine_seeds_match_a_full_sort_on_drawn_pools(rows, k):
                        reference_seeds(ys, fs, Fs, k))
 
 
-# -- cost of one sweep and of an infeasible x -----------------------------------
+# -- cost of one sweep and of an infeasible x ----------------------------------
 
 
 @pytest.mark.parametrize("depth,k", [(0, 0), (2, 1), (3, 2)])
@@ -681,7 +685,7 @@ def test_infeasible_x_is_swept_once(prog_a):
     assert _solve_lower.cache_info().misses == 1
 
 
-# -- the solution-set memo ------------------------------------------------------
+# -- the solution-set memo -----------------------------------------------------
 
 SOLUTION_CALLS = (lower_solutions, optimistic_solutions, pessimistic_solutions)
 
@@ -764,3 +768,107 @@ def test_infeasible_solution_sets_are_not_memoised(prog_a):
     assert _solution_set.cache_info().currsize == 0
     # the sweep memo answers every repeat
     assert _solve_lower.cache_info().misses == 1
+
+
+# -- signed zeros in x ---------------------------------------------------------
+
+SIGNED_X = parse_program("""
+[dims]
+n = 1
+m = 1
+[upper]
+objective = x1 * y1
+[lower]
+objective = (y1 - 0.5)^2
+[box]
+x1 = -1, 1
+y1 = -1, 1
+""")
+SIGNED_X_GRID = GridSpec(points_per_dim=11, refine_depth=1)
+
+
+def _signed_x_results(x):
+    return [repr(optimistic_value(SIGNED_X, [x], SIGNED_X_GRID)),
+            repr(pessimistic_value(SIGNED_X, [x], SIGNED_X_GRID)),
+            repr(optimistic_solutions(SIGNED_X, [x], SIGNED_X_GRID)),
+            repr(pessimistic_solutions(SIGNED_X, [x], SIGNED_X_GRID))]
+
+
+@pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)])
+def test_signed_zero_x_reads_its_own_sweep(order):
+    # F = x * y at y = 0.5 is 0.0 at x = 0.0 and -0.0 at x = -0.0; each
+    # request gets what a sweep at its own x gives, whatever ran first
+    fresh = []
+    for x in order:
+        _solve_lower.cache_clear()
+        _solution_set.cache_clear()
+        fresh.append(_signed_x_results(x))
+    assert [r[0] for r in fresh] == [repr(x) for x in order]
+    _solve_lower.cache_clear()
+    _solution_set.cache_clear()
+    assert [_signed_x_results(x) for x in order] == fresh
+    assert _solve_lower.cache_info().misses == 2
+
+
+# -- the refinement-level grid budget ------------------------------------------
+
+def _follower_program(m):
+    f = eabs(Expr.y(1) - 0.3)
+    for j in range(2, m + 1):
+        f = f + eabs(Expr.y(j))
+    return BilevelProgram(n=1, m=m, F=Expr.y(1), f=f, g=(),
+                          box_x=((-1.0, 1.0),), box_y=((-1.0, 1.0),) * m)
+
+
+@pytest.fixture
+def mesh_calls(monkeypatch):
+    """Counts per _mesh call; each call meshes 3 points per axis instead, so
+    that a grid at the bound is swept without its memory."""
+    calls = []
+    mesh = valuefn._mesh
+
+    def counting(lo, hi, count):
+        calls.append(count)
+        return mesh(lo, hi, 3)
+
+    monkeypatch.setattr(valuefn, "_mesh", counting)
+    valuefn._coarse_mesh.cache_clear()
+    _solve_lower.cache_clear()
+    yield calls
+    valuefn._coarse_mesh.cache_clear()
+    _solve_lower.cache_clear()
+
+
+@pytest.mark.parametrize("m,max_seeds,top", [(1, 2, 2 ** 22), (2, 2, 2 ** 11),
+                                              (1, 5, 2396745), (2, 5, 1548)])
+def test_refinement_level_just_above_the_bound_raises(m, max_seeds, top,
+                                                      mesh_calls):
+    # top points per axis is the largest refinement level the bound admits;
+    # with four windows (two seeds and the two F extremes) it is the bound
+    windows = max_seeds + 2
+    bound = valuefn.MAX_GRID_POINTS
+    assert windows * top ** m <= bound < windows * (top + 1) ** m
+    assert (windows * top ** m == valuefn.MAX_GRID_POINTS) == (max_seeds == 2)
+    prog = _follower_program(m)
+    below = GridSpec(points_per_dim=5, refine_depth=1, refine_points=top,
+                     max_seeds=max_seeds)
+    assert lower_value(prog, [0.0], below) == pytest.approx(0.0, abs=0.5)
+    assert mesh_calls == [5, top]
+    mesh_calls.clear()
+    _solve_lower.cache_clear()
+    valuefn._coarse_mesh.cache_clear()
+    above = replace(below, refine_points=top + 1)
+    for _ in range(2):
+        with pytest.raises(BudgetError, match=(
+                f"refinement level of {windows} x {top + 1}\\^{m} points "
+                f"exceeds {valuefn.MAX_GRID_POINTS} points")):
+            lower_value(prog, [0.0], above)
+    assert mesh_calls == []
+    # refine depth 0 meshes no refinement level, so there is nothing to bound
+    lower_value(prog, [0.0], replace(above, refine_depth=0))
+    assert mesh_calls == [5]
+
+
+def test_default_grid_sweeps_three_followers(mesh_calls):
+    lower_value(_follower_program(3), [0.0], GRID)
+    assert mesh_calls == [201, 21, 21, 21]

@@ -29,15 +29,16 @@ from typing import Tuple
 
 import numpy as np
 
-from ._polyalg import LPBuilder
 from .errors import InfeasiblePointError, NotApplicableError
 from .cq import cq_bundle
 from .model import BilevelProgram, clarke_generators, eval_expr
 from .sensitivity import (
     Caps,
     DEFAULT_TOL_ACTIVE,
+    _System,
     _active_indices,
     _inclusion_system,
+    _ones,
     _solve_inclusion,
     _subsample,
     estimate_pessimistic,
@@ -298,100 +299,6 @@ def certify_value_stationarity(
 # -- multiplier systems --------------------------------------------------------
 
 
-class _System:
-    """One multiplier LP, declared as hull blocks and row specs.
-
-    A hull block is a list of (weight variable, generator) pairs, one
-    nonnegative weight per generator.  Variables and rows are created in
-    call order, so a declaration fixes the matrices handed to the solver.
-    """
-
-    def __init__(self, u_max):
-        self.lp = LPBuilder()
-        self.u_max = u_max
-
-    def hull(self, gens, **total):
-        """A hull block over gens; keyword arguments add its sum row."""
-        block = [(self.lp.var(), g) for g in gens]
-        if total:
-            self.total(block, **total)
-        return block
-
-    def total(self, block, value=0.0, var=None, k=1.0, cap=False):
-        """The block's weights sum to value + k * var; with cap, to at most
-        u_max (times var when given)."""
-        row = {v: 1.0 for v, _ in block}
-        if cap:
-            if var is None:
-                self.lp.le(row, self.u_max)
-                return
-            row[var] = -self.u_max
-            self.lp.le(row, 0.0)
-            return
-        if var is not None:
-            row[var] = -k
-        self.lp.eq(row, value)
-
-    def group_rays(self, lam, mu, lam_keys, mu_keys):
-        """Vertex weights lam sum to one; the ray weights mu of each source y
-        are at most u_max times that y's vertex weights, so ray mass only
-        lives where vertex mass does."""
-        self.lp.eq({v: 1.0 for v in lam}, 1.0)
-        for key in dict.fromkeys(mu_keys):
-            row = {mu[q]: 1.0 for q, kk in enumerate(mu_keys) if kk == key}
-            row.update((lam[q], -self.u_max)
-                       for q, kk in enumerate(lam_keys) if kk == key)
-            self.lp.le(row, 0.0)
-
-    def cover(self, pts, n_verts, vmeta, rmeta):
-        """Block over the stationarity-covector hull pts (n_verts vertices,
-        then rays); vmeta and rmeta give the source y of each generator."""
-        lam = [self.lp.var() for _ in pts[:n_verts]]
-        mu = [self.lp.var() for _ in pts[n_verts:]]
-        self.group_rays(lam, mu, [d["y"] for d in vmeta],
-                        [d["y"] for d in rmeta])
-        return list(zip(lam + mu, pts))
-
-    def stationarity(self, GF, Gf, Gg, r):
-        """Terms of dF + r df + sum_i u_i dg_i: the F and f weights sum to
-        one, u_i is the weight sum of g_i's block, at most u_max.  Returns
-        (terms, {i: g_i block})."""
-        aF = self.hull(GF, value=1.0)
-        bf = self.hull(Gf, value=1.0)
-        zg = {i: self.hull(G, cap=True) for i, G in Gg.items()}
-        return [(1.0, aF), (r, bf), *_ones(zg.values())], zg
-
-    def theta(self, prog, xbar, active_theta, tol_active):
-        """(j, block) per active upper constraint, weights at most u_max;
-        alpha_j is the block's weight sum."""
-        return [(j, self.hull(clarke_generators(prog.theta1[j], xbar, [],
-                                                tol_active), cap=True))
-                for j in active_theta]
-
-    def rows(self, hard, offset, dim, terms, extra=(), assign_first=True):
-        """Rows c < dim: sum of coef * g[offset + c] over the weights of each
-        (coef, block) term, plus coef * xs[c] for each (coef, xs) in extra,
-        equal to 0 (hard) or within the minimised violation t (soft).
-
-        The first term's products are stored as they are and later ones are
-        added to 0.0, which turns -0.0 into 0.0; assign_first=False adds
-        every term.  The rule fixes the signed zeros of the matrices, which
-        the certificates' byte identity rests on (README, "Design notes:
-        multiplier systems").
-        """
-        add = self.lp.eq if hard else self.lp.soft
-        for c in range(dim):
-            row = {}
-            for t, (coef, block) in enumerate(terms):
-                for v, g in block:
-                    val = coef * g[offset + c]
-                    row[v] = (val if t == 0 and assign_first
-                              else row.get(v, 0.0) + val)
-            for coef, xs in extra:
-                row[xs[c]] = row.get(xs[c], 0.0) + coef
-            add(row, 0.0)
-
-
 def _search(candidates, r_grid, build):
     """Solve build(candidate, r) -> (system, decode) or None over every
     candidate and r; keep the strictly best residual, decoding only
@@ -423,10 +330,6 @@ def _weight_sums(blocks, sol, size):
     """_clipped weight sums of the (i, block) pairs."""
     return _clipped({i: sum(sol[v] for v, _ in block) for i, block in blocks},
                     size)
-
-
-def _ones(blocks):
-    return [(1.0, b) for b in blocks]
 
 
 def _generators_at(prog, xbar, y, tol_active):

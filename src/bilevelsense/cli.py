@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import BudgetError, ParseError, ToolkitError
@@ -109,6 +110,36 @@ def _parse_point(text, expected, label):
     return vals
 
 
+def _check_flags(args):
+    """Refuse flag values that would end in a traceback or in a run
+    without meaning (a NaN tolerance, a negative r)."""
+    if args.grid < 3:
+        raise ParseError("--grid must be at least 3")
+    if args.refine < 0:
+        raise ParseError("--refine must be at least 0")
+    if args.seed < 0:
+        raise ParseError("--seed must be at least 0")
+    for flag, value in (("tol", args.tol), ("rmax", args.rmax)):
+        if not math.isfinite(value) or value < 0:
+            raise ParseError(f"--{flag} must be finite and at least 0")
+
+
+def _parse_range(text):
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ParseError("--range must be lo:hi:count")
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ParseError("--range must be lo:hi:count with decimal lo and hi "
+                         "and an integer count") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParseError("--range lo and hi must be finite")
+    if count < 1:
+        raise ParseError("--range count must be at least 1")
+    return lo, hi, count
+
+
 def _config_dict(args, grid, caps):
     cfg = {
         "command": args.command,
@@ -152,6 +183,7 @@ def _poly_dict(poly):
 
 
 def run(args) -> int:
+    _check_flags(args)
     try:
         with open(args.problem, encoding="utf-8") as fh:
             text = fh.read()
@@ -163,12 +195,7 @@ def run(args) -> int:
     cfg = _config_dict(args, grid, caps)
 
     if args.command == "sample":
-        x_range = None
-        if args.x_range:
-            parts = args.x_range.split(":")
-            if len(parts) != 3:
-                raise ParseError("--range must be lo:hi:count")
-            x_range = (float(parts[0]), float(parts[1]), int(parts[2]))
+        x_range = _parse_range(args.x_range) if args.x_range else None
         rows = sample_curve(prog, args.which, grid, x_range=x_range)
         _emit(args, curve_to_csv(rows, prog.n))
         return 0

@@ -21,7 +21,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._polyalg import LPBuilder
 from .errors import InfeasibleError, InfeasiblePointError, NotApplicableError
 from .model import (
     BilevelProgram,
@@ -33,6 +32,7 @@ from .model import (
 from .sensitivity import (
     Caps,
     DEFAULT_TOL_ACTIVE,
+    _System,
     _active_indices,
     _midpoint_convexity_ok,
 )
@@ -182,68 +182,56 @@ def _pointbased_cq(prog, which, xbar, y, tol, caps, grid, tol_active, seed,
                 f"CQ_{which}", "Unknown", tol,
                 detail="fd clustering of the lower value function is ambiguous",
                 seed=seed)
-        phi_gens = [-np.array(c) for c in clusters.clusters]
+        phi_gens = [np.concatenate([-np.array(c), np.zeros(m)])
+                    for c in clusters.clusters]
+    g_owner, g_gens = [], []
+    for i in active:
+        for gvec in clarke_generators(prog.g[i], xbar_l, y_l, tol_active):
+            g_owner.append(i)
+            g_gens.append(gvec)
+    f_gens = []
+    if which == "S":
+        f_gens = clarke_generators(prog.f, xbar_l, y_l, tol_active)
+    elif not g_gens:
+        return CQVerdict(f"CQ_{which}", "Holds", tol,
+                         detail="no active multipliers admissible", seed=seed)
 
     best_val = 0.0
     best = None
     for coord in range(n):
         for sign in (1.0, -1.0):
-            lp = LPBuilder()
-            g_cols = []       # (var, i, joint generator)
-            for i in active:
-                for gvec in clarke_generators(prog.g[i], xbar_l, y_l, tol_active):
-                    g_cols.append((lp.var(), i, gvec))
-            f_cols, p_cols, r_var = [], [], None
+            s = _System(caps.u_max)
+            g_block = s.hull(g_gens)
+            f_block, phi_block, r = [], [], None
             if which == "S":
-                r_var = lp.var(ub=None)
-                for gvec in clarke_generators(prog.f, xbar_l, y_l, tol_active):
-                    f_cols.append((lp.var(), gvec))
-                for pv in phi_gens:
-                    p_cols.append((lp.var(), np.concatenate([pv, np.zeros(m)])))
-                lp.eq({**{v: 1.0 for v, _ in f_cols}, r_var: -1.0}, 0.0)
-                lp.eq({**{v: 1.0 for v, _ in p_cols}, r_var: -1.0}, 0.0)
+                r = s.lp.var()
+                f_block = s.hull(f_gens, var=r)
+                phi_block = s.hull(phi_gens, var=r)
             # normalization: total multiplier mass one (scale invariance)
-            norm_row = {v: 1.0 for v, _, _ in g_cols}
-            if r_var is not None:
-                norm_row[r_var] = 1.0
-            if not norm_row:
-                return CQVerdict(f"CQ_{which}", "Holds", tol,
-                                 detail="no active multipliers admissible",
-                                 seed=seed)
-            lp.eq(norm_row, 1.0)
-            for row in range(m):
-                coeffs = {v: g[n + row] for v, _, g in g_cols}
-                for v, g in f_cols:
-                    coeffs[v] = g[n + row]
-                for v, g in p_cols:
-                    coeffs[v] = coeffs.get(v, 0.0) + g[n + row]
-                lp.eq(coeffs, 0.0)
-            obj = {v: sign * g[coord] for v, _, g in g_cols}
-            for v, g in f_cols:
-                obj[v] = sign * g[coord]
-            for v, g in p_cols:
-                obj[v] = obj.get(v, 0.0) + sign * g[coord]
-            val, sol = lp.maximize(obj)
+            s.total(g_block, value=1.0, var=r, k=-1.0)
+            s.rows(True, n, m, [(1.0, g_block + f_block), (1.0, phi_block)])
+            obj = {v: sign * g[coord] for v, g in g_block + f_block}
+            obj.update((v, 0.0 + sign * g[coord]) for v, g in phi_block)
+            val, sol = s.lp.maximize(obj)
             if val is None:
                 continue  # empty normalized slice: only the zero multiplier
             if val > best_val:
                 best_val = val
                 u = np.zeros(prog.p)
                 gdir: dict = {}
-                for v, i, g in g_cols:
+                xstar = np.zeros(n)
+                for (v, g), i in zip(g_block, g_owner):
                     u[i] += sol[v]
                     gdir[i] = gdir.get(i, np.zeros(n + m)) + sol[v] * g
-                xstar = np.zeros(n)
-                for v, i, g in g_cols:
                     xstar += sol[v] * g[:n]
                 fvec = np.zeros(n + m)
                 phivec = np.zeros(n)
                 rv = 0.0
                 if which == "S":
-                    rv = float(sol[r_var])
-                    for v, g in f_cols:
+                    rv = float(sol[r])
+                    for v, g in f_block:
                         fvec += sol[v] * g
-                    for v, g in p_cols:
+                    for v, g in phi_block:
                         phivec += sol[v] * g[:n]
                     xstar += fvec[:n] + phivec
                 best = {

@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._polyalg import standard_vrep
+from ._polyalg import LPBuilder, standard_vrep
 from .errors import (
     EmptyEstimateError,
     InfeasiblePointError,
@@ -158,45 +158,11 @@ def lambda_set(prog: BilevelProgram, xbar, y,
     {gamma >= 0, zero off the active set, 0 in d_y f + sum gamma_i d_y g_i}
     with the partial subdifferentials taken as branch-generator hulls; the
     hull weights enter the lifted standard form so interpolated-gradient
-    vertices are found, not just pure branch selections.
+    vertices are found, not just pure branch selections.  This is the
+    inclusion system without F at b = [0_m; 1], gamma = u.
     """
-    xbar = [float(v) for v in np.atleast_1d(xbar)]
-    y = [float(v) for v in np.atleast_1d(y)]
-    active = _active_indices(prog, xbar, y, tol_active)
-    m, p = prog.m, prog.p
-
-    f_gens = clarke_generators(prog.f, xbar, y, tol_active)
-    cols = []
-    meta = []
-    for gvec in f_gens:
-        cols.append(np.concatenate([gvec[prog.n:], [1.0]]))
-        meta.append(("f", None))
-    for i in active:
-        for gvec in clarke_generators(prog.g[i], xbar, y, tol_active):
-            cols.append(np.concatenate([gvec[prog.n:], [0.0]]))
-            meta.append(("g", i))
-    A = np.column_stack(cols)
-    b = np.concatenate([np.zeros(m), [1.0]])
-    verts, rays = _vrep_fallback(A, b, caps.max_bases, stat_tol)
-
-    def project(w):
-        gamma = np.zeros(p)
-        for wv, (tag, i) in zip(w, meta):
-            if tag == "g":
-                gamma[i] += wv
-        return gamma
-
-    vert_pts = _dedup_rows([project(w) for w in verts])
-    ray_pts = _dedup_rows(
-        [_normalize_ray(project(w)) for w in rays
-         if np.max(np.abs(project(w))) > 1e-12]
-    )
-    return MultiplierSet(
-        "lambda", p,
-        tuple(tuple(v.tolist()) for v in vert_pts),
-        tuple(tuple(r.tolist()) for r in ray_pts),
-        tuple(active),
-    )
+    system = _inclusion_system(prog, xbar, y, tol_active)
+    return _multiplier_set("lambda", system, system.A, caps, stat_tol)
 
 
 def lambda_o_set(prog: BilevelProgram, xbar, y,
@@ -204,47 +170,38 @@ def lambda_o_set(prog: BilevelProgram, xbar, y,
                  caps: Caps = Caps(),
                  stat_tol: Optional[float] = None) -> MultiplierSet:
     """Upper-objective stationarity multipliers (r, beta) at (xbar, y):
-    {r, beta >= 0, beta complementary, 0 in d_y F + r d_y f + sum beta_i d_y g_i}."""
-    xbar = [float(v) for v in np.atleast_1d(xbar)]
-    y = [float(v) for v in np.atleast_1d(y)]
-    active = _active_indices(prog, xbar, y, tol_active)
-    m, p = prog.m, prog.p
+    {r, beta >= 0, beta complementary, 0 in d_y F + r d_y f + sum beta_i d_y g_i}.
 
-    cols = []
-    meta = []
-    for gvec in clarke_generators(prog.F, xbar, y, tol_active):
-        cols.append(np.concatenate([gvec[prog.n:], [1.0]]))
-        meta.append(("F", None))
-    for gvec in clarke_generators(prog.f, xbar, y, tol_active):
-        cols.append(np.concatenate([gvec[prog.n:], [0.0]]))
-        meta.append(("r", None))
-    for i in active:
-        for gvec in clarke_generators(prog.g[i], xbar, y, tol_active):
-            cols.append(np.concatenate([gvec[prog.n:], [0.0]]))
-            meta.append(("g", i))
-    A = np.column_stack(cols)
-    b = np.concatenate([np.zeros(m), [1.0]])
+    The inclusion system with F less its last row (the f-weight sum, so r
+    is free) at b = [0_m; 1]: r is the f-weight sum and beta = u."""
+    system = _inclusion_system(prog, xbar, y, tol_active, include_F=True)
+    return _multiplier_set("lambda_o", system, system.A[:-1], caps, stat_tol)
+
+
+def _multiplier_set(kind, system, A, caps, stat_tol) -> MultiplierSet:
+    """The MultiplierSet of kind read off the V-representation of A (rows
+    of `system`) at b = [0_m; 1]: each generator decoded to u, or to
+    (f-weight sum, u) for 'lambda_o' (`_InclusionSystem.sums`), then
+    deduplicated, rays normalised and the rays that decode to zero
+    dropped."""
+    b = np.concatenate([np.zeros(system.m), [1.0]])
     verts, rays = _vrep_fallback(A, b, caps.max_bases, stat_tol)
+    with_r = kind == "lambda_o"
 
-    def project(w):
-        out = np.zeros(1 + p)
-        for wv, (tag, i) in zip(w, meta):
-            if tag == "r":
-                out[0] += wv
-            elif tag == "g":
-                out[1 + i] += wv
-        return out
+    def point(w):
+        f_sum, u = system.sums(w)
+        return np.concatenate([[f_sum], u]) if with_r else u
 
-    vert_pts = _dedup_rows([project(w) for w in verts])
+    vert_pts = _dedup_rows([point(w) for w in verts])
     ray_pts = _dedup_rows(
-        [_normalize_ray(project(w)) for w in rays
-         if np.max(np.abs(project(w))) > 1e-12]
+        [_normalize_ray(point(w)) for w in rays
+         if np.max(np.abs(point(w))) > 1e-12]
     )
     return MultiplierSet(
-        "lambda_o", 1 + p,
+        kind, system.p + 1 if with_r else system.p,
         tuple(tuple(v.tolist()) for v in vert_pts),
         tuple(tuple(r.tolist()) for r in ray_pts),
-        tuple(active),
+        system.active,
     )
 
 
@@ -264,9 +221,12 @@ class TaggedSet:
 class _InclusionSystem:
     """The r-independent part of one (xbar, y) inclusion system.
 
-    A holds the lifted standard-form columns (y-parts over the weight-sum
-    rows), proj their x-parts, meta each column's source ("F", "f" or
-    ("g", i)).  Only the right-hand side depends on r.
+    A holds the lifted standard-form columns: the y-parts of the F, f and
+    active g_i generators over the weight-sum rows (the F weights, then the
+    f weights with include_F; the f weights alone without).  proj holds
+    their x-parts, meta each column's source ("F", "f" or ("g", i)) and
+    active the active constraint indices.  Only the right-hand side
+    depends on r.
     """
 
     n: int
@@ -277,11 +237,23 @@ class _InclusionSystem:
     A: np.ndarray
     proj: np.ndarray
     meta: Tuple[tuple, ...]
+    active: Tuple[int, ...]
+
+    def sums(self, w):
+        """(f-weight sum, per-constraint g-weight sums u) of the column
+        weights w, each summed in column order."""
+        f_sum = 0.0
+        u = np.zeros(self.p)
+        for wv, (tag, i) in zip(w, self.meta):
+            if tag == "f":
+                f_sum += wv
+            elif tag == "g":
+                u[i] += wv
+        return f_sum, u
 
 
 def _inclusion_system(prog: BilevelProgram, xbar, y, tol_active: float,
-                      include_F: bool = False,
-                      F_expr: Optional[Expr] = None) -> _InclusionSystem:
+                      include_F: bool = False) -> _InclusionSystem:
     """Build the inclusion system at (xbar, y): active set, Clarke
     generators, A, the x-projection and the column metadata.  Raises
     InfeasiblePointError when (xbar, y) violates a lower-level constraint."""
@@ -290,35 +262,20 @@ def _inclusion_system(prog: BilevelProgram, xbar, y, tol_active: float,
     n = prog.n
     active = _active_indices(prog, xbar, y, tol_active)
 
-    cols = []
-    meta = []
-    # rows: m stationarity rows, then the simplex/sum rows
-    def col_vec(yp, sums):
-        return np.concatenate([yp, sums])
-
-    if include_F:
-        Fe = F_expr if F_expr is not None else prog.F
-        for gvec in clarke_generators(Fe, xbar, y, tol_active):
-            cols.append((gvec[:n], col_vec(gvec[n:], [1.0, 0.0])))
-            meta.append(("F", None))
-        f_sum = [0.0, 1.0]
-    else:
-        f_sum = [1.0]
-    for gvec in clarke_generators(prog.f, xbar, y, tol_active):
-        cols.append((gvec[:n], col_vec(gvec[n:], f_sum)))
-        meta.append(("f", None))
+    # (source, expression, weight-sum entries) per group of columns
+    groups = [(("F", None), prog.F, [1.0, 0.0])] if include_F else []
+    groups.append((("f", None), prog.f, [0.0, 1.0] if include_F else [1.0]))
     zero_sum = [0.0, 0.0] if include_F else [0.0]
-    for i in active:
-        for gvec in clarke_generators(prog.g[i], xbar, y, tol_active):
-            cols.append((gvec[:n], col_vec(gvec[n:], zero_sum)))
-            meta.append(("g", i))
-
-    return _InclusionSystem(
-        n, prog.m, prog.p, tuple(y), include_F,
-        np.column_stack([c[1] for c in cols]),
-        np.column_stack([c[0] for c in cols]),
-        tuple(meta),
-    )
+    groups += [(("g", i), prog.g[i], zero_sum) for i in active]
+    cols, xparts, meta = [], [], []
+    for tag, e, sums in groups:
+        for gvec in clarke_generators(e, xbar, y, tol_active):
+            cols.append(np.concatenate([gvec[n:], sums]))
+            xparts.append(gvec[:n])
+            meta.append(tag)
+    return _InclusionSystem(n, prog.m, prog.p, tuple(y), include_F,
+                            np.column_stack(cols), np.column_stack(xparts),
+                            tuple(meta), tuple(active))
 
 
 def _solve_inclusion(system: _InclusionSystem, caps: Caps,
@@ -334,11 +291,7 @@ def _solve_inclusion(system: _InclusionSystem, caps: Caps,
     verts, rays = _vrep_fallback(system.A, b, caps.max_bases, stat_tol)
 
     def decode(w):
-        u = np.zeros(system.p)
-        for wv, (tag, i) in zip(w, system.meta):
-            if tag == "g":
-                u[i] += wv
-        return {"u": tuple(u.tolist()), "y": system.y}
+        return {"u": tuple(system.sums(w)[1].tolist()), "y": system.y}
 
     vert_pts, vert_meta = [], []
     for w in verts:
@@ -365,7 +318,6 @@ def _inclusion_xset(
     caps: Caps,
     include_F: bool = False,
     r_coef: float = 0.0,
-    F_expr: Optional[Expr] = None,
     stat_tol: Optional[float] = None,
 ) -> TaggedSet:
     """{x-part : (x-part, 0) in [dF +] r df + sum_i u_i dg_i at (xbar, y)}.
@@ -381,7 +333,7 @@ def _inclusion_xset(
     moves only the right-hand side.
     """
     return _solve_inclusion(
-        _inclusion_system(prog, xbar, y, tol_active, include_F, F_expr),
+        _inclusion_system(prog, xbar, y, tol_active, include_F),
         caps, r_coef, stat_tol)
 
 
@@ -442,6 +394,109 @@ def grid_blur(grid: GridSpec, prog: BilevelProgram) -> float:
     from the optimality band; the floor covers default bands at desk-scale
     slopes."""
     return max(25.0 * grid.finest_cell(prog.box_y), 2e-5)
+
+
+# -- multiplier LPs ------------------------------------------------------------
+
+
+class _System:
+    """One multiplier LP, declared as hull blocks and row specs: every
+    multiplier LP of the package, certify's searches and cq's pointbased
+    checks alike, is declared here.
+
+    A hull block is a list of (weight variable, generator) pairs, one
+    nonnegative weight per generator.  Variables and rows are created in
+    call order, so a declaration fixes the matrices handed to the solver.
+    """
+
+    def __init__(self, u_max):
+        self.lp = LPBuilder()
+        self.u_max = u_max
+
+    def hull(self, gens, **total):
+        """A hull block over gens; keyword arguments add its sum row."""
+        block = [(self.lp.var(), g) for g in gens]
+        if total:
+            self.total(block, **total)
+        return block
+
+    def total(self, block, value=0.0, var=None, k=1.0, cap=False):
+        """The block's weights sum to value + k * var; with cap, to at most
+        u_max (times var when given)."""
+        row = {v: 1.0 for v, _ in block}
+        if cap:
+            if var is None:
+                self.lp.le(row, self.u_max)
+                return
+            row[var] = -self.u_max
+            self.lp.le(row, 0.0)
+            return
+        if var is not None:
+            row[var] = -k
+        self.lp.eq(row, value)
+
+    def group_rays(self, lam, mu, lam_keys, mu_keys):
+        """Vertex weights lam sum to one; the ray weights mu of each source y
+        are at most u_max times that y's vertex weights, so ray mass only
+        lives where vertex mass does."""
+        self.lp.eq({v: 1.0 for v in lam}, 1.0)
+        for key in dict.fromkeys(mu_keys):
+            row = {mu[q]: 1.0 for q, kk in enumerate(mu_keys) if kk == key}
+            row.update((lam[q], -self.u_max)
+                       for q, kk in enumerate(lam_keys) if kk == key)
+            self.lp.le(row, 0.0)
+
+    def cover(self, pts, n_verts, vmeta, rmeta):
+        """Block over the stationarity-covector hull pts (n_verts vertices,
+        then rays); vmeta and rmeta give the source y of each generator."""
+        lam = [self.lp.var() for _ in pts[:n_verts]]
+        mu = [self.lp.var() for _ in pts[n_verts:]]
+        self.group_rays(lam, mu, [d["y"] for d in vmeta],
+                        [d["y"] for d in rmeta])
+        return list(zip(lam + mu, pts))
+
+    def stationarity(self, GF, Gf, Gg, r):
+        """Terms of dF + r df + sum_i u_i dg_i: the F and f weights sum to
+        one, u_i is the weight sum of g_i's block, at most u_max.  Returns
+        (terms, {i: g_i block})."""
+        aF = self.hull(GF, value=1.0)
+        bf = self.hull(Gf, value=1.0)
+        zg = {i: self.hull(G, cap=True) for i, G in Gg.items()}
+        return [(1.0, aF), (r, bf), *_ones(zg.values())], zg
+
+    def theta(self, prog, xbar, active_theta, tol_active):
+        """(j, block) per active upper constraint, weights at most u_max;
+        alpha_j is the block's weight sum."""
+        return [(j, self.hull(clarke_generators(prog.theta1[j], xbar, [],
+                                                tol_active), cap=True))
+                for j in active_theta]
+
+    def rows(self, hard, offset, dim, terms, extra=(), assign_first=True):
+        """Rows c < dim: sum of coef * g[offset + c] over the weights of each
+        (coef, block) term, plus coef * xs[c] for each (coef, xs) in extra,
+        equal to 0 (hard) or within the minimised violation t (soft).
+
+        The first term's products are stored as they are and later ones are
+        added to 0.0, which turns -0.0 into 0.0; assign_first=False adds
+        every term.  The rule fixes the signed zeros of the matrices, which
+        the certificates' byte identity rests on (README, "Design notes:
+        multiplier systems").
+        """
+        add = self.lp.eq if hard else self.lp.soft
+        for c in range(dim):
+            row = {}
+            for t, (coef, block) in enumerate(terms):
+                for v, g in block:
+                    val = coef * g[offset + c]
+                    row[v] = (val if t == 0 and assign_first
+                              else row.get(v, 0.0) + val)
+            for coef, xs in extra:
+                row[xs[c]] = row.get(xs[c], 0.0) + coef
+            add(row, 0.0)
+
+
+def _ones(blocks):
+    return [(1.0, b) for b in blocks]
 
 
 # -- estimates ----------------------------------------------------------------

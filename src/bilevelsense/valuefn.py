@@ -465,19 +465,20 @@ def sample_curve(
     """Tabulate phi / phi_o / phi_p over an x-grid (n <= 2).
 
     Infeasible x's produce flagged rows rather than failing the sweep.
+    Raises BudgetError, before any sweep, when the x-grid would hold more
+    than MAX_GRID_POINTS points.
     """
     if prog.n > 2:
         raise UnsupportedDimensionError("curve tabulation supports n <= 2 only")
+    bounds, counts = prog.box_x, [points_per_axis] * prog.n
+    if prog.n == 1 and x_range is not None:
+        bounds, counts = [x_range[:2]], [int(x_range[2])]
+    if math.prod(counts) > MAX_GRID_POINTS:
+        raise BudgetError(f"x-grid of {math.prod(counts)} points exceeds "
+                          f"{MAX_GRID_POINTS} points")
+    xs = list(product(*(np.linspace(lo, hi, c).tolist()
+                        for (lo, hi), c in zip(bounds, counts))))
     h = value_function(prog, which, grid)
-    if prog.n == 1:
-        lo, hi = prog.box_x[0]
-        count = points_per_axis
-        if x_range is not None:
-            lo, hi, count = x_range
-        xs = [(float(v),) for v in np.linspace(lo, hi, int(count))]
-    else:
-        axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in prog.box_x]
-        xs = [(float(a), float(b)) for a in axes[0] for b in axes[1]]
     rows = []
     for xv in xs:
         try:

@@ -442,3 +442,80 @@ def test_requests_without_lps_leave_scipy_unloaded(instance_c_file, tmp_path):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+class TestFlagValues:
+    """Flag values the library cannot use end in an exit code and one
+    `error: ` line, before the problem is swept."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sample", "--range", "a:1:3"], "--range must be lo:hi:count with"),
+        (["sample", "--range", "0:1:2.5"], "--range must be lo:hi:count with"),
+        (["sample", "--range", "0:1"], "--range must be lo:hi:count"),
+        (["sample", "--range", "nan:1:3"], "--range lo and hi must be finite"),
+        (["sample", "--range", "0:1e999:3"], "--range lo and hi must be finite"),
+        (["sample", "--range", "0:1:-3"], "--range count must be at least 1"),
+        (["sample", "--range", "0:1:0"], "--range count must be at least 1"),
+        (["sample", "--grid", "2"], "--grid must be at least 3"),
+        (["sample", "--refine", "-1"], "--refine must be at least 0"),
+        (["certify", "--x", "0.3", "--tol", "nan"],
+         "--tol must be finite and at least 0"),
+        (["certify", "--x", "0.3", "--tol=-1e-6"],
+         "--tol must be finite and at least 0"),
+        (["certify", "--x", "0.3", "--rmax", "-1"],
+         "--rmax must be finite and at least 0"),
+        (["certify", "--x", "0.3", "--rmax", "inf"],
+         "--rmax must be finite and at least 0"),
+        (["cq", "--x", "0.3", "--seed", "-1"], "--seed must be at least 0"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_usage_error_exit_one(self, argv, message, instance_c_file,
+                                  monkeypatch, capsys):
+        def no_sweep(*args):
+            raise AssertionError("a refused request was swept")
+
+        monkeypatch.setattr(valuefn, "_solve_lower", no_sweep)
+        rc = main([argv[0], instance_c_file, *argv[1:]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_x_grid_above_the_bound_exits_four(self, instance_c_file,
+                                               monkeypatch, capsys):
+        def no_sweep(*args):
+            raise AssertionError("an over-budget x-grid was swept")
+
+        monkeypatch.setattr(valuefn, "_solve_lower", no_sweep)
+        rc = main(["sample", instance_c_file, "--range", "0:1:100000000000"])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "error: budget exceeded: x-grid of 100000000000 points exceeds "
+            "16777216 points\n")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_the_x_grid_bound_itself_is_admitted(self, n, monkeypatch):
+        # the x-grid is the count at n = 1 and points_per_axis^2 at n = 2
+        from bilevelsense.errors import BudgetError
+        from bilevelsense.model import BilevelProgram, Expr
+
+        prog = BilevelProgram(n=n, m=1, F=Expr.x(1) + Expr.y(1),
+                              f=Expr.y(1) ** 2, g=(),
+                              box_x=((-1.0, 1.0),) * n, box_y=((-1.0, 1.0),))
+        grid = valuefn.GridSpec(points_per_dim=5, refine_depth=0)
+        kwargs = ({"x_range": (0.0, 1.0, 9)} if n == 1
+                  else {"points_per_axis": 3})
+        monkeypatch.setattr(valuefn, "MAX_GRID_POINTS", 9)
+        assert len(valuefn.sample_curve(prog, "phi", grid, **kwargs)) == 9
+        monkeypatch.setattr(valuefn, "MAX_GRID_POINTS", 8)
+        with pytest.raises(BudgetError, match="x-grid of 9 points exceeds 8"):
+            valuefn.sample_curve(prog, "phi", grid, **kwargs)
+
+    @pytest.mark.parametrize("flags", [["--tol", "0", "--rmax", "0"],
+                                       ["--grid", "3", "--refine", "0"]])
+    def test_the_least_admitted_values_run(self, flags, instance_c_file,
+                                           tmp_path):
+        out = tmp_path / "cert.json"
+        rc = main(["certify", instance_c_file, "--x", "0.3", "--variant", "ii",
+                   "--out", str(out), *flags])
+        assert rc in (0, 3)
+        assert json.loads(out.read_text())["variant"] == "ii"

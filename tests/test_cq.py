@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 from bilevelsense import cq, valuefn
 from bilevelsense._polyalg import LPBuilder
@@ -370,3 +370,177 @@ def test_seven_variants_pay_for_each_bundle_once(make, x, monkeypatch):
         certify_pessimistic(prog, x, variant)
     certify_value_stationarity(prog, x)
     assert len(calls) <= budget
+
+
+# -- the pointbased LP is declared through the one multiplier-LP builder ---------
+#
+# A test-side copy of the LP assembly check_pointbased_cq used before it
+# declared its LPs through `sensitivity._System`.  The library must hand the
+# solver the same arrays, byte for byte and signed zeros included, and
+# return the same verdicts.
+
+
+def _reference_pointbased_cq(prog, which, xbar, y, tol=1e-8, caps=Caps(),
+                             grid=GridSpec(), tol_active=1e-8, seed=0):
+    from bilevelsense.model import clarke_generators
+    from bilevelsense.sensitivity import _active_indices
+    from bilevelsense.subdiff import FD_DIRS, FD_RADIUS, FD_STEP
+    from bilevelsense.subdiff import fd_subgradient_samples
+    from bilevelsense.valuefn import value_function
+
+    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
+    y_l = [float(v) for v in np.atleast_1d(y)]
+    n, m = prog.n, prog.m
+    active = _active_indices(prog, xbar_l, y_l, tol_active)
+    phi_gens = []
+    if which == "S":
+        h = value_function(prog, "phi", grid)
+        clusters = fd_subgradient_samples(
+            h, xbar_l, n_dirs=FD_DIRS, radius=FD_RADIUS, step=FD_STEP,
+            seed=seed)
+        if clusters.spreads and max(clusters.spreads) > 10.0 * tol + 1e-6:
+            return CQVerdict(
+                f"CQ_{which}", "Unknown", tol,
+                detail="fd clustering of the lower value function is ambiguous",
+                seed=seed)
+        phi_gens = [-np.array(c) for c in clusters.clusters]
+    best_val, best = 0.0, None
+    for coord in range(n):
+        for sign in (1.0, -1.0):
+            lp = LPBuilder()
+            g_cols = []
+            for i in active:
+                for gvec in clarke_generators(prog.g[i], xbar_l, y_l, tol_active):
+                    g_cols.append((lp.var(), i, gvec))
+            f_cols, p_cols, r_var = [], [], None
+            if which == "S":
+                r_var = lp.var(ub=None)
+                for gvec in clarke_generators(prog.f, xbar_l, y_l, tol_active):
+                    f_cols.append((lp.var(), gvec))
+                for pv in phi_gens:
+                    p_cols.append((lp.var(), np.concatenate([pv, np.zeros(m)])))
+                lp.eq({**{v: 1.0 for v, _ in f_cols}, r_var: -1.0}, 0.0)
+                lp.eq({**{v: 1.0 for v, _ in p_cols}, r_var: -1.0}, 0.0)
+            norm_row = {v: 1.0 for v, _, _ in g_cols}
+            if r_var is not None:
+                norm_row[r_var] = 1.0
+            if not norm_row:
+                return CQVerdict(f"CQ_{which}", "Holds", tol,
+                                 detail="no active multipliers admissible",
+                                 seed=seed)
+            lp.eq(norm_row, 1.0)
+            for row in range(m):
+                coeffs = {v: g[n + row] for v, _, g in g_cols}
+                for v, g in f_cols:
+                    coeffs[v] = g[n + row]
+                for v, g in p_cols:
+                    coeffs[v] = coeffs.get(v, 0.0) + g[n + row]
+                lp.eq(coeffs, 0.0)
+            obj = {v: sign * g[coord] for v, _, g in g_cols}
+            for v, g in f_cols:
+                obj[v] = sign * g[coord]
+            for v, g in p_cols:
+                obj[v] = obj.get(v, 0.0) + sign * g[coord]
+            val, sol = lp.maximize(obj)
+            if val is None or val <= best_val:
+                continue
+            best_val = val
+            u = np.zeros(prog.p)
+            gdir = {}
+            xstar = np.zeros(n)
+            for v, i, g in g_cols:
+                u[i] += sol[v]
+                gdir[i] = gdir.get(i, np.zeros(n + m)) + sol[v] * g
+                xstar += sol[v] * g[:n]
+            fvec, phivec, rv = np.zeros(n + m), np.zeros(n), 0.0
+            if which == "S":
+                rv = float(sol[r_var])
+                for v, g in f_cols:
+                    fvec += sol[v] * g
+                for v, g in p_cols:
+                    phivec += sol[v] * g[:n]
+                xstar += fvec[:n] + phivec
+            best = {"xstar": tuple(xstar.tolist()), "u": tuple(u.tolist()),
+                    "r": rv,
+                    "g_dirs": {i: tuple(v.tolist()) for i, v in gdir.items()},
+                    "f_vec": tuple(fvec.tolist()),
+                    "phi_vec": tuple(phivec.tolist())}
+    if best_val <= tol:
+        return CQVerdict(f"CQ_{which}", "Holds", tol,
+                         detail=f"max |x*| over normalized slice = {best_val:.3e}",
+                         seed=seed)
+    return CQVerdict(f"CQ_{which}", "Fails", tol, witness=best,
+                     detail=f"x* with |x*|_inf = {best_val:.3e} admissible",
+                     seed=seed)
+
+
+def _bytes(a):
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+
+def _recorded_lp_inputs(monkeypatch):
+    """Every LP handed to `_polyalg._linprog`, as bytes (bounds by repr,
+    which keeps the sign of zero and None apart from inf)."""
+    from bilevelsense import _polyalg
+
+    calls = []
+    linprog = _polyalg._linprog
+
+    def recorded(c, A_ub, b_ub, A_eq, b_eq, bounds):
+        calls.append([_bytes(c), _bytes(A_ub), _bytes(b_ub), _bytes(A_eq),
+                      _bytes(b_eq), repr(bounds)])
+        return linprog(c, A_ub, b_ub, A_eq, b_eq, bounds)
+
+    monkeypatch.setattr(_polyalg, "_linprog", recorded)
+    return calls
+
+
+def _assert_pointbased_matches_reference(monkeypatch, prog, x, grid):
+    """Both checks at (x, y0) as cq_bundle runs them; returns the number of
+    LPs solved."""
+    calls = _recorded_lp_inputs(monkeypatch)
+    solved = 0
+    y0 = list(cq._mode_solutions(prog, x, grid).points[0])
+    for which in ("K", "S"):
+        cq._pointbased_cq.cache_clear()
+        calls.clear()
+        got = check_pointbased_cq(prog, which, x, y0, grid=grid)
+        got_calls = list(calls)
+        calls.clear()
+        want = _reference_pointbased_cq(prog, which, x, y0, grid=grid)
+        assert got_calls == calls
+        assert got.to_dict() == want.to_dict()
+        assert repr(got.to_dict()) == repr(want.to_dict())  # signed zeros too
+        solved += len(got_calls)
+    return solved
+
+
+def _signed_zero_follower():
+    """f = -y1 with two followers: f's one generator is (-0.0, -1.0, -0.0),
+    so the y2 stationarity row of CQ_S holds a -0.0 entry of f."""
+    return BilevelProgram(
+        n=1, m=2, F=X1 + Expr.y(2), f=neg(Y1), g=(Y1 - X1,),
+        box_x=((-1.0, 1.0),), box_y=((-1.0, 1.0),) * 2)
+
+
+@pytest.mark.parametrize("make,x", [
+    (instance_a, [0.5]), (instance_a, [0.0]), (instance_a, [2.0]),
+    (instance_a_constrained, [0.5]), (instance_b, [0.0]), (instance_b, [0.3]),
+    (instance_c, [0.0]), (instance_c, [0.3]), (instance_cqk_degenerate, [0.0]),
+    (_signed_zero_follower, [0.25]),
+])
+def test_pointbased_lps_match_the_hand_built_assembly(monkeypatch, make, x):
+    prog = make()
+    solved = [_assert_pointbased_matches_reference(monkeypatch, p, x, SMALL)
+              for p in (replace(prog, mode="optimistic"),
+                        replace(prog, mode="pessimistic"))]
+    assert all(solved)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=piecewise_affine_programs())
+def test_drawn_pointbased_lps_match_the_hand_built_assembly(monkeypatch, case):
+    prog, x = case
+    for p in (prog, replace(prog, mode="pessimistic")):
+        _assert_pointbased_matches_reference(monkeypatch, p, x, SMALL)

@@ -9,6 +9,7 @@ from bilevelsense.errors import InfeasiblePointError, NotApplicableError
 from bilevelsense.model import BilevelProgram, Expr, clarke_generators, neg
 from bilevelsense.sensitivity import (
     Caps,
+    MultiplierSet,
     estimate_optimistic,
     estimate_pessimistic,
     estimate_simple_convex,
@@ -448,3 +449,121 @@ def test_estimates_identical_with_and_without_vrep_memo(monkeypatch, case,
 def test_drawn_estimates_identical_with_and_without_vrep_memo(monkeypatch, case):
     prog, x = case
     _same_with_and_without_vrep_memo(monkeypatch, prog, x, SHARED_GRID)
+
+
+# -- the multiplier sets read the one lifted system -------------------------------
+#
+# Test-side copies of the column builders that lambda_set and lambda_o_set
+# used before they read `_inclusion_system`.  The library must hand
+# standard_vrep the same (A, b), byte for byte and signed zeros included,
+# and return the same sets.
+
+
+def _reference_multiplier_set(prog, xbar, y, tol_active, caps, stat_tol, kind):
+    from bilevelsense.sensitivity import (
+        _active_indices,
+        _dedup_rows,
+        _normalize_ray,
+        _vrep_fallback,
+    )
+
+    xbar = [float(v) for v in np.atleast_1d(xbar)]
+    y = [float(v) for v in np.atleast_1d(y)]
+    active = _active_indices(prog, xbar, y, tol_active)
+    n, m, p = prog.n, prog.m, prog.p
+    cols, meta = [], []
+    if kind == "lambda_o":
+        for gvec in clarke_generators(prog.F, xbar, y, tol_active):
+            cols.append(np.concatenate([gvec[n:], [1.0]]))
+            meta.append(("F", None))
+    f_tag, f_sum = ("r", 0.0) if kind == "lambda_o" else ("f", 1.0)
+    for gvec in clarke_generators(prog.f, xbar, y, tol_active):
+        cols.append(np.concatenate([gvec[n:], [f_sum]]))
+        meta.append((f_tag, None))
+    for i in active:
+        for gvec in clarke_generators(prog.g[i], xbar, y, tol_active):
+            cols.append(np.concatenate([gvec[n:], [0.0]]))
+            meta.append(("g", i))
+    A = np.column_stack(cols)
+    b = np.concatenate([np.zeros(m), [1.0]])
+    verts, rays = _vrep_fallback(A, b, caps.max_bases, stat_tol)
+    shift = 1 if kind == "lambda_o" else 0
+
+    def project(w):
+        out = np.zeros(shift + p)
+        for wv, (tag, i) in zip(w, meta):
+            if tag == "r":
+                out[0] += wv
+            elif tag == "g":
+                out[shift + i] += wv
+        return out
+
+    vert_pts = _dedup_rows([project(w) for w in verts])
+    ray_pts = _dedup_rows([_normalize_ray(project(w)) for w in rays
+                           if np.max(np.abs(project(w))) > 1e-12])
+    return MultiplierSet(kind, shift + p,
+                         tuple(tuple(v.tolist()) for v in vert_pts),
+                         tuple(tuple(r.tolist()) for r in ray_pts),
+                         tuple(active))
+
+
+def _recorded_vrep_inputs(monkeypatch):
+    """Every (A, b) handed to standard_vrep from sensitivity, as bytes."""
+    from bilevelsense import sensitivity
+
+    calls = []
+    vrep = sensitivity.standard_vrep
+
+    def recorded(A, b, *args, **kwargs):
+        calls.append((A.dtype.str, A.shape, A.tobytes(), b.dtype.str,
+                      b.tobytes(), args, sorted(kwargs.items())))
+        return vrep(A, b, *args, **kwargs)
+
+    monkeypatch.setattr(sensitivity, "standard_vrep", recorded)
+    return calls
+
+
+def _assert_multiplier_sets_match_reference(monkeypatch, prog, x, grid):
+    from bilevelsense.sensitivity import _subsample, grid_blur
+
+    calls = _recorded_vrep_inputs(monkeypatch)
+    blur = grid_blur(grid, prog)
+    ys = _subsample(lower_solutions(prog, x, grid).points, 4)
+    checked = 0
+    for y in ys:
+        # the defaults, and the tolerances the estimates run them with
+        for tol_active, stat_tol in ((1e-8, None), (max(1e-8, blur), blur)):
+            for fn, kind in ((lambda_set, "lambda"), (lambda_o_set, "lambda_o")):
+                calls.clear()
+                got = fn(prog, x, list(y), tol_active, CAPS, stat_tol)
+                got_calls = list(calls)
+                calls.clear()
+                want = _reference_multiplier_set(prog, x, list(y), tol_active,
+                                                 CAPS, stat_tol, kind)
+                assert got_calls and got_calls == calls
+                assert got == want
+                assert repr(got) == repr(want)  # signed zeros too
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("case", [("a", [0.5]), ("a", [0.0]), ("a", [1.2]),
+                                  ("b", [0.0]), ("b", [0.4]), ("c", [0.0]),
+                                  ("c", [-0.5]), ("c", [0.3])])
+def test_multiplier_sets_match_the_hand_built_columns(monkeypatch, case, prog_a,
+                                                      prog_b, prog_c):
+    name, x = case
+    prog = {"a": prog_a, "b": prog_b, "c": prog_c}[name]
+    for p in (prog, prog.negated_upper()):
+        _assert_multiplier_sets_match_reference(monkeypatch, p, x, GRID)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=piecewise_affine_programs())
+def test_drawn_multiplier_sets_match_the_hand_built_columns(monkeypatch, case):
+    # the pessimistic estimates run the optimistic machinery on the
+    # negated-upper program, so both programs are checked
+    prog, x = case
+    for p in (prog, prog.negated_upper()):
+        _assert_multiplier_sets_match_reference(monkeypatch, p, x, SHARED_GRID)

@@ -115,3 +115,57 @@ def test_lp_memo_sits_behind_the_traced_solve_methods(monkeypatch):
         lp.var(ub=2.0)
         assert lp.maximize({0: 1.0})[0] == 2.0
         assert len(calls) == 1
+
+
+# -- one multiplier-LP builder and one lifted system -------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bilevelsense"
+
+
+def _calls_by_scope(name):
+    """(module, enclosing class/function names) of every call to `name`
+    (as a bare name or an attribute) in the package sources."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute)
+                          else None)
+                if called == name:
+                    found.append((module, scope))
+            visit(child, module, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return found
+
+
+def test_every_multiplier_lp_is_declared_through_one_builder():
+    # certify's searches and cq's pointbased checks both declare their LPs
+    # through sensitivity._System, the only place an LPBuilder is made
+    sites = _calls_by_scope("LPBuilder")
+    assert sites
+    assert all(mod == "sensitivity" and scope[:1] == ("_System",)
+               for mod, scope in sites), sites
+
+
+def test_multiplier_and_inclusion_sets_read_one_lifted_system():
+    # Lambda, Lambda_o and the inclusion sets are rows and right-hand sides
+    # of the system `_inclusion_system` builds; none builds columns itself
+    readers = {scope[0] for mod, scope in _calls_by_scope("_inclusion_system")
+               if mod == "sensitivity"}
+    assert {"lambda_set", "lambda_o_set", "_inclusion_xset"} <= readers
+    stacks = {(mod, scope[0]) for mod, scope in _calls_by_scope("column_stack")}
+    assert ("sensitivity", "_inclusion_system") in stacks
+    assert not any(mod == "sensitivity" and name != "_inclusion_system"
+                   for mod, name in stacks), stacks
+    takers = {scope[:1] for mod, scope in _calls_by_scope("clarke_generators")
+              if mod == "sensitivity"}
+    assert not takers & {("lambda_set",), ("lambda_o_set",)}

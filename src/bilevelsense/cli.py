@@ -196,6 +196,9 @@ def run(args) -> int:
 
     if args.command == "sample":
         x_range = _parse_range(args.x_range) if args.x_range else None
+        if x_range is not None and prog.n != 1:
+            raise ParseError(
+                f"--range needs a program with n = 1, not n = {prog.n}")
         rows = sample_curve(prog, args.which, grid, x_range=x_range)
         _emit(args, curve_to_csv(rows, prog.n))
         return 0

@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Tuple
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -31,9 +33,9 @@ from .errors import (
 
 # Node kinds with fixed arities.  pow carries an integer exponent >= 0 so
 # every smooth selection is C^1 everywhere.
-_LEAF_KINDS = ("const", "xvar", "yvar")
-_UNARY_KINDS = ("neg", "exp", "log", "abs")
-_BINARY_KINDS = ("add", "sub", "mul", "div", "max", "min")
+_ARITY = {"const": 0, "xvar": 0, "yvar": 0, "neg": 1, "exp": 1, "log": 1,
+          "abs": 1, "pow": 1, "add": 2, "sub": 2, "mul": 2, "div": 2,
+          "max": 2, "min": 2}
 _KINK_KINDS = ("abs", "max", "min")
 
 # 2^16 smooth selections is the enumeration ceiling.
@@ -41,21 +43,28 @@ MAX_KINK_NODES = 16
 
 # Deepest expression the parser accepts.  The nesting depth of a leaf is 1;
 # each operator, function call, sign and pair of parentheses adds a level,
-# so a chain of k additions nests k + 1 deep.  The tree walkers recurse on
-# every level and the parser five calls deep per pair of parentheses; 150
-# leaves room under Python's recursion limit for their callers' frames.
+# so a chain of k additions nests k + 1 deep.  Only the parser recurses (five
+# calls deep per pair of parentheses); 150 leaves room under Python's
+# recursion limit for its callers' frames.  Trees built in code have no
+# depth bound: every other walk runs over the node's flat tape.
 MAX_EXPR_DEPTH = 150
 
 DEFAULT_KINK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Expr:
-    """Immutable expression-tree node.
+    """Immutable, interned expression-tree node.
 
     Fields not meaningful for a kind are left at their defaults: `value`
     for constants, `index` (1-based) for variables, `exponent` for pow,
     `safe` for div/log nodes whose domain the user has vouched for.
+
+    Nodes are hash-consed: constructing a node equal to a live one returns
+    that node, so equality is identity and hashing costs O(1).  The intern
+    key is the kind, the children's identities, the value with its type and
+    sign bit (0.0 and -0.0 are different constants), index, exponent and
+    safe.  Copies and unpickled nodes are the interned node.
     """
 
     kind: str
@@ -64,24 +73,41 @@ class Expr:
     index: int = 0
     exponent: int = 0
     safe: bool = False
+    _live = WeakValueDictionary()
 
-    def __post_init__(self):
-        if self.kind in _LEAF_KINDS:
-            arity = 0
-        elif self.kind in _UNARY_KINDS:
-            arity = 1
-        elif self.kind in _BINARY_KINDS:
-            arity = 2
-        elif self.kind == "pow":
-            arity = 1
-            if self.exponent < 0 or self.exponent != int(self.exponent):
-                raise ValueError("pow exponent must be a nonnegative integer")
-        else:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        if len(self.children) != arity:
-            raise ValueError(f"{self.kind} expects {arity} children")
-        if self.kind in ("xvar", "yvar") and self.index < 1:
+    def __new__(cls, kind, children=(), value=0.0, index=0, exponent=0,
+                safe=False):
+        children = tuple(children)
+        key = (kind, tuple(map(id, children)), type(value), value,
+               math.copysign(1.0, value), index, exponent, safe)
+        node = cls._live.get(key)
+        if node is not None:
+            return node
+        arity = _ARITY.get(kind)
+        if arity is None:
+            raise ValueError(f"unknown node kind {kind!r}")
+        if kind == "pow" and (exponent < 0 or exponent != int(exponent)):
+            raise ValueError("pow exponent must be a nonnegative integer")
+        if len(children) != arity:
+            raise ValueError(f"{kind} expects {arity} children")
+        if kind in ("xvar", "yvar") and index < 1:
             raise ValueError("variable indices are 1-based")
+        node = object.__new__(cls)
+        node.__dict__.update(kind=kind, children=children, value=value,
+                             index=index, exponent=exponent, safe=safe)
+        cls._live[key] = node
+        return node
+
+    def __reduce__(self):
+        return Expr, (self.kind, self.children, self.value, self.index,
+                      self.exponent, self.safe)
+
+    def __deepcopy__(self, memo):
+        return self
+
+    @cached_property
+    def _tape(self) -> "_Tape":
+        return _Tape(self)
 
     # -- constructors -----------------------------------------------------
 
@@ -125,13 +151,13 @@ class Expr:
     def __neg__(self):
         return Expr("neg", (self,))
 
-    def walk(self):
-        """Preorder traversal."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+    def _peel_negations(self):
+        """(core, odd): self is core (not a neg) under an odd or even
+        number of negations."""
+        core, odd = self, False
+        while core.kind == "neg":
+            core, odd = core.children[0], not odd
+        return core, odd
 
 
 def _as_expr(v) -> Expr:
@@ -168,6 +194,58 @@ def ediv(u: Expr, v: Expr, safe: bool = False) -> Expr:
     return Expr("div", (_as_expr(u), _as_expr(v)), safe=safe)
 
 
+# -- the tape ----------------------------------------------------------------
+#
+# Every walk runs over the node's tape: its tree in post-order, one step
+# (kind, slot, arg) per tree position.  A subtree under two parents gets two
+# runs of steps, since kink counts and branch ids ("<preorder position>
+# <choice>") count positions: merged, |x| + |x| at 0 would lose generator 0.
+# arg is the constant, the 0-based coordinate of xvar/yvar, the exponent of
+# pow or the preorder position of abs/max/min.  A pass calls each step's
+# callable on registers r = [x, y, context, stack...]: a step whose subtree
+# starts at stack depth d writes r[_BASE + d] from r[_BASE + d] and
+# r[_BASE + d + 1], so a pass holds one value per level, as a recursion would.
+
+_BASE = 3
+
+
+class _Tape:
+    """The steps of one node, and the program of each pass, built on first
+    use: the steps with each kind replaced by its callable in the pass's
+    table."""
+
+    def __init__(self, root: Expr):
+        steps, pos, todo = [], 0, [(root, _BASE, None)]
+        while todo:
+            node, slot, pre = todo.pop()
+            if pre is None:
+                todo.append((node, slot, pos))
+                pos += 1
+                kids = node.children
+                for i in range(len(kids) - 1, -1, -1):
+                    todo.append((kids[i], slot + i, None))
+                continue
+            kind = node.kind
+            arg = (node.value if kind == "const"
+                   else node.index - 1 if kind in ("xvar", "yvar")
+                   else node.exponent if kind == "pow"
+                   else pre if kind in _KINK_KINDS else None)
+            steps.append((kind, slot, arg))
+        self.steps = tuple(steps)
+        self.kinks = sum(kind in _KINK_KINDS for kind, _, _ in steps)
+        self.blank = [None] * (max(slot for _, slot, _ in steps) - _BASE + 1)
+
+    eval = cached_property(lambda t: [(_EVAL[k], s, a) for k, s, a in t.steps])
+    scan = cached_property(lambda t: [(_SCAN[k], s, a) for k, s, a in t.steps])
+    diff = cached_property(lambda t: [(_DIFF[k], s, a) for k, s, a in t.steps])
+
+
+def _run(program, r):
+    for op, o, arg in program:
+        r[o] = op(r, o, arg)
+    return r[_BASE]
+
+
 # -- evaluation -----------------------------------------------------------
 
 
@@ -179,52 +257,46 @@ def eval_expr(e: Expr, x, y):
     evaluated exactly.  Raises DomainError on log of a nonpositive value or
     on division by zero.
     """
-    xs = tuple(x)
-    ys = tuple(y)
-    return _eval(e, xs, ys)
+    t = e._tape
+    return _run(t.eval, [tuple(x), tuple(y), None, *t.blank])
 
 
-def _eval(e: Expr, xs, ys):
-    k = e.kind
-    if k == "const":
-        return e.value
-    if k == "xvar":
-        return xs[e.index - 1]
-    if k == "yvar":
-        return ys[e.index - 1]
-    if k == "neg":
-        return -_eval(e.children[0], xs, ys)
-    if k == "add":
-        return _eval(e.children[0], xs, ys) + _eval(e.children[1], xs, ys)
-    if k == "sub":
-        return _eval(e.children[0], xs, ys) - _eval(e.children[1], xs, ys)
-    if k == "mul":
-        return _eval(e.children[0], xs, ys) * _eval(e.children[1], xs, ys)
-    if k == "div":
-        num = _eval(e.children[0], xs, ys)
-        den = _eval(e.children[1], xs, ys)
-        if np.any(np.asarray(den) == 0.0):
-            raise DomainError("division by zero")
-        return num / den
-    if k == "pow":
-        base = _eval(e.children[0], xs, ys)
-        if e.exponent == 0:
-            return np.ones_like(np.asarray(base, dtype=float)) if np.ndim(base) else 1.0
-        return np.power(base, e.exponent)
-    if k == "exp":
-        return np.exp(_eval(e.children[0], xs, ys))
-    if k == "log":
-        arg = _eval(e.children[0], xs, ys)
-        if np.any(np.asarray(arg) <= 0.0):
-            raise DomainError("log of a nonpositive value")
-        return np.log(arg)
-    if k == "abs":
-        return np.abs(_eval(e.children[0], xs, ys))
-    if k == "max":
-        return np.maximum(_eval(e.children[0], xs, ys), _eval(e.children[1], xs, ys))
-    if k == "min":
-        return np.minimum(_eval(e.children[0], xs, ys), _eval(e.children[1], xs, ys))
-    raise AssertionError(k)
+def _nonzero(den):
+    if np.any(np.asarray(den) == 0.0):
+        raise DomainError("division by zero")
+    return den
+
+
+def _positive(arg):
+    if np.any(np.asarray(arg) <= 0.0):
+        raise DomainError("log of a nonpositive value")
+    return arg
+
+
+def _eval_pow(r, o, p):
+    base = r[o]
+    if p == 0:
+        return np.ones_like(np.asarray(base, dtype=float)) if np.ndim(base) else 1.0
+    return np.power(base, p)
+
+
+# eval_expr's pass: numpy, so arrays broadcast
+_EVAL = {
+    "const": lambda r, o, c: c,
+    "xvar": lambda r, o, i: r[0][i],
+    "yvar": lambda r, o, j: r[1][j],
+    "neg": lambda r, o, _: -r[o],
+    "add": lambda r, o, _: r[o] + r[o + 1],
+    "sub": lambda r, o, _: r[o] - r[o + 1],
+    "mul": lambda r, o, _: r[o] * r[o + 1],
+    "div": lambda r, o, _: r[o] / _nonzero(r[o + 1]),
+    "pow": _eval_pow,
+    "exp": lambda r, o, _: np.exp(r[o]),
+    "log": lambda r, o, _: np.log(_positive(r[o])),
+    "abs": lambda r, o, _: np.abs(r[o]),
+    "max": lambda r, o, _: np.maximum(r[o], r[o + 1]),
+    "min": lambda r, o, _: np.minimum(r[o], r[o + 1]),
+}
 
 
 # -- smooth-branch enumeration --------------------------------------------
@@ -240,7 +312,7 @@ class Branch:
 
 
 def kink_count(e: Expr) -> int:
-    return sum(1 for node in e.walk() if node.kind in _KINK_KINDS)
+    return e._tape.kinks
 
 
 def smooth_branches(e: Expr, x, y, tol_active: Optional[float] = None) -> list:
@@ -255,17 +327,20 @@ def smooth_branches(e: Expr, x, y, tol_active: Optional[float] = None) -> list:
     base_tol = DEFAULT_KINK_TOL if tol_active is None else float(tol_active)
     if base_tol <= 0:
         raise ValueError("tol_active must be positive")
-    if kink_count(e) > MAX_KINK_NODES:
+    t = e._tape
+    if t.kinks > MAX_KINK_NODES:
         raise BudgetError(
             f"expression has more than {MAX_KINK_NODES} kink nodes"
         )
     xs = tuple(float(v) for v in x)
     ys = tuple(float(v) for v in y)
-    nvar = len(xs) + len(ys)
 
-    # First pass: per-kink-node choice sets at this point.  Nodes are keyed
-    # by preorder position so branch ids are stable.
-    choices = _scan_choices(e, xs, ys, base_tol)
+    # One scalar forward pass, by math.exp, math.log and **.  With no
+    # selection (t.scan) it records each kink node's choice set at this
+    # point, keyed by preorder position so branch ids are stable; with a
+    # selection (t.diff) it returns that branch's value and gradient.
+    choices = []
+    _run(t.scan, [xs, ys, (base_tol, choices), *t.blank])
 
     active = [c for c in choices if len(c[1]) > 1]
     forced = {p: opts[0] for p, opts in choices if len(opts) == 1}
@@ -279,80 +354,82 @@ def smooth_branches(e: Expr, x, y, tol_active: Optional[float] = None) -> list:
             choice = opts[(mask >> bit) & 1]
             sel[p] = choice
             bid_parts.append(f"{p}{choice}")
-        value, grad = _branch_eval(e, xs, ys, sel, nvar)
+        value, grad = _run(t.diff, [xs, ys, (sel, len(xs), len(xs) + len(ys)),
+                                    *t.blank])
         branches.append(Branch("/".join(bid_parts) or "smooth", value, grad))
     return branches
 
 
-def _branch_eval(e: Expr, xs, ys, sel, nvar):
-    """Forward-mode value+gradient for one branch selection."""
-    pos = [0]
-    n = len(xs)
+def _scan_kink(kind):
+    """A kink node's step in the choice-recording pass.  abs(u) chooses
+    between "+" and "-" by the rule max(u, 0) uses between "L" and "R"."""
+    labels = ("+", "-") if kind == "abs" else ("L", "R")
+    exact = {"abs": lambda u, v: abs(u), "max": max, "min": min}[kind]
 
-    def rec(node: Expr):
-        my_pos = pos[0]
-        pos[0] += 1
-        k = node.kind
-        if k == "const":
-            return node.value, np.zeros(nvar)
-        if k == "xvar":
-            g = np.zeros(nvar)
-            g[node.index - 1] = 1.0
-            return xs[node.index - 1], g
-        if k == "yvar":
-            g = np.zeros(nvar)
-            g[n + node.index - 1] = 1.0
-            return ys[node.index - 1], g
-        if k == "neg":
-            v, g = rec(node.children[0])
-            return -v, -g
-        if k == "add":
-            v1, g1 = rec(node.children[0])
-            v2, g2 = rec(node.children[1])
-            return v1 + v2, g1 + g2
-        if k == "sub":
-            v1, g1 = rec(node.children[0])
-            v2, g2 = rec(node.children[1])
-            return v1 - v2, g1 - g2
-        if k == "mul":
-            v1, g1 = rec(node.children[0])
-            v2, g2 = rec(node.children[1])
-            return v1 * v2, v2 * g1 + v1 * g2
-        if k == "div":
-            v1, g1 = rec(node.children[0])
-            v2, g2 = rec(node.children[1])
-            if v2 == 0.0:
-                raise DomainError("division by zero")
-            return v1 / v2, (g1 * v2 - v1 * g2) / (v2 * v2)
-        if k == "pow":
-            v, g = rec(node.children[0])
-            p = node.exponent
-            if p == 0:
-                return 1.0, np.zeros(nvar)
-            return v**p, p * v ** (p - 1) * g
-        if k == "exp":
-            v, g = rec(node.children[0])
-            ev = math.exp(v)
-            return ev, ev * g
-        if k == "log":
-            v, g = rec(node.children[0])
-            if v <= 0.0:
-                raise DomainError("log of a nonpositive value")
-            return math.log(v), g / v
-        if k == "abs":
-            v, g = rec(node.children[0])
-            if sel[my_pos] == "+":
-                return v, g
-            return -v, -g
-        if k in ("max", "min"):
-            v1, g1 = rec(node.children[0])
-            v2, g2 = rec(node.children[1])
-            if sel[my_pos] == "L":
-                return v1, g1
-            return v2, g2
-        raise AssertionError(k)
+    def step(r, o, pos):
+        u, v = r[o], 0.0 if kind == "abs" else r[o + 1]
+        tol, choices = r[2]
+        if abs(u - v) <= tol * (1.0 + max(abs(u), abs(v))):
+            opts = labels
+        elif (u > v) == (kind != "min"):
+            opts = labels[:1]
+        else:
+            opts = labels[1:]
+        choices.append((pos, opts))
+        return exact(u, v)
+    return step
 
-    return rec(e)
+
+# the choice-recording pass: scalar values; r[2] is (tol, choices)
+_SCAN = {
+    **_EVAL,
+    "pow": lambda r, o, p: r[o] ** p,
+    "exp": lambda r, o, _: math.exp(r[o]),
+    "log": lambda r, o, _: math.log(_positive(r[o])),
+    "abs": _scan_kink("abs"),
+    "max": _scan_kink("max"),
+    "min": _scan_kink("min"),
+}
+
+
+def _unit(r, k):
+    g = np.zeros(r[2][2])
+    g[k] = 1.0
+    return g
+
+
+def _diff_div(r, o, _):
+    (v1, g1), (v2, g2) = r[o], r[o + 1]
+    return v1 / _nonzero(v2), (g1 * v2 - v1 * g2) / (v2 * v2)
+
+
+def _diff_pow(r, o, p):
+    v, g = r[o]
+    if p == 0:
+        return 1.0, np.zeros(r[2][2])
+    return v**p, p * v ** (p - 1) * g
+
+
+# one branch's value-and-gradient pass: slots hold (value, gradient); r[2] is
+# (selection, n, n + m)
+_DIFF = {
+    "const": lambda r, o, c: (c, np.zeros(r[2][2])),
+    "xvar": lambda r, o, i: (r[0][i], _unit(r, i)),
+    "yvar": lambda r, o, j: (r[1][j], _unit(r, r[2][1] + j)),
+    "neg": lambda r, o, _: (-r[o][0], -r[o][1]),
+    "add": lambda r, o, _: (r[o][0] + r[o + 1][0], r[o][1] + r[o + 1][1]),
+    "sub": lambda r, o, _: (r[o][0] - r[o + 1][0], r[o][1] - r[o + 1][1]),
+    "mul": lambda r, o, _: (r[o][0] * r[o + 1][0],
+                            r[o + 1][0] * r[o][1] + r[o][0] * r[o + 1][1]),
+    "div": _diff_div,
+    "pow": _diff_pow,
+    "exp": lambda r, o, _: (ev := math.exp(r[o][0]), ev * r[o][1]),
+    "log": lambda r, o, _: (math.log(_positive(r[o][0])), r[o][1] / r[o][0]),
+    "abs": lambda r, o, pos: (r[o] if r[2][0][pos] == "+"
+                              else (-r[o][0], -r[o][1])),
+    "max": lambda r, o, pos: r[o] if r[2][0][pos] == "L" else r[o + 1],
+    "min": lambda r, o, pos: r[o] if r[2][0][pos] == "L" else r[o + 1],
+}
 
 
 def clarke_generators(e: Expr, x, y, tol_active: Optional[float] = None) -> list:
@@ -373,78 +450,17 @@ def clarke_generators(e: Expr, x, y, tol_active: Optional[float] = None) -> list
     return gens
 
 
-def _scan_choices(e: Expr, xs, ys, base_tol):
-    """First pass: the admissible sign choices of every kink node at (x, y)."""
-    choices = []
-    pos = [0]
-
-    def rec(node: Expr):
-        my_pos = pos[0]
-        pos[0] += 1
-        k = node.kind
-        if k == "const":
-            return node.value
-        if k == "xvar":
-            return xs[node.index - 1]
-        if k == "yvar":
-            return ys[node.index - 1]
-        vals = [rec(c) for c in node.children]
-        if k == "neg":
-            return -vals[0]
-        if k == "add":
-            return vals[0] + vals[1]
-        if k == "sub":
-            return vals[0] - vals[1]
-        if k == "mul":
-            return vals[0] * vals[1]
-        if k == "div":
-            if vals[1] == 0.0:
-                raise DomainError("division by zero")
-            return vals[0] / vals[1]
-        if k == "pow":
-            return vals[0] ** node.exponent
-        if k == "exp":
-            return math.exp(vals[0])
-        if k == "log":
-            if vals[0] <= 0.0:
-                raise DomainError("log of a nonpositive value")
-            return math.log(vals[0])
-        if k == "abs":
-            u = vals[0]
-            if abs(u) <= base_tol * (1.0 + abs(u)):
-                opts = ("+", "-")
-            else:
-                opts = ("+",) if u > 0 else ("-",)
-            choices.append((my_pos, opts))
-            return abs(u)
-        if k in ("max", "min"):
-            u, v = vals
-            scale = 1.0 + max(abs(u), abs(v))
-            if abs(u - v) <= base_tol * scale:
-                opts = ("L", "R")
-            elif (u > v) == (k == "max"):
-                opts = ("L",)
-            else:
-                opts = ("R",)
-            choices.append((my_pos, opts))
-            return max(u, v) if k == "max" else min(u, v)
-        raise AssertionError(k)
-
-    rec(e)
-    return choices
-
-
 # -- structural queries ----------------------------------------------------
 
 
 def used_indices(e: Expr):
     """(x indices, y indices) referenced by the expression."""
     xi, yi = set(), set()
-    for node in e.walk():
-        if node.kind == "xvar":
-            xi.add(node.index)
-        elif node.kind == "yvar":
-            yi.add(node.index)
+    for kind, _, arg in e._tape.steps:
+        if kind == "xvar":
+            xi.add(arg + 1)
+        elif kind == "yvar":
+            yi.add(arg + 1)
     return xi, yi
 
 
@@ -455,60 +471,43 @@ def affine_coefficients(e: Expr, n: int, m: int):
     even when they would cancel.
     """
 
-    def rec(node: Expr):
-        k = node.kind
-        if k == "const":
-            return node.value, np.zeros(n), np.zeros(m)
-        if k == "xvar":
-            cx = np.zeros(n)
-            cx[node.index - 1] = 1.0
-            return 0.0, cx, np.zeros(m)
-        if k == "yvar":
-            cy = np.zeros(m)
-            cy[node.index - 1] = 1.0
-            return 0.0, np.zeros(n), cy
-        if k == "neg":
-            r = rec(node.children[0])
-            return None if r is None else (-r[0], -r[1], -r[2])
-        if k in ("add", "sub"):
-            a = rec(node.children[0])
-            b = rec(node.children[1])
-            if a is None or b is None:
-                return None
-            s = 1.0 if k == "add" else -1.0
-            return a[0] + s * b[0], a[1] + s * b[1], a[2] + s * b[2]
-        if k == "mul":
-            a = rec(node.children[0])
-            b = rec(node.children[1])
-            if a is None or b is None:
-                return None
-            if not a[1].any() and not a[2].any():
-                return a[0] * b[0], a[0] * b[1], a[0] * b[2]
-            if not b[1].any() and not b[2].any():
-                return b[0] * a[0], b[0] * a[1], b[0] * a[2]
-            return None
-        if k == "div":
-            a = rec(node.children[0])
-            b = rec(node.children[1])
-            if a is None or b is None or b[1].any() or b[2].any():
-                return None
-            if b[0] == 0.0:
-                return None
-            return a[0] / b[0], a[1] / b[0], a[2] / b[0]
-        if k == "pow":
-            a = rec(node.children[0])
-            if a is None:
-                return None
-            if node.exponent == 0:
-                return 1.0, np.zeros(n), np.zeros(m)
-            if node.exponent == 1:
-                return a
-            if not a[1].any() and not a[2].any():
-                return a[0] ** node.exponent, np.zeros(n), np.zeros(m)
-            return None
-        return None  # exp/log/abs/max/min
+    def const(a):
+        return not a[1].any() and not a[2].any()
 
-    return rec(e)
+    t = e._tape
+    r = [None, None, None, *t.blank, None]
+    for k, o, arg in t.steps:
+        a, b, c = r[o], r[o + 1], None  # a step's operands, and its result
+        if k == "const":
+            c = arg, np.zeros(n), np.zeros(m)
+        elif k in ("xvar", "yvar"):
+            cx, cy = np.zeros(n), np.zeros(m)
+            (cx if k == "xvar" else cy)[arg] = 1.0
+            c = 0.0, cx, cy
+        elif k in _KINK_KINDS or k in ("exp", "log") or a is None or (
+                _ARITY[k] == 2 and b is None):
+            pass
+        elif k == "neg":
+            c = -a[0], -a[1], -a[2]
+        elif k == "pow":
+            if arg == 0:
+                c = 1.0, np.zeros(n), np.zeros(m)
+            elif arg == 1:
+                c = a
+            elif const(a):
+                c = a[0] ** arg, np.zeros(n), np.zeros(m)
+        elif k in ("add", "sub"):
+            s = 1.0 if k == "add" else -1.0
+            c = a[0] + s * b[0], a[1] + s * b[1], a[2] + s * b[2]
+        elif k == "mul":
+            if const(a):
+                c = a[0] * b[0], a[0] * b[1], a[0] * b[2]
+            elif const(b):
+                c = b[0] * a[0], b[0] * a[1], b[0] * a[2]
+        elif const(b) and b[0] != 0.0:  # div
+            c = a[0] / b[0], a[1] / b[0], a[2] / b[0]
+        r[o] = c
+    return r[_BASE]
 
 
 def is_smooth(e: Expr) -> bool:
@@ -600,8 +599,9 @@ class _ExprParser:
 
     Input nested deeper than MAX_EXPR_DEPTH raises ParseError: opening
     parentheses, calls and signs are counted on the way down, before the
-    parser's own recursion gets deep, and every node's nesting depth on the
-    way up, which covers long operator chains.
+    parser's own recursion gets deep, and every result's nesting depth on
+    the way up, which covers long operator chains.  Each parse method
+    returns (node, depth): an interned node can sit at several depths.
     """
 
     def __init__(self, text, line, n, m, col_offset=0):
@@ -614,7 +614,6 @@ class _ExprParser:
         self._tokenize()
         self.pos = 0
         self.open = 0     # enclosing parentheses, calls and signs
-        self.depth = {}   # id of each node built so far -> its nesting depth
 
     def _too_deep(self, col):
         return ParseError(
@@ -626,13 +625,12 @@ class _ExprParser:
         if self.open > MAX_EXPR_DEPTH:
             raise self._too_deep(col)
 
-    def _nest(self, e, parts, col):
-        """Record e one level deeper than the deepest of parts; returns e."""
-        d = 1 + max((self.depth.get(id(q), 1) for q in parts), default=0)
+    def _nest(self, e, depths, col):
+        """(e, one level deeper than the deepest of depths)."""
+        d = 1 + max(depths)
         if d > MAX_EXPR_DEPTH:
             raise self._too_deep(col)
-        self.depth[id(e)] = d
-        return e
+        return e, d
 
     def _tokenize(self):
         i = 0
@@ -663,44 +661,44 @@ class _ExprParser:
         return tok
 
     def parse(self) -> Expr:
-        e = self._expr()
+        e, _ = self._expr()
         if self.pos != len(self.tokens):
             tok, col = self.tokens[self.pos]
             raise ParseError(f"unexpected token {tok!r}", self.line, col)
         return e
 
-    def _expr(self) -> Expr:
-        e = self._term()
+    def _expr(self):
+        e, d = self._term()
         while self._peek() in ("+", "-"):
             op, col = self._next()
-            rhs = self._term()
-            e = self._nest(Expr("add" if op == "+" else "sub", (e, rhs)),
-                           (e, rhs), col)
-        return e
+            rhs, rd = self._term()
+            e, d = self._nest(Expr("add" if op == "+" else "sub", (e, rhs)),
+                              (d, rd), col)
+        return e, d
 
-    def _term(self) -> Expr:
-        e = self._unary()
+    def _term(self):
+        e, d = self._unary()
         while self._peek() in ("*", "/"):
             op, col = self._next()
-            rhs = self._unary()
+            rhs, rd = self._unary()
             if op == "*":
                 node = Expr("mul", (e, rhs))
             else:
                 node = Expr("div", (e, rhs), safe=True)
-            e = self._nest(node, (e, rhs), col)
-        return e
+            e, d = self._nest(node, (d, rd), col)
+        return e, d
 
-    def _unary(self) -> Expr:
+    def _unary(self):
         if self._peek() in ("-", "+"):
             op, col = self._next()
             self._enter(col)
-            e = self._unary()
+            e, d = self._unary()
             self.open -= 1
-            return self._nest(Expr("neg", (e,)) if op == "-" else e, (e,), col)
+            return self._nest(Expr("neg", (e,)) if op == "-" else e, (d,), col)
         return self._power()
 
-    def _power(self) -> Expr:
-        base = self._atom()
+    def _power(self):
+        base, d = self._atom()
         if self._peek() == "^":
             _, col = self._next()
             tok, tcol = self._next()
@@ -711,21 +709,21 @@ class _ExprParser:
                                  self.line, tcol) from None
             if exponent < 0:
                 raise ParseError("exponent must be nonnegative", self.line, tcol)
-            return self._nest(Expr("pow", (base,), exponent=exponent), (base,), col)
-        return base
+            return self._nest(Expr("pow", (base,), exponent=exponent), (d,), col)
+        return base, d
 
-    def _atom(self) -> Expr:
+    def _atom(self):
         tok, col = self._next()
         if re.fullmatch(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?", tok):
-            return Expr.const(float(tok))
+            return Expr.const(float(tok)), 1
         if tok == "(":
             self._enter(col)
-            e = self._expr()
+            e, d = self._expr()
             self.open -= 1
             closing, ccol = self._next()
             if closing != ")":
                 raise ParseError("expected ')'", self.line, ccol)
-            return self._nest(e, (e,), col)
+            return self._nest(e, (d,), col)
         if tok in _FUNCS:
             self._enter(col)
             opening, ocol = self._next()
@@ -742,8 +740,8 @@ class _ExprParser:
             if len(args) != _FUNCS[tok]:
                 raise ParseError(f"{tok} takes {_FUNCS[tok]} argument(s)",
                                  self.line, col)
-            node = Expr(tok, tuple(args), safe=tok == "log")
-            return self._nest(node, args, col)
+            node = Expr(tok, tuple(a for a, _ in args), safe=tok == "log")
+            return self._nest(node, [d for _, d in args], col)
         mvar = re.fullmatch(r"([xy])(\d+)", tok)
         if mvar:
             idx = int(mvar.group(2))
@@ -756,7 +754,7 @@ class _ExprParser:
                     f"variable {tok} out of range (limit {limit})",
                     self.line, col,
                 )
-            return Expr.x(idx) if mvar.group(1) == "x" else Expr.y(idx)
+            return (Expr.x(idx) if mvar.group(1) == "x" else Expr.y(idx)), 1
         raise ParseError(f"unknown identifier {tok!r}", self.line, col)
 
 

@@ -275,9 +275,7 @@ def _sweep(prog: BilevelProgram, x, grid: GridSpec):
     negated (a read-only copy) when F carries an odd number of top-level
     negations.  Raises InfeasibleError when no grid point is feasible at
     x."""
-    F, negated = prog.F, False
-    while F.kind == "neg":
-        F, negated = F.children[0], not negated
+    F, negated = prog.F._peel_negations()
     x_key = _xkey(x)
     # only a zero's sign is not in its value: an x without zeros keys None
     swept = _solve_lower(prog.m, prog.f, prog.g, prog.box_y, F, x_key, grid,

@@ -492,6 +492,21 @@ class TestFlagValues:
             "error: budget exceeded: x-grid of 100000000000 points exceeds "
             "16777216 points\n")
 
+    def test_range_on_a_two_leader_program_is_refused(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # --range spans x1 alone, so at n = 2 it would be dropped silently
+        def no_sweep(*args):
+            raise AssertionError("a refused --range was swept")
+
+        path = tmp_path / "two_leaders.blp"
+        path.write_text(TWO_FOLLOWERS.replace("n = 1", "n = 2").replace(
+            "[box]", "[box]\nx2 = -1, 1"))
+        monkeypatch.setattr(valuefn, "_solve_lower", no_sweep)
+        rc = main(["sample", str(path), "--which", "phi", "--range", "0:0.5:3"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --range needs a program with n = 1, not n = 2\n")
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_the_x_grid_bound_itself_is_admitted(self, n, monkeypatch):
         # the x-grid is the count at n = 1 and points_per_axis^2 at n = 2

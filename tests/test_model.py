@@ -1,4 +1,8 @@
+import copy
 import math
+import pickle
+import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -250,6 +254,37 @@ class TestParser:
             parse_program(upper(10 * MAX_EXPR_DEPTH))
 
 
+    @staticmethod
+    def _nested(k, text):
+        return "(" * k + text + ")" * k
+
+    @pytest.mark.parametrize("objective,accepted", [
+        (_nested(148, "y1") + " + -y1", True),
+        ("-y1 + " + _nested(148, "y1"), True),
+        (_nested(147, "y1 - x1") + " + (y1 - x1)", True),
+        ("(y1 - x1) + " + _nested(147, "y1 - x1"), True),
+        (_nested(148, "y1 - x1") + " + (y1 - x1)", False),
+        ("(y1 - x1) + " + _nested(148, "y1 - x1"), False),
+    ], ids=["deep_leaf_first", "shallow_leaf_first", "deep_sum_first",
+            "shallow_sum_first", "deep_sum_first_too_deep",
+            "shallow_sum_first_too_deep"])
+    def test_an_equal_subtree_keeps_each_of_its_depths(self, objective,
+                                                       accepted):
+        # one interned node can sit both deep and shallow in a tree; each
+        # occurrence is measured at its own depth, and the sum is 150 deep
+        # (accepted) or 151 (refused at the top-level "+")
+        text = MINIMAL_FILE.replace("objective = (y1 - 1)^2 + x1^2",
+                                    "objective = " + objective)
+        if accepted:
+            parse_program(text)
+            return
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == (
+            f"expression nested deeper than {MAX_EXPR_DEPTH} levels (line 6, "
+            f"col {len('objective = ') + objective.index('+')})")
+
+
 class TestProgramValidation:
     def test_infinite_box_rejected(self):
         with pytest.raises(SemanticsError):
@@ -303,3 +338,438 @@ def test_branch_count_and_consistency(xv, yv, c):
     gens = clarke_generators(e, [xv], [yv])
     for a, b in zip(gens, neg_gens):
         assert np.array_equal(-a, b)
+
+
+# -- interned nodes ----------------------------------------------------------
+
+
+class TestInterning:
+    def test_an_equal_node_is_the_live_node(self):
+        assert Expr("add", (X1, Y1)) is X1 + Y1
+        assert Expr("const", value=1.5) is Expr.const(1.5)
+        assert Expr("yvar", index=1) is Y1
+        assert emax(X1, 0.5) == Expr("max", (X1, Expr.const(0.5)))
+        assert hash(elog(X1, safe=True)) == hash(elog(X1, safe=True))
+        assert elog(X1, safe=True) is not elog(X1)
+
+    def test_the_key_holds_the_sign_bit_and_type_of_a_value(self):
+        assert Expr.const(0.0) is not Expr.const(-0.0)
+        assert Expr.const(0.0) != Expr.const(-0.0)
+        assert Expr("const", value=1) is not Expr("const", value=1.0)
+        assert math.copysign(1.0, Expr.const(-0.0).value) == -1.0
+
+    def test_copies_and_pickles_are_the_interned_node(self):
+        e = eabs(X1 - 0.5) * Y1 + emin(X1, Y1) ** 2
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+        assert copy.deepcopy({"witness": [e]})["witness"][0] is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    @pytest.mark.parametrize("args,kwargs,message", [
+        (("sqrt", (X1,)), {}, "unknown node kind 'sqrt'"),
+        (("add", (X1,)), {}, "add expects 2 children"),
+        (("const", (X1,)), {}, "const expects 0 children"),
+        (("pow", (X1,)), {"exponent": -1},
+         "pow exponent must be a nonnegative integer"),
+        (("pow", (X1,)), {"exponent": 1.5},
+         "pow exponent must be a nonnegative integer"),
+        (("xvar",), {"index": 0}, "variable indices are 1-based"),
+    ])
+    def test_node_validation(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Expr(*args, **kwargs)
+
+    def test_nodes_are_immutable(self):
+        with pytest.raises(AttributeError):
+            X1.index = 2
+
+    def test_a_shared_subtree_counts_once_per_position(self):
+        # |x| + |x| holds one interned abs node twice; kink counts and branch
+        # ids count tree positions, so 0 stays among the generators
+        a = eabs(X1)
+        e = a + a
+        assert e.children[0] is e.children[1]
+        assert kink_count(e) == 2
+        assert [b.branch_id for b in smooth_branches(e, [0.0], [])] == [
+            "1+/3+", "1-/3+", "1+/3-", "1-/3-"]
+        assert sorted(g[0] for g in clarke_generators(e, [0.0], [])) == [
+            -2.0, 0.0, 2.0]
+
+    def test_signed_zero_constants_keep_their_own_memo_entries(self):
+        # F = c * y1 at c = -0.0 is -0.0 at every point; a memo keyed on a
+        # program equal to the c = 0.0 one would answer 0.0
+        from bilevelsense import valuefn
+
+        def prog(c):
+            return BilevelProgram(n=1, m=1, F=Expr.const(c) * Y1,
+                                  f=(Y1 - X1) ** 2, box_x=((-1.0, 1.0),),
+                                  box_y=((-1.0, 1.0),))
+
+        grid = valuefn.GridSpec(points_per_dim=21, refine_depth=1)
+        valuefn._solve_lower.cache_clear()
+        assert math.copysign(1.0, valuefn.optimistic_value(
+            prog(0.0), [0.5], grid)) == 1.0
+        assert math.copysign(1.0, valuefn.optimistic_value(
+            prog(-0.0), [0.5], grid)) == -1.0
+
+    def test_a_deep_programmatic_chain(self):
+        # built in code, nothing bounds the depth: 3,000 nested additions
+        def build():
+            chain = Y1
+            for k in range(3000):
+                chain = chain + Expr.const(float(k % 3)) * X1
+            return chain
+
+        chain = build()
+        assert {chain: 1}[chain] == 1 and hash(chain) == hash(build())
+        assert build() is chain
+        assert eval_expr(chain, [0.5], [1.0]) == 1501.0
+        assert np.array_equal(eval_expr(chain, [0.5], [np.array([1.0, -1.0])]),
+                              [1501.0, 1499.0])
+        c0, cx, cy = affine_coefficients(chain, 1, 1)
+        assert (c0, cx.tolist(), cy.tolist()) == (0.0, [3000.0], [1.0])
+        gens = clarke_generators(eabs(chain), [0.0], [0.0])
+        assert sorted(g.tolist() for g in gens) == [[-3000.0, -1.0],
+                                                    [3000.0, 1.0]]
+        assert kink_count(eabs(chain)) == 1
+        assert copy.deepcopy(chain) is chain
+
+
+# -- bit identity with the recursive walkers the tape replaced -----------------
+#
+# Test-side copies of the recursive evaluators, branch enumeration and affine
+# decomposition that model.py used before its tape; the tape passes must give
+# the same values (type, bits and sign of zero), branch ids, gradients and
+# exceptions on drawn trees over every node kind.
+
+
+def _ref_walk(e):
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def _ref_eval(e, xs, ys):
+    k = e.kind
+    if k == "const":
+        return e.value
+    if k == "xvar":
+        return xs[e.index - 1]
+    if k == "yvar":
+        return ys[e.index - 1]
+    if k == "neg":
+        return -_ref_eval(e.children[0], xs, ys)
+    if k == "add":
+        return _ref_eval(e.children[0], xs, ys) + _ref_eval(e.children[1], xs, ys)
+    if k == "sub":
+        return _ref_eval(e.children[0], xs, ys) - _ref_eval(e.children[1], xs, ys)
+    if k == "mul":
+        return _ref_eval(e.children[0], xs, ys) * _ref_eval(e.children[1], xs, ys)
+    if k == "div":
+        num = _ref_eval(e.children[0], xs, ys)
+        den = _ref_eval(e.children[1], xs, ys)
+        if np.any(np.asarray(den) == 0.0):
+            raise DomainError("division by zero")
+        return num / den
+    if k == "pow":
+        base = _ref_eval(e.children[0], xs, ys)
+        if e.exponent == 0:
+            return np.ones_like(np.asarray(base, dtype=float)) if np.ndim(base) else 1.0
+        return np.power(base, e.exponent)
+    if k == "exp":
+        return np.exp(_ref_eval(e.children[0], xs, ys))
+    if k == "log":
+        arg = _ref_eval(e.children[0], xs, ys)
+        if np.any(np.asarray(arg) <= 0.0):
+            raise DomainError("log of a nonpositive value")
+        return np.log(arg)
+    if k == "abs":
+        return np.abs(_ref_eval(e.children[0], xs, ys))
+    if k == "max":
+        return np.maximum(_ref_eval(e.children[0], xs, ys),
+                          _ref_eval(e.children[1], xs, ys))
+    if k == "min":
+        return np.minimum(_ref_eval(e.children[0], xs, ys),
+                          _ref_eval(e.children[1], xs, ys))
+    raise AssertionError(k)
+
+
+def _ref_scan_choices(e, xs, ys, base_tol):
+    choices = []
+    pos = [0]
+
+    def rec(node):
+        my_pos = pos[0]
+        pos[0] += 1
+        k = node.kind
+        if k == "const":
+            return node.value
+        if k == "xvar":
+            return xs[node.index - 1]
+        if k == "yvar":
+            return ys[node.index - 1]
+        vals = [rec(c) for c in node.children]
+        if k == "neg":
+            return -vals[0]
+        if k == "add":
+            return vals[0] + vals[1]
+        if k == "sub":
+            return vals[0] - vals[1]
+        if k == "mul":
+            return vals[0] * vals[1]
+        if k == "div":
+            if vals[1] == 0.0:
+                raise DomainError("division by zero")
+            return vals[0] / vals[1]
+        if k == "pow":
+            return vals[0] ** node.exponent
+        if k == "exp":
+            return math.exp(vals[0])
+        if k == "log":
+            if vals[0] <= 0.0:
+                raise DomainError("log of a nonpositive value")
+            return math.log(vals[0])
+        if k == "abs":
+            u = vals[0]
+            if abs(u) <= base_tol * (1.0 + abs(u)):
+                opts = ("+", "-")
+            else:
+                opts = ("+",) if u > 0 else ("-",)
+            choices.append((my_pos, opts))
+            return abs(u)
+        if k in ("max", "min"):
+            u, v = vals
+            scale = 1.0 + max(abs(u), abs(v))
+            if abs(u - v) <= base_tol * scale:
+                opts = ("L", "R")
+            elif (u > v) == (k == "max"):
+                opts = ("L",)
+            else:
+                opts = ("R",)
+            choices.append((my_pos, opts))
+            return max(u, v) if k == "max" else min(u, v)
+        raise AssertionError(k)
+
+    rec(e)
+    return choices
+
+
+def _ref_branch_eval(e, xs, ys, sel, nvar):
+    pos = [0]
+    n = len(xs)
+
+    def rec(node):
+        my_pos = pos[0]
+        pos[0] += 1
+        k = node.kind
+        if k == "const":
+            return node.value, np.zeros(nvar)
+        if k == "xvar":
+            g = np.zeros(nvar)
+            g[node.index - 1] = 1.0
+            return xs[node.index - 1], g
+        if k == "yvar":
+            g = np.zeros(nvar)
+            g[n + node.index - 1] = 1.0
+            return ys[node.index - 1], g
+        if k == "neg":
+            v, g = rec(node.children[0])
+            return -v, -g
+        if k in ("add", "sub", "mul", "div"):
+            v1, g1 = rec(node.children[0])
+            v2, g2 = rec(node.children[1])
+            if k == "add":
+                return v1 + v2, g1 + g2
+            if k == "sub":
+                return v1 - v2, g1 - g2
+            if k == "mul":
+                return v1 * v2, v2 * g1 + v1 * g2
+            if v2 == 0.0:
+                raise DomainError("division by zero")
+            return v1 / v2, (g1 * v2 - v1 * g2) / (v2 * v2)
+        if k == "pow":
+            v, g = rec(node.children[0])
+            p = node.exponent
+            if p == 0:
+                return 1.0, np.zeros(nvar)
+            return v**p, p * v ** (p - 1) * g
+        if k == "exp":
+            v, g = rec(node.children[0])
+            ev = math.exp(v)
+            return ev, ev * g
+        if k == "log":
+            v, g = rec(node.children[0])
+            if v <= 0.0:
+                raise DomainError("log of a nonpositive value")
+            return math.log(v), g / v
+        if k == "abs":
+            v, g = rec(node.children[0])
+            if sel[my_pos] == "+":
+                return v, g
+            return -v, -g
+        if k in ("max", "min"):
+            v1, g1 = rec(node.children[0])
+            v2, g2 = rec(node.children[1])
+            if sel[my_pos] == "L":
+                return v1, g1
+            return v2, g2
+        raise AssertionError(k)
+
+    return rec(e)
+
+
+def _ref_smooth_branches(e, x, y, tol_active=None):
+    base_tol = 1e-8 if tol_active is None else float(tol_active)
+    if sum(1 for node in _ref_walk(e) if node.kind in ("abs", "max", "min")) > 16:
+        raise BudgetError("expression has more than 16 kink nodes")
+    xs = tuple(float(v) for v in x)
+    ys = tuple(float(v) for v in y)
+    choices = _ref_scan_choices(e, xs, ys, base_tol)
+    active = [c for c in choices if len(c[1]) > 1]
+    forced = {p: opts[0] for p, opts in choices if len(opts) == 1}
+    branches = []
+    for mask in range(1 << len(active)):
+        sel = dict(forced)
+        bid_parts = []
+        for bit, (p, opts) in enumerate(active):
+            choice = opts[(mask >> bit) & 1]
+            sel[p] = choice
+            bid_parts.append(f"{p}{choice}")
+        value, grad = _ref_branch_eval(e, xs, ys, sel, len(xs) + len(ys))
+        branches.append(("/".join(bid_parts) or "smooth", value, grad))
+    return branches
+
+
+def _ref_affine(e, n, m):
+    def rec(node):
+        k = node.kind
+        if k == "const":
+            return node.value, np.zeros(n), np.zeros(m)
+        if k == "xvar":
+            cx = np.zeros(n)
+            cx[node.index - 1] = 1.0
+            return 0.0, cx, np.zeros(m)
+        if k == "yvar":
+            cy = np.zeros(m)
+            cy[node.index - 1] = 1.0
+            return 0.0, np.zeros(n), cy
+        if k == "neg":
+            r = rec(node.children[0])
+            return None if r is None else (-r[0], -r[1], -r[2])
+        if k in ("add", "sub"):
+            a = rec(node.children[0])
+            b = rec(node.children[1])
+            if a is None or b is None:
+                return None
+            s = 1.0 if k == "add" else -1.0
+            return a[0] + s * b[0], a[1] + s * b[1], a[2] + s * b[2]
+        if k == "mul":
+            a = rec(node.children[0])
+            b = rec(node.children[1])
+            if a is None or b is None:
+                return None
+            if not a[1].any() and not a[2].any():
+                return a[0] * b[0], a[0] * b[1], a[0] * b[2]
+            if not b[1].any() and not b[2].any():
+                return b[0] * a[0], b[0] * a[1], b[0] * a[2]
+            return None
+        if k == "div":
+            a = rec(node.children[0])
+            b = rec(node.children[1])
+            if a is None or b is None or b[1].any() or b[2].any():
+                return None
+            if b[0] == 0.0:
+                return None
+            return a[0] / b[0], a[1] / b[0], a[2] / b[0]
+        if k == "pow":
+            a = rec(node.children[0])
+            if a is None:
+                return None
+            if node.exponent == 0:
+                return 1.0, np.zeros(n), np.zeros(m)
+            if node.exponent == 1:
+                return a
+            if not a[1].any() and not a[2].any():
+                return a[0] ** node.exponent, np.zeros(n), np.zeros(m)
+            return None
+        return None
+
+    return rec(e)
+
+
+class _Raised(NamedTuple):
+    type: type
+    message: str
+
+
+def _outcome(fn):
+    """fn()'s result, or the type and message of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return _Raised(type(exc), str(exc))
+
+
+def _assert_same(got, want):
+    """Equal structure; numbers and arrays of one type, bit for bit, with
+    the sign of every zero."""
+    if isinstance(want, _Raised) or isinstance(got, _Raised):
+        assert got == want
+    elif isinstance(want, (tuple, list)):
+        assert isinstance(got, (tuple, list)) and len(got) == len(want), (got, want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif want is None or isinstance(want, str):
+        assert got == want
+    else:
+        assert type(got) is type(want), (got, want)
+        assert np.array_equal(got, want, equal_nan=True), (got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (got, want)
+
+
+_POINTS = [0.0, -0.0, 0.5, -0.5, 1.0, -2.0, 0.3, -0.7]
+
+
+def _grow(sub):
+    pairs = st.tuples(sub, sub)
+    return st.one_of(
+        sub.map(neg), sub.map(eexp), sub.map(eabs),
+        st.tuples(sub, st.booleans()).map(lambda t: elog(*t)),
+        st.tuples(sub, st.integers(0, 3)).map(lambda t: t[0] ** t[1]),
+        pairs.map(lambda p: p[0] + p[1]), pairs.map(lambda p: p[0] - p[1]),
+        pairs.map(lambda p: p[0] * p[1]), pairs.map(lambda p: ediv(*p)),
+        pairs.map(lambda p: ediv(p[0], eexp(p[1]))),  # a nonzero denominator
+        pairs.map(lambda p: emax(*p)), pairs.map(lambda p: emin(*p)),
+        # shared subtrees and exact kink ties
+        sub.map(lambda c: c + c), sub.map(lambda c: emax(c, neg(c))),
+        sub.map(lambda c: emin(c, c)), sub.map(lambda c: eabs(c - c)),
+    )
+
+
+_TREES = st.recursive(
+    st.one_of(st.sampled_from(_POINTS + [2.0, 0.1, 3.0]).map(Expr.const),
+              st.floats(-2, 2, allow_nan=False).map(Expr.const),
+              st.integers(1, 2).map(Expr.x), st.integers(1, 2).map(Expr.y)),
+    _grow, max_leaves=10).flatmap(
+        lambda e: st.sampled_from([e, e, e, e ** 0, neg(e ** 0)]))
+_PAIRS = st.lists(st.sampled_from(_POINTS), min_size=2, max_size=2)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(e=_TREES, x=_PAIRS, y=_PAIRS)
+def test_tape_passes_match_the_recursive_walkers(e, x, y):
+    cols = [np.array(_POINTS), np.array(_POINTS[::-1])]
+    for yy in (y, cols):
+        _assert_same(_outcome(lambda: eval_expr(e, x, yy)),
+                     _outcome(lambda: _ref_eval(e, tuple(x), tuple(yy))))
+    if kink_count(e) <= 6:  # up to 64 branches; the budget has its own test
+        got = _outcome(lambda: [(b.branch_id, b.value, b.gradient)
+                                for b in smooth_branches(e, x, y)])
+        _assert_same(got, _outcome(lambda: _ref_smooth_branches(e, x, y)))
+    _assert_same(_outcome(lambda: affine_coefficients(e, 2, 2)),
+                 _outcome(lambda: _ref_affine(e, 2, 2)))
+    assert kink_count(e) == sum(
+        1 for node in _ref_walk(e) if node.kind in ("abs", "max", "min"))

@@ -169,3 +169,69 @@ def test_multiplier_and_inclusion_sets_read_one_lifted_system():
     takers = {scope[:1] for mod, scope in _calls_by_scope("clarke_generators")
               if mod == "sensitivity"}
     assert not takers & {("lambda_set",), ("lambda_o_set",)}
+
+
+# -- one interned tape under every expression walk ---------------------------------
+
+MODEL = SRC / "model.py"
+
+
+def _scoped_nodes(tree):
+    """(enclosing class/function names, node) for every node of tree."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            out.append((inner, child))
+            visit(child, inner)
+
+    visit(tree, ())
+    return out
+
+
+def test_no_model_walker_recurses():
+    # only the parser recurses; every other walk runs over a node's tape, so
+    # a tree built in code can be as deep as memory allows
+    for scope, node in _scoped_nodes(ast.parse(MODEL.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.FunctionDef) or scope[:1] == ("_ExprParser",):
+            continue
+        owners = {"self", "cls", *scope[:-1]}
+        for call in ast.walk(node):
+            func = getattr(call, "func", None)
+            assert not (isinstance(func, ast.Name) and func.id == node.name
+                        or isinstance(func, ast.Attribute)
+                        and func.attr == node.name
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id in owners), ".".join(scope)
+
+
+def test_only_the_node_and_its_tape_builder_read_children():
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "children":
+                readers.add((path.stem, scope[:1]))
+    assert readers == {("model", ("Expr",)), ("model", ("_Tape",))}, readers
+
+
+def test_traced_expression_entry_points_stay_module_functions():
+    from bilevelsense import model, valuefn
+
+    top = {node.name for node in ast.parse(MODEL.read_text(encoding="utf-8")).body
+           if isinstance(node, ast.FunctionDef)}
+    traced = {name for layer, modname, names in _boundaries()
+              if modname == "bilevelsense.model" for name in names}
+    assert {"eval_expr", "smooth_branches", "clarke_generators"} <= traced <= top | {
+        "parse_program"}
+    # the walkers read the node's tape
+    for name in ("eval_expr", "smooth_branches", "kink_count", "used_indices",
+                 "affine_coefficients"):
+        assert "_tape" in getattr(model, name).__code__.co_names, name
+    # the sweep looks eval_expr up as a module global, so a wrapper (the
+    # tracer's, or the call-count test's) sees every evaluation
+    for name in ("_feasible", "_eval_on"):
+        assert "eval_expr" in getattr(valuefn, name).__code__.co_names, name

@@ -341,10 +341,23 @@ def _generators_at(prog, xbar, y, tol_active):
              for i in active})
 
 
+def _cover(prog, xbar, grid, caps, tol_active):
+    """The stationarity-covector hull over sampled S(xbar): (generator
+    points, vertices first, then rays; vertex count; vertex metadata; ray
+    metadata), or None when the hull is empty."""
+    cover, vmeta, rmeta = stationary_cover_hull(
+        prog, xbar, lower_solutions(prog, xbar, grid), tol_active, caps)
+    if cover.is_empty:
+        return None
+    return ([np.array(v) for v in cover.vertices]
+            + [np.array(r) for r in cover.rays],
+            len(cover.vertices), vmeta, rmeta)
+
+
 # -- optimistic variants ---------------------------------------------------------
 
 
-def _search_variant_ii(prog, xbar, samples, caps, tol_active):
+def _search_variant_ii(prog, xbar, samples, grid, caps, tol_active):
     """Fully-convex-regime system.
 
     Multiplier admissibility -- (r, beta) in the upper-objective
@@ -413,18 +426,15 @@ def _search_variant_ii(prog, xbar, samples, caps, tol_active):
     return _search(candidates(), caps.r_grid(), build)
 
 
-def _search_variant_i(prog, xbar, samples, cover_pack, caps, tol_active):
+def _search_variant_i(prog, xbar, samples, grid, caps, tol_active):
     """Joint-subdifferential system with the Caratheodory aggregation
     entering through the exact covector hull."""
     n, m = prog.n, prog.m
-    cover, vmeta, rmeta = cover_pack
-    if cover.is_empty:
+    cover = _cover(prog, xbar, grid, caps, tol_active)
+    if cover is None:
         return None
+    cover_pts, n_verts, vmeta, rmeta = cover
     active_theta = _theta_active(prog, xbar, tol_active)
-    cover_pts = ([np.array(v) for v in cover.vertices]
-                 + [np.array(r) for r in cover.rays])
-    n_verts = len(cover.vertices)
-    cover_meta = list(vmeta) + list(rmeta)
 
     def candidates():
         for ypt in samples:
@@ -435,14 +445,14 @@ def _search_variant_i(prog, xbar, samples, cover_pack, caps, tol_active):
         y, gens = cand
         s = _System(caps.u_max)
         main, zg = s.stationarity(*gens, r)
-        cov = s.cover(cover_pts, n_verts, vmeta, rmeta)
+        cov = s.cover(*cover)
         theta = s.theta(prog, xbar, active_theta, tol_active)
         s.rows(False, 0, n, main + _ones(b for _, b in theta) + [(-r, cov)])
         s.rows(True, n, m, main)
 
         def decode(sol):
             v_list, y_list, x_list, u_list = _tuple_data(
-                cover_pts, cover_meta, np.array([sol[v] for v, _ in cov]),
+                cover_pts, vmeta + rmeta, np.array([sol[v] for v, _ in cov]),
                 n_verts, n)
             return {
                 "y": tuple(y),
@@ -500,104 +510,19 @@ def _search_designated(prog, xbar, ybar, caps, tol_active, theta_sign):
     return _search([None], caps.r_grid(), build)
 
 
-_CQ_VARIANT = {"i": "semicompact", "ii": "convex", "iii": "semicontinuous"}
-
-
-def certify_optimistic(
-    prog: BilevelProgram,
-    xbar,
-    variant: str = "ii",
-    grid: GridSpec = GridSpec(),
-    caps: Caps = Caps(),
-    tol: float = DEFAULT_TOL,
-    tol_active: float = DEFAULT_TOL_ACTIVE,
-    seed: int = 0,
-    ybar=None,
-    with_cq: bool = True,
-) -> Certificate:
-    """Search the chosen variant's multiplier system at xbar."""
-    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
-    sol_o = optimistic_solutions(prog, xbar_l, grid)
-    samples = _subsample(sol_o.points, caps.max_solution_samples)
-    slack = _grid_slack(prog, xbar_l, list(samples[0]), grid)
-    tol_eff = tol + slack
-    notes = [
-        f"searched region: r-grid {caps.r_grid()}, multipliers <= {caps.u_max}",
-        f"{len(samples)} sampled best solutions",
-    ]
-    bundle = cq_bundle(prog, xbar_l, _CQ_VARIANT[variant], grid, caps,
-                       ybar=ybar, seed=seed) if with_cq else ()
-
-    if variant == "ii":
-        best = _search_variant_ii(prog, xbar_l, samples, caps, tol_active)
-        if best and best.get("gamma_free"):
-            notes.append("lower-level multiplier set had no vertices: "
-                         "gamma searched freely (relaxation bound)")
-        elif best is not None:
-            notes.append("gamma restricted to vertex multipliers of the "
-                         "lower-level stationarity set")
-    elif variant == "i":
-        sol_all = lower_solutions(prog, xbar_l, grid)
-        cover_pack = stationary_cover_hull(prog, xbar_l, sol_all,
-                                           tol_active, caps)
-        best = _search_variant_i(prog, xbar_l, samples, cover_pack, caps,
-                                 tol_active)
-        if best is None:
-            notes.append("no valid lower-level covector tuples on the grid")
-    elif variant == "iii":
-        ypt = list(ybar) if ybar is not None else list(samples[0])
-        best = _search_designated(prog, xbar_l, ypt, caps, tol_active, 1.0)
-        notes.append(f"designated lower-level point {tuple(ypt)}")
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
-    if best is None:
-        return Certificate(
-            variant, "optimistic", tuple(xbar_l), "Inconclusive",
-            math.inf, math.inf, tol, tol_eff, cq=bundle, caps=caps,
-            seed=seed, notes=tuple(notes))
-    resid = best["residual"]
-    status = "Certified" if resid <= tol_eff else "Refuted"
-    ys = {"y": best.get("y")}
-    mult = {
-        "alpha": best.get("alpha", ()),
-        "r": best.get("r", 0.0),
-        "beta": best.get("beta", ()),
-        "gamma": best.get("gamma", ()),
-        "u": best.get("u", ()),
-        "u_s": best.get("u_s", ()),
-        "v": best.get("v", ()),
-        "eta": (),
-    }
-    aux = {}
-    if "y_s" in best:
-        ys["y_s"] = best["y_s"]
-        aux["xstar_s"] = best["xstar_s"]
-    if "xstar_phi" in best:
-        aux["xstar_phi"] = best["xstar_phi"]
-    return Certificate(
-        variant, "optimistic", tuple(xbar_l), status, resid, resid,
-        tol, tol_eff, ys=ys, multipliers=mult, aux=aux, cq=bundle,
-        caps=caps, seed=seed, notes=tuple(notes))
-
-
 # -- pessimistic variants --------------------------------------------------------
 
 
-def _search_pessimistic_i(negp, xbar, t_samples, cover_pack, caps,
-                          tol_active):
+def _search_pessimistic_i(negp, xbar, t_samples, grid, caps, tol_active):
     """Aggregated worst-case system: per-t inclusion sets enter through
     exact V-representations; eta, the shared tuple weights and the
     upper-level multipliers stay linear once r is pinned."""
     n = negp.n
-    cover, vmeta, rmeta = cover_pack
-    if cover.is_empty:
+    cover = _cover(negp, xbar, grid, caps, tol_active)
+    if cover is None:
         return None
+    cover_pts, n_verts, vmeta, rmeta = cover
     active_theta = _theta_active(negp, xbar, tol_active)
-    cover_pts = ([np.array(v) for v in cover.vertices]
-                 + [np.array(r) for r in cover.rays])
-    n_verts = len(cover.vertices)
-    cover_meta = list(vmeta) + list(rmeta)
 
     systems = {}  # each sampled t's inclusion system, built on first use
 
@@ -632,7 +557,7 @@ def _search_pessimistic_i(negp, xbar, t_samples, cover_pack, caps,
         # rows and _fold_groups pair each weight with its own generator
         pts, meta = vpts + rpts, vmetas + rmetas
         tagged_block = list(zip(lam + mu, pts))
-        cov = s.cover(cover_pts, n_verts, vmeta, rmeta)
+        cov = s.cover(*cover)
         theta = s.theta(negp, xbar, active_theta, tol_active)
         s.rows(False, 0, n, [(1.0, tagged_block), (-r, cov),
                              *[(-1.0, b) for _, b in theta]])
@@ -640,7 +565,7 @@ def _search_pessimistic_i(negp, xbar, t_samples, cover_pack, caps,
         def decode(sol):
             wc = np.array([sol[v] for v, _ in cov])
             v_list, y_list, x_list, u_list = _tuple_data(
-                cover_pts, cover_meta, wc, n_verts, n)
+                cover_pts, vmeta + rmeta, wc, n_verts, n)
             xi = np.zeros(n)
             for w, pt in zip(wc, cover_pts):
                 xi += w * pt
@@ -744,6 +669,115 @@ def _search_pessimistic_ii(negp, xbar, t_samples, grid, caps, tol_active):
     return max(per_y_results, key=lambda r: r["residual"])
 
 
+# -- one driver for both modes ----------------------------------------------------
+
+
+_CQ_VARIANT = {"i": "semicompact", "ii": "convex", "iii": "semicontinuous"}
+
+# What the two modes emit differently, as data: the leading notes, the keys
+# of `ys`, and the multiplier fields in emitted order.  The pessimistic
+# search reports beta per slot as beta_t, emitted as "beta"; only that mode
+# emits u_t.  A field the search did not fill is ().
+_MODES = {
+    "optimistic": (
+        ("{region}", "{samples} sampled best solutions"),
+        ("y", "y_s"),
+        ("alpha", "r", "beta", "gamma", "u", "u_s", "v", "eta")),
+    "pessimistic": (
+        ("conditions evaluated on the negated-upper program", "{region}",
+         "r shared across aggregation slots"),
+        ("y_t", "y_s", "y"),
+        ("alpha", "r", "beta_t", "gamma", "u", "u_s", "u_t", "v", "eta")),
+}
+
+# the searches of variants i and ii, each run on the mode's working program
+_SEARCHES = {
+    ("optimistic", "i"): _search_variant_i,
+    ("optimistic", "ii"): _search_variant_ii,
+    ("pessimistic", "i"): _search_pessimistic_i,
+    ("pessimistic", "ii"): _search_pessimistic_ii,
+}
+
+
+def _certify(prog, mode, xbar, variant, grid, caps, tol, tol_active, seed,
+             ybar, with_cq):
+    """Search the variant's multiplier system at xbar in the given mode.
+
+    The pessimistic conditions are the optimistic machinery run on the
+    negated-upper program: S_o of that program is the worst-case solution
+    set.  The grid slack and the CQ bundle are taken on prog itself.
+    """
+    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
+    pessimistic = mode == "pessimistic"
+    work = prog.negated_upper() if pessimistic else prog
+    sol = optimistic_solutions(work, xbar_l, grid)
+    samples = _subsample(sol.points, caps.max_solution_samples)
+    tol_eff = tol + _grid_slack(prog, xbar_l, list(samples[0]), grid)
+    lead, ys_keys, mult_keys = _MODES[mode]
+    region = (f"searched region: r-grid {caps.r_grid()}, "
+              f"multipliers <= {caps.u_max}")
+    notes = [s.format(region=region, samples=len(samples)) for s in lead]
+    bundle = cq_bundle(prog, xbar_l, _CQ_VARIANT[variant], grid, caps,
+                       ybar=ybar, seed=seed) if with_cq else ()
+
+    if variant == "iii":
+        ypt = list(ybar) if ybar is not None else list(samples[0])
+        best = _search_designated(work, xbar_l, ypt, caps, tol_active,
+                                  -1.0 if pessimistic else 1.0)
+        if pessimistic and best is not None:
+            n = work.n
+            best.update(y_t=[best["y"]] * (n + 1), eta=[1.0] + [0.0] * n,
+                        beta_t=[best["beta"]] * (n + 1))
+        notes.append(f"designated lower-level point {tuple(ypt)}")
+    elif (mode, variant) in _SEARCHES:
+        best = _SEARCHES[mode, variant](work, xbar_l, samples, grid, caps,
+                                        tol_active)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    if (mode, variant) == ("optimistic", "i") and best is None:
+        notes.append("no valid lower-level covector tuples on the grid")
+    if (mode, variant) == ("optimistic", "ii") and best is not None:
+        notes.append("lower-level multiplier set had no vertices: "
+                     "gamma searched freely (relaxation bound)"
+                     if best["gamma_free"] else
+                     "gamma restricted to vertex multipliers of the "
+                     "lower-level stationarity set")
+
+    if best is None:
+        return Certificate(
+            variant, mode, tuple(xbar_l), "Inconclusive",
+            math.inf, math.inf, tol, tol_eff, cq=bundle, caps=caps,
+            seed=seed, notes=tuple(notes))
+    resid = best["residual"]
+    return Certificate(
+        variant, mode, tuple(xbar_l),
+        "Certified" if resid <= tol_eff else "Refuted", resid, resid,
+        tol, tol_eff,
+        ys={k: best[k] for k in ys_keys if k in best},
+        multipliers={("beta" if k == "beta_t" else k): best.get(k, ())
+                     for k in mult_keys},
+        aux={k: best[k] for k in ("xstar_s", "xstar_t", "xstar_phi")
+             if k in best},
+        cq=bundle, caps=caps, seed=seed, notes=tuple(notes))
+
+
+def certify_optimistic(
+    prog: BilevelProgram,
+    xbar,
+    variant: str = "ii",
+    grid: GridSpec = GridSpec(),
+    caps: Caps = Caps(),
+    tol: float = DEFAULT_TOL,
+    tol_active: float = DEFAULT_TOL_ACTIVE,
+    seed: int = 0,
+    ybar=None,
+    with_cq: bool = True,
+) -> Certificate:
+    """Search the chosen variant's multiplier system at xbar."""
+    return _certify(prog, "optimistic", xbar, variant, grid, caps, tol,
+                    tol_active, seed, ybar, with_cq)
+
+
 def certify_pessimistic(
     prog: BilevelProgram,
     xbar,
@@ -759,94 +793,23 @@ def certify_pessimistic(
     """Worst-case necessary conditions: the optimistic machinery runs on the
     negated-upper program and the tuple aggregates are matched against the
     upper-level normal-cone term."""
-    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
-    negp = prog.negated_upper()
-    sol_p = optimistic_solutions(negp, xbar_l, grid)  # = worst-case set
-    t_samples = _subsample(sol_p.points, caps.max_solution_samples)
-    slack = _grid_slack(prog, xbar_l, list(t_samples[0]), grid)
-    tol_eff = tol + slack
-    bundle = cq_bundle(prog, xbar_l, _CQ_VARIANT[variant], grid, caps,
-                       ybar=ybar, seed=seed) if with_cq else ()
-    notes = [
-        "conditions evaluated on the negated-upper program",
-        f"searched region: r-grid {caps.r_grid()}, multipliers <= {caps.u_max}",
-        "r shared across aggregation slots",
-    ]
-
-    if variant == "i":
-        sol_all = lower_solutions(negp, xbar_l, grid)
-        cover_pack = stationary_cover_hull(negp, xbar_l, sol_all,
-                                           tol_active, caps)
-        best = _search_pessimistic_i(negp, xbar_l, t_samples, cover_pack,
-                                     caps, tol_active)
-    elif variant == "ii":
-        best = _search_pessimistic_ii(negp, xbar_l, t_samples, grid, caps,
-                                      tol_active)
-    elif variant == "iii":
-        ypt = list(ybar) if ybar is not None else list(t_samples[0])
-        best = _search_designated(negp, xbar_l, ypt, caps, tol_active, -1.0)
-        if best is not None:
-            n = negp.n
-            best.update(y_t=[best["y"]] * (n + 1), eta=[1.0] + [0.0] * n,
-                        beta_t=[best["beta"]] * (n + 1))
-        notes.append(f"designated lower-level point {tuple(ypt)}")
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
-    if best is None:
-        return Certificate(
-            variant, "pessimistic", tuple(xbar_l), "Inconclusive",
-            math.inf, math.inf, tol, tol_eff, cq=bundle, caps=caps,
-            seed=seed, notes=tuple(notes))
-    resid = best["residual"]
-    status = "Certified" if resid <= tol_eff else "Refuted"
-    ys = {"y_t": best.get("y_t", ())}
-    if "y_s" in best:
-        ys["y_s"] = best["y_s"]
-    if "y" in best:
-        ys["y"] = best["y"]
-    mult = {
-        "alpha": best.get("alpha", ()),
-        "r": best.get("r", 0.0),
-        "beta": best.get("beta_t", ()),
-        "gamma": best.get("gamma", ()),
-        "u": (),
-        "u_s": best.get("u_s", ()),
-        "u_t": best.get("u_t", ()),
-        "v": best.get("v", ()),
-        "eta": best.get("eta", ()),
-    }
-    aux = {k: best[k] for k in ("xstar_s", "xstar_t", "xstar_phi") if k in best}
-    return Certificate(
-        variant, "pessimistic", tuple(xbar_l), status, resid, resid,
-        tol, tol_eff, ys=ys, multipliers=mult, aux=aux, cq=bundle,
-        caps=caps, seed=seed, notes=tuple(notes))
+    return _certify(prog, "pessimistic", xbar, variant, grid, caps, tol,
+                    tol_active, seed, ybar, with_cq)
 
 
 # -- independent re-check --------------------------------------------------------
 
 
-def _joint_hull(e, xbar, y, tol_active, dim):
-    return hull(clarke_generators(e, xbar, y, tol_active), dim=dim)
-
-
-def _part_hull(e, xbar, y, tol_active, n, part):
-    gens = clarke_generators(e, xbar, y, tol_active)
-    pts = [g[:n] for g in gens] if part == "x" else [g[n:] for g in gens]
-    return hull(pts, dim=len(pts[0]))
-
-
-def _theta_term(prog, xbar, alpha, tol_active, dim, pad_m=0):
-    """sum_j alpha_j * hull(d theta1_j), embedded in R^(n [+ m])."""
-    n = prog.n
-    total = Polytope.zero(dim)
-    for j, a in enumerate(alpha or ()):
-        if a <= 0:
-            continue
-        gens = clarke_generators(prog.theta1[j], xbar, [], tol_active)
-        pts = [np.concatenate([g[:n], np.zeros(pad_m)]) for g in gens]
-        total = minkowski_sum(total, scale(hull(pts, dim=dim), a))
-    return total
+def _weighted(acc, exprs, weights, hull_of):
+    """acc plus w_i * hull_of(e_i) for every w_i > 0, in index order.  acc
+    None stands for the empty sum, and stays None if no weight is positive.
+    Each vertex is a float sum taken in summand order, so the order is part
+    of the result."""
+    for e, w in zip(exprs, weights):
+        if w > 0:
+            term = scale(hull_of(e), w)
+            acc = term if acc is None else minkowski_sum(acc, term)
+    return acc
 
 
 def recheck_certificate(prog: BilevelProgram, cert: Certificate,
@@ -864,8 +827,8 @@ def recheck_certificate(prog: BilevelProgram, cert: Certificate,
     mult = cert.multipliers
     resids = []
 
-    def signs_ok(vec):
-        return all(v >= 0 for v in vec)
+    def signs_ok(*vecs):
+        return all(v >= 0 for vec in vecs for v in vec)
 
     if cert.variant == "value":
         gens = cert.aux.get("fd_clusters", [])
@@ -875,256 +838,157 @@ def recheck_certificate(prog: BilevelProgram, cert: Certificate,
         total = minkowski_sum(hull([list(g) for g in gens], dim=n), ncone)
         return distance(total, np.zeros(n))
 
-    work = prog.negated_upper() if cert.mode == "pessimistic" else prog
-
+    # pessimistic conditions live on the negated-upper program
+    pessimistic = cert.mode == "pessimistic"
+    work = prog.negated_upper() if pessimistic else prog
     alpha = list(mult.get("alpha") or [])
     if not signs_ok(alpha):
         return math.inf
     r = float(mult.get("r", 0.0))
     if r < 0:
         return math.inf
+    if pessimistic:
+        eta = list(mult.get("eta") or [])
+        if not signs_ok(eta) or (eta and abs(sum(eta) - 1.0) > 1e-9):
+            return math.inf
+        y_t = [list(yt) for yt in cert.ys["y_t"]]
 
-    if cert.mode == "optimistic":
-        y = list(cert.ys["y"])
-        if cert.variant == "ii":
-            beta = list(mult["beta"])
-            gamma = list(mult["gamma"])
-            if not (signs_ok(beta) and signs_ok(gamma)):
-                return math.inf
-            PFx = _part_hull(work.F, xbar, y, tol_active, n, "x")
-            PFy = _part_hull(work.F, xbar, y, tol_active, n, "y")
-            Pfx = _part_hull(work.f, xbar, y, tol_active, n, "x")
-            Pfy = _part_hull(work.f, xbar, y, tol_active, n, "y")
-            conv1 = minkowski_sum(PFx, scale(minkowski_sum(Pfx, negate(Pfx)), r))
-            conv2 = minkowski_sum(PFy, scale(Pfy, r))
-            conv3 = Pfy
-            gsum = None
-            for i, gi in enumerate(work.g):
-                Pgx = _part_hull(gi, xbar, y, tol_active, n, "x")
-                Pgy = _part_hull(gi, xbar, y, tol_active, n, "y")
-                if beta[i] > 0:
-                    conv1 = minkowski_sum(conv1, scale(Pgx, beta[i]))
-                    conv2 = minkowski_sum(conv2, scale(Pgy, beta[i]))
-                if gamma[i] > 0:
-                    conv3 = minkowski_sum(conv3, scale(Pgy, gamma[i]))
-                    term = scale(Pgx, gamma[i])
-                    gsum = term if gsum is None else minkowski_sum(gsum, term)
-            if gsum is not None and r > 0:
-                conv1 = minkowski_sum(conv1, scale(negate(gsum), r))
-            conv1 = minkowski_sum(
-                conv1, _theta_term(work, xbar, alpha, tol_active, n))
-            resids.append(distance(conv1, np.zeros(n)))
-            resids.append(distance(conv2, np.zeros(m)))
-            resids.append(distance(conv3, np.zeros(m)))
-            # complementarity: multipliers vanish off the active set
-            for i, gi in enumerate(work.g):
-                val = float(eval_expr(gi, xbar, y))
-                if val < -tol_active * (1 + abs(val)) and (
-                        beta[i] > 0 or gamma[i] > 0):
-                    return math.inf
-        elif cert.variant == "i":
-            u = list(mult["u"])
-            v_w = list(mult["v"])
-            u_s = [list(us) for us in mult["u_s"]]
-            y_s = [list(ys) for ys in cert.ys["y_s"]]
-            x_s = [np.array(xs) for xs in cert.aux["xstar_s"]]
-            if not (signs_ok(u) and signs_ok(v_w)
-                    and all(signs_ok(us) for us in u_s)):
-                return math.inf
-            if abs(sum(v_w) - 1.0) > 1e-9:
-                return math.inf
-            agg = r * sum(w * xs for w, xs in zip(v_w, x_s))
-            target = np.concatenate([agg, np.zeros(m)])
-            op1 = minkowski_sum(
-                _joint_hull(work.F, xbar, y, tol_active, n + m),
-                scale(_joint_hull(work.f, xbar, y, tol_active, n + m), r))
-            for i, gi in enumerate(work.g):
-                if u[i] > 0:
-                    op1 = minkowski_sum(
-                        op1,
-                        scale(_joint_hull(gi, xbar, y, tol_active, n + m), u[i]))
-            op1 = minkowski_sum(
-                op1, _theta_term(work, xbar, alpha, tol_active, n + m, pad_m=m))
-            resids.append(distance(op1, target))
-            for w, ys_pt, xs, us in zip(v_w, y_s, x_s, u_s):
-                if w <= 0:
-                    continue
-                op2 = _joint_hull(work.f, xbar, ys_pt, tol_active, n + m)
-                for i, gi in enumerate(work.g):
-                    if us[i] > 0:
-                        op2 = minkowski_sum(
-                            op2,
-                            scale(_joint_hull(gi, xbar, ys_pt, tol_active,
-                                              n + m), us[i]))
-                resids.append(
-                    distance(op2, np.concatenate([xs, np.zeros(m)])))
-        elif cert.variant == "iii":
-            beta = list(mult["beta"])
-            gamma = list(mult["gamma"])
-            xphi = np.array(cert.aux["xstar_phi"])
-            if not (signs_ok(beta) and signs_ok(gamma)):
-                return math.inf
-            block1 = minkowski_sum(
-                _joint_hull(work.F, xbar, y, tol_active, n + m),
-                scale(_joint_hull(work.f, xbar, y, tol_active, n + m), r))
-            iscn2 = _joint_hull(work.f, xbar, y, tol_active, n + m)
-            for i, gi in enumerate(work.g):
-                gh = _joint_hull(gi, xbar, y, tol_active, n + m)
-                if beta[i] > 0:
-                    block1 = minkowski_sum(block1, scale(gh, beta[i]))
-                if gamma[i] > 0:
-                    iscn2 = minkowski_sum(iscn2, scale(gh, gamma[i]))
-            block1 = minkowski_sum(
-                block1, _theta_term(work, xbar, alpha, tol_active, n + m, pad_m=m))
-            resids.append(distance(
-                block1, np.concatenate([r * xphi, np.zeros(m)])))
-            resids.append(distance(
-                iscn2, np.concatenate([xphi, np.zeros(m)])))
-        else:
-            raise ValueError(cert.variant)
-        return max(resids)
+    # hulls of the Clarke generators at (xbar, y): joint in R^(n + m), or
+    # the x block or the y block alone
+    def joint(e, y):
+        return hull(clarke_generators(e, xbar, y, tol_active), dim=n + m)
 
-    # pessimistic modes: conditions live on the negated-upper program
-    eta = list(mult.get("eta") or [])
-    if not signs_ok(eta) or (eta and abs(sum(eta) - 1.0) > 1e-9):
-        return math.inf
-    y_t = [list(yt) for yt in cert.ys["y_t"]]
+    def block(lo, hi):
+        def hull_of(e, y):
+            pts = [g[lo:hi] for g in clarke_generators(e, xbar, y, tol_active)]
+            return hull(pts, dim=len(pts[0]))
+        return hull_of
+
+    part_x, part_y = block(0, n), block(n, n + m)
+
+    def lower(y, u, hull_of):
+        """df + sum_i u_i dg_i at (xbar, y)."""
+        return _weighted(hull_of(work.f, y), work.g, u,
+                         lambda e: hull_of(e, y))
+
+    def upper(y, u, hull_of):
+        """dF + r df + sum_i u_i dg_i at (xbar, y)."""
+        return _weighted(
+            minkowski_sum(hull_of(work.F, y), scale(hull_of(work.f, y), r)),
+            work.g, u, lambda e: hull_of(e, y))
+
+    def theta(dim):
+        """sum_j alpha_j d theta1_j, embedded in R^dim."""
+        return _weighted(Polytope.zero(dim), work.theta1, alpha, lambda t: hull(
+            [np.concatenate([g[:n], np.zeros(dim - n)])
+             for g in clarke_generators(t, xbar, [], tol_active)], dim=dim))
+
+    def lift(v):
+        return np.concatenate([v, np.zeros(m)])
 
     if cert.variant == "i":
         v_w = list(mult["v"])
         u_s = [list(us) for us in mult["u_s"]]
-        u_t = [list(ut) for ut in mult["u_t"]]
         y_s = [list(ys) for ys in cert.ys["y_s"]]
         x_s = [np.array(xs) for xs in cert.aux["xstar_s"]]
+
+        def covector_slots():
+            # each weighted slot's x*_s lies in df + sum_i u_si dg_i at y_s
+            for w, ys_pt, xs, us in zip(v_w, y_s, x_s, u_s):
+                if w > 0:
+                    resids.append(distance(lower(ys_pt, us, joint), lift(xs)))
+
+        if not pessimistic:
+            u = list(mult["u"])
+            y = list(cert.ys["y"])
+            if not signs_ok(u, v_w, *u_s) or abs(sum(v_w) - 1.0) > 1e-9:
+                return math.inf
+            agg = r * sum(w * xs for w, xs in zip(v_w, x_s))
+            resids.append(distance(
+                minkowski_sum(upper(y, u, joint), theta(n + m)), lift(agg)))
+            covector_slots()
+            return max(resids)
+        u_t = [list(ut) for ut in mult["u_t"]]
         x_t = [np.array(xt) for xt in cert.aux["xstar_t"]]
-        if not (signs_ok(v_w) and all(signs_ok(us) for us in u_s)
-                and all(signs_ok(ut) for ut in u_t)):
+        if not signs_ok(v_w, *u_s, *u_t):
             return math.inf
         agg_s = sum(w * xs for w, xs in zip(v_w, x_s))
-        for w, ys_pt, xs, us in zip(v_w, y_s, x_s, u_s):
-            if w <= 0:
-                continue
-            op2 = _joint_hull(work.f, xbar, ys_pt, tol_active, n + m)
-            for i, gi in enumerate(work.g):
-                if us[i] > 0:
-                    op2 = minkowski_sum(
-                        op2, scale(_joint_hull(gi, xbar, ys_pt, tol_active,
-                                               n + m), us[i]))
-            resids.append(distance(op2, np.concatenate([xs, np.zeros(m)])))
+        covector_slots()
         for w, yt_pt, xt, ut in zip(eta, y_t, x_t, u_t):
-            if w <= 0:
-                continue
-            pes2 = minkowski_sum(
-                _joint_hull(work.F, xbar, yt_pt, tol_active, n + m),
-                scale(_joint_hull(work.f, xbar, yt_pt, tol_active, n + m), r))
-            for i, gi in enumerate(work.g):
-                if ut[i] > 0:
-                    pes2 = minkowski_sum(
-                        pes2, scale(_joint_hull(gi, xbar, yt_pt, tol_active,
-                                                n + m), ut[i]))
-            target = np.concatenate([xt + r * agg_s, np.zeros(m)])
-            resids.append(distance(pes2, target))
+            if w > 0:
+                resids.append(distance(upper(yt_pt, ut, joint),
+                                       lift(xt + r * agg_s)))
         agg_t = sum(w * xt for w, xt in zip(eta, x_t))
-        pes1 = _theta_term(work, xbar, alpha, tol_active, n)
-        resids.append(distance(pes1, agg_t))
+        resids.append(distance(theta(n), agg_t))
         return max(resids)
 
-    if cert.variant == "ii":
-        gamma = list(mult["gamma"])
-        beta_t = [list(bt) for bt in mult["beta"]]
-        yref = list(cert.ys["y"])
-        if not (signs_ok(gamma) and all(signs_ok(bt) for bt in beta_t)):
-            return math.inf
-        Pfy_ref = _part_hull(work.f, xbar, yref, tol_active, n, "y")
-        conv3 = Pfy_ref
-        for i, gi in enumerate(work.g):
-            if gamma[i] > 0:
-                conv3 = minkowski_sum(
-                    conv3,
-                    scale(_part_hull(gi, xbar, yref, tol_active, n, "y"),
-                          gamma[i]))
-        resids.append(distance(conv3, np.zeros(m)))
-        Pfx_ref = _part_hull(work.f, xbar, yref, tol_active, n, "x")
-        gsum_ref = None
-        for i, gi in enumerate(work.g):
-            if gamma[i] > 0:
-                term = scale(_part_hull(gi, xbar, yref, tol_active, n, "x"),
-                             gamma[i])
-                gsum_ref = term if gsum_ref is None else minkowski_sum(
-                    gsum_ref, term)
-        # aggregated slots: sum_t eta_t T_t must meet the upper-level term
-        agg = None
-        for w, yt_pt, bt in zip(eta, y_t, beta_t):
-            if w <= 0:
-                continue
-            block_y = minkowski_sum(
-                _part_hull(work.F, xbar, yt_pt, tol_active, n, "y"),
-                scale(_part_hull(work.f, xbar, yt_pt, tol_active, n, "y"), r))
-            Tx = minkowski_sum(
-                _part_hull(work.F, xbar, yt_pt, tol_active, n, "x"),
-                scale(minkowski_sum(
-                    _part_hull(work.f, xbar, yt_pt, tol_active, n, "x"),
-                    negate(Pfx_ref)), r))
-            for i, gi in enumerate(work.g):
-                if bt[i] > 0:
-                    Tx = minkowski_sum(
-                        Tx, scale(_part_hull(gi, xbar, yt_pt, tol_active,
-                                             n, "x"), bt[i]))
-                    block_y = minkowski_sum(
-                        block_y,
-                        scale(_part_hull(gi, xbar, yt_pt, tol_active, n, "y"),
-                              bt[i]))
-            if gsum_ref is not None and r > 0:
-                Tx = minkowski_sum(Tx, scale(negate(gsum_ref), r))
-            resids.append(distance(block_y, np.zeros(m)))
-            agg = scale(Tx, w) if agg is None else minkowski_sum(
-                agg, scale(Tx, w))
-        if agg is None:
-            return math.inf
-        pes1 = minkowski_sum(
-            negate(_theta_term(work, xbar, alpha, tol_active, n)), agg)
-        resids.append(distance(pes1, np.zeros(n)))
-        return max(resids)
+    if cert.variant not in ("ii", "iii"):
+        raise ValueError(cert.variant)
+    # variants ii and iii: one lower-level point, gamma, and beta per slot
+    # (the optimistic certificate has one slot)
+    y = list(cert.ys["y"])
+    gamma = list(mult["gamma"])
+    beta_t = ([list(bt) for bt in mult["beta"]] if pessimistic
+              else [list(mult["beta"])])
+    if not signs_ok(gamma, *beta_t):
+        return math.inf
 
     if cert.variant == "iii":
-        gamma = list(mult["gamma"])
-        beta_t = [list(bt) for bt in mult["beta"]]
         xphi = np.array(cert.aux["xstar_phi"])
-        ybar = list(cert.ys["y"])
-        if not (signs_ok(gamma) and all(signs_ok(bt) for bt in beta_t)):
-            return math.inf
-        iscn2 = _joint_hull(work.f, xbar, ybar, tol_active, n + m)
-        for i, gi in enumerate(work.g):
-            if gamma[i] > 0:
-                iscn2 = minkowski_sum(
-                    iscn2, scale(_joint_hull(gi, xbar, ybar, tol_active,
-                                             n + m), gamma[i]))
-        resids.append(distance(iscn2, np.concatenate([xphi, np.zeros(m)])))
-        agg = None
-        for w, bt in zip(eta, beta_t):
-            if w <= 0:
-                continue
-            block = minkowski_sum(
-                _joint_hull(work.F, xbar, ybar, tol_active, n + m),
-                scale(_joint_hull(work.f, xbar, ybar, tol_active, n + m), r))
-            for i, gi in enumerate(work.g):
-                if bt[i] > 0:
-                    block = minkowski_sum(
-                        block, scale(_joint_hull(gi, xbar, ybar, tol_active,
-                                                 n + m), bt[i]))
-            agg = scale(block, w) if agg is None else minkowski_sum(
-                agg, scale(block, w))
+        covector = distance(lower(y, gamma, joint), lift(xphi))
+        if not pessimistic:
+            return max(distance(minkowski_sum(upper(y, beta_t[0], joint),
+                                              theta(n + m)), lift(r * xphi)),
+                       covector)
+        agg = _weighted(None, beta_t, eta, lambda bt: upper(y, bt, joint))
         if agg is None:
             return math.inf
         # x*_t + r x*_phi lands in the slot block; aggregated over eta the
         # slot covectors must meet the upper-level multiplier term
-        shift = np.concatenate([r * xphi, np.zeros(m)])
-        theta = _theta_term(work, xbar, alpha, tol_active, n + m, pad_m=m)
-        total = minkowski_sum(negate(theta), agg)
-        resids.append(distance(total, shift))
-        return max(resids)
+        total = minkowski_sum(negate(theta(n + m)), agg)
+        return max(covector, distance(total, lift(r * xphi)))
 
-    raise ValueError(cert.variant)
+    # variant ii: x rows dxF + r (dxf - dxf(y)) + sum_i beta_i dxg_i
+    # - r sum_i gamma_i dxg_i(y) at each slot's point, against y's gamma
+    stationary = distance(lower(y, gamma, part_y), np.zeros(m))
+    f_ref = part_x(work.f, y)
+    g_ref = _weighted(None, work.g, gamma, lambda e: part_x(e, y))
+
+    def x_rows(yt_pt, bt):
+        rows = _weighted(
+            minkowski_sum(part_x(work.F, yt_pt), scale(
+                minkowski_sum(part_x(work.f, yt_pt), negate(f_ref)), r)),
+            work.g, bt, lambda e: part_x(e, yt_pt))
+        if g_ref is not None and r > 0:
+            rows = minkowski_sum(rows, scale(negate(g_ref), r))
+        return rows
+
+    if not pessimistic:
+        beta = beta_t[0]
+        resids.append(distance(minkowski_sum(x_rows(y, beta), theta(n)),
+                               np.zeros(n)))
+        resids.append(distance(upper(y, beta, part_y), np.zeros(m)))
+        resids.append(stationary)
+        # complementarity: multipliers vanish off the active set
+        for i, gi in enumerate(work.g):
+            val = float(eval_expr(gi, xbar, y))
+            if val < -tol_active * (1 + abs(val)) and (
+                    beta[i] > 0 or gamma[i] > 0):
+                return math.inf
+        return max(resids)
+    resids.append(stationary)
+
+    def slot(t):
+        # aggregated slots: sum_t eta_t T_t must meet the upper-level term
+        yt_pt, bt = t
+        resids.append(distance(upper(yt_pt, bt, part_y), np.zeros(m)))
+        return x_rows(yt_pt, bt)
+
+    agg = _weighted(None, zip(y_t, beta_t), eta, slot)
+    if agg is None:
+        return math.inf
+    resids.append(distance(minkowski_sum(negate(theta(n)), agg), np.zeros(n)))
+    return max(resids)
 
 
 # -- minimax reduction -----------------------------------------------------------

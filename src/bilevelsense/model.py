@@ -41,6 +41,15 @@ _KINK_KINDS = ("abs", "max", "min")
 # 2^16 smooth selections is the enumeration ceiling.
 MAX_KINK_NODES = 16
 
+# Longest tape any walk builds.  A tape holds one step per tree position,
+# so a subtree under two parents counts twice, and a tree built in code as
+# e = e + e doubles its tape with every step: 20 doublings of y1 would be
+# 2^21 - 1 steps and a few hundred MB.  Each node records its position
+# count when it is interned, and a walk over a longer tape raises
+# BudgetError (exit 4) before it builds a step.  A parsed file would need
+# about a million tokens to reach the bound.
+MAX_TAPE_STEPS = 2 ** 20
+
 # Deepest expression the parser accepts.  The nesting depth of a leaf is 1;
 # each operator, function call, sign and pair of parentheses adds a level,
 # so a chain of k additions nests k + 1 deep.  Only the parser recurses (five
@@ -94,7 +103,8 @@ class Expr:
             raise ValueError("variable indices are 1-based")
         node = object.__new__(cls)
         node.__dict__.update(kind=kind, children=children, value=value,
-                             index=index, exponent=exponent, safe=safe)
+                             index=index, exponent=exponent, safe=safe,
+                             _positions=1 + sum(c._positions for c in children))
         cls._live[key] = node
         return node
 
@@ -215,6 +225,10 @@ class _Tape:
     table."""
 
     def __init__(self, root: Expr):
+        if root._positions > MAX_TAPE_STEPS:
+            raise BudgetError(
+                f"expression tape of {root._positions} steps exceeds "
+                f"{MAX_TAPE_STEPS}")
         steps, pos, todo = [], 0, [(root, _BASE, None)]
         while todo:
             node, slot, pre = todo.pop()
@@ -579,8 +593,20 @@ class BilevelProgram:
         return len(self.theta1)
 
     def negated_upper(self) -> "BilevelProgram":
-        """Same program with F replaced by -F (the lower level is untouched)."""
+        """Same program with F replaced by -F (the lower level is untouched).
+
+        The twin is built once per program and kept on it, so every call
+        returns the same object."""
+        return self._twin
+
+    @cached_property
+    def _twin(self) -> "BilevelProgram":
         return replace(self, F=neg(self.F))
+
+    def __getstate__(self):
+        # the twin is a memo, not state: copies and unpickled programs
+        # build their own
+        return {k: v for k, v in self.__dict__.items() if k != "_twin"}
 
 
 # -- expression parsing ------------------------------------------------------
@@ -801,8 +827,9 @@ def parse_program(text: str) -> BilevelProgram:
             raise ParseError("expected key=value", lineno, 1)
         key, _, rhs = lstr.partition("=")
         key = key.strip().lower()
-        rhs_col = lstr.index("=") + 2
         rhs_text = rhs.strip()
+        # 1-based column of the right-hand side's first non-blank character
+        rhs_col = lstr.index("=") + 2 + len(rhs) - len(rhs.lstrip())
         if section == "dims":
             if key not in ("n", "m"):
                 raise ParseError(f"unknown dims key {key!r}", lineno, 1)

@@ -277,3 +277,434 @@ def test_pessimistic_i_pairs_tagged_weights_with_their_generators():
     cert = certify_pessimistic(prog, [0.0], "i", GRID, with_cq=False)
     assert cert.status == "Certified"
     assert recheck_certificate(prog, cert) <= cert.tol_eff
+
+
+# -- byte gate for the re-check -----------------------------------------------------
+#
+# A test-side copy of recheck_certificate as it was before its conditions
+# were built from shared weighted-hull helpers: every condition is written
+# out as its own Minkowski chain.  Each vertex of a chain is a float sum in
+# the chain's order, so a summand moved to another place (r df after the
+# g_i terms, say) changes the residual's last bits.  The library must return
+# the same float (bits, sign of zero and inf) on every golden certificate
+# and on seeded perturbations of its multipliers.
+
+from bilevelsense.sensitivity import DEFAULT_TOL_ACTIVE  # noqa: E402
+from bilevelsense.subdiff import (  # noqa: E402
+    Polytope,
+    distance,
+    hull,
+    minkowski_sum,
+    negate,
+    normal_cone_polyhedral,
+    scale,
+)
+from bilevelsense.model import clarke_generators, eval_expr  # noqa: E402
+
+
+def _ref_joint_hull(e, xbar, y, tol_active, dim):
+    return hull(clarke_generators(e, xbar, y, tol_active), dim=dim)
+
+
+def _ref_part_hull(e, xbar, y, tol_active, n, part):
+    gens = clarke_generators(e, xbar, y, tol_active)
+    pts = [g[:n] for g in gens] if part == "x" else [g[n:] for g in gens]
+    return hull(pts, dim=len(pts[0]))
+
+
+def _ref_theta_term(prog, xbar, alpha, tol_active, dim, pad_m=0):
+    """sum_j alpha_j * hull(d theta1_j), embedded in R^(n [+ m])."""
+    n = prog.n
+    total = Polytope.zero(dim)
+    for j, a in enumerate(alpha or ()):
+        if a <= 0:
+            continue
+        gens = clarke_generators(prog.theta1[j], xbar, [], tol_active)
+        pts = [np.concatenate([g[:n], np.zeros(pad_m)]) for g in gens]
+        total = minkowski_sum(total, scale(hull(pts, dim=dim), a))
+    return total
+
+
+def reference_recheck(prog, cert, tol_active=DEFAULT_TOL_ACTIVE):
+    """recheck_certificate written out by hand: one Minkowski chain per
+    condition, with each summand in the order the library must keep."""
+    n, m = prog.n, prog.m
+    xbar = list(cert.xbar)
+    mult = cert.multipliers
+    resids = []
+
+    def signs_ok(vec):
+        return all(v >= 0 for v in vec)
+
+    if cert.variant == "value":
+        gens = cert.aux.get("fd_clusters", [])
+        if not gens:
+            return math.inf
+        ncone = normal_cone_polyhedral(prog.theta1, xbar, n=n)
+        total = minkowski_sum(hull([list(g) for g in gens], dim=n), ncone)
+        return distance(total, np.zeros(n))
+
+    work = prog.negated_upper() if cert.mode == "pessimistic" else prog
+
+    alpha = list(mult.get("alpha") or [])
+    if not signs_ok(alpha):
+        return math.inf
+    r = float(mult.get("r", 0.0))
+    if r < 0:
+        return math.inf
+
+    if cert.mode == "optimistic":
+        y = list(cert.ys["y"])
+        if cert.variant == "ii":
+            beta = list(mult["beta"])
+            gamma = list(mult["gamma"])
+            if not (signs_ok(beta) and signs_ok(gamma)):
+                return math.inf
+            PFx = _ref_part_hull(work.F, xbar, y, tol_active, n, "x")
+            PFy = _ref_part_hull(work.F, xbar, y, tol_active, n, "y")
+            Pfx = _ref_part_hull(work.f, xbar, y, tol_active, n, "x")
+            Pfy = _ref_part_hull(work.f, xbar, y, tol_active, n, "y")
+            conv1 = minkowski_sum(PFx, scale(minkowski_sum(Pfx, negate(Pfx)), r))
+            conv2 = minkowski_sum(PFy, scale(Pfy, r))
+            conv3 = Pfy
+            gsum = None
+            for i, gi in enumerate(work.g):
+                Pgx = _ref_part_hull(gi, xbar, y, tol_active, n, "x")
+                Pgy = _ref_part_hull(gi, xbar, y, tol_active, n, "y")
+                if beta[i] > 0:
+                    conv1 = minkowski_sum(conv1, scale(Pgx, beta[i]))
+                    conv2 = minkowski_sum(conv2, scale(Pgy, beta[i]))
+                if gamma[i] > 0:
+                    conv3 = minkowski_sum(conv3, scale(Pgy, gamma[i]))
+                    term = scale(Pgx, gamma[i])
+                    gsum = term if gsum is None else minkowski_sum(gsum, term)
+            if gsum is not None and r > 0:
+                conv1 = minkowski_sum(conv1, scale(negate(gsum), r))
+            conv1 = minkowski_sum(
+                conv1, _ref_theta_term(work, xbar, alpha, tol_active, n))
+            resids.append(distance(conv1, np.zeros(n)))
+            resids.append(distance(conv2, np.zeros(m)))
+            resids.append(distance(conv3, np.zeros(m)))
+            # complementarity: multipliers vanish off the active set
+            for i, gi in enumerate(work.g):
+                val = float(eval_expr(gi, xbar, y))
+                if val < -tol_active * (1 + abs(val)) and (
+                        beta[i] > 0 or gamma[i] > 0):
+                    return math.inf
+        elif cert.variant == "i":
+            u = list(mult["u"])
+            v_w = list(mult["v"])
+            u_s = [list(us) for us in mult["u_s"]]
+            y_s = [list(ys) for ys in cert.ys["y_s"]]
+            x_s = [np.array(xs) for xs in cert.aux["xstar_s"]]
+            if not (signs_ok(u) and signs_ok(v_w)
+                    and all(signs_ok(us) for us in u_s)):
+                return math.inf
+            if abs(sum(v_w) - 1.0) > 1e-9:
+                return math.inf
+            agg = r * sum(w * xs for w, xs in zip(v_w, x_s))
+            target = np.concatenate([agg, np.zeros(m)])
+            op1 = minkowski_sum(
+                _ref_joint_hull(work.F, xbar, y, tol_active, n + m),
+                scale(_ref_joint_hull(work.f, xbar, y, tol_active, n + m), r))
+            for i, gi in enumerate(work.g):
+                if u[i] > 0:
+                    op1 = minkowski_sum(
+                        op1,
+                        scale(_ref_joint_hull(gi, xbar, y, tol_active, n + m), u[i]))
+            op1 = minkowski_sum(
+                op1, _ref_theta_term(work, xbar, alpha, tol_active, n + m, pad_m=m))
+            resids.append(distance(op1, target))
+            for w, ys_pt, xs, us in zip(v_w, y_s, x_s, u_s):
+                if w <= 0:
+                    continue
+                op2 = _ref_joint_hull(work.f, xbar, ys_pt, tol_active, n + m)
+                for i, gi in enumerate(work.g):
+                    if us[i] > 0:
+                        op2 = minkowski_sum(
+                            op2,
+                            scale(_ref_joint_hull(gi, xbar, ys_pt, tol_active,
+                                              n + m), us[i]))
+                resids.append(
+                    distance(op2, np.concatenate([xs, np.zeros(m)])))
+        elif cert.variant == "iii":
+            beta = list(mult["beta"])
+            gamma = list(mult["gamma"])
+            xphi = np.array(cert.aux["xstar_phi"])
+            if not (signs_ok(beta) and signs_ok(gamma)):
+                return math.inf
+            block1 = minkowski_sum(
+                _ref_joint_hull(work.F, xbar, y, tol_active, n + m),
+                scale(_ref_joint_hull(work.f, xbar, y, tol_active, n + m), r))
+            iscn2 = _ref_joint_hull(work.f, xbar, y, tol_active, n + m)
+            for i, gi in enumerate(work.g):
+                gh = _ref_joint_hull(gi, xbar, y, tol_active, n + m)
+                if beta[i] > 0:
+                    block1 = minkowski_sum(block1, scale(gh, beta[i]))
+                if gamma[i] > 0:
+                    iscn2 = minkowski_sum(iscn2, scale(gh, gamma[i]))
+            block1 = minkowski_sum(
+                block1, _ref_theta_term(work, xbar, alpha, tol_active, n + m, pad_m=m))
+            resids.append(distance(
+                block1, np.concatenate([r * xphi, np.zeros(m)])))
+            resids.append(distance(
+                iscn2, np.concatenate([xphi, np.zeros(m)])))
+        else:
+            raise ValueError(cert.variant)
+        return max(resids)
+
+    # pessimistic modes: conditions live on the negated-upper program
+    eta = list(mult.get("eta") or [])
+    if not signs_ok(eta) or (eta and abs(sum(eta) - 1.0) > 1e-9):
+        return math.inf
+    y_t = [list(yt) for yt in cert.ys["y_t"]]
+
+    if cert.variant == "i":
+        v_w = list(mult["v"])
+        u_s = [list(us) for us in mult["u_s"]]
+        u_t = [list(ut) for ut in mult["u_t"]]
+        y_s = [list(ys) for ys in cert.ys["y_s"]]
+        x_s = [np.array(xs) for xs in cert.aux["xstar_s"]]
+        x_t = [np.array(xt) for xt in cert.aux["xstar_t"]]
+        if not (signs_ok(v_w) and all(signs_ok(us) for us in u_s)
+                and all(signs_ok(ut) for ut in u_t)):
+            return math.inf
+        agg_s = sum(w * xs for w, xs in zip(v_w, x_s))
+        for w, ys_pt, xs, us in zip(v_w, y_s, x_s, u_s):
+            if w <= 0:
+                continue
+            op2 = _ref_joint_hull(work.f, xbar, ys_pt, tol_active, n + m)
+            for i, gi in enumerate(work.g):
+                if us[i] > 0:
+                    op2 = minkowski_sum(
+                        op2, scale(_ref_joint_hull(gi, xbar, ys_pt, tol_active,
+                                               n + m), us[i]))
+            resids.append(distance(op2, np.concatenate([xs, np.zeros(m)])))
+        for w, yt_pt, xt, ut in zip(eta, y_t, x_t, u_t):
+            if w <= 0:
+                continue
+            pes2 = minkowski_sum(
+                _ref_joint_hull(work.F, xbar, yt_pt, tol_active, n + m),
+                scale(_ref_joint_hull(work.f, xbar, yt_pt, tol_active, n + m), r))
+            for i, gi in enumerate(work.g):
+                if ut[i] > 0:
+                    pes2 = minkowski_sum(
+                        pes2, scale(_ref_joint_hull(gi, xbar, yt_pt, tol_active,
+                                                n + m), ut[i]))
+            target = np.concatenate([xt + r * agg_s, np.zeros(m)])
+            resids.append(distance(pes2, target))
+        agg_t = sum(w * xt for w, xt in zip(eta, x_t))
+        pes1 = _ref_theta_term(work, xbar, alpha, tol_active, n)
+        resids.append(distance(pes1, agg_t))
+        return max(resids)
+
+    if cert.variant == "ii":
+        gamma = list(mult["gamma"])
+        beta_t = [list(bt) for bt in mult["beta"]]
+        yref = list(cert.ys["y"])
+        if not (signs_ok(gamma) and all(signs_ok(bt) for bt in beta_t)):
+            return math.inf
+        Pfy_ref = _ref_part_hull(work.f, xbar, yref, tol_active, n, "y")
+        conv3 = Pfy_ref
+        for i, gi in enumerate(work.g):
+            if gamma[i] > 0:
+                conv3 = minkowski_sum(
+                    conv3,
+                    scale(_ref_part_hull(gi, xbar, yref, tol_active, n, "y"),
+                          gamma[i]))
+        resids.append(distance(conv3, np.zeros(m)))
+        Pfx_ref = _ref_part_hull(work.f, xbar, yref, tol_active, n, "x")
+        gsum_ref = None
+        for i, gi in enumerate(work.g):
+            if gamma[i] > 0:
+                term = scale(_ref_part_hull(gi, xbar, yref, tol_active, n, "x"),
+                             gamma[i])
+                gsum_ref = term if gsum_ref is None else minkowski_sum(
+                    gsum_ref, term)
+        # aggregated slots: sum_t eta_t T_t must meet the upper-level term
+        agg = None
+        for w, yt_pt, bt in zip(eta, y_t, beta_t):
+            if w <= 0:
+                continue
+            block_y = minkowski_sum(
+                _ref_part_hull(work.F, xbar, yt_pt, tol_active, n, "y"),
+                scale(_ref_part_hull(work.f, xbar, yt_pt, tol_active, n, "y"), r))
+            Tx = minkowski_sum(
+                _ref_part_hull(work.F, xbar, yt_pt, tol_active, n, "x"),
+                scale(minkowski_sum(
+                    _ref_part_hull(work.f, xbar, yt_pt, tol_active, n, "x"),
+                    negate(Pfx_ref)), r))
+            for i, gi in enumerate(work.g):
+                if bt[i] > 0:
+                    Tx = minkowski_sum(
+                        Tx, scale(_ref_part_hull(gi, xbar, yt_pt, tol_active,
+                                             n, "x"), bt[i]))
+                    block_y = minkowski_sum(
+                        block_y,
+                        scale(_ref_part_hull(gi, xbar, yt_pt, tol_active, n, "y"),
+                              bt[i]))
+            if gsum_ref is not None and r > 0:
+                Tx = minkowski_sum(Tx, scale(negate(gsum_ref), r))
+            resids.append(distance(block_y, np.zeros(m)))
+            agg = scale(Tx, w) if agg is None else minkowski_sum(
+                agg, scale(Tx, w))
+        if agg is None:
+            return math.inf
+        pes1 = minkowski_sum(
+            negate(_ref_theta_term(work, xbar, alpha, tol_active, n)), agg)
+        resids.append(distance(pes1, np.zeros(n)))
+        return max(resids)
+
+    if cert.variant == "iii":
+        gamma = list(mult["gamma"])
+        beta_t = [list(bt) for bt in mult["beta"]]
+        xphi = np.array(cert.aux["xstar_phi"])
+        ybar = list(cert.ys["y"])
+        if not (signs_ok(gamma) and all(signs_ok(bt) for bt in beta_t)):
+            return math.inf
+        iscn2 = _ref_joint_hull(work.f, xbar, ybar, tol_active, n + m)
+        for i, gi in enumerate(work.g):
+            if gamma[i] > 0:
+                iscn2 = minkowski_sum(
+                    iscn2, scale(_ref_joint_hull(gi, xbar, ybar, tol_active,
+                                             n + m), gamma[i]))
+        resids.append(distance(iscn2, np.concatenate([xphi, np.zeros(m)])))
+        agg = None
+        for w, bt in zip(eta, beta_t):
+            if w <= 0:
+                continue
+            block = minkowski_sum(
+                _ref_joint_hull(work.F, xbar, ybar, tol_active, n + m),
+                scale(_ref_joint_hull(work.f, xbar, ybar, tol_active, n + m), r))
+            for i, gi in enumerate(work.g):
+                if bt[i] > 0:
+                    block = minkowski_sum(
+                        block, scale(_ref_joint_hull(gi, xbar, ybar, tol_active,
+                                                 n + m), bt[i]))
+            agg = scale(block, w) if agg is None else minkowski_sum(
+                agg, scale(block, w))
+        if agg is None:
+            return math.inf
+        # x*_t + r x*_phi lands in the slot block; aggregated over eta the
+        # slot covectors must meet the upper-level multiplier term
+        shift = np.concatenate([r * xphi, np.zeros(m)])
+        theta = _ref_theta_term(work, xbar, alpha, tol_active, n + m, pad_m=m)
+        total = minkowski_sum(negate(theta), agg)
+        resids.append(distance(total, shift))
+        return max(resids)
+
+    raise ValueError(cert.variant)
+
+
+def _golden_certificates():
+    """(key, program, Certificate) for every golden case, rebuilt from the
+    stored JSON."""
+    import json
+
+    from test_certify_golden import CASES, GOLDEN
+
+    stored = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    out = []
+    for key, (make, _, _, _) in CASES.items():
+        c = stored[key]["certificate"]
+        out.append((key, make(), Certificate(
+            c["variant"], c["mode"], tuple(c["x"]), c["status"],
+            c["residual"], c["lower_bound"], c["tol"], c["tol_eff"],
+            ys=c["ys"], multipliers=c["multipliers"], aux=c["aux"])))
+    return out
+
+
+def _entries(mult):
+    """(field, index path) of every number among the multipliers."""
+    out = []
+    for name, val in mult.items():
+        if isinstance(val, (int, float)):
+            out.append((name, ()))
+            continue
+        for i, v in enumerate(val):
+            if isinstance(v, (list, tuple)):
+                out += [(name, (i, j)) for j in range(len(v))]
+            else:
+                out.append((name, (i,)))
+    return out
+
+
+def _with_entry(mult, name, path, value):
+    """A deep copy of mult with the entry at (name, path) set to value."""
+    import copy
+
+    new = copy.deepcopy(mult)
+    if not path:
+        new[name] = value
+        return new
+    new[name] = [list(v) if isinstance(v, (list, tuple)) else v
+                 for v in new[name]]
+    if len(path) == 1:
+        new[name][path[0]] = value
+    else:
+        new[name][path[0]][path[1]] = value
+    return new
+
+
+def _get(mult, name, path):
+    val = mult[name]
+    for i in path:
+        val = val[i]
+    return val
+
+
+def _perturbations(cert, rng):
+    """Seeded multiplier perturbations: each entry scaled and zeroed on its
+    own, one entry made negative, and the eta and v weights summing to
+    slightly off 1 (within and beyond the 1e-9 the re-check allows)."""
+    from dataclasses import replace
+
+    mult = cert.multipliers
+    entries = _entries(mult)
+    out = []
+    for name, path in entries:
+        val = _get(mult, name, path)
+        out.append(_with_entry(mult, name, path,
+                               val * float(rng.uniform(0.5, 2.0))))
+        out.append(_with_entry(mult, name, path,
+                               float(rng.uniform(0.05, 0.5))))
+        out.append(_with_entry(mult, name, path, 0.0))
+    if entries:
+        name, path = entries[int(rng.integers(len(entries)))]
+        out.append(_with_entry(mult, name, path, -1e-3))
+    for name in ("eta", "v"):
+        if mult.get(name):
+            for off in (1.0 + 1e-12, 1.0 + 1e-6):
+                new = dict(mult)
+                new[name] = [w * off for w in mult[name]]
+                out.append(new)
+    return [replace(cert, multipliers=m) for m in out]
+
+
+def _outcome(fn, prog, cert):
+    try:
+        return repr(float(fn(prog, cert)))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return f"raises {type(exc).__name__}"
+
+
+def test_recheck_matches_the_hand_written_reference():
+    rng = np.random.default_rng(20261018)
+    reached = {}
+    for key, prog, cert in _golden_certificates():
+        cases = [cert] + (_perturbations(cert, rng)
+                          if cert.variant != "value" else [])
+        for k, c in enumerate(cases):
+            want = _outcome(reference_recheck, prog, c)
+            got = _outcome(recheck_certificate, prog, c)
+            assert got == want, (key, k, c.multipliers)
+            if k:
+                kinds = reached.setdefault((c.mode, c.variant), set())
+                kinds.add("inf" if want == "inf" else
+                          "raises" if want.startswith("raises") else "finite")
+    # every (mode, variant) branch was reached by perturbed certificates
+    # that end both in a residual and in a contract breach
+    assert set(reached) == {(mode, v) for mode in ("optimistic", "pessimistic")
+                            for v in ("i", "ii", "iii")}
+    for branch, kinds in reached.items():
+        assert {"finite", "inf"} <= kinds, branch

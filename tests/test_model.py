@@ -282,7 +282,31 @@ class TestParser:
             parse_program(text)
         assert str(err.value) == (
             f"expression nested deeper than {MAX_EXPR_DEPTH} levels (line 6, "
-            f"col {len('objective = ') + objective.index('+')})")
+            f"col {len('objective = ') + objective.index('+') + 1})")
+
+    @pytest.mark.parametrize("line,col", [
+        ("objective = y1 +* 2", 17),
+        ("objective=y1 +* 2", 15),
+        ("objective =  y1 +* 2", 18),
+        ("   objective = y1 +* 2", 20),
+    ], ids=["one_blank", "no_blank", "two_blanks", "indented"])
+    def test_an_error_reports_the_column_of_its_character(self, line, col):
+        # the blanks between "=" and the expression count
+        text = MINIMAL_FILE.replace("objective = (y1 - 1)^2 + x1^2", line)
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert line[col - 1] == "*"
+        assert (err.value.line, err.value.col) == (6, col)
+
+    @pytest.mark.parametrize("line,col", [
+        ("n =  one", 6),
+        ("  n = one", 7),
+    ])
+    def test_a_dims_error_reports_the_column_of_its_value(self, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_program(MINIMAL_FILE.replace("n = 1", line))
+        assert line[col - 1] == "o"
+        assert (err.value.line, err.value.col) == (3, col)
 
 
 class TestProgramValidation:
@@ -298,6 +322,57 @@ class TestProgramValidation:
         negp = prog.negated_upper()
         assert eval_expr(negp.F, [0.5], [0.5]) == -eval_expr(prog.F, [0.5], [0.5])
         assert negp.f is prog.f
+
+
+class TestNegatedTwinMemo:
+    """The negated-upper twin is built once and kept on its program; the
+    memo is not part of the program's value."""
+
+    def test_the_twin_is_built_once(self):
+        prog = parse_program(MINIMAL_FILE)
+        assert prog.negated_upper() is prog.negated_upper()
+        # the twin of the twin negates again, as a fresh program would
+        twin2 = prog.negated_upper().negated_upper()
+        assert twin2 is prog.negated_upper().negated_upper()
+        assert twin2.F is neg(neg(prog.F)) and twin2 != prog
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        prog, other = parse_program(MINIMAL_FILE), parse_program(MINIMAL_FILE)
+        before = hash(prog)
+        prog.negated_upper()
+        assert prog == other and hash(prog) == hash(other) == before
+        assert prog.negated_upper() == other.negated_upper()
+        assert hash(prog.negated_upper()) == hash(other.negated_upper())
+        assert {prog: 1}[other] == 1
+
+    def test_replace_builds_its_own_twin(self):
+        from dataclasses import replace
+
+        prog = parse_program(MINIMAL_FILE)
+        twin = prog.negated_upper()
+        moved = replace(prog, box_x=((-4.0, 4.0),))
+        assert moved.negated_upper() is not twin
+        assert moved.negated_upper().box_x == ((-4.0, 4.0),)
+        assert replace(prog).negated_upper() is not twin
+        assert replace(prog).negated_upper() == twin
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy,
+        lambda p: pickle.loads(pickle.dumps(p)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_carry_no_memo(self, clone):
+        fresh = parse_program(MINIMAL_FILE)
+        prog = parse_program(MINIMAL_FILE)
+        twin = prog.negated_upper()
+        for p in (fresh, prog):
+            c = clone(p)
+            assert c == p and hash(c) == hash(p)
+            assert "_twin" not in vars(c)
+            assert c.negated_upper() == twin
+            assert c.negated_upper() is c.negated_upper()
+        assert clone(prog).negated_upper() is not twin
+        # the pickled bytes are those of a program that never built a twin
+        assert pickle.dumps(prog) == pickle.dumps(fresh)
 
 
 class TestAffineDetection:
@@ -433,6 +508,49 @@ class TestInterning:
                                                     [3000.0, 1.0]]
         assert kink_count(eabs(chain)) == 1
         assert copy.deepcopy(chain) is chain
+
+    def test_a_tape_above_the_budget_is_refused_before_it_is_built(self):
+        # 30 doublings of y1 are 31 interned nodes but 2^31 - 1 tree
+        # positions; every walk refuses the tape without building a step
+        import time
+        import tracemalloc
+
+        e = Y1
+        for _ in range(30):
+            e = e + e
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            for walk in (lambda: eval_expr(e, [0.0], [1.0]),
+                         lambda: smooth_branches(e, [0.0], [1.0]),
+                         lambda: kink_count(e),
+                         lambda: affine_coefficients(e, 1, 1),
+                         lambda: BilevelProgram(n=1, m=1, F=e, f=Y1,
+                                                box_x=((0.0, 1.0),),
+                                                box_y=((0.0, 1.0),))):
+                with pytest.raises(BudgetError, match=str(2 ** 31 - 1)):
+                    walk()
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    def test_the_tape_budget_is_inclusive(self, monkeypatch):
+        from bilevelsense import model
+
+        assert model.MAX_TAPE_STEPS == 2 ** 20
+        # fresh nodes (x2 is not used elsewhere), so no tape is cached yet
+        e = Expr.x(2) * 0.375
+        for _ in range(4):
+            e = e + e
+        assert e._positions == 2 ** 6 - 1
+        monkeypatch.setattr(model, "MAX_TAPE_STEPS", 2 ** 6 - 1)
+        assert eval_expr(e, [0.0, 2.0], []) == 12.0
+        e = e + e
+        with pytest.raises(BudgetError):
+            eval_expr(e, [0.0, 2.0], [])
 
 
 # -- bit identity with the recursive walkers the tape replaced -----------------

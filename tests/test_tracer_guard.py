@@ -235,3 +235,72 @@ def test_traced_expression_entry_points_stay_module_functions():
     # tracer's, or the call-count test's) sees every evaluation
     for name in ("_feasible", "_eval_on"):
         assert "eval_expr" in getattr(valuefn, name).__code__.co_names, name
+
+
+# -- one certify driver, and a re-check that shares nothing with the search ---------
+
+CERTIFY = SRC / "certify.py"
+
+
+def _called_names(func_def):
+    """Names called anywhere in a function's body, nested functions and
+    lambdas included, as bare names or attributes (default values are not
+    the body)."""
+    out = set()
+    for call in (c for stmt in func_def.body for c in ast.walk(stmt)):
+        if isinstance(call, ast.Call):
+            func = call.func
+            if isinstance(func, ast.Name):
+                out.add(func.id)
+            elif isinstance(func, ast.Attribute):
+                out.add(func.attr)
+    return out
+
+
+def test_the_recheck_reaches_no_search_code():
+    # README: recheck_certificate shares no code with the LP search; it uses
+    # polytope algebra, the projector, clarke_generators, eval_expr and
+    # normal_cone_polyhedral
+    tree = ast.parse(CERTIFY.read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    reached, todo, calls = set(), ["recheck_certificate"], set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        called = _called_names(defs[name])
+        calls |= called
+        todo += [c for c in called if c in defs]
+    forbidden = {"_System", "LPBuilder", "_cover", "_inclusion_system",
+                 "_solve_inclusion", "lambda_set", "lambda_o_set",
+                 "stationary_cover_hull", "_search"}
+    bad = {c for c in calls if c in forbidden or c.startswith("_search")}
+    assert not bad, bad
+    assert not {r for r in reached if r.startswith("_search")}
+    assert calls & imported <= {
+        "Polytope", "clarke_generators", "distance", "eval_expr", "hull",
+        "minkowski_sum", "negate", "normal_cone_polyhedral", "scale"}, \
+        calls & imported
+
+
+def test_both_modes_run_one_certify_driver():
+    tree = ast.parse(CERTIFY.read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    for name in ("certify_optimistic", "certify_pessimistic"):
+        assert _called_names(defs[name]) == {"_certify"}, name
+    # the driver is the only code that picks the working program and the
+    # search; the searches build their own covector cover
+    takers = {scope[0] for mod, scope in _calls_by_scope("negated_upper")
+              if mod == "certify"}
+    assert takers == {"_certify", "recheck_certificate"}, takers
+    cover_calls = {scope[0] for mod, scope in _calls_by_scope("_cover")}
+    assert cover_calls == {"_search_variant_i", "_search_pessimistic_i"}
+    hull_calls = {scope[0] for mod, scope in
+                  _calls_by_scope("stationary_cover_hull") if mod == "certify"}
+    assert hull_calls == {"_cover"}, hull_calls

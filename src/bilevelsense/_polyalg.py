@@ -23,6 +23,8 @@ _MEMO_ENTRIES = 64
 _VREP_ENTRIES = 256
 # Bound on the LP memo, in entries (distinct LPs).
 _LP_ENTRIES = 256
+# Default bound on the column subsets one enumeration may scan.
+MAX_BASES = 300000
 
 
 def _ncr_total(n, r):
@@ -73,7 +75,7 @@ def _smallest_singular_values(key):
     return tuple(out)
 
 
-def basic_vertices(A: np.ndarray, b: np.ndarray, max_bases: int = 300000,
+def basic_vertices(A: np.ndarray, b: np.ndarray, max_bases: int = MAX_BASES,
                    res_tol: Optional[float] = None):
     """All vertices of {w >= 0 : A w = b} by basic-solution enumeration.
 
@@ -153,7 +155,7 @@ def _vrep(key, b_key, max_bases, res_tol):
     return tuple(verts), _recession_rays(key, max_bases)
 
 
-def standard_vrep(A: np.ndarray, b: np.ndarray, max_bases: int = 300000,
+def standard_vrep(A: np.ndarray, b: np.ndarray, max_bases: int = MAX_BASES,
                   res_tol: Optional[float] = None):
     """(vertices, rays) of {w >= 0 : A w = b}.
 

@@ -132,27 +132,26 @@ def _clip0(value):
     return max(0.0, float(value))
 
 
-def _theta_active(prog: BilevelProgram, xbar, tol_active):
+def _theta_active(prog: BilevelProgram, xbar):
     """Active upper-level constraints; raises if xbar is infeasible."""
     active = []
     for j, t in enumerate(prog.theta1):
         val = float(eval_expr(t, xbar, []))
         sc = 1.0 + abs(val)
-        if val > tol_active * sc:
+        if val > DEFAULT_TOL_ACTIVE * sc:
             raise InfeasiblePointError(
                 f"upper constraint {j + 1} violated at xbar (value {val})")
-        if val >= -tol_active * sc:
+        if val >= -DEFAULT_TOL_ACTIVE * sc:
             active.append(j)
     return active
 
 
-def _grid_slack(prog: BilevelProgram, xbar, y0, grid: GridSpec,
-                tol_active=DEFAULT_TOL_ACTIVE) -> float:
+def _grid_slack(prog: BilevelProgram, xbar, y0, grid: GridSpec) -> float:
     """Finest-cell times a local gradient-magnitude proxy for the
     Lipschitz modulus of the sampled value function."""
     mags = [1.0]
     for e in (prog.F, prog.f, *prog.g):
-        for g in clarke_generators(e, xbar, y0, tol_active):
+        for g in clarke_generators(e, xbar, y0, DEFAULT_TOL_ACTIVE):
             mags.append(float(np.max(np.abs(g))))
     return grid.finest_cell(prog.box_y) * max(mags)
 
@@ -332,21 +331,21 @@ def _weight_sums(blocks, sol, size):
                     size)
 
 
-def _generators_at(prog, xbar, y, tol_active):
+def _generators_at(prog, xbar, y):
     """Clarke generators of F, of f and of each active g_i at (xbar, y)."""
-    active = _active_indices(prog, xbar, y, tol_active)
-    return (clarke_generators(prog.F, xbar, y, tol_active),
-            clarke_generators(prog.f, xbar, y, tol_active),
-            {i: clarke_generators(prog.g[i], xbar, y, tol_active)
+    active = _active_indices(prog, xbar, y, DEFAULT_TOL_ACTIVE)
+    return (clarke_generators(prog.F, xbar, y, DEFAULT_TOL_ACTIVE),
+            clarke_generators(prog.f, xbar, y, DEFAULT_TOL_ACTIVE),
+            {i: clarke_generators(prog.g[i], xbar, y, DEFAULT_TOL_ACTIVE)
              for i in active})
 
 
-def _cover(prog, xbar, grid, caps, tol_active):
+def _cover(prog, xbar, grid, caps):
     """The stationarity-covector hull over sampled S(xbar): (generator
     points, vertices first, then rays; vertex count; vertex metadata; ray
     metadata), or None when the hull is empty."""
     cover, vmeta, rmeta = stationary_cover_hull(
-        prog, xbar, lower_solutions(prog, xbar, grid), tol_active, caps)
+        prog, xbar, lower_solutions(prog, xbar, grid), DEFAULT_TOL_ACTIVE, caps)
     if cover.is_empty:
         return None
     return ([np.array(v) for v in cover.vertices]
@@ -357,7 +356,7 @@ def _cover(prog, xbar, grid, caps, tol_active):
 # -- optimistic variants ---------------------------------------------------------
 
 
-def _search_variant_ii(prog, xbar, samples, grid, caps, tol_active):
+def _search_variant_ii(prog, xbar, samples, grid, caps):
     """Fully-convex-regime system.
 
     Multiplier admissibility -- (r, beta) in the upper-objective
@@ -368,13 +367,13 @@ def _search_variant_ii(prog, xbar, samples, grid, caps, tol_active):
     variable and the resulting bound is a relaxation bound.
     """
     n, m, p = prog.n, prog.m, prog.p
-    active_theta = _theta_active(prog, xbar, tol_active)
+    active_theta = _theta_active(prog, xbar)
 
     def candidates():
         for ypt in samples:
             y = list(ypt)
-            lam_ms = lambda_set(prog, xbar, y, tol_active, caps)
-            GF, Gf, Gg = _generators_at(prog, xbar, y, tol_active)
+            lam_ms = lambda_set(prog, xbar, y, DEFAULT_TOL_ACTIVE, caps)
+            GF, Gf, Gg = _generators_at(prog, xbar, y)
             for gamma in [np.array(v) for v in lam_ms.vertices] or [None]:
                 yield y, GF, Gf, Gg, gamma
 
@@ -400,7 +399,7 @@ def _search_variant_ii(prog, xbar, samples, grid, caps, tol_active):
                     s.total(b, var=gvar[i])
                 else:
                     s.total(b, value=float(gamma[i]))
-        theta = s.theta(prog, xbar, active_theta, tol_active)
+        theta = s.theta(prog, xbar, active_theta)
         # soft: x-stationarity; hard: the two y-stationarity systems
         s.rows(False, 0, n, [(1.0, aFx), (r, d1), (-r, d2),
                              *_ones(zx.values()),
@@ -426,27 +425,27 @@ def _search_variant_ii(prog, xbar, samples, grid, caps, tol_active):
     return _search(candidates(), caps.r_grid(), build)
 
 
-def _search_variant_i(prog, xbar, samples, grid, caps, tol_active):
+def _search_variant_i(prog, xbar, samples, grid, caps):
     """Joint-subdifferential system with the Caratheodory aggregation
     entering through the exact covector hull."""
     n, m = prog.n, prog.m
-    cover = _cover(prog, xbar, grid, caps, tol_active)
+    cover = _cover(prog, xbar, grid, caps)
     if cover is None:
         return None
     cover_pts, n_verts, vmeta, rmeta = cover
-    active_theta = _theta_active(prog, xbar, tol_active)
+    active_theta = _theta_active(prog, xbar)
 
     def candidates():
         for ypt in samples:
             y = list(ypt)
-            yield y, _generators_at(prog, xbar, y, tol_active)
+            yield y, _generators_at(prog, xbar, y)
 
     def build(cand, r):
         y, gens = cand
         s = _System(caps.u_max)
         main, zg = s.stationarity(*gens, r)
         cov = s.cover(*cover)
-        theta = s.theta(prog, xbar, active_theta, tol_active)
+        theta = s.theta(prog, xbar, active_theta)
         s.rows(False, 0, n, main + _ones(b for _, b in theta) + [(-r, cov)])
         s.rows(True, n, m, main)
 
@@ -468,7 +467,7 @@ def _search_variant_i(prog, xbar, samples, grid, caps, tol_active):
     return _search(candidates(), caps.r_grid(), build)
 
 
-def _search_designated(prog, xbar, ybar, caps, tol_active, theta_sign):
+def _search_designated(prog, xbar, ybar, caps, theta_sign):
     """Designated-point system with the shared covector x* free in the LP.
 
     (r x*, 0) must meet dF + r df + sum_i beta_i dg_i + theta_sign *
@@ -480,8 +479,8 @@ def _search_designated(prog, xbar, ybar, caps, tol_active, theta_sign):
     """
     n, m = prog.n, prog.m
     y = list(ybar)
-    active_theta = _theta_active(prog, xbar, tol_active)
-    GF, Gf, Gg = _generators_at(prog, xbar, y, tol_active)
+    active_theta = _theta_active(prog, xbar)
+    GF, Gf, Gg = _generators_at(prog, xbar, y)
 
     def build(_, r):
         s = _System(caps.u_max)
@@ -489,7 +488,7 @@ def _search_designated(prog, xbar, ybar, caps, tol_active, theta_sign):
         main, zg = s.stationarity(GF, Gf, Gg, r)
         cf = s.hull(Gf, value=1.0)
         cw = {i: s.hull(G, cap=True) for i, G in Gg.items()}
-        theta = s.theta(prog, xbar, active_theta, tol_active)
+        theta = s.theta(prog, xbar, active_theta)
         covector = [(1.0, cf), *_ones(cw.values())]
         s.rows(False, 0, n, main + [(theta_sign, b) for _, b in theta],
                extra=[(-r, xstar)])
@@ -513,16 +512,16 @@ def _search_designated(prog, xbar, ybar, caps, tol_active, theta_sign):
 # -- pessimistic variants --------------------------------------------------------
 
 
-def _search_pessimistic_i(negp, xbar, t_samples, grid, caps, tol_active):
+def _search_pessimistic_i(negp, xbar, t_samples, grid, caps):
     """Aggregated worst-case system: per-t inclusion sets enter through
     exact V-representations; eta, the shared tuple weights and the
     upper-level multipliers stay linear once r is pinned."""
     n = negp.n
-    cover = _cover(negp, xbar, grid, caps, tol_active)
+    cover = _cover(negp, xbar, grid, caps)
     if cover is None:
         return None
     cover_pts, n_verts, vmeta, rmeta = cover
-    active_theta = _theta_active(negp, xbar, tol_active)
+    active_theta = _theta_active(negp, xbar)
 
     systems = {}  # each sampled t's inclusion system, built on first use
 
@@ -531,7 +530,7 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps, tol_active):
         for ypt in t_samples:
             if tuple(ypt) not in systems:
                 systems[tuple(ypt)] = _inclusion_system(
-                    negp, xbar, list(ypt), tol_active, include_F=True)
+                    negp, xbar, list(ypt), DEFAULT_TOL_ACTIVE, include_F=True)
             t_set = _solve_inclusion(systems[tuple(ypt)], caps, r)
             if not t_set.polytope.is_empty:
                 tagged[tuple(ypt)] = t_set
@@ -558,7 +557,7 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps, tol_active):
         pts, meta = vpts + rpts, vmetas + rmetas
         tagged_block = list(zip(lam + mu, pts))
         cov = s.cover(*cover)
-        theta = s.theta(negp, xbar, active_theta, tol_active)
+        theta = s.theta(negp, xbar, active_theta)
         s.rows(False, 0, n, [(1.0, tagged_block), (-r, cov),
                              *[(-1.0, b) for _, b in theta]])
 
@@ -588,7 +587,7 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps, tol_active):
     return _search([None], caps.r_grid(), build)
 
 
-def _search_pessimistic_ii(negp, xbar, t_samples, grid, caps, tol_active):
+def _search_pessimistic_ii(negp, xbar, t_samples, grid, caps):
     """Fully-convex worst-case system.
 
     For every sampled y in S(xbar) (the universal quantifier) the per-slot
@@ -599,21 +598,21 @@ def _search_pessimistic_ii(negp, xbar, t_samples, grid, caps, tol_active):
     n, m = negp.n, negp.m
     sol_all = lower_solutions(negp, xbar, grid)
     y_samples = _subsample(sol_all.points, min(4, caps.max_solution_samples))
-    active_theta = _theta_active(negp, xbar, tol_active)
+    active_theta = _theta_active(negp, xbar)
     slot_gens = {}  # generators per sampled t, computed at first use
 
     per_y_results = []
     for yref in y_samples:
         yref_l = list(yref)
-        lam_ms = lambda_set(negp, xbar, yref_l, tol_active, caps)
+        lam_ms = lambda_set(negp, xbar, yref_l, DEFAULT_TOL_ACTIVE, caps)
         gamma_candidates = [np.array(v) for v in lam_ms.vertices]
         if not gamma_candidates:
             per_y_results.append(None)
             continue
-        Gf_ref = clarke_generators(negp.f, xbar, yref_l, tol_active)
-        Gg_ref = {i: clarke_generators(negp.g[i], xbar, yref_l, tol_active)
+        Gf_ref = clarke_generators(negp.f, xbar, yref_l, DEFAULT_TOL_ACTIVE)
+        Gg_ref = {i: clarke_generators(negp.g[i], xbar, yref_l, DEFAULT_TOL_ACTIVE)
                   for i in range(negp.p)}
-        active_ref = _active_indices(negp, xbar, yref_l, tol_active)
+        active_ref = _active_indices(negp, xbar, yref_l, DEFAULT_TOL_ACTIVE)
 
         def build(gamma, r):
             s = _System(caps.u_max)
@@ -621,8 +620,7 @@ def _search_pessimistic_ii(negp, xbar, t_samples, grid, caps, tol_active):
             for ypt in t_samples:
                 key = tuple(ypt)
                 if key not in slot_gens:
-                    slot_gens[key] = _generators_at(negp, xbar, list(ypt),
-                                                    tol_active)
+                    slot_gens[key] = _generators_at(negp, xbar, list(ypt))
                 GF, Gf, Gg = slot_gens[key]
                 eta_t = s.lp.var()
                 GFx, GFy, d1, dref, bfy = [s.hull(G, var=eta_t)
@@ -636,7 +634,7 @@ def _search_pessimistic_ii(negp, xbar, t_samples, grid, caps, tol_active):
                 soft += [(1.0, GFx), (r, d1), (-r, dref), *_ones(zg.values()),
                          *[(-r, b) for b in cg]]
             s.lp.eq({eta_t: 1.0 for _, eta_t, _ in slots}, 1.0)
-            theta = s.theta(negp, xbar, active_theta, tol_active)
+            theta = s.theta(negp, xbar, active_theta)
             s.rows(False, 0, n, soft + [(-1.0, b) for _, b in theta],
                    assign_first=False)
 
@@ -699,8 +697,7 @@ _SEARCHES = {
 }
 
 
-def _certify(prog, mode, xbar, variant, grid, caps, tol, tol_active, seed,
-             ybar, with_cq):
+def _certify(prog, mode, xbar, variant, grid, caps, tol, seed, ybar, with_cq):
     """Search the variant's multiplier system at xbar in the given mode.
 
     The pessimistic conditions are the optimistic machinery run on the
@@ -722,7 +719,7 @@ def _certify(prog, mode, xbar, variant, grid, caps, tol, tol_active, seed,
 
     if variant == "iii":
         ypt = list(ybar) if ybar is not None else list(samples[0])
-        best = _search_designated(work, xbar_l, ypt, caps, tol_active,
+        best = _search_designated(work, xbar_l, ypt, caps,
                                   -1.0 if pessimistic else 1.0)
         if pessimistic and best is not None:
             n = work.n
@@ -730,8 +727,7 @@ def _certify(prog, mode, xbar, variant, grid, caps, tol, tol_active, seed,
                         beta_t=[best["beta"]] * (n + 1))
         notes.append(f"designated lower-level point {tuple(ypt)}")
     elif (mode, variant) in _SEARCHES:
-        best = _SEARCHES[mode, variant](work, xbar_l, samples, grid, caps,
-                                        tol_active)
+        best = _SEARCHES[mode, variant](work, xbar_l, samples, grid, caps)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     if (mode, variant) == ("optimistic", "i") and best is None:
@@ -768,14 +764,13 @@ def certify_optimistic(
     grid: GridSpec = GridSpec(),
     caps: Caps = Caps(),
     tol: float = DEFAULT_TOL,
-    tol_active: float = DEFAULT_TOL_ACTIVE,
     seed: int = 0,
     ybar=None,
     with_cq: bool = True,
 ) -> Certificate:
     """Search the chosen variant's multiplier system at xbar."""
     return _certify(prog, "optimistic", xbar, variant, grid, caps, tol,
-                    tol_active, seed, ybar, with_cq)
+                    seed, ybar, with_cq)
 
 
 def certify_pessimistic(
@@ -785,7 +780,6 @@ def certify_pessimistic(
     grid: GridSpec = GridSpec(),
     caps: Caps = Caps(),
     tol: float = DEFAULT_TOL,
-    tol_active: float = DEFAULT_TOL_ACTIVE,
     seed: int = 0,
     ybar=None,
     with_cq: bool = True,
@@ -794,7 +788,7 @@ def certify_pessimistic(
     negated-upper program and the tuple aggregates are matched against the
     upper-level normal-cone term."""
     return _certify(prog, "pessimistic", xbar, variant, grid, caps, tol,
-                    tol_active, seed, ybar, with_cq)
+                    seed, ybar, with_cq)
 
 
 # -- independent re-check --------------------------------------------------------
@@ -812,15 +806,16 @@ def _weighted(acc, exprs, weights, hull_of):
     return acc
 
 
-def recheck_certificate(prog: BilevelProgram, cert: Certificate,
-                        tol_active: float = DEFAULT_TOL_ACTIVE) -> float:
+def recheck_certificate(prog: BilevelProgram, cert: Certificate) -> float:
     """Standalone residual evaluator.
 
     Rebuilds every condition of the certificate's variant from the stored
     points and multipliers using polytope algebra and the least-distance
     projector only (no linear programming shared with the search), and
-    returns the max-norm residual.  Sign and complementarity violations
-    count as +inf: they are contract breaches, not numerical slack.
+    returns the max-norm residual.  Sign, weight-sum and complementarity
+    violations count as +inf: they are contract breaches, not numerical
+    slack.  So does a certificate that stores no lower-level point (every
+    Inconclusive one): it has no condition to rebuild.
     """
     n, m = prog.n, prog.m
     xbar = list(cert.xbar)
@@ -838,6 +833,8 @@ def recheck_certificate(prog: BilevelProgram, cert: Certificate,
         total = minkowski_sum(hull([list(g) for g in gens], dim=n), ncone)
         return distance(total, np.zeros(n))
 
+    if not cert.ys:
+        return math.inf
     # pessimistic conditions live on the negated-upper program
     pessimistic = cert.mode == "pessimistic"
     work = prog.negated_upper() if pessimistic else prog
@@ -856,11 +853,11 @@ def recheck_certificate(prog: BilevelProgram, cert: Certificate,
     # hulls of the Clarke generators at (xbar, y): joint in R^(n + m), or
     # the x block or the y block alone
     def joint(e, y):
-        return hull(clarke_generators(e, xbar, y, tol_active), dim=n + m)
+        return hull(clarke_generators(e, xbar, y, DEFAULT_TOL_ACTIVE), dim=n + m)
 
     def block(lo, hi):
         def hull_of(e, y):
-            pts = [g[lo:hi] for g in clarke_generators(e, xbar, y, tol_active)]
+            pts = [g[lo:hi] for g in clarke_generators(e, xbar, y, DEFAULT_TOL_ACTIVE)]
             return hull(pts, dim=len(pts[0]))
         return hull_of
 
@@ -881,7 +878,7 @@ def recheck_certificate(prog: BilevelProgram, cert: Certificate,
         """sum_j alpha_j d theta1_j, embedded in R^dim."""
         return _weighted(Polytope.zero(dim), work.theta1, alpha, lambda t: hull(
             [np.concatenate([g[:n], np.zeros(dim - n)])
-             for g in clarke_generators(t, xbar, [], tol_active)], dim=dim))
+             for g in clarke_generators(t, xbar, [], DEFAULT_TOL_ACTIVE)], dim=dim))
 
     def lift(v):
         return np.concatenate([v, np.zeros(m)])
@@ -910,7 +907,7 @@ def recheck_certificate(prog: BilevelProgram, cert: Certificate,
             return max(resids)
         u_t = [list(ut) for ut in mult["u_t"]]
         x_t = [np.array(xt) for xt in cert.aux["xstar_t"]]
-        if not signs_ok(v_w, *u_s, *u_t):
+        if not signs_ok(v_w, *u_s, *u_t) or abs(sum(v_w) - 1.0) > 1e-9:
             return math.inf
         agg_s = sum(w * xs for w, xs in zip(v_w, x_s))
         covector_slots()
@@ -972,7 +969,7 @@ def recheck_certificate(prog: BilevelProgram, cert: Certificate,
         # complementarity: multipliers vanish off the active set
         for i, gi in enumerate(work.g):
             val = float(eval_expr(gi, xbar, y))
-            if val < -tol_active * (1 + abs(val)) and (
+            if val < -DEFAULT_TOL_ACTIVE * (1 + abs(val)) and (
                     beta[i] > 0 or gamma[i] > 0):
                 return math.inf
         return max(resids)
@@ -1000,7 +997,6 @@ def minimax_reduction_check(
     grid: GridSpec = GridSpec(),
     caps: Caps = Caps(),
     tol: float = 1e-4,
-    tol_active: float = DEFAULT_TOL_ACTIVE,
 ) -> dict:
     """Constant lower objective collapses the solution map to the feasible
     map: the worst-case estimate must then cover the plain max-function
@@ -1014,7 +1010,7 @@ def minimax_reduction_check(
     maximizers = pessimistic_solutions(prog, xbar_l, grid)
     direct_gens = []
     for ypt in _subsample(maximizers.points, caps.max_solution_samples):
-        for g in clarke_generators(prog.F, xbar_l, list(ypt), tol_active):
+        for g in clarke_generators(prog.F, xbar_l, list(ypt), DEFAULT_TOL_ACTIVE):
             direct_gens.append(g[: prog.n])
     direct = hull(direct_gens, dim=prog.n)
     est = estimate_pessimistic(prog, xbar_l, "semicompact", grid, caps)

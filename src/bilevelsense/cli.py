@@ -39,7 +39,7 @@ from .sensitivity import (
     estimate_pessimistic,
     estimate_simple_convex,
 )
-from .valuefn import GridSpec, curve_to_csv, sample_curve
+from .valuefn import TOL_FEAS, GridSpec, curve_to_csv, sample_curve
 
 USAGE_ERROR, INFEASIBLE, INCONCLUSIVE, BUDGET = 1, 2, 3, 4
 
@@ -147,7 +147,7 @@ def _config_dict(args, grid, caps):
         "grid": {
             "points_per_dim": grid.points_per_dim,
             "refine_depth": grid.refine_depth,
-            "tol_feas": grid.tol_feas,
+            "tol_feas": TOL_FEAS,
         },
         "caps": caps.to_dict(),
         "tol": args.tol,

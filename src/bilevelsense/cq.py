@@ -57,6 +57,10 @@ from .valuefn import (
 # Bound on each of the two CQ verdict memos, in entries (distinct checks).
 _CQ_ENTRIES = 256
 
+# Verdict threshold of the pointbased checks and the generalized MFCQ,
+# recorded in each verdict's `tol`.
+VERDICT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CQVerdict:
@@ -134,10 +138,8 @@ def check_pointbased_cq(
     which: str,
     xbar,
     y,
-    tol: float = 1e-8,
     caps: Caps = Caps(),
     grid: GridSpec = GridSpec(),
-    tol_active: float = DEFAULT_TOL_ACTIVE,
     seed: int = 0,
 ) -> CQVerdict:
     """Pointbased qualification for the feasible map (K) or solution map (S).
@@ -145,8 +147,8 @@ def check_pointbased_cq(
     Maximizes |x*_c| over the normalized multiplier slice of the
     finitely-generated relaxation: branch generators for f and the active
     g_i, fd-cluster generators for the negated lower value function in the
-    S variant.  Holds when the maximum stays below tol; Fails ships the
-    maximizing witness; ambiguous fd clustering degrades to Unknown.
+    S variant.  Holds when the maximum stays below VERDICT_TOL; Fails ships
+    the maximizing witness; ambiguous fd clustering degrades to Unknown.
 
     The verdict is memoised on every input (`_pointbased_cq`); each call
     gets its own copy of the witness.
@@ -155,21 +157,19 @@ def check_pointbased_cq(
         raise ValueError("which must be 'K' or 'S'")
     xbar_t = tuple(float(v) for v in np.atleast_1d(xbar))
     y_t = tuple(float(v) for v in np.atleast_1d(y))
-    return _fresh(_pointbased_cq(prog, which, xbar_t, y_t, tol, caps, grid,
-                                 tol_active, seed,
-                                 _signs(*xbar_t, *y_t, tol, tol_active)))
+    return _fresh(_pointbased_cq(prog, which, xbar_t, y_t, caps, grid, seed,
+                                 _signs(*xbar_t, *y_t)))
 
 
 @lru_cache(maxsize=_CQ_ENTRIES, typed=True)
-def _pointbased_cq(prog, which, xbar, y, tol, caps, grid, tol_active, seed,
-                   signs) -> CQVerdict:
+def _pointbased_cq(prog, which, xbar, y, caps, grid, seed, signs) -> CQVerdict:
     """check_pointbased_cq's verdict, in an LRU of _CQ_ENTRIES entries keyed
     on the whole program (mode included), which, the points as float
-    tuples, every tolerance, caps, grid and seed, arguments of different
-    types kept apart and `signs` holding the sign bits of the floats."""
+    tuples, caps, grid and seed, arguments of different types kept apart
+    and `signs` holding the sign bits of the points."""
     xbar_l, y_l = list(xbar), list(y)
     n, m = prog.n, prog.m
-    active = _active_indices(prog, xbar_l, y_l, tol_active)
+    active = _active_indices(prog, xbar_l, y_l, DEFAULT_TOL_ACTIVE)
 
     phi_gens = []
     if which == "S":
@@ -177,23 +177,23 @@ def _pointbased_cq(prog, which, xbar, y, tol, caps, grid, tol_active, seed,
         clusters = fd_subgradient_samples(
             h, xbar_l, n_dirs=FD_DIRS, radius=FD_RADIUS, step=FD_STEP,
             seed=seed)
-        if clusters.spreads and max(clusters.spreads) > 10.0 * tol + 1e-6:
+        if clusters.spreads and max(clusters.spreads) > 10.0 * VERDICT_TOL + 1e-6:
             return CQVerdict(
-                f"CQ_{which}", "Unknown", tol,
+                f"CQ_{which}", "Unknown", VERDICT_TOL,
                 detail="fd clustering of the lower value function is ambiguous",
                 seed=seed)
         phi_gens = [np.concatenate([-np.array(c), np.zeros(m)])
                     for c in clusters.clusters]
     g_owner, g_gens = [], []
     for i in active:
-        for gvec in clarke_generators(prog.g[i], xbar_l, y_l, tol_active):
+        for gvec in clarke_generators(prog.g[i], xbar_l, y_l, DEFAULT_TOL_ACTIVE):
             g_owner.append(i)
             g_gens.append(gvec)
     f_gens = []
     if which == "S":
-        f_gens = clarke_generators(prog.f, xbar_l, y_l, tol_active)
+        f_gens = clarke_generators(prog.f, xbar_l, y_l, DEFAULT_TOL_ACTIVE)
     elif not g_gens:
-        return CQVerdict(f"CQ_{which}", "Holds", tol,
+        return CQVerdict(f"CQ_{which}", "Holds", VERDICT_TOL,
                          detail="no active multipliers admissible", seed=seed)
 
     best_val = 0.0
@@ -242,17 +242,17 @@ def _pointbased_cq(prog, which, xbar, y, tol, caps, grid, tol_active, seed,
                     "f_vec": tuple(fvec.tolist()),
                     "phi_vec": tuple(phivec.tolist()),
                 }
-    if best_val <= tol:
-        return CQVerdict(f"CQ_{which}", "Holds", tol,
+    if best_val <= VERDICT_TOL:
+        return CQVerdict(f"CQ_{which}", "Holds", VERDICT_TOL,
                          detail=f"max |x*| over normalized slice = {best_val:.3e}",
                          seed=seed)
-    return CQVerdict(f"CQ_{which}", "Fails", tol, witness=best,
+    return CQVerdict(f"CQ_{which}", "Fails", VERDICT_TOL, witness=best,
                      detail=f"x* with |x*|_inf = {best_val:.3e} admissible",
                      seed=seed)
 
 
 def recheck_pointbased_witness(prog: BilevelProgram, verdict: CQVerdict,
-                               xbar, y, tol_active: float = DEFAULT_TOL_ACTIVE):
+                               xbar, y):
     """Independent witness re-substitution for a Fails verdict.
 
     Rebuilds (x*, 0) from the witness multipliers and generator choices,
@@ -270,7 +270,7 @@ def recheck_pointbased_witness(prog: BilevelProgram, verdict: CQVerdict,
         vec = np.array(vec)
         u_i = w["u"][i]
         if u_i > 0:
-            gi_hull = hull(clarke_generators(prog.g[i], xbar_l, y_l, tol_active),
+            gi_hull = hull(clarke_generators(prog.g[i], xbar_l, y_l, DEFAULT_TOL_ACTIVE),
                            dim=n + m)
             if distance(poly_scale(gi_hull, u_i), list(vec)) > 1e-8:
                 return False
@@ -288,31 +288,26 @@ def recheck_pointbased_witness(prog: BilevelProgram, verdict: CQVerdict,
 # -- generalized MFCQ ---------------------------------------------------------
 
 
-def check_gen_mfcq(
-    prog: BilevelProgram,
-    xbar,
-    ybar,
-    tol: float = 1e-8,
-    tol_active: float = DEFAULT_TOL_ACTIVE,
-) -> CQVerdict:
+def check_gen_mfcq(prog: BilevelProgram, xbar, ybar) -> CQVerdict:
     """No vanishing convex combination of active constraint generalized
-    gradients: min over the multiplier simplex of |sum gamma_i G_i|."""
+    gradients: min over the multiplier simplex of |sum gamma_i G_i|; Holds
+    when the minimum exceeds VERDICT_TOL."""
     xbar_l = [float(v) for v in np.atleast_1d(xbar)]
     y_l = [float(v) for v in np.atleast_1d(ybar)]
-    active = _active_indices(prog, xbar_l, y_l, tol_active)
+    active = _active_indices(prog, xbar_l, y_l, DEFAULT_TOL_ACTIVE)
     if not active:
-        return CQVerdict("GenMFCQ", "Holds", tol,
+        return CQVerdict("GenMFCQ", "Holds", VERDICT_TOL,
                          detail="no active constraints (vacuous)")
     gens = []
     owner = []
     for i in active:
-        for gvec in clarke_generators(prog.g[i], xbar_l, y_l, tol_active):
+        for gvec in clarke_generators(prog.g[i], xbar_l, y_l, DEFAULT_TOL_ACTIVE):
             gens.append(gvec)
             owner.append(i)
     poly = hull(gens, dim=prog.n + prog.m)
     dist, point, lam, _ = project(poly, np.zeros(prog.n + prog.m))
-    if dist > tol:
-        return CQVerdict("GenMFCQ", "Holds", tol,
+    if dist > VERDICT_TOL:
+        return CQVerdict("GenMFCQ", "Holds", VERDICT_TOL,
                          detail=f"min |combination| = {dist:.3e}")
     gamma = np.zeros(prog.p)
     # map the hull weights back to per-constraint simplex weights
@@ -326,12 +321,12 @@ def check_gen_mfcq(
         "g_dirs": {i: tuple(v.tolist()) for i, v in dirs.items()},
         "residual": dist,
     }
-    return CQVerdict("GenMFCQ", "Fails", tol, witness=witness,
+    return CQVerdict("GenMFCQ", "Fails", VERDICT_TOL, witness=witness,
                      detail="vanishing combination with |gamma|_1 = 1")
 
 
 def recheck_mfcq_witness(prog: BilevelProgram, verdict: CQVerdict,
-                         xbar, ybar, tol_active: float = DEFAULT_TOL_ACTIVE):
+                         xbar, ybar):
     """Fails witness re-substitution for the generalized MFCQ."""
     assert verdict.status == "Fails" and verdict.witness is not None
     w = verdict.witness
@@ -345,7 +340,7 @@ def recheck_mfcq_witness(prog: BilevelProgram, verdict: CQVerdict,
         i = int(i_str)
         vec = np.array(vec)
         if gamma[i] > 0:
-            gi_hull = hull(clarke_generators(prog.g[i], xbar_l, y_l, tol_active),
+            gi_hull = hull(clarke_generators(prog.g[i], xbar_l, y_l, DEFAULT_TOL_ACTIVE),
                            dim=prog.n + prog.m)
             if distance(poly_scale(gi_hull, gamma[i]), list(vec)) > 1e-8:
                 return False
@@ -489,12 +484,7 @@ def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid, seed,
 # -- convex coderivative qualification -----------------------------------------
 
 
-def check_codcq_convex(
-    prog: BilevelProgram,
-    xbar,
-    ybar,
-    seed: int = 20240,
-) -> CQVerdict:
+def check_codcq_convex(prog: BilevelProgram, xbar, ybar) -> CQVerdict:
     """Parameter-free convex lower level: affine-in-y constraints make the
     perturbed feasible map polyhedral, hence calm, validating the pointbased
     solution-map qualification.  Requires x-free g; smooth f; convex data
@@ -508,7 +498,7 @@ def check_codcq_convex(
         affine_coefficients(gi, prog.n, prog.m) is not None for gi in prog.g
     )
     if all_affine_y and is_smooth(prog.f) and _midpoint_convexity_ok(
-            prog, (prog.f, *prog.g), seed):
+            prog, (prog.f, *prog.g)):
         return CQVerdict("CodCQConvex", "Guaranteed",
                          detail="affine-in-y constraints, smooth convex objective")
     return CQVerdict("CodCQConvex", "Unknown",

@@ -50,12 +50,13 @@ MAX_KINK_NODES = 16
 # about a million tokens to reach the bound.
 MAX_TAPE_STEPS = 2 ** 20
 
-# Deepest expression the parser accepts.  The nesting depth of a leaf is 1;
-# each operator, function call, sign and pair of parentheses adds a level,
-# so a chain of k additions nests k + 1 deep.  Only the parser recurses (five
-# calls deep per pair of parentheses); 150 leaves room under Python's
-# recursion limit for its callers' frames.  Trees built in code have no
-# depth bound: every other walk runs over the node's flat tape.
+# Deepest expression the parser accepts.  The nesting depth of a leaf is 1,
+# and each pair of parentheses, function call and sign around it adds a
+# level: the constructs the parser recurses into (five calls deep per pair
+# of parentheses).  150 leaves room under Python's recursion limit for its
+# callers' frames.  Operator chains add no level, since the parser reads
+# them in loops, so a 3,000-term sum nests 1 deep.  Trees have no depth
+# bound otherwise: every other walk runs over the node's flat tape.
 MAX_EXPR_DEPTH = 150
 
 DEFAULT_KINK_TOL = 1e-8
@@ -625,9 +626,7 @@ class _ExprParser:
 
     Input nested deeper than MAX_EXPR_DEPTH raises ParseError: opening
     parentheses, calls and signs are counted on the way down, before the
-    parser's own recursion gets deep, and every result's nesting depth on
-    the way up, which covers long operator chains.  Each parse method
-    returns (node, depth): an interned node can sit at several depths.
+    parser's own recursion gets deep.
     """
 
     def __init__(self, text, line, n, m, col_offset=0):
@@ -647,16 +646,10 @@ class _ExprParser:
             self.line, col)
 
     def _enter(self, col):
+        # a leaf inside `open` constructs nests open + 1 deep
         self.open += 1
-        if self.open > MAX_EXPR_DEPTH:
+        if self.open >= MAX_EXPR_DEPTH:
             raise self._too_deep(col)
-
-    def _nest(self, e, depths, col):
-        """(e, one level deeper than the deepest of depths)."""
-        d = 1 + max(depths)
-        if d > MAX_EXPR_DEPTH:
-            raise self._too_deep(col)
-        return e, d
 
     def _tokenize(self):
         i = 0
@@ -687,46 +680,42 @@ class _ExprParser:
         return tok
 
     def parse(self) -> Expr:
-        e, _ = self._expr()
+        e = self._expr()
         if self.pos != len(self.tokens):
             tok, col = self.tokens[self.pos]
             raise ParseError(f"unexpected token {tok!r}", self.line, col)
         return e
 
     def _expr(self):
-        e, d = self._term()
+        e = self._term()
         while self._peek() in ("+", "-"):
-            op, col = self._next()
-            rhs, rd = self._term()
-            e, d = self._nest(Expr("add" if op == "+" else "sub", (e, rhs)),
-                              (d, rd), col)
-        return e, d
+            op, _ = self._next()
+            e = Expr("add" if op == "+" else "sub", (e, self._term()))
+        return e
 
     def _term(self):
-        e, d = self._unary()
+        e = self._unary()
         while self._peek() in ("*", "/"):
-            op, col = self._next()
-            rhs, rd = self._unary()
+            op, _ = self._next()
             if op == "*":
-                node = Expr("mul", (e, rhs))
+                e = Expr("mul", (e, self._unary()))
             else:
-                node = Expr("div", (e, rhs), safe=True)
-            e, d = self._nest(node, (d, rd), col)
-        return e, d
+                e = Expr("div", (e, self._unary()), safe=True)
+        return e
 
     def _unary(self):
         if self._peek() in ("-", "+"):
             op, col = self._next()
             self._enter(col)
-            e, d = self._unary()
+            e = self._unary()
             self.open -= 1
-            return self._nest(Expr("neg", (e,)) if op == "-" else e, (d,), col)
+            return Expr("neg", (e,)) if op == "-" else e
         return self._power()
 
     def _power(self):
-        base, d = self._atom()
+        base = self._atom()
         if self._peek() == "^":
-            _, col = self._next()
+            self._next()
             tok, tcol = self._next()
             try:
                 exponent = int(tok)
@@ -735,21 +724,21 @@ class _ExprParser:
                                  self.line, tcol) from None
             if exponent < 0:
                 raise ParseError("exponent must be nonnegative", self.line, tcol)
-            return self._nest(Expr("pow", (base,), exponent=exponent), (d,), col)
-        return base, d
+            return Expr("pow", (base,), exponent=exponent)
+        return base
 
     def _atom(self):
         tok, col = self._next()
         if re.fullmatch(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?", tok):
-            return Expr.const(float(tok)), 1
+            return Expr.const(float(tok))
         if tok == "(":
             self._enter(col)
-            e, d = self._expr()
+            e = self._expr()
             self.open -= 1
             closing, ccol = self._next()
             if closing != ")":
                 raise ParseError("expected ')'", self.line, ccol)
-            return self._nest(e, (d,), col)
+            return e
         if tok in _FUNCS:
             self._enter(col)
             opening, ocol = self._next()
@@ -766,8 +755,7 @@ class _ExprParser:
             if len(args) != _FUNCS[tok]:
                 raise ParseError(f"{tok} takes {_FUNCS[tok]} argument(s)",
                                  self.line, col)
-            node = Expr(tok, tuple(a for a, _ in args), safe=tok == "log")
-            return self._nest(node, [d for _, d in args], col)
+            return Expr(tok, tuple(args), safe=tok == "log")
         mvar = re.fullmatch(r"([xy])(\d+)", tok)
         if mvar:
             idx = int(mvar.group(2))
@@ -780,7 +768,7 @@ class _ExprParser:
                     f"variable {tok} out of range (limit {limit})",
                     self.line, col,
                 )
-            return (Expr.x(idx) if mvar.group(1) == "x" else Expr.y(idx)), 1
+            return Expr.x(idx) if mvar.group(1) == "x" else Expr.y(idx)
         raise ParseError(f"unknown identifier {tok!r}", self.line, col)
 
 

@@ -57,7 +57,6 @@ class Caps:
     log_r_max: int = 1
     u_max: float = 100.0
     max_solution_samples: int = 12
-    max_bases: int = 300000
 
     def r_grid(self) -> Tuple[float, ...]:
         vals = {0.0, float(self.r_max)}
@@ -140,13 +139,13 @@ def _normalize_ray(r):
     return r / np.max(np.abs(r))
 
 
-def _vrep_fallback(A, b, max_bases, stat_tol):
+def _vrep_fallback(A, b, stat_tol):
     """Strict enumeration first; relax to the grid blur only when the
     strict system has no solutions (keeps lattice-exact cases exact)."""
-    verts, rays = standard_vrep(A, b, max_bases)
+    verts, rays = standard_vrep(A, b)
     if verts or stat_tol is None:
         return verts, rays
-    return standard_vrep(A, b, max_bases, res_tol=stat_tol)
+    return standard_vrep(A, b, res_tol=stat_tol)
 
 
 def lambda_set(prog: BilevelProgram, xbar, y,
@@ -185,7 +184,7 @@ def _multiplier_set(kind, system, A, caps, stat_tol) -> MultiplierSet:
     deduplicated, rays normalised and the rays that decode to zero
     dropped."""
     b = np.concatenate([np.zeros(system.m), [1.0]])
-    verts, rays = _vrep_fallback(A, b, caps.max_bases, stat_tol)
+    verts, rays = _vrep_fallback(A, b, stat_tol)
     with_r = kind == "lambda_o"
 
     def point(w):
@@ -288,7 +287,7 @@ def _solve_inclusion(system: _InclusionSystem, caps: Caps,
         b = np.concatenate([np.zeros(m), [1.0, r_coef]])
     else:
         b = np.concatenate([np.zeros(m), [1.0]])
-    verts, rays = _vrep_fallback(system.A, b, caps.max_bases, stat_tol)
+    verts, rays = _vrep_fallback(system.A, b, stat_tol)
 
     def decode(w):
         return {"u": tuple(system.sums(w)[1].tolist()), "y": system.y}
@@ -464,11 +463,11 @@ class _System:
         zg = {i: self.hull(G, cap=True) for i, G in Gg.items()}
         return [(1.0, aF), (r, bf), *_ones(zg.values())], zg
 
-    def theta(self, prog, xbar, active_theta, tol_active):
+    def theta(self, prog, xbar, active_theta):
         """(j, block) per active upper constraint, weights at most u_max;
         alpha_j is the block's weight sum."""
         return [(j, self.hull(clarke_generators(prog.theta1[j], xbar, [],
-                                                tol_active), cap=True))
+                                                DEFAULT_TOL_ACTIVE), cap=True))
                 for j in active_theta]
 
     def rows(self, hard, offset, dim, terms, extra=(), assign_first=True):
@@ -531,12 +530,11 @@ def estimate_optimistic(
     variant: str = "semicompact",
     grid: GridSpec = GridSpec(),
     caps: Caps = Caps(),
-    tol_active: float = DEFAULT_TOL_ACTIVE,
     ybar=None,
 ) -> Estimate:
     """Upper estimate of the optimistic value-function subdifferential."""
     poly, truncated, n_samples, notes = _estimate_core(
-        prog, xbar, variant, grid, caps, tol_active, ybar)
+        prog, xbar, variant, grid, caps, ybar)
     return Estimate(poly, variant, "optimistic", tuple(float(v) for v in np.atleast_1d(xbar)),
                     truncated, n_samples, caps, tuple(notes))
 
@@ -547,7 +545,6 @@ def estimate_pessimistic(
     variant: str = "semicompact",
     grid: GridSpec = GridSpec(),
     caps: Caps = Caps(),
-    tol_active: float = DEFAULT_TOL_ACTIVE,
     ybar=None,
 ) -> Estimate:
     """Upper estimate for the pessimistic value function.
@@ -559,7 +556,7 @@ def estimate_pessimistic(
     """
     negp = prog.negated_upper()
     poly, truncated, n_samples, notes = _estimate_core(
-        negp, xbar, variant, grid, caps, tol_active, ybar)
+        negp, xbar, variant, grid, caps, ybar)
     return Estimate(
         negate(poly), variant, "pessimistic",
         tuple(float(v) for v in np.atleast_1d(xbar)),
@@ -568,24 +565,25 @@ def estimate_pessimistic(
     )
 
 
-def _estimate_core(prog, xbar, variant, grid, caps, tol_active, ybar):
+def _estimate_core(prog, xbar, variant, grid, caps, ybar):
+    """The estimate of prog at xbar.  Activity and stationarity are both
+    judged at the grid blur (`grid_blur`), the tolerance matched to the
+    sampled solution points."""
     xbar_l = [float(v) for v in np.atleast_1d(xbar)]
     sol_o = optimistic_solutions(prog, xbar_l, grid)
     samples = _subsample(sol_o.points, caps.max_solution_samples)
     blur = grid_blur(grid, prog)
-    eff_tol = max(tol_active, blur)
     notes = []
     if variant == "semicompact":
-        poly = _estimate_semicompact(prog, xbar_l, samples, grid, caps,
-                                     eff_tol, blur)
+        poly = _estimate_semicompact(prog, xbar_l, samples, grid, caps, blur)
         truncated = False
     elif variant == "convex":
         poly, truncated, conv_notes = _estimate_convex(
-            prog, xbar_l, samples, caps, eff_tol, blur)
+            prog, xbar_l, samples, caps, blur)
         notes.extend(conv_notes)
     elif variant == "semicontinuous":
         ypt = list(ybar) if ybar is not None else list(samples[0])
-        poly = _estimate_semicontinuous(prog, xbar_l, ypt, caps, eff_tol, blur)
+        poly = _estimate_semicontinuous(prog, xbar_l, ypt, caps, blur)
         truncated = False
         notes.append(f"designated lower-level point {tuple(ypt)}")
     else:
@@ -593,21 +591,20 @@ def _estimate_core(prog, xbar, variant, grid, caps, tol_active, ybar):
     return poly, truncated, len(samples), notes
 
 
-def _estimate_semicompact(prog, xbar, samples, grid, caps, tol_active,
-                          stat_tol=None):
+def _estimate_semicompact(prog, xbar, samples, grid, caps, blur):
     sol_all = lower_solutions(prog, xbar, grid)
-    cover, _, _ = stationary_cover_hull(prog, xbar, sol_all, tol_active, caps,
-                                        stat_tol=stat_tol)
+    cover, _, _ = stationary_cover_hull(prog, xbar, sol_all, blur, caps,
+                                        stat_tol=blur)
     pieces = []
     if cover.is_empty:
         # no valid lower-level covector tuples exist at any sampled y, so
         # every (y, r) contribution is empty
         raise EmptyEstimateError("lower-level covector set is empty at xbar")
     for ypt in samples:
-        system = _inclusion_system(prog, xbar, list(ypt), tol_active,
+        system = _inclusion_system(prog, xbar, list(ypt), blur,
                                    include_F=True)
         for r in caps.r_grid():
-            inc = _solve_inclusion(system, caps, r, stat_tol)
+            inc = _solve_inclusion(system, caps, r, blur)
             if inc.polytope.is_empty:
                 continue
             shifted = minkowski_sum(inc.polytope, scale(negate(cover), r))
@@ -618,30 +615,26 @@ def _estimate_semicompact(prog, xbar, samples, grid, caps, tol_active,
     return hull(pieces)
 
 
-def _estimate_convex(prog, xbar, samples, caps, tol_active, stat_tol=None):
+def _estimate_convex(prog, xbar, samples, caps, blur):
     n = prog.n
     pieces = []
     truncated = False
     notes = []
     skipped = 0
     for ypt in samples:
-        lam = lambda_set(prog, xbar, list(ypt), tol_active, caps,
-                         stat_tol=stat_tol)
-        lam_o = lambda_o_set(prog, xbar, list(ypt), tol_active, caps,
-                             stat_tol=stat_tol)
+        lam = lambda_set(prog, xbar, list(ypt), blur, caps, stat_tol=blur)
+        lam_o = lambda_o_set(prog, xbar, list(ypt), blur, caps, stat_tol=blur)
         if lam.is_empty or lam_o.is_empty:
             skipped += 1
             continue
         gamma_pts, t1 = lam.generator_points(caps)
         rb_pts, t2 = lam_o.generator_points(caps)
         truncated = truncated or t1 or t2
-        P_Fx = _partial_hull(prog.F, xbar, list(ypt), tol_active, "x", n)
-        P_fx = _partial_hull(prog.f, xbar, list(ypt), tol_active, "x", n)
+        P_Fx = _partial_hull(prog.F, xbar, list(ypt), blur, "x", n)
+        P_fx = _partial_hull(prog.f, xbar, list(ypt), blur, "x", n)
         fx_diff = minkowski_sum(P_fx, negate(P_fx))
-        P_gx = [
-            _partial_hull(gi, xbar, list(ypt), tol_active, "x", n)
-            for gi in prog.g
-        ]
+        P_gx = [_partial_hull(gi, xbar, list(ypt), blur, "x", n)
+                for gi in prog.g]
         for rb in rb_pts:
             r, beta = float(rb[0]), rb[1:]
             for gamma in gamma_pts:
@@ -665,15 +658,14 @@ def _estimate_convex(prog, xbar, samples, caps, tol_active, stat_tol=None):
     return hull(pieces), truncated, notes
 
 
-def _estimate_semicontinuous(prog, xbar, ypt, caps, tol_active,
-                             stat_tol=None):
+def _estimate_semicontinuous(prog, xbar, ypt, caps, blur):
     # convexified lower-level stationarity covectors at the designated point
-    phi_star = _inclusion_xset(prog, xbar, ypt, tol_active, caps,
-                               stat_tol=stat_tol).polytope
-    system = _inclusion_system(prog, xbar, ypt, tol_active, include_F=True)
+    phi_star = _inclusion_xset(prog, xbar, ypt, blur, caps,
+                               stat_tol=blur).polytope
+    system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
     pieces = []
     for r in caps.r_grid():
-        inc = _solve_inclusion(system, caps, r, stat_tol)
+        inc = _solve_inclusion(system, caps, r, blur)
         if inc.polytope.is_empty:
             continue
         if phi_star.is_empty:
@@ -689,8 +681,6 @@ def estimate_simple_convex(
     xbar,
     grid: GridSpec = GridSpec(),
     caps: Caps = Caps(),
-    tol_active: float = DEFAULT_TOL_ACTIVE,
-    convexity_seed: int = 20240,
 ) -> Estimate:
     """Parameter-independent lower level: the estimate collapses to the
     hull of the upper objective's x-gradients over sampled best solutions.
@@ -704,14 +694,14 @@ def estimate_simple_convex(
         if xi:
             raise NotApplicableError(
                 f"lower-level data {label} references x: parameter-dependent")
-    if not _midpoint_convexity_ok(prog, (prog.F, prog.f, *prog.g),
-                                  convexity_seed):
+    if not _midpoint_convexity_ok(prog, (prog.F, prog.f, *prog.g)):
         raise NotApplicableError("midpoint convexity spot-check failed")
     sol_o = optimistic_solutions(prog, xbar_l, grid)
     samples = _subsample(sol_o.points, caps.max_solution_samples)
     pts = []
     for ypt in samples:
-        for gvec in clarke_generators(prog.F, xbar_l, list(ypt), tol_active):
+        for gvec in clarke_generators(prog.F, xbar_l, list(ypt),
+                                      DEFAULT_TOL_ACTIVE):
             pts.append(gvec[: prog.n])
     return Estimate(
         Polytope.from_generators(prog.n, pts),
@@ -721,14 +711,14 @@ def estimate_simple_convex(
     )
 
 
-def _midpoint_convexity_ok(prog: BilevelProgram, exprs, seed: int,
-                           trials: int = 200, tol: float = 1e-9) -> bool:
+def _midpoint_convexity_ok(prog: BilevelProgram, exprs) -> bool:
     """Seeded midpoint spot check of convexity over the box for each of
-    exprs.  The draws do not depend on exprs: one seed tests every
-    expression at the same points."""
-    rng = np.random.default_rng(seed)
+    exprs: 200 midpoints drawn from seed 20240, each within a relative
+    1e-9.  The draws do not depend on exprs: every expression is tested at
+    the same points."""
+    rng = np.random.default_rng(20240)
     box = list(prog.box_x) + list(prog.box_y)
-    for _ in range(trials):
+    for _ in range(200):
         a = np.array([rng.uniform(lo, hi) for lo, hi in box])
         b = np.array([rng.uniform(lo, hi) for lo, hi in box])
         mid = 0.5 * (a + b)
@@ -736,6 +726,6 @@ def _midpoint_convexity_ok(prog: BilevelProgram, exprs, seed: int,
             va = eval_expr(e, a[: prog.n], a[prog.n:])
             vb = eval_expr(e, b[: prog.n], b[prog.n:])
             vm = eval_expr(e, mid[: prog.n], mid[prog.n:])
-            if vm > 0.5 * (va + vb) + tol * (1 + abs(va) + abs(vb)):
+            if vm > 0.5 * (va + vb) + 1e-9 * (1 + abs(va) + abs(vb)):
                 return False
     return True

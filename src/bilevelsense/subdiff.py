@@ -151,8 +151,8 @@ def negate(p: Polytope) -> Polytope:
     )
 
 
-def hull(polytopes_or_points, rays=(), dim: Optional[int] = None) -> Polytope:
-    """Convex hull of a union of polytopes, or of raw points and rays."""
+def hull(polytopes_or_points, dim: Optional[int] = None) -> Polytope:
+    """Convex hull of a union of polytopes, or of raw points."""
     items = list(polytopes_or_points)
     if items and isinstance(items[0], Polytope):
         dims = {p.dim for p in items}
@@ -166,7 +166,7 @@ def hull(polytopes_or_points, rays=(), dim: Optional[int] = None) -> Polytope:
         if not items:
             raise EmptySetError("hull of nothing needs an explicit dim")
         dim = len(items[0])
-    return Polytope.from_generators(dim, items, rays)
+    return Polytope.from_generators(dim, items)
 
 
 # -- least-distance projector -------------------------------------------------
@@ -308,8 +308,9 @@ def project(p: Polytope, v):
     return _project(p.vertex_array(), p.ray_array(), z)
 
 
-def contains(p: Polytope, v, tol: float = 1e-9) -> bool:
-    return distance(p, v) <= tol
+def contains(p: Polytope, v) -> bool:
+    """Whether v lies in the set, within a distance of 1e-9."""
+    return distance(p, v) <= 1e-9
 
 
 # -- sampling oracles ---------------------------------------------------------
@@ -438,13 +439,12 @@ def lipschitz_estimate(
     xbar,
     radius: float,
     n_pairs: int = 200,
-    seed: int = 0,
 ) -> float:
     """Empirical Lipschitz modulus of h on the ball around xbar.
 
-    Max of |h(a)-h(b)|/||a-b|| over seeded sample pairs; returns +inf when
-    any evaluation is infeasible (the modulus is then meaningless on the
-    full ball).
+    Max of |h(a)-h(b)|/||a-b|| over sample pairs drawn from seed 0;
+    returns +inf when any evaluation is infeasible (the modulus is then
+    meaningless on the full ball).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -452,7 +452,7 @@ def lipschitz_estimate(
         raise ValueError("n_pairs must be >= 100")
     xbar = np.asarray(xbar, dtype=float)
     n = xbar.size
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = 0.0
     for _ in range(n_pairs):
         u = rng.normal(size=n)
@@ -472,13 +472,13 @@ def lipschitz_estimate(
     return best
 
 
-def normal_cone_polyhedral(theta1, xbar, tol_active: float = 1e-8,
-                           n: Optional[int] = None) -> Polytope:
+def normal_cone_polyhedral(theta1, xbar, n: Optional[int] = None) -> Polytope:
     """Normal cone to {x : theta1(x) <= 0} at xbar for affine theta1.
 
     For a convex polyhedral set the limiting and convexified normal cones
     coincide: the cone generated by the gradients of the active
-    constraints, {0} when none are active.
+    constraints (within a relative 1e-8 of zero), {0} when none are
+    active.
     """
     xbar = np.asarray(xbar, dtype=float)
     if n is None:
@@ -490,8 +490,8 @@ def normal_cone_polyhedral(theta1, xbar, tol_active: float = 1e-8,
             raise NotPolyhedralError("upper-level constraint is not affine")
         c0, cx, _ = coeffs
         val = c0 + float(cx @ xbar)
-        if val > tol_active * (1.0 + abs(val)):
+        if val > 1e-8 * (1.0 + abs(val)):
             raise InfeasiblePointError(f"theta1 violated at xbar (value {val})")
-        if val >= -tol_active * (1.0 + abs(val)) and np.max(np.abs(cx)) > 0:
+        if val >= -1e-8 * (1.0 + abs(val)) and np.max(np.abs(cx)) > 0:
             rays.append(cx.copy())
     return Polytope.from_generators(n, [np.zeros(n)], rays)

@@ -33,14 +33,17 @@ from .model import BilevelProgram, Expr, eval_expr
 
 DEFAULT_TOL_VAL_BASE = 1e-6
 
+# A grid point is feasible when every lower-level constraint is at most this.
+TOL_FEAS = 1e-9
+
 # Bound on the points one sweep level meshes: the coarse grid,
 # points_per_dim ** m, and each refinement level, (max_seeds + 2) windows of
 # refine_points ** m.  2**24 admits m = 3 at the default 201 points per
 # axis (8.1M points, 195 MB of y).
 MAX_GRID_POINTS = 2 ** 24
 
-# Bound on the solution-set memo, in entries (distinct (problem, x, grid,
-# tol_val) requests).  An entry of a flat S(x) can hold every point of the
+# Bound on the solution-set memo, in entries (distinct (problem, x, grid)
+# requests).  An entry of a flat S(x) can hold every point of the
 # coarse grid as a tuple, so this stays well below the sweep memo's 2048.
 _SOLUTION_ENTRIES = 64
 
@@ -55,7 +58,6 @@ class GridSpec:
 
     points_per_dim: int = 201
     refine_depth: int = 3
-    tol_feas: float = 1e-9
     refine_points: int = 21
     max_seeds: int = 5
 
@@ -114,10 +116,13 @@ def _mesh(lo, hi, count):
 
 
 @lru_cache(maxsize=8)
-def _coarse_mesh(box_y: Tuple[Tuple[float, float], ...], count: int):
+def _coarse_mesh(box_y: Tuple[Tuple[float, float], ...], count: int,
+                 box_signs=None):
     """The coarse sweep grid of box_y, shared read-only by every sweep of
-    that box.  Raises BudgetError, before allocating, when the grid would
-    hold more than MAX_GRID_POINTS points."""
+    that box.  Keyed on the box, the count and the sign bits of the box
+    bounds (`box_signs`, passed as `_box_signs(box_y)`), since a bound of
+    -0.0 gives the mesh a -0.0.  Raises BudgetError, before allocating,
+    when the grid would hold more than MAX_GRID_POINTS points."""
     if count ** len(box_y) > MAX_GRID_POINTS:
         raise BudgetError(
             f"coarse grid of {count}^{len(box_y)} points exceeds "
@@ -128,7 +133,7 @@ def _coarse_mesh(box_y: Tuple[Tuple[float, float], ...], count: int):
     return mesh
 
 
-def _feasible(g, m: int, x, ypts: np.ndarray, tol_feas: float):
+def _feasible(g, m: int, x, ypts: np.ndarray):
     if ypts.size == 0:
         return ypts
     ycols = [ypts[:, j] for j in range(m)]
@@ -136,7 +141,7 @@ def _feasible(g, m: int, x, ypts: np.ndarray, tol_feas: float):
     for gi in g:
         vals = np.asarray(eval_expr(gi, x, ycols), dtype=float)
         vals = np.broadcast_to(vals, (len(ypts),))
-        mask &= vals <= tol_feas
+        mask &= vals <= TOL_FEAS
     return ypts[mask]
 
 
@@ -160,12 +165,12 @@ def _pool_key_sort(ypts, fvals):
 @lru_cache(maxsize=2048)
 def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
                  box_y: Tuple[Tuple[float, float], ...], F: Expr,
-                 x_key: Tuple[float, ...], grid: GridSpec, x_signs=None):
+                 x_key: Tuple[float, ...], grid: GridSpec, signs=None):
     """Sweep + refine the lower level min f(x, .) s.t. g(x, .) <= 0 over
     box_y at x.
 
     Returns (phi, pool_y (k, m), pool_f (k,), pool_F (k,)); every pooled
-    point is feasible within tol_feas.  Returns None when no coarse grid
+    point is feasible within TOL_FEAS.  Returns None when no coarse grid
     point is feasible, so that an infeasible x is memoised as well (`_sweep`
     raises InfeasibleError).  Raises BudgetError, before meshing anything,
     when a refinement level could mesh more than MAX_GRID_POINTS points.
@@ -174,8 +179,9 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
     only picks refinement seeds (both of its extremes inside the band, so
     -F picks the same points) and fills pool_F.  Memoised in an LRU of
     2048 entries keyed on (m, f, g, box_y, F, x, grid) and the sign bits of
-    x (`x_signs`, which `_sweep` passes as `_signs(*x_key)` when x holds a
-    zero, so that -0.0 and 0.0 get a sweep each), with F's top-level
+    x and of the box bounds (`signs`, which `_sweep` passes as
+    `_signs(*x_key)` and `_box_signs(box_y)` when either holds a zero, so
+    that -0.0 and 0.0 get a sweep each), with F's top-level
     negations stripped by the caller (`_sweep`); the three arrays are
     shared by every caller, so they are returned read-only.
     """
@@ -188,8 +194,8 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
     level_cell = np.array([
         (hi - lo) / (grid.points_per_dim - 1) for lo, hi in box_y
     ])
-    pts = _feasible(g, m, x, _coarse_mesh(box_y, grid.points_per_dim),
-                    grid.tol_feas)
+    mesh = _coarse_mesh(box_y, grid.points_per_dim, _box_signs(box_y))
+    pts = _feasible(g, m, x, mesh)
     if len(pts) == 0:
         return None
     fvals = _eval_on(f, x, pts, m)
@@ -204,8 +210,7 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
         # pick the other zero when the two compare equal as +0 and -0
         lo = np.where(lo > box_lo, lo, box_lo)
         hi = np.where(hi < box_hi, hi, box_hi)
-        cand = _feasible(g, m, x, _mesh(lo, hi, grid.refine_points),
-                         grid.tol_feas)
+        cand = _feasible(g, m, x, _mesh(lo, hi, grid.refine_points))
         if len(cand):
             pool_y = np.vstack([pool_y, cand])
             pool_f = np.concatenate([pool_f, _eval_on(f, x, cand, m)])
@@ -277,9 +282,12 @@ def _sweep(prog: BilevelProgram, x, grid: GridSpec):
     x."""
     F, negated = prog.F._peel_negations()
     x_key = _xkey(x)
-    # only a zero's sign is not in its value: an x without zeros keys None
+    # only a zero's sign is not in its value: an x and a box without zeros
+    # key None
+    box_signs = _box_signs(prog.box_y)
+    signs = (_signs(*x_key), box_signs) if 0.0 in x_key or box_signs else None
     swept = _solve_lower(prog.m, prog.f, prog.g, prog.box_y, F, x_key, grid,
-                         _signs(*x_key) if 0.0 in x_key else None)
+                         signs)
     if swept is None:
         raise InfeasibleError(f"no feasible lower-level point at x={list(x_key)}")
     phi, pool_y, pool_f, pool_F = swept
@@ -341,14 +349,20 @@ def _signs(*values):
     return tuple(v is not None and math.copysign(1.0, v) < 0 for v in values)
 
 
+def _box_signs(box):
+    """Sign bits of the bounds of a box, or None when no bound is zero."""
+    bounds = [v for pair in box for v in pair]
+    return _signs(*bounds) if 0.0 in bounds else None
+
+
 @lru_cache(maxsize=_SOLUTION_ENTRIES)
 def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
-                  grid: GridSpec, tol_val, signs):
+                  grid: GridSpec, signs):
     """S(x) (which = "lower") or S_o(x) ("optimistic") of problem at x_key.
 
     Memoised in an LRU of _SOLUTION_ENTRIES entries keyed on every input:
-    the problem, x as the sweep keys it, the grid, tol_val, and the sign
-    bits of x and tol_val (`signs`).  SolutionSet is frozen and holds only
+    the problem, x as the sweep keys it, the grid, and the sign bits of x
+    and of the box bounds (`signs`).  SolutionSet is frozen and holds only
     tuples, so every caller shares one.  InfeasibleError is not cached; the
     sweep memo answers a repeat.
     """
@@ -359,7 +373,7 @@ def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
         band = pool_f <= phi + default_tol_val(phi)
         pts, keys = pool_y[band], pool_F[band]
     value = float(np.min(keys))
-    band_tol = default_tol_val(value) if tol_val is None else float(tol_val)
+    band_tol = default_tol_val(value)
     sel = keys <= value + band_tol
     pts = pts[sel]
     order = _pool_key_sort(pts, keys[sel])
@@ -370,21 +384,18 @@ def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
     )
 
 
-def _solutions(which, prog: BilevelProgram, x, grid, tol_val) -> SolutionSet:
+def _solutions(which, prog: BilevelProgram, x, grid) -> SolutionSet:
     problem = _Problem(prog.m, prog.f, prog.g, prog.box_y, prog.F)
     x_key = _xkey(x)
-    return _solution_set(which, problem, x_key, grid, tol_val,
-                         _signs(*x_key, tol_val))
+    return _solution_set(which, problem, x_key, grid,
+                         (_signs(*x_key), _box_signs(prog.box_y)))
 
 
-def lower_solutions(
-    prog: BilevelProgram,
-    x,
-    grid: GridSpec = GridSpec(),
-    tol_val: Optional[float] = None,
-) -> SolutionSet:
-    """S(x): feasible grid points whose f-value is within tol_val of phi(x)."""
-    return _solutions("lower", prog, x, grid, tol_val)
+def lower_solutions(prog: BilevelProgram, x,
+                    grid: GridSpec = GridSpec()) -> SolutionSet:
+    """S(x): feasible grid points whose f-value is within
+    `default_tol_val(phi)` of phi(x)."""
+    return _solutions("lower", prog, x, grid)
 
 
 def optimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
@@ -408,24 +419,17 @@ def pessimistic_value_direct(prog: BilevelProgram, x,
     return float(np.max(pool_F[mask]))
 
 
-def optimistic_solutions(
-    prog: BilevelProgram,
-    x,
-    grid: GridSpec = GridSpec(),
-    tol_val: Optional[float] = None,
-) -> SolutionSet:
-    """S_o(x): members of S(x) whose upper objective is near phi_o(x)."""
-    return _solutions("optimistic", prog, x, grid, tol_val)
+def optimistic_solutions(prog: BilevelProgram, x,
+                         grid: GridSpec = GridSpec()) -> SolutionSet:
+    """S_o(x): members of S(x) whose upper objective is within
+    `default_tol_val(phi_o)` of phi_o(x)."""
+    return _solutions("optimistic", prog, x, grid)
 
 
-def pessimistic_solutions(
-    prog: BilevelProgram,
-    x,
-    grid: GridSpec = GridSpec(),
-    tol_val: Optional[float] = None,
-) -> SolutionSet:
+def pessimistic_solutions(prog: BilevelProgram, x,
+                          grid: GridSpec = GridSpec()) -> SolutionSet:
     """Worst-case solution set: the optimistic one of the negated program."""
-    sol = optimistic_solutions(prog.negated_upper(), x, grid, tol_val)
+    sol = optimistic_solutions(prog.negated_upper(), x, grid)
     return SolutionSet(sol.points, -sol.value, sol.tol_val, sol.finest_cell)
 
 

@@ -235,6 +235,19 @@ class TestInconclusive:
         assert cert.status == "Inconclusive"
         assert cert.residual == math.inf
 
+    @pytest.mark.parametrize("run", [certify_optimistic, certify_pessimistic])
+    @pytest.mark.parametrize("variant", ["i", "ii", "iii"])
+    def test_an_inconclusive_certificate_rechecks_to_inf(self, run, variant):
+        # it stores no lower-level point and no multiplier: nothing to
+        # rebuild, so the re-check reports inf instead of a missing key
+        prog = BilevelProgram(
+            n=1, m=1, F=Y1, f=Expr.const(0.0), g=(),
+            box_x=((-1.0, 1.0),), box_y=((-1.0, 1.0),))
+        cert = run(prog, [0.0], variant, GridSpec(41, 2), CAPS, with_cq=False)
+        assert cert.status == "Inconclusive"
+        assert not cert.ys and not cert.multipliers
+        assert recheck_certificate(prog, cert) == math.inf
+
 
 class TestRefutationMonotonicity:
     def test_enlarging_caps_never_raises_the_bound(self, prog_a,
@@ -344,6 +357,8 @@ def reference_recheck(prog, cert, tol_active=DEFAULT_TOL_ACTIVE):
         total = minkowski_sum(hull([list(g) for g in gens], dim=n), ncone)
         return distance(total, np.zeros(n))
 
+    if not cert.ys:
+        return math.inf
     work = prog.negated_upper() if cert.mode == "pessimistic" else prog
 
     alpha = list(mult.get("alpha") or [])
@@ -468,6 +483,8 @@ def reference_recheck(prog, cert, tol_active=DEFAULT_TOL_ACTIVE):
         x_t = [np.array(xt) for xt in cert.aux["xstar_t"]]
         if not (signs_ok(v_w) and all(signs_ok(us) for us in u_s)
                 and all(signs_ok(ut) for ut in u_t)):
+            return math.inf
+        if abs(sum(v_w) - 1.0) > 1e-9:
             return math.inf
         agg_s = sum(w * xs for w, xs in zip(v_w, x_s))
         for w, ys_pt, xs, us in zip(v_w, y_s, x_s, u_s):
@@ -686,6 +703,17 @@ def _outcome(fn, prog, cert):
         return repr(float(fn(prog, cert)))
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return f"raises {type(exc).__name__}"
+
+
+@pytest.mark.parametrize("mode", ["optimistic", "pessimistic"])
+def test_variant_i_weights_v_must_sum_to_one(mode):
+    from dataclasses import replace
+
+    key = f"A_constrained@0.5/{mode}/i"
+    _, prog, cert = next(c for c in _golden_certificates() if c[0] == key)
+    assert recheck_certificate(prog, cert) <= cert.tol_eff
+    mult = dict(cert.multipliers, v=[1.5 * w for w in cert.multipliers["v"]])
+    assert recheck_certificate(prog, replace(cert, multipliers=mult)) == math.inf
 
 
 def test_recheck_matches_the_hand_written_reference():

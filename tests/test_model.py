@@ -232,8 +232,6 @@ class TestParser:
 
     # expressions nested k levels deeper than the leaf y1
     DEEP = {
-        "sum_chain": lambda k: "y1" + " + y1" * k,
-        "product_chain": lambda k: "y1" + " * y1" * k,
         "parentheses": lambda k: "(" * k + "y1" + ")" * k,
         "signs": lambda k: "-+" * (k // 2) + "-" * (k % 2) + "y1",
         "calls": lambda k: "exp(" * k + "y1" + ")" * k,
@@ -253,26 +251,42 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_program(upper(10 * MAX_EXPR_DEPTH))
 
+    CHAINS = {
+        "sum_chain": (" + ", lambda k: float(k)),
+        "product_chain": (" * ", lambda k: 1.0),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(CHAINS))
+    def test_an_operator_chain_adds_no_depth(self, shape):
+        # the parser reads a chain in a loop, and every walk runs over the
+        # tape, so a chain 20 times the depth bound parses and evaluates
+        op, value = self.CHAINS[shape]
+        k = 20 * MAX_EXPR_DEPTH
+        prog = parse_program(MINIMAL_FILE.replace(
+            "objective = (y1 - 1)^2 + x1^2",
+            "objective = (" + op.join(["y1"] * k) + ")"))
+        assert eval_expr(prog.F, [0.0], [1.0]) == value(k)
+
 
     @staticmethod
     def _nested(k, text):
         return "(" * k + text + ")" * k
 
     @pytest.mark.parametrize("objective,accepted", [
-        (_nested(148, "y1") + " + -y1", True),
-        ("-y1 + " + _nested(148, "y1"), True),
-        (_nested(147, "y1 - x1") + " + (y1 - x1)", True),
-        ("(y1 - x1) + " + _nested(147, "y1 - x1"), True),
-        (_nested(148, "y1 - x1") + " + (y1 - x1)", False),
-        ("(y1 - x1) + " + _nested(148, "y1 - x1"), False),
+        (_nested(149, "y1") + " + -y1", True),
+        ("-y1 + " + _nested(149, "y1"), True),
+        (_nested(149, "y1 - x1") + " + (y1 - x1)", True),
+        ("(y1 - x1) + " + _nested(149, "y1 - x1"), True),
+        (_nested(150, "y1 - x1") + " + (y1 - x1)", False),
+        ("(y1 - x1) + " + _nested(150, "y1 - x1"), False),
     ], ids=["deep_leaf_first", "shallow_leaf_first", "deep_sum_first",
             "shallow_sum_first", "deep_sum_first_too_deep",
             "shallow_sum_first_too_deep"])
     def test_an_equal_subtree_keeps_each_of_its_depths(self, objective,
                                                        accepted):
         # one interned node can sit both deep and shallow in a tree; each
-        # occurrence is measured at its own depth, and the sum is 150 deep
-        # (accepted) or 151 (refused at the top-level "+")
+        # occurrence is measured where it is parsed: inside 149 parentheses
+        # it is 150 deep (accepted), inside 150 it is refused at the 150th
         text = MINIMAL_FILE.replace("objective = (y1 - 1)^2 + x1^2",
                                     "objective = " + objective)
         if accepted:
@@ -280,9 +294,10 @@ class TestParser:
             return
         with pytest.raises(ParseError) as err:
             parse_program(text)
+        col = objective.index("(" * MAX_EXPR_DEPTH) + MAX_EXPR_DEPTH
         assert str(err.value) == (
             f"expression nested deeper than {MAX_EXPR_DEPTH} levels (line 6, "
-            f"col {len('objective = ') + objective.index('+') + 1})")
+            f"col {len('objective = ') + col})")
 
     @pytest.mark.parametrize("line,col", [
         ("objective = y1 +* 2", 17),

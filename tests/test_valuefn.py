@@ -1,5 +1,4 @@
 import itertools
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +23,7 @@ from bilevelsense.model import (
 )
 from bilevelsense import valuefn
 from bilevelsense.valuefn import (
+    TOL_FEAS,
     GridSpec,
     _dedup_points,
     _refine_seeds,
@@ -473,7 +473,7 @@ def reference_sweep(prog, x, grid):
     def feasible(ys):
         keep = np.ones(len(ys), dtype=bool)
         for gi in prog.g:
-            keep &= _ref_values(gi, x, ys) <= grid.tol_feas
+            keep &= _ref_values(gi, x, ys) <= TOL_FEAS
         return ys[keep]
 
     ys = feasible(_ref_grid(prog.box_y, grid.points_per_dim))
@@ -691,8 +691,8 @@ SOLUTION_CALLS = (lower_solutions, optimistic_solutions, pessimistic_solutions)
 
 
 def _solution_sets(prog, x, grid):
-    return [fn(p, x, grid, tol) for p in (prog, prog.negated_upper())
-            for fn in SOLUTION_CALLS for tol in (None, 1e-3)]
+    return [fn(p, x, grid) for p in (prog, prog.negated_upper())
+            for fn in SOLUTION_CALLS]
 
 
 def _assert_solution_hit_equals_fresh(prog, x, grid):
@@ -709,9 +709,8 @@ def _assert_solution_hit_equals_fresh(prog, x, grid):
     for pos, s in enumerate(fresh):
         _solution_set.cache_clear()
         _solve_lower.cache_clear()
-        p = (prog, prog.negated_upper())[pos // 6]
-        fn, tol = SOLUTION_CALLS[pos % 6 // 2], (None, 1e-3)[pos % 2]
-        assert repr(fn(p, x, grid, tol)) == repr(s)
+        p = (prog, prog.negated_upper())[pos // 3]
+        assert repr(SOLUTION_CALLS[pos % 3](p, x, grid)) == repr(s)
 
 
 @pytest.mark.parametrize("make,x", [(instance_a, [0.5]), (instance_a, [0.0]),
@@ -732,24 +731,19 @@ def test_solution_keys_stay_apart(prog_c):
     _solution_set.cache_clear()
     x = [0.3]
     requests = [
-        (optimistic_solutions, prog_c, SHARED_GRID, None),
-        (lower_solutions, prog_c, SHARED_GRID, None),
-        (optimistic_solutions, prog_c.negated_upper(), SHARED_GRID, None),
-        (optimistic_solutions, prog_c, GRID, None),
-        (optimistic_solutions, prog_c, SHARED_GRID, 1e-3),
-        (optimistic_solutions, prog_c, SHARED_GRID, 0.0),
-        (optimistic_solutions, prog_c, SHARED_GRID, -0.0),
+        (optimistic_solutions, prog_c, SHARED_GRID),
+        (lower_solutions, prog_c, SHARED_GRID),
+        (optimistic_solutions, prog_c.negated_upper(), SHARED_GRID),
+        (optimistic_solutions, prog_c, GRID),
     ]
     got = []
-    for i, (fn, prog, grid, tol) in enumerate(requests, start=1):
-        got.append(fn(prog, x, grid, tol))
+    for i, (fn, prog, grid) in enumerate(requests, start=1):
+        got.append(fn(prog, x, grid))
         assert _solution_set.cache_info().misses == i
     # S_o of F = x * y at x > 0 is {0}; its twin's (the worst case) is {1}
     assert got[0].points == ((0.0,),)
     assert len(got[2]) == 1 and got[2].points[0][0] == pytest.approx(1.0)
     assert len(got[1]) > 1
-    assert got[4].tol_val == 1e-3
-    assert [math.copysign(1.0, s.tol_val) for s in got[5:]] == [1.0, -1.0]
     # pessimistic_solutions reads its twin's entry, and the mode, upper
     # constraints and box_x are not part of the key
     pessimistic_solutions(prog_c, x, SHARED_GRID)
@@ -807,6 +801,51 @@ def test_signed_zero_x_reads_its_own_sweep(order):
     _solve_lower.cache_clear()
     _solution_set.cache_clear()
     assert [_signed_x_results(x) for x in order] == fresh
+    assert _solve_lower.cache_info().misses == 2
+
+
+def _signed_box(hi):
+    return parse_program(f"""
+[dims]
+n = 1
+m = 1
+[upper]
+objective = y1
+[lower]
+objective = 0 - y1
+[box]
+x1 = -1, 1
+y1 = -1, {hi!r}
+""")
+
+
+def _signed_box_results(prog):
+    return [repr(fn(prog, [0.5], SIGNED_X_GRID))
+            for fn in (lower_solutions, optimistic_solutions,
+                       pessimistic_solutions, optimistic_value)]
+
+
+@pytest.mark.parametrize("order", [(-0.0, 0.0), (0.0, -0.0)])
+def test_signed_zero_box_bound_reads_its_own_sweep(order):
+    # f = -y1 puts S(x) on the upper bound, which the mesh takes with its
+    # sign; the two programs are equal, yet each gets what a sweep of its
+    # own box gives, whatever ran first
+    progs = [_signed_box(hi) for hi in order]
+    assert progs[0] == progs[1]
+
+    def clear():
+        _solve_lower.cache_clear()
+        _solution_set.cache_clear()
+        valuefn._coarse_mesh.cache_clear()
+
+    fresh = []
+    for prog in progs:
+        clear()
+        fresh.append(_signed_box_results(prog))
+    assert [r[0].count(f"points=(({hi!r},),)") for r, hi in zip(fresh, order)] \
+        == [1, 1]
+    clear()
+    assert [_signed_box_results(p) for p in progs] == fresh
     assert _solve_lower.cache_info().misses == 2
 
 

@@ -9,7 +9,8 @@ and reruns with identical flags are byte-identical.
 Exit codes: 0 success, 1 usage/parse error, 2 infeasible, not applicable
 or not evaluable (every other library error, EvaluationError,
 DimensionMismatchError and EmptySetError included), 3 inconclusive
-certification, 4 enumeration or grid budget exceeded.  No library error
+certification, 4 enumeration or grid budget exceeded, or out of memory
+(MemoryError, which numpy's failed allocations raise).  No library error
 ends in a traceback.
 """
 
@@ -302,6 +303,10 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except BudgetError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)
+        return BUDGET
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return BUDGET
     except ToolkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -110,8 +110,42 @@ class Expr:
         return node
 
     def __reduce__(self):
-        return Expr, (self.kind, self.children, self.value, self.index,
-                      self.exponent, self.safe)
+        # the distinct nodes as a flat table, children before parents and
+        # each child as its row, so pickle does not recurse into the
+        # children: a long operator chain pickles like a short one
+        table, row, todo = [], {}, [(self, False)]
+        while todo:
+            node, expanded = todo.pop()
+            if id(node) in row:
+                continue
+            if expanded:
+                row[id(node)] = len(table)
+                table.append((node.kind, tuple(row[id(c)] for c in node.children),
+                              node.value, node.index, node.exponent, node.safe))
+                continue
+            todo.append((node, True))
+            todo.extend((c, False) for c in reversed(node.children))
+        return _unpickle, (tuple(table),)
+
+    def __repr__(self):
+        # the dataclass repr, written out without recursion
+        parts, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(f"Expr(kind={item.kind!r}, children=(")
+            todo.append(f"), value={item.value!r}, index={item.index!r}, "
+                        f"exponent={item.exponent!r}, safe={item.safe!r})")
+            kids = item.children
+            if len(kids) == 1:
+                todo.append(",")
+            for i in range(len(kids) - 1, -1, -1):
+                todo.append(kids[i])
+                if i:
+                    todo.append(", ")
+        return "".join(parts)
 
     def __deepcopy__(self, memo):
         return self
@@ -169,6 +203,15 @@ class Expr:
         while core.kind == "neg":
             core, odd = core.children[0], not odd
         return core, odd
+
+
+def _unpickle(table) -> Expr:
+    """The interned root of an `Expr.__reduce__` table."""
+    nodes = []
+    for kind, kids, value, index, exponent, safe in table:
+        nodes.append(Expr(kind, tuple(nodes[i] for i in kids), value, index,
+                          exponent, safe))
+    return nodes[-1]
 
 
 def _as_expr(v) -> Expr:

@@ -5,14 +5,17 @@ the best / worst upper-level objective over the near-optimal band S(x).
 A coarse sweep over the y-box is refined multiplicatively around
 incumbents (cell size / 10 per level), which at desk scale gives
 oracle-grade values without an NLP solver.  All reductions are
-deterministic: ties break toward the lexicographically smallest y.
+deterministic: ties break toward the lexicographically smallest y.  The
+values read the lower level only through the band, so each refinement
+level keeps only the points a later level can still read, and the sweep
+returns (and memoises) the band alone, not every feasible grid point.
 
 The pessimistic value is computed as minus the optimistic value of the
 program with the upper objective negated, so the defining identity between
 the two holds to the last bit.  The lower-level sweep is keyed on the
 lower-level problem (m, f, g, box_y), the point x, the grid and F with its
 top-level negations stripped, so a program and its negated-upper twin
-share one sweep; the twin reads the pooled F values negated, which IEEE
+share one sweep; the twin reads the band's F values negated, which IEEE
 negation makes exactly the values of the negated F.
 """
 
@@ -28,7 +31,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import BudgetError, InfeasibleError, UnsupportedDimensionError
+from .errors import (BudgetError, DomainError, InfeasibleError,
+                     UnsupportedDimensionError)
 from .model import BilevelProgram, Expr, eval_expr
 
 DEFAULT_TOL_VAL_BASE = 1e-6
@@ -169,21 +173,28 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
     """Sweep + refine the lower level min f(x, .) s.t. g(x, .) <= 0 over
     box_y at x.
 
-    Returns (phi, pool_y (k, m), pool_f (k,), pool_F (k,)); every pooled
-    point is feasible within TOL_FEAS.  Returns None when no coarse grid
-    point is feasible, so that an infeasible x is memoised as well (`_sweep`
-    raises InfeasibleError).  Raises BudgetError, before meshing anything,
-    when a refinement level could mesh more than MAX_GRID_POINTS points.
-    Each refinement level meshes the windows around all its seeds as one
-    batch, stacked in seed order, and evaluates g, f and F once on it.  F
-    only picks refinement seeds (both of its extremes inside the band, so
-    -F picks the same points) and fills pool_F.  Memoised in an LRU of
-    2048 entries keyed on (m, f, g, box_y, F, x, grid) and the sign bits of
-    x and of the box bounds (`signs`, which `_sweep` passes as
+    Returns (phi, band_y (k, m), band_f (k,), band_F (k,)): the pooled
+    points of the optimality band f <= `_band_bound(phi)`, in pool order;
+    every one is feasible within TOL_FEAS.  Returns None when no coarse
+    grid point is feasible, so that an infeasible x is memoised as well
+    (`_sweep` raises InfeasibleError).  Raises BudgetError, before meshing
+    anything, when a refinement level could mesh more than MAX_GRID_POINTS
+    points, and DomainError when the band bound is NaN (a NaN f on a
+    feasible point, or phi = -inf).
+
+    Each refinement level first drops the pooled points no later level can
+    read (`_live`), then meshes the windows around all its seeds as one
+    batch, stacked in seed order, and evaluates g, f and F once on it.
+    Pooling more points only lowers the k-th smallest f and the band
+    bound, so the seeds and the band are those of the whole pool.  F only
+    picks refinement seeds (both of its extremes inside the band, so -F
+    picks the same points) and fills band_F.  Memoised in an LRU of 2048
+    entries keyed on (m, f, g, box_y, F, x, grid) and the sign bits of x
+    and of the box bounds (`signs`, which `_sweep` passes as
     `_signs(*x_key)` and `_box_signs(box_y)` when either holds a zero, so
-    that -0.0 and 0.0 get a sweep each), with F's top-level
-    negations stripped by the caller (`_sweep`); the three arrays are
-    shared by every caller, so they are returned read-only.
+    that -0.0 and 0.0 get a sweep each), with F's top-level negations
+    stripped by the caller (`_sweep`); the three arrays are shared by every
+    caller, so they are returned read-only.
     """
     refined = (grid.max_seeds + 2) * grid.refine_points ** m
     if grid.refine_depth and refined > MAX_GRID_POINTS:
@@ -195,15 +206,17 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
         (hi - lo) / (grid.points_per_dim - 1) for lo, hi in box_y
     ])
     mesh = _coarse_mesh(box_y, grid.points_per_dim, _box_signs(box_y))
-    pts = _feasible(g, m, x, mesh)
-    if len(pts) == 0:
+    pool_y = _feasible(g, m, x, mesh)
+    if len(pool_y) == 0:
         return None
-    fvals = _eval_on(f, x, pts, m)
-    Fvals = _eval_on(F, x, pts, m)
+    pool_f = _eval_on(f, x, pool_y, m)
+    pool_F = _eval_on(F, x, pool_y, m)
+    phi = _lower_optimum(pool_f, x_key)
 
     box_lo, box_hi = np.array(box_y, dtype=float).T
-    pool_y, pool_f, pool_F = pts, fvals, Fvals
     for _level in range(grid.refine_depth):
+        live = _live(pool_f, phi, grid.max_seeds)
+        pool_y, pool_f, pool_F = pool_y[live], pool_f[live], pool_F[live]
         seeds = np.array(_refine_seeds(pool_y, pool_f, pool_F, grid))
         lo, hi = seeds - level_cell, seeds + level_cell
         # clip to the box as Python's max/min would: np.maximum/np.minimum
@@ -215,12 +228,43 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
             pool_y = np.vstack([pool_y, cand])
             pool_f = np.concatenate([pool_f, _eval_on(f, x, cand, m)])
             pool_F = np.concatenate([pool_F, _eval_on(F, x, cand, m)])
+            phi = _lower_optimum(pool_f, x_key)
         level_cell = level_cell / 10.0
 
-    phi = float(np.min(pool_f))
-    for arr in (pool_y, pool_f, pool_F):
+    band = pool_f <= _band_bound(phi)
+    swept = pool_y[band], pool_f[band], pool_F[band]
+    for arr in swept:
         arr.flags.writeable = False
-    return phi, pool_y, pool_f, pool_F
+    return (phi, *swept)
+
+
+def _lower_optimum(pool_f, x_key):
+    """min f over the pool; raises DomainError when the band bound is NaN,
+    that is when some pooled f is NaN (min propagates it) or phi is
+    -inf.  Past this check the pool holds no NaN f."""
+    phi = float(pool_f.min())
+    if math.isnan(_band_bound(phi)):
+        raise DomainError(f"lower-level optimum is {phi} at x={list(x_key)}")
+    return phi
+
+
+def _band_bound(phi):
+    """The optimality band is f <= phi + default_tol_val(phi): the
+    near-optimal lower-level points that stand in for S(x)."""
+    return phi + default_tol_val(phi)
+
+
+def _live(pool_f, phi, k):
+    """Mask of the pooled points a later refinement level can still read:
+    the band (its F extremes are seeds, and it is what the sweep returns)
+    and every f up to the k-th smallest (the seeds of `_first_in_order`,
+    ties included).  The pool holds no NaN f (`_lower_optimum`)."""
+    if k >= len(pool_f):
+        return np.ones(len(pool_f), dtype=bool)
+    cut = _band_bound(phi)
+    if k:
+        cut = max(cut, float(np.partition(pool_f, k - 1)[k - 1]))
+    return pool_f <= cut
 
 
 def _first_in_order(pool_y, pool_f, k):
@@ -255,7 +299,7 @@ def _refine_seeds(pool_y, pool_f, pool_F, grid: GridSpec):
 
     for idx in _first_in_order(pool_y, pool_f, grid.max_seeds):
         push(pool_y[idx])
-    band = pool_f <= phi + default_tol_val(phi)
+    band = pool_f <= _band_bound(phi)
     if np.any(band):
         band_idx = np.nonzero(band)[0]
         band_F = pool_F[band_idx]
@@ -275,8 +319,8 @@ def _lex_first_tied(pool_y, idx, vals, pick):
 
 
 def _sweep(prog: BilevelProgram, x, grid: GridSpec):
-    """(phi, pool_y, pool_f, pool_F) of prog (a program or a `_Problem`) at
-    x, from the sweep prog shares with its negated-upper twin; pool_F comes
+    """(phi, band_y, band_f, band_F) of prog (a program or a `_Problem`) at
+    x, from the sweep prog shares with its negated-upper twin; band_F comes
     negated (a read-only copy) when F carries an odd number of top-level
     negations.  Raises InfeasibleError when no grid point is feasible at
     x."""
@@ -290,11 +334,11 @@ def _sweep(prog: BilevelProgram, x, grid: GridSpec):
                          signs)
     if swept is None:
         raise InfeasibleError(f"no feasible lower-level point at x={list(x_key)}")
-    phi, pool_y, pool_f, pool_F = swept
+    phi, band_y, band_f, band_F = swept
     if negated:
-        pool_F = -pool_F
-        pool_F.flags.writeable = False
-    return phi, pool_y, pool_f, pool_F
+        band_F = -band_F
+        band_F.flags.writeable = False
+    return phi, band_y, band_f, band_F
 
 
 def lower_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
@@ -366,16 +410,12 @@ def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
     tuples, so every caller shares one.  InfeasibleError is not cached; the
     sweep memo answers a repeat.
     """
-    phi, pool_y, pool_f, pool_F = _sweep(problem, x_key, grid)
-    if which == "lower":
-        pts, keys = pool_y, pool_f
-    else:
-        band = pool_f <= phi + default_tol_val(phi)
-        pts, keys = pool_y[band], pool_F[band]
+    _, band_y, band_f, band_F = _sweep(problem, x_key, grid)
+    keys = band_f if which == "lower" else band_F
     value = float(np.min(keys))
     band_tol = default_tol_val(value)
     sel = keys <= value + band_tol
-    pts = pts[sel]
+    pts = band_y[sel]
     order = _pool_key_sort(pts, keys[sel])
     cell = grid.finest_cell(problem.box_y)
     kept = _dedup_points(pts[order], cell * 0.999)
@@ -400,9 +440,8 @@ def lower_solutions(prog: BilevelProgram, x,
 
 def optimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
     """phi_o(x) = min F(x, .) over the near-optimal lower-level band."""
-    phi, pool_y, pool_f, pool_F = _sweep(prog, x, grid)
-    mask = pool_f <= phi + default_tol_val(phi)
-    return float(np.min(pool_F[mask]))
+    *_, band_F = _sweep(prog, x, grid)
+    return float(np.min(band_F))
 
 
 def pessimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
@@ -414,9 +453,8 @@ def pessimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> f
 def pessimistic_value_direct(prog: BilevelProgram, x,
                              grid: GridSpec = GridSpec()) -> float:
     """Direct max over the band; cross-check path for the sign identity."""
-    phi, pool_y, pool_f, pool_F = _sweep(prog, x, grid)
-    mask = pool_f <= phi + default_tol_val(phi)
-    return float(np.max(pool_F[mask]))
+    *_, band_F = _sweep(prog, x, grid)
+    return float(np.max(band_F))
 
 
 def optimistic_solutions(prog: BilevelProgram, x,

@@ -392,6 +392,53 @@ class TestEveryLibraryErrorIsMapped:
             "error: EvaluationError: log of a nonpositive value\n"
 
 
+NAN_FOLLOWER = """
+[dims]
+n = 1
+m = 1
+[upper]
+objective = x1 + y1
+[lower]
+objective = exp(1000*y1) - exp(1000*y1) + (y1 - x1)^2
+[box]
+x1 = -1, 1
+y1 = -1, 1
+[mode]
+optimistic
+"""
+
+
+class TestLowerOptimumNotANumber:
+    # inf - inf makes f NaN for y1 above about 0.71: phi is NaN, and there
+    # is no band to read phi_o or phi_p from
+    @pytest.mark.parametrize("which", ["phi", "phi_o", "phi_p"])
+    def test_sample_exits_two(self, which, tmp_path, capsys):
+        path = tmp_path / "nan_follower.blp"
+        path.write_text(NAN_FOLLOWER)
+        rc = main(["sample", str(path), "--which", which, "--range", "0:1:3",
+                   "--grid", "41"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: DomainError: lower-level optimum is nan at x=[0.0]\n"
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("no room")],
+                             ids=["bare", "message"])
+    def test_memory_error_exits_four(self, exc, instance_c_file, monkeypatch,
+                                     capsys):
+        # numpy's _ArrayMemoryError subclasses MemoryError
+        def no_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "sample_curve", no_memory)
+        rc = main(["sample", instance_c_file, "--which", "phi"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err == f"error: out of memory: {str(exc) or 'allocation failed'}\n"
+
+
 class TestGridBudget:
     def test_coarse_grid_just_above_the_bound_exits_four(self, tmp_path,
                                                           monkeypatch, capsys):

@@ -523,6 +523,30 @@ class TestInterning:
                                                     [3000.0, 1.0]]
         assert kink_count(eabs(chain)) == 1
         assert copy.deepcopy(chain) is chain
+        assert pickle.loads(pickle.dumps(chain)) is chain
+        assert repr(chain).count("Expr(") == chain._positions
+
+    def test_a_long_parsed_chain_pickles_and_shows(self):
+        # a 3,000-term objective parses; its program pickles back to the
+        # same interned nodes and has a repr
+        prog = parse_program(MINIMAL_FILE.replace(
+            "objective = -y1", "objective = -y1" + " + 0.0001*y1" * 2999))
+        assert prog.f._positions > 3 * 2999
+        again = pickle.loads(pickle.dumps(prog))
+        assert again == prog and again.f is prog.f
+        assert repr(prog).startswith("BilevelProgram(n=1, m=1, F=Expr(")
+        # y1 once in F, 3,000 times in f and twice in g
+        assert repr(prog).count("Expr(kind='yvar'") == 3003
+
+    def test_a_shared_subtree_pickles_once(self):
+        # 40 doublings are 41 nodes; the pickle holds each node once, not
+        # each of the 2^41 - 1 tree positions
+        e = Expr.y(2) * 0.625
+        for _ in range(40):
+            e = e + e
+        data = pickle.dumps(e)
+        assert len(data) < 4096
+        assert pickle.loads(data) is e
 
     def test_a_tape_above_the_budget_is_refused_before_it_is_built(self):
         # 30 doublings of y1 are 31 interned nodes but 2^31 - 1 tree
@@ -889,6 +913,21 @@ _TREES = st.recursive(
     _grow, max_leaves=10).flatmap(
         lambda e: st.sampled_from([e, e, e, e ** 0, neg(e ** 0)]))
 _PAIRS = st.lists(st.sampled_from(_POINTS), min_size=2, max_size=2)
+
+
+def _ref_repr(e):
+    """The repr a frozen dataclass generates for Expr, recursively."""
+    kids = "".join(f"{_ref_repr(c)}, " for c in e.children)
+    kids = kids[:-2] if len(e.children) > 1 else kids[:-1]
+    return (f"Expr(kind={e.kind!r}, children=({kids}), value={e.value!r}, "
+            f"index={e.index!r}, exponent={e.exponent!r}, safe={e.safe!r})")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(e=_TREES)
+def test_repr_and_pickle_match_the_recursive_forms(e):
+    assert repr(e) == _ref_repr(e)
+    assert pickle.loads(pickle.dumps(e)) is e
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from bilevelsense.errors import (
     BudgetError,
+    DomainError,
     InfeasibleError,
     UnsupportedDimensionError,
 )
@@ -15,6 +17,7 @@ from bilevelsense.model import (
     BilevelProgram,
     Expr,
     eabs,
+    eexp,
     emax,
     emin,
     eval_expr,
@@ -555,6 +558,9 @@ FLAT_2D = BilevelProgram(
 @example(case=(SIGNED_ZERO_EDGE, [0.0], GridSpec(points_per_dim=5, refine_depth=2,
                                                  refine_points=5)))
 def test_sweep_matches_per_window_reference(case):
+    # the sweep returns the band of the whole reference pool: pruning the
+    # pool between levels left every seed, and so every pooled window, as
+    # the unpruned reference picks them
     prog, x, grid = case
     _solve_lower.cache_clear()
     got = _solve_lower(prog.m, prog.f, prog.g, prog.box_y, prog.F, tuple(x), grid)
@@ -562,8 +568,10 @@ def test_sweep_matches_per_window_reference(case):
     assert (got is None) == (want is None)
     if got is None:
         return
-    assert got[0] == float(np.min(want[1]))
-    for a, b in zip(got[1:], want):
+    phi = float(np.min(want[1]))
+    assert got[0] == phi
+    band = want[1] <= phi + 1e-6 * (1.0 + abs(phi))
+    for a, b in zip(got[1:], (w[band] for w in want)):
         assert a.shape == b.shape
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
@@ -645,6 +653,74 @@ def test_refine_seeds_match_a_full_sort_on_drawn_pools(rows, k):
     ys = np.column_stack([y1, y2])
     _assert_same_seeds(_refine_seeds(ys, fs, Fs, GridSpec(max_seeds=k)),
                        reference_seeds(ys, fs, Fs, k))
+
+
+# -- what the sweep memo holds -------------------------------------------------
+
+NM2 = Path(__file__).resolve().parent.parent / "perfbench" / "problems" / "nm2.blp"
+
+
+def test_sweep_memo_holds_only_the_band():
+    # each entry is the band f <= phi + 1e-6 (1 + |phi|) of its sweep, not
+    # every feasible grid point: on nm2 (m = 2, flat in y2) the 25 entries
+    # of a 5 x 5 curve hold about 157 kB, where whole pools held 19.8 MB
+    prog = parse_program(NM2.read_text())
+    _solve_lower.cache_clear()
+    rows = sample_curve(prog, "phi", GRID, points_per_axis=5)
+    assert _solve_lower.cache_info().currsize == len(rows) == 25
+    held = 0
+    for row in rows:
+        phi, ys, fs, Fs = _sweep(prog, list(row.x), GRID)
+        assert row.value == phi
+        band = np.count_nonzero(fs <= phi + 1e-6 * (1.0 + abs(phi)))
+        assert len(ys) == len(fs) == len(Fs) == band > 0
+        held += ys.nbytes + fs.nbytes + Fs.nbytes
+    info = _solve_lower.cache_info()
+    assert (info.hits, info.misses) == (25, 25)
+    assert held < 1 << 20
+
+
+# -- a lower-level optimum that is not a number ---------------------------------
+
+Y1, X1 = Expr.y(1), Expr.x(1)
+
+
+def _follower(f):
+    return BilevelProgram(n=1, m=1, F=X1 + Y1, f=f, box_x=((-1.0, 1.0),),
+                          box_y=((-1.0, 1.0),))
+
+
+# inf - inf is NaN for y1 above about 0.71
+NAN_FOLLOWER = _follower(eexp(1000.0 * Y1) - eexp(1000.0 * Y1) + (Y1 - X1) ** 2)
+# -exp(1000) is -inf at y1 = 1, so phi is -inf and the band bound is NaN
+MINUS_INF_FOLLOWER = _follower(neg(eexp(1000.0 * Y1)))
+# finite on the coarse lattice -1, -0.5, ..., 1 (0 below y1 = 0.62, inf at
+# 1), NaN (inf * 0) on (0.62, 0.75), which the first window around the
+# minimiser 0.5 meets at 0.6 + 0.1
+LATE_NAN_FOLLOWER = _follower((Y1 - 0.5) ** 2 + eexp(1e4 * (Y1 - 0.55))
+                              * emax(0.0, Y1 - 0.75))
+LATE_NAN_GRID = GridSpec(points_per_dim=5, refine_depth=1, refine_points=11)
+
+
+@pytest.mark.parametrize("fn", CALLS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("prog,grid,phi", [
+    (NAN_FOLLOWER, SHARED_GRID, "nan"),
+    (MINUS_INF_FOLLOWER, SHARED_GRID, "-inf"),
+    (LATE_NAN_FOLLOWER, LATE_NAN_GRID, "nan"),
+], ids=["nan", "minus_inf", "nan_after_a_level"])
+def test_an_optimum_that_is_not_a_number_raises(fn, prog, grid, phi):
+    _solve_lower.cache_clear()
+    _solution_set.cache_clear()
+    with np.errstate(all="ignore"):
+        with pytest.raises(DomainError, match=rf"^lower-level optimum is {phi} "
+                                              r"at x=\[0\.5\]$"):
+            fn(prog, [0.5], grid)
+
+
+def test_a_late_nan_is_finite_on_the_coarse_lattice():
+    with np.errstate(all="ignore"):
+        assert lower_value(LATE_NAN_FOLLOWER, [0.5],
+                           replace(LATE_NAN_GRID, refine_depth=0)) == 0.0
 
 
 # -- cost of one sweep and of an infeasible x ----------------------------------

@@ -7,13 +7,12 @@ vertex oracle available: desk-scale row counts never exceed m + 2 <= 4.
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
+from ._memo import memo
 from .errors import BudgetError
 
 
@@ -41,21 +40,8 @@ def _check_budget(n_rows, n_cols, max_bases):
         raise BudgetError("basis enumeration bound exceeded")
 
 
-def _key(a: np.ndarray):
-    """Hashable memo key holding an array's shape, dtype and exact bytes."""
-    return a.shape, a.dtype.str, a.tobytes()
-
-
-def _array(key):
-    """The read-only array a `_key` describes, or None for None."""
-    if key is None:
-        return None
-    shape, dtype, data = key
-    return np.frombuffer(data, dtype=dtype).reshape(shape)
-
-
-@lru_cache(maxsize=_MEMO_ENTRIES)
-def _smallest_singular_values(key):
+@memo(_MEMO_ENTRIES)
+def _smallest_singular_values(A):
     """Per subset size s = 1..min(rows, cols), the smallest singular value
     of every s-column subset of A, in combinations() order.
 
@@ -63,16 +49,11 @@ def _smallest_singular_values(key):
     np.linalg.matrix_rank(A_J, tol) == s, holds exactly when the smallest
     one exceeds tol.
     """
-    A = _array(key)
     n_rows, n_cols = A.shape
-    out = []
-    for size in range(1, min(n_rows, n_cols) + 1):
-        sv = [np.linalg.svd(A[:, J], compute_uv=False)[-1]
-              for J in combinations(range(n_cols), size)]
-        arr = np.array(sv)
-        arr.flags.writeable = False
-        out.append(arr)
-    return tuple(out)
+    return tuple(
+        np.array([np.linalg.svd(A[:, J], compute_uv=False)[-1]
+                  for J in combinations(range(n_cols), size)])
+        for size in range(1, min(n_rows, n_cols) + 1))
 
 
 def basic_vertices(A: np.ndarray, b: np.ndarray, max_bases: int = MAX_BASES,
@@ -85,15 +66,15 @@ def basic_vertices(A: np.ndarray, b: np.ndarray, max_bases: int = MAX_BASES,
     hull-level consumers).  res_tol relaxes the residual acceptance (scaled
     by the data magnitude); callers working from grid-snapped points pass
     their grid blur here.  The rank test's singular values depend on A
-    only and are memoised on A's bytes (LRU of _MEMO_ENTRIES), so each
-    further b costs one solve per independent subset.
+    only and are memoised on A (LRU of _MEMO_ENTRIES), so each further b
+    costs one solve per independent subset.
     """
     n_rows, n_cols = A.shape
     scale = 1.0 + float(np.max(np.abs(A), initial=0.0)) + float(
         np.max(np.abs(b), initial=0.0))
     res_tol = (1e-9 if res_tol is None else res_tol) * scale
     _check_budget(n_rows, n_cols, max_bases)
-    smallest_sv = _smallest_singular_values(_key(A))
+    smallest_sv = _smallest_singular_values(A)
     out = []
     seen = set()
     zero = np.zeros(n_cols)
@@ -127,32 +108,26 @@ def basic_vertices(A: np.ndarray, b: np.ndarray, max_bases: int = MAX_BASES,
     return out
 
 
-@lru_cache(maxsize=_MEMO_ENTRIES)
-def _recession_rays(key, max_bases):
-    """Nonzero basic solutions of {w >= 0 : A w = 0, sum w = 1}, read-only."""
-    A = _array(key)
+@memo(_MEMO_ENTRIES)
+def _recession_rays(A, max_bases):
+    """Nonzero basic solutions of {w >= 0 : A w = 0, sum w = 1}."""
     aug = np.vstack([A, np.ones(A.shape[1])])
     b_aug = np.concatenate([np.zeros(A.shape[0]), [1.0]])
-    rays = [r for r in basic_vertices(aug, b_aug, max_bases)
-            if np.max(np.abs(r)) > 0]
-    for r in rays:
-        r.flags.writeable = False
-    return tuple(rays)
+    return tuple(r for r in basic_vertices(aug, b_aug, max_bases)
+                 if np.max(np.abs(r)) > 0)
 
 
-@lru_cache(maxsize=_VREP_ENTRIES)
-def _vrep(key, b_key, max_bases, res_tol):
-    """(vertices, rays) of {w >= 0 : A w = b} for standard_vrep, read-only.
+@memo(_VREP_ENTRIES)
+def _vrep(A, b, max_bases, res_tol):
+    """(vertices, rays) of {w >= 0 : A w = b} for standard_vrep.
 
     basic_vertices is looked up as a module global on every miss, so a
     wrapper installed on it sees each enumeration that runs.
     """
-    verts = basic_vertices(_array(key), _array(b_key), max_bases, res_tol)
+    verts = basic_vertices(A, b, max_bases, res_tol)
     if not verts:
         return (), ()
-    for v in verts:
-        v.flags.writeable = False
-    return tuple(verts), _recession_rays(key, max_bases)
+    return tuple(verts), _recession_rays(A, max_bases)
 
 
 def standard_vrep(A: np.ndarray, b: np.ndarray, max_bases: int = MAX_BASES,
@@ -163,56 +138,32 @@ def standard_vrep(A: np.ndarray, b: np.ndarray, max_bases: int = MAX_BASES,
     and are skipped when there is no vertex.  The ray system's budget,
     which covers the vertex system's, is checked before any lookup or
     enumeration, so an over-budget system raises BudgetError on every
-    call.  The result is memoised on the exact (A, b, max_bases, res_tol)
-    (LRU of _VREP_ENTRIES); the rays on A and max_bases alone (LRU of
-    _MEMO_ENTRIES).  Both hold read-only arrays, and each call gets fresh
-    copies.
+    call.  The result is memoised on (A, b, max_bases, res_tol) (LRU of
+    _VREP_ENTRIES); the rays on A and max_bases alone (LRU of
+    _MEMO_ENTRIES).  Every caller shares the read-only arrays.
     """
     _check_budget(A.shape[0] + 1, A.shape[1], max_bases)
-    verts, rays = _vrep(_key(A), _key(b), max_bases, res_tol)
-    return [v.copy() for v in verts], [r.copy() for r in rays]
+    verts, rays = _vrep(A, b, max_bases, res_tol)
+    return list(verts), list(rays)
 
 
-def _bound_key(v):
-    """A bound as (value, sign bit), or None for an absent one: -0.0 == 0.0
-    hashes alike, and None must not meet an infinite bound."""
-    return None if v is None else (float(v), math.copysign(1.0, v) < 0)
-
-
-@lru_cache(maxsize=_LP_ENTRIES)
+@memo(_LP_ENTRIES)
 def _lp(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    """(success, fun, x) of HiGHS on the LP the keys describe, x read-only
-    (None when the solve failed).
+    """(success, fun, x) of `linprog(..., method="highs")`, x None when the
+    solve failed.
 
-    HiGHS is deterministic, so a failed solve is memoised too; an
-    exception is not.  scipy.optimize is imported here, on a miss.
+    Memoised in an LRU of _LP_ENTRIES entries on every input linprog reads
+    (None for an absent block, so an absent and an empty block differ);
+    HiGHS is deterministic, so a failed solve is memoised too.
+    scipy.optimize is imported here, on a miss.
     """
     from scipy.optimize import linprog
 
-    res = linprog(_array(c), A_ub=_array(A_ub), b_ub=_array(b_ub),
-                  A_eq=_array(A_eq), b_eq=_array(b_eq),
-                  bounds=[tuple(None if v is None else v[0] for v in pair)
-                          for pair in bounds],
-                  method="highs")
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=list(bounds), method="highs")
     if not res.success:
         return False, None, None
-    x = np.array(res.x)
-    x.flags.writeable = False
-    return True, float(res.fun), x
-
-
-def _linprog(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    """(success, fun, x) of `linprog(..., method="highs")`, x a fresh copy.
-
-    Memoised in an LRU of _LP_ENTRIES entries keyed on every input linprog
-    reads: the shape, dtype and bytes of each array (None for an absent
-    block) and each bound with its sign bit (None kept apart from inf).
-    """
-    opt = [None if a is None else _key(a) for a in (A_ub, b_ub, A_eq, b_eq)]
-    success, fun, x = _lp(
-        _key(c), *opt,
-        tuple((_bound_key(lo), _bound_key(hi)) for lo, hi in bounds))
-    return success, fun, None if x is None else x.copy()
+    return True, float(res.fun), np.array(res.x)
 
 
 class LPBuilder:
@@ -221,9 +172,10 @@ class LPBuilder:
     Supports hard equality rows, soft rows |row - rhs| <= t with t the
     minimax objective, and plain linear objectives.  Deterministic by
     construction (fixed variable and row order).  Both solve methods hand
-    their dense arrays to `_linprog`, which answers a repeated LP from its
-    memo and imports scipy.optimize only on a miss, so a run that solves
-    no LP (a `sample` request, say) never loads it.
+    their dense arrays to `_lp`, which answers a repeated LP from its memo
+    and imports scipy.optimize only on a miss, so a run that solves no LP
+    (a `sample` request, say) never loads it.  A solution is shared
+    read-only with every caller that built the same LP.
     """
 
     def __init__(self):
@@ -266,7 +218,7 @@ class LPBuilder:
         n = len(self.lb)
         c = np.zeros(n + 1)
         c[n] = 1.0  # t appended last
-        bounds = list(zip(self.lb, self.ub)) + [(0.0, None)]
+        bounds = (*zip(self.lb, self.ub), (0.0, None))
         A_eq = None
         b_eq = None
         if self.eq_rows:
@@ -287,7 +239,7 @@ class LPBuilder:
             rhs.extend(self.le_rhs)
         A_ub = np.vstack(blocks) if blocks else None
         b_ub = np.array(rhs) if blocks else None
-        success, _, x = _linprog(c, A_ub, b_ub, A_eq, b_eq, bounds)
+        success, _, x = _lp(c, A_ub, b_ub, A_eq, b_eq, bounds)
         if not success:
             return None, None
         return float(x[-1]), x[:-1]
@@ -302,8 +254,8 @@ class LPBuilder:
         b_eq = np.array(self.eq_rhs) if self.eq_rows else None
         A_ub = self._dense(self.le_rows) if self.le_rows else None
         b_ub = np.array(self.le_rhs) if self.le_rows else None
-        success, fun, x = _linprog(c, A_ub, b_ub, A_eq, b_eq,
-                                   list(zip(self.lb, self.ub)))
+        success, fun, x = _lp(c, A_ub, b_ub, A_eq, b_eq,
+                              tuple(zip(self.lb, self.ub)))
         if not success:
             return None, None
         return -fun, x

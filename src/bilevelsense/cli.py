@@ -6,12 +6,15 @@ Five commands over a problem file: `sample` (CSV value-function curves),
 Every JSON artifact embeds the fully resolved configuration and the seed,
 and reruns with identical flags are byte-identical.
 
+`sample` takes no --tol, --seed or --rmax: it reads none of them.
+
 Exit codes: 0 success, 1 usage/parse error, 2 infeasible, not applicable
 or not evaluable (every other library error, EvaluationError,
 DimensionMismatchError and EmptySetError included), 3 inconclusive
 certification, 4 enumeration or grid budget exceeded, or out of memory
 (MemoryError, which numpy's failed allocations raise).  No library error
-ends in a traceback.
+ends in a traceback, and numpy's floating-point warnings are silenced, so
+a failed run prints one `error: ` line.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import argparse
 import json
 import math
 import sys
+
+import numpy as np
 
 from .errors import BudgetError, ParseError, ToolkitError
 from .certify import (
@@ -62,13 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="candidate x, comma-separated decimals")
             p.add_argument("--y", default=None,
                            help="designated y, comma-separated decimals")
+            p.add_argument("--tol", type=float, default=1e-6)
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--rmax", type=float, default=10.0)
         p.add_argument("--grid", type=int, default=201,
                        help="grid points per dimension")
         p.add_argument("--refine", type=int, default=3,
                        help="refinement depth")
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--rmax", type=float, default=10.0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_sample = sub.add_parser("sample", help="tabulate a value function")
@@ -118,6 +123,8 @@ def _check_flags(args):
         raise ParseError("--grid must be at least 3")
     if args.refine < 0:
         raise ParseError("--refine must be at least 0")
+    if args.command == "sample":
+        return
     if args.seed < 0:
         raise ParseError("--seed must be at least 0")
     for flag, value in (("tol", args.tol), ("rmax", args.rmax)):
@@ -154,7 +161,7 @@ def _config_dict(args, grid, caps):
         "tol": args.tol,
         "seed": args.seed,
     }
-    for key in ("which", "variant", "x", "y", "x_range"):
+    for key in ("variant", "x", "y"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     return cfg
@@ -192,8 +199,6 @@ def run(args) -> int:
         raise ParseError(f"cannot read {args.problem}: {exc}") from None
     prog = parse_program(text)
     grid = GridSpec(points_per_dim=args.grid, refine_depth=args.refine)
-    caps = Caps(r_max=args.rmax)
-    cfg = _config_dict(args, grid, caps)
 
     if args.command == "sample":
         x_range = _parse_range(args.x_range) if args.x_range else None
@@ -204,6 +209,8 @@ def run(args) -> int:
         _emit(args, curve_to_csv(rows, prog.n))
         return 0
 
+    caps = Caps(r_max=args.rmax)
+    cfg = _config_dict(args, grid, caps)
     x = _parse_point(args.x, prog.n, "x")
     y = _parse_point(args.y, prog.m, "y") if args.y else None
 
@@ -297,7 +304,11 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(_normalize_argv(list(argv)))
-        return run(args)
+        # a numpy floating-point warning is not an outcome: a value that
+        # overflows or is NaN either flows into the artifact as inf/nan or
+        # ends in its own error line
+        with np.errstate(all="ignore"):
+            return run(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

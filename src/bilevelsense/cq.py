@@ -14,13 +14,12 @@ Holds threshold is scale-free.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
+from ._memo import memo
 from .errors import InfeasibleError, InfeasiblePointError, NotApplicableError
 from .model import (
     BilevelProgram,
@@ -48,7 +47,7 @@ from .subdiff import (
 )
 from .valuefn import (
     GridSpec,
-    _signs,
+    _xkey,
     optimistic_solutions,
     pessimistic_solutions,
     value_function,
@@ -86,14 +85,6 @@ class CQVerdict:
                 for k, v in self.witness.items()
             }
         return out
-
-
-def _fresh(verdict: CQVerdict) -> CQVerdict:
-    """verdict with a deep copy of its witness (a dict holding a dict), so
-    no caller can change what a memo holds."""
-    if verdict.witness is None:
-        return verdict
-    return replace(verdict, witness=copy.deepcopy(verdict.witness))
 
 
 # -- calmness ---------------------------------------------------------------
@@ -151,22 +142,18 @@ def check_pointbased_cq(
     the maximizing witness; ambiguous fd clustering degrades to Unknown.
 
     The verdict is memoised on every input (`_pointbased_cq`); each call
-    gets its own copy of the witness.
+    gets its own copy.
     """
     if which not in ("K", "S"):
         raise ValueError("which must be 'K' or 'S'")
-    xbar_t = tuple(float(v) for v in np.atleast_1d(xbar))
-    y_t = tuple(float(v) for v in np.atleast_1d(y))
-    return _fresh(_pointbased_cq(prog, which, xbar_t, y_t, caps, grid, seed,
-                                 _signs(*xbar_t, *y_t)))
+    return _pointbased_cq(prog, which, _xkey(xbar), _xkey(y), caps, grid,
+                          seed)
 
 
-@lru_cache(maxsize=_CQ_ENTRIES, typed=True)
-def _pointbased_cq(prog, which, xbar, y, caps, grid, seed, signs) -> CQVerdict:
+@memo(_CQ_ENTRIES, copy_out=True)
+def _pointbased_cq(prog, which, xbar, y, caps, grid, seed) -> CQVerdict:
     """check_pointbased_cq's verdict, in an LRU of _CQ_ENTRIES entries keyed
-    on the whole program (mode included), which, the points as float
-    tuples, caps, grid and seed, arguments of different types kept apart
-    and `signs` holding the sign bits of the points."""
+    on the whole program (mode included) and every other input."""
     xbar_l, y_l = list(xbar), list(y)
     n, m = prog.n, prog.m
     active = _active_indices(prog, xbar_l, y_l, DEFAULT_TOL_ACTIVE)
@@ -378,21 +365,18 @@ def check_inner_regularity(
     offending x.
 
     The verdict is memoised on every input (`_inner_regularity`); each
-    call gets its own copy of the witness.
+    call gets its own copy.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    xbar_t = tuple(np.atleast_1d(np.asarray(xbar, dtype=float)).tolist())
-    ybar_t = (None if ybar is None
-              else tuple(np.atleast_1d(np.asarray(ybar, dtype=float)).tolist()))
-    return _fresh(_inner_regularity(prog, kind, xbar_t, ybar_t, radius,
-                                    n_samples, grid, seed,
-                                    _signs(*xbar_t, *(ybar_t or ()), radius)))
+    return _inner_regularity(prog, kind, _xkey(xbar),
+                             None if ybar is None else _xkey(ybar), radius,
+                             n_samples, grid, seed)
 
 
-@lru_cache(maxsize=_CQ_ENTRIES, typed=True)
-def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid, seed,
-                      signs) -> CQVerdict:
+@memo(_CQ_ENTRIES, copy_out=True)
+def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid,
+                      seed) -> CQVerdict:
     """check_inner_regularity's verdict, in an LRU of _CQ_ENTRIES entries
     keyed like `_pointbased_cq`."""
     xbar_v = np.asarray(xbar, dtype=float)

@@ -25,12 +25,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ._memo import memo
 from .errors import (BudgetError, DomainError, InfeasibleError,
                      UnsupportedDimensionError)
 from .model import BilevelProgram, Expr, eval_expr
@@ -119,22 +119,17 @@ def _mesh(lo, hi, count):
     return axes[:, np.arange(m), index].reshape(-1, m)
 
 
-@lru_cache(maxsize=8)
-def _coarse_mesh(box_y: Tuple[Tuple[float, float], ...], count: int,
-                 box_signs=None):
+@memo(8)
+def _coarse_mesh(box_y: Tuple[Tuple[float, float], ...], count: int):
     """The coarse sweep grid of box_y, shared read-only by every sweep of
-    that box.  Keyed on the box, the count and the sign bits of the box
-    bounds (`box_signs`, passed as `_box_signs(box_y)`), since a bound of
-    -0.0 gives the mesh a -0.0.  Raises BudgetError, before allocating,
-    when the grid would hold more than MAX_GRID_POINTS points."""
+    that box.  Raises BudgetError, before allocating, when the grid would
+    hold more than MAX_GRID_POINTS points."""
     if count ** len(box_y) > MAX_GRID_POINTS:
         raise BudgetError(
             f"coarse grid of {count}^{len(box_y)} points exceeds "
             f"{MAX_GRID_POINTS} points")
     box = np.array(box_y, dtype=float)
-    mesh = _mesh(box[None, :, 0], box[None, :, 1], count)
-    mesh.flags.writeable = False
-    return mesh
+    return _mesh(box[None, :, 0], box[None, :, 1], count)
 
 
 def _feasible(g, m: int, x, ypts: np.ndarray):
@@ -166,10 +161,10 @@ def _pool_key_sort(ypts, fvals):
     return order
 
 
-@lru_cache(maxsize=2048)
+@memo(2048)
 def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
                  box_y: Tuple[Tuple[float, float], ...], F: Expr,
-                 x_key: Tuple[float, ...], grid: GridSpec, signs=None):
+                 x_key: Tuple[float, ...], grid: GridSpec):
     """Sweep + refine the lower level min f(x, .) s.t. g(x, .) <= 0 over
     box_y at x.
 
@@ -189,12 +184,8 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
     bound, so the seeds and the band are those of the whole pool.  F only
     picks refinement seeds (both of its extremes inside the band, so -F
     picks the same points) and fills band_F.  Memoised in an LRU of 2048
-    entries keyed on (m, f, g, box_y, F, x, grid) and the sign bits of x
-    and of the box bounds (`signs`, which `_sweep` passes as
-    `_signs(*x_key)` and `_box_signs(box_y)` when either holds a zero, so
-    that -0.0 and 0.0 get a sweep each), with F's top-level negations
-    stripped by the caller (`_sweep`); the three arrays are shared by every
-    caller, so they are returned read-only.
+    entries, with F's top-level negations stripped by the caller
+    (`_sweep`).
     """
     refined = (grid.max_seeds + 2) * grid.refine_points ** m
     if grid.refine_depth and refined > MAX_GRID_POINTS:
@@ -205,7 +196,7 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
     level_cell = np.array([
         (hi - lo) / (grid.points_per_dim - 1) for lo, hi in box_y
     ])
-    mesh = _coarse_mesh(box_y, grid.points_per_dim, _box_signs(box_y))
+    mesh = _coarse_mesh(box_y, grid.points_per_dim)
     pool_y = _feasible(g, m, x, mesh)
     if len(pool_y) == 0:
         return None
@@ -232,10 +223,7 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
         level_cell = level_cell / 10.0
 
     band = pool_f <= _band_bound(phi)
-    swept = pool_y[band], pool_f[band], pool_F[band]
-    for arr in swept:
-        arr.flags.writeable = False
-    return (phi, *swept)
+    return phi, pool_y[band], pool_f[band], pool_F[band]
 
 
 def _lower_optimum(pool_f, x_key):
@@ -326,12 +314,7 @@ def _sweep(prog: BilevelProgram, x, grid: GridSpec):
     x."""
     F, negated = prog.F._peel_negations()
     x_key = _xkey(x)
-    # only a zero's sign is not in its value: an x and a box without zeros
-    # key None
-    box_signs = _box_signs(prog.box_y)
-    signs = (_signs(*x_key), box_signs) if 0.0 in x_key or box_signs else None
-    swept = _solve_lower(prog.m, prog.f, prog.g, prog.box_y, F, x_key, grid,
-                         signs)
+    swept = _solve_lower(prog.m, prog.f, prog.g, prog.box_y, F, x_key, grid)
     if swept is None:
         raise InfeasibleError(f"no feasible lower-level point at x={list(x_key)}")
     phi, band_y, band_f, band_F = swept
@@ -348,7 +331,8 @@ def lower_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
 
 
 def _xkey(x):
-    return tuple(float(v) for v in np.atleast_1d(np.asarray(x, dtype=float)))
+    """x as a tuple of floats, the form every memo of a point is keyed on."""
+    return tuple(np.array(x, dtype=float).ravel().tolist())
 
 
 def _dedup_points(points: np.ndarray, resolution: float):
@@ -385,30 +369,19 @@ class _Problem(NamedTuple):
     box_y: Tuple[Tuple[float, float], ...]
     F: Expr
 
-
-def _signs(*values):
-    """Sign bits of the given numbers (None counts as unsigned).  Memo keys
-    carry them because -0.0 == 0.0 and both hash alike, while a result can
-    show the sign of a zero it was given."""
-    return tuple(v is not None and math.copysign(1.0, v) < 0 for v in values)
+    @classmethod
+    def of(cls, prog: BilevelProgram) -> "_Problem":
+        return cls(prog.m, prog.f, prog.g, prog.box_y, prog.F)
 
 
-def _box_signs(box):
-    """Sign bits of the bounds of a box, or None when no bound is zero."""
-    bounds = [v for pair in box for v in pair]
-    return _signs(*bounds) if 0.0 in bounds else None
-
-
-@lru_cache(maxsize=_SOLUTION_ENTRIES)
+@memo(_SOLUTION_ENTRIES)
 def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
-                  grid: GridSpec, signs):
+                  grid: GridSpec):
     """S(x) (which = "lower") or S_o(x) ("optimistic") of problem at x_key.
 
-    Memoised in an LRU of _SOLUTION_ENTRIES entries keyed on every input:
-    the problem, x as the sweep keys it, the grid, and the sign bits of x
-    and of the box bounds (`signs`).  SolutionSet is frozen and holds only
-    tuples, so every caller shares one.  InfeasibleError is not cached; the
-    sweep memo answers a repeat.
+    Memoised in an LRU of _SOLUTION_ENTRIES entries; SolutionSet is frozen
+    and holds only tuples, so every caller shares one.  InfeasibleError is
+    not cached; the sweep memo answers a repeat.
     """
     _, band_y, band_f, band_F = _sweep(problem, x_key, grid)
     keys = band_f if which == "lower" else band_F
@@ -424,18 +397,11 @@ def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
     )
 
 
-def _solutions(which, prog: BilevelProgram, x, grid) -> SolutionSet:
-    problem = _Problem(prog.m, prog.f, prog.g, prog.box_y, prog.F)
-    x_key = _xkey(x)
-    return _solution_set(which, problem, x_key, grid,
-                         (_signs(*x_key), _box_signs(prog.box_y)))
-
-
 def lower_solutions(prog: BilevelProgram, x,
                     grid: GridSpec = GridSpec()) -> SolutionSet:
     """S(x): feasible grid points whose f-value is within
     `default_tol_val(phi)` of phi(x)."""
-    return _solutions("lower", prog, x, grid)
+    return _solution_set("lower", _Problem.of(prog), _xkey(x), grid)
 
 
 def optimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
@@ -461,7 +427,7 @@ def optimistic_solutions(prog: BilevelProgram, x,
                          grid: GridSpec = GridSpec()) -> SolutionSet:
     """S_o(x): members of S(x) whose upper objective is within
     `default_tol_val(phi_o)` of phi_o(x)."""
-    return _solutions("optimistic", prog, x, grid)
+    return _solution_set("optimistic", _Problem.of(prog), _xkey(x), grid)
 
 
 def pessimistic_solutions(prog: BilevelProgram, x,

@@ -422,6 +422,20 @@ class TestLowerOptimumNotANumber:
         assert out == ""
         assert err == "error: DomainError: lower-level optimum is nan at x=[0.0]\n"
 
+    def test_no_numpy_warning_reaches_stderr(self, tmp_path):
+        # exp overflows and inf - inf is NaN on the way to the DomainError;
+        # with warnings shown (-W default) stderr is still the one error line
+        path = tmp_path / "nan_follower.blp"
+        path.write_text(NAN_FOLLOWER)
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "bilevelsense.cli",
+             "sample", str(path), "--range", "0:1:3", "--grid", "41"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == \
+            "error: DomainError: lower-level optimum is nan at x=[0.0]\n"
+
 
 class TestOutOfMemory:
     @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("no room")],
@@ -532,6 +546,19 @@ class TestFlagValues:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--tol", "--seed", "--rmax"])
+    def test_sample_takes_no_point_flags(self, flag, instance_c_file,
+                                         monkeypatch, capsys):
+        # sample reads none of them, so passing one is a usage error
+        def no_sweep(*args):
+            raise AssertionError("a refused request was swept")
+
+        monkeypatch.setattr(valuefn, "_solve_lower", no_sweep)
+        rc = main(["sample", instance_c_file, flag, "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: unrecognized arguments: {flag} 1\n"
 
     def test_x_grid_above_the_bound_exits_four(self, instance_c_file,
                                                monkeypatch, capsys):

@@ -74,7 +74,8 @@ def test_decision_memos_are_visible_to_the_tracer():
                  "pessimistic_solutions"):
         assert not hasattr(getattr(valuefn, name), "cache_info")
     assert "optimistic_solutions" in valuefn.pessimistic_solutions.__code__.co_names
-    assert "_solution_set" in valuefn._solutions.__code__.co_names
+    for name in ("lower_solutions", "optimistic_solutions"):
+        assert "_solution_set" in getattr(valuefn, name).__code__.co_names
     # misses sweep, solve and sample through the traced module globals
     assert "_sweep" in valuefn._solution_set.__wrapped__.__code__.co_names
     assert "fd_subgradient_samples" in cq._pointbased_cq.__wrapped__.__code__.co_names
@@ -98,8 +99,7 @@ def test_lp_memo_sits_behind_the_traced_solve_methods(monkeypatch):
     for name in ("minimize_max_violation", "maximize"):
         method = _polyalg.LPBuilder.__dict__[name]
         assert inspect.isfunction(method) and not hasattr(method, "cache_info")
-        assert "_linprog" in method.__code__.co_names
-    assert "_lp" in _polyalg._linprog.__code__.co_names
+        assert "_lp" in method.__code__.co_names
     # a miss reaches scipy.optimize.linprog and a hit does not
     calls = []
     linprog = scipy.optimize.linprog
@@ -304,3 +304,43 @@ def test_both_modes_run_one_certify_driver():
     hull_calls = {scope[0] for mod, scope in
                   _calls_by_scope("stationary_cover_hull") if mod == "certify"}
     assert hull_calls == {"_cover"}, hull_calls
+
+
+# -- one memo idiom ----------------------------------------------------------------
+
+# helpers that marshalled memo keys or copied memo results by hand before
+# `_memo` owned those rules
+RETIRED = {"_signs", "_box_signs", "_key", "_array", "_bound_key", "_fresh",
+           "_linprog", "_solutions", "signs", "box_signs"}
+
+
+def test_every_memo_is_declared_through_one_module():
+    from bilevelsense import _memo
+
+    assert sorted(_memo.REGISTRY) == [
+        "_polyalg._lp", "_polyalg._recession_rays",
+        "_polyalg._smallest_singular_values", "_polyalg._vrep",
+        "cq._inner_regularity", "cq._pointbased_cq", "valuefn._coarse_mesh",
+        "valuefn._solution_set", "valuefn._solve_lower"]
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, caches = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                    caches.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                caches.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.keyword):
+                assert node.arg != "typed", path.name
+        assert not names & RETIRED, (path.name, names & RETIRED)
+        # functools' caches are used in _memo alone
+        if path.name != "_memo.py":
+            assert not caches & {"lru_cache", "cache"}, path.name

@@ -330,14 +330,6 @@ def test_dedup_drops_points_exactly_at_resolution():
     assert [float(p[0]) for p in kept] == [0.0, 0.5, 0.75 + 2 ** -40]
 
 
-def test_cached_sweep_arrays_are_read_only(prog_c):
-    _, pool_y, pool_f, pool_F = _solve_lower(
-        prog_c.m, prog_c.f, prog_c.g, prog_c.box_y, prog_c.F, (0.3,), GRID)
-    for arr in (pool_y, pool_f, pool_F):
-        with pytest.raises(ValueError):
-            arr[0] = 7.0
-
-
 # -- one sweep per lower-level problem -----------------------------------------
 
 SHARED_GRID = GridSpec(points_per_dim=11, refine_depth=2, refine_points=11)

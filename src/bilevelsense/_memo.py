@@ -14,7 +14,9 @@ are never walked.
 
 Store rule.  Every ndarray in a result (at any depth of nested tuples) is
 frozen read-only, so the stored result is shared by every caller: a write
-into it raises ValueError.  A memo declared with `copy_out=True` holds
+into it raises ValueError.  The walk does not enter dataclasses: a
+dataclass result (valuefn.SolutionSet) freezes its own arrays when it is
+built.  A memo declared with `copy_out=True` holds
 results that callers may change (a verdict's witness dict), and hands each
 call a deep copy instead.
 

@@ -29,7 +29,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import InfeasiblePointError, NotApplicableError
+from .errors import NotApplicableError
 from .cq import cq_bundle
 from .model import BilevelProgram, clarke_generators, eval_expr
 from .sensitivity import (
@@ -130,20 +130,6 @@ def _clip0(value):
     """Emitted multipliers satisfy their sign constraints exactly; LP
     round-off below zero is clipped."""
     return max(0.0, float(value))
-
-
-def _theta_active(prog: BilevelProgram, xbar):
-    """Active upper-level constraints; raises if xbar is infeasible."""
-    active = []
-    for j, t in enumerate(prog.theta1):
-        val = float(eval_expr(t, xbar, []))
-        sc = 1.0 + abs(val)
-        if val > DEFAULT_TOL_ACTIVE * sc:
-            raise InfeasiblePointError(
-                f"upper constraint {j + 1} violated at xbar (value {val})")
-        if val >= -DEFAULT_TOL_ACTIVE * sc:
-            active.append(j)
-    return active
 
 
 def _grid_slack(prog: BilevelProgram, xbar, y0, grid: GridSpec) -> float:
@@ -275,7 +261,7 @@ def certify_value_stationarity(
         gens.extend(list(c) for c in clusters.clusters)
     sol0 = (pessimistic_solutions if prog.mode == "pessimistic"
             else optimistic_solutions)(prog, xbar_l, grid)
-    slack = _grid_slack(prog, xbar_l, list(sol0.points[0]), grid)
+    slack = _grid_slack(prog, xbar_l, sol0.points[0].tolist(), grid)
     tol_eff = tol + slack + FD_SLACK
     bundle = cq_bundle(prog, xbar_l, "semicompact", grid, caps, seed=seed) if with_cq else ()
     if not gens:
@@ -348,9 +334,8 @@ def _cover(prog, xbar, grid, caps):
         prog, xbar, lower_solutions(prog, xbar, grid), DEFAULT_TOL_ACTIVE, caps)
     if cover.is_empty:
         return None
-    return ([np.array(v) for v in cover.vertices]
-            + [np.array(r) for r in cover.rays],
-            len(cover.vertices), vmeta, rmeta)
+    return (np.vstack([cover.vertices, cover.rays]), len(cover.vertices),
+            vmeta, rmeta)
 
 
 # -- optimistic variants ---------------------------------------------------------
@@ -367,14 +352,14 @@ def _search_variant_ii(prog, xbar, samples, grid, caps):
     variable and the resulting bound is a relaxation bound.
     """
     n, m, p = prog.n, prog.m, prog.p
-    active_theta = _theta_active(prog, xbar)
+    active_theta = _active_indices(prog, xbar, [], DEFAULT_TOL_ACTIVE,
+                                   upper=True)
 
     def candidates():
-        for ypt in samples:
-            y = list(ypt)
+        for y in samples:
             lam_ms = lambda_set(prog, xbar, y, DEFAULT_TOL_ACTIVE, caps)
             GF, Gf, Gg = _generators_at(prog, xbar, y)
-            for gamma in [np.array(v) for v in lam_ms.vertices] or [None]:
+            for gamma in list(lam_ms.vertices) or [None]:
                 yield y, GF, Gf, Gg, gamma
 
     def build(cand, r):
@@ -433,11 +418,11 @@ def _search_variant_i(prog, xbar, samples, grid, caps):
     if cover is None:
         return None
     cover_pts, n_verts, vmeta, rmeta = cover
-    active_theta = _theta_active(prog, xbar)
+    active_theta = _active_indices(prog, xbar, [], DEFAULT_TOL_ACTIVE,
+                                   upper=True)
 
     def candidates():
-        for ypt in samples:
-            y = list(ypt)
+        for y in samples:
             yield y, _generators_at(prog, xbar, y)
 
     def build(cand, r):
@@ -479,7 +464,8 @@ def _search_designated(prog, xbar, ybar, caps, theta_sign):
     """
     n, m = prog.n, prog.m
     y = list(ybar)
-    active_theta = _theta_active(prog, xbar)
+    active_theta = _active_indices(prog, xbar, [], DEFAULT_TOL_ACTIVE,
+                                   upper=True)
     GF, Gf, Gg = _generators_at(prog, xbar, y)
 
     def build(_, r):
@@ -521,19 +507,21 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps):
     if cover is None:
         return None
     cover_pts, n_verts, vmeta, rmeta = cover
-    active_theta = _theta_active(negp, xbar)
+    active_theta = _active_indices(negp, xbar, [], DEFAULT_TOL_ACTIVE,
+                                   upper=True)
 
     systems = {}  # each sampled t's inclusion system, built on first use
 
     def build(_, r):
         tagged = {}
         for ypt in t_samples:
-            if tuple(ypt) not in systems:
-                systems[tuple(ypt)] = _inclusion_system(
-                    negp, xbar, list(ypt), DEFAULT_TOL_ACTIVE, include_F=True)
-            t_set = _solve_inclusion(systems[tuple(ypt)], caps, r)
+            key = tuple(ypt)
+            if key not in systems:
+                systems[key] = _inclusion_system(
+                    negp, xbar, ypt, DEFAULT_TOL_ACTIVE, include_F=True)
+            t_set = _solve_inclusion(systems[key], caps, r)
             if not t_set.polytope.is_empty:
-                tagged[tuple(ypt)] = t_set
+                tagged[key] = t_set
         if not tagged:
             return None
         s = _System(caps.u_max)
@@ -541,20 +529,18 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps):
         vpts, vmetas, rpts, rmetas = [], [], [], []
         for ykey, t_set in sorted(tagged.items()):
             poly = t_set.polytope
-            for v, mdat in zip(poly.vertices, t_set.vertex_meta):
-                lam.append(s.lp.var())
-                lam_keys.append(ykey)
-                vpts.append(np.array(v))
-                vmetas.append(mdat)
-            for rr, mdat in zip(poly.rays, t_set.ray_meta):
-                mu.append(s.lp.var())
-                mu_keys.append(ykey)
-                rpts.append(np.array(rr))
-                rmetas.append(mdat)
+            lam += [s.lp.var() for _ in poly.vertices]
+            lam_keys += [ykey] * len(poly.vertices)
+            mu += [s.lp.var() for _ in poly.rays]
+            mu_keys += [ykey] * len(poly.rays)
+            vpts.append(poly.vertices)
+            vmetas += t_set.vertex_meta
+            rpts.append(poly.rays)
+            rmetas += t_set.ray_meta
         s.group_rays(lam, mu, lam_keys, mu_keys)
         # every vertex, then every ray, in the order of lam + mu; the LP
         # rows and _fold_groups pair each weight with its own generator
-        pts, meta = vpts + rpts, vmetas + rmetas
+        pts, meta = np.vstack(vpts + rpts), vmetas + rmetas
         tagged_block = list(zip(lam + mu, pts))
         cov = s.cover(*cover)
         theta = s.theta(negp, xbar, active_theta)
@@ -598,15 +584,14 @@ def _search_pessimistic_ii(negp, xbar, t_samples, grid, caps):
     n, m = negp.n, negp.m
     sol_all = lower_solutions(negp, xbar, grid)
     y_samples = _subsample(sol_all.points, min(4, caps.max_solution_samples))
-    active_theta = _theta_active(negp, xbar)
+    active_theta = _active_indices(negp, xbar, [], DEFAULT_TOL_ACTIVE,
+                                   upper=True)
     slot_gens = {}  # generators per sampled t, computed at first use
 
     per_y_results = []
-    for yref in y_samples:
-        yref_l = list(yref)
+    for yref_l in y_samples:
         lam_ms = lambda_set(negp, xbar, yref_l, DEFAULT_TOL_ACTIVE, caps)
-        gamma_candidates = [np.array(v) for v in lam_ms.vertices]
-        if not gamma_candidates:
+        if lam_ms.is_empty:
             per_y_results.append(None)
             continue
         Gf_ref = clarke_generators(negp.f, xbar, yref_l, DEFAULT_TOL_ACTIVE)
@@ -620,7 +605,7 @@ def _search_pessimistic_ii(negp, xbar, t_samples, grid, caps):
             for ypt in t_samples:
                 key = tuple(ypt)
                 if key not in slot_gens:
-                    slot_gens[key] = _generators_at(negp, xbar, list(ypt))
+                    slot_gens[key] = _generators_at(negp, xbar, ypt)
                 GF, Gf, Gg = slot_gens[key]
                 eta_t = s.lp.var()
                 GFx, GFy, d1, dref, bfy = [s.hull(G, var=eta_t)
@@ -660,7 +645,7 @@ def _search_pessimistic_ii(negp, xbar, t_samples, grid, caps):
                 }
             return s, decode
 
-        per_y_results.append(_search(gamma_candidates, caps.r_grid(), build))
+        per_y_results.append(_search(lam_ms.vertices, caps.r_grid(), build))
     if any(r is None for r in per_y_results) or not per_y_results:
         return None
     # the conditions must hold for every sampled y: report the worst
@@ -709,7 +694,7 @@ def _certify(prog, mode, xbar, variant, grid, caps, tol, seed, ybar, with_cq):
     work = prog.negated_upper() if pessimistic else prog
     sol = optimistic_solutions(work, xbar_l, grid)
     samples = _subsample(sol.points, caps.max_solution_samples)
-    tol_eff = tol + _grid_slack(prog, xbar_l, list(samples[0]), grid)
+    tol_eff = tol + _grid_slack(prog, xbar_l, samples[0], grid)
     lead, ys_keys, mult_keys = _MODES[mode]
     region = (f"searched region: r-grid {caps.r_grid()}, "
               f"multipliers <= {caps.u_max}")
@@ -718,7 +703,7 @@ def _certify(prog, mode, xbar, variant, grid, caps, tol, seed, ybar, with_cq):
                        ybar=ybar, seed=seed) if with_cq else ()
 
     if variant == "iii":
-        ypt = list(ybar) if ybar is not None else list(samples[0])
+        ypt = list(ybar) if ybar is not None else samples[0]
         best = _search_designated(work, xbar_l, ypt, caps,
                                   -1.0 if pessimistic else 1.0)
         if pessimistic and best is not None:
@@ -1010,18 +995,18 @@ def minimax_reduction_check(
     maximizers = pessimistic_solutions(prog, xbar_l, grid)
     direct_gens = []
     for ypt in _subsample(maximizers.points, caps.max_solution_samples):
-        for g in clarke_generators(prog.F, xbar_l, list(ypt), DEFAULT_TOL_ACTIVE):
+        for g in clarke_generators(prog.F, xbar_l, ypt, DEFAULT_TOL_ACTIVE):
             direct_gens.append(g[: prog.n])
     direct = hull(direct_gens, dim=prog.n)
     est = estimate_pessimistic(prog, xbar_l, "semicompact", grid, caps)
     slack = tol + 2.0 * grid.finest_cell(prog.box_y) * (
         1.0 + max(float(np.max(np.abs(g))) for g in direct_gens))
-    gap = max(distance(est.polytope, list(v)) for v in direct.vertices)
+    gap = max(distance(est.polytope, v) for v in direct.vertices)
     return {
         "x": xbar_l,
-        "direct_hull_vertices": [list(v) for v in direct.vertices],
-        "estimate_vertices": [list(v) for v in est.polytope.vertices],
-        "estimate_rays": [list(rr) for rr in est.polytope.rays],
+        "direct_hull_vertices": direct.vertices.tolist(),
+        "estimate_vertices": est.polytope.vertices.tolist(),
+        "estimate_rays": est.polytope.rays.tolist(),
         "one_sided_gap": gap,
         "tolerance": slack,
         "contained": bool(gap <= slack),

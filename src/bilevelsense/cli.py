@@ -185,8 +185,8 @@ def _emit_json(args, payload):
 def _poly_dict(poly):
     return {
         "dim": poly.dim,
-        "vertices": [list(v) for v in poly.vertices],
-        "rays": [list(r) for r in poly.rays],
+        "vertices": poly.vertices.tolist(),
+        "rays": poly.rays.tolist(),
     }
 
 

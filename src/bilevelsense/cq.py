@@ -396,6 +396,7 @@ def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid,
             _mode_solutions(prog, list(xbar_v), grid)
         except InfeasibleError:
             raise InfeasiblePointError("xbar outside dom phi") from None
+        box_lo, box_hi = np.array(prog.box_y, dtype=float).T
         clipped = False
         seen = 0
         for x in sample_shell(radius):
@@ -404,10 +405,9 @@ def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid,
             except InfeasibleError:
                 continue
             seen += 1
-            for ypt in sol.points:
-                for j, (lo, hi) in enumerate(prog.box_y):
-                    if ypt[j] < lo + margin or ypt[j] > hi - margin:
-                        clipped = True
+            if np.any((sol.points < box_lo + margin)
+                      | (sol.points > box_hi - margin)):
+                clipped = True
         if seen == 0:
             return CQVerdict("InnerSemicompact", "Unknown", radius,
                              detail="no feasible neighbors sampled", seed=seed)
@@ -428,9 +428,7 @@ def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid,
         # sqrt(tol_val) for quadratic objectives), so distances are judged
         # against the blur observed at xbar itself
         sol0 = _mode_solutions(prog, list(xbar_v), grid)
-        d_base = min(
-            float(np.max(np.abs(np.array(p) - ybar_v))) for p in sol0.points
-        )
+        d_base = float(np.abs(sol0.points - ybar_v).max(axis=1).min())
         spatial_tol = 2.0 * grid.finest_cell(prog.box_y) + 1e-6 + 2.0 * d_base
 
         def shell_dist(rho):
@@ -441,10 +439,7 @@ def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid,
                     sol = _mode_solutions(prog, list(x), grid)
                 except InfeasibleError:
                     continue
-                d = min(
-                    float(np.max(np.abs(np.array(p) - ybar_v)))
-                    for p in sol.points
-                )
+                d = float(np.abs(sol.points - ybar_v).max(axis=1).min())
                 if d > worst:
                     worst, worst_x = d, x
             return worst, worst_x
@@ -506,7 +501,7 @@ def cq_bundle(
     out = list(check_polyhedral_calmness_all(prog))
     try:
         sol = _mode_solutions(prog, xbar_l, grid)
-        y0 = list(sol.points[0])
+        y0 = sol.points[0].tolist()
     except InfeasibleError:
         out.append(CQVerdict("CQ_K", "Unknown", detail="xbar outside dom phi"))
         return tuple(out)

@@ -26,7 +26,7 @@ the convex variant, flagged `truncated`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,11 +36,12 @@ from .errors import (
     InfeasiblePointError,
     NotApplicableError,
 )
-from .model import BilevelProgram, Expr, clarke_generators, eval_expr, used_indices
-from .subdiff import Polytope, hull, minkowski_sum, negate, scale
+from .model import BilevelProgram, clarke_generators, eval_expr, used_indices
+from .subdiff import Polytope, _rows, hull, minkowski_sum, negate, scale
 from .valuefn import (
     GridSpec,
     SolutionSet,
+    _lex_order,
     lower_solutions,
     optimistic_solutions,
 )
@@ -74,50 +75,60 @@ class Caps:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplierSet:
     """V-representation of a lower-level multiplier polyhedron.
 
     kind 'lambda' lives in gamma-space (dim p); kind 'lambda_o' in
-    (r, beta)-space (dim 1 + p).  Inactive coordinates are exactly zero on
-    every generator.
+    (r, beta)-space (dim 1 + p).  vertices and rays are read-only float64
+    (k, dim) arrays, one generator per row.  Inactive coordinates are
+    exactly zero on every generator.
     """
 
     kind: str
     dim: int
-    vertices: Tuple[Tuple[float, ...], ...]
-    rays: Tuple[Tuple[float, ...], ...]
+    vertices: np.ndarray
+    rays: np.ndarray
     active: Tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", _rows(self.vertices, self.dim))
+        object.__setattr__(self, "rays", _rows(self.rays, self.dim))
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return len(self.vertices) == 0
 
     def generator_points(self, caps: Caps):
-        """Finite member sample: vertices plus r_max-truncated ray tips.
+        """Finite member sample: the vertices, then for each vertex its
+        r_max-truncated ray tips, as one (k, dim) array.
 
         Returns (points, truncated) where truncated reports whether rays
         were capped to produce finite points.
         """
-        pts = [np.array(v) for v in self.vertices]
-        truncated = False
-        for v in self.vertices:
-            for r in self.rays:
-                ray = np.array(r)
-                t = caps.r_max / np.max(np.abs(ray))
-                pts.append(np.array(v) + t * ray)
-                truncated = True
-        return pts, truncated
+        verts, rays = self.vertices, self.rays
+        if not (len(verts) and len(rays)):
+            return verts, False
+        t = caps.r_max / np.max(np.abs(rays), axis=1)
+        tips = verts[:, None, :] + (t[:, None] * rays)[None, :, :]
+        return np.vstack([verts, tips.reshape(-1, self.dim)]), True
 
 
-def _active_indices(prog: BilevelProgram, xbar, y, tol_active):
+_VIOLATED = ("constraint {} violated at (x, y): value {}",
+             "upper constraint {} violated at xbar (value {})")
+
+
+def _active_indices(prog: BilevelProgram, xbar, y, tol_active, upper=False):
+    """Indices of the lower-level constraints g (upper: the upper-level
+    constraints theta1, with y = []) active at (xbar, y), each within
+    tol_active relative to 1 + |value|; raises InfeasiblePointError when
+    one is violated by more."""
     active = []
-    for i, gi in enumerate(prog.g):
+    for i, gi in enumerate(prog.theta1 if upper else prog.g):
         val = float(eval_expr(gi, xbar, y))
         scale_i = 1.0 + abs(val)
         if val > tol_active * scale_i:
-            raise InfeasiblePointError(
-                f"constraint {i + 1} violated at (x, y): value {val}")
+            raise InfeasiblePointError(_VIOLATED[upper].format(i + 1, val))
         if val >= -tol_active * scale_i:
             active.append(i)
     return active
@@ -196,12 +207,8 @@ def _multiplier_set(kind, system, A, caps, stat_tol) -> MultiplierSet:
         [_normalize_ray(point(w)) for w in rays
          if np.max(np.abs(point(w))) > 1e-12]
     )
-    return MultiplierSet(
-        kind, system.p + 1 if with_r else system.p,
-        tuple(tuple(v.tolist()) for v in vert_pts),
-        tuple(tuple(r.tolist()) for r in ray_pts),
-        system.active,
-    )
+    return MultiplierSet(kind, system.p + 1 if with_r else system.p,
+                         vert_pts, ray_pts, system.active)
 
 
 # -- inclusion sets -----------------------------------------------------------
@@ -237,6 +244,21 @@ class _InclusionSystem:
     proj: np.ndarray
     meta: Tuple[tuple, ...]
     active: Tuple[int, ...]
+
+    def without_F(self) -> "_InclusionSystem":
+        """This include_F system less its F columns and its F-weight row:
+        column for column the system built without F, so the same A."""
+        keep = [q for q, (tag, _) in enumerate(self.meta) if tag != "F"]
+        rows = [r for r in range(self.m + 2) if r != self.m]
+        return _InclusionSystem(self.n, self.m, self.p, self.y, False,
+                                self.A[np.ix_(rows, keep)], self.proj[:, keep],
+                                tuple(self.meta[q] for q in keep), self.active)
+
+    def x_hull(self, tag) -> Polytope:
+        """Hull of the x-parts of the generators of the columns tagged tag
+        (("F", None), ("f", None) or ("g", i))."""
+        cols = [q for q, t in enumerate(self.meta) if t == tag]
+        return Polytope.from_generators(self.n, self.proj[:, cols].T)
 
     def sums(self, w):
         """(f-weight sum, per-constraint g-weight sums u) of the column
@@ -349,40 +371,32 @@ def stationary_cover_hull(prog: BilevelProgram, xbar,
     """
     vert_pts, vert_meta, ray_pts, ray_meta = [], [], [], []
     for ypt in _subsample(solutions.points, caps.max_solution_samples):
-        tagged = _inclusion_xset(prog, xbar, list(ypt), tol_active, caps,
+        tagged = _inclusion_xset(prog, xbar, ypt, tol_active, caps,
                                  stat_tol=stat_tol)
-        for v, mdat in zip(tagged.polytope.vertices, tagged.vertex_meta):
-            vert_pts.append(np.array(v))
-            vert_meta.append(mdat)
-        for r, mdat in zip(tagged.polytope.rays, tagged.ray_meta):
-            ray_pts.append(np.array(r))
-            ray_meta.append(mdat)
-    if not vert_pts:
+        vert_pts.append(tagged.polytope.vertices)
+        vert_meta += tagged.vertex_meta
+        ray_pts.append(tagged.polytope.rays)
+        ray_meta += tagged.ray_meta
+    if not vert_meta:
         return Polytope.empty(prog.n), [], []
-    poly, vkeep, rkeep = Polytope.from_generators_indexed(prog.n, vert_pts,
-                                                          ray_pts)
+    poly, vkeep, rkeep = Polytope.from_generators_indexed(
+        prog.n, np.vstack(vert_pts), np.vstack(ray_pts))
     return poly, [vert_meta[q] for q in vkeep], [ray_meta[q] for q in rkeep]
 
 
-def _subsample(points: Sequence, cap: int):
-    """Deterministic subsample that always keeps the best point.
+def _subsample(points: np.ndarray, cap: int):
+    """Deterministic subsample that always keeps the best point, as lists
+    of floats: the y arguments of the per-point constructions.
 
-    SolutionSet point lists are ordered best-first; the remainder is
-    spread evenly in lexicographic order so extremes stay represented.
+    SolutionSet points are ordered best-first and pairwise distinct; the
+    remainder is spread evenly in lexicographic order (a stable lexsort)
+    so extremes stay represented.
     """
     if len(points) <= cap:
-        return sorted(points)
-    best = points[0]
-    rest = sorted(points[1:])
+        return points[_lex_order(points)].tolist()
+    rest = points[1:][_lex_order(points[1:])]
     idx = np.unique(np.round(np.linspace(0, len(rest) - 1, cap - 1)).astype(int))
-    out = [best] + [rest[i] for i in idx]
-    seen = set()
-    uniq = []
-    for p in out:
-        if p not in seen:
-            seen.add(p)
-            uniq.append(p)
-    return uniq
+    return points[:1].tolist() + rest[idx].tolist()
 
 
 def grid_blur(grid: GridSpec, prog: BilevelProgram) -> float:
@@ -515,15 +529,6 @@ class Estimate:
     notes: Tuple[str, ...] = ()
 
 
-def _partial_hull(e: Expr, xbar, y, tol_active, part, n) -> Polytope:
-    gens = clarke_generators(e, xbar, y, tol_active)
-    if part == "x":
-        pts = [g[:n] for g in gens]
-        return Polytope.from_generators(n, pts)
-    pts = [g[n:] for g in gens]
-    return Polytope.from_generators(len(pts[0]), pts)
-
-
 def estimate_optimistic(
     prog: BilevelProgram,
     xbar,
@@ -582,7 +587,7 @@ def _estimate_core(prog, xbar, variant, grid, caps, ybar):
             prog, xbar_l, samples, caps, blur)
         notes.extend(conv_notes)
     elif variant == "semicontinuous":
-        ypt = list(ybar) if ybar is not None else list(samples[0])
+        ypt = list(ybar) if ybar is not None else samples[0]
         poly = _estimate_semicontinuous(prog, xbar_l, ypt, caps, blur)
         truncated = False
         notes.append(f"designated lower-level point {tuple(ypt)}")
@@ -601,8 +606,7 @@ def _estimate_semicompact(prog, xbar, samples, grid, caps, blur):
         # every (y, r) contribution is empty
         raise EmptyEstimateError("lower-level covector set is empty at xbar")
     for ypt in samples:
-        system = _inclusion_system(prog, xbar, list(ypt), blur,
-                                   include_F=True)
+        system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
         for r in caps.r_grid():
             inc = _solve_inclusion(system, caps, r, blur)
             if inc.polytope.is_empty:
@@ -616,35 +620,39 @@ def _estimate_semicompact(prog, xbar, samples, grid, caps, blur):
 
 
 def _estimate_convex(prog, xbar, samples, caps, blur):
-    n = prog.n
+    """One include_F inclusion system per sampled y gives both multiplier
+    sets (Lambda from the system less F, `_InclusionSystem.without_F`) and
+    the x-part hulls of F, f and the active g_i.  An inactive g_i has zero
+    multipliers on every generator, so it contributes no term."""
     pieces = []
     truncated = False
     notes = []
     skipped = 0
     for ypt in samples:
-        lam = lambda_set(prog, xbar, list(ypt), blur, caps, stat_tol=blur)
-        lam_o = lambda_o_set(prog, xbar, list(ypt), blur, caps, stat_tol=blur)
+        system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
+        lam_system = system.without_F()
+        lam = _multiplier_set("lambda", lam_system, lam_system.A, caps, blur)
+        lam_o = _multiplier_set("lambda_o", system, system.A[:-1], caps, blur)
         if lam.is_empty or lam_o.is_empty:
             skipped += 1
             continue
         gamma_pts, t1 = lam.generator_points(caps)
         rb_pts, t2 = lam_o.generator_points(caps)
         truncated = truncated or t1 or t2
-        P_Fx = _partial_hull(prog.F, xbar, list(ypt), blur, "x", n)
-        P_fx = _partial_hull(prog.f, xbar, list(ypt), blur, "x", n)
+        P_Fx = system.x_hull(("F", None))
+        P_fx = system.x_hull(("f", None))
         fx_diff = minkowski_sum(P_fx, negate(P_fx))
-        P_gx = [_partial_hull(gi, xbar, list(ypt), blur, "x", n)
-                for gi in prog.g]
+        P_gx = {i: system.x_hull(("g", i)) for i in system.active}
         for rb in rb_pts:
             r, beta = float(rb[0]), rb[1:]
             for gamma in gamma_pts:
                 piece = P_Fx
                 piece = minkowski_sum(piece, scale(fx_diff, r))
-                for i in range(prog.p):
+                for i in system.active:
                     if beta[i] > 0:
                         piece = minkowski_sum(piece, scale(P_gx[i], beta[i]))
                 gsum = None
-                for i in range(prog.p):
+                for i in system.active:
                     if gamma[i] > 0:
                         term = scale(P_gx[i], gamma[i])
                         gsum = term if gsum is None else minkowski_sum(gsum, term)
@@ -700,8 +708,7 @@ def estimate_simple_convex(
     samples = _subsample(sol_o.points, caps.max_solution_samples)
     pts = []
     for ypt in samples:
-        for gvec in clarke_generators(prog.F, xbar_l, list(ypt),
-                                      DEFAULT_TOL_ACTIVE):
+        for gvec in clarke_generators(prog.F, xbar_l, ypt, DEFAULT_TOL_ACTIVE):
             pts.append(gvec[: prog.n])
     return Estimate(
         Polytope.from_generators(prog.n, pts),

@@ -1,10 +1,10 @@
 """Finite-generator convex sets and numerical subgradient oracles.
 
-Polytopes are kept in V-representation throughout: a finite vertex list
-plus optional ray generators.  Estimate sets downstream arise naturally as
-generator unions and Minkowski sums, and desk-scale dimensions (<= 4) make
-containment by a small least-distance program cheaper and more robust than
-facet enumeration.
+Polytopes are kept in V-representation throughout: a read-only (k, dim)
+array of vertices plus one of ray generators.  Estimate sets downstream
+arise naturally as generator unions and Minkowski sums, and desk-scale
+dimensions (<= 4) make containment by a small least-distance program
+cheaper and more robust than facet enumeration.
 
 The projector is a fully corrective Frank-Wolfe (min-norm-point) scheme:
 affine minimization over the current support, line search dropping
@@ -33,31 +33,43 @@ from .model import affine_coefficients
 
 
 def _rows(points, dim) -> np.ndarray:
-    arr = np.asarray(list(points), dtype=float)
+    """points as a read-only float64 (k, dim) array.  A read-only float64
+    2-D array is taken as it is, so frozen generators are shared; anything
+    else is copied first, so no caller's array is frozen."""
+    if (isinstance(points, np.ndarray) and points.ndim == 2
+            and points.dtype == np.float64 and not points.flags.writeable):
+        return points
+    arr = np.array(points if isinstance(points, np.ndarray) else list(points),
+                   dtype=float)
     if arr.size == 0:
-        return np.zeros((0, dim))
-    if arr.ndim == 1:
+        arr = np.zeros((0, dim))
+    elif arr.ndim == 1:
         arr = arr.reshape(-1, dim)
+    arr.flags.writeable = False
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polytope:
-    """conv(vertices) + cone(rays) in R^dim; no vertices means empty."""
+    """conv(vertices) + cone(rays) in R^dim; no vertices means empty.
+
+    vertices and rays are read-only float64 (k, dim) arrays, one generator
+    per row; the constructor takes any sequence of points."""
 
     dim: int
-    vertices: Tuple[Tuple[float, ...], ...] = ()
-    rays: Tuple[Tuple[float, ...], ...] = ()
+    vertices: np.ndarray = ()
+    rays: np.ndarray = ()
 
     def __post_init__(self):
-        for v in self.vertices:
-            if len(v) != self.dim:
-                raise DimensionMismatchError("vertex dimension mismatch")
-        for r in self.rays:
-            if len(r) != self.dim:
-                raise DimensionMismatchError("ray dimension mismatch")
-            if not any(abs(c) > 0.0 for c in r):
-                raise EmptySetError("ray generators must be nonzero")
+        verts, rays = _rows(self.vertices, self.dim), _rows(self.rays, self.dim)
+        if verts.shape[1] != self.dim:
+            raise DimensionMismatchError("vertex dimension mismatch")
+        if rays.shape[1] != self.dim:
+            raise DimensionMismatchError("ray dimension mismatch")
+        if len(rays) and not (np.abs(rays) > 0.0).any(axis=1).all():
+            raise EmptySetError("ray generators must be nonzero")
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "rays", rays)
 
     @staticmethod
     def from_generators(dim, vertices, rays=()) -> "Polytope":
@@ -71,23 +83,20 @@ class Polytope:
         verts = _rows(vertices, dim)
         rays_arr = _rows(rays, dim)
         vkeep = _first_rows(verts)
-        rkeep = [q for q in _first_rows(rays_arr)
-                 if np.max(np.abs(rays_arr[q])) > 0.0]
-        poly = Polytope(
-            dim,
-            tuple(tuple(verts[q]) for q in vkeep),
-            tuple(tuple(rays_arr[q]) for q in rkeep),
-        )
-        return poly, vkeep, rkeep
+        rkeep = _first_rows(rays_arr)
+        if rkeep:
+            nonzero = np.abs(rays_arr).max(axis=1) > 0.0
+            rkeep = [q for q in rkeep if nonzero[q]]
+        return (Polytope(dim, _kept(verts, vkeep), _kept(rays_arr, rkeep)),
+                vkeep, rkeep)
 
     @staticmethod
     def singleton(point) -> "Polytope":
-        point = tuple(float(c) for c in point)
         return Polytope(len(point), (point,))
 
     @staticmethod
     def zero(dim) -> "Polytope":
-        return Polytope(dim, (tuple(0.0 for _ in range(dim)),))
+        return Polytope(dim, np.zeros((1, dim)))
 
     @staticmethod
     def empty(dim) -> "Polytope":
@@ -95,25 +104,23 @@ class Polytope:
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices
-
-    def vertex_array(self) -> np.ndarray:
-        return _rows(self.vertices, self.dim)
-
-    def ray_array(self) -> np.ndarray:
-        return _rows(self.rays, self.dim)
+        return len(self.vertices) == 0
 
 
 def _first_rows(arr: np.ndarray):
     """Indices of the first occurrence of each distinct row, in order."""
     seen = set()
     out = []
-    for q, row in enumerate(arr):
-        key = tuple(row.tolist())
+    for q, key in enumerate(map(tuple, arr.tolist())):
         if key not in seen:
             seen.add(key)
             out.append(q)
     return out
+
+
+def _kept(arr: np.ndarray, keep):
+    """The rows keep of the read-only arr; arr itself when that is all."""
+    return arr if len(keep) == len(arr) else arr.take(keep, axis=0)
 
 
 def _check_dims(p: Polytope, q: Polytope):
@@ -126,8 +133,9 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     _check_dims(p, q)
     if p.is_empty or q.is_empty:
         return Polytope.empty(p.dim)
-    verts = [np.array(a) + np.array(b) for a in p.vertices for b in q.vertices]
-    return Polytope.from_generators(p.dim, verts, list(p.rays) + list(q.rays))
+    verts = (p.vertices[:, None, :] + q.vertices[None, :, :]).reshape(-1, p.dim)
+    return Polytope.from_generators(p.dim, verts,
+                                    np.concatenate([p.rays, q.rays]))
 
 
 def scale(p: Polytope, lam: float) -> Polytope:
@@ -137,18 +145,12 @@ def scale(p: Polytope, lam: float) -> Polytope:
         return Polytope.empty(p.dim)
     if lam == 0.0:
         return Polytope.zero(p.dim)
-    verts = [lam * np.array(v) for v in p.vertices]
-    rays = [lam * np.array(r) for r in p.rays]
-    return Polytope.from_generators(p.dim, verts, rays)
+    return Polytope.from_generators(p.dim, lam * p.vertices, lam * p.rays)
 
 
 def negate(p: Polytope) -> Polytope:
     """Generator-level reflection; exact, no arithmetic beyond sign flips."""
-    return Polytope(
-        p.dim,
-        tuple(tuple(-c for c in v) for v in p.vertices),
-        tuple(tuple(-c for c in r) for r in p.rays),
-    )
+    return Polytope(p.dim, -p.vertices, -p.rays)
 
 
 def hull(polytopes_or_points, dim: Optional[int] = None) -> Polytope:
@@ -159,9 +161,9 @@ def hull(polytopes_or_points, dim: Optional[int] = None) -> Polytope:
         if len(dims) > 1:
             raise DimensionMismatchError("mixed dimensions in hull")
         d = dims.pop()
-        verts = [v for p in items for v in p.vertices]
-        all_rays = [r for p in items for r in p.rays]
-        return Polytope.from_generators(d, verts, all_rays)
+        return Polytope.from_generators(
+            d, np.concatenate([p.vertices for p in items]),
+            np.concatenate([p.rays for p in items]))
     if dim is None:
         if not items:
             raise EmptySetError("hull of nothing needs an explicit dim")
@@ -297,7 +299,7 @@ def distance(p: Polytope, v) -> float:
     z = np.asarray(v, dtype=float)
     if z.shape != (p.dim,):
         raise DimensionMismatchError("point dimension mismatch")
-    dist, *_ = _project(p.vertex_array(), p.ray_array(), z)
+    dist, *_ = _project(p.vertices, p.rays, z)
     return dist
 
 def project(p: Polytope, v):
@@ -305,7 +307,7 @@ def project(p: Polytope, v):
     z = np.asarray(v, dtype=float)
     if z.shape != (p.dim,):
         raise DimensionMismatchError("point dimension mismatch")
-    return _project(p.vertex_array(), p.ray_array(), z)
+    return _project(p.vertices, p.rays, z)
 
 
 def contains(p: Polytope, v) -> bool:

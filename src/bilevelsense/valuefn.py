@@ -34,6 +34,7 @@ from ._memo import memo
 from .errors import (BudgetError, DomainError, InfeasibleError,
                      UnsupportedDimensionError)
 from .model import BilevelProgram, Expr, eval_expr
+from .subdiff import _rows
 
 DEFAULT_TOL_VAL_BASE = 1e-6
 
@@ -48,7 +49,7 @@ MAX_GRID_POINTS = 2 ** 24
 
 # Bound on the solution-set memo, in entries (distinct (problem, x, grid)
 # requests).  An entry of a flat S(x) can hold every point of the
-# coarse grid as a tuple, so this stays well below the sweep memo's 2048.
+# coarse grid, so this stays well below the sweep memo's 2048.
 _SOLUTION_ENTRIES = 64
 
 
@@ -80,20 +81,22 @@ class GridSpec:
         return self.coarse_cell(box_y) * 10.0 ** (-self.refine_depth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionSet:
-    """Finite point cloud standing in for a solution map at one x."""
+    """Finite point cloud standing in for a solution map at one x: points
+    is a read-only float64 (k, m) array, one point per row, best first."""
 
-    points: Tuple[Tuple[float, ...], ...]
+    points: np.ndarray
     value: float
     tol_val: float
     finest_cell: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "points",
+                           _rows(self.points, np.shape(self.points)[-1]))
+
     def __len__(self):
         return len(self.points)
-
-    def arrays(self):
-        return [np.array(p) for p in self.points]
 
 
 def default_tol_val(value: float) -> float:
@@ -276,7 +279,7 @@ def _refine_seeds(pool_y, pool_f, pool_F, grid: GridSpec):
     (f, lexicographic y) order (`_first_in_order`), plus the
     upper-objective extremes inside the current optimality band,
     near-duplicates dropped."""
-    phi = float(np.min(pool_f))
+    phi = float(pool_f.min())
     seeds = []
 
     def push(point):
@@ -341,21 +344,21 @@ def _dedup_points(points: np.ndarray, resolution: float):
     A point is kept unless some already-kept point lies within resolution
     in the max norm.  Kept points are indexed in buckets of width
     2 * resolution, so each point is tested only against the kept points in
-    its 3^m neighbouring buckets; the kept list is exactly the one the
-    all-pairs greedy gives.
+    its 3^m neighbouring buckets; the kept rows are exactly those the
+    all-pairs greedy gives, returned as one array.
     """
     cells = np.floor(points / (2.0 * resolution))
     offsets = list(product((-1, 0, 1), repeat=points.shape[1]))
     buckets: dict = {}
     kept: list = []
-    for p, cell in zip(points, cells.tolist()):
-        near = [q for off in offsets
-                for q in buckets.get(tuple(c + o for c, o in zip(cell, off)), ())]
-        if near and not np.all(np.max(np.abs(np.array(near) - p), axis=1) > resolution):
+    for q, (p, cell) in enumerate(zip(points, cells.tolist())):
+        near = [k for off in offsets
+                for k in buckets.get(tuple(c + o for c, o in zip(cell, off)), ())]
+        if near and not np.all(np.max(np.abs(points[near] - p), axis=1) > resolution):
             continue
-        kept.append(p)
-        buckets.setdefault(tuple(cell), []).append(p)
-    return kept
+        kept.append(q)
+        buckets.setdefault(tuple(cell), []).append(q)
+    return points[kept]
 
 
 class _Problem(NamedTuple):
@@ -380,21 +383,19 @@ def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
     """S(x) (which = "lower") or S_o(x) ("optimistic") of problem at x_key.
 
     Memoised in an LRU of _SOLUTION_ENTRIES entries; SolutionSet is frozen
-    and holds only tuples, so every caller shares one.  InfeasibleError is
-    not cached; the sweep memo answers a repeat.
+    and its points array read-only, so every caller shares one.
+    InfeasibleError is not cached; the sweep memo answers a repeat.
     """
     _, band_y, band_f, band_F = _sweep(problem, x_key, grid)
     keys = band_f if which == "lower" else band_F
-    value = float(np.min(keys))
+    value = float(keys.min())
     band_tol = default_tol_val(value)
     sel = keys <= value + band_tol
     pts = band_y[sel]
     order = _pool_key_sort(pts, keys[sel])
     cell = grid.finest_cell(problem.box_y)
-    kept = _dedup_points(pts[order], cell * 0.999)
-    return SolutionSet(
-        tuple(tuple(p.tolist()) for p in kept), value, band_tol, cell
-    )
+    return SolutionSet(_dedup_points(pts[order], cell * 0.999), value,
+                       band_tol, cell)
 
 
 def lower_solutions(prog: BilevelProgram, x,
@@ -407,7 +408,7 @@ def lower_solutions(prog: BilevelProgram, x,
 def optimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
     """phi_o(x) = min F(x, .) over the near-optimal lower-level band."""
     *_, band_F = _sweep(prog, x, grid)
-    return float(np.min(band_F))
+    return float(band_F.min())
 
 
 def pessimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
@@ -420,7 +421,7 @@ def pessimistic_value_direct(prog: BilevelProgram, x,
                              grid: GridSpec = GridSpec()) -> float:
     """Direct max over the band; cross-check path for the sign identity."""
     *_, band_F = _sweep(prog, x, grid)
-    return float(np.max(band_F))
+    return float(band_F.max())
 
 
 def optimistic_solutions(prog: BilevelProgram, x,

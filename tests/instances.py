@@ -1,4 +1,7 @@
-"""Concrete desk-scale instances shared by the unit and acceptance suites."""
+"""Concrete desk-scale instances shared by the unit and acceptance suites,
+and `exact`, the bit-for-bit view of a result that the memo tests compare."""
+
+import dataclasses
 
 import numpy as np
 
@@ -71,6 +74,21 @@ y2 = -2, 2
 [mode]
 {mode}
 """
+
+
+def exact(value):
+    """value as plain data that compares equal only bit for bit: an array
+    by shape, dtype and bytes (so np.signbit agrees too), a dataclass by
+    its fields, a tuple or list by its items, anything else by repr, which
+    keeps the sign of a zero."""
+    if isinstance(value, np.ndarray):
+        return "array", value.shape, value.dtype.str, value.tobytes()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return type(value).__name__, tuple(
+            exact(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, tuple(map(exact, value))
+    return repr(value)
 
 
 def instance_a():

@@ -5,11 +5,17 @@ and a call with -0.0 there:
 
 - get an entry each (two misses, then two hits);
 - are answered on a hit with what a fresh computation on empty memos
-  returns, bit for bit: arrays by shape, dtype and bytes (so np.signbit
-  agrees too), everything else by repr, which keeps the sign of a zero;
-- hand out only read-only arrays.
+  returns, bit for bit (`instances.exact`): arrays by shape, dtype and
+  bytes (so np.signbit agrees too), dataclasses by their fields,
+  everything else by repr, which keeps the sign of a zero;
+- hand out only read-only arrays, dataclass fields included.
+
+The point sets built from memoised results (solution sets, estimate
+polytopes, multiplier sets) are read-only float64 (k, d) arrays as well,
+so a write into one cannot reach a later hit.
 """
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +24,11 @@ import pytest
 from bilevelsense import _memo
 from bilevelsense._polyalg import MAX_BASES
 from bilevelsense.model import BilevelProgram, Expr, neg
-from bilevelsense.sensitivity import Caps
-from bilevelsense.valuefn import GridSpec, _Problem
-from instances import instance_a, instance_c
+from bilevelsense.sensitivity import (Caps, estimate_optimistic, lambda_o_set,
+                                      lambda_set)
+from bilevelsense.valuefn import (GridSpec, _Problem, lower_solutions,
+                                  pessimistic_solutions)
+from instances import exact, instance_a, instance_c
 
 GRID = GridSpec(points_per_dim=11, refine_depth=1)
 X1, Y1 = Expr.x(1), Expr.y(1)
@@ -114,17 +122,12 @@ def _clear():
         memo.cache_clear()
 
 
-def _bits(value):
-    if isinstance(value, np.ndarray):
-        return "array", value.shape, value.dtype.str, value.tobytes()
-    if isinstance(value, (tuple, list)):
-        return type(value).__name__, tuple(map(_bits, value))
-    return repr(value)
-
-
 def _arrays(value):
     if isinstance(value, np.ndarray):
         yield value
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
     elif isinstance(value, (tuple, list)):
         for v in value:
             yield from _arrays(v)
@@ -155,7 +158,7 @@ def test_memo_property(name, arg):
     for args, got, hit in zip(calls, first, again):
         _clear()
         fresh = memo.__wrapped__(*args)
-        assert _bits(hit) == _bits(got) == _bits(fresh)
+        assert exact(hit) == exact(got) == exact(fresh)
     _clear()
 
 
@@ -175,3 +178,34 @@ def test_key_rule():
     # None apart from inf, and each argument's type
     assert key((None,)) != key((np.inf,))
     assert len({key((1,)), key((1.0,)), key((True,))}) == 3
+
+
+POINT_SETS = {
+    "lower_solutions": lambda: lower_solutions(instance_c(), [0.3], GRID).points,
+    "pessimistic_solutions":
+        lambda: pessimistic_solutions(instance_c(), [0.3], GRID).points,
+    "estimate vertices": lambda: estimate_optimistic(
+        instance_a(), [0.5], "semicompact", GRID).polytope.vertices,
+    "estimate rays": lambda: estimate_optimistic(
+        instance_a(), [0.5], "semicompact", GRID).polytope.rays,
+    "lambda_set vertices": lambda: lambda_set(instance_a(), [0.5], [0.5]).vertices,
+    "lambda_o_set rays": lambda: lambda_o_set(instance_a(), [0.5], [0.5]).rays,
+}
+
+
+@pytest.mark.parametrize("name", list(POINT_SETS))
+def test_point_sets_are_read_only(name):
+    """A write into a point set raises ValueError, and the next hit hands
+    out the same points."""
+    _clear()
+    points = POINT_SETS[name]()
+    assert points.dtype == np.float64 and points.ndim == 2
+    assert not points.flags.writeable
+    before = exact(points)
+    if points.size:
+        with pytest.raises(ValueError):
+            points[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        points += 1.0
+    assert exact(POINT_SETS[name]()) == before
+    _clear()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bilevelsense.errors import InfeasiblePointError, NotApplicableError
 from bilevelsense.model import BilevelProgram, Expr, clarke_generators, neg
@@ -28,6 +29,7 @@ from bilevelsense.subdiff import (
 )
 from bilevelsense.valuefn import GridSpec, lower_solutions, value_function
 
+from instances import exact
 from test_valuefn import SHARED_GRID, piecewise_affine_programs
 
 X1 = Expr.x(1)
@@ -78,8 +80,8 @@ class TestLambdaSet:
     def test_instance_a_halfpoint(self, prog_a):
         # active g1 = y - x, grad_y f = -1, grad_y g1 = 1: unique gamma (1, 0)
         ms = lambda_set(prog_a, [0.5], [0.5])
-        assert ms.vertices == ((1.0, 0.0),)
-        assert ms.rays == ()
+        assert ms.vertices.tolist() == [[1.0, 0.0]]
+        assert ms.rays.shape == (0, 2)
         assert ms.active == (0,)
 
     def test_empty_without_active_constraints(self):
@@ -94,7 +96,7 @@ class TestLambdaSet:
             n=1, m=1, F=X1, f=Expr.const(0.0), g=(Y1 - 10.0,),
             box_x=((-1, 1),), box_y=((-2, 2),))
         ms = lambda_set(prog, [0.0], [0.0])
-        assert ms.vertices == ((0.0,),)
+        assert ms.vertices.tolist() == [[0.0]]
 
     def test_infeasible_point_rejected(self, prog_a):
         with pytest.raises(InfeasiblePointError):
@@ -124,11 +126,68 @@ class TestLambdaSet:
                     assert v[i] == 0.0
 
 
+def test_one_active_set_rule_keeps_both_messages(prog_a, prog_a_constrained):
+    # the lower-level constraints g and the upper-level theta1 share one
+    # rule; each violation keeps its own message
+    from bilevelsense.sensitivity import _active_indices
+
+    with pytest.raises(InfeasiblePointError) as err:
+        _active_indices(prog_a, [0.5], [1.5], 1e-8)
+    assert str(err.value) == "constraint 1 violated at (x, y): value 1.0"
+    with pytest.raises(InfeasiblePointError) as err:
+        _active_indices(prog_a_constrained, [-0.5], [], 1e-8, upper=True)
+    assert str(err.value) == "upper constraint 1 violated at xbar (value 0.5)"
+    assert _active_indices(prog_a_constrained, [0.0], [], 1e-8, upper=True) == [0]
+    assert _active_indices(prog_a_constrained, [0.5], [], 1e-8, upper=True) == []
+
+
+def _reference_subsample(points, cap):
+    """The tuple form of `_subsample`: sorted float tuples, then a seen-set."""
+    pts = [tuple(p) for p in points.tolist()]
+    if len(pts) <= cap:
+        return [list(p) for p in sorted(pts)]
+    rest = sorted(pts[1:])
+    idx = np.unique(np.round(np.linspace(0, len(rest) - 1, cap - 1)).astype(int))
+    out, seen = [], set()
+    for p in [pts[0]] + [rest[i] for i in idx]:
+        if p not in seen:
+            seen.add(p)
+            out.append(list(p))
+    return out
+
+
+@st.composite
+def distinct_clouds(draw):
+    """Distinct points (no two equal, so no two differ only in the sign of
+    a zero) on a coarse lattice, whose ties exercise every sort key, and
+    some zeros negative; in the order drawn, which plays best-first."""
+    m = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * m), min_size=1,
+                          max_size=30, unique=True))
+    signs = draw(st.lists(st.booleans(), min_size=len(cells) * m,
+                          max_size=len(cells) * m))
+    pts = np.array(cells, dtype=float) * 0.25
+    flat = pts.reshape(-1)
+    flat[(flat == 0.0) & np.array(signs)] = -0.0
+    return pts, draw(st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=distinct_clouds())
+def test_subsample_matches_the_sorted_tuples(case):
+    # one stable lexsort picks the rows sorted tuples picked, zeros' signs
+    # included; the seen-set never fires on distinct points
+    from bilevelsense.sensitivity import _subsample
+
+    points, cap = case
+    assert exact(_subsample(points, cap)) == exact(_reference_subsample(points, cap))
+
+
 class TestLambdaOSet:
     def test_instance_a_halfpoint(self, prog_a):
         # vertex (r, beta) = (0, (1, 0)) and ray direction (1, (1, 0))
         ms = lambda_o_set(prog_a, [0.5], [0.5])
-        assert (0.0, 1.0, 0.0) in ms.vertices
+        assert [0.0, 1.0, 0.0] in ms.vertices.tolist()
         assert len(ms.vertices) == 1
         assert len(ms.rays) == 1
         assert list(ms.rays[0]) == pytest.approx([1.0, 1.0, 0.0], abs=1e-12)
@@ -139,16 +198,15 @@ class TestLambdaOSet:
             box_x=((-1, 1),), box_y=((-2, 2),))
         ms = lambda_o_set(prog, [0.0], [0.0])
         # r is forced to zero: no active constraint can absorb r * (-1)
-        assert ms.vertices == ((0.0, 0.0),)
-        assert ms.rays == ()
+        assert ms.vertices.tolist() == [[0.0, 0.0]]
+        assert ms.rays.shape == (0, 2)
 
     def test_pessimistic_reduction_instance_c(self, prog_c):
         # on the negated-upper program at (1, 1): grad_y(-F) = -1, active
         # g2 = y - 1 with grad 1, so beta_2 = 1 with a free r-ray
         ms = lambda_o_set(prog_c.negated_upper(), [1.0], [1.0])
-        assert (0.0, 0.0, 1.0) in ms.vertices
-        ray_dirs = [tuple(r) for r in ms.rays]
-        assert (1.0, 0.0, 0.0) in ray_dirs
+        assert [0.0, 0.0, 1.0] in ms.vertices.tolist()
+        assert [1.0, 0.0, 0.0] in ms.rays.tolist()
 
     def test_stationarity_residual(self, prog_a):
         ms = lambda_o_set(prog_a, [0.5], [0.5])
@@ -197,6 +255,27 @@ class TestEstimates:
         assert distance(est.polytope, [0.0]) <= 1e-9
         assert est.truncated  # the (r, beta) ray was capped
 
+    @pytest.mark.parametrize("name,x,gens", [("a", [0.5], 3), ("b", [0.0], 2)])
+    def test_convex_builds_one_system_per_sampled_y(self, monkeypatch, name, x,
+                                                    gens, prog_a, prog_b):
+        # one include_F inclusion system per sampled y gives both multiplier
+        # sets and the x-part hulls: the Clarke generators of each (F, f or
+        # active g_i, x, y) are taken once.  A at 0.5 samples one y with g1
+        # active; B at 0 samples one y with no active constraint.
+        from bilevelsense import sensitivity
+
+        calls = []
+        generators = sensitivity.clarke_generators
+
+        def counting(e, xbar, y, tol_active=None):
+            calls.append((e, tuple(xbar), tuple(y)))
+            return generators(e, xbar, y, tol_active)
+
+        monkeypatch.setattr(sensitivity, "clarke_generators", counting)
+        prog = {"a": prog_a, "b": prog_b}[name]
+        estimate_optimistic(prog, x, "convex", GRID, CAPS)
+        assert len(calls) == len(set(calls)) == gens
+
     def test_semicompact_matches_derivative_instance_a(self, prog_a):
         for x in (0.3, 0.5, 0.8):
             est = estimate_optimistic(prog_a, [x], "semicompact", GRID, CAPS)
@@ -235,7 +314,7 @@ class TestEstimates:
         for variant in ("semicompact", "convex", "semicontinuous"):
             est = estimate_optimistic(prog, [0.2], variant, GRID, CAPS)
             assert distance(est.polytope, [0.0]) <= 1e-9
-            assert est.polytope.rays == () or all(
+            assert len(est.polytope.rays) == 0 or all(
                 distance(est.polytope, [0.0]) <= 1e-9 for _ in est.polytope.rays)
 
     def test_caps_monotonicity(self, prog_b):
@@ -305,8 +384,8 @@ def test_smooth_f_difference_term_is_exactly_zero():
     # symmetric difference set is exactly {0} and scaling keeps it there
     p = Polytope.singleton([0.75])
     diff = minkowski_sum(p, negate(p))
-    assert diff.vertices == ((0.0,),)
-    assert scale(diff, 7.0).vertices == ((0.0,),)
+    assert diff.vertices.tolist() == [[0.0]]
+    assert scale(diff, 7.0).vertices.tolist() == [[0.0]]
 
 
 def test_estimate_constant_upper_is_zero_pessimistic(prog_c):
@@ -541,8 +620,7 @@ def _assert_multiplier_sets_match_reference(monkeypatch, prog, x, grid):
                 want = _reference_multiplier_set(prog, x, list(y), tol_active,
                                                  CAPS, stat_tol, kind)
                 assert got_calls and got_calls == calls
-                assert got == want
-                assert repr(got) == repr(want)  # signed zeros too
+                assert exact(got) == exact(want)  # signed zeros too
                 checked += 1
     assert checked
 

@@ -344,3 +344,23 @@ def test_every_memo_is_declared_through_one_module():
         # functools' caches are used in _memo alone
         if path.name != "_memo.py":
             assert not caches & {"lru_cache", "cache"}, path.name
+
+
+# -- point sets are arrays ---------------------------------------------------------
+
+# the row converters of the tuple-of-tuples point sets
+ROW_CONVERTERS = {"vertex_array", "ray_array"}
+
+
+def test_point_sets_keep_no_tuple_form_converters():
+    # Polytope, MultiplierSet and SolutionSet hold read-only (k, d) arrays,
+    # so nothing turns them into arrays and back
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, node in _scoped_nodes(tree):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in ROW_CONVERTERS, (path.name, scope)
+                assert scope[:1] != ("SolutionSet",) or node.name != "arrays", \
+                    (path.name, scope)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in ROW_CONVERTERS, (path.name, scope)

@@ -45,7 +45,7 @@ from bilevelsense.valuefn import (
 )
 
 from conftest import brute_force_lower
-from instances import instance_a, instance_b, instance_c
+from instances import exact, instance_a, instance_b, instance_c
 
 GRID = GridSpec()
 FINE = GridSpec(points_per_dim=201, refine_depth=5)
@@ -157,15 +157,15 @@ class TestInvariants:
             vo = optimistic_value(prog_c, [x], GRID)
             vp = pessimistic_value(prog_c, [x], GRID)
             sol = lower_solutions(prog_c, [x], GRID)
-            for p in sol.arrays():
-                Fv = eval_expr(prog_c.F, [x], list(p))
+            for p in sol.points.tolist():
+                Fv = eval_expr(prog_c.F, [x], p)
                 assert vo - 1e-9 <= Fv <= vp + 1e-9
 
     def test_phi_lower_bounds_f(self, prog_a):
         phi = lower_value(prog_a, [0.8], GRID)
         sol = lower_solutions(prog_a, [0.8], GRID)
-        for p in sol.arrays():
-            fv = eval_expr(prog_a.f, [0.8], list(p))
+        for p in sol.points.tolist():
+            fv = eval_expr(prog_a.f, [0.8], p)
             assert phi <= fv + sol.tol_val
 
     def test_refinement_monotonicity(self, prog_a, prog_c):
@@ -770,15 +770,14 @@ def _assert_solution_hit_equals_fresh(prog, x, grid):
     hits = _solution_set.cache_info().hits
     again = _solution_sets(prog, x, grid)
     assert _solution_set.cache_info().hits == hits + len(again)
-    # == on the frozen sets, and repr, which keeps the sign of a zero
-    assert again == fresh
-    assert [repr(s) for s in again] == [repr(s) for s in fresh]
+    # bit for bit, which keeps the sign of every zero
+    assert [exact(s) for s in again] == [exact(s) for s in fresh]
     # a set computed on empty memos for this request alone is the same one
     for pos, s in enumerate(fresh):
         _solution_set.cache_clear()
         _solve_lower.cache_clear()
         p = (prog, prog.negated_upper())[pos // 3]
-        assert repr(SOLUTION_CALLS[pos % 3](p, x, grid)) == repr(s)
+        assert exact(SOLUTION_CALLS[pos % 3](p, x, grid)) == exact(s)
 
 
 @pytest.mark.parametrize("make,x", [(instance_a, [0.5]), (instance_a, [0.0]),
@@ -809,7 +808,7 @@ def test_solution_keys_stay_apart(prog_c):
         got.append(fn(prog, x, grid))
         assert _solution_set.cache_info().misses == i
     # S_o of F = x * y at x > 0 is {0}; its twin's (the worst case) is {1}
-    assert got[0].points == ((0.0,),)
+    assert got[0].points.tolist() == [[0.0]]
     assert len(got[2]) == 1 and got[2].points[0][0] == pytest.approx(1.0)
     assert len(got[1]) > 1
     # pessimistic_solutions reads its twin's entry, and the mode, upper
@@ -852,8 +851,8 @@ SIGNED_X_GRID = GridSpec(points_per_dim=11, refine_depth=1)
 def _signed_x_results(x):
     return [repr(optimistic_value(SIGNED_X, [x], SIGNED_X_GRID)),
             repr(pessimistic_value(SIGNED_X, [x], SIGNED_X_GRID)),
-            repr(optimistic_solutions(SIGNED_X, [x], SIGNED_X_GRID)),
-            repr(pessimistic_solutions(SIGNED_X, [x], SIGNED_X_GRID))]
+            exact(optimistic_solutions(SIGNED_X, [x], SIGNED_X_GRID)),
+            exact(pessimistic_solutions(SIGNED_X, [x], SIGNED_X_GRID))]
 
 
 @pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)])
@@ -888,7 +887,7 @@ y1 = -1, {hi!r}
 
 
 def _signed_box_results(prog):
-    return [repr(fn(prog, [0.5], SIGNED_X_GRID))
+    return [exact(fn(prog, [0.5], SIGNED_X_GRID))
             for fn in (lower_solutions, optimistic_solutions,
                        pessimistic_solutions, optimistic_value)]
 
@@ -906,12 +905,15 @@ def test_signed_zero_box_bound_reads_its_own_sweep(order):
         _solution_set.cache_clear()
         valuefn._coarse_mesh.cache_clear()
 
-    fresh = []
+    fresh, lower = [], []
     for prog in progs:
         clear()
         fresh.append(_signed_box_results(prog))
-    assert [r[0].count(f"points=(({hi!r},),)") for r, hi in zip(fresh, order)] \
-        == [1, 1]
+        lower.append(lower_solutions(prog, [0.5], SIGNED_X_GRID).points)
+    # S(x) is the one point y1 = 0 on the upper bound, with that bound's sign
+    assert [p.tolist() for p in lower] == [[[0.0]], [[0.0]]]
+    assert [bool(np.signbit(p[0, 0])) for p in lower] == \
+        [bool(np.signbit(hi)) for hi in order]
     clear()
     assert [_signed_box_results(p) for p in progs] == fresh
     assert _solve_lower.cache_info().misses == 2

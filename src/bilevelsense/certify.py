@@ -357,7 +357,7 @@ def _search_variant_ii(prog, xbar, samples, grid, caps):
 
     def candidates():
         for y in samples:
-            lam_ms = lambda_set(prog, xbar, y, DEFAULT_TOL_ACTIVE, caps)
+            lam_ms = lambda_set(prog, xbar, y, DEFAULT_TOL_ACTIVE)
             GF, Gf, Gg = _generators_at(prog, xbar, y)
             for gamma in list(lam_ms.vertices) or [None]:
                 yield y, GF, Gf, Gg, gamma
@@ -519,7 +519,7 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps):
             if key not in systems:
                 systems[key] = _inclusion_system(
                     negp, xbar, ypt, DEFAULT_TOL_ACTIVE, include_F=True)
-            t_set = _solve_inclusion(systems[key], caps, r)
+            t_set = _solve_inclusion(systems[key], r)
             if not t_set.polytope.is_empty:
                 tagged[key] = t_set
         if not tagged:
@@ -590,7 +590,7 @@ def _search_pessimistic_ii(negp, xbar, t_samples, grid, caps):
 
     per_y_results = []
     for yref_l in y_samples:
-        lam_ms = lambda_set(negp, xbar, yref_l, DEFAULT_TOL_ACTIVE, caps)
+        lam_ms = lambda_set(negp, xbar, yref_l, DEFAULT_TOL_ACTIVE)
         if lam_ms.is_empty:
             per_y_results.append(None)
             continue

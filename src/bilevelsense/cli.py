@@ -243,10 +243,8 @@ def run(args) -> int:
         bundle = list(cq_bundle(prog, x, args.variant, grid, caps, ybar=y,
                                 seed=args.seed))
         g_has_x = any(used_indices(gi)[0] for gi in prog.g)
-        if not g_has_x:
-            y0 = y if y is not None else None
-            if y0 is not None:
-                bundle.append(check_codcq_convex(prog, x, y0))
+        if y is not None and not g_has_x:
+            bundle.append(check_codcq_convex(prog, x, y))
         _emit_json(args, {
             "config": cfg,
             "verdicts": [v.to_dict() for v in bundle],

@@ -146,8 +146,8 @@ def check_pointbased_cq(
     """
     if which not in ("K", "S"):
         raise ValueError("which must be 'K' or 'S'")
-    return _pointbased_cq(prog, which, _xkey(xbar), _xkey(y), caps, grid,
-                          seed)
+    return _pointbased_cq(prog, which, _xkey(xbar, prog.n), _xkey(y, prog.m),
+                          caps, grid, seed)
 
 
 @memo(_CQ_ENTRIES, copy_out=True)
@@ -369,9 +369,9 @@ def check_inner_regularity(
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return _inner_regularity(prog, kind, _xkey(xbar),
-                             None if ybar is None else _xkey(ybar), radius,
-                             n_samples, grid, seed)
+    return _inner_regularity(prog, kind, _xkey(xbar, prog.n),
+                             None if ybar is None else _xkey(ybar, prog.m),
+                             radius, n_samples, grid, seed)
 
 
 @memo(_CQ_ENTRIES, copy_out=True)

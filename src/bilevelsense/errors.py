@@ -45,7 +45,8 @@ class UnsupportedDimensionError(ToolkitError):
 
 
 class DimensionMismatchError(ToolkitError):
-    """Set-algebra operands live in different ambient dimensions."""
+    """Set-algebra operands live in different ambient dimensions, or a point
+    has the wrong number of coordinates."""
 
 
 class EmptySetError(ToolkitError):

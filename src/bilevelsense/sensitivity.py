@@ -161,7 +161,6 @@ def _vrep_fallback(A, b, stat_tol):
 
 def lambda_set(prog: BilevelProgram, xbar, y,
                tol_active: float = DEFAULT_TOL_ACTIVE,
-               caps: Caps = Caps(),
                stat_tol: Optional[float] = None) -> MultiplierSet:
     """Lower-level stationarity multipliers gamma at (xbar, y).
 
@@ -172,12 +171,11 @@ def lambda_set(prog: BilevelProgram, xbar, y,
     inclusion system without F at b = [0_m; 1], gamma = u.
     """
     system = _inclusion_system(prog, xbar, y, tol_active)
-    return _multiplier_set("lambda", system, system.A, caps, stat_tol)
+    return _multiplier_set("lambda", system, system.A, stat_tol)
 
 
 def lambda_o_set(prog: BilevelProgram, xbar, y,
                  tol_active: float = DEFAULT_TOL_ACTIVE,
-                 caps: Caps = Caps(),
                  stat_tol: Optional[float] = None) -> MultiplierSet:
     """Upper-objective stationarity multipliers (r, beta) at (xbar, y):
     {r, beta >= 0, beta complementary, 0 in d_y F + r d_y f + sum beta_i d_y g_i}.
@@ -185,10 +183,10 @@ def lambda_o_set(prog: BilevelProgram, xbar, y,
     The inclusion system with F less its last row (the f-weight sum, so r
     is free) at b = [0_m; 1]: r is the f-weight sum and beta = u."""
     system = _inclusion_system(prog, xbar, y, tol_active, include_F=True)
-    return _multiplier_set("lambda_o", system, system.A[:-1], caps, stat_tol)
+    return _multiplier_set("lambda_o", system, system.A[:-1], stat_tol)
 
 
-def _multiplier_set(kind, system, A, caps, stat_tol) -> MultiplierSet:
+def _multiplier_set(kind, system, A, stat_tol) -> MultiplierSet:
     """The MultiplierSet of kind read off the V-representation of A (rows
     of `system`) at b = [0_m; 1]: each generator decoded to u, or to
     (f-weight sum, u) for 'lambda_o' (`_InclusionSystem.sums`), then
@@ -299,8 +297,7 @@ def _inclusion_system(prog: BilevelProgram, xbar, y, tol_active: float,
                             tuple(meta), tuple(active))
 
 
-def _solve_inclusion(system: _InclusionSystem, caps: Caps,
-                     r_coef: float = 0.0,
+def _solve_inclusion(system: _InclusionSystem, r_coef: float = 0.0,
                      stat_tol: Optional[float] = None) -> TaggedSet:
     """The inclusion set of a built system: V-representation at the
     right-hand side [0; 1; r_coef] (or [0; 1] without F), projected to x."""
@@ -336,7 +333,6 @@ def _inclusion_xset(
     xbar,
     y,
     tol_active: float,
-    caps: Caps,
     include_F: bool = False,
     r_coef: float = 0.0,
     stat_tol: Optional[float] = None,
@@ -355,7 +351,7 @@ def _inclusion_xset(
     """
     return _solve_inclusion(
         _inclusion_system(prog, xbar, y, tol_active, include_F),
-        caps, r_coef, stat_tol)
+        r_coef, stat_tol)
 
 
 def stationary_cover_hull(prog: BilevelProgram, xbar,
@@ -371,7 +367,7 @@ def stationary_cover_hull(prog: BilevelProgram, xbar,
     """
     vert_pts, vert_meta, ray_pts, ray_meta = [], [], [], []
     for ypt in _subsample(solutions.points, caps.max_solution_samples):
-        tagged = _inclusion_xset(prog, xbar, ypt, tol_active, caps,
+        tagged = _inclusion_xset(prog, xbar, ypt, tol_active,
                                  stat_tol=stat_tol)
         vert_pts.append(tagged.polytope.vertices)
         vert_meta += tagged.vertex_meta
@@ -608,7 +604,7 @@ def _estimate_semicompact(prog, xbar, samples, grid, caps, blur):
     for ypt in samples:
         system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
         for r in caps.r_grid():
-            inc = _solve_inclusion(system, caps, r, blur)
+            inc = _solve_inclusion(system, r, blur)
             if inc.polytope.is_empty:
                 continue
             shifted = minkowski_sum(inc.polytope, scale(negate(cover), r))
@@ -631,8 +627,8 @@ def _estimate_convex(prog, xbar, samples, caps, blur):
     for ypt in samples:
         system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
         lam_system = system.without_F()
-        lam = _multiplier_set("lambda", lam_system, lam_system.A, caps, blur)
-        lam_o = _multiplier_set("lambda_o", system, system.A[:-1], caps, blur)
+        lam = _multiplier_set("lambda", lam_system, lam_system.A, blur)
+        lam_o = _multiplier_set("lambda_o", system, system.A[:-1], blur)
         if lam.is_empty or lam_o.is_empty:
             skipped += 1
             continue
@@ -668,12 +664,11 @@ def _estimate_convex(prog, xbar, samples, caps, blur):
 
 def _estimate_semicontinuous(prog, xbar, ypt, caps, blur):
     # convexified lower-level stationarity covectors at the designated point
-    phi_star = _inclusion_xset(prog, xbar, ypt, blur, caps,
-                               stat_tol=blur).polytope
+    phi_star = _inclusion_xset(prog, xbar, ypt, blur, stat_tol=blur).polytope
     system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
     pieces = []
     for r in caps.r_grid():
-        inc = _solve_inclusion(system, caps, r, blur)
+        inc = _solve_inclusion(system, r, blur)
         if inc.polytope.is_empty:
             continue
         if phi_star.is_empty:

@@ -35,12 +35,18 @@ from .model import affine_coefficients
 def _rows(points, dim) -> np.ndarray:
     """points as a read-only float64 (k, dim) array.  A read-only float64
     2-D array is taken as it is, so frozen generators are shared; anything
-    else is copied first, so no caller's array is frozen."""
+    else is copied first, so no caller's array is frozen.  Raises
+    DimensionMismatchError when the points have different lengths."""
     if (isinstance(points, np.ndarray) and points.ndim == 2
             and points.dtype == np.float64 and not points.flags.writeable):
         return points
-    arr = np.array(points if isinstance(points, np.ndarray) else list(points),
-                   dtype=float)
+    rows = points if isinstance(points, np.ndarray) else list(points)
+    try:
+        arr = np.array(rows, dtype=float)
+    except ValueError:
+        if len({np.size(row) for row in rows}) > 1:
+            raise DimensionMismatchError("points of different lengths") from None
+        raise
     if arr.size == 0:
         arr = np.zeros((0, dim))
     elif arr.ndim == 1:

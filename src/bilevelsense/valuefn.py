@@ -31,8 +31,8 @@ from typing import Callable, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ._memo import memo
-from .errors import (BudgetError, DomainError, InfeasibleError,
-                     UnsupportedDimensionError)
+from .errors import (BudgetError, DimensionMismatchError, DomainError,
+                     InfeasibleError, UnsupportedDimensionError)
 from .model import BilevelProgram, Expr, eval_expr
 from .subdiff import _rows
 
@@ -135,22 +135,20 @@ def _coarse_mesh(box_y: Tuple[Tuple[float, float], ...], count: int):
     return _mesh(box[None, :, 0], box[None, :, 1], count)
 
 
-def _feasible(g, m: int, x, ypts: np.ndarray):
-    if ypts.size == 0:
-        return ypts
-    ycols = [ypts[:, j] for j in range(m)]
-    mask = np.ones(len(ypts), dtype=bool)
+def _evaluate(f, g, F, x, mesh: np.ndarray):
+    """(y, f, F) over the rows y of mesh where every g is at most TOL_FEAS.
+    f and F are evaluated on those rows only (not at all when there are
+    none), so a DomainError outside the feasible set cannot fire."""
+    keep = np.ones(len(mesh), dtype=bool)
+    cols = list(mesh.T)
     for gi in g:
-        vals = np.asarray(eval_expr(gi, x, ycols), dtype=float)
-        vals = np.broadcast_to(vals, (len(ypts),))
-        mask &= vals <= TOL_FEAS
-    return ypts[mask]
-
-
-def _eval_on(prog_expr, x, ypts: np.ndarray, m: int):
-    ycols = [ypts[:, j] for j in range(m)]
-    vals = np.asarray(eval_expr(prog_expr, x, ycols), dtype=float)
-    return np.broadcast_to(vals, (len(ypts),)).copy()
+        keep &= np.asarray(eval_expr(gi, x, cols), dtype=float) <= TOL_FEAS
+    y = mesh[keep]
+    if not len(y):
+        return y, np.zeros(0), np.zeros(0)
+    cols = list(y.T)
+    return (y, *(np.broadcast_to(np.asarray(eval_expr(e, x, cols), dtype=float),
+                                 (len(y),)) for e in (f, F)))
 
 
 def _lex_order(ypts: np.ndarray):
@@ -199,30 +197,26 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
     level_cell = np.array([
         (hi - lo) / (grid.points_per_dim - 1) for lo, hi in box_y
     ])
-    mesh = _coarse_mesh(box_y, grid.points_per_dim)
-    pool_y = _feasible(g, m, x, mesh)
+    pool_y, pool_f, pool_F = _evaluate(
+        f, g, F, x, _coarse_mesh(box_y, grid.points_per_dim))
     if len(pool_y) == 0:
         return None
-    pool_f = _eval_on(f, x, pool_y, m)
-    pool_F = _eval_on(F, x, pool_y, m)
     phi = _lower_optimum(pool_f, x_key)
 
     box_lo, box_hi = np.array(box_y, dtype=float).T
     for _level in range(grid.refine_depth):
         live = _live(pool_f, phi, grid.max_seeds)
         pool_y, pool_f, pool_F = pool_y[live], pool_f[live], pool_F[live]
-        seeds = np.array(_refine_seeds(pool_y, pool_f, pool_F, grid))
+        seeds = _refine_seeds(pool_y, pool_f, pool_F, phi, grid.max_seeds)
         lo, hi = seeds - level_cell, seeds + level_cell
         # clip to the box as Python's max/min would: np.maximum/np.minimum
         # pick the other zero when the two compare equal as +0 and -0
         lo = np.where(lo > box_lo, lo, box_lo)
         hi = np.where(hi < box_hi, hi, box_hi)
-        cand = _feasible(g, m, x, _mesh(lo, hi, grid.refine_points))
-        if len(cand):
-            pool_y = np.vstack([pool_y, cand])
-            pool_f = np.concatenate([pool_f, _eval_on(f, x, cand, m)])
-            pool_F = np.concatenate([pool_F, _eval_on(F, x, cand, m)])
-            phi = _lower_optimum(pool_f, x_key)
+        new = _evaluate(f, g, F, x, _mesh(lo, hi, grid.refine_points))
+        pool_y, pool_f, pool_F = (np.concatenate(pair)
+                                  for pair in zip((pool_y, pool_f, pool_F), new))
+        phi = _lower_optimum(pool_f, x_key)
         level_cell = level_cell / 10.0
 
     band = pool_f <= _band_bound(phi)
@@ -248,8 +242,9 @@ def _band_bound(phi):
 def _live(pool_f, phi, k):
     """Mask of the pooled points a later refinement level can still read:
     the band (its F extremes are seeds, and it is what the sweep returns)
-    and every f up to the k-th smallest (the seeds of `_first_in_order`,
-    ties included).  The pool holds no NaN f (`_lower_optimum`)."""
+    and every f up to the k-th smallest (the first seeds of
+    `_refine_seeds`, ties included).  The pool holds no NaN f
+    (`_lower_optimum`)."""
     if k >= len(pool_f):
         return np.ones(len(pool_f), dtype=bool)
     cut = _band_bound(phi)
@@ -258,55 +253,26 @@ def _live(pool_f, phi, k):
     return pool_f <= cut
 
 
-def _first_in_order(pool_y, pool_f, k):
-    """The first k indices of the (f, lexicographic y) order of the pool.
-
-    Only the points whose f is at most the k-th smallest f (found by
-    np.partition) are sorted.  The sort is stable, so ties at that value
-    and duplicate rows resolve as in a sort of the whole pool, which runs
-    instead when the pool has no more than k points, when the k-th value
-    is NaN (fewer than k points pass) or when every point passes.
-    """
-    if 0 < k < len(pool_f):
-        top = np.flatnonzero(pool_f <= np.partition(pool_f, k - 1)[k - 1])
-        if k <= len(top) < len(pool_f):
-            return top[_pool_key_sort(pool_y[top], pool_f[top])[:k]]
-    return _pool_key_sort(pool_y, pool_f)[:k]
-
-
-def _refine_seeds(pool_y, pool_f, pool_F, grid: GridSpec):
-    """Deterministic refinement seeds: the first max_seeds points of the
-    (f, lexicographic y) order (`_first_in_order`), plus the
-    upper-objective extremes inside the current optimality band,
-    near-duplicates dropped."""
-    phi = float(pool_f.min())
-    seeds = []
-
-    def push(point):
-        for s in seeds:
-            if np.max(np.abs(s - point)) < 1e-15:
-                return
-        seeds.append(point.copy())
-
-    for idx in _first_in_order(pool_y, pool_f, grid.max_seeds):
-        push(pool_y[idx])
-    band = pool_f <= _band_bound(phi)
-    if np.any(band):
-        band_idx = np.nonzero(band)[0]
-        band_F = pool_F[band_idx]
-        for pick in (np.argmin, np.argmax):
-            push(pool_y[_lex_first_tied(pool_y, band_idx, band_F, pick)])
-    return seeds
-
-
-def _lex_first_tied(pool_y, idx, vals, pick):
-    """The point np.argmin or np.argmax (`pick`) of vals would choose if idx
-    were in lexicographic y order: only the rows tied with the picked
-    value are lex-ordered.  A NaN is picked first and ties with every NaN;
-    -0.0 ties with +0.0."""
-    val = vals[pick(vals)]
-    tied = idx[np.isnan(vals)] if np.isnan(val) else idx[vals == val]
-    return tied[_lex_order(pool_y[tied])[0]]
+def _refine_seeds(pool_y, pool_f, pool_F, phi, k):
+    """Deterministic refinement seeds, as rows of an array: the first k
+    points of the (f, lexicographic y) order, then the first minimiser and
+    maximiser of F over the optimality band in lexicographic y order (a NaN
+    F is picked first; -0.0 ties with +0.0), each dropped when it lies
+    within 1e-15 of a seed kept before it.  phi is min pool_f."""
+    lex = _lex_order(pool_y)
+    f_lex = pool_f[lex]
+    picks = lex[np.argsort(f_lex, kind="stable")[:k]]
+    band = lex[f_lex <= _band_bound(phi)]
+    if len(band):  # empty only for a NaN phi, which no sweep passes
+        band_F = pool_F[band]
+        picks = np.concatenate([picks, band[[band_F.argmin(), band_F.argmax()]]])
+    points = pool_y[picks]
+    near = np.max(np.abs(points[:, None] - points[None]), axis=2) < 1e-15
+    kept = []
+    for i in range(len(points)):
+        if not near[i, kept].any():
+            kept.append(i)
+    return points[kept]
 
 
 def _sweep(prog: BilevelProgram, x, grid: GridSpec):
@@ -316,7 +282,7 @@ def _sweep(prog: BilevelProgram, x, grid: GridSpec):
     negations.  Raises InfeasibleError when no grid point is feasible at
     x."""
     F, negated = prog.F._peel_negations()
-    x_key = _xkey(x)
+    x_key = _xkey(x, prog.n)
     swept = _solve_lower(prog.m, prog.f, prog.g, prog.box_y, F, x_key, grid)
     if swept is None:
         raise InfeasibleError(f"no feasible lower-level point at x={list(x_key)}")
@@ -333,9 +299,13 @@ def lower_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
     return phi
 
 
-def _xkey(x):
-    """x as a tuple of floats, the form every memo of a point is keyed on."""
-    return tuple(np.array(x, dtype=float).ravel().tolist())
+def _xkey(x, n):
+    """x as a tuple of floats, the form every memo of a point is keyed on;
+    raises DimensionMismatchError unless x has n coordinates."""
+    key = tuple(np.array(x, dtype=float).ravel().tolist())
+    if len(key) != n:
+        raise DimensionMismatchError(f"point has {len(key)} coordinates, not {n}")
+    return key
 
 
 def _dedup_points(points: np.ndarray, resolution: float):
@@ -366,6 +336,7 @@ class _Problem(NamedTuple):
     reads: the lower-level problem and F, negations kept (their sign picks
     S_o)."""
 
+    n: int
     m: int
     f: Expr
     g: Tuple[Expr, ...]
@@ -374,7 +345,7 @@ class _Problem(NamedTuple):
 
     @classmethod
     def of(cls, prog: BilevelProgram) -> "_Problem":
-        return cls(prog.m, prog.f, prog.g, prog.box_y, prog.F)
+        return cls(prog.n, prog.m, prog.f, prog.g, prog.box_y, prog.F)
 
 
 @memo(_SOLUTION_ENTRIES)
@@ -402,7 +373,7 @@ def lower_solutions(prog: BilevelProgram, x,
                     grid: GridSpec = GridSpec()) -> SolutionSet:
     """S(x): feasible grid points whose f-value is within
     `default_tol_val(phi)` of phi(x)."""
-    return _solution_set("lower", _Problem.of(prog), _xkey(x), grid)
+    return _solution_set("lower", _Problem.of(prog), _xkey(x, prog.n), grid)
 
 
 def optimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
@@ -428,7 +399,8 @@ def optimistic_solutions(prog: BilevelProgram, x,
                          grid: GridSpec = GridSpec()) -> SolutionSet:
     """S_o(x): members of S(x) whose upper objective is within
     `default_tol_val(phi_o)` of phi_o(x)."""
-    return _solution_set("optimistic", _Problem.of(prog), _xkey(x), grid)
+    return _solution_set("optimistic", _Problem.of(prog), _xkey(x, prog.n),
+                         grid)
 
 
 def pessimistic_solutions(prog: BilevelProgram, x,

@@ -41,9 +41,8 @@ SIGNATURES = {
     "fd_subgradient_samples": ("h", "xbar", "n_dirs=16", "radius=0.001",
                                "step=None", "seed=0", "merge_tol=1e-06"),
     "hull": ("polytopes_or_points", "dim=None"),
-    "lambda_o_set": ("prog", "xbar", "y", "tol_active=1e-08", CAPS,
-                     "stat_tol=None"),
-    "lambda_set": ("prog", "xbar", "y", "tol_active=1e-08", CAPS, "stat_tol=None"),
+    "lambda_o_set": ("prog", "xbar", "y", "tol_active=1e-08", "stat_tol=None"),
+    "lambda_set": ("prog", "xbar", "y", "tol_active=1e-08", "stat_tol=None"),
     "lipschitz_estimate": ("h", "xbar", "radius", "n_pairs=200"),
     "lower_solutions": ("prog", "x", GRID),
     "lower_value": ("prog", "x", GRID),

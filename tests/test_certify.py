@@ -284,7 +284,7 @@ def test_pessimistic_i_pairs_tagged_weights_with_their_generators():
     t_samples = sorted(_subsample(optimistic_solutions(negp, [0.0], GRID).points,
                                   CAPS.max_solution_samples))
     assert len(t_samples) >= 2
-    t_set = _inclusion_xset(negp, [0.0], list(t_samples[0]), 1e-8, CAPS,
+    t_set = _inclusion_xset(negp, [0.0], list(t_samples[0]), 1e-8,
                             include_F=True, r_coef=0.1)
     assert t_set.polytope.rays
     cert = certify_pessimistic(prog, [0.0], "i", GRID, with_cq=False)

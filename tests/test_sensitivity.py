@@ -426,7 +426,7 @@ def test_simplex_discretization_cross_check(prog_b):
     samples = sol.points[:2]
     for ypt in samples:
         for r in (0.0, 1.0, 10.0):
-            inc = _inclusion_xset(prog_b, xbar, list(ypt), blur, CAPS,
+            inc = _inclusion_xset(prog_b, xbar, list(ypt), blur,
                                   include_F=True, r_coef=r, stat_tol=blur)
             if inc.polytope.is_empty:
                 continue
@@ -538,7 +538,7 @@ def test_drawn_estimates_identical_with_and_without_vrep_memo(monkeypatch, case)
 # and return the same sets.
 
 
-def _reference_multiplier_set(prog, xbar, y, tol_active, caps, stat_tol, kind):
+def _reference_multiplier_set(prog, xbar, y, tol_active, stat_tol, kind):
     from bilevelsense.sensitivity import (
         _active_indices,
         _dedup_rows,
@@ -614,11 +614,11 @@ def _assert_multiplier_sets_match_reference(monkeypatch, prog, x, grid):
         for tol_active, stat_tol in ((1e-8, None), (max(1e-8, blur), blur)):
             for fn, kind in ((lambda_set, "lambda"), (lambda_o_set, "lambda_o")):
                 calls.clear()
-                got = fn(prog, x, list(y), tol_active, CAPS, stat_tol)
+                got = fn(prog, x, list(y), tol_active, stat_tol)
                 got_calls = list(calls)
                 calls.clear()
                 want = _reference_multiplier_set(prog, x, list(y), tol_active,
-                                                 CAPS, stat_tol, kind)
+                                                 stat_tol, kind)
                 assert got_calls and got_calls == calls
                 assert exact(got) == exact(want)  # signed zeros too
                 checked += 1

@@ -64,6 +64,18 @@ class TestAlgebra:
         with pytest.raises(DimensionMismatchError):
             minkowski_sum(interval(0, 1), Polytope.zero(2))
 
+    def test_ragged_points_are_a_dimension_mismatch(self):
+        ragged = [[1.0, 2.0], [1.0]]
+        for build in (lambda: Polytope(2, ragged),
+                      lambda: Polytope.from_generators(2, ragged),
+                      lambda: Polytope.from_generators(2, [[0.0, 0.0]], ragged),
+                      lambda: hull(ragged, 2),
+                      lambda: hull(ragged)):
+            with pytest.raises(DimensionMismatchError):
+                build()
+        with pytest.raises(ValueError):  # not a number, not a mismatch
+            Polytope(2, [[1.0, "a"]])
+
     def test_empty_propagates(self):
         e = Polytope.empty(1)
         assert minkowski_sum(e, interval(0, 1)).is_empty

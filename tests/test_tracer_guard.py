@@ -233,7 +233,7 @@ def test_traced_expression_entry_points_stay_module_functions():
         assert "_tape" in getattr(model, name).__code__.co_names, name
     # the sweep looks eval_expr up as a module global, so a wrapper (the
     # tracer's, or the call-count test's) sees every evaluation
-    for name in ("_feasible", "_eval_on"):
+    for name in ("_evaluate",):
         assert "eval_expr" in getattr(valuefn, name).__code__.co_names, name
 
 
@@ -364,3 +364,24 @@ def test_point_sets_keep_no_tuple_form_converters():
                     (path.name, scope)
             elif isinstance(node, ast.Attribute):
                 assert node.attr not in ROW_CONVERTERS, (path.name, scope)
+
+
+# -- one seed sort and one mesh evaluator in the sweep ---------------------------
+
+# the helpers the sweep's seed rule and its filter-then-evaluate steps were
+# spread over before `valuefn._refine_seeds` took one sort of the live pool
+# and `valuefn._evaluate` served every mesh
+RETIRED_SWEEP_HELPERS = {"_first_in_order", "_lex_first_tied", "_feasible",
+                         "_eval_on"}
+
+
+def test_the_sweep_keeps_one_seed_sort_and_one_evaluator():
+    for path in sorted(SRC.glob("*.py")):
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.name if isinstance(node, ast.FunctionDef)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            assert name not in RETIRED_SWEEP_HELPERS, (path.name, scope, name)
+            # the seeds are deduplicated without a per-pair closure
+            assert not (scope[:1] == ("_refine_seeds",) and len(scope) > 1
+                        and isinstance(node, ast.FunctionDef)), (path.name, scope)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bilevelsense.errors import (
     BudgetError,
+    DimensionMismatchError,
     DomainError,
     InfeasibleError,
     UnsupportedDimensionError,
@@ -621,7 +622,7 @@ def test_refine_seeds_match_a_full_sort(name):
     ys, fs, k = SEED_POOLS[name]
     ys, fs = np.array(ys), np.array(fs)
     Fs = ys[:, 0] - ys[:, 1]
-    _assert_same_seeds(_refine_seeds(ys, fs, Fs, GridSpec(max_seeds=k)),
+    _assert_same_seeds(_refine_seeds(ys, fs, Fs, float(fs.min()), k),
                        reference_seeds(ys, fs, Fs, k))
 
 
@@ -629,7 +630,7 @@ def test_refine_seeds_match_a_full_sort(name):
 def test_band_extremes_match_a_full_sort(name):
     ys, Fs = (np.array(a) for a in BAND_POOLS[name])
     fs = np.zeros(len(ys))
-    _assert_same_seeds(_refine_seeds(ys, fs, Fs, GridSpec(max_seeds=1)),
+    _assert_same_seeds(_refine_seeds(ys, fs, Fs, float(fs.min()), 1),
                        reference_seeds(ys, fs, Fs, 1))
 
 
@@ -643,7 +644,7 @@ def test_band_extremes_match_a_full_sort(name):
 def test_refine_seeds_match_a_full_sort_on_drawn_pools(rows, k):
     fs, y1, y2, Fs = (np.array(col) for col in zip(*rows))
     ys = np.column_stack([y1, y2])
-    _assert_same_seeds(_refine_seeds(ys, fs, Fs, GridSpec(max_seeds=k)),
+    _assert_same_seeds(_refine_seeds(ys, fs, Fs, float(fs.min()), k),
                        reference_seeds(ys, fs, Fs, k))
 
 
@@ -670,6 +671,25 @@ def test_sweep_memo_holds_only_the_band():
     info = _solve_lower.cache_info()
     assert (info.hits, info.misses) == (25, 25)
     assert held < 1 << 20
+
+
+POINT_FUNCTIONS = (lower_value, optimistic_value, pessimistic_value,
+                   pessimistic_value_direct, lower_solutions,
+                   optimistic_solutions, pessimistic_solutions)
+
+
+@pytest.mark.parametrize("fn", POINT_FUNCTIONS, ids=lambda fn: fn.__name__)
+def test_a_point_with_the_wrong_number_of_coordinates_is_refused(fn):
+    # nm2 has n = 2: one coordinate short used to raise IndexError, one too
+    # many to sweep (and memoise) at a point the program does not have
+    prog = parse_program(NM2.read_text())
+    _solve_lower.cache_clear()
+    _solution_set.cache_clear()
+    for x in ([0.1], [0.1, 0.2, 0.3]):
+        with pytest.raises(DimensionMismatchError):
+            fn(prog, x, GRID)
+    assert _solve_lower.cache_info().currsize == 0
+    assert _solution_set.cache_info().currsize == 0
 
 
 # -- a lower-level optimum that is not a number ---------------------------------
@@ -751,6 +771,15 @@ def test_infeasible_x_is_swept_once(prog_a):
     with pytest.raises(InfeasibleError):
         pessimistic_value(prog_a, [-0.5], GRID)
     assert _solve_lower.cache_info().misses == 1
+
+
+def test_an_infeasible_x_never_evaluates_f():
+    # nothing in the box meets y1 <= x1 - 1 at x1 = 0, where f divides by x1
+    prog = BilevelProgram(n=1, m=1, F=Y1, f=Y1 / X1, g=(Y1 - X1 + 1.0,),
+                          box_x=((-1.0, 1.0),), box_y=((0.0, 1.0),))
+    _solve_lower.cache_clear()
+    with pytest.raises(InfeasibleError):
+        lower_value(prog, [0.0], GRID)
 
 
 # -- the solution-set memo -----------------------------------------------------

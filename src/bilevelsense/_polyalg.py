@@ -22,7 +22,7 @@ _MEMO_ENTRIES = 64
 _VREP_ENTRIES = 256
 # Bound on the LP memo, in entries (distinct LPs).
 _LP_ENTRIES = 256
-# Default bound on the column subsets one enumeration may scan.
+# Bound on the column subsets one enumeration may scan, read at each call.
 MAX_BASES = 300000
 
 
@@ -35,8 +35,8 @@ def _ncr_total(n, r):
     return total
 
 
-def _check_budget(n_rows, n_cols, max_bases):
-    if _ncr_total(n_cols, min(n_rows, n_cols)) > max_bases:
+def _check_budget(n_rows, n_cols):
+    if _ncr_total(n_cols, min(n_rows, n_cols)) > MAX_BASES:
         raise BudgetError("basis enumeration bound exceeded")
 
 
@@ -56,7 +56,7 @@ def _smallest_singular_values(A):
         for size in range(1, min(n_rows, n_cols) + 1))
 
 
-def basic_vertices(A: np.ndarray, b: np.ndarray, max_bases: int = MAX_BASES,
+def basic_vertices(A: np.ndarray, b: np.ndarray,
                    res_tol: Optional[float] = None):
     """All vertices of {w >= 0 : A w = b} by basic-solution enumeration.
 
@@ -73,7 +73,7 @@ def basic_vertices(A: np.ndarray, b: np.ndarray, max_bases: int = MAX_BASES,
     scale = 1.0 + float(np.max(np.abs(A), initial=0.0)) + float(
         np.max(np.abs(b), initial=0.0))
     res_tol = (1e-9 if res_tol is None else res_tol) * scale
-    _check_budget(n_rows, n_cols, max_bases)
+    _check_budget(n_rows, n_cols)
     smallest_sv = _smallest_singular_values(A)
     out = []
     seen = set()
@@ -109,41 +109,42 @@ def basic_vertices(A: np.ndarray, b: np.ndarray, max_bases: int = MAX_BASES,
 
 
 @memo(_MEMO_ENTRIES)
-def _recession_rays(A, max_bases):
+def _recession_rays(A):
     """Nonzero basic solutions of {w >= 0 : A w = 0, sum w = 1}."""
     aug = np.vstack([A, np.ones(A.shape[1])])
     b_aug = np.concatenate([np.zeros(A.shape[0]), [1.0]])
-    return tuple(r for r in basic_vertices(aug, b_aug, max_bases)
+    return tuple(r for r in basic_vertices(aug, b_aug)
                  if np.max(np.abs(r)) > 0)
 
 
 @memo(_VREP_ENTRIES)
-def _vrep(A, b, max_bases, res_tol):
+def _vrep(A, b, res_tol):
     """(vertices, rays) of {w >= 0 : A w = b} for standard_vrep.
 
     basic_vertices is looked up as a module global on every miss, so a
     wrapper installed on it sees each enumeration that runs.
     """
-    verts = basic_vertices(A, b, max_bases, res_tol)
+    verts = basic_vertices(A, b, res_tol)
     if not verts:
         return (), ()
-    return tuple(verts), _recession_rays(A, max_bases)
+    return tuple(verts), _recession_rays(A)
 
 
-def standard_vrep(A: np.ndarray, b: np.ndarray, max_bases: int = MAX_BASES,
+def standard_vrep(A: np.ndarray, b: np.ndarray,
                   res_tol: Optional[float] = None):
     """(vertices, rays) of {w >= 0 : A w = b}.
 
     Rays come from the normalized recession system {A w = 0, sum w = 1}
     and are skipped when there is no vertex.  The ray system's budget,
     which covers the vertex system's, is checked before any lookup or
-    enumeration, so an over-budget system raises BudgetError on every
-    call.  The result is memoised on (A, b, max_bases, res_tol) (LRU of
-    _VREP_ENTRIES); the rays on A and max_bases alone (LRU of
+    enumeration against MAX_BASES as it is at the call, so an over-budget
+    system raises BudgetError on every call and no entry is read under a
+    lower bound than it was made under.  The result is memoised on
+    (A, b, res_tol) (LRU of _VREP_ENTRIES); the rays on A alone (LRU of
     _MEMO_ENTRIES).  Every caller shares the read-only arrays.
     """
-    _check_budget(A.shape[0] + 1, A.shape[1], max_bases)
-    verts, rays = _vrep(A, b, max_bases, res_tol)
+    _check_budget(A.shape[0] + 1, A.shape[1])
+    verts, rays = _vrep(A, b, res_tol)
     return list(verts), list(rays)
 
 

@@ -50,15 +50,6 @@ MAX_KINK_NODES = 16
 # about a million tokens to reach the bound.
 MAX_TAPE_STEPS = 2 ** 20
 
-# Deepest expression the parser accepts.  The nesting depth of a leaf is 1,
-# and each pair of parentheses, function call and sign around it adds a
-# level: the constructs the parser recurses into (five calls deep per pair
-# of parentheses).  150 leaves room under Python's recursion limit for its
-# callers' frames.  Operator chains add no level, since the parser reads
-# them in loops, so a 3,000-term sum nests 1 deep.  Trees have no depth
-# bound otherwise: every other walk runs over the node's flat tape.
-MAX_EXPR_DEPTH = 150
-
 DEFAULT_KINK_TOL = 1e-8
 
 
@@ -656,182 +647,141 @@ class BilevelProgram:
 # -- expression parsing ------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\^|\+|-|\*|/|\(|\)|,))"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))"
 )
 
+# a variable token, or a [box] key
+_VAR_RE = re.compile(r"([xy])([0-9]+)")
+
 _FUNCS = {"abs": 1, "max": 2, "min": 2, "exp": 1, "log": 1}
+_BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
-class _ExprParser:
-    """Recursive-descent parser for the infix expression grammar.
+def _parse_expr(text, line, n, m, col_offset=0) -> Expr:
+    """The expression `text` on problem-file line `line`, over x1..xn and
+    y1..ym; `col_offset` is the 0-based column of its first character.
 
-    Input nested deeper than MAX_EXPR_DEPTH raises ParseError: opening
-    parentheses, calls and signs are counted on the way down, before the
-    parser's own recursion gets deep.
+    Precedence, loosest first: + and -, * and / (each left-associative),
+    signs, and ^ with an integer literal exponent.  One loop reads the
+    tokens over an explicit stack: each open parenthesis or call is a
+    frame, and the frame around it waits on the stack with its pending sum,
+    product and signs, so nesting is bounded by memory alone.
     """
+    toks = []
+    for mo in _TOKEN_RE.finditer(text):
+        kind = mo.lastgroup
+        col = col_offset + mo.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {mo[kind]!r}", line, col)
+        toks.append((kind, mo[kind], col))
+    toks.append((None, None, col_offset + len(text) + 1))
 
-    def __init__(self, text, line, n, m, col_offset=0):
-        self.text = text
-        self.line = line
-        self.n = n
-        self.m = m
-        self.col_offset = col_offset
-        self.tokens = []
-        self._tokenize()
-        self.pos = 0
-        self.open = 0     # enclosing parentheses, calls and signs
+    def take(i):
+        if toks[i][0] is None:
+            raise ParseError("unexpected end of expression", line, toks[i][2])
+        return toks[i]
 
-    def _too_deep(self, col):
-        return ParseError(
-            f"expression nested deeper than {MAX_EXPR_DEPTH} levels",
-            self.line, col)
-
-    def _enter(self, col):
-        # a leaf inside `open` constructs nests open + 1 deep
-        self.open += 1
-        if self.open >= MAX_EXPR_DEPTH:
-            raise self._too_deep(col)
-
-    def _tokenize(self):
-        i = 0
-        while i < len(self.text):
-            if self.text[i].isspace():
+    # the open frame: its opener ("(" or a call's name), the opener's
+    # column and the call's arguments so far; the pending (left operand,
+    # kind) of + - and of * /; and the minus signs before the operand
+    # being read.  The frames around it wait on the stack.
+    stack = []
+    opener = ocol = args = None
+    total = prod = None
+    negs = 0
+    i = 0
+    while True:
+        kind, tok, col = take(i)
+        i += 1
+        if tok in ("+", "-"):
+            negs += tok == "-"
+            continue
+        if tok == "(" or tok in _FUNCS:
+            if tok != "(":
+                _, paren, pcol = take(i)
+                if paren != "(":
+                    raise ParseError(f"expected '(' after {tok}", line, pcol)
                 i += 1
-                continue
-            mobj = _TOKEN_RE.match(self.text, i)
-            if not mobj or mobj.start() != i:
-                raise ParseError(
-                    f"unexpected character {self.text[i]!r}",
-                    self.line,
-                    self.col_offset + i + 1,
-                )
-            tok = mobj.group().strip()
-            self.tokens.append((tok, self.col_offset + i + 1))
-            i = mobj.end()
-
-    def _peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def _next(self):
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of expression", self.line,
-                             self.col_offset + len(self.text) + 1)
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Expr:
-        e = self._expr()
-        if self.pos != len(self.tokens):
-            tok, col = self.tokens[self.pos]
-            raise ParseError(f"unexpected token {tok!r}", self.line, col)
-        return e
-
-    def _expr(self):
-        e = self._term()
-        while self._peek() in ("+", "-"):
-            op, _ = self._next()
-            e = Expr("add" if op == "+" else "sub", (e, self._term()))
-        return e
-
-    def _term(self):
-        e = self._unary()
-        while self._peek() in ("*", "/"):
-            op, _ = self._next()
-            if op == "*":
-                e = Expr("mul", (e, self._unary()))
-            else:
-                e = Expr("div", (e, self._unary()), safe=True)
-        return e
-
-    def _unary(self):
-        if self._peek() in ("-", "+"):
-            op, col = self._next()
-            self._enter(col)
-            e = self._unary()
-            self.open -= 1
-            return Expr("neg", (e,)) if op == "-" else e
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        if self._peek() == "^":
-            self._next()
-            tok, tcol = self._next()
-            try:
-                exponent = int(tok)
-            except ValueError:
-                raise ParseError("exponent must be an integer literal",
-                                 self.line, tcol) from None
-            if exponent < 0:
-                raise ParseError("exponent must be nonnegative", self.line, tcol)
-            return Expr("pow", (base,), exponent=exponent)
-        return base
-
-    def _atom(self):
-        tok, col = self._next()
-        if re.fullmatch(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?", tok):
-            return Expr.const(float(tok))
-        if tok == "(":
-            self._enter(col)
-            e = self._expr()
-            self.open -= 1
-            closing, ccol = self._next()
-            if closing != ")":
-                raise ParseError("expected ')'", self.line, ccol)
-            return e
-        if tok in _FUNCS:
-            self._enter(col)
-            opening, ocol = self._next()
-            if opening != "(":
-                raise ParseError(f"expected '(' after {tok}", self.line, ocol)
-            args = [self._expr()]
-            while self._peek() == ",":
-                self._next()
-                args.append(self._expr())
-            self.open -= 1
-            closing, ccol = self._next()
-            if closing != ")":
-                raise ParseError("expected ')'", self.line, ccol)
-            if len(args) != _FUNCS[tok]:
-                raise ParseError(f"{tok} takes {_FUNCS[tok]} argument(s)",
-                                 self.line, col)
-            return Expr(tok, tuple(args), safe=tok == "log")
-        mvar = re.fullmatch(r"([xy])(\d+)", tok)
-        if mvar:
-            idx = int(mvar.group(2))
+            stack.append((opener, ocol, args, total, prod, negs))
+            opener, ocol, args, total, prod, negs = tok, col, [], None, None, 0
+            continue
+        if kind == "num":
+            value = Expr.const(float(tok))
+        elif kind == "ident" and (var := _VAR_RE.fullmatch(tok)):
+            idx, limit = int(var[2]), n if var[1] == "x" else m
             if idx < 1:
                 raise VariableIndexError(f"variable index must be >= 1: {tok}",
-                                         self.line, col)
-            limit = self.n if mvar.group(1) == "x" else self.m
+                                         line, col)
             if idx > limit:
                 raise VariableIndexError(
-                    f"variable {tok} out of range (limit {limit})",
-                    self.line, col,
-                )
-            return Expr.x(idx) if mvar.group(1) == "x" else Expr.y(idx)
-        raise ParseError(f"unknown identifier {tok!r}", self.line, col)
+                    f"variable {tok} out of range (limit {limit})", line, col)
+            value = Expr(var[1] + "var", index=idx)
+        else:
+            raise ParseError(f"unknown identifier {tok!r}", line, col)
+        while True:  # value is a whole atom of the open frame
+            if toks[i][1] == "^":
+                _, power, pcol = take(i + 1)
+                if not power.isdecimal():
+                    raise ParseError("exponent must be an integer literal",
+                                     line, pcol)
+                value = Expr("pow", (value,), exponent=int(power))
+                i += 2
+            for _ in range(negs):
+                value = Expr("neg", (value,))
+            if prod:
+                value = Expr(prod[1], (prod[0], value), safe=prod[1] == "div")
+            op, negs, prod = toks[i][1], 0, None
+            if op in ("*", "/"):
+                prod, i = (value, _BINARY[op]), i + 1
+                break
+            if total:
+                value = Expr(total[1], (total[0], value))
+            total = None
+            if op in ("+", "-"):
+                total, i = (value, _BINARY[op]), i + 1
+                break
+            if opener is None:
+                if op is not None:
+                    raise ParseError(f"unexpected token {op!r}", line, toks[i][2])
+                return value
+            args.append(value)
+            if op == "," and opener != "(":
+                i += 1
+                break
+            _, close, ccol = take(i)
+            if close != ")":
+                raise ParseError("expected ')'", line, ccol)
+            i += 1
+            if opener != "(":
+                if len(args) != _FUNCS[opener]:
+                    raise ParseError(f"{opener} takes {_FUNCS[opener]} argument(s)",
+                                     line, ocol)
+                value = Expr(opener, tuple(args), safe=opener == "log")
+            opener, ocol, args, total, prod, negs = stack.pop()
 
 
 def parse_program(text: str) -> BilevelProgram:
     """Parse a problem file.
 
     Sections: [dims] with n=<int> m=<int>; [upper] / [lower] each with one
-    objective= line and repeated constraint= lines; [box] with per-coordinate
-    <var>=<lo>,<hi> lines; [mode] with `optimistic` or `pessimistic`.
+    objective= line and repeated constraint= lines; [box] with one
+    <var>=<lo>,<hi> line per coordinate; [mode] with `optimistic` or
+    `pessimistic`.  Only constraint= lines repeat: a second n, m,
+    objective, box entry or mode word is a ParseError at its line, and so
+    is a box entry for a coordinate that [dims] does not declare.
     '#' starts a comment.  Writing div or log in a problem file is taken as
     the user's assertion that the expression is domain-safe over the box.
     """
     section = None
-    dims = {}
-    upper_obj = lower_obj = None
-    upper_cons: list = []
-    lower_cons: list = []
-    box: dict = {}
-    mode = None
-    pending_exprs = []  # (target, text, line) parsed once dims are known
+    dims, box, mode, said = {}, {}, None, set()
+    pending = []  # (section, key, text, line, col) parsed once dims are known
+
+    def once(what, lineno):
+        if what in said:
+            raise ParseError(f"{what} given twice", lineno, 1)
+        said.add(what)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         lstr = raw.split("#", 1)[0].rstrip()
@@ -852,6 +802,7 @@ def parse_program(text: str) -> BilevelProgram:
             word = stripped.split("=")[-1].strip().lower()
             if word not in ("optimistic", "pessimistic"):
                 raise ParseError(f"unknown mode {word!r}", lineno, 1)
+            once("[mode]", lineno)
             mode = word
             continue
         if "=" not in lstr:
@@ -864,77 +815,76 @@ def parse_program(text: str) -> BilevelProgram:
         if section == "dims":
             if key not in ("n", "m"):
                 raise ParseError(f"unknown dims key {key!r}", lineno, 1)
+            once(f"[dims] {key}", lineno)
             try:
                 dims[key] = int(rhs_text)
             except ValueError:
                 raise ParseError("dimension must be an integer", lineno,
                                  rhs_col) from None
         elif section in ("upper", "lower"):
-            if key == "objective":
-                pending_exprs.append((section + ":objective", rhs_text, lineno, rhs_col))
-            elif key == "constraint":
-                pending_exprs.append((section + ":constraint", rhs_text, lineno, rhs_col))
-            else:
+            if key not in ("objective", "constraint"):
                 raise ParseError(f"unknown key {key!r} in [{section}]", lineno, 1)
+            if key == "objective":
+                once(f"[{section}] objective", lineno)
+            pending.append((section, key, rhs_text, lineno, rhs_col))
         elif section == "box":
-            mvar = re.fullmatch(r"([xy])(\d+)", key)
-            if not mvar:
+            var = _VAR_RE.fullmatch(key)
+            if not var:
                 raise ParseError(f"box key must be x<i> or y<j>, got {key!r}",
                                  lineno, 1)
+            coord = var[1], int(var[2])
+            once(f"[box] {coord[0]}{coord[1]}", lineno)
             parts = rhs_text.split(",")
             if len(parts) != 2:
                 raise ParseError("box entry must be <lo>,<hi>", lineno, rhs_col)
             try:
-                lo, hi = float(parts[0]), float(parts[1])
+                box[coord] = float(parts[0]), float(parts[1]), lineno
             except ValueError:
                 raise ParseError("box bounds must be decimals", lineno,
                                  rhs_col) from None
-            box[key] = (lo, hi)
 
     if "n" not in dims or "m" not in dims:
         raise ParseError("missing [dims] n= and m=", 1, 1)
     n_dim, m_dim = dims["n"], dims["m"]
 
-    for target, etext, lineno, col in pending_exprs:
-        expr = _ExprParser(etext, lineno, n_dim, m_dim, col_offset=col - 1).parse()
-        where, _, what = target.partition(":")
-        if where == "upper":
-            if what == "objective":
-                upper_obj = expr
-            else:
-                _, yi = used_indices(expr)
-                if yi:
-                    raise SemanticsError(
-                        f"upper constraint references y{min(yi)}", lineno, col)
-                upper_cons.append(expr)
-        else:
-            if what == "objective":
-                lower_obj = expr
-            else:
-                lower_cons.append(expr)
+    objective = {}
+    constraints = {"upper": [], "lower": []}
+    for section, key, etext, lineno, col in pending:
+        expr = _parse_expr(etext, lineno, n_dim, m_dim, col - 1)
+        if key == "objective":
+            objective[section] = expr
+            continue
+        if section == "upper":
+            _, yi = used_indices(expr)
+            if yi:
+                raise SemanticsError(
+                    f"upper constraint references y{min(yi)}", lineno, col)
+        constraints[section].append(expr)
 
-    if upper_obj is None:
-        raise ParseError("missing [upper] objective", 1, 1)
-    if lower_obj is None:
-        raise ParseError("missing [lower] objective", 1, 1)
+    for section in ("upper", "lower"):
+        if section not in objective:
+            raise ParseError(f"missing [{section}] objective", 1, 1)
 
-    def box_bounds(prefix, count):
-        bounds = []
+    def box_bounds(letter, count):
         for i in range(1, count + 1):
-            key = f"{prefix}{i}"
-            if key not in box:
-                raise ParseError(f"missing [box] entry for {key}", 1, 1)
-            bounds.append(box[key])
-        return tuple(bounds)
+            if (letter, i) not in box:
+                raise ParseError(f"missing [box] entry for {letter}{i}", 1, 1)
+        return tuple(box[letter, i][:2] for i in range(1, count + 1))
+
+    box_x, box_y = box_bounds("x", n_dim), box_bounds("y", m_dim)
+    for (letter, i), (_, _, lineno) in box.items():
+        if not 1 <= i <= (n_dim if letter == "x" else m_dim):
+            raise ParseError(f"[box] entry for {letter}{i}, which [dims] does "
+                             "not declare", lineno, 1)
 
     return BilevelProgram(
         n=n_dim,
         m=m_dim,
-        F=upper_obj,
-        f=lower_obj,
-        g=tuple(lower_cons),
-        theta1=tuple(upper_cons),
-        box_x=box_bounds("x", n_dim),
-        box_y=box_bounds("y", m_dim),
+        F=objective["upper"],
+        f=objective["lower"],
+        g=tuple(constraints["lower"]),
+        theta1=tuple(constraints["upper"]),
+        box_x=box_x,
+        box_y=box_y,
         mode=mode or "optimistic",
     )

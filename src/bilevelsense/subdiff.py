@@ -33,10 +33,12 @@ from .model import affine_coefficients
 
 
 def _rows(points, dim) -> np.ndarray:
-    """points as a read-only float64 (k, dim) array.  A read-only float64
-    2-D array is taken as it is, so frozen generators are shared; anything
-    else is copied first, so no caller's array is frozen.  Raises
-    DimensionMismatchError when the points have different lengths."""
+    """points as a read-only float64 (k, dim) array; dim None takes the
+    length of the points.  A read-only float64 2-D array is taken as it is,
+    so frozen generators are shared; anything else is copied first, so no
+    caller's array is frozen.  Raises DimensionMismatchError when the points
+    have different lengths, or a flat list does not split into points of
+    dim coordinates."""
     if (isinstance(points, np.ndarray) and points.ndim == 2
             and points.dtype == np.float64 and not points.flags.writeable):
         return points
@@ -47,9 +49,13 @@ def _rows(points, dim) -> np.ndarray:
         if len({np.size(row) for row in rows}) > 1:
             raise DimensionMismatchError("points of different lengths") from None
         raise
+    dim = arr.shape[-1] if dim is None else dim
     if arr.size == 0:
         arr = np.zeros((0, dim))
     elif arr.ndim == 1:
+        if not dim or arr.size % dim:
+            raise DimensionMismatchError(
+                f"{arr.size} coordinates do not split into points of {dim}")
         arr = arr.reshape(-1, dim)
     arr.flags.writeable = False
     return arr
@@ -194,8 +200,9 @@ def _affine_solve(B: np.ndarray, simplex_mask: np.ndarray, z: np.ndarray):
     return sol[:k]
 
 
-def _project(V: np.ndarray, R: np.ndarray, z: np.ndarray, max_iter: int = 400):
-    """Nearest point of conv(V)+cone(R) to z.
+def _project(V: np.ndarray, R: np.ndarray, z: np.ndarray):
+    """Nearest point of conv(V)+cone(R) to z, after at most 400 outer
+    iterations.
 
     Returns (distance, point, vertex weights, ray weights).
     """
@@ -216,7 +223,7 @@ def _project(V: np.ndarray, R: np.ndarray, z: np.ndarray, max_iter: int = 400):
     lam[start] = 1.0
     p = V[start].copy()
 
-    for _ in range(max_iter):
+    for _ in range(400):
         # inner loop: affine-minimize over the support, prune negatives
         for _inner in range(4 * (len(support_v) + len(support_r)) + 8):
             cols = [V[i] for i in support_v] + [R[j] for j in support_r]

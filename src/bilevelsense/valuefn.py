@@ -92,8 +92,7 @@ class SolutionSet:
     finest_cell: float
 
     def __post_init__(self):
-        object.__setattr__(self, "points",
-                           _rows(self.points, np.shape(self.points)[-1]))
+        object.__setattr__(self, "points", _rows(self.points, None))
 
     def __len__(self):
         return len(self.points)

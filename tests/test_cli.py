@@ -7,7 +7,6 @@ import pytest
 from bilevelsense import cli, valuefn
 from bilevelsense.cli import main
 from bilevelsense.errors import BudgetError, ParseError, ToolkitError
-from bilevelsense.model import MAX_EXPR_DEPTH
 
 from instances import INSTANCE_A_TEXT, INSTANCE_C_TEXT, PINNED_TEXT
 
@@ -144,22 +143,20 @@ y1 = -2, 2
 """
 
 
-def _deep_problem(tmp_path, extra_parens=0, extra_signs=0):
-    """A problem whose upper objective (a leaf inside parentheses) and lower
-    objective (a leaf inside signs and a call) both nest exactly
-    MAX_EXPR_DEPTH deep, plus the given extra levels.  An even number of
-    signs leaves the lower objective |y1 - x1 / 2|."""
-    parens = MAX_EXPR_DEPTH - 2 + extra_parens
-    signs = MAX_EXPR_DEPTH - 2 + extra_signs
+def _deep_problem(tmp_path, upper_tail=""):
+    """A problem whose upper objective sits inside 1,500 parentheses and
+    whose lower objective inside 1,500 signs, ten times the recursive
+    parser's old bound of 150.  An even number of signs leaves the lower
+    objective |y1 - x1 / 2|."""
     path = tmp_path / "deep.blp"
     path.write_text(DEEP_PROBLEM.format(
-        upper="(" * parens + "(x1 - 0.3)^2 + y1" + ")" * parens,
-        lower="-" * signs + "abs(y1 - 0.5*x1)"))
+        upper="(" * 1500 + "(x1 - 0.3)^2 + y1" + ")" * 1500 + upper_tail,
+        lower="-" * 1500 + "abs(y1 - 0.5*x1)"))
     return str(path)
 
 
 class TestDeepExpressions:
-    def test_at_the_depth_bound_every_command_runs(self, tmp_path, capsys):
+    def test_nested_far_past_150_every_command_runs(self, tmp_path, capsys):
         path = _deep_problem(tmp_path)
         assert main(["estimate", path, "--x", "0.2", "--grid", "41",
                      "--refine", "1"]) == 0
@@ -172,13 +169,13 @@ class TestDeepExpressions:
         assert json.loads(out.read_text())["status"] == "Refuted"
         assert "error" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [(1, 0), (0, 1)])
-    def test_past_the_depth_bound_exit_one(self, tmp_path, capsys, extra):
-        path = _deep_problem(tmp_path, *extra)
-        assert main(["estimate", path, "--x", "0.2", "--grid", "41",
-                     "--refine", "1"]) == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: expression nested deeper than {MAX_EXPR_DEPTH} levels")
+    def test_an_error_deep_inside_exits_one_at_its_column(self, tmp_path,
+                                                         capsys):
+        path = _deep_problem(tmp_path, upper_tail=")")
+        assert main(["estimate", path, "--x", "0.2"]) == 1
+        col = len("objective = ") + 3018
+        assert capsys.readouterr().err == (
+            f"error: unexpected token ')' (line 6, col {col})\n")
 
     def test_long_sum_exits_without_traceback(self, tmp_path):
         # operator chains add no nesting level: a 3,000-term objective

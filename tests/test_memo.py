@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from bilevelsense import _memo
-from bilevelsense._polyalg import MAX_BASES
 from bilevelsense.model import BilevelProgram, Expr, neg
 from bilevelsense.sensitivity import (Caps, estimate_optimistic, lambda_o_set,
                                       lambda_set)
@@ -95,11 +94,11 @@ CASES = {
         "A": lambda z: (_A(z),),
     },
     "_polyalg._recession_rays": {
-        "A": lambda z: (_A(z), MAX_BASES),
+        "A": lambda z: (_A(z),),
     },
     "_polyalg._vrep": {
-        "b": lambda z: (_A(), _b(z), MAX_BASES, None),
-        "res_tol": lambda z: (_A(), _b(), MAX_BASES, z),
+        "b": lambda z: (_A(), _b(z), None),
+        "res_tol": lambda z: (_A(), _b(), z),
     },
     "_polyalg._lp": {
         "c": lambda z: _lp(c0=z),

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import random
 import re
 from typing import NamedTuple
 
@@ -15,7 +16,6 @@ from bilevelsense.errors import (
     VariableIndexError,
 )
 from bilevelsense.model import (
-    MAX_EXPR_DEPTH,
     BilevelProgram,
     Expr,
     affine_coefficients,
@@ -230,26 +230,25 @@ class TestParser:
             "objective = (y1 - 1)^2 + x1^2", "objective = 2 + 3 * x1^2"))
         assert eval_expr(prog.F, [2.0], [0.0]) == 14.0
 
-    # expressions nested k levels deeper than the leaf y1
+    # expressions nested k levels deeper than the leaf y1, and what F is
+    # at x1 = 0, y1 = -0.5 when k is even
     DEEP = {
-        "parentheses": lambda k: "(" * k + "y1" + ")" * k,
-        "signs": lambda k: "-+" * (k // 2) + "-" * (k % 2) + "y1",
-        "calls": lambda k: "exp(" * k + "y1" + ")" * k,
+        "parentheses": (lambda k: "(" * k + "y1" + ")" * k, -0.5),
+        "signs": (lambda k: "-+" * (k // 2) + "-" * (k % 2) + "y1", -0.5),
+        "calls": (lambda k: "abs(" * k + "y1" + ")" * k, 0.5),
     }
 
     @pytest.mark.parametrize("shape", sorted(DEEP))
     def test_nesting_depth_bound(self, shape):
-        def upper(k):
-            return MINIMAL_FILE.replace("objective = (y1 - 1)^2 + x1^2",
-                                        "objective = " + self.DEEP[shape](k))
-        parse_program(upper(MAX_EXPR_DEPTH - 1))
-        with pytest.raises(ParseError) as err:
-            parse_program(upper(MAX_EXPR_DEPTH))
-        assert str(err.value).startswith(
-            f"expression nested deeper than {MAX_EXPR_DEPTH} levels (line ")
-        # ten times the bound fails the same way, not with RecursionError
-        with pytest.raises(ParseError):
-            parse_program(upper(10 * MAX_EXPR_DEPTH))
+        # the parser keeps its open parentheses, calls and signs on an
+        # explicit stack, so only memory bounds the nesting: 15,000 levels,
+        # 100 times the recursive parser's old bound of 150, parse and
+        # evaluate
+        text, value = self.DEEP[shape]
+        prog = parse_program(MINIMAL_FILE.replace(
+            "objective = (y1 - 1)^2 + x1^2", "objective = " + text(15000)))
+        assert eval_expr(prog.F, [0.0], [-0.5]) == value
+        assert kink_count(prog.F) == (15000 if shape == "calls" else 0)
 
     CHAINS = {
         "sum_chain": (" + ", lambda k: float(k)),
@@ -259,9 +258,9 @@ class TestParser:
     @pytest.mark.parametrize("shape", sorted(CHAINS))
     def test_an_operator_chain_adds_no_depth(self, shape):
         # the parser reads a chain in a loop, and every walk runs over the
-        # tape, so a chain 20 times the depth bound parses and evaluates
+        # tape, so a 3,000-term chain parses and evaluates
         op, value = self.CHAINS[shape]
-        k = 20 * MAX_EXPR_DEPTH
+        k = 3000
         prog = parse_program(MINIMAL_FILE.replace(
             "objective = (y1 - 1)^2 + x1^2",
             "objective = (" + op.join(["y1"] * k) + ")"))
@@ -272,32 +271,37 @@ class TestParser:
     def _nested(k, text):
         return "(" * k + text + ")" * k
 
-    @pytest.mark.parametrize("objective,accepted", [
-        (_nested(149, "y1") + " + -y1", True),
-        ("-y1 + " + _nested(149, "y1"), True),
-        (_nested(149, "y1 - x1") + " + (y1 - x1)", True),
-        ("(y1 - x1) + " + _nested(149, "y1 - x1"), True),
-        (_nested(150, "y1 - x1") + " + (y1 - x1)", False),
-        ("(y1 - x1) + " + _nested(150, "y1 - x1"), False),
+    @pytest.mark.parametrize("objective", [
+        _nested(1500, "y1") + " + -y1",
+        "-y1 + " + _nested(1500, "y1"),
+        _nested(1500, "y1 - x1") + " + (y1 - x1)",
+        "(y1 - x1) + " + _nested(1500, "y1 - x1"),
     ], ids=["deep_leaf_first", "shallow_leaf_first", "deep_sum_first",
-            "shallow_sum_first", "deep_sum_first_too_deep",
-            "shallow_sum_first_too_deep"])
-    def test_an_equal_subtree_keeps_each_of_its_depths(self, objective,
-                                                       accepted):
-        # one interned node can sit both deep and shallow in a tree; each
-        # occurrence is measured where it is parsed: inside 149 parentheses
-        # it is 150 deep (accepted), inside 150 it is refused at the 150th
-        text = MINIMAL_FILE.replace("objective = (y1 - 1)^2 + x1^2",
-                                    "objective = " + objective)
-        if accepted:
-            parse_program(text)
-            return
+            "shallow_sum_first"])
+    def test_an_equal_subtree_keeps_each_of_its_depths(self, objective):
+        # one interned node can sit both deep and shallow in a tree: parsed
+        # at either depth it is the same node
+        prog = parse_program(MINIMAL_FILE.replace(
+            "objective = (y1 - 1)^2 + x1^2", "objective = " + objective))
+        left, right = (c._peel_negations()[0] for c in prog.F.children)
+        assert left is right is ((Y1 - X1) if "x1" in objective else Y1)
+
+    @pytest.mark.parametrize("objective,message,col", [
+        ("(" * 1500 + "y1" + ")" * 1499, "unexpected end of expression", 3002),
+        ("(" * 1500 + "y1" + ")" * 1500 + ")", "unexpected token ')'", 3003),
+        ("-" * 1500 + "abs(y1 ^ x1)", "exponent must be an integer literal",
+         1510),
+        ("max(" * 1500 + "y1" + ", y1)" * 1499 + ")",
+         "max takes 2 argument(s)", 1),
+    ], ids=["open", "closed_twice", "exponent", "arity"])
+    def test_an_error_deep_inside_reports_its_column(self, objective, message,
+                                                     col):
+        line = "objective = " + objective
         with pytest.raises(ParseError) as err:
-            parse_program(text)
-        col = objective.index("(" * MAX_EXPR_DEPTH) + MAX_EXPR_DEPTH
+            parse_program(MINIMAL_FILE.replace(
+                "objective = (y1 - 1)^2 + x1^2", line))
         assert str(err.value) == (
-            f"expression nested deeper than {MAX_EXPR_DEPTH} levels (line 6, "
-            f"col {len('objective = ') + col})")
+            f"{message} (line 6, col {len('objective = ') + col})")
 
     @pytest.mark.parametrize("line,col", [
         ("objective = y1 +* 2", 17),
@@ -322,6 +326,37 @@ class TestParser:
             parse_program(MINIMAL_FILE.replace("n = 1", line))
         assert line[col - 1] == "o"
         assert (err.value.line, err.value.col) == (3, col)
+
+    @pytest.mark.parametrize("first,second,said", [
+        ("n = 1", "n = 2", "[dims] n"),
+        ("m = 1", "m = 1", "[dims] m"),
+        ("objective = (y1 - 1)^2 + x1^2", "objective = x1 + y1",
+         "[upper] objective"),
+        ("objective = -y1", "objective = y1", "[lower] objective"),
+        ("y1 = -2, 2", "y1 = 0, 1", "[box] y1"),
+        ("x1 = -5, 5", "x01 = -5, 5", "[box] x1"),
+        ("optimistic", "pessimistic", "[mode]"),
+    ], ids=["n", "m", "upper_objective", "lower_objective", "box_entry",
+            "box_entry_spelt_twice", "mode"])
+    def test_a_key_given_twice_is_refused_at_its_line(self, first, second,
+                                                      said):
+        # the last value used to win silently
+        text = MINIMAL_FILE.replace(first + "\n", f"{first}\n{second}\n", 1)
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        line = text.splitlines().index(first) + 2
+        assert str(err.value) == f"{said} given twice (line {line}, col 1)"
+
+    @pytest.mark.parametrize("entry", ["y2 = 0, 1", "x0 = 0, 1", "x3 = 1, 2"])
+    def test_a_box_entry_for_an_undeclared_coordinate_is_refused(self, entry):
+        # it used to be ignored
+        text = MINIMAL_FILE.replace("[mode]", entry + "\n[mode]")
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        line = text.splitlines().index(entry) + 1
+        assert str(err.value) == (
+            f"[box] entry for {entry[:2]}, which [dims] does not declare "
+            f"(line {line}, col 1)")
 
 
 class TestProgramValidation:
@@ -945,3 +980,70 @@ def test_tape_passes_match_the_recursive_walkers(e, x, y):
                  _outcome(lambda: _ref_affine(e, 2, 2)))
     assert kink_count(e) == sum(
         1 for node in _ref_walk(e) if node.kind in ("abs", "max", "min"))
+
+
+# -- printing a tree and parsing it back ----------------------------------------
+
+# Every node kind, built as the parser builds it: constants nonnegative and
+# finite, div and log vouched safe, variable indices within n = m = 2.
+_PARSED_TREES = st.recursive(
+    st.one_of(st.floats(0, allow_nan=False, allow_infinity=False).map(
+                  lambda v: Expr.const(abs(v))),
+              st.integers(1, 2).map(Expr.x), st.integers(1, 2).map(Expr.y)),
+    lambda sub: st.one_of(
+        sub.map(neg), sub.map(eexp), sub.map(eabs),
+        sub.map(lambda u: elog(u, safe=True)),
+        st.tuples(sub, st.integers(0, 12)).map(lambda t: t[0] ** t[1]),
+        st.tuples(st.sampled_from(["add", "sub", "mul", "max", "min"]),
+                  sub, sub).map(lambda t: Expr(t[0], t[1:])),
+        st.tuples(sub, sub).map(lambda p: ediv(*p, safe=True))),
+    max_leaves=12)
+
+# how tightly each kind binds when printed: 0 a sum, 1 a product, 2 a sign,
+# 3 a power, 4 an atom
+_BINDS = {"add": 0, "sub": 0, "mul": 1, "div": 1, "neg": 2, "pow": 3}
+_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+
+
+def _print_tokens(e, rng, level=0):
+    """Tokens of an infix text that parses to e, where the text must bind at
+    least as tightly as `level`, with redundant parentheses and unary +
+    strewn in."""
+    binds = _BINDS.get(e.kind, 4)
+    if e.kind == "const":
+        body = [repr(e.value)]
+    elif e.kind in ("xvar", "yvar"):
+        body = [f"{e.kind[0]}{e.index}"]
+    elif e.kind == "neg":
+        body = ["-", *_print_tokens(e.children[0], rng, 2)]
+    elif e.kind == "pow":
+        body = [*_print_tokens(e.children[0], rng, 4), "^", str(e.exponent)]
+    elif e.kind in _INFIX:
+        left, right = e.children
+        body = [*_print_tokens(left, rng, binds), _INFIX[e.kind],
+                *_print_tokens(right, rng, binds + 1)]
+    else:
+        body = [e.kind, "("]
+        for i, c in enumerate(e.children):
+            body += [","] * (i > 0) + _print_tokens(c, rng, 0)
+        body.append(")")
+    if binds < level or rng.random() < 0.15:
+        body = ["(", *body, ")"]
+    if level <= 2 and rng.random() < 0.15:
+        body = ["+", *body]
+    return body
+
+
+_TWO_BY_TWO = (MINIMAL_FILE.replace("n = 1", "n = 2").replace("m = 1", "m = 2")
+               .replace("[mode]", "x2 = 0, 1\ny2 = 0, 1\n[mode]"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(e=_PARSED_TREES, seed=st.integers(0, 2 ** 32))
+def test_a_printed_tree_parses_to_the_identical_node(e, seed):
+    rng = random.Random(seed)
+    text = "".join(tok + rng.choice(["", "", " ", "  ", "\t"])
+                   for tok in _print_tokens(e, rng))
+    prog = parse_program(_TWO_BY_TWO.replace(
+        "objective = (y1 - 1)^2 + x1^2", "objective = " + text))
+    assert prog.F is e, text

@@ -76,17 +76,20 @@ def test_returned_generators_are_shared_read_only():
     assert _same(first, standard_vrep(A, _b(1.0)))
 
 
-def test_ray_budget_checked_without_vertices():
+def test_ray_budget_checked_without_vertices(monkeypatch):
     # 1 x 4 system: the vertex system scans 1 + 4 = 5 bases, the ray system
     # (one more row) 1 + 4 + 6 = 11; b < 0 has no vertex
     A1 = np.ones((1, 4))
     b1 = np.array([-1.0])
     _clear_memos()
+    monkeypatch.setattr(_polyalg, "MAX_BASES", 5)
     with pytest.raises(BudgetError):
-        standard_vrep(A1, b1, max_bases=5)
-    assert standard_vrep(A1, b1, max_bases=11) == ([], [])
+        standard_vrep(A1, b1)
+    monkeypatch.setattr(_polyalg, "MAX_BASES", 11)
+    assert standard_vrep(A1, b1) == ([], [])
+    monkeypatch.setattr(_polyalg, "MAX_BASES", 5)
     with pytest.raises(BudgetError):
-        standard_vrep(A1, b1, max_bases=5)
+        standard_vrep(A1, b1)
 
 
 def rank_test_reference(A, b, res_tol=1e-9):
@@ -133,35 +136,43 @@ def test_memoised_rank_test_matches_matrix_rank():
             assert all(np.array_equal(u, v) for u, v in zip(got, want))
 
 
-def test_memo_keeps_strict_relaxed_and_budgets_apart():
+def test_memo_keeps_strict_relaxed_and_budgets_apart(monkeypatch):
     # two equal rows with right-hand sides 1e-8 apart: no exact solution,
     # but one within a relaxed residual tolerance
     A2 = np.ones((2, 2))
     b2 = np.array([1.0, 1.0 + 1e-8])
     _clear_memos()
-    calls = [((), {}), ((), {"res_tol": 1e-6}), ((300001,), {}),
-             ((300001,), {"res_tol": 1e-6})]
-    warm = [standard_vrep(A2, b2, *a, **k) for a, k in calls]
-    assert _polyalg._vrep.cache_info().misses == len(calls)
+    res_tols = [None, 1e-6]
+    warm = [standard_vrep(A2, b2, res_tol=t) for t in res_tols]
+    assert _polyalg._vrep.cache_info().misses == len(res_tols)
     assert not warm[0][0] and warm[1][0]
-    for (a, k), got in zip(calls, warm):
+    # the ray system scans 1 + 2 + 1 = 4 bases: under a bound of 3 neither
+    # entry is read, and the bound is checked at every call
+    monkeypatch.setattr(_polyalg, "MAX_BASES", 3)
+    for t in res_tols:
+        with pytest.raises(BudgetError):
+            standard_vrep(A2, b2, res_tol=t)
+    monkeypatch.undo()
+    for t, got in zip(res_tols, warm):
         _clear_memos()
-        assert _same(got, standard_vrep(A2, b2, *a, **k))
+        assert _same(got, standard_vrep(A2, b2, res_tol=t))
     # -0.0 and 0.0 in b key an entry each (tests/test_memo.py) and get one
     # answer
     assert _same(standard_vrep(A, np.array([0.0, 1.0, 0.5])),
                  standard_vrep(A, np.array([-0.0, 1.0, 0.5])))
 
 
-def test_memoised_system_over_budget_raises_every_time():
+def test_memoised_system_over_budget_raises_every_time(monkeypatch):
     _clear_memos()
     verts, _ = standard_vrep(A, _b(1.0))
     assert verts
     # the ray system of the 3 x 5 system scans 1 + 5 + 10 + 10 + 5 = 31 bases
+    monkeypatch.setattr(_polyalg, "MAX_BASES", 30)
     for _ in range(3):
         with pytest.raises(BudgetError):
-            standard_vrep(A, _b(1.0), max_bases=30)
-    assert standard_vrep(A, _b(1.0), max_bases=31)[0]
+            standard_vrep(A, _b(1.0))
+    monkeypatch.setattr(_polyalg, "MAX_BASES", 31)
+    assert standard_vrep(A, _b(1.0))[0]
 
 
 # -- the LP memo ---------------------------------------------------------------

@@ -66,15 +66,19 @@ class TestAlgebra:
 
     def test_ragged_points_are_a_dimension_mismatch(self):
         ragged = [[1.0, 2.0], [1.0]]
+        flat = [1.0, 2.0, 3.0]  # a flat list that is not whole points
         for build in (lambda: Polytope(2, ragged),
                       lambda: Polytope.from_generators(2, ragged),
                       lambda: Polytope.from_generators(2, [[0.0, 0.0]], ragged),
                       lambda: hull(ragged, 2),
-                      lambda: hull(ragged)):
+                      lambda: hull(ragged),
+                      lambda: Polytope(2, flat),
+                      lambda: Polytope.from_generators(2, [[0.0, 0.0]], flat)):
             with pytest.raises(DimensionMismatchError):
                 build()
         with pytest.raises(ValueError):  # not a number, not a mismatch
             Polytope(2, [[1.0, "a"]])
+        assert Polytope(3, flat).vertices.tolist() == [flat]
 
     def test_empty_propagates(self):
         e = Polytope.empty(1)

@@ -193,20 +193,52 @@ def _scoped_nodes(tree):
     return out
 
 
-def test_no_model_walker_recurses():
-    # only the parser recurses; every other walk runs over a node's tape, so
-    # a tree built in code can be as deep as memory allows
-    for scope, node in _scoped_nodes(ast.parse(MODEL.read_text(encoding="utf-8"))):
-        if not isinstance(node, ast.FunctionDef) or scope[:1] == ("_ExprParser",):
-            continue
-        owners = {"self", "cls", *scope[:-1]}
+def _call_graph(tree):
+    """{function: functions it may call} over the functions of one module,
+    each named by its scope.  A bare name may call any function of that
+    name, and a class name its constructors; an attribute of self, cls or
+    a class of the module may call any method of that name."""
+    scoped = [(scope, node) for scope, node in _scoped_nodes(tree)
+              if isinstance(node, ast.FunctionDef)]
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    graph = {}
+    for scope, node in scoped:
+        names = set()
         for call in ast.walk(node):
             func = getattr(call, "func", None)
-            assert not (isinstance(func, ast.Name) and func.id == node.name
-                        or isinstance(func, ast.Attribute)
-                        and func.attr == node.name
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id in owners), ".".join(scope)
+            if isinstance(func, ast.Name):
+                names.add(func.id)
+                if func.id in classes:
+                    names.update((func.id, c) for c in
+                                 ("__new__", "__init__", "__post_init__"))
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and func.value.id in {"self", "cls", *classes}):
+                names.add(func.attr)
+        graph[scope] = {s for s, _ in scoped if s[-1] in names or s in names}
+    return graph
+
+
+def _on_a_cycle(graph):
+    """The functions of graph that can reach themselves."""
+    def reach(start):
+        seen, todo = set(), list(graph[start])
+        while todo:
+            f = todo.pop()
+            if f not in seen:
+                seen.add(f)
+                todo.extend(graph[f])
+        return seen
+    return {f for f in graph if f in reach(f)}
+
+
+def test_no_model_walker_recurses():
+    # the parser reads its tokens over an explicit stack and every other
+    # walk runs over a node's tape, so no function of model.py calls itself,
+    # directly or through others, and an expression can nest as deep as
+    # memory allows
+    graph = _call_graph(ast.parse(MODEL.read_text(encoding="utf-8")))
+    assert ("_parse_expr",) in graph and ("Expr", "__new__") in graph
+    assert not _on_a_cycle(graph), sorted(_on_a_cycle(graph))
 
 
 def test_only_the_node_and_its_tape_builder_read_children():

@@ -29,6 +29,7 @@ from bilevelsense import valuefn
 from bilevelsense.valuefn import (
     TOL_FEAS,
     GridSpec,
+    SolutionSet,
     _dedup_points,
     _refine_seeds,
     _solution_set,
@@ -690,6 +691,14 @@ def test_a_point_with_the_wrong_number_of_coordinates_is_refused(fn):
             fn(prog, x, GRID)
     assert _solve_lower.cache_info().currsize == 0
     assert _solution_set.cache_info().currsize == 0
+
+
+def test_a_ragged_solution_set_is_a_dimension_mismatch():
+    # np.shape used to raise numpy's inhomogeneous-shape ValueError
+    with pytest.raises(DimensionMismatchError):
+        SolutionSet([[1.0, 2.0], [1.0]], 0.0, 1e-6, 0.01)
+    assert SolutionSet([[1.0, 2.0]], 0.0, 1e-6, 0.01).points.shape == (1, 2)
+    assert SolutionSet([], 0.0, 1e-6, 0.01).points.shape == (0, 0)
 
 
 # -- a lower-level optimum that is not a number ---------------------------------

@@ -30,7 +30,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import NotApplicableError
-from .cq import cq_bundle
+from .cq import _mode_solutions, cq_bundle
 from .model import BilevelProgram, clarke_generators, eval_expr
 from .sensitivity import (
     Caps,
@@ -174,31 +174,25 @@ def caratheodory_reduce(points, weights, dim, tol=1e-12):
     return keep, w
 
 
-def _fold_groups(gen_points, gen_meta, lam, mu, n_verts):
-    """Collapse hull weights into per-source-y points.
+def _fold_groups(gen_points, gen_meta, w, n_verts):
+    """Collapse hull weights w over gen_points (n_verts vertices, then
+    rays) into per-source-y points.
 
     Rays fold into their own y-group's vertex mass (the LP grouping rows
     guarantee positive vertex mass wherever ray mass lives).  Returns a
     list of (weight, point, meta-dict) with weights summing to one.
     """
     groups: dict = {}
-    for q in range(n_verts):
-        if lam[q] <= 1e-14:
+    for q, (wq, meta) in enumerate(zip(w, gen_meta)):
+        if wq <= 1e-14:
             continue
-        key = gen_meta[q]["y"]
-        g = groups.setdefault(key, {"w": 0.0, "pt": 0.0, "u": 0.0})
-        g["w"] += lam[q]
-        g["pt"] = g["pt"] + lam[q] * np.asarray(gen_points[q])
-        g["u"] = g["u"] + lam[q] * np.asarray(gen_meta[q]["u"])
-    for q in range(len(gen_points) - n_verts):
-        if mu[q] <= 1e-14:
-            continue
-        key = gen_meta[n_verts + q]["y"]
-        if key not in groups:
+        if q >= n_verts and meta["y"] not in groups:
             continue  # homeless ray mass: excluded by the grouping rows
-        g = groups[key]
-        g["pt"] = g["pt"] + mu[q] * np.asarray(gen_points[n_verts + q])
-        g["u"] = g["u"] + mu[q] * np.asarray(gen_meta[n_verts + q]["u"])
+        g = groups.setdefault(meta["y"], {"w": 0.0, "pt": 0.0, "u": 0.0})
+        if q < n_verts:
+            g["w"] += wq
+        g["pt"] = g["pt"] + wq * np.asarray(gen_points[q])
+        g["u"] = g["u"] + wq * np.asarray(meta["u"])
     out = []
     for key, g in sorted(groups.items()):
         wsum = g["w"]
@@ -211,7 +205,7 @@ def _tuple_data(pts, metas, w, n_verts, n, shift=0.0):
     weights w over pts (n_verts vertices, then rays): folded per source y,
     Caratheodory-reduced and padded to exactly n + 1 slots.  Each x* is its
     folded point minus shift."""
-    folded = _fold_groups(pts, metas, w[:n_verts], w[n_verts:], n_verts)
+    folded = _fold_groups(pts, metas, w, n_verts)
     if not folded:
         return [], [], [], []
     points = [f[1] for f in folded]
@@ -259,8 +253,7 @@ def certify_value_stationarity(
         clusters = fd_subgradient_samples(
             h, xbar_l, n_dirs=FD_DIRS, radius=radius, step=step, seed=seed)
         gens.extend(list(c) for c in clusters.clusters)
-    sol0 = (pessimistic_solutions if prog.mode == "pessimistic"
-            else optimistic_solutions)(prog, xbar_l, grid)
+    sol0 = _mode_solutions(prog, xbar_l, grid)
     slack = _grid_slack(prog, xbar_l, sol0.points[0].tolist(), grid)
     tol_eff = tol + slack + FD_SLACK
     bundle = cq_bundle(prog, xbar_l, "semicompact", grid, caps, seed=seed) if with_cq else ()

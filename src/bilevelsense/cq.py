@@ -150,6 +150,17 @@ def check_pointbased_cq(
                           caps, grid, seed)
 
 
+def _active_generators(prog, active, xbar, y):
+    """(owners, generators): every Clarke generator of each active g_i,
+    constraint by constraint, with the index i it belongs to."""
+    owners, gens = [], []
+    for i in active:
+        for gvec in clarke_generators(prog.g[i], xbar, y, DEFAULT_TOL_ACTIVE):
+            owners.append(i)
+            gens.append(gvec)
+    return owners, gens
+
+
 @memo(_CQ_ENTRIES, copy_out=True)
 def _pointbased_cq(prog, which, xbar, y, caps, grid, seed) -> CQVerdict:
     """check_pointbased_cq's verdict, in an LRU of _CQ_ENTRIES entries keyed
@@ -171,11 +182,7 @@ def _pointbased_cq(prog, which, xbar, y, caps, grid, seed) -> CQVerdict:
                 seed=seed)
         phi_gens = [np.concatenate([-np.array(c), np.zeros(m)])
                     for c in clusters.clusters]
-    g_owner, g_gens = [], []
-    for i in active:
-        for gvec in clarke_generators(prog.g[i], xbar_l, y_l, DEFAULT_TOL_ACTIVE):
-            g_owner.append(i)
-            g_gens.append(gvec)
+    g_owner, g_gens = _active_generators(prog, active, xbar_l, y_l)
     f_gens = []
     if which == "S":
         f_gens = clarke_generators(prog.f, xbar_l, y_l, DEFAULT_TOL_ACTIVE)
@@ -285,12 +292,7 @@ def check_gen_mfcq(prog: BilevelProgram, xbar, ybar) -> CQVerdict:
     if not active:
         return CQVerdict("GenMFCQ", "Holds", VERDICT_TOL,
                          detail="no active constraints (vacuous)")
-    gens = []
-    owner = []
-    for i in active:
-        for gvec in clarke_generators(prog.g[i], xbar_l, y_l, DEFAULT_TOL_ACTIVE):
-            gens.append(gvec)
-            owner.append(i)
+    owner, gens = _active_generators(prog, active, xbar_l, y_l)
     poly = hull(gens, dim=prog.n + prog.m)
     dist, point, lam, _ = project(poly, np.zeros(prog.n + prog.m))
     if dist > VERDICT_TOL:

@@ -566,6 +566,14 @@ def is_smooth(e: Expr) -> bool:
 # -- programs ---------------------------------------------------------------
 
 
+def _check_interval(lo, hi, line=None, col=None):
+    """SemanticsError at (line, col) unless [lo, hi] is a finite nonempty
+    interval."""
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        raise SemanticsError("boxes must be finite nonempty intervals",
+                             line, col)
+
+
 @dataclass(frozen=True)
 class BilevelProgram:
     """A two-level program over box-bounded variables.
@@ -593,8 +601,7 @@ class BilevelProgram:
         if len(self.box_x) != self.n or len(self.box_y) != self.m:
             raise SemanticsError("box must bound every coordinate")
         for lo, hi in (*self.box_x, *self.box_y):
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-                raise SemanticsError("boxes must be finite nonempty intervals")
+            _check_interval(lo, hi)
         for label, e in self._all_exprs():
             xi, yi = used_indices(e)
             bad_x = [i for i in xi if i > self.n]
@@ -767,10 +774,11 @@ def parse_program(text: str) -> BilevelProgram:
 
     Sections: [dims] with n=<int> m=<int>; [upper] / [lower] each with one
     objective= line and repeated constraint= lines; [box] with one
-    <var>=<lo>,<hi> line per coordinate; [mode] with `optimistic` or
-    `pessimistic`.  Only constraint= lines repeat: a second n, m,
-    objective, box entry or mode word is a ParseError at its line, and so
-    is a box entry for a coordinate that [dims] does not declare.
+    <var>=<lo>,<hi> line per coordinate, a finite nonempty interval;
+    [mode] with `optimistic` or `pessimistic`, bare or as mode=<word>.
+    Only constraint= lines repeat: a second n, m, objective, box entry or
+    mode word is a ParseError at its line, and so is a box entry for a
+    coordinate that [dims] does not declare.
     '#' starts a comment.  Writing div or log in a problem file is taken as
     the user's assertion that the expression is domain-safe over the box.
     """
@@ -799,7 +807,12 @@ def parse_program(text: str) -> BilevelProgram:
         if section is None:
             raise ParseError("content before any section header", lineno, 1)
         if section == "mode":
-            word = stripped.split("=")[-1].strip().lower()
+            # the bare word, or mode = <word>
+            key, eq, word = stripped.lower().partition("=")
+            if eq and key.strip() != "mode":
+                raise ParseError(f"unknown key {key.strip()!r} in [mode]",
+                                 lineno, 1)
+            word = (word if eq else key).strip()
             if word not in ("optimistic", "pessimistic"):
                 raise ParseError(f"unknown mode {word!r}", lineno, 1)
             once("[mode]", lineno)
@@ -838,10 +851,12 @@ def parse_program(text: str) -> BilevelProgram:
             if len(parts) != 2:
                 raise ParseError("box entry must be <lo>,<hi>", lineno, rhs_col)
             try:
-                box[coord] = float(parts[0]), float(parts[1]), lineno
+                lo, hi = float(parts[0]), float(parts[1])
             except ValueError:
                 raise ParseError("box bounds must be decimals", lineno,
                                  rhs_col) from None
+            _check_interval(lo, hi, lineno, rhs_col)
+            box[coord] = lo, hi, lineno
 
     if "n" not in dims or "m" not in dims:
         raise ParseError("missing [dims] n= and m=", 1, 1)

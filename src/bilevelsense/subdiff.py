@@ -10,7 +10,11 @@ The projector is a fully corrective Frank-Wolfe (min-norm-point) scheme:
 affine minimization over the current support, line search dropping
 negative weights, and an exact linear minimization oracle over vertices
 and rays.  On polyhedral data it terminates finitely and delivers
-machine-precision distances.
+machine-precision distances.  It runs over one generator matrix
+G = [V; R] with one weight vector.  Its support lists vertex rows, then
+ray rows, each group in the order it entered: a new vertex goes in after
+the last vertex and a new ray at the end.  That order is the column order
+of every affine solve, so it fixes the result's last bits.
 """
 
 from __future__ import annotations
@@ -204,7 +208,8 @@ def _project(V: np.ndarray, R: np.ndarray, z: np.ndarray):
     """Nearest point of conv(V)+cone(R) to z, after at most 400 outer
     iterations.
 
-    Returns (distance, point, vertex weights, ray weights).
+    Returns (distance, point, vertex weights, ray weights), the weights
+    as the two parts of one vector over the rows of [V; R].
     """
     nv = V.shape[0]
     if nv == 0:
@@ -213,114 +218,75 @@ def _project(V: np.ndarray, R: np.ndarray, z: np.ndarray):
     if R.size:
         scale_ref = max(scale_ref, 1.0 + float(np.max(np.abs(R))))
     eps = 1e-12 * scale_ref
-
-    d2 = np.sum((V - z) ** 2, axis=1)
-    start = int(np.argmin(d2))
-    support_v = [start]
-    support_r: list = []
-    lam = np.zeros(nv)
-    mu = np.zeros(R.shape[0])
-    lam[start] = 1.0
-    p = V[start].copy()
+    G = np.concatenate([V, R])
+    start = int(np.argmin(np.sum((V - z) ** 2, axis=1)))
+    support = [start]
+    w = np.zeros(len(G))
+    w[start] = 1.0
 
     for _ in range(400):
         # inner loop: affine-minimize over the support, prune negatives
-        for _inner in range(4 * (len(support_v) + len(support_r)) + 8):
-            cols = [V[i] for i in support_v] + [R[j] for j in support_r]
-            B = np.column_stack(cols) if cols else np.zeros((V.shape[1], 0))
-            mask = np.array(
-                [True] * len(support_v) + [False] * len(support_r), dtype=bool
-            )
+        for _inner in range(4 * len(support) + 8):
+            B = np.column_stack(G[support])
+            mask = np.array(support) < nv
             theta = _affine_solve(B, mask, z)
-            if theta.size == 0:
-                break
             if np.min(theta) >= -1e-13:
                 theta = np.clip(theta, 0.0, None)
                 ssum = theta[mask].sum()
                 if ssum > 0:
                     theta[mask] /= ssum
-                lam = np.zeros(nv)
-                mu = np.zeros(R.shape[0])
-                for w, i in zip(theta[: len(support_v)], support_v):
-                    lam[i] = w
-                for w, j in zip(theta[len(support_v):], support_r):
-                    mu[j] = w
+                w = np.zeros(len(G))
+                w[support] = theta
                 p = B @ theta
                 break
             # line search toward the affine solution keeping weights >= 0
-            cur = np.array(
-                [lam[i] for i in support_v] + [mu[j] for j in support_r]
-            )
+            cur = w[support]
             delta = theta - cur
             with np.errstate(divide="ignore", invalid="ignore"):
                 steps = np.where(delta < -1e-16, cur / -delta, np.inf)
             t = min(1.0, float(np.min(steps)))
             cur = np.clip(cur + t * delta, 0.0, None)
-            keep_v, keep_r = [], []
-            for w, i in zip(cur[: len(support_v)], support_v):
-                lam[i] = w
-                if w > 1e-14:
-                    keep_v.append(i)
-                else:
-                    lam[i] = 0.0
-            for w, j in zip(cur[len(support_v):], support_r):
-                mu[j] = w
-                if w > 1e-14:
-                    keep_r.append(j)
-                else:
-                    mu[j] = 0.0
-            if not keep_v:  # keep at least one vertex to carry the simplex
-                best = support_v[int(np.argmax(cur[: len(support_v)]))]
-                keep_v = [best]
-                lam[best] = max(lam[best], 1e-300)
-            support_v, support_r = keep_v, keep_r
-            cols = [V[i] for i in support_v] + [R[j] for j in support_r]
-            weights = np.array([lam[i] for i in support_v] + [mu[j] for j in support_r])
-            ssum = sum(lam[i] for i in support_v)
-            if ssum > 0:
-                for i in support_v:
-                    lam[i] /= ssum
-                weights = np.array(
-                    [lam[i] for i in support_v] + [mu[j] for j in support_r]
-                )
-            p = np.column_stack(cols) @ weights
+            kept = cur > 1e-14
+            w[support] = np.where(kept, cur, 0.0)
+            if not kept[mask].any():  # keep one vertex to carry the simplex
+                best = int(np.argmax(cur[mask]))
+                kept[best] = True
+                w[support[best]] = 1.0
+            support = [q for q, keep in zip(support, kept) if keep]
+            verts = [q for q in support if q < nv]
+            w[verts] /= sum(w[q] for q in verts)
+            p = np.column_stack(G[support]) @ w[support]
 
         grad = p - z
         # linear minimization oracle: rays first (cone directions), then vertices
-        added = False
-        if R.size:
-            ray_scores = R @ grad
-            jbest = int(np.argmin(ray_scores))
-            if ray_scores[jbest] < -eps and jbest not in support_r:
-                support_r.append(jbest)
-                added = True
-        if not added:
-            vert_scores = V @ grad
-            ibest = int(np.argmin(vert_scores))
-            if vert_scores[ibest] < float(grad @ p) - eps and ibest not in support_v:
-                support_v.append(ibest)
-                added = True
-        if not added:
+        scores = G @ grad
+        ray = nv + int(np.argmin(scores[nv:])) if R.size else None
+        vert = int(np.argmin(scores[:nv]))
+        if ray is not None and scores[ray] < -eps and ray not in support:
+            support.append(ray)
+        elif scores[vert] < float(grad @ p) - eps and vert not in support:
+            support.insert(sum(q < nv for q in support), vert)
+        else:
             break
 
-    dist = float(np.linalg.norm(p - z))
-    return dist, p, lam, mu
+    return float(np.linalg.norm(p - z)), p, w[:nv], w[nv:]
+
+
+def _point(p: Polytope, v) -> np.ndarray:
+    z = np.asarray(v, dtype=float)
+    if z.shape != (p.dim,):
+        raise DimensionMismatchError("point dimension mismatch")
+    return z
 
 
 def distance(p: Polytope, v) -> float:
     """Euclidean distance from point v to the set; +inf for the empty set."""
-    z = np.asarray(v, dtype=float)
-    if z.shape != (p.dim,):
-        raise DimensionMismatchError("point dimension mismatch")
-    dist, *_ = _project(p.vertices, p.rays, z)
-    return dist
+    return _project(p.vertices, p.rays, _point(p, v))[0]
+
 
 def project(p: Polytope, v):
     """Nearest point and its generator weights: (distance, point, lam, mu)."""
-    z = np.asarray(v, dtype=float)
-    if z.shape != (p.dim,):
-        raise DimensionMismatchError("point dimension mismatch")
-    return _project(p.vertices, p.rays, z)
+    return _project(p.vertices, p.rays, _point(p, v))
 
 
 def contains(p: Polytope, v) -> bool:

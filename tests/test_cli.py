@@ -201,6 +201,17 @@ class TestErrorsAndDeterminism:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_a_reversed_box_interval_exits_one_at_its_entry(
+            self, instance_a_file, tmp_path, capsys):
+        text = open(instance_a_file).read()
+        entry = next(line for line in text.splitlines() if line.startswith("x1"))
+        bad = tmp_path / "reversed.blp"
+        bad.write_text(text.replace(entry, "x1 = 1, 0"))
+        assert main(["estimate", str(bad), "--x", "0.5"]) == 1
+        line = text.splitlines().index(entry) + 1
+        assert capsys.readouterr().err == (
+            f"error: boxes must be finite nonempty intervals (line {line}, col 6)\n")
+
     @pytest.mark.parametrize("kind", ["non_utf8", "directory"])
     def test_unreadable_problem_file_exit_one(self, tmp_path, kind):
         if kind == "non_utf8":

@@ -358,6 +358,39 @@ class TestParser:
             f"[box] entry for {entry[:2]}, which [dims] does not declare "
             f"(line {line}, col 1)")
 
+    @pytest.mark.parametrize("line", ["mode = pessimistic", "MODE=Pessimistic"])
+    def test_a_mode_line_may_say_mode_equals_the_word(self, line):
+        prog = parse_program(MINIMAL_FILE.replace("optimistic\n", line + "\n"))
+        assert prog.mode == "pessimistic"
+
+    @pytest.mark.parametrize("line, message", [
+        ("objective = x = pessimistic", "unknown key 'objective' in [mode]"),
+        ("pessimistic = mode", "unknown key 'pessimistic' in [mode]"),
+        ("= pessimistic", "unknown key '' in [mode]"),
+        ("mode = x = pessimistic", "unknown mode 'x = pessimistic'"),
+    ])
+    def test_any_other_mode_line_is_refused_at_its_line(self, line, message):
+        text = MINIMAL_FILE.replace("optimistic\n", line + "\n")
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        lineno = text.splitlines().index(line) + 1
+        assert str(err.value) == f"{message} (line {lineno}, col 1)"
+
+    @pytest.mark.parametrize("old, entry, col", [
+        ("x1 = -5, 5", "x1 = 1, 0", 6),
+        ("x1 = -5, 5", "x1 = 0, inf", 6),
+        ("x1 = -5, 5", "x1 = nan, 1", 6),
+        ("y1 = -2, 2", "y1 =   -inf,2", 8),
+    ])
+    def test_a_bad_box_interval_is_refused_at_its_entry(self, old, entry, col):
+        text = MINIMAL_FILE.replace(old, entry)
+        with pytest.raises(SemanticsError) as err:
+            parse_program(text)
+        line = text.splitlines().index(entry) + 1
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == (
+            f"boxes must be finite nonempty intervals (line {line}, col {col})")
+
 
 class TestProgramValidation:
     def test_infinite_box_rejected(self):

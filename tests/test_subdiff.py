@@ -207,3 +207,144 @@ class TestNormalCone:
     def test_infeasible_point(self):
         with pytest.raises(InfeasiblePointError):
             normal_cone_polyhedral([-Expr.x(1)], [-1.0])
+
+
+# -- byte gate for the projector ------------------------------------------------
+#
+# A test-side copy of the projector as it was when it kept vertex and ray
+# weights in two parallel sets of lists and arrays.  The library's one
+# weight vector over [V; R] must give the same distance, point and weights,
+# bit for bit and sign of zero included: the support's column order (vertex
+# rows, then ray rows, each group in entry order) fixes every affine solve,
+# and a vertex weight sum in another order rounds differently.
+
+from bilevelsense.subdiff import _affine_solve, _project  # noqa: E402
+
+
+def reference_project(V, R, z):
+    nv = V.shape[0]
+    if nv == 0:
+        return math.inf, None, None, None
+    scale_ref = 1.0 + float(np.max(np.abs(V))) + float(np.max(np.abs(z), initial=0.0))
+    if R.size:
+        scale_ref = max(scale_ref, 1.0 + float(np.max(np.abs(R))))
+    eps = 1e-12 * scale_ref
+    d2 = np.sum((V - z) ** 2, axis=1)
+    start = int(np.argmin(d2))
+    support_v, support_r = [start], []
+    lam, mu = np.zeros(nv), np.zeros(R.shape[0])
+    lam[start] = 1.0
+    p = V[start].copy()
+    for _ in range(400):
+        for _inner in range(4 * (len(support_v) + len(support_r)) + 8):
+            cols = [V[i] for i in support_v] + [R[j] for j in support_r]
+            B = np.column_stack(cols) if cols else np.zeros((V.shape[1], 0))
+            mask = np.array([True] * len(support_v) + [False] * len(support_r),
+                            dtype=bool)
+            theta = _affine_solve(B, mask, z)
+            if theta.size == 0:
+                break
+            if np.min(theta) >= -1e-13:
+                theta = np.clip(theta, 0.0, None)
+                ssum = theta[mask].sum()
+                if ssum > 0:
+                    theta[mask] /= ssum
+                lam, mu = np.zeros(nv), np.zeros(R.shape[0])
+                for w, i in zip(theta[: len(support_v)], support_v):
+                    lam[i] = w
+                for w, j in zip(theta[len(support_v):], support_r):
+                    mu[j] = w
+                p = B @ theta
+                break
+            cur = np.array([lam[i] for i in support_v] + [mu[j] for j in support_r])
+            delta = theta - cur
+            with np.errstate(divide="ignore", invalid="ignore"):
+                steps = np.where(delta < -1e-16, cur / -delta, np.inf)
+            t = min(1.0, float(np.min(steps)))
+            cur = np.clip(cur + t * delta, 0.0, None)
+            keep_v, keep_r = [], []
+            for w, i in zip(cur[: len(support_v)], support_v):
+                lam[i] = w
+                if w > 1e-14:
+                    keep_v.append(i)
+                else:
+                    lam[i] = 0.0
+            for w, j in zip(cur[len(support_v):], support_r):
+                mu[j] = w
+                if w > 1e-14:
+                    keep_r.append(j)
+                else:
+                    mu[j] = 0.0
+            if not keep_v:
+                best = support_v[int(np.argmax(cur[: len(support_v)]))]
+                keep_v = [best]
+                lam[best] = max(lam[best], 1e-300)
+            support_v, support_r = keep_v, keep_r
+            cols = [V[i] for i in support_v] + [R[j] for j in support_r]
+            weights = np.array([lam[i] for i in support_v] + [mu[j] for j in support_r])
+            ssum = sum(lam[i] for i in support_v)
+            if ssum > 0:
+                for i in support_v:
+                    lam[i] /= ssum
+                weights = np.array([lam[i] for i in support_v] + [mu[j] for j in support_r])
+            p = np.column_stack(cols) @ weights
+        grad = p - z
+        added = False
+        if R.size:
+            ray_scores = R @ grad
+            jbest = int(np.argmin(ray_scores))
+            if ray_scores[jbest] < -eps and jbest not in support_r:
+                support_r.append(jbest)
+                added = True
+        if not added:
+            vert_scores = V @ grad
+            ibest = int(np.argmin(vert_scores))
+            if vert_scores[ibest] < float(grad @ p) - eps and ibest not in support_v:
+                support_v.append(ibest)
+                added = True
+        if not added:
+            break
+    return float(np.linalg.norm(p - z)), p, lam, mu
+
+
+def _draw_generators(family, dim, nv, nr, seed):
+    """(V, R, z) of one family: Gaussian, an integer lattice with repeated
+    vertices, z inside the set, or nearly coincident vertices and nearly
+    parallel rays at a scale of 1e-6 to 1e6."""
+    rng = np.random.default_rng(seed)
+    if family == "gaussian":
+        return rng.normal(size=(nv, dim)), rng.normal(size=(nr, dim)), 3.0 * rng.normal(size=dim)
+    if family == "lattice":
+        V = rng.integers(-2, 3, size=(nv, dim)).astype(float)
+        V = np.concatenate([V, V[: rng.integers(0, nv + 1)]])
+        R = rng.integers(-2, 3, size=(nr, dim)).astype(float)
+        return V, R[np.abs(R).max(axis=1) > 0], rng.integers(-3, 4, size=dim).astype(float)
+    if family == "inside":
+        V, R = rng.normal(size=(nv, dim)), rng.normal(size=(nr, dim))
+        return V, R, rng.dirichlet(np.ones(nv)) @ V + rng.uniform(0, 1, size=nr) @ R
+    s = 10.0 ** rng.integers(-6, 7)
+    V = s * (rng.normal(size=dim) + 1e-9 * s * rng.normal(size=(nv, dim)))
+    R = s * rng.normal(size=(nr, dim))
+    if nr > 1:
+        R[-1] = R[0] * (1 + 1e-12)
+    return V, R, s * rng.normal(size=dim)
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(family=st.sampled_from(["gaussian", "lattice", "inside", "scaled"]),
+       dim=st.integers(1, 5), nv=st.integers(1, 7), nr=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_projector_matches_its_two_list_form_bit_for_bit(family, dim, nv,
+                                                              nr, seed):
+    V, R, z = _draw_generators(family, dim, nv, nr, seed)
+    got, want = _project(V, R, z), reference_project(V, R, z)
+    for name, g, w in zip(("distance", "point", "lam", "mu"), got, want):
+        assert _same_bits(g, w), (name, g, w)

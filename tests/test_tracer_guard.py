@@ -417,3 +417,27 @@ def test_the_sweep_keeps_one_seed_sort_and_one_evaluator():
             # the seeds are deduplicated without a per-pair closure
             assert not (scope[:1] == ("_refine_seeds",) and len(scope) > 1
                         and isinstance(node, ast.FunctionDef)), (path.name, scope)
+
+
+# -- one weight vector in the projector ------------------------------------------
+
+# the parallel vertex/ray bookkeeping the projector and the group fold kept
+# before both ran over one weight vector on the stacked generators [V; R]
+TWIN_WEIGHT_NAMES = {"support_v", "support_r", "mu"}
+
+
+def _function(path, name):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_the_projector_keeps_one_support_and_one_weight_vector():
+    project = _function(SRC / "subdiff.py", "_project")
+    stored = {node.id for node in ast.walk(project)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert not stored & TWIN_WEIGHT_NAMES, stored & TWIN_WEIGHT_NAMES
+    fold = _function(SRC / "certify.py", "_fold_groups")
+    params = [a.arg for a in fold.args.args]
+    assert not {"lam", "mu"} & set(params), params
+    assert len(params) == 4, params  # points, metadata, weights, vertex count

@@ -39,6 +39,7 @@ from .subdiff import (
     FD_DIRS,
     FD_RADIUS,
     FD_STEP,
+    Polytope,
     distance,
     fd_subgradient_samples,
     hull,
@@ -47,6 +48,7 @@ from .subdiff import (
 )
 from .valuefn import (
     GridSpec,
+    _ahead,
     _xkey,
     optimistic_solutions,
     pessimistic_solutions,
@@ -293,18 +295,22 @@ def check_gen_mfcq(prog: BilevelProgram, xbar, ybar) -> CQVerdict:
         return CQVerdict("GenMFCQ", "Holds", VERDICT_TOL,
                          detail="no active constraints (vacuous)")
     owner, gens = _active_generators(prog, active, xbar_l, y_l)
-    poly = hull(gens, dim=prog.n + prog.m)
+    # the hull keeps the first of equal generators; sources[k] is the
+    # generator its k-th vertex came from
+    poly, sources, _ = Polytope.from_generators_indexed(prog.n + prog.m, gens)
     dist, point, lam, _ = project(poly, np.zeros(prog.n + prog.m))
     if dist > VERDICT_TOL:
         return CQVerdict("GenMFCQ", "Holds", VERDICT_TOL,
                          detail=f"min |combination| = {dist:.3e}")
     gamma = np.zeros(prog.p)
-    # map the hull weights back to per-constraint simplex weights
-    for w, i in zip(lam, owner):
-        gamma[i] += w
+    # map the hull weights back to per-constraint simplex weights, each to
+    # the constraint of the generator its vertex came from
+    for w, k in zip(lam, sources):
+        gamma[owner[k]] += w
     dirs = {}
-    for w, i, g in zip(lam, owner, gens):
-        dirs[i] = dirs.get(i, np.zeros(prog.n + prog.m)) + w * np.array(g)
+    for w, k in zip(lam, sources):
+        i = owner[k]
+        dirs[i] = dirs.get(i, np.zeros(prog.n + prog.m)) + w * np.array(gens[k])
     witness = {
         "gamma": tuple(gamma.tolist()),
         "g_dirs": {i: tuple(v.tolist()) for i, v in dirs.items()},
@@ -401,15 +407,17 @@ def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid,
         box_lo, box_hi = np.array(prog.box_y, dtype=float).T
         clipped = False
         seen = 0
-        for x in sample_shell(radius):
-            try:
-                sol = _mode_solutions(prog, list(x), grid)
-            except InfeasibleError:
-                continue
-            seen += 1
-            if np.any((sol.points < box_lo + margin)
-                      | (sol.points > box_hi - margin)):
-                clipped = True
+        shell = sample_shell(radius)
+        with _ahead(prog, shell, grid):
+            for x in shell:
+                try:
+                    sol = _mode_solutions(prog, list(x), grid)
+                except InfeasibleError:
+                    continue
+                seen += 1
+                if np.any((sol.points < box_lo + margin)
+                          | (sol.points > box_hi - margin)):
+                    clipped = True
         if seen == 0:
             return CQVerdict("InnerSemicompact", "Unknown", radius,
                              detail="no feasible neighbors sampled", seed=seed)
@@ -436,14 +444,16 @@ def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid,
         def shell_dist(rho):
             worst = 0.0
             worst_x = None
-            for x in sample_shell(rho):
-                try:
-                    sol = _mode_solutions(prog, list(x), grid)
-                except InfeasibleError:
-                    continue
-                d = float(np.abs(sol.points - ybar_v).max(axis=1).min())
-                if d > worst:
-                    worst, worst_x = d, x
+            shell = sample_shell(rho)
+            with _ahead(prog, shell, grid):
+                for x in shell:
+                    try:
+                        sol = _mode_solutions(prog, list(x), grid)
+                    except InfeasibleError:
+                        continue
+                    d = float(np.abs(sol.points - ybar_v).max(axis=1).min())
+                    if d > worst:
+                        worst, worst_x = d, x
             return worst, worst_x
 
         d_outer, _ = shell_dist(radius)

@@ -20,6 +20,7 @@ of every affine solve, so it fixes the result's last bits.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -361,38 +362,54 @@ def fd_subgradient_samples(
                 raise
             raise EvaluationError(str(exc)) from exc
 
-    estimates = []
-    skipped = 0
+    # per direction: the offset point and the (x + step, x - step) pair of
+    # each coordinate
+    stencils = []
     for u in dirs:
         x0 = xbar + radius * u
-        grad = np.zeros(n)
-        ok = True
-        f0 = None
+        pairs = []
         for c in range(n):
             xp = x0.copy()
             xm = x0.copy()
             xp[c] += h_step
             xm[c] -= h_step
-            fp = safe_eval(xp)
-            fm = safe_eval(xm)
-            if fp is not None and fm is not None:
-                grad[c] = (fp - fm) / (2.0 * h_step)
-                continue
-            # dom boundary: one-sided difference through the offset point
-            # when exactly one side of the stencil is feasible
-            if f0 is None:
-                f0 = safe_eval(x0)
-            if f0 is None or (fp is None and fm is None):
-                ok = False
-                break
-            if fp is not None:
-                grad[c] = (fp - f0) / h_step
+            pairs.append((xp, xm))
+        stencils.append((x0, pairs))
+    # a value function can sweep the stencil's points together once it
+    # knows them (`valuefn.value_function`); any other callable is asked
+    # point by point
+    ahead = getattr(h, "ahead", None)
+    announced = (ahead([pt for _, pairs in stencils for pair in pairs for pt in pair])
+                 if ahead is not None else nullcontext())
+
+    estimates = []
+    skipped = 0
+    with announced:
+        for x0, pairs in stencils:
+            grad = np.zeros(n)
+            ok = True
+            f0 = None
+            for c, (xp, xm) in enumerate(pairs):
+                fp = safe_eval(xp)
+                fm = safe_eval(xm)
+                if fp is not None and fm is not None:
+                    grad[c] = (fp - fm) / (2.0 * h_step)
+                    continue
+                # dom boundary: one-sided difference through the offset point
+                # when exactly one side of the stencil is feasible
+                if f0 is None:
+                    f0 = safe_eval(x0)
+                if f0 is None or (fp is None and fm is None):
+                    ok = False
+                    break
+                if fp is not None:
+                    grad[c] = (fp - f0) / h_step
+                else:
+                    grad[c] = (f0 - fm) / h_step
+            if ok:
+                estimates.append(grad)
             else:
-                grad[c] = (f0 - fm) / h_step
-        if ok:
-            estimates.append(grad)
-        else:
-            skipped += 1
+                skipped += 1
 
     clusters: list = []  # [sum, count, members]
     for g in estimates:

@@ -17,6 +17,12 @@ lower-level problem (m, f, g, box_y), the point x, the grid and F with its
 top-level negations stripped, so a program and its negated-upper twin
 share one sweep; the twin reads the band's F values negated, which IEEE
 negation makes exactly the values of the negated F.
+
+A caller that knows the points it will ask for next (the fd oracle's
+stencil, a regularity shell) announces them (`_ahead`); the first miss
+among them sweeps them all in one pass, stacking every x's refinement
+windows into one mesh per level, and each x still enters the sweep memo
+through its own request.
 """
 
 from __future__ import annotations
@@ -24,13 +30,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ._memo import memo
+from ._memo import _call_key, memo
 from .errors import (BudgetError, DimensionMismatchError, DomainError,
                      InfeasibleError, UnsupportedDimensionError)
 from .model import BilevelProgram, Expr, eval_expr
@@ -46,6 +54,13 @@ TOL_FEAS = 1e-9
 # refine_points ** m.  2**24 admits m = 3 at the default 201 points per
 # axis (8.1M points, 195 MB of y).
 MAX_GRID_POINTS = 2 ** 24
+
+# Bound on the points one stacked refinement level meshes when a batch of x
+# is swept together (`_sweep_batch`): the windows of consecutive x are
+# stacked up to this many points, and a larger batch is split.  One x's
+# level alone is bounded by MAX_GRID_POINTS only.  At m = 1 the default
+# grid's level is at most 147 points per x, so a stack holds 55 x.
+MAX_STACKED_POINTS = 2 ** 13
 
 # Bound on the solution-set memo, in entries (distinct (problem, x, grid)
 # requests).  An entry of a flat S(x) can hold every point of the
@@ -116,9 +131,18 @@ def _mesh(lo, hi, count):
     if np.any(step == 0):
         axes = np.array([[np.linspace(a, b, count) for a, b in zip(row_lo, row_hi)]
                          for row_lo, row_hi in zip(lo, hi)])
-    m = lo.shape[1]
-    index = np.indices((count,) * m).reshape(m, -1).T
-    return axes[:, np.arange(m), index].reshape(-1, m)
+    boxes, m = lo.shape
+    grid = (boxes,) + (count,) * m
+    # column j of box s is axes[s, j] broadcast along every other axis.
+    # One box is laid out column by column (its columns are contiguous for
+    # the evaluation), several row by row.
+    out = np.empty((m,) + grid) if boxes == 1 else np.empty(grid + (m,))
+    for j in range(m):
+        shape = [boxes] + [1] * m
+        shape[1 + j] = count
+        column = out[j] if boxes == 1 else out[..., j]
+        column[...] = axes[:, j].reshape(shape)
+    return out.reshape(m, -1).T if boxes == 1 else out.reshape(-1, m)
 
 
 @memo(8)
@@ -135,19 +159,24 @@ def _coarse_mesh(box_y: Tuple[Tuple[float, float], ...], count: int):
 
 
 def _evaluate(f, g, F, x, mesh: np.ndarray):
-    """(y, f, F) over the rows y of mesh where every g is at most TOL_FEAS.
-    f and F are evaluated on those rows only (not at all when there are
-    none), so a DomainError outside the feasible set cannot fire."""
+    """(y, f, F, keep) over the rows y of mesh where every g is at most
+    TOL_FEAS (keep is that mask).  f and F are evaluated on those rows only
+    (not at all when there are none), so a DomainError outside the
+    feasible set cannot fire.  x is one point (a list of floats) or an
+    (n, len(mesh)) array holding the point of each mesh row."""
+    per_row = isinstance(x, np.ndarray)
     keep = np.ones(len(mesh), dtype=bool)
     cols = list(mesh.T)
     for gi in g:
         keep &= np.asarray(eval_expr(gi, x, cols), dtype=float) <= TOL_FEAS
     y = mesh[keep]
     if not len(y):
-        return y, np.zeros(0), np.zeros(0)
+        return y, np.zeros(0), np.zeros(0), keep
+    if per_row:
+        x = x[:, keep]
     cols = list(y.T)
     return (y, *(np.broadcast_to(np.asarray(eval_expr(e, x, cols), dtype=float),
-                                 (len(y),)) for e in (f, F)))
+                                 (len(y),)) for e in (f, F)), keep)
 
 
 def _lex_order(ypts: np.ndarray):
@@ -159,6 +188,55 @@ def _pool_key_sort(ypts, fvals):
     order = _lex_order(ypts)
     order = order[np.argsort(fvals[order], kind="stable")]
     return order
+
+
+# The sweeps a caller announced (`_ahead`), or None outside an announcement.
+_AHEAD: ContextVar = ContextVar("_AHEAD", default=None)
+
+
+class _Ahead:
+    """The `_solve_lower` calls a caller announced: the x of each distinct
+    call under the memo's key rule (so -0.0 and 0.0 stay apart), in
+    announced order; and the stash, the result or DomainError of each call
+    swept ahead of its own miss."""
+
+    def __init__(self, calls):
+        self.x_keys = {}
+        for call in calls:
+            self.x_keys.setdefault(_call_key(call), call[5])
+        self.order = list(self.x_keys)
+        self.swept = 0  # no announced call from here on is swept yet
+        self.stash = {}
+
+    def later(self, key):
+        """The keys of the announced calls after key that are not swept
+        yet, counted as swept from now on (none when key is not
+        announced)."""
+        if key not in self.x_keys:
+            return []
+        start = max(self.order.index(key) + 1, self.swept)
+        self.swept = len(self.order)
+        return self.order[start:]
+
+
+@contextmanager
+def _ahead(prog, points, grid: GridSpec):
+    """Announce, for the life of the context, that prog's sweep (that of
+    prog or of its negated-upper twin) will be asked for at each of points
+    in this order: the first miss among them sweeps it together with every
+    later one (`_solve_lower`).  Announces nothing when a point has the
+    wrong number of coordinates, which its own request then reports."""
+    F, _ = prog.F._peel_negations()
+    try:
+        calls = [(prog.m, prog.f, prog.g, prog.box_y, F, _xkey(x, prog.n), grid)
+                 for x in points]
+    except DimensionMismatchError:
+        calls = []
+    token = _AHEAD.set(_Ahead(calls))
+    try:
+        yield
+    finally:
+        _AHEAD.reset(token)
 
 
 @memo(2048)
@@ -175,51 +253,162 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
     (`_sweep` raises InfeasibleError).  Raises BudgetError, before meshing
     anything, when a refinement level could mesh more than MAX_GRID_POINTS
     points, and DomainError when the band bound is NaN (a NaN f on a
-    feasible point, or phi = -inf).
+    feasible point, or phi = -inf) or an evaluation fails.  Memoised in an
+    LRU of 2048 entries, with F's top-level negations stripped by the
+    caller (`_sweep`).
 
-    Each refinement level first drops the pooled points no later level can
-    read (`_live`), then meshes the windows around all its seeds as one
-    batch, stacked in seed order, and evaluates g, f and F once on it.
+    `_sweep_batch` sweeps.  Outside an announcement (`_ahead`) a miss
+    sweeps its x alone.  A miss of an announced call takes its stashed
+    answer, or else sweeps its x together with every later announced x not
+    yet swept and stashes theirs, so each x still enters the memo through
+    its own miss.
+    """
+    ahead = _AHEAD.get()
+    if ahead is None:
+        swept, = _sweep_batch(m, f, g, box_y, F, [x_key], grid)
+    else:
+        key = _call_key((m, f, g, box_y, F, x_key, grid))
+        swept = ahead.stash.pop(key, ahead)
+        if swept is ahead:
+            later = ahead.later(key)
+            swept, *rest = _sweep_batch(
+                m, f, g, box_y, F, [x_key, *(ahead.x_keys[k] for k in later)],
+                grid)
+            ahead.stash.update(zip(later, rest))
+    if isinstance(swept, DomainError):
+        raise swept
+    return swept
+
+
+def _sweep_batch(m, f, g, box_y, F, x_keys, grid):
+    """The sweep of `_solve_lower` at each x of x_keys: per x, its result
+    there or the DomainError it raises.  Raises BudgetError, for the whole
+    batch, as `_solve_lower` does.
+
+    The coarse level is per x.  Before each refinement level, each x's
+    pool drops the points no later level can read (`_live`), as soon as
+    that x's previous level is pooled, and its seeds are picked.  The level
+    then meshes the windows around every x's seeds, stacked x by x and
+    seed by seed (`_refine_level`), and pools each x's new rows in order.
     Pooling more points only lowers the k-th smallest f and the band
     bound, so the seeds and the band are those of the whole pool.  F only
     picks refinement seeds (both of its extremes inside the band, so -F
-    picks the same points) and fills band_F.  Memoised in an LRU of 2048
-    entries, with F's top-level negations stripped by the caller
-    (`_sweep`).
+    picks the same points) and fills band_F.
     """
     refined = (grid.max_seeds + 2) * grid.refine_points ** m
     if grid.refine_depth and refined > MAX_GRID_POINTS:
         raise BudgetError(
             f"refinement level of {grid.max_seeds + 2} x "
             f"{grid.refine_points}^{m} points exceeds {MAX_GRID_POINTS} points")
-    x = list(x_key)
+
+    def prune(pool):
+        # drop what no later level can read
+        live = _live(pool[1], pool[3], grid.max_seeds)
+        pool[:3] = (a[live] for a in pool[:3])
+
+    def band(pool):
+        pool_y, pool_f, pool_F, phi = pool
+        keep = pool_f <= _band_bound(phi)
+        return phi, pool_y[keep], pool_f[keep], pool_F[keep]
+
+    # Each pool is one list, changed in place, and is pruned or reduced to
+    # its band as soon as its level is pooled, so that a batch holds at
+    # once only the live pools and one stack of new rows.
+    coarse = _coarse_mesh(box_y, grid.points_per_dim)
+    out = [None] * len(x_keys)
+    pools = {}  # x index -> [pool_y, pool_f, pool_F, phi]
+    for i, x_key in enumerate(x_keys):
+        try:
+            pool = list(_evaluate(f, g, F, list(x_key), coarse)[:3])
+            if len(pool[0]):
+                pool.append(_lower_optimum(pool[1], x_key))
+                if grid.refine_depth:
+                    prune(pool)
+                    pools[i] = pool
+                else:
+                    out[i] = band(pool)
+        except DomainError as exc:
+            out[i] = exc
+
     level_cell = np.array([
         (hi - lo) / (grid.points_per_dim - 1) for lo, hi in box_y
     ])
-    pool_y, pool_f, pool_F = _evaluate(
-        f, g, F, x, _coarse_mesh(box_y, grid.points_per_dim))
-    if len(pool_y) == 0:
-        return None
-    phi = _lower_optimum(pool_f, x_key)
-
-    box_lo, box_hi = np.array(box_y, dtype=float).T
-    for _level in range(grid.refine_depth):
-        live = _live(pool_f, phi, grid.max_seeds)
-        pool_y, pool_f, pool_F = pool_y[live], pool_f[live], pool_F[live]
-        seeds = _refine_seeds(pool_y, pool_f, pool_F, phi, grid.max_seeds)
-        lo, hi = seeds - level_cell, seeds + level_cell
-        # clip to the box as Python's max/min would: np.maximum/np.minimum
-        # pick the other zero when the two compare equal as +0 and -0
-        lo = np.where(lo > box_lo, lo, box_lo)
-        hi = np.where(hi < box_hi, hi, box_hi)
-        new = _evaluate(f, g, F, x, _mesh(lo, hi, grid.refine_points))
-        pool_y, pool_f, pool_F = (np.concatenate(pair)
-                                  for pair in zip((pool_y, pool_f, pool_F), new))
-        phi = _lower_optimum(pool_f, x_key)
+    box = np.array(box_y, dtype=float).T
+    for level in range(grid.refine_depth):
+        seeds = [(i, _refine_seeds(*pool, grid.max_seeds))
+                 for i, pool in pools.items()]
+        for i, new in _refine_level(f, g, F, x_keys, seeds, level_cell, box,
+                                    grid.refine_points):
+            pool = pools.pop(i)
+            try:
+                if isinstance(new, DomainError):  # raised by its level
+                    raise new
+                pool[:3] = (np.concatenate(pair) for pair in zip(pool[:3], new))
+                pool[3] = _lower_optimum(pool[1], x_keys[i])
+            except DomainError as exc:
+                out[i] = exc
+                continue
+            if level + 1 < grid.refine_depth:
+                prune(pool)
+                pools[i] = pool
+            else:
+                out[i] = band(pool)
         level_cell = level_cell / 10.0
+    return out
 
-    band = pool_f <= _band_bound(phi)
-    return phi, pool_y[band], pool_f[band], pool_F[band]
+
+def _refine_level(f, g, F, x_keys, seeds, cell, box, count):
+    """Yield (i, (y, f, F), or the DomainError raised there) for each
+    (i, seeds) of seeds, in order: the feasible points of the windows
+    seed +- cell around the seeds of x_keys[i], clipped to box (rows lo,
+    hi), meshed count per axis and stacked seed by seed.
+
+    Consecutive entries are meshed by one `_mesh` call and evaluated once,
+    with x given per row, as long as the stack holds at most
+    MAX_STACKED_POINTS points; an entry alone is meshed as it is, with x
+    as floats.  A DomainError of a stack belongs to no single x, so that
+    stack is redone one x at a time.  Each stack is meshed only once the
+    rows of the one before it are taken.
+    """
+    def alone(i, centres):
+        try:
+            return i, _evaluate(f, g, F, list(x_keys[i]),
+                                _window_mesh(centres, cell, box, count))[:3]
+        except DomainError as exc:
+            return i, exc
+
+    sizes = [len(centres) * count ** len(cell) for _, centres in seeds]
+    begin = 0
+    while begin < len(seeds):
+        end, held = begin + 1, sizes[begin]
+        while end < len(seeds) and held + sizes[end] <= MAX_STACKED_POINTS:
+            held += sizes[end]
+            end += 1
+        stack, stacked, begin = seeds[begin:end], sizes[begin:end], end
+        if len(stack) == 1:
+            yield alone(*stack[0])
+            continue
+        index = [i for i, _ in stack]
+        xs = np.repeat(np.array([x_keys[i] for i in index]).T, stacked, axis=1)
+        try:
+            y, fv, Fv, keep = _evaluate(f, g, F, xs, _window_mesh(
+                np.concatenate([c for _, c in stack]), cell, box, count))
+        except DomainError:
+            yield from (alone(*entry) for entry in stack)
+            continue
+        # each x's feasible rows end where its windows end
+        ends = np.cumsum(keep)[np.cumsum(stacked) - 1].tolist()
+        for i, a, b in zip(index, [0, *ends], ends):
+            yield i, (y[a:b], fv[a:b], Fv[a:b])
+
+
+def _window_mesh(centres, cell, box, count):
+    """`_mesh` of the windows centres +- cell clipped to box (rows lo, hi)."""
+    lo, hi = centres - cell, centres + cell
+    # clip to the box as Python's max/min would: np.maximum/np.minimum
+    # pick the other zero when the two compare equal as +0 and -0
+    return _mesh(np.where(lo > box[0], lo, box[0]),
+                 np.where(hi < box[1], hi, box[1]), count)
 
 
 def _lower_optimum(pool_f, x_key):
@@ -409,18 +598,34 @@ def pessimistic_solutions(prog: BilevelProgram, x,
     return SolutionSet(sol.points, -sol.value, sol.tol_val, sol.finest_cell)
 
 
+class _ValueFunction:
+    """x -> phi(x), phi_o(x) or phi_p(x) of one program on one grid (see
+    `value_function`).  `ahead(points)` is a context in which the sweeps
+    of the points it will be asked for next run together (`_ahead`)."""
+
+    def __init__(self, prog: BilevelProgram, which: str, grid: GridSpec):
+        if which not in ("phi", "phi_o", "phi_p"):
+            raise ValueError(f"unknown value function {which!r}")
+        self.prog, self.which, self.grid = prog, which, grid
+
+    def __call__(self, x) -> float:
+        if self.which == "phi":
+            return lower_value(self.prog, x, self.grid)
+        if self.which == "phi_o":
+            return optimistic_value(self.prog, x, self.grid)
+        return pessimistic_value(self.prog, x, self.grid)
+
+    def ahead(self, points):
+        return _ahead(self.prog, points, self.grid)
+
+
 def value_function(
     prog: BilevelProgram, which: str, grid: GridSpec = GridSpec()
 ) -> Callable:
     """Callable x -> value for 'phi', 'phi_o' or 'phi_p'; raises
-    InfeasibleError outside dom phi (the fd oracle skips those samples)."""
-    if which == "phi":
-        return lambda x: lower_value(prog, x, grid)
-    if which == "phi_o":
-        return lambda x: optimistic_value(prog, x, grid)
-    if which == "phi_p":
-        return lambda x: pessimistic_value(prog, x, grid)
-    raise ValueError(f"unknown value function {which!r}")
+    InfeasibleError outside dom phi (the fd oracle skips those samples).
+    Its `ahead(points)` announces the points it will be asked for next."""
+    return _ValueFunction(prog, which, grid)
 
 
 # -- curve tabulation ---------------------------------------------------------

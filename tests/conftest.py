@@ -8,6 +8,7 @@ Instances A-C mirror the closed-form examples used across the suite:
   C: F = x*y,          f = 0,    K = [0, 1]        -> phi_p(x) = max(x, 0)
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -15,6 +16,11 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the CLI processes the tests start import the checkout's package too, also
+# when pytest alone put src/ on the path (pyproject's `pythonpath`)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    str(Path(__file__).resolve().parent.parent / "src"),
+    os.environ.get("PYTHONPATH"))))
 
 from instances import (  # noqa: E402
     INSTANCE_A_TEXT,

@@ -1,4 +1,5 @@
 import copy
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,22 @@ class TestGenMFCQ:
             box_x=((-1, 1),), box_y=((-2, 2),))
         assert check_gen_mfcq(prog, [0.0], [0.0]).status == "Holds"
 
+    def test_a_shared_generator_credits_a_constraint_that_has_it(self):
+        # g1 and g2 have the one generator (0, -1), which the hull keeps
+        # once: each hull weight goes to a constraint owning its generator,
+        # so the witness's directions vanish and its own re-check accepts it
+        prog = BilevelProgram(
+            n=1, m=1, F=X1, f=Y1, g=(neg(Y1), neg(Y1) + 0.0 * X1, Y1),
+            box_x=((-1, 1),), box_y=((-1, 1),))
+        v = check_gen_mfcq(prog, [0.0], [0.0])
+        assert v.status == "Fails"
+        gamma = np.array(v.witness["gamma"])
+        assert gamma.sum() == pytest.approx(1.0, abs=1e-9)
+        assert gamma[2] == pytest.approx(0.5, abs=1e-9)
+        total = np.sum([np.array(d) for d in v.witness["g_dirs"].values()], axis=0)
+        assert np.max(np.abs(total)) <= v.tol
+        assert recheck_mfcq_witness(prog, v, [0.0], [0.0])
+
 
 class TestInnerRegularity:
     def test_instance_a_semicompact_holds(self, prog_a):
@@ -148,6 +165,39 @@ class TestInnerRegularity:
                                    ybar=[0.25], radius=0.05, grid=GRID)
         assert a.status == "Holds"
         assert b.status == "Holds"
+
+    @pytest.mark.parametrize("kind,ybar", [("semicompact", None),
+                                           ("semicontinuous", [1.0])])
+    def test_each_shell_is_swept_in_one_batch(self, prog_c, monkeypatch, kind,
+                                              ybar):
+        # every shell announces its 8 points (at n = 1 these are x -+ rho),
+        # so one miss sweeps both; the verdict, the hits and the misses are
+        # those of unannounced requests
+        batches = []
+        sweep_batch = valuefn._sweep_batch
+
+        def counting(m, f, g, box_y, F, x_keys, grid):
+            batches.append(len(x_keys))
+            return sweep_batch(m, f, g, box_y, F, x_keys, grid)
+
+        monkeypatch.setattr(valuefn, "_sweep_batch", counting)
+        runs = []
+        for announce in (True, False):
+            if not announce:
+                monkeypatch.setattr(cq, "_ahead", lambda *args: nullcontext())
+            valuefn._solve_lower.cache_clear()
+            cq._inner_regularity.cache_clear()
+            valuefn._solution_set.cache_clear()
+            batches.clear()
+            verdict = check_inner_regularity(prog_c, kind, [0.3], ybar=ybar,
+                                             radius=0.1, grid=SMALL)
+            info = valuefn._solve_lower.cache_info()
+            runs.append((verdict, (info.hits, info.misses), list(batches)))
+        (announced, counts, sizes), (alone, alone_counts, alone_sizes) = runs
+        assert announced == alone and counts == alone_counts
+        shells = 1 if kind == "semicompact" else 2
+        assert sizes == [1] + [2] * shells
+        assert alone_sizes == [1] * (1 + 2 * shells)
 
 
 class TestCodCQ:

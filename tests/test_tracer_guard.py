@@ -441,3 +441,23 @@ def test_the_projector_keeps_one_support_and_one_weight_vector():
     params = [a.arg for a in fold.args.args]
     assert not {"lam", "mu"} & set(params), params
     assert len(params) == 4, params  # points, metadata, weights, vertex count
+
+
+# -- one sweep engine under the traced sweep boundary ------------------------------
+
+
+def test_every_sweep_runs_in_the_traced_memo_body():
+    # `_sweep_batch` is the one sweep engine and only `_solve_lower` calls
+    # it, so a batch swept ahead of its points' requests is timed under
+    # the valuefn.sweep span of the miss that ran it, and a patched
+    # `_solve_lower` stops every sweep; the refinement-level loop (the one
+    # loop over refine_depth) is the engine's
+    tree = ast.parse((SRC / "valuefn.py").read_text(encoding="utf-8"))
+    named = [scope for scope, node in _scoped_nodes(tree)
+             if isinstance(node, ast.Name) and node.id == "_sweep_batch"]
+    assert named and all(scope == ("_solve_lower",) for scope in named), named
+    levels = [scope for scope, node in _scoped_nodes(tree)
+              if isinstance(node, ast.For) and any(
+                  isinstance(sub, ast.Attribute) and sub.attr == "refine_depth"
+                  for sub in ast.walk(node.iter))]
+    assert levels == [("_sweep_batch",)], levels

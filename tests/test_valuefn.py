@@ -19,6 +19,7 @@ from bilevelsense.model import (
     Expr,
     eabs,
     eexp,
+    elog,
     emax,
     emin,
     eval_expr,
@@ -26,6 +27,7 @@ from bilevelsense.model import (
     parse_program,
 )
 from bilevelsense import valuefn
+from bilevelsense.subdiff import FD_DIRS, FD_RADIUS, FD_STEP, fd_subgradient_samples
 from bilevelsense.valuefn import (
     TOL_FEAS,
     GridSpec,
@@ -44,6 +46,7 @@ from bilevelsense.valuefn import (
     pessimistic_value,
     pessimistic_value_direct,
     sample_curve,
+    value_function,
 )
 
 from conftest import brute_force_lower
@@ -51,6 +54,7 @@ from instances import exact, instance_a, instance_b, instance_c
 
 GRID = GridSpec()
 FINE = GridSpec(points_per_dim=201, refine_depth=5)
+Y1, X1 = Expr.y(1), Expr.x(1)
 
 
 class TestLowerValue:
@@ -558,7 +562,10 @@ def test_sweep_matches_per_window_reference(case):
     prog, x, grid = case
     _solve_lower.cache_clear()
     got = _solve_lower(prog.m, prog.f, prog.g, prog.box_y, prog.F, tuple(x), grid)
-    want = reference_sweep(prog, x, grid)
+    _assert_is_the_reference_band(got, reference_sweep(prog, x, grid))
+
+
+def _assert_is_the_reference_band(got, want):
     assert (got is None) == (want is None)
     if got is None:
         return
@@ -569,6 +576,166 @@ def test_sweep_matches_per_window_reference(case):
         assert a.shape == b.shape
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _assert_same_sweep(got, want):
+    """Two sweep results (or raised DomainErrors) equal bit for bit."""
+    if isinstance(want, DomainError) or want is None:
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert repr(got[0]) == repr(want[0])
+    for a, b in zip(got[1:], want[1:]):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# -- a batch of x swept together -----------------------------------------------
+
+def _batch(prog, xs, grid):
+    return valuefn._sweep_batch(prog.m, prog.f, prog.g, prog.box_y, prog.F,
+                                [tuple(x) for x in xs], grid)
+
+
+@st.composite
+def sweep_batches(draw):
+    """sweep_cases with the constraint x1 <= 1.5 added, so that x1 = 2
+    is infeasible, and a batch of 2-24 x: the drawn x, then x in the box,
+    on its edge or with signed zero coordinates, infeasible x and repeats
+    of earlier x."""
+    prog, x, grid = draw(sweep_cases())
+    prog = replace(prog, g=prog.g + (X1 - 1.5,))
+    coord = st.one_of(st.floats(-1.0, 1.0, allow_subnormal=False),
+                      st.sampled_from([-1.0, 1.0, 0.0, -0.0]))
+    xs = [x]
+    for _ in range(draw(st.integers(1, 23))):
+        kind = draw(st.sampled_from(["drawn", "drawn", "repeat", "infeasible"]))
+        if kind == "repeat":
+            xs.append(draw(st.sampled_from(xs)))
+            continue
+        point = [draw(coord) for _ in range(prog.n)]
+        if kind == "infeasible":
+            point[0] = 2.0
+        xs.append(point)
+    return prog, xs, grid
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=sweep_batches())
+@example(case=(TWO_MINIMA, [[0.0], [-0.0], [1.0], [0.5], [0.0]], DEEP_GRID))
+def test_a_batch_sweeps_each_x_as_the_reference_does(case):
+    # each x of a batch gets, bit for bit, what it gets swept alone and
+    # what the per-window reference sweep gives
+    prog, xs, grid = case
+    got = _batch(prog, xs, grid)
+    assert len(got) == len(xs)
+    for x, res in zip(xs, got):
+        _assert_same_sweep(res, _batch(prog, [x], grid)[0])
+        _assert_is_the_reference_band(res, reference_sweep(prog, x, grid))
+
+
+# f and F read exp and log of x-only subtrees, which a batch evaluates per
+# row of an array where an x alone evaluates them on floats
+TRANSCENDENTAL = BilevelProgram(
+    n=2, m=1, F=elog(Expr.x(2) + 2.0) * Y1 + eexp(X1 * 0.37),
+    f=eabs(Y1 - eexp(X1) * 0.3) + elog(X1 * X1 + 1.1) * Y1 * 0.01,
+    box_x=((-1.0, 1.0),) * 2, box_y=((-1.0, 1.0),))
+
+
+def test_a_batch_reads_transcendental_x_subtrees_as_one_x_does():
+    xs = [[v, w] for v in (-0.9, -0.31, 0.0, 0.123456789, 0.7)
+          for w in (-0.5, 0.33)]
+    got = _batch(TRANSCENDENTAL, xs, SHARED_GRID)
+    for x, res in zip(xs, got):
+        _assert_same_sweep(res, _batch(TRANSCENDENTAL, [x], SHARED_GRID)[0])
+        _assert_is_the_reference_band(res, reference_sweep(TRANSCENDENTAL, x,
+                                                           SHARED_GRID))
+
+
+# f divides by zero at y1 = 0.125, which no coarse point (step 0.25) but
+# the first windows around the minimiser y1 = 0 (step 0.125) meet: at
+# x1 = 0 the sweep raises on a refinement level, and at x1 = 0.75 and
+# x1 = -0.75 (minimisers 0.75 and -0.75) it does not
+DIVIDING = BilevelProgram(
+    n=1, m=1, F=Y1, f=eabs(Y1 - X1) + Expr.const(1e-9) / (Y1 - 0.125),
+    box_x=((-1.0, 1.0),), box_y=((-1.0, 1.0),))
+DIVIDING_GRID = GridSpec(points_per_dim=9, refine_depth=2, refine_points=5,
+                         max_seeds=1)
+
+
+def test_a_domain_error_at_one_x_is_raised_at_that_x_only():
+    xs = [[0.75], [0.0], [-0.75]]
+    lower_value(DIVIDING, [0.0], replace(DIVIDING_GRID, refine_depth=0))
+    got = _batch(DIVIDING, xs, DIVIDING_GRID)
+    assert isinstance(got[1], DomainError)
+    for x, res in zip(xs, got):
+        _assert_same_sweep(res, _batch(DIVIDING, [x], DIVIDING_GRID)[0])
+    for i in (0, 2):
+        _assert_is_the_reference_band(got[i], reference_sweep(DIVIDING, xs[i],
+                                                              DIVIDING_GRID))
+    # announced together, each x raises or answers at its own request
+    _solve_lower.cache_clear()
+    with value_function(DIVIDING, "phi", DIVIDING_GRID).ahead(xs):
+        assert lower_value(DIVIDING, xs[0], DIVIDING_GRID) == got[0][0]
+        with pytest.raises(DomainError, match="division by zero"):
+            lower_value(DIVIDING, xs[1], DIVIDING_GRID)
+        assert lower_value(DIVIDING, xs[2], DIVIDING_GRID) == got[2][0]
+    info = _solve_lower.cache_info()
+    assert (info.misses, info.currsize) == (3, 2)
+
+
+def test_stacked_levels_hold_at_most_the_bound(monkeypatch):
+    # one x's level holds at most 2 + 2 windows of 5 points, so a stack of
+    # more than 20 rows holds more than one x; under a bound of 45 each
+    # level is split, and the split batch equals the unsplit one
+    prog = replace(DIVIDING, f=eabs(Y1 - X1))
+    grid = replace(DIVIDING_GRID, max_seeds=2)
+    xs = [[v] for v in np.linspace(-1.0, 1.0, 13).tolist()]
+    whole = _batch(prog, xs, grid)
+    rows = []
+    mesh = valuefn._mesh
+
+    def counting(lo, hi, count):
+        out = mesh(lo, hi, count)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(valuefn, "_mesh", counting)
+    monkeypatch.setattr(valuefn, "MAX_STACKED_POINTS", 45)
+    valuefn._coarse_mesh.cache_clear()
+    split = _batch(prog, xs, grid)
+    valuefn._coarse_mesh.cache_clear()
+    assert 20 < max(rows) <= 45
+    # the coarse mesh, then more than one stack per level
+    assert len(rows) >= 1 + grid.refine_depth * 2
+    for a, b in zip(split, whole):
+        _assert_same_sweep(a, b)
+
+
+def test_an_announced_stencil_keeps_each_x_s_hits_and_misses(monkeypatch):
+    # an n = 1 fd call asks 12 times for 4 distinct points: 4 misses and 8
+    # hits, announced (one batch of 4) or not (4 batches of one), with the
+    # same clusters
+    batches = []
+    sweep_batch = valuefn._sweep_batch
+
+    def counting(m, f, g, box_y, F, x_keys, grid):
+        batches.append(len(x_keys))
+        return sweep_batch(m, f, g, box_y, F, x_keys, grid)
+
+    monkeypatch.setattr(valuefn, "_sweep_batch", counting)
+    h = value_function(instance_a(), "phi_o", SHARED_GRID)
+    runs = []
+    for oracle in (h, lambda x: h(x)):
+        _solve_lower.cache_clear()
+        batches.clear()
+        clusters = fd_subgradient_samples(
+            oracle, [0.5], n_dirs=FD_DIRS, radius=FD_RADIUS, step=FD_STEP).clusters
+        info = _solve_lower.cache_info()
+        runs.append(((info.misses, info.hits), list(batches), repr(clusters)))
+    assert runs[0][0] == runs[1][0] == (4, 8)
+    assert (runs[0][1], runs[1][1]) == ([4], [1, 1, 1, 1])
+    assert runs[0][2] == runs[1][2]
 
 
 # -- seed selection against a full sort ----------------------------------------
@@ -702,8 +869,6 @@ def test_a_ragged_solution_set_is_a_dimension_mismatch():
 
 
 # -- a lower-level optimum that is not a number ---------------------------------
-
-Y1, X1 = Expr.y(1), Expr.x(1)
 
 
 def _follower(f):

@@ -18,7 +18,8 @@ from .errors import BudgetError
 
 # Bound on each A-keyed memo below, in entries (distinct A matrices).
 _MEMO_ENTRIES = 64
-# Bound on the V-representation memo, in entries (distinct (A, b) systems).
+# Bound on the V-representation memo, in entries (distinct (A, B, res_tol):
+# one entry answers a whole stack B of right-hand sides).
 _VREP_ENTRIES = 256
 # Bound on the LP memo, in entries (distinct LPs).
 _LP_ENTRIES = 256
@@ -56,9 +57,10 @@ def _smallest_singular_values(A):
         for size in range(1, min(n_rows, n_cols) + 1))
 
 
-def basic_vertices(A: np.ndarray, b: np.ndarray,
+def basic_vertices(A: np.ndarray, B: np.ndarray,
                    res_tol: Optional[float] = None):
-    """All vertices of {w >= 0 : A w = b} by basic-solution enumeration.
+    """All vertices of {w >= 0 : A w = b} by basic-solution enumeration,
+    for each row b of the (k, rows) stack B: one vertex list per row.
 
     A vertex's support indexes linearly independent columns, so scanning
     independent column subsets of size <= n_rows finds every vertex (plus
@@ -66,46 +68,61 @@ def basic_vertices(A: np.ndarray, b: np.ndarray,
     hull-level consumers).  res_tol relaxes the residual acceptance (scaled
     by the data magnitude); callers working from grid-snapped points pass
     their grid blur here.  The rank test's singular values depend on A
-    only and are memoised on A (LRU of _MEMO_ENTRIES), so each further b
-    costs one solve per independent subset.
+    only and are memoised on A (LRU of _MEMO_ENTRIES).
+
+    Each subset is solved for every row it is independent for at once:
+    one multi-column lstsq, or one stacked solve and refinement step, with
+    residuals from a stacked matmul.  Each row gets the bits its own
+    one-b call gives (tests/test_polyalg.py pins the three forms); a 2-D
+    matrix product or right-hand side would not.  A LinAlgError depends
+    on the subset alone, so it skips the subset for every row.
     """
     n_rows, n_cols = A.shape
-    scale = 1.0 + float(np.max(np.abs(A), initial=0.0)) + float(
-        np.max(np.abs(b), initial=0.0))
-    res_tol = (1e-9 if res_tol is None else res_tol) * scale
+    b_max = np.max(np.abs(B), axis=1, initial=0.0)
+    scale = 1.0 + float(np.max(np.abs(A), initial=0.0)) + b_max
+    # per-row bounds as floats, so each row's test is its one-b comparison
+    res_tol = ((1e-9 if res_tol is None else res_tol) * scale).tolist()
+    eps = (1e-10 * scale).tolist()  # rank and sign tolerance
     _check_budget(n_rows, n_cols)
     smallest_sv = _smallest_singular_values(A)
-    out = []
-    seen = set()
+    outs = [[] for _ in B]
+    seens = [set() for _ in B]
     zero = np.zeros(n_cols)
-    if np.max(np.abs(b), initial=0.0) <= res_tol:
-        out.append(zero.copy())
-        seen.add(tuple(np.round(zero, 11)))
-    for size, sv in enumerate(smallest_sv, start=1):
-        independent = sv > 1e-10 * scale
-        for J, ok in zip(combinations(range(n_cols), size), independent):
-            if not ok:
+    for q, (bm, tol) in enumerate(zip(b_max.tolist(), res_tol)):
+        if bm <= tol:
+            outs[q].append(zero.copy())
+            seens[q].add(tuple(np.round(zero, 11)))
+    for size, svs in enumerate(smallest_sv, start=1):
+        for J, sv in zip(combinations(range(n_cols), size), svs.tolist()):
+            rows = [q for q, e in enumerate(eps) if sv > e]
+            if not rows:
                 continue
             AJ = A[:, J]
+            Bk = B if len(rows) == len(B) else B[rows]
+            # (rows, n_rows, 1): a stack of one-column right-hand sides,
+            # against which AJ broadcasts as a stack of matrices
+            Bs = Bk[:, :, None]
             if size == n_rows:
                 try:
-                    wJ = np.linalg.solve(AJ, b)
-                    wJ += np.linalg.solve(AJ, b - AJ @ wJ)  # one refinement step
+                    W = np.linalg.solve(AJ, Bs)
+                    W += np.linalg.solve(AJ, Bs - AJ @ W)  # one refinement step
                 except np.linalg.LinAlgError:
                     continue
             else:
-                wJ, *_ = np.linalg.lstsq(AJ, b, rcond=None)
-            if np.min(wJ) < -1e-10 * scale:
-                continue
-            if np.max(np.abs(AJ @ wJ - b)) > res_tol:
-                continue
-            w = np.zeros(n_cols)
-            w[list(J)] = np.clip(wJ, 0.0, None)
-            key = tuple(np.round(w, 11))
-            if key not in seen:
-                seen.add(key)
-                out.append(w)
-    return out
+                W = np.linalg.lstsq(AJ, Bk.T, rcond=None)[0]
+                W = W.T.reshape(len(rows), size, 1)
+            mins = W.min(axis=(1, 2)).tolist()
+            res = np.abs(AJ @ W - Bs).max(axis=(1, 2)).tolist()
+            for i, q in enumerate(rows):
+                if mins[i] < -eps[q] or res[i] > res_tol[q]:
+                    continue
+                w = np.zeros(n_cols)
+                w[list(J)] = np.clip(W[i, :, 0], 0.0, None)
+                key = tuple(np.round(w, 11))
+                if key not in seens[q]:
+                    seens[q].add(key)
+                    outs[q].append(w)
+    return outs
 
 
 @memo(_MEMO_ENTRIES)
@@ -113,26 +130,28 @@ def _recession_rays(A):
     """Nonzero basic solutions of {w >= 0 : A w = 0, sum w = 1}."""
     aug = np.vstack([A, np.ones(A.shape[1])])
     b_aug = np.concatenate([np.zeros(A.shape[0]), [1.0]])
-    return tuple(r for r in basic_vertices(aug, b_aug)
+    return tuple(r for r in basic_vertices(aug, b_aug[None])[0]
                  if np.max(np.abs(r)) > 0)
 
 
 @memo(_VREP_ENTRIES)
-def _vrep(A, b, res_tol):
-    """(vertices, rays) of {w >= 0 : A w = b} for standard_vrep.
+def _vrep(A, B, res_tol):
+    """(vertices, rays) of {w >= 0 : A w = b} per row b of the stack B, for
+    standard_vrep_grid and standard_vrep.
 
     basic_vertices is looked up as a module global on every miss, so a
     wrapper installed on it sees each enumeration that runs.
     """
-    verts = basic_vertices(A, b, res_tol)
-    if not verts:
-        return (), ()
-    return tuple(verts), _recession_rays(A)
+    vert_lists = basic_vertices(A, B, res_tol)
+    rays = _recession_rays(A) if any(vert_lists) else ()
+    return tuple((tuple(verts), rays) if verts else ((), ())
+                 for verts in vert_lists)
 
 
-def standard_vrep(A: np.ndarray, b: np.ndarray,
-                  res_tol: Optional[float] = None):
-    """(vertices, rays) of {w >= 0 : A w = b}.
+def standard_vrep_grid(A: np.ndarray, B: np.ndarray,
+                       res_tol: Optional[float] = None):
+    """[(vertices, rays)] of {w >= 0 : A w = b}, one per row b of the
+    (k, rows) stack B.
 
     Rays come from the normalized recession system {A w = 0, sum w = 1}
     and are skipped when there is no vertex.  The ray system's budget,
@@ -140,11 +159,20 @@ def standard_vrep(A: np.ndarray, b: np.ndarray,
     enumeration against MAX_BASES as it is at the call, so an over-budget
     system raises BudgetError on every call and no entry is read under a
     lower bound than it was made under.  The result is memoised on
-    (A, b, res_tol) (LRU of _VREP_ENTRIES); the rays on A alone (LRU of
-    _MEMO_ENTRIES).  Every caller shares the read-only arrays.
+    (A, B, res_tol), the whole stack (LRU of _VREP_ENTRIES); the rays on A
+    alone (LRU of _MEMO_ENTRIES).  Every caller shares the read-only
+    arrays.
     """
     _check_budget(A.shape[0] + 1, A.shape[1])
-    verts, rays = _vrep(A, b, res_tol)
+    return [(list(verts), list(rays)) for verts, rays in _vrep(A, B, res_tol)]
+
+
+def standard_vrep(A: np.ndarray, b: np.ndarray,
+                  res_tol: Optional[float] = None):
+    """(vertices, rays) of {w >= 0 : A w = b}: standard_vrep_grid on the
+    one-row stack [b], under the same budget check and memo."""
+    _check_budget(A.shape[0] + 1, A.shape[1])
+    (verts, rays), = _vrep(A, b[None], res_tol)
     return list(verts), list(rays)
 
 

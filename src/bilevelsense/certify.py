@@ -512,7 +512,7 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps):
             if key not in systems:
                 systems[key] = _inclusion_system(
                     negp, xbar, ypt, DEFAULT_TOL_ACTIVE, include_F=True)
-            t_set = _solve_inclusion(systems[key], r)
+            t_set, = _solve_inclusion(systems[key], (r,))
             if not t_set.polytope.is_empty:
                 tagged[key] = t_set
         if not tagged:

@@ -113,6 +113,8 @@ def _parse_point(text, expected, label):
         raise ParseError(f"--{label} must be comma-separated decimals") from None
     if len(vals) != expected:
         raise ParseError(f"--{label} needs {expected} coordinate(s)")
+    if not all(map(math.isfinite, vals)):
+        raise ParseError(f"--{label} must be finite")
     return vals
 
 

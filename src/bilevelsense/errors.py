@@ -29,7 +29,8 @@ class SemanticsError(ParseError):
 
 
 class DomainError(ToolkitError):
-    """log of a nonpositive value or division by zero during evaluation."""
+    """log of a nonpositive value, division by zero, or an overflow in a
+    scalar evaluation pass."""
 
 
 class BudgetError(ToolkitError):

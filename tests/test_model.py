@@ -141,6 +141,17 @@ class TestSmoothBranches:
             assert np.max(np.abs(branches[0].gradient - fd)) < 1e-6
             checked += 1
 
+    @pytest.mark.parametrize("e,x", [(eexp(800.0 * X1), 0.95),
+                                     (X1**2, 1e308)],
+                             ids=["exp", "pow"])
+    def test_scalar_overflow_is_a_domain_error(self, e, x):
+        # the numpy pass gives inf here; the scalar passes' math.exp and **
+        # raise OverflowError, which is not a toolkit error
+        with np.errstate(over="ignore"):
+            assert eval_expr(e, [x], []) == np.inf
+        with pytest.raises(DomainError, match="overflow"):
+            smooth_branches(e, [x], [])
+
     def test_budget_guard(self):
         e = eabs(X1)
         for _ in range(17):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bilevelsense import _polyalg
@@ -17,6 +17,7 @@ from bilevelsense.certify import (
 )
 from bilevelsense.errors import BudgetError
 from bilevelsense.model import Expr, eabs, neg, parse_program
+from bilevelsense.sensitivity import _vrep_fallback
 from bilevelsense.valuefn import GridSpec
 from instances import instance_a
 from test_valuefn import piecewise_affine_programs
@@ -120,6 +121,16 @@ def rank_test_reference(A, b, res_tol=1e-9):
     return out
 
 
+def reference_vertices(A, b, res_tol=1e-9):
+    """rank_test_reference with the zero vertex basic_vertices puts first
+    when b itself is within the residual tolerance."""
+    out = rank_test_reference(A, b, res_tol)
+    if np.max(np.abs(b)) <= res_tol * (1.0 + np.max(np.abs(A)) + np.max(np.abs(b))):
+        zero = np.zeros(A.shape[1])
+        out = [zero] + [w for w in out if np.any(np.round(w, 11) != zero)]
+    return out
+
+
 def test_memoised_rank_test_matches_matrix_rank():
     rng = np.random.default_rng(7)
     for trial in range(40):
@@ -128,10 +139,8 @@ def test_memoised_rank_test_matches_matrix_rank():
         A[:, -1] = A[:, 0] * 0.5  # a dependent pair in every matrix
         # b inside the cone, b anywhere, and b on the dependent pair's column
         for b in (A @ rng.uniform(0, 1, A.shape[1]), rng.normal(size=n_rows), 0.7 * A[:, 0]):
-            got = _polyalg.basic_vertices(A, b)
-            want = rank_test_reference(A, b)
-            if np.max(np.abs(b)) <= 1e-9 * (1.0 + np.max(np.abs(A)) + np.max(np.abs(b))):
-                want.insert(0, np.zeros(A.shape[1]))
+            got, = _polyalg.basic_vertices(A, b[None])
+            want = reference_vertices(A, b)
             assert len(got) == len(want)
             assert all(np.array_equal(u, v) for u, v in zip(got, want))
 
@@ -173,6 +182,141 @@ def test_memoised_system_over_budget_raises_every_time(monkeypatch):
             standard_vrep(A, _b(1.0))
     monkeypatch.setattr(_polyalg, "MAX_BASES", 31)
     assert standard_vrep(A, _b(1.0))[0]
+
+
+# -- one enumeration per stack of right-hand sides ----------------------------
+#
+# The (rows, columns) shapes of the systems the estimates and certificates
+# enumerate: lifted inclusion and multiplier systems and their ray systems.
+VREP_SHAPES = ((3, 3), (4, 3), (2, 3), (2, 2), (3, 2), (2, 1), (3, 1))
+STAT_TOL = 1e-6
+
+
+def _same_bits(u, v):
+    return (u.shape == v.shape and np.array_equal(u, v)
+            and np.array_equal(np.signbit(u), np.signbit(v)))
+
+
+def _same_list(us, vs):
+    return len(us) == len(vs) and all(_same_bits(u, v) for u, v in zip(us, vs))
+
+
+def _draw(rng, shape):
+    """Halves in [-2, 2] (exact zeros among them) mixed with normal draws."""
+    return np.where(rng.random(shape) < 0.5, rng.integers(-4, 5, shape) / 2.0,
+                    rng.normal(size=shape))
+
+
+def test_batched_linear_algebra_equals_its_per_call_form():
+    # basic_vertices solves a column subset A_J for a stack of right-hand
+    # sides at once.  On this machine's BLAS each row must get the bits of
+    # the per-b call: a multi-column lstsq, a stacked solve with its
+    # refinement step, and a stacked matmul.  (A 2-D right-hand side in
+    # solve, or a 2-D matrix product, does not give them.)
+    rng = np.random.default_rng(2021)
+    for rows, cols in VREP_SHAPES:
+        for size in range(1, min(rows, cols) + 1):
+            for _ in range(150):
+                AJ = _draw(rng, (rows, size))
+                B = _draw(rng, (int(rng.integers(1, 8)), rows))
+                Bs = B[:, :, None]
+                if size < rows:
+                    W = np.linalg.lstsq(AJ, B.T, rcond=None)[0]
+                    W = W.T.reshape(len(B), size, 1)
+                    for b, w in zip(B, W):
+                        assert _same_bits(w[:, 0],
+                                          np.linalg.lstsq(AJ, b, rcond=None)[0])
+                else:
+                    try:
+                        W = np.linalg.solve(AJ, Bs)
+                        W += np.linalg.solve(AJ, Bs - AJ @ W)
+                    except np.linalg.LinAlgError:
+                        with pytest.raises(np.linalg.LinAlgError):
+                            np.linalg.solve(AJ, B[0])
+                        continue
+                    for b, w in zip(B, W):
+                        w1 = np.linalg.solve(AJ, b)
+                        w1 += np.linalg.solve(AJ, b - AJ @ w1)
+                        assert _same_bits(w[:, 0], w1)
+                for w, r in zip(W, AJ @ W):
+                    assert _same_bits(r[:, 0], AJ @ w[:, 0])
+
+
+@st.composite
+def vrep_stacks(draw):
+    """(A, B): a system of a shape in VREP_SHAPES and a stack of 1-8
+    right-hand sides.  B mixes lifted ones [0; 1; r] over an r-grid, cone
+    points A w with w >= 0, free draws and zeros; with a repeated row of
+    A, a cone point moved 1e-8 off that row's copy has no strict solution
+    but a relaxed one."""
+    rows, cols = draw(st.sampled_from(VREP_SHAPES))
+    entry = st.one_of(st.integers(-2, 2).map(float),
+                      st.sampled_from([0.5, -0.5, 1e-9]),
+                      st.floats(-3.0, 3.0, allow_nan=False))
+    A = np.array(draw(st.lists(entry, min_size=rows * cols,
+                               max_size=rows * cols))).reshape(rows, cols)
+    repeated = rows > 1 and draw(st.booleans())
+    if repeated:
+        A[-1] = A[0]
+    weights = st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0]),
+                       min_size=cols, max_size=cols).map(np.array)
+
+    def lifted(r):
+        return np.concatenate([np.zeros(rows - 2), [1.0, r]]) if rows > 1 \
+            else np.array([r])
+
+    def off_cone(w):
+        b = A @ w
+        b[-1] += 1e-8 if repeated else 0.0
+        return b
+
+    row = st.one_of(
+        st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0]).map(lifted),
+        weights.map(lambda w: A @ w),
+        weights.map(off_cone),
+        st.lists(entry, min_size=rows, max_size=rows).map(np.array),
+        st.just(np.zeros(rows)))
+    B = np.array(draw(st.lists(row, min_size=1, max_size=8)))
+    return A, B
+
+
+def _fallback_reference(A, b, stat_tol):
+    """Strict, then relaxed when strict finds no vertex, one b at a time;
+    rays from the normalised recession system, nonzero ones only."""
+    verts = reference_vertices(A, b)
+    if not verts:
+        verts = reference_vertices(A, b, stat_tol)
+    if not verts:
+        return [], []
+    aug = np.vstack([A, np.ones(A.shape[1])])
+    rays = [r for r in reference_vertices(aug, np.eye(len(aug))[-1])
+            if np.max(np.abs(r)) > 0]
+    return verts, rays
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=vrep_stacks())
+@example(case=(np.ones((2, 2)),
+               np.array([[1.0, 1.0 + 1e-8], [1.0, 1.0], [0.0, 0.0],
+                         [1.0, 1.0 - 1e-8]])))
+def test_a_stack_is_enumerated_as_each_row_alone(case):
+    A, B = case
+    _clear_memos()
+    stacked = _polyalg.basic_vertices(A, B)
+    assert len(stacked) == len(B)
+    for q, b in enumerate(B):
+        assert _same_list(stacked[q], _polyalg.basic_vertices(A, B[q:q + 1])[0])
+        assert _same_list(stacked[q], reference_vertices(A, b))
+    # the relaxed pass runs on the sub-stack of rows strict left empty
+    _clear_memos()
+    got = _vrep_fallback(A, B, STAT_TOL)
+    assert len(got) == len(B)
+    for q, b in enumerate(B):
+        want = _fallback_reference(A, b, STAT_TOL)
+        assert _same_list(got[q][0], want[0]) and _same_list(got[q][1], want[1])
+        _clear_memos()
+        alone, = _vrep_fallback(A, B[q:q + 1], STAT_TOL)
+        assert _same_list(alone[0], want[0]) and _same_list(alone[1], want[1])
 
 
 # -- the LP memo ---------------------------------------------------------------

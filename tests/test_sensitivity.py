@@ -565,7 +565,7 @@ def _reference_multiplier_set(prog, xbar, y, tol_active, stat_tol, kind):
             meta.append(("g", i))
     A = np.column_stack(cols)
     b = np.concatenate([np.zeros(m), [1.0]])
-    verts, rays = _vrep_fallback(A, b, stat_tol)
+    (verts, rays), = _vrep_fallback(A, b[None], stat_tol)
     shift = 1 if kind == "lambda_o" else 0
 
     def project(w):

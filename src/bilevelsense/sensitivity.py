@@ -354,25 +354,23 @@ def _inclusion_xset(
     xbar,
     y,
     tol_active: float,
-    include_F: bool = False,
-    r_coef: float = 0.0,
     stat_tol: Optional[float] = None,
 ) -> TaggedSet:
-    """{x-part : (x-part, 0) in [dF +] r df + sum_i u_i dg_i at (xbar, y)}.
+    """{x-part : (x-part, 0) in df + sum_i u_i dg_i at (xbar, y)}: the set
+    of valid lower-level stationarity covectors x*_s.
 
-    With include_F this is the per-(y, r) inclusion set of the value-function
-    estimate; without it, the set of valid lower-level stationarity covectors
-    x*_s.  u ranges over the nonnegative active-indexed multipliers, entering
+    u ranges over the nonnegative active-indexed multipliers, entering
     through lifted branch-hull weights; unbounded u directions become rays.
     stat_tol relaxes the vanishing-y-block rows (grid-snapped points miss
     exact stationarity by the grid blur).  One call builds the system
-    (`_inclusion_system`) and solves it (`_solve_inclusion`); loops over an
-    r-grid build each y's system once and solve it for the whole grid in
-    one stack, since r moves only the right-hand side.
+    without F (`_inclusion_system`) and solves it at r = 0
+    (`_solve_inclusion`); the per-(y, r) inclusion sets of the
+    value-function estimates build each y's system with F once and solve
+    it for the whole r-grid in one stack, since r moves only the
+    right-hand side.
     """
     return _solve_inclusion(
-        _inclusion_system(prog, xbar, y, tol_active, include_F),
-        (r_coef,), stat_tol)[0]
+        _inclusion_system(prog, xbar, y, tol_active), (0.0,), stat_tol)[0]
 
 
 def stationary_cover_hull(prog: BilevelProgram, xbar,

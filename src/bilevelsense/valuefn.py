@@ -20,9 +20,9 @@ negation makes exactly the values of the negated F.
 
 A caller that knows the points it will ask for next (the fd oracle's
 stencil, a regularity shell) announces them (`_ahead`); the first miss
-among them sweeps them all in one pass, stacking every x's refinement
-windows into one mesh per level, and each x still enters the sweep memo
-through its own request.
+among them sweeps them all in one pass, picking every x's refinement
+seeds in one segmented pass and stacking their windows into one mesh per
+level, and each x still enters the sweep memo through its own request.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ class GridSpec:
             raise ValueError("points_per_dim must be >= 3")
         if self.refine_depth < 0:
             raise ValueError("refine_depth must be >= 0")
+        if self.max_seeds < 0:
+            raise ValueError("max_seeds must be >= 0")
 
     def coarse_cell(self, box_y) -> float:
         return max(
@@ -285,10 +287,10 @@ def _sweep_batch(m, f, g, box_y, F, x_keys, grid):
     there or the DomainError it raises.  Raises BudgetError, for the whole
     batch, as `_solve_lower` does.
 
-    The coarse level is per x.  Before each refinement level, each x's
-    pool drops the points no later level can read (`_live`), as soon as
-    that x's previous level is pooled, and its seeds are picked.  The level
-    then meshes the windows around every x's seeds, stacked x by x and
+    The coarse level is per x.  Each x's pool drops the points no later
+    level can read (`_live`) as soon as that x's previous level is pooled.
+    Each refinement level picks the seeds of every live pool in one pass
+    (`_level_seeds`), meshes the windows around them, stacked x by x and
     seed by seed (`_refine_level`), and pools each x's new rows in order.
     Pooling more points only lowers the k-th smallest f and the band
     bound, so the seeds and the band are those of the whole pool.  F only
@@ -335,8 +337,7 @@ def _sweep_batch(m, f, g, box_y, F, x_keys, grid):
     ])
     box = np.array(box_y, dtype=float).T
     for level in range(grid.refine_depth):
-        seeds = [(i, _refine_seeds(*pool, grid.max_seeds))
-                 for i, pool in pools.items()]
+        seeds = list(zip(pools, _level_seeds(list(pools.values()), grid.max_seeds)))
         for i, new in _refine_level(f, g, F, x_keys, seeds, level_cell, box,
                                     grid.refine_points):
             pool = pools.pop(i)
@@ -463,6 +464,58 @@ def _refine_seeds(pool_y, pool_f, pool_F, phi, k):
     return points[kept]
 
 
+def _level_seeds(pools, k):
+    """The seeds `_refine_seeds` picks in each pool of pools (a list of
+    [pool_y, pool_f, pool_F, phi]), in order.
+
+    A single pool goes to `_refine_seeds`.  Several are read as segments of
+    one concatenated pool, in one pass: a lexicographic sort with the
+    segment as primary key and a stable sort of it by (segment, f) give
+    each segment's (f, lexicographic y) order, so its first k rows; the
+    band and the first F minimiser and maximiser come per segment from the
+    lexicographic order (a NaN F is picked first, -0.0 ties with +0.0).
+    The k + 2 picks of each segment sit in one row of a table, and the
+    1e-15 drop runs as k + 2 masked steps over the table's distances.
+    """
+    if len(pools) < 2:
+        return [_refine_seeds(*pool, k) for pool in pools]
+    ys, fs, Fs, phis = zip(*pools)
+    counts = np.array([len(f) for f in fs])
+    seg = np.repeat(np.arange(len(pools)), counts)
+    y, f, F = np.concatenate(ys), np.concatenate(fs), np.concatenate(Fs)
+    # segments are contiguous, so seg is also the segment of each position
+    # of an order that sorts by segment first
+    lex = np.lexsort((*y.T[::-1], seg))
+    order = lex[np.lexsort((f[lex], seg))]
+    rank = np.arange(len(f)) - (np.cumsum(counts) - counts)[seg]
+    table = np.zeros((len(pools), k + 2), dtype=np.intp)
+    valid = np.zeros(table.shape, dtype=bool)
+    first = rank < k
+    table[seg[first], rank[first]] = order[first]
+    valid[seg[first], rank[first]] = True
+    in_band = f[lex] <= np.array([_band_bound(phi) for phi in phis])[seg]
+    band, band_seg = lex[in_band], seg[in_band]
+    band_F = F[band]
+    # the segments with a band (empty only for a NaN phi), and their widths
+    width = np.bincount(band_seg)
+    owner = np.flatnonzero(width)
+    width = width[owner]
+    head = np.cumsum(width) - width
+    for col, extreme in ((k, np.minimum), (k + 1, np.maximum)):
+        # a NaN makes the segment's extreme NaN, and is then the only hit
+        at_extreme = band_F == np.repeat(extreme.reduceat(band_F, head), width)
+        hit = np.flatnonzero(at_extreme | np.isnan(band_F))
+        hit = hit[np.searchsorted(band_seg[hit], owner)]
+        table[owner, col] = band[hit]
+        valid[owner, col] = True
+    points = y[table]
+    near = np.max(np.abs(points[:, :, None] - points[:, None]), axis=3) < 1e-15
+    kept = valid.copy()
+    for j in range(1, k + 2):
+        kept[:, j] &= ~(near[:, j, :j] & kept[:, :j]).any(axis=1)
+    return [p[c] for p, c in zip(points, kept)]
+
+
 def _sweep(prog: BilevelProgram, x, grid: GridSpec):
     """(phi, band_y, band_f, band_F) of prog (a program or a `_Problem`) at
     x, from the sweep prog shares with its negated-upper twin; band_F comes
@@ -500,22 +553,59 @@ def _dedup_points(points: np.ndarray, resolution: float):
     """Greedy dedup at the given spatial resolution, in the given order.
 
     A point is kept unless some already-kept point lies within resolution
-    in the max norm.  Kept points are indexed in buckets of width
-    2 * resolution, so each point is tested only against the kept points in
-    its 3^m neighbouring buckets; the kept rows are exactly those the
-    all-pairs greedy gives, returned as one array.
+    in the max norm.  Points sit in buckets of width 2 * resolution, and
+    the candidate pairs of a point are the points in its 3^m neighbouring
+    buckets, found by sorting the buckets; a pair (i, j), i < j, is near
+    when its distance is not greater than resolution.  The greedy is
+    resolved in rounds over the near pairs: a point none of whose earlier
+    near points is kept or undecided is kept, and a point with a kept
+    earlier near point is dropped.  Each round decides at least the first
+    undecided point, and the kept rows are exactly those the all-pairs
+    greedy gives, returned as one array.  Memory is linear in the number
+    of candidate pairs.
     """
+    n = len(points)
     cells = np.floor(points / (2.0 * resolution))
-    offsets = list(product((-1, 0, 1), repeat=points.shape[1]))
-    buckets: dict = {}
-    kept: list = []
-    for q, (p, cell) in enumerate(zip(points, cells.tolist())):
-        near = [k for off in offsets
-                for k in buckets.get(tuple(c + o for c, o in zip(cell, off)), ())]
-        if near and not np.all(np.max(np.abs(points[near] - p), axis=1) > resolution):
-            continue
-        kept.append(q)
-        buckets.setdefault(tuple(cell), []).append(q)
+    # a key per point's bucket, and per neighbour bucket one that equals a
+    # point's key only if that point is in it: one digit per axis, the
+    # rank of the cell among the axis's cells, or past them when no point
+    # has it; from the second axis on, the keys so far are ranked first
+    # so that they stay below n
+    key, near = np.zeros(n, dtype=np.intp), np.zeros((n, 1), dtype=np.intp)
+    for a, col in enumerate(cells.T):
+        if a:
+            buckets, key = np.unique(key, return_inverse=True)
+            at = np.searchsorted(buckets, near)
+            near = np.where(buckets[np.minimum(at, len(buckets) - 1)] == near,
+                            at, len(buckets))
+        axis = np.unique(col)
+        want = col[:, None] + np.array([-1.0, 0.0, 1.0])
+        at = np.searchsorted(axis, want)
+        at = np.where(axis[np.minimum(at, len(axis) - 1)] == want, at, len(axis))
+        key = key * (len(axis) + 1) + np.searchsorted(axis, col)
+        near = (near[:, :, None] * (len(axis) + 1) + at[:, None, :]).reshape(
+            n, 3 * near.shape[1])
+    # candidate pairs: each point j with every point i in its neighbour
+    # buckets, read from the points sorted by key
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.searchsorted(key, near, "left").ravel()
+    size = np.searchsorted(key, near, "right").ravel() - start
+    j = np.repeat(np.repeat(np.arange(n), near.shape[1]), size)
+    i = order[np.repeat(start - (np.cumsum(size) - size), size) + np.arange(len(j))]
+    i, j = i[i < j], j[i < j]
+    close = ~(np.max(np.abs(points[i] - points[j]), axis=1) > resolution)
+    i, j = i[close], j[close]
+    kept = np.zeros(n, dtype=bool)
+    undecided = np.ones(n, dtype=bool)
+    while undecided.any():
+        waiting = np.zeros(n, dtype=bool)
+        waiting[j] = True
+        kept |= undecided & ~waiting
+        undecided &= waiting
+        undecided[j[kept[i]]] = False
+        live = undecided[i] & undecided[j]
+        i, j = i[live], j[live]
     return points[kept]
 
 

@@ -276,7 +276,8 @@ def test_pessimistic_i_pairs_tagged_weights_with_their_generators():
     # would give later t's vertices ray weights; the re-check (no LP shared
     # with the search) catches any such mismatch
     from instances import instance_pinned
-    from bilevelsense.sensitivity import _inclusion_xset, _subsample
+    from bilevelsense.sensitivity import (_inclusion_system, _solve_inclusion,
+                                          _subsample)
     from bilevelsense.valuefn import optimistic_solutions
 
     prog = instance_pinned("pessimistic")
@@ -284,8 +285,8 @@ def test_pessimistic_i_pairs_tagged_weights_with_their_generators():
     t_samples = sorted(_subsample(optimistic_solutions(negp, [0.0], GRID).points,
                                   CAPS.max_solution_samples))
     assert len(t_samples) >= 2
-    t_set = _inclusion_xset(negp, [0.0], list(t_samples[0]), 1e-8,
-                            include_F=True, r_coef=0.1)
+    t_set = _solve_inclusion(_inclusion_system(negp, [0.0], list(t_samples[0]), 1e-8,
+                                               include_F=True), (0.1,), None)[0]
     assert t_set.polytope.rays
     cert = certify_pessimistic(prog, [0.0], "i", GRID, with_cq=False)
     assert cert.status == "Certified"

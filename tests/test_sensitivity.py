@@ -410,7 +410,8 @@ def test_simplex_discretization_cross_check(prog_b):
     # the hull-of-affine-images estimate is attained at simplex vertices;
     # interior lattice points of the tuple-weight simplex must land inside
     from bilevelsense.sensitivity import (
-        _inclusion_xset,
+        _inclusion_system,
+        _solve_inclusion,
         grid_blur,
         stationary_cover_hull,
     )
@@ -426,8 +427,8 @@ def test_simplex_discretization_cross_check(prog_b):
     samples = sol.points[:2]
     for ypt in samples:
         for r in (0.0, 1.0, 10.0):
-            inc = _inclusion_xset(prog_b, xbar, list(ypt), blur,
-                                  include_F=True, r_coef=r, stat_tol=blur)
+            inc = _solve_inclusion(_inclusion_system(prog_b, xbar, list(ypt), blur,
+                                                     include_F=True), (r,), blur)[0]
             if inc.polytope.is_empty:
                 continue
             for weights in _simplex_lattice(len(cover_pts), 5):

@@ -33,6 +33,7 @@ from bilevelsense.valuefn import (
     GridSpec,
     SolutionSet,
     _dedup_points,
+    _level_seeds,
     _refine_seeds,
     _solution_set,
     _solve_lower,
@@ -289,24 +290,28 @@ def _lattice(box, count):
 
 @st.composite
 def solution_clouds(draw):
-    """Coarse lattice plus 21-point refinement windows of +-1 cell around
-    seeds, clipped at the box edge (half the usual spacing there), plus
-    near-duplicates about 1e-17 or one ulp apart, in a drawn order."""
-    m = draw(st.sampled_from([1, 2]))
+    """Coarse lattice plus refinement windows of +-1 cell around seeds (21
+    points per axis, 7 at m = 3), clipped at the box edge (half the usual
+    spacing there), plus near-duplicates about 1e-17 or one ulp apart, in a
+    drawn order.  The resolutions include the window spacings, so that a
+    clipped window is a chain of near points whose survivors the order
+    decides."""
+    m = draw(st.sampled_from([1, 2, 3]))
     lo = draw(st.floats(-1.5, 0.0))
     hi = lo + draw(st.floats(0.25, 3.0))
     box = [(lo, hi)] * m
-    count = draw(st.integers(3, 40 if m == 1 else 6))
+    count = draw(st.integers(3, {1: 40, 2: 6, 3: 4}[m]))
     cell = (hi - lo) / (count - 1)
     coarse = _lattice(box, count)
     points = list(coarse)
     n_windows = draw(st.integers(1, 4 if m == 1 else 1))
+    window_points = 21 if m < 3 else 7
     for _ in range(n_windows):
         # seeds on the box edge give the clipped windows
         seed = coarse[draw(st.sampled_from([0, len(coarse) - 1,
                                             draw(st.integers(0, len(coarse) - 1))]))]
         window = [(max(lo, s - cell), min(hi, s + cell)) for s in seed]
-        points += _lattice(window, 21)
+        points += _lattice(window, window_points)
     for _ in range(draw(st.integers(0, 6))):
         p = points[draw(st.integers(0, len(points) - 1))]
         j = draw(st.integers(0, m - 1))
@@ -316,8 +321,9 @@ def solution_clouds(draw):
         points.append(p[:j] + (float(v),) + p[j + 1:])
     order = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).permutation(len(points))
     points = [points[i] for i in order]
-    resolution = draw(st.sampled_from([0.999 * cell, cell, 0.999 * cell / 10,
-                                       cell / 10, cell / 20, 0.5 * cell]))
+    step = 2 * cell / (window_points - 1)  # a window's spacing, cell / 10 at 21
+    resolution = draw(st.sampled_from([0.999 * cell, cell, 0.999 * step,
+                                       step, step / 2, 0.5 * cell]))
     return points, resolution
 
 
@@ -328,6 +334,58 @@ def test_dedup_matches_all_pairs_greedy(cloud):
     kept = _dedup_points(np.array(points), resolution)
     assert [tuple(float(v) for v in p) for p in kept] == \
         greedy_dedup_all_pairs(points, resolution)
+
+
+def test_grid_spec_rejects_a_negative_max_seeds():
+    # a refinement level picks up to max_seeds + 2 seeds per x
+    with pytest.raises(ValueError, match="max_seeds"):
+        GridSpec(max_seeds=-1)
+
+
+def bucket_loop_dedup(points, resolution):
+    """Reference: the greedy as a loop over the points, each compared with
+    the kept points in its 3^m neighbouring buckets of width 2 * resolution
+    (the library's form before it resolved the greedy over near pairs)."""
+    cells = np.floor(points / (2.0 * resolution))
+    offsets = list(itertools.product((-1, 0, 1), repeat=points.shape[1]))
+    buckets, kept = {}, []
+    for q, (p, cell) in enumerate(zip(points, cells.tolist())):
+        near = [k for off in offsets
+                for k in buckets.get(tuple(c + o for c, o in zip(cell, off)), ())]
+        if near and not np.all(np.max(np.abs(points[near] - p), axis=1) > resolution):
+            continue
+        kept.append(q)
+        buckets.setdefault(tuple(cell), []).append(q)
+    return points[kept]
+
+
+def test_dedup_of_a_flat_default_grid_solution_set_matches_the_bucket_loop(monkeypatch):
+    # S(x) of a flat m = 2 follower at the default grid is every coarse
+    # point plus the refinement windows, about 40,000 points before dedup
+    seen = []
+
+    def spy(points, resolution):
+        seen.append((points, resolution))
+        return _dedup_points(points, resolution)
+
+    monkeypatch.setattr(valuefn, "_dedup_points", spy)
+    sol = lower_solutions(replace(FLAT_2D, F=Expr.y(2)), [0.25], GRID)
+    (points, resolution), = seen
+    assert len(points) > 40000
+    want = bucket_loop_dedup(points, resolution)
+    assert np.array_equal(sol.points, want)
+    assert np.array_equal(np.signbit(sol.points), np.signbit(want))
+
+
+def test_an_upper_objective_nan_on_the_band_gives_an_empty_optimistic_set():
+    # F = inf - inf at every feasible y: phi_o is NaN, S_o(x) selects no
+    # point, and the dedup takes an empty (0, m) array
+    big = Y1 * 1e308 * 1e308
+    prog = BilevelProgram(n=1, m=1, F=big - big, f=Expr.const(0.0),
+                          box_x=((-1.0, 1.0),), box_y=((0.5, 1.0),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = optimistic_solutions(prog, [0.0], SHARED_GRID)
+    assert sol.points.shape == (0, 1) and np.isnan(sol.value)
 
 
 def test_dedup_drops_points_exactly_at_resolution():
@@ -803,17 +861,26 @@ def test_band_extremes_match_a_full_sort(name):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.0, _INF, -_INF, _NAN]),
-                               st.sampled_from([-1.0, 0.0, -0.0, 0.5]),
-                               st.sampled_from([0.0, 1.0]),
-                               st.sampled_from([0.0, -0.0, 1.0, 2.0, _NAN])),
-                     min_size=1, max_size=12),
+@given(batch=st.lists(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.0, _INF,
+                                                          -_INF, _NAN]),
+                                         st.sampled_from([-1.0, 0.0, -0.0, 0.5]),
+                                         st.sampled_from([0.0, 1.0]),
+                                         st.sampled_from([0.0, -0.0, 1.0, 2.0, _NAN])),
+                               min_size=1, max_size=12),
+                      min_size=1, max_size=6),
        k=st.integers(1, 6))
-def test_refine_seeds_match_a_full_sort_on_drawn_pools(rows, k):
-    fs, y1, y2, Fs = (np.array(col) for col in zip(*rows))
-    ys = np.column_stack([y1, y2])
-    _assert_same_seeds(_refine_seeds(ys, fs, Fs, float(fs.min()), k),
-                       reference_seeds(ys, fs, Fs, k))
+def test_refine_seeds_match_a_full_sort_on_drawn_pools(batch, k):
+    # each pool alone, and every pool of the batch in one level pass
+    pools = []
+    for rows in batch:
+        fs, y1, y2, Fs = (np.array(col) for col in zip(*rows))
+        pools.append([np.column_stack([y1, y2]), fs, Fs, float(fs.min())])
+    level = _level_seeds(pools, k)
+    assert len(level) == len(pools)
+    for (ys, fs, Fs, phi), seeds in zip(pools, level):
+        want = reference_seeds(ys, fs, Fs, k)
+        _assert_same_seeds(_refine_seeds(ys, fs, Fs, phi, k), want)
+        _assert_same_seeds(seeds, want)
 
 
 # -- what the sweep memo holds -------------------------------------------------

@@ -185,13 +185,6 @@ def _lex_order(ypts: np.ndarray):
     return np.lexsort(tuple(ypts[:, j] for j in range(ypts.shape[1] - 1, -1, -1)))
 
 
-def _pool_key_sort(ypts, fvals):
-    """Stable order by (f, lexicographic y) for deterministic reductions."""
-    order = _lex_order(ypts)
-    order = order[np.argsort(fvals[order], kind="stable")]
-    return order
-
-
 # The sweeps a caller announced (`_ahead`), or None outside an announcement.
 _AHEAD: ContextVar = ContextVar("_AHEAD", default=None)
 
@@ -469,11 +462,11 @@ def _level_seeds(pools, k):
     [pool_y, pool_f, pool_F, phi]), in order.
 
     A single pool goes to `_refine_seeds`.  Several are read as segments of
-    one concatenated pool, in one pass: a lexicographic sort with the
-    segment as primary key and a stable sort of it by (segment, f) give
-    each segment's (f, lexicographic y) order, so its first k rows; the
-    band and the first F minimiser and maximiser come per segment from the
-    lexicographic order (a NaN F is picked first, -0.0 ties with +0.0).
+    one concatenated pool, in one pass: a sort by (segment, f,
+    lexicographic y) gives each segment's first k rows; the band and the
+    first F minimiser and maximiser come per segment from the sort by
+    (segment, lexicographic y) (a NaN F is picked first, -0.0 ties with
+    +0.0).
     The k + 2 picks of each segment sit in one row of a table, and the
     1e-15 drop runs as k + 2 masked steps over the table's distances.
     """
@@ -486,7 +479,7 @@ def _level_seeds(pools, k):
     # segments are contiguous, so seg is also the segment of each position
     # of an order that sorts by segment first
     lex = np.lexsort((*y.T[::-1], seg))
-    order = lex[np.lexsort((f[lex], seg))]
+    order = np.lexsort((*y.T[::-1], f, seg))
     rank = np.arange(len(f)) - (np.cumsum(counts) - counts)[seg]
     table = np.zeros((len(pools), k + 2), dtype=np.intp)
     valid = np.zeros(table.shape, dtype=bool)
@@ -641,7 +634,8 @@ def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
     band_tol = default_tol_val(value)
     sel = keys <= value + band_tol
     pts = band_y[sel]
-    order = _pool_key_sort(pts, keys[sel])
+    # stable order by (key, lexicographic y)
+    order = np.lexsort((*pts.T[::-1], keys[sel]))
     cell = grid.finest_cell(problem.box_y)
     return SolutionSet(_dedup_points(pts[order], cell * 0.999), value,
                        band_tol, cell)

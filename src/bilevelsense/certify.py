@@ -60,6 +60,7 @@ from .subdiff import (
 )
 from .valuefn import (
     GridSpec,
+    _xkey,
     lower_solutions,
     optimistic_solutions,
     pessimistic_solutions,
@@ -241,7 +242,7 @@ def certify_value_stationarity(
 ) -> Certificate:
     """Distance of 0 to hull(fd clusters of the mode value function) plus
     the upper-level normal cone."""
-    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
+    xbar_l = list(_xkey(xbar, prog.n))
     which = "phi_p" if prog.mode == "pessimistic" else "phi_o"
     h = value_function(prog, which, grid)
     # two sampling regimes: small radius / large step tracks curved smooth
@@ -682,7 +683,7 @@ def _certify(prog, mode, xbar, variant, grid, caps, tol, seed, ybar, with_cq):
     negated-upper program: S_o of that program is the worst-case solution
     set.  The grid slack and the CQ bundle are taken on prog itself.
     """
-    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
+    xbar_l = list(_xkey(xbar, prog.n))
     pessimistic = mode == "pessimistic"
     work = prog.negated_upper() if pessimistic else prog
     sol = optimistic_solutions(work, xbar_l, grid)
@@ -696,7 +697,7 @@ def _certify(prog, mode, xbar, variant, grid, caps, tol, seed, ybar, with_cq):
                        ybar=ybar, seed=seed) if with_cq else ()
 
     if variant == "iii":
-        ypt = list(ybar) if ybar is not None else samples[0]
+        ypt = list(_xkey(ybar, prog.m)) if ybar is not None else samples[0]
         best = _search_designated(work, xbar_l, ypt, caps,
                                   -1.0 if pessimistic else 1.0)
         if pessimistic and best is not None:
@@ -984,7 +985,7 @@ def minimax_reduction_check(
     coeffs = affine_coefficients(prog.f, prog.n, prog.m)
     if coeffs is None or coeffs[1].any() or coeffs[2].any():
         raise NotApplicableError("lower objective is not constant")
-    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
+    xbar_l = list(_xkey(xbar, prog.n))
     maximizers = pessimistic_solutions(prog, xbar_l, grid)
     direct_gens = []
     for ypt in _subsample(maximizers.points, caps.max_solution_samples):

@@ -257,8 +257,7 @@ def recheck_pointbased_witness(prog: BilevelProgram, verdict: CQVerdict,
     """
     assert verdict.status == "Fails" and verdict.witness is not None
     w = verdict.witness
-    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
-    y_l = [float(v) for v in np.atleast_1d(y)]
+    xbar_l, y_l = list(_xkey(xbar, prog.n)), list(_xkey(y, prog.m))
     n, m = prog.n, prog.m
     total = np.zeros(n + m)
     for i_str, vec in w["g_dirs"].items():
@@ -288,8 +287,7 @@ def check_gen_mfcq(prog: BilevelProgram, xbar, ybar) -> CQVerdict:
     """No vanishing convex combination of active constraint generalized
     gradients: min over the multiplier simplex of |sum gamma_i G_i|; Holds
     when the minimum exceeds VERDICT_TOL."""
-    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
-    y_l = [float(v) for v in np.atleast_1d(ybar)]
+    xbar_l, y_l = list(_xkey(xbar, prog.n)), list(_xkey(ybar, prog.m))
     active = _active_indices(prog, xbar_l, y_l, DEFAULT_TOL_ACTIVE)
     if not active:
         return CQVerdict("GenMFCQ", "Holds", VERDICT_TOL,
@@ -325,8 +323,7 @@ def recheck_mfcq_witness(prog: BilevelProgram, verdict: CQVerdict,
     """Fails witness re-substitution for the generalized MFCQ."""
     assert verdict.status == "Fails" and verdict.witness is not None
     w = verdict.witness
-    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
-    y_l = [float(v) for v in np.atleast_1d(ybar)]
+    xbar_l, y_l = list(_xkey(xbar, prog.n)), list(_xkey(ybar, prog.m))
     gamma = np.array(w["gamma"])
     if abs(gamma.sum() - 1.0) > 1e-9 or np.min(gamma) < -1e-12:
         return False
@@ -480,6 +477,8 @@ def check_codcq_convex(prog: BilevelProgram, xbar, ybar) -> CQVerdict:
     perturbed feasible map polyhedral, hence calm, validating the pointbased
     solution-map qualification.  Requires x-free g; smooth f; convex data
     (spot-checked)."""
+    # the verdict reads neither point, but a wrong-length one is refused
+    _xkey(xbar, prog.n), _xkey(ybar, prog.m)
     for i, gi in enumerate(prog.g):
         xi, _ = used_indices(gi)
         if xi:
@@ -509,7 +508,7 @@ def cq_bundle(
     seed: int = 0,
 ) -> Tuple[CQVerdict, ...]:
     """The verdicts a given estimate/certificate variant relies on."""
-    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
+    xbar_l = list(_xkey(xbar, prog.n))
     out = list(check_polyhedral_calmness_all(prog))
     try:
         sol = _mode_solutions(prog, xbar_l, grid)

@@ -42,6 +42,7 @@ from .valuefn import (
     GridSpec,
     SolutionSet,
     _lex_order,
+    _xkey,
     lower_solutions,
     optimistic_solutions,
 )
@@ -289,8 +290,7 @@ def _inclusion_system(prog: BilevelProgram, xbar, y, tol_active: float,
     """Build the inclusion system at (xbar, y): active set, Clarke
     generators, A, the x-projection and the column metadata.  Raises
     InfeasiblePointError when (xbar, y) violates a lower-level constraint."""
-    xbar = [float(v) for v in np.atleast_1d(xbar)]
-    y = [float(v) for v in np.atleast_1d(y)]
+    xbar, y = list(_xkey(xbar, prog.n)), list(_xkey(y, prog.m))
     n = prog.n
     active = _active_indices(prog, xbar, y, tol_active)
 
@@ -555,7 +555,7 @@ def estimate_optimistic(
     """Upper estimate of the optimistic value-function subdifferential."""
     poly, truncated, n_samples, notes = _estimate_core(
         prog, xbar, variant, grid, caps, ybar)
-    return Estimate(poly, variant, "optimistic", tuple(float(v) for v in np.atleast_1d(xbar)),
+    return Estimate(poly, variant, "optimistic", _xkey(xbar, prog.n),
                     truncated, n_samples, caps, tuple(notes))
 
 
@@ -578,8 +578,7 @@ def estimate_pessimistic(
     poly, truncated, n_samples, notes = _estimate_core(
         negp, xbar, variant, grid, caps, ybar)
     return Estimate(
-        negate(poly), variant, "pessimistic",
-        tuple(float(v) for v in np.atleast_1d(xbar)),
+        negate(poly), variant, "pessimistic", _xkey(xbar, prog.n),
         truncated, n_samples, caps,
         tuple(notes) + ("reflected from negated-upper program",),
     )
@@ -589,7 +588,7 @@ def _estimate_core(prog, xbar, variant, grid, caps, ybar):
     """The estimate of prog at xbar.  Activity and stationarity are both
     judged at the grid blur (`grid_blur`), the tolerance matched to the
     sampled solution points."""
-    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
+    xbar_l = list(_xkey(xbar, prog.n))
     sol_o = optimistic_solutions(prog, xbar_l, grid)
     samples = _subsample(sol_o.points, caps.max_solution_samples)
     blur = grid_blur(grid, prog)
@@ -602,7 +601,7 @@ def _estimate_core(prog, xbar, variant, grid, caps, ybar):
             prog, xbar_l, samples, caps, blur)
         notes.extend(conv_notes)
     elif variant == "semicontinuous":
-        ypt = list(ybar) if ybar is not None else samples[0]
+        ypt = list(_xkey(ybar, prog.m)) if ybar is not None else samples[0]
         poly = _estimate_semicontinuous(prog, xbar_l, ypt, caps, blur)
         truncated = False
         notes.append(f"designated lower-level point {tuple(ypt)}")
@@ -710,7 +709,7 @@ def estimate_simple_convex(
     Requires f and g to reference no x variable (syntactic) and convex
     data (spot-checked by seeded midpoint tests).
     """
-    xbar_l = [float(v) for v in np.atleast_1d(xbar)]
+    xbar_l = list(_xkey(xbar, prog.n))
     for label, e in (("f", prog.f), *((f"g{i+1}", gi) for i, gi in enumerate(prog.g))):
         xi, _ = used_indices(e)
         if xi:

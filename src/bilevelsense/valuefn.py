@@ -86,6 +86,8 @@ class GridSpec:
             raise ValueError("points_per_dim must be >= 3")
         if self.refine_depth < 0:
             raise ValueError("refine_depth must be >= 0")
+        if self.refine_points < 2:
+            raise ValueError("refine_points must be >= 2")
         if self.max_seeds < 0:
             raise ValueError("max_seeds must be >= 0")
 

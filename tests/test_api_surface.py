@@ -9,6 +9,8 @@ here as a diff, so a knob that no caller sets has to be argued for.
 import dataclasses
 import inspect
 
+import pytest
+
 import bilevelsense
 from bilevelsense import Caps, GridSpec
 
@@ -100,3 +102,54 @@ def test_grid_and_caps_keep_their_fields():
     for cls, fields in FIELDS.items():
         assert tuple((f.name, f.default)
                      for f in dataclasses.fields(cls)) == fields, cls.__name__
+
+
+# -- every entry point reads its points through one reader ---------------------
+
+def _reader_program():
+    from bilevelsense.model import parse_program
+    return parse_program("""
+[dims]
+n = 1
+m = 1
+[upper]
+objective = (x1 - 0.5)^2 + y1
+[lower]
+objective = abs(y1 - x1)
+constraint = -y1
+[box]
+x1 = -1, 1
+y1 = -1, 1
+""")
+
+
+SMALL = GridSpec(points_per_dim=11, refine_depth=1, refine_points=5)
+
+# (call, the length of the bad point, the length it must have); each used
+# to raise IndexError, LinAlgError or EvaluationError, report a vertex
+# dimension mismatch, or return a verdict
+WRONG_LENGTH_CALLS = {
+    "lambda_set_y": (lambda p: bilevelsense.lambda_set(p, [0.3], []), 0, 1),
+    "lambda_o_set_x": (lambda p: bilevelsense.lambda_o_set(p, [], [0.3]), 0, 1),
+    "lambda_set_x": (lambda p: bilevelsense.lambda_set(p, [0.3, 9.0], [0.3]), 2, 1),
+    "gen_mfcq_y": (lambda p: bilevelsense.check_gen_mfcq(p, [0.3], [0.0, 5.0]), 2, 1),
+    "codcq_x": (lambda p: bilevelsense.check_codcq_convex(p, [0.3, 2.0], [0.3]), 2, 1),
+    "codcq_y": (lambda p: bilevelsense.check_codcq_convex(p, [0.3], []), 0, 1),
+    "value_stationarity_x": (lambda p: bilevelsense.certify_value_stationarity(
+        p, [0.3, 1.0], SMALL), 2, 1),
+    "certify_iii_y": (lambda p: bilevelsense.certify_optimistic(
+        p, [0.3], "iii", SMALL, ybar=[0.3, 0.0], with_cq=False), 2, 1),
+    "estimate_x": (lambda p: bilevelsense.estimate_optimistic(p, [0.3, 0.0], grid=SMALL),
+                   2, 1),
+    "estimate_semicontinuous_y": (lambda p: bilevelsense.estimate_pessimistic(
+        p, [0.3], "semicontinuous", SMALL, ybar=[]), 0, 1),
+    "cq_bundle_x": (lambda p: bilevelsense.cq_bundle(p, [], "semicompact", SMALL), 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_LENGTH_CALLS))
+def test_a_point_of_the_wrong_length_is_a_dimension_mismatch(name):
+    call, got, want = WRONG_LENGTH_CALLS[name]
+    with pytest.raises(bilevelsense.DimensionMismatchError,
+                       match=rf"^point has {got} coordinates, not {want}$"):
+        call(_reader_program())

@@ -342,6 +342,15 @@ def test_grid_spec_rejects_a_negative_max_seeds():
         GridSpec(max_seeds=-1)
 
 
+@pytest.mark.parametrize("points", [-1, 0, 1])
+def test_grid_spec_rejects_fewer_than_two_refine_points(points):
+    # -1 used to end in numpy's linspace error inside the first refinement
+    # level, 0 meshed no window and 1 only each window's low corner
+    with pytest.raises(ValueError, match=r"^refine_points must be >= 2$"):
+        GridSpec(refine_points=points)
+    assert GridSpec(refine_points=2).refine_points == 2
+
+
 def bucket_loop_dedup(points, resolution):
     """Reference: the greedy as a loop over the points, each compared with
     the kept points in its 3^m neighbouring buckets of width 2 * resolution

@@ -20,9 +20,11 @@ negation makes exactly the values of the negated F.
 
 A caller that knows the points it will ask for next (the fd oracle's
 stencil, a regularity shell) announces them (`_ahead`); the first miss
-among them sweeps them all in one pass, picking every x's refinement
-seeds in one segmented pass and stacking their windows into one mesh per
-level, and each x still enters the sweep memo through its own request.
+among them sweeps them all in one pass.  The coarse grid is level 0 of
+one level loop: each level stacks the grids of every x (the coarse grids,
+then the windows around every x's refinement seeds, picked in one
+segmented pass) into as few meshes as the stack bound allows, and each x
+still enters the sweep memo through its own request.
 """
 
 from __future__ import annotations
@@ -55,11 +57,13 @@ TOL_FEAS = 1e-9
 # axis (8.1M points, 195 MB of y).
 MAX_GRID_POINTS = 2 ** 24
 
-# Bound on the points one stacked refinement level meshes when a batch of x
-# is swept together (`_sweep_batch`): the windows of consecutive x are
-# stacked up to this many points, and a larger batch is split.  One x's
-# level alone is bounded by MAX_GRID_POINTS only.  At m = 1 the default
-# grid's level is at most 147 points per x, so a stack holds 55 x.
+# Bound on the points one stack of a sweep level holds when a batch of x is
+# swept together (`_sweep_batch`): the coarse grids, or the refinement
+# windows, of consecutive x are stacked up to this many points, and a
+# larger batch is split.  One x's level alone is bounded by MAX_GRID_POINTS
+# only.  At m = 1 the default grid's coarse level is 201 points per x and a
+# refinement level at most 147, so a stack holds 40 or 55 x; at m = 2 a
+# coarse grid (40,401 points) is swept alone.
 MAX_STACKED_POINTS = 2 ** 13
 
 # Bound on the solution-set memo, in entries (distinct (problem, x, grid)
@@ -152,7 +156,7 @@ def _mesh(lo, hi, count):
 @memo(8)
 def _coarse_mesh(box_y: Tuple[Tuple[float, float], ...], count: int):
     """The coarse sweep grid of box_y, shared read-only by every sweep of
-    that box.  Raises BudgetError, before allocating, when the grid would
+    that box (a stack of coarse grids tiles it).  Raises BudgetError, before allocating, when the grid would
     hold more than MAX_GRID_POINTS points."""
     if count ** len(box_y) > MAX_GRID_POINTS:
         raise BudgetError(
@@ -192,28 +196,27 @@ _AHEAD: ContextVar = ContextVar("_AHEAD", default=None)
 
 
 class _Ahead:
-    """The `_solve_lower` calls a caller announced: the x of each distinct
-    call under the memo's key rule (so -0.0 and 0.0 stay apart), in
-    announced order; and the stash, the result or DomainError of each call
-    swept ahead of its own miss."""
+    """The `_solve_lower` calls a caller announced (`_ahead`): pending, the x
+    of each distinct call not yet swept under the memo's key rule (so -0.0
+    and 0.0 stay apart), in announced order; and the stash, the result or
+    DomainError of each call swept ahead of its own miss."""
 
     def __init__(self, calls):
-        self.x_keys = {}
+        self.pending = {}
         for call in calls:
-            self.x_keys.setdefault(_call_key(call), call[5])
-        self.order = list(self.x_keys)
-        self.swept = 0  # no announced call from here on is swept yet
+            self.pending.setdefault(_call_key(call), call[5])
         self.stash = {}
 
     def later(self, key):
-        """The keys of the announced calls after key that are not swept
-        yet, counted as swept from now on (none when key is not
-        announced)."""
-        if key not in self.x_keys:
-            return []
-        start = max(self.order.index(key) + 1, self.swept)
-        self.swept = len(self.order)
-        return self.order[start:]
+        """{key: x} of the pending calls announced after key, when key is
+        pending, and from then on no call is pending (none when key is
+        not pending)."""
+        if key not in self.pending:
+            return {}
+        keys = list(self.pending)
+        later = {k: self.pending[k] for k in keys[keys.index(key) + 1:]}
+        self.pending = {}
+        return later
 
 
 @contextmanager
@@ -268,9 +271,8 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
         swept = ahead.stash.pop(key, ahead)
         if swept is ahead:
             later = ahead.later(key)
-            swept, *rest = _sweep_batch(
-                m, f, g, box_y, F, [x_key, *(ahead.x_keys[k] for k in later)],
-                grid)
+            swept, *rest = _sweep_batch(m, f, g, box_y, F, [x_key, *later.values()],
+                                        grid)
             ahead.stash.update(zip(later, rest))
     if isinstance(swept, DomainError):
         raise swept
@@ -282,129 +284,115 @@ def _sweep_batch(m, f, g, box_y, F, x_keys, grid):
     there or the DomainError it raises.  Raises BudgetError, for the whole
     batch, as `_solve_lower` does.
 
-    The coarse level is per x.  Each x's pool drops the points no later
-    level can read (`_live`) as soon as that x's previous level is pooled.
-    Each refinement level picks the seeds of every live pool in one pass
-    (`_level_seeds`), meshes the windows around them, stacked x by x and
-    seed by seed (`_refine_level`), and pools each x's new rows in order.
-    Pooling more points only lowers the k-th smallest f and the band
-    bound, so the seeds and the band are those of the whole pool.  F only
-    picks refinement seeds (both of its extremes inside the band, so -F
-    picks the same points) and fills band_F.
+    One loop runs every level.  Level 0 sweeps each x's coarse grid, the
+    y-box at points_per_dim per axis; level l >= 1 sweeps windows of
+    refine_points per axis around the seeds of each x's pool, picked for
+    every live pool in one pass (`_level_seeds`).  `_sweep_level` stacks a
+    level's grids x by x and seed by seed and yields each x's new rows in
+    order.  Each x's pool drops the points no later level can read
+    (`_live`) as soon as its level is pooled, and is cut to its band after
+    the last level.  Pooling more points only lowers the k-th smallest f
+    and the band bound, so the seeds and the band are those of the whole
+    pool.  F only picks refinement seeds (both of its extremes inside the
+    band, so -F picks the same points) and fills band_F.
     """
     refined = (grid.max_seeds + 2) * grid.refine_points ** m
     if grid.refine_depth and refined > MAX_GRID_POINTS:
         raise BudgetError(
             f"refinement level of {grid.max_seeds + 2} x "
             f"{grid.refine_points}^{m} points exceeds {MAX_GRID_POINTS} points")
-
-    def prune(pool):
-        # drop what no later level can read
-        live = _live(pool[1], pool[3], grid.max_seeds)
-        pool[:3] = (a[live] for a in pool[:3])
-
-    def band(pool):
-        pool_y, pool_f, pool_F, phi = pool
-        keep = pool_f <= _band_bound(phi)
-        return phi, pool_y[keep], pool_f[keep], pool_F[keep]
-
-    # Each pool is one list, changed in place, and is pruned or reduced to
-    # its band as soon as its level is pooled, so that a batch holds at
-    # once only the live pools and one stack of new rows.
-    coarse = _coarse_mesh(box_y, grid.points_per_dim)
+    # A batch holds at once only the live pools and one stack of new rows.
     out = [None] * len(x_keys)
-    pools = {}  # x index -> [pool_y, pool_f, pool_F, phi]
-    for i, x_key in enumerate(x_keys):
-        try:
-            pool = list(_evaluate(f, g, F, list(x_key), coarse)[:3])
-            if len(pool[0]):
-                pool.append(_lower_optimum(pool[1], x_key))
-                if grid.refine_depth:
-                    prune(pool)
-                    pools[i] = pool
-                else:
-                    out[i] = band(pool)
-        except DomainError as exc:
-            out[i] = exc
-
-    level_cell = np.array([
-        (hi - lo) / (grid.points_per_dim - 1) for lo, hi in box_y
-    ])
-    box = np.array(box_y, dtype=float).T
-    for level in range(grid.refine_depth):
-        seeds = list(zip(pools, _level_seeds(list(pools.values()), grid.max_seeds)))
-        for i, new in _refine_level(f, g, F, x_keys, seeds, level_cell, box,
-                                    grid.refine_points):
-            pool = pools.pop(i)
+    pools = {}  # x index -> [pool_y, pool_f, pool_F, phi], while refined
+    windows = [(i, None) for i in range(len(x_keys))]
+    cell = np.array([(hi - lo) / (grid.points_per_dim - 1) for lo, hi in box_y])
+    for level in range(grid.refine_depth + 1):
+        if level:
+            seeds = _level_seeds(list(pools.values()), grid.max_seeds)
+            windows = list(zip(pools, seeds))
+        count = grid.refine_points if level else grid.points_per_dim
+        for i, new in _sweep_level(f, g, F, box_y, x_keys, windows, count, cell):
+            old = pools.pop(i, None)
             try:
                 if isinstance(new, DomainError):  # raised by its level
                     raise new
-                pool[:3] = (np.concatenate(pair) for pair in zip(pool[:3], new))
-                pool[3] = _lower_optimum(pool[1], x_keys[i])
+                if old is not None:
+                    new = [np.concatenate(pair) for pair in zip(old[:3], new)]
+                elif not len(new[0]):  # no feasible coarse point
+                    continue
+                phi = _lower_optimum(new[1], x_keys[i])
             except DomainError as exc:
                 out[i] = exc
                 continue
-            if level + 1 < grid.refine_depth:
-                prune(pool)
-                pools[i] = pool
+            if level < grid.refine_depth:
+                live = _live(new[1], phi, grid.max_seeds)
+                pools[i] = [a[live] for a in new] + [phi]
             else:
-                out[i] = band(pool)
-        level_cell = level_cell / 10.0
+                keep = new[1] <= _band_bound(phi)
+                out[i] = (phi, *(a[keep] for a in new))
+        if level:
+            cell = cell / 10.0
     return out
 
 
-def _refine_level(f, g, F, x_keys, seeds, cell, box, count):
+def _sweep_level(f, g, F, box_y, x_keys, windows, count, cell):
     """Yield (i, (y, f, F), or the DomainError raised there) for each
-    (i, seeds) of seeds, in order: the feasible points of the windows
-    seed +- cell around the seeds of x_keys[i], clipped to box (rows lo,
-    hi), meshed count per axis and stacked seed by seed.
+    (i, centres) of windows, in order: the feasible points of x_keys[i]'s
+    grids, count points per axis and stacked in order.  With centres None
+    the one grid is the coarse grid of box_y (`_coarse_mesh`); otherwise
+    the grids are the windows centres +- cell, clipped to box_y.
 
-    Consecutive entries are meshed by one `_mesh` call and evaluated once,
-    with x given per row, as long as the stack holds at most
-    MAX_STACKED_POINTS points; an entry alone is meshed as it is, with x
-    as floats.  A DomainError of a stack belongs to no single x, so that
-    stack is redone one x at a time.  Each stack is meshed only once the
-    rows of the one before it are taken.
+    Consecutive entries are stacked and evaluated once, with x given per
+    row, as long as the stack holds at most MAX_STACKED_POINTS points: a
+    stack of coarse grids tiles the memo's rows, and the windows of a stack
+    are clipped and meshed by one `_mesh` call.  An entry alone is meshed
+    as it is (a coarse grid is the memo's), with x as floats.  A
+    DomainError of a stack belongs to no single x, so that stack is redone
+    one x at a time.  Each stack is meshed only once the rows of the one
+    before it are taken.
     """
+    box = np.array(box_y, dtype=float).T
+
+    def mesh(stack):
+        if stack[0][1] is None:
+            coarse = _coarse_mesh(box_y, count)
+            return coarse if len(stack) == 1 else np.tile(coarse, (len(stack), 1))
+        centres = np.concatenate([c for _, c in stack])
+        lo, hi = centres - cell, centres + cell
+        # clip to the box as Python's max/min would: np.maximum/np.minimum
+        # pick the other zero when the two compare equal as +0 and -0
+        return _mesh(np.where(lo > box[0], lo, box[0]),
+                     np.where(hi < box[1], hi, box[1]), count)
+
     def alone(i, centres):
         try:
-            return i, _evaluate(f, g, F, list(x_keys[i]),
-                                _window_mesh(centres, cell, box, count))[:3]
+            return i, _evaluate(f, g, F, list(x_keys[i]), mesh([(i, centres)]))[:3]
         except DomainError as exc:
             return i, exc
 
-    sizes = [len(centres) * count ** len(cell) for _, centres in seeds]
+    size = count ** len(box_y)  # the points of one grid
+    sizes = [size if centres is None else len(centres) * size for _, centres in windows]
     begin = 0
-    while begin < len(seeds):
+    while begin < len(windows):
         end, held = begin + 1, sizes[begin]
-        while end < len(seeds) and held + sizes[end] <= MAX_STACKED_POINTS:
+        while end < len(windows) and held + sizes[end] <= MAX_STACKED_POINTS:
             held += sizes[end]
             end += 1
-        stack, stacked, begin = seeds[begin:end], sizes[begin:end], end
+        stack, stacked, begin = windows[begin:end], sizes[begin:end], end
         if len(stack) == 1:
             yield alone(*stack[0])
             continue
         index = [i for i, _ in stack]
         xs = np.repeat(np.array([x_keys[i] for i in index]).T, stacked, axis=1)
         try:
-            y, fv, Fv, keep = _evaluate(f, g, F, xs, _window_mesh(
-                np.concatenate([c for _, c in stack]), cell, box, count))
+            y, fv, Fv, keep = _evaluate(f, g, F, xs, mesh(stack))
         except DomainError:
             yield from (alone(*entry) for entry in stack)
             continue
-        # each x's feasible rows end where its windows end
+        # each x's feasible rows end where its grids end
         ends = np.cumsum(keep)[np.cumsum(stacked) - 1].tolist()
         for i, a, b in zip(index, [0, *ends], ends):
             yield i, (y[a:b], fv[a:b], Fv[a:b])
-
-
-def _window_mesh(centres, cell, box, count):
-    """`_mesh` of the windows centres +- cell clipped to box (rows lo, hi)."""
-    lo, hi = centres - cell, centres + cell
-    # clip to the box as Python's max/min would: np.maximum/np.minimum
-    # pick the other zero when the two compare equal as +0 and -0
-    return _mesh(np.where(lo > box[0], lo, box[0]),
-                 np.where(hi < box[1], hi, box[1]), count)
 
 
 def _lower_optimum(pool_f, x_key):

@@ -779,6 +779,63 @@ def test_stacked_levels_hold_at_most_the_bound(monkeypatch):
         _assert_same_sweep(a, b)
 
 
+# f reads x, so each x of a batch has its own pool from level 0 on
+STACKED = BilevelProgram(n=1, m=1, F=X1 * Y1, f=eabs(Y1 - X1 * 0.5) + 0.1 * Y1 * Y1,
+                         box_x=((-1.0, 1.0),), box_y=((-1.0, 1.0),))
+
+
+def test_a_batch_stacks_its_coarse_grids_and_one_x_reads_the_memo(monkeypatch):
+    # at m = 1 a stack holds the 201-point coarse grids of 40 x (8,040
+    # rows), tiled from the one memoised grid, so 50 x take two level-0
+    # stacks; each x gets, bit for bit, what it gets swept alone, and an x
+    # alone takes its coarse grid from the memo
+    xs = [[v] for v in np.linspace(-1.0, 1.0, 50).tolist()]
+    rows, meshed = [], []
+    evaluate, mesh = valuefn._evaluate, valuefn._mesh
+
+    def counting_evaluate(f, g, F, x, grid_rows):
+        rows.append(len(grid_rows))
+        return evaluate(f, g, F, x, grid_rows)
+
+    def counting_mesh(lo, hi, count):
+        meshed.append(count)
+        return mesh(lo, hi, count)
+
+    monkeypatch.setattr(valuefn, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(valuefn, "_mesh", counting_mesh)
+    valuefn._coarse_mesh.cache_clear()
+    for grid in (GridSpec(refine_depth=0), GRID):
+        rows.clear()
+        got = _batch(STACKED, xs, grid)
+        assert rows[:2] == [40 * 201, 10 * 201]
+        assert max(rows) <= valuefn.MAX_STACKED_POINTS
+        if not grid.refine_depth:
+            assert rows == [40 * 201, 10 * 201]
+        for x, res in zip(xs, got):
+            hits = valuefn._coarse_mesh.cache_info().hits
+            rows.clear()
+            _assert_same_sweep(res, _batch(STACKED, [x], grid)[0])
+            assert rows[0] == 201
+            assert valuefn._coarse_mesh.cache_info().hits == hits + 1
+    # the 201-point grid was meshed once, on the first stack's memo miss
+    assert meshed.count(201) == 1
+    valuefn._coarse_mesh.cache_clear()
+
+
+def test_a_domain_error_on_a_stacked_coarse_level_is_raised_at_that_x_only():
+    # f divides by y1 - x1 + 0.5, which is zero on the coarse lattice (step
+    # 0.25) at x1 = 0.25 only; the three coarse grids are one stack
+    prog = replace(DIVIDING, f=eabs(Y1 - X1) + Expr.const(1e-9) / (Y1 - X1 + 0.5))
+    xs = [[0.1], [0.25], [-0.3]]
+    got = _batch(prog, xs, DIVIDING_GRID)
+    assert isinstance(got[1], DomainError)
+    for x, res in zip(xs, got):
+        _assert_same_sweep(res, _batch(prog, [x], DIVIDING_GRID)[0])
+    for i in (0, 2):
+        _assert_is_the_reference_band(got[i], reference_sweep(prog, xs[i],
+                                                              DIVIDING_GRID))
+
+
 def test_an_announced_stencil_keeps_each_x_s_hits_and_misses(monkeypatch):
     # an n = 1 fd call asks 12 times for 4 distinct points: 4 misses and 8
     # hits, announced (one batch of 4) or not (4 batches of one), with the

@@ -7,6 +7,7 @@ vertex oracle available: desk-scale row counts never exceed m + 2 <= 4.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Optional
 
@@ -27,17 +28,11 @@ _LP_ENTRIES = 256
 MAX_BASES = 300000
 
 
-def _ncr_total(n, r):
-    total = 0
-    c = 1
-    for k in range(r + 1):
-        total += c
-        c = c * (n - k) // (k + 1) if n > k else 0
-    return total
-
-
 def _check_budget(n_rows, n_cols):
-    if _ncr_total(n_cols, min(n_rows, n_cols)) > MAX_BASES:
+    """Raise BudgetError when the column subsets of size <= n_rows (the
+    empty one included) outnumber MAX_BASES."""
+    subsets = sum(math.comb(n_cols, k) for k in range(min(n_rows, n_cols) + 1))
+    if subsets > MAX_BASES:
         raise BudgetError("basis enumeration bound exceeded")
 
 

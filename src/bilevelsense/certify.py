@@ -504,18 +504,15 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps):
     active_theta = _active_indices(negp, xbar, [], DEFAULT_TOL_ACTIVE,
                                    upper=True)
 
-    systems = {}  # each sampled t's inclusion system, built on first use
+    # each sampled t's inclusion sets over the whole r-grid, one solve per t
+    r_grid = caps.r_grid()
+    t_sets = {tuple(ypt): dict(zip(r_grid, _solve_inclusion(
+        _inclusion_system(negp, xbar, ypt, DEFAULT_TOL_ACTIVE, include_F=True),
+        r_grid))) for ypt in t_samples}
 
     def build(_, r):
-        tagged = {}
-        for ypt in t_samples:
-            key = tuple(ypt)
-            if key not in systems:
-                systems[key] = _inclusion_system(
-                    negp, xbar, ypt, DEFAULT_TOL_ACTIVE, include_F=True)
-            t_set, = _solve_inclusion(systems[key], (r,))
-            if not t_set.polytope.is_empty:
-                tagged[key] = t_set
+        tagged = {key: sets[r] for key, sets in t_sets.items()
+                  if not sets[r].polytope.is_empty}
         if not tagged:
             return None
         s = _System(caps.u_max)
@@ -564,7 +561,7 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps):
             }
         return s, decode
 
-    return _search([None], caps.r_grid(), build)
+    return _search([None], r_grid, build)
 
 
 def _search_pessimistic_ii(negp, xbar, t_samples, grid, caps):

@@ -95,24 +95,17 @@ class CQVerdict:
 def check_polyhedral_calmness(prog: BilevelProgram, which: str) -> CQVerdict:
     """Guaranteed when the mapping's data are affine (piecewise-polyhedral
     graph, hence calm everywhere); otherwise Unknown, never Fails."""
-    if which == "K":
-        ok = all(affine_coefficients(gi, prog.n, prog.m) is not None
-                 for gi in prog.g)
-        what = "lower-level constraints affine"
-    elif which == "S":
-        ok = (
-            all(affine_coefficients(gi, prog.n, prog.m) is not None
-                for gi in prog.g)
-            and affine_coefficients(prog.f, prog.n, prog.m) is not None
-        )
-        what = "lower-level constraints and objective affine"
-    elif which == "X":
-        ok = all(affine_coefficients(t, prog.n, 0) is not None
-                 for t in prog.theta1)
-        what = "upper-level constraints affine"
-    else:
+    # per mapping: its data, the y-dimension they are read in, the wording
+    table = {
+        "K": (prog.g, prog.m, "lower-level constraints affine"),
+        "S": ((*prog.g, prog.f), prog.m,
+              "lower-level constraints and objective affine"),
+        "X": (prog.theta1, 0, "upper-level constraints affine"),
+    }
+    if which not in table:
         raise ValueError(f"unknown mapping {which!r}")
-    if ok:
+    exprs, m, what = table[which]
+    if all(affine_coefficients(e, prog.n, m) is not None for e in exprs):
         return CQVerdict(f"PolyhedralCalmness[{which}]", "Guaranteed",
                          detail=what)
     return CQVerdict(f"PolyhedralCalmness[{which}]", "Unknown",
@@ -388,13 +381,20 @@ def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid,
     rng = np.random.default_rng(seed)
     margin = 2.0 * grid.coarse_cell(prog.box_y)
 
-    def sample_shell(rho):
-        pts = []
+    def shell_solutions(rho):
+        """(x, solution set) at each feasible x of a shell of n_samples
+        points drawn at distance rho from xbar, swept as one announcement."""
+        shell = []
         for _ in range(n_samples):
             u = rng.normal(size=prog.n)
             u /= np.linalg.norm(u)
-            pts.append(xbar_v + rho * u)
-        return pts
+            shell.append(xbar_v + rho * u)
+        with _ahead(prog, shell, grid):
+            for x in shell:
+                try:
+                    yield x, _mode_solutions(prog, list(x), grid)
+                except InfeasibleError:
+                    continue
 
     if kind == "semicompact":
         try:
@@ -404,17 +404,11 @@ def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid,
         box_lo, box_hi = np.array(prog.box_y, dtype=float).T
         clipped = False
         seen = 0
-        shell = sample_shell(radius)
-        with _ahead(prog, shell, grid):
-            for x in shell:
-                try:
-                    sol = _mode_solutions(prog, list(x), grid)
-                except InfeasibleError:
-                    continue
-                seen += 1
-                if np.any((sol.points < box_lo + margin)
-                          | (sol.points > box_hi - margin)):
-                    clipped = True
+        for _, sol in shell_solutions(radius):
+            seen += 1
+            if np.any((sol.points < box_lo + margin)
+                      | (sol.points > box_hi - margin)):
+                clipped = True
         if seen == 0:
             return CQVerdict("InnerSemicompact", "Unknown", radius,
                              detail="no feasible neighbors sampled", seed=seed)
@@ -441,16 +435,10 @@ def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid,
         def shell_dist(rho):
             worst = 0.0
             worst_x = None
-            shell = sample_shell(rho)
-            with _ahead(prog, shell, grid):
-                for x in shell:
-                    try:
-                        sol = _mode_solutions(prog, list(x), grid)
-                    except InfeasibleError:
-                        continue
-                    d = float(np.abs(sol.points - ybar_v).max(axis=1).min())
-                    if d > worst:
-                        worst, worst_x = d, x
+            for x, sol in shell_solutions(rho):
+                d = float(np.abs(sol.points - ybar_v).max(axis=1).min())
+                if d > worst:
+                    worst, worst_x = d, x
             return worst, worst_x
 
         d_outer, _ = shell_dist(radius)

@@ -25,7 +25,7 @@ the convex variant, flagged `truncated`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -67,13 +67,7 @@ class Caps:
 
     def to_dict(self) -> dict:
         """The caps every artifact records."""
-        return {
-            "r_max": self.r_max,
-            "log_r_min": self.log_r_min,
-            "log_r_max": self.log_r_max,
-            "u_max": self.u_max,
-            "max_solution_samples": self.max_solution_samples,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -614,22 +608,29 @@ def _estimate_semicompact(prog, xbar, samples, grid, caps, blur):
     sol_all = lower_solutions(prog, xbar, grid)
     cover, _, _ = stationary_cover_hull(prog, xbar, sol_all, blur, caps,
                                         stat_tol=blur)
-    pieces = []
     if cover.is_empty:
         # no valid lower-level covector tuples exist at any sampled y, so
         # every (y, r) contribution is empty
         raise EmptyEstimateError("lower-level covector set is empty at xbar")
+    return _shifted_hull(prog, xbar, samples, cover, caps, blur,
+                         "no (y, r) pair produced a nonempty inclusion set")
+
+
+def _shifted_hull(prog, xbar, ys, cover, caps, blur, empty):
+    """Hull over y in ys and r in the r-grid of each nonempty inclusion set
+    shifted by -r times cover; each y's system is built once and solved
+    for the whole r-grid.  Raises EmptyEstimateError(empty) when no piece
+    is left (an empty cover leaves none)."""
+    pieces = []
     r_grid = caps.r_grid()
-    for ypt in samples:
+    for ypt in ys:
         system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
         for r, inc in zip(r_grid, _solve_inclusion(system, r_grid, blur)):
-            if inc.polytope.is_empty:
-                continue
-            shifted = minkowski_sum(inc.polytope, scale(negate(cover), r))
-            pieces.append(shifted)
+            if not (inc.polytope.is_empty or cover.is_empty):
+                pieces.append(minkowski_sum(inc.polytope,
+                                            scale(negate(cover), r)))
     if not pieces:
-        raise EmptyEstimateError(
-            "no (y, r) pair produced a nonempty inclusion set")
+        raise EmptyEstimateError(empty)
     return hull(pieces)
 
 
@@ -681,20 +682,11 @@ def _estimate_convex(prog, xbar, samples, caps, blur):
 
 
 def _estimate_semicontinuous(prog, xbar, ypt, caps, blur):
-    # convexified lower-level stationarity covectors at the designated point
+    # the semicompact construction at the designated point alone, with the
+    # convexified lower-level stationarity covectors there as the cover
     phi_star = _inclusion_xset(prog, xbar, ypt, blur, stat_tol=blur).polytope
-    system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
-    pieces = []
-    r_grid = caps.r_grid()
-    for r, inc in zip(r_grid, _solve_inclusion(system, r_grid, blur)):
-        if inc.polytope.is_empty:
-            continue
-        if phi_star.is_empty:
-            continue
-        pieces.append(minkowski_sum(inc.polytope, scale(negate(phi_star), r)))
-    if not pieces:
-        raise EmptyEstimateError("inclusion set empty at the designated point")
-    return hull(pieces)
+    return _shifted_hull(prog, xbar, [ypt], phi_star, caps, blur,
+                         "inclusion set empty at the designated point")
 
 
 def estimate_simple_convex(

@@ -140,17 +140,15 @@ def _mesh(lo, hi, count):
         axes = np.array([[np.linspace(a, b, count) for a, b in zip(row_lo, row_hi)]
                          for row_lo, row_hi in zip(lo, hi)])
     boxes, m = lo.shape
-    grid = (boxes,) + (count,) * m
-    # column j of box s is axes[s, j] broadcast along every other axis.
-    # One box is laid out column by column (its columns are contiguous for
-    # the evaluation), several row by row.
-    out = np.empty((m,) + grid) if boxes == 1 else np.empty(grid + (m,))
+    # column j of box s is axes[s, j] broadcast along every other axis; the
+    # points are laid out column by column, so each column the evaluation
+    # reads is contiguous
+    out = np.empty((m, boxes) + (count,) * m)
     for j in range(m):
         shape = [boxes] + [1] * m
         shape[1 + j] = count
-        column = out[j] if boxes == 1 else out[..., j]
-        column[...] = axes[:, j].reshape(shape)
-    return out.reshape(m, -1).T if boxes == 1 else out.reshape(-1, m)
+        out[j] = axes[:, j].reshape(shape)
+    return out.reshape(m, -1).T
 
 
 @memo(8)

@@ -25,6 +25,7 @@ the convex variant, flagged `truncated`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
@@ -52,13 +53,28 @@ DEFAULT_TOL_ACTIVE = 1e-8
 
 @dataclass(frozen=True)
 class Caps:
-    """Enumeration caps; every report records the caps it ran under."""
+    """Enumeration caps; every report records the caps it ran under.
+
+    r_max and u_max are finite and >= 0, log_r_max is at most 308 (the
+    r-grid holds 10.0 ** log_r_max) and max_solution_samples is at least 1;
+    other values raise ValueError.
+    """
 
     r_max: float = 10.0
     log_r_min: int = -3
     log_r_max: int = 1
     u_max: float = 100.0
     max_solution_samples: int = 12
+
+    def __post_init__(self):
+        for name in ("r_max", "u_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        if self.log_r_max > 308:
+            raise ValueError("log_r_max must be <= 308")
+        if self.max_solution_samples < 1:
+            raise ValueError("max_solution_samples must be >= 1")
 
     def r_grid(self) -> Tuple[float, ...]:
         vals = {0.0, float(self.r_max)}

@@ -26,7 +26,7 @@ from bilevelsense.model import (
     neg,
     parse_program,
 )
-from bilevelsense import valuefn
+from bilevelsense import Caps, valuefn
 from bilevelsense.subdiff import FD_DIRS, FD_RADIUS, FD_STEP, fd_subgradient_samples
 from bilevelsense.valuefn import (
     TOL_FEAS,
@@ -349,6 +349,24 @@ def test_grid_spec_rejects_fewer_than_two_refine_points(points):
     with pytest.raises(ValueError, match=r"^refine_points must be >= 2$"):
         GridSpec(refine_points=points)
     assert GridSpec(refine_points=2).refine_points == 2
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("r_max", -1.0), ("r_max", float("nan")), ("r_max", float("inf")),
+    ("u_max", -0.5), ("u_max", float("nan")), ("u_max", float("inf")),
+    ("log_r_max", 309), ("log_r_max", 400),
+    ("max_solution_samples", 0), ("max_solution_samples", -2),
+])
+def test_caps_rejects_values_its_searches_cannot_use(field, bad):
+    # r_max = -1 certified with a residual its recheck put at inf, a sample
+    # cap below 1 and a NaN r_max ended in numpy's and scipy's ValueErrors,
+    # and log_r_max = 400 in an OverflowError inside r_grid
+    rule = {"log_r_max": "<= 308", "max_solution_samples": ">= 1"}
+    message = f"{field} must be {rule.get(field, 'finite and >= 0')}"
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        Caps(**{field: bad})
+    edge = {"log_r_max": 308, "max_solution_samples": 1}.get(field, 0.0)
+    assert getattr(Caps(**{field: edge}), field) == edge
 
 
 def bucket_loop_dedup(points, resolution):

@@ -264,7 +264,7 @@ def certify_value_stationarity(
             math.inf, math.inf, tol, tol_eff,
             aux={"fd_clusters": []}, cq=bundle, caps=caps, seed=seed,
             notes=("no feasible fd samples near xbar",))
-    ncone = normal_cone_polyhedral(prog.theta1, xbar_l, n=prog.n)
+    ncone = normal_cone_polyhedral(prog.theta1, xbar_l)
     total = minkowski_sum(hull(gens, dim=prog.n), ncone)
     resid = distance(total, np.zeros(prog.n))
     status = "Certified" if resid <= tol_eff else "Refuted"
@@ -805,7 +805,7 @@ def recheck_certificate(prog: BilevelProgram, cert: Certificate) -> float:
         gens = cert.aux.get("fd_clusters", [])
         if not gens:
             return math.inf
-        ncone = normal_cone_polyhedral(prog.theta1, xbar, n=n)
+        ncone = normal_cone_polyhedral(prog.theta1, xbar)
         total = minkowski_sum(hull([list(g) for g in gens], dim=n), ncone)
         return distance(total, np.zeros(n))
 

@@ -34,7 +34,7 @@ from .errors import (
     InfeasiblePointError,
     NotPolyhedralError,
 )
-from .model import affine_coefficients
+from .model import affine_coefficients, used_indices
 
 
 def _rows(points, dim) -> np.ndarray:
@@ -302,6 +302,9 @@ def contains(p: Polytope, v) -> bool:
 FD_RADIUS = 1e-5
 FD_STEP = 1e-3
 FD_DIRS = 6
+# Two fd gradient estimates within this max-norm distance of a cluster's
+# mean join that cluster (`fd_subgradient_samples`).
+FD_MERGE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -329,7 +332,6 @@ def fd_subgradient_samples(
     radius: float = 1e-3,
     step: Optional[float] = None,
     seed: int = 0,
-    merge_tol: float = 1e-6,
 ) -> FdClusters:
     """Limiting-gradient estimates of h near xbar.
 
@@ -337,7 +339,7 @@ def fd_subgradient_samples(
     deterministic seed; at each offset a central difference per coordinate
     (step defaults to radius/20).  Offsets whose stencil leaves dom h
     (InfeasibleError) are skipped, which is what makes one-sided domain
-    boundaries observable.  Estimates within merge_tol (max-norm) merge
+    boundaries observable.  Estimates within FD_MERGE_TOL (max-norm) merge
     into clusters reported by their means.
     """
     xbar = np.asarray(xbar, dtype=float)
@@ -416,7 +418,7 @@ def fd_subgradient_samples(
         placed = False
         for cl in clusters:
             mean = cl[0] / cl[1]
-            if np.max(np.abs(g - mean)) <= merge_tol:
+            if np.max(np.abs(g - mean)) <= FD_MERGE_TOL:
                 cl[0] += g
                 cl[1] += 1
                 cl[2].append(g)
@@ -470,19 +472,24 @@ def lipschitz_estimate(
     return best
 
 
-def normal_cone_polyhedral(theta1, xbar, n: Optional[int] = None) -> Polytope:
+def normal_cone_polyhedral(theta1, xbar) -> Polytope:
     """Normal cone to {x : theta1(x) <= 0} at xbar for affine theta1.
 
     For a convex polyhedral set the limiting and convexified normal cones
     coincide: the cone generated by the gradients of the active
     constraints (within a relative 1e-8 of zero), {0} when none are
-    active.
+    active.  The cone lives in the space of xbar; a constraint that reads
+    a coordinate past xbar's is a DimensionMismatchError.
     """
     xbar = np.asarray(xbar, dtype=float)
-    if n is None:
-        n = xbar.size
+    n = xbar.size
     rays = []
-    for t in theta1:
+    for j, t in enumerate(theta1):
+        past = max(used_indices(t)[0], default=0)
+        if past > n:
+            raise DimensionMismatchError(
+                f"upper constraint {j + 1} reads x{past}, but the point has "
+                f"{n} coordinates")
         coeffs = affine_coefficients(t, n, 0)
         if coeffs is None:
             raise NotPolyhedralError("upper-level constraint is not affine")

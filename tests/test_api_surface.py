@@ -41,7 +41,7 @@ SIGNATURES = {
     "estimate_simple_convex": ("prog", "xbar", GRID, CAPS),
     "eval_expr": ("e", "x", "y"),
     "fd_subgradient_samples": ("h", "xbar", "n_dirs=16", "radius=0.001",
-                               "step=None", "seed=0", "merge_tol=1e-06"),
+                               "step=None", "seed=0"),
     "hull": ("polytopes_or_points", "dim=None"),
     "lambda_o_set": ("prog", "xbar", "y", "tol_active=1e-08", "stat_tol=None"),
     "lambda_set": ("prog", "xbar", "y", "tol_active=1e-08", "stat_tol=None"),
@@ -51,7 +51,7 @@ SIGNATURES = {
     "minimax_reduction_check": ("prog", "xbar", GRID, CAPS, "tol=0.0001"),
     "minkowski_sum": ("p", "q"),
     "negate": ("p",),
-    "normal_cone_polyhedral": ("theta1", "xbar", "n=None"),
+    "normal_cone_polyhedral": ("theta1", "xbar"),
     "optimistic_solutions": ("prog", "x", GRID),
     "optimistic_value": ("prog", "x", GRID),
     "parse_program": ("text",),

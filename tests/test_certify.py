@@ -354,7 +354,7 @@ def reference_recheck(prog, cert, tol_active=DEFAULT_TOL_ACTIVE):
         gens = cert.aux.get("fd_clusters", [])
         if not gens:
             return math.inf
-        ncone = normal_cone_polyhedral(prog.theta1, xbar, n=n)
+        ncone = normal_cone_polyhedral(prog.theta1, xbar)
         total = minkowski_sum(hull([list(g) for g in gens], dim=n), ncone)
         return distance(total, np.zeros(n))
 

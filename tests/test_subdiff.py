@@ -208,6 +208,15 @@ class TestNormalCone:
         with pytest.raises(InfeasiblePointError):
             normal_cone_polyhedral([-Expr.x(1)], [-1.0])
 
+    def test_a_constraint_past_the_point_is_a_dimension_mismatch(self):
+        # the cone's dimension is the point's: x2 at a one-coordinate point
+        # used to raise IndexError, and an explicit n = 2 numpy's matmul
+        # ValueError
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^upper constraint 1 reads x2, but the point has 1 coordinates$"):
+            normal_cone_polyhedral([Expr.x(2) - 1.0], [0.3])
+        assert normal_cone_polyhedral([], [0.3]).dim == 1
+
 
 # -- byte gate for the projector ------------------------------------------------
 #

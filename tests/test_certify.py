@@ -14,8 +14,9 @@ from bilevelsense.certify import (
     minimax_reduction_check,
     recheck_certificate,
 )
-from bilevelsense.sensitivity import Caps
-from bilevelsense.valuefn import GridSpec
+from bilevelsense import certify
+from bilevelsense.sensitivity import Caps, _subsample
+from bilevelsense.valuefn import GridSpec, optimistic_solutions
 
 X1 = Expr.x(1)
 Y1 = Expr.y(1)
@@ -117,6 +118,25 @@ class TestPessimistic:
                                    with_cq=False)
         assert cert.status == "Certified"
         assert cert.residual <= 1e-8
+
+    def test_variant_i_solves_each_sampled_t_once(self, prog_c, monkeypatch):
+        # each sampled t's inclusion system is solved for the whole r-grid
+        # in one call, not once per r
+        calls = []
+        solve = certify._solve_inclusion
+
+        def counting(system, rs, *args):
+            calls.append((system.y, tuple(rs)))
+            return solve(system, rs, *args)
+
+        monkeypatch.setattr(certify, "_solve_inclusion", counting)
+        cert = certify_pessimistic(prog_c, [0.0], "i", GRID, CAPS,
+                                   with_cq=False)
+        assert cert.status == "Certified"
+        sol = optimistic_solutions(prog_c.negated_upper(), [0.0], GRID)
+        t_samples = _subsample(sol.points, CAPS.max_solution_samples)
+        assert len(t_samples) > 1
+        assert calls == [(tuple(t), CAPS.r_grid()) for t in t_samples]
 
     def test_instance_c_refuted_at_one(self, prog_c):
         cert = certify_pessimistic(prog_c, [1.0], "i", GRID, CAPS,

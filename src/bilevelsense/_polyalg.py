@@ -17,8 +17,6 @@ from ._memo import memo
 from .errors import BudgetError
 
 
-# Bound on each A-keyed memo below, in entries (distinct A matrices).
-_MEMO_ENTRIES = 64
 # Bound on the V-representation memo, in entries (distinct (A, B, res_tol):
 # one entry answers a whole stack B of right-hand sides).
 _VREP_ENTRIES = 256
@@ -36,22 +34,6 @@ def _check_budget(n_rows, n_cols):
         raise BudgetError("basis enumeration bound exceeded")
 
 
-@memo(_MEMO_ENTRIES)
-def _smallest_singular_values(A):
-    """Per subset size s = 1..min(rows, cols), the smallest singular value
-    of every s-column subset of A, in combinations() order.
-
-    Singular values come sorted, so count_nonzero(sv > tol) == s, which is
-    np.linalg.matrix_rank(A_J, tol) == s, holds exactly when the smallest
-    one exceeds tol.
-    """
-    n_rows, n_cols = A.shape
-    return tuple(
-        np.array([np.linalg.svd(A[:, J], compute_uv=False)[-1]
-                  for J in combinations(range(n_cols), size)])
-        for size in range(1, min(n_rows, n_cols) + 1))
-
-
 def basic_vertices(A: np.ndarray, B: np.ndarray,
                    res_tol: Optional[float] = None):
     """All vertices of {w >= 0 : A w = b} by basic-solution enumeration,
@@ -62,8 +44,7 @@ def basic_vertices(A: np.ndarray, B: np.ndarray,
     possibly some non-extreme feasible points, which is harmless for the
     hull-level consumers).  res_tol relaxes the residual acceptance (scaled
     by the data magnitude); callers working from grid-snapped points pass
-    their grid blur here.  The rank test's singular values depend on A
-    only and are memoised on A (LRU of _MEMO_ENTRIES).
+    their grid blur here.
 
     Each subset is solved for every row it is independent for at once:
     one multi-column lstsq, or one stacked solve and refinement step, with
@@ -79,7 +60,6 @@ def basic_vertices(A: np.ndarray, B: np.ndarray,
     res_tol = ((1e-9 if res_tol is None else res_tol) * scale).tolist()
     eps = (1e-10 * scale).tolist()  # rank and sign tolerance
     _check_budget(n_rows, n_cols)
-    smallest_sv = _smallest_singular_values(A)
     outs = [[] for _ in B]
     seens = [set() for _ in B]
     zero = np.zeros(n_cols)
@@ -87,12 +67,15 @@ def basic_vertices(A: np.ndarray, B: np.ndarray,
         if bm <= tol:
             outs[q].append(zero.copy())
             seens[q].add(tuple(np.round(zero, 11)))
-    for size, svs in enumerate(smallest_sv, start=1):
-        for J, sv in zip(combinations(range(n_cols), size), svs.tolist()):
+    for size in range(1, min(n_rows, n_cols) + 1):
+        for J in combinations(range(n_cols), size):
+            AJ = A[:, J]
+            # singular values come sorted, so the rank test
+            # np.linalg.matrix_rank(AJ, e) == size is the smallest one > e
+            sv = float(np.linalg.svd(AJ, compute_uv=False)[-1])
             rows = [q for q, e in enumerate(eps) if sv > e]
             if not rows:
                 continue
-            AJ = A[:, J]
             Bk = B if len(rows) == len(B) else B[rows]
             # (rows, n_rows, 1): a stack of one-column right-hand sides,
             # against which AJ broadcasts as a stack of matrices
@@ -120,15 +103,6 @@ def basic_vertices(A: np.ndarray, B: np.ndarray,
     return outs
 
 
-@memo(_MEMO_ENTRIES)
-def _recession_rays(A):
-    """Nonzero basic solutions of {w >= 0 : A w = 0, sum w = 1}."""
-    aug = np.vstack([A, np.ones(A.shape[1])])
-    b_aug = np.concatenate([np.zeros(A.shape[0]), [1.0]])
-    return tuple(r for r in basic_vertices(aug, b_aug[None])[0]
-                 if np.max(np.abs(r)) > 0)
-
-
 @memo(_VREP_ENTRIES)
 def _vrep(A, B, res_tol):
     """(vertices, rays) of {w >= 0 : A w = b} per row b of the stack B, for
@@ -138,7 +112,13 @@ def _vrep(A, B, res_tol):
     wrapper installed on it sees each enumeration that runs.
     """
     vert_lists = basic_vertices(A, B, res_tol)
-    rays = _recession_rays(A) if any(vert_lists) else ()
+    rays = ()
+    if any(vert_lists):
+        # the nonzero basic solutions of {A w = 0, sum w = 1}
+        aug = np.vstack([A, np.ones(A.shape[1])])
+        b_aug = np.concatenate([np.zeros(A.shape[0]), [1.0]])
+        rays = tuple(r for r in basic_vertices(aug, b_aug[None])[0]
+                     if np.max(np.abs(r)) > 0)
     return tuple((tuple(verts), rays) if verts else ((), ())
                  for verts in vert_lists)
 
@@ -154,9 +134,8 @@ def standard_vrep_grid(A: np.ndarray, B: np.ndarray,
     enumeration against MAX_BASES as it is at the call, so an over-budget
     system raises BudgetError on every call and no entry is read under a
     lower bound than it was made under.  The result is memoised on
-    (A, B, res_tol), the whole stack (LRU of _VREP_ENTRIES); the rays on A
-    alone (LRU of _MEMO_ENTRIES).  Every caller shares the read-only
-    arrays.
+    (A, B, res_tol), the whole stack (LRU of _VREP_ENTRIES), and every
+    caller shares the read-only arrays.
     """
     _check_budget(A.shape[0] + 1, A.shape[1])
     return [(list(verts), list(rays)) for verts, rays in _vrep(A, B, res_tol)]
@@ -229,9 +208,12 @@ class LPBuilder:
         self.le_rows.append(dict(coeffs))
         self.le_rhs.append(float(rhs))
 
-    def _dense(self, rows):
-        n = len(self.lb)
-        out = np.zeros((len(rows), n))
+    def _dense(self, rows, extra=0):
+        """rows as a dense array with extra zero columns after the
+        variables', or None when there are no rows."""
+        if not rows:
+            return None
+        out = np.zeros((len(rows), len(self.lb) + extra))
         for r, coeffs in enumerate(rows):
             for j, c in coeffs.items():
                 out[r, j] = c
@@ -243,44 +225,33 @@ class LPBuilder:
         c = np.zeros(n + 1)
         c[n] = 1.0  # t appended last
         bounds = (*zip(self.lb, self.ub), (0.0, None))
-        A_eq = None
-        b_eq = None
-        if self.eq_rows:
-            A_eq = np.hstack([self._dense(self.eq_rows), np.zeros((len(self.eq_rows), 1))])
-            b_eq = np.array(self.eq_rhs)
-        blocks = []
-        rhs = []
-        if self.soft_rows:
-            S = self._dense(self.soft_rows)
-            ones = np.ones((len(self.soft_rows), 1))
-            blocks.append(np.hstack([S, -ones]))
-            rhs.extend(self.soft_rhs)
-            blocks.append(np.hstack([-S, -ones]))
-            rhs.extend([-v for v in self.soft_rhs])
-        if self.le_rows:
-            L = self._dense(self.le_rows)
-            blocks.append(np.hstack([L, np.zeros((len(self.le_rows), 1))]))
-            rhs.extend(self.le_rhs)
-        A_ub = np.vstack(blocks) if blocks else None
-        b_ub = np.array(rhs) if blocks else None
-        success, _, x = _lp(c, A_ub, b_ub, A_eq, b_eq, bounds)
+        # soft rows as S w - t <= rhs and -S w - t <= -rhs
+        S = self._dense(self.soft_rows, 1)
+        blocks = [] if S is None else [S, -S]
+        for block in blocks:
+            block[:, n] = -1.0
+        blocks.append(self._dense(self.le_rows, 1))
+        rhs = self.soft_rhs + [-v for v in self.soft_rhs] + self.le_rhs
+        A_ub = np.vstack([b for b in blocks if b is not None]) if rhs else None
+        success, _, x = _lp(c, A_ub, _rhs(rhs), self._dense(self.eq_rows, 1),
+                            _rhs(self.eq_rhs), bounds)
         if not success:
             return None, None
         return float(x[-1]), x[:-1]
 
     def maximize(self, coeffs: dict):
         """Returns (optimal value, solution) or (None, None)."""
-        n = len(self.lb)
-        c = np.zeros(n)
+        c = np.zeros(len(self.lb))
         for j, v in coeffs.items():
             c[j] = -v
-        A_eq = self._dense(self.eq_rows) if self.eq_rows else None
-        b_eq = np.array(self.eq_rhs) if self.eq_rows else None
-        A_ub = self._dense(self.le_rows) if self.le_rows else None
-        b_ub = np.array(self.le_rhs) if self.le_rows else None
-        success, fun, x = _lp(c, A_ub, b_ub, A_eq, b_eq,
+        success, fun, x = _lp(c, self._dense(self.le_rows), _rhs(self.le_rhs),
+                              self._dense(self.eq_rows), _rhs(self.eq_rhs),
                               tuple(zip(self.lb, self.ub)))
         if not success:
             return None, None
         return -fun, x
 
+
+def _rhs(values):
+    """values as a right-hand side array, or None when there are none."""
+    return np.array(values) if values else None

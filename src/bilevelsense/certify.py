@@ -515,24 +515,17 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps):
                   if not sets[r].polytope.is_empty}
         if not tagged:
             return None
-        s = _System(caps.u_max)
-        lam, lam_keys, mu, mu_keys = [], [], [], []
         vpts, vmetas, rpts, rmetas = [], [], [], []
-        for ykey, t_set in sorted(tagged.items()):
-            poly = t_set.polytope
-            lam += [s.lp.var() for _ in poly.vertices]
-            lam_keys += [ykey] * len(poly.vertices)
-            mu += [s.lp.var() for _ in poly.rays]
-            mu_keys += [ykey] * len(poly.rays)
-            vpts.append(poly.vertices)
+        for _, t_set in sorted(tagged.items()):
+            vpts.append(t_set.polytope.vertices)
             vmetas += t_set.vertex_meta
-            rpts.append(poly.rays)
+            rpts.append(t_set.polytope.rays)
             rmetas += t_set.ray_meta
-        s.group_rays(lam, mu, lam_keys, mu_keys)
-        # every vertex, then every ray, in the order of lam + mu; the LP
-        # rows and _fold_groups pair each weight with its own generator
+        # every vertex, then every ray: the LP rows and _fold_groups pair
+        # each weight with its own generator
         pts, meta = np.vstack(vpts + rpts), vmetas + rmetas
-        tagged_block = list(zip(lam + mu, pts))
+        s = _System(caps.u_max)
+        tagged_block = s.cover(pts, len(vmetas), vmetas, rmetas)
         cov = s.cover(*cover)
         theta = s.theta(negp, xbar, active_theta)
         s.rows(False, 0, n, [(1.0, tagged_block), (-r, cov),
@@ -546,8 +539,8 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps):
             for w, pt in zip(wc, cover_pts):
                 xi += w * pt
             eta, y_t, xstar_t, u_t = _tuple_data(
-                pts, meta, np.array([sol[v] for v in lam + mu]), len(lam), n,
-                shift=r * xi)
+                pts, meta, np.array([sol[v] for v, _ in tagged_block]),
+                len(vmetas), n, shift=r * xi)
             return {
                 "eta": eta,
                 "y_t": y_t,

@@ -185,20 +185,21 @@ def _pointbased_cq(prog, which, xbar, y, caps, grid, seed) -> CQVerdict:
         return CQVerdict(f"CQ_{which}", "Holds", VERDICT_TOL,
                          detail="no active multipliers admissible", seed=seed)
 
+    s = _System(caps.u_max)
+    g_block = s.hull(g_gens)
+    f_block, phi_block, r = [], [], None
+    if which == "S":
+        r = s.lp.var()
+        f_block = s.hull(f_gens, var=r)
+        phi_block = s.hull(phi_gens, var=r)
+    # normalization: total multiplier mass one (scale invariance)
+    s.total(g_block, value=1.0, var=r, k=-1.0)
+    s.rows(True, n, m, [(1.0, g_block + f_block), (1.0, phi_block)])
     best_val = 0.0
     best = None
+    # max |x*_coord| over the normalized slice, one LP objective per sign
     for coord in range(n):
         for sign in (1.0, -1.0):
-            s = _System(caps.u_max)
-            g_block = s.hull(g_gens)
-            f_block, phi_block, r = [], [], None
-            if which == "S":
-                r = s.lp.var()
-                f_block = s.hull(f_gens, var=r)
-                phi_block = s.hull(phi_gens, var=r)
-            # normalization: total multiplier mass one (scale invariance)
-            s.total(g_block, value=1.0, var=r, k=-1.0)
-            s.rows(True, n, m, [(1.0, g_block + f_block), (1.0, phi_block)])
             obj = {v: sign * g[coord] for v, g in g_block + f_block}
             obj.update((v, 0.0 + sign * g[coord]) for v, g in phi_block)
             val, sol = s.lp.maximize(obj)

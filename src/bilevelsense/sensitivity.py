@@ -43,6 +43,7 @@ from .valuefn import (
     GridSpec,
     SolutionSet,
     _lex_order,
+    _require_integers,
     _xkey,
     lower_solutions,
     optimistic_solutions,
@@ -55,9 +56,10 @@ DEFAULT_TOL_ACTIVE = 1e-8
 class Caps:
     """Enumeration caps; every report records the caps it ran under.
 
-    r_max and u_max are finite and >= 0, log_r_max is at most 308 (the
-    r-grid holds 10.0 ** log_r_max) and max_solution_samples is at least 1;
-    other values raise ValueError.
+    r_max and u_max are finite and >= 0, log_r_min and log_r_max are
+    integers and log_r_max is at most 308 (the r-grid holds
+    10.0 ** log_r_max), and max_solution_samples is an integer of at least
+    1; other values raise ValueError.
     """
 
     r_max: float = 10.0
@@ -71,6 +73,8 @@ class Caps:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0")
+        _require_integers(self, "log_r_min", "log_r_max",
+                          "max_solution_samples")
         if self.log_r_max > 308:
             raise ValueError("log_r_max must be <= 308")
         if self.max_solution_samples < 1:
@@ -473,24 +477,22 @@ class _System:
             row[var] = -k
         self.lp.eq(row, value)
 
-    def group_rays(self, lam, mu, lam_keys, mu_keys):
-        """Vertex weights lam sum to one; the ray weights mu of each source y
-        are at most u_max times that y's vertex weights, so ray mass only
-        lives where vertex mass does."""
+    def cover(self, pts, n_verts, vmeta, rmeta):
+        """Block over the hull pts (n_verts vertices, then rays) of
+        generators tagged with their source y (vmeta, rmeta): the vertex
+        weights sum to one, and the ray weights of each source y are at most
+        u_max times that y's vertex weights, so ray mass only lives where
+        vertex mass does."""
+        lam = [self.lp.var() for _ in pts[:n_verts]]
+        mu = [self.lp.var() for _ in pts[n_verts:]]
+        lam_keys = [d["y"] for d in vmeta]
+        mu_keys = [d["y"] for d in rmeta]
         self.lp.eq({v: 1.0 for v in lam}, 1.0)
         for key in dict.fromkeys(mu_keys):
             row = {mu[q]: 1.0 for q, kk in enumerate(mu_keys) if kk == key}
             row.update((lam[q], -self.u_max)
                        for q, kk in enumerate(lam_keys) if kk == key)
             self.lp.le(row, 0.0)
-
-    def cover(self, pts, n_verts, vmeta, rmeta):
-        """Block over the stationarity-covector hull pts (n_verts vertices,
-        then rays); vmeta and rmeta give the source y of each generator."""
-        lam = [self.lp.var() for _ in pts[:n_verts]]
-        mu = [self.lp.var() for _ in pts[n_verts:]]
-        self.group_rays(lam, mu, [d["y"] for d in vmeta],
-                        [d["y"] for d in rmeta])
         return list(zip(lam + mu, pts))
 
     def stationarity(self, GF, Gf, Gg, r):

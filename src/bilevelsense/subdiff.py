@@ -41,7 +41,8 @@ def _rows(points, dim) -> np.ndarray:
     """points as a read-only float64 (k, dim) array; dim None takes the
     length of the points.  A read-only float64 2-D array is taken as it is,
     so frozen generators are shared; anything else is copied first, so no
-    caller's array is frozen.  Raises DimensionMismatchError when the points
+    caller's array is frozen; k points of no coordinates stay a (k, 0)
+    array.  Raises DimensionMismatchError when the points
     have different lengths, or a flat list does not split into points of
     dim coordinates."""
     if (isinstance(points, np.ndarray) and points.ndim == 2
@@ -55,7 +56,7 @@ def _rows(points, dim) -> np.ndarray:
             raise DimensionMismatchError("points of different lengths") from None
         raise
     dim = arr.shape[-1] if dim is None else dim
-    if arr.size == 0:
+    if arr.size == 0 and arr.shape[1:] != (dim,):
         arr = np.zeros((0, dim))
     elif arr.ndim == 1:
         if not dim or arr.size % dim:

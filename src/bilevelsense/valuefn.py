@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -72,9 +73,17 @@ MAX_STACKED_POINTS = 2 ** 13
 _SOLUTION_ENTRIES = 64
 
 
+def _require_integers(spec, *names):
+    """Raise ValueError naming the first of spec's fields names that is not
+    an integer (a float such as 2.0 or NaN included)."""
+    for name in names:
+        if not isinstance(getattr(spec, name), numbers.Integral):
+            raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid-search resolution parameters.
+    """Grid-search resolution parameters, each an integer.
 
     refine_points = 21 with a +-1-cell window shrinks the cell size by
     exactly 10 per refinement level.
@@ -86,6 +95,8 @@ class GridSpec:
     max_seeds: int = 5
 
     def __post_init__(self):
+        _require_integers(self, "points_per_dim", "refine_depth",
+                          "refine_points", "max_seeds")
         if self.points_per_dim < 3:
             raise ValueError("points_per_dim must be >= 3")
         if self.refine_depth < 0:
@@ -632,8 +643,11 @@ def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
 def lower_solutions(prog: BilevelProgram, x,
                     grid: GridSpec = GridSpec()) -> SolutionSet:
     """S(x): feasible grid points whose f-value is within
-    `default_tol_val(phi)` of phi(x)."""
-    return _solution_set("lower", _Problem.of(prog), _xkey(x, prog.n), grid)
+    `default_tol_val(phi)` of phi(x).  S(x) does not read F, so it is keyed
+    as the sweep is, with F's top-level negations stripped: a program and
+    its negated-upper twin share one entry."""
+    problem = _Problem.of(prog)._replace(F=prog.F._peel_negations()[0])
+    return _solution_set("lower", problem, _xkey(x, prog.n), grid)
 
 
 def optimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:

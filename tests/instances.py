@@ -155,6 +155,20 @@ def instance_cqk_degenerate():
     )
 
 
+def instance_free_follower():
+    """A follower with no lower-level constraints (p = 0): S(x) = {x},
+    phi_o(x) = (x - 0.5)^2, and Lambda at a stationary y is the one
+    multiplier vector of no coordinates."""
+    return BilevelProgram(
+        n=1,
+        m=1,
+        F=(X1 - 0.5) ** 2 + (Y1 - X1) ** 2,
+        f=(Y1 - X1) ** 2,
+        box_x=((-1.0, 1.0),),
+        box_y=((-1.0, 1.0),),
+    )
+
+
 def make_affine_instance(seed: int) -> BilevelProgram:
     """Seeded all-affine instance with S(x) a moving singleton.
 

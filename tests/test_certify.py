@@ -18,6 +18,8 @@ from bilevelsense import certify
 from bilevelsense.sensitivity import Caps, _subsample
 from bilevelsense.valuefn import GridSpec, optimistic_solutions
 
+from instances import instance_free_follower
+
 X1 = Expr.x(1)
 Y1 = Expr.y(1)
 
@@ -78,6 +80,17 @@ class TestOptimisticVariantII:
                                   GRID, CAPS, with_cq=False)
         assert cert.status == "Certified"
         assert cert.residual <= 1e-9
+
+    def test_a_follower_without_constraints_searches_its_one_gamma(self):
+        # p = 0: Lambda is {()}, so gamma is that one vertex, not a free
+        # variable searched for a relaxation bound
+        cert = certify_optimistic(instance_free_follower(), [0.5], "ii",
+                                  GridSpec(points_per_dim=41, refine_depth=2),
+                                  CAPS, with_cq=False)
+        assert cert.status == "Certified"
+        assert "gamma restricted to vertex multipliers of the lower-level " \
+            "stationarity set" in cert.notes
+        assert not any("relaxation bound" in note for note in cert.notes)
 
     def test_agreement_with_value_stationarity(self, prog_a):
         # X = R^n and phi_o smooth: the two certifications agree

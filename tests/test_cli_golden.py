@@ -7,7 +7,8 @@ when it parses as one.  The problem files are instances A-C, the
 `perfbench/problems/nm2.blp` program (n = m = 2, read only) and a
 knife-edge follower whose optimality band bound falls exactly on grid
 points and one ulp below others, so that a one-ulp change to the band
-moves its S(x) and phi_o / phi_p.  Strings, exit codes and list shapes
+moves its S(x) and phi_o / phi_p, and a follower with no lower-level
+constraints (p = 0).  Strings, exit codes and list shapes
 must match exactly; floats must agree to 1e-12 relative, with a 1e-15
 absolute floor for round-off-level zeros, and NaN matches NaN.  A run
 that lands on other grid points or another LP vertex fails; last-ulp BLAS
@@ -67,11 +68,27 @@ x1 = -1, 1
 y1 = -1, 1
 """
 
+# p = 0: S(x) = {x}, phi_o(x) = (x - 0.5)^2, and Lambda is the one empty
+# multiplier vector at every stationary y
+FREE_FOLLOWER_TEXT = """
+[dims]
+n = 1
+m = 1
+[upper]
+objective = (x1 - 0.5)^2 + (y1 - x1)^2
+[lower]
+objective = (y1 - x1)^2
+[box]
+x1 = -1, 1
+y1 = -1, 1
+"""
+
 FILES = {
     "A.blp": INSTANCE_A_TEXT,
     "B.blp": INSTANCE_B_TEXT,
     "C.blp": INSTANCE_C_TEXT,
     "edge.blp": KNIFE_EDGE_TEXT,
+    "free.blp": FREE_FOLLOWER_TEXT,
 }
 
 ONE = ["--grid", "21", "--refine", "2"]
@@ -121,6 +138,8 @@ CASES = {
                           "-1:1:3", *ONE],
     "edge/sample_phi_p_coarse": ["sample", "edge.blp", "--which", "phi_p", "--range",
                                  "-1:1:3", "--grid", "21", "--refine", "0"],
+    "free/estimate_convex": ["estimate", "free.blp", "--x", "0.3", "--variant",
+                             "convex", "--grid", "41", "--refine", "2"],
 }
 
 REL = 1e-12

@@ -38,8 +38,6 @@ def _b(r):
 
 
 def _clear_memos():
-    _polyalg._smallest_singular_values.cache_clear()
-    _polyalg._recession_rays.cache_clear()
     _polyalg._vrep.cache_clear()
 
 

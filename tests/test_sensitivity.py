@@ -29,7 +29,7 @@ from bilevelsense.subdiff import (
 )
 from bilevelsense.valuefn import GridSpec, lower_solutions, value_function
 
-from instances import exact
+from instances import exact, instance_free_follower
 from test_valuefn import SHARED_GRID, piecewise_affine_programs
 
 X1 = Expr.x(1)
@@ -97,6 +97,15 @@ class TestLambdaSet:
             box_x=((-1, 1),), box_y=((-2, 2),))
         ms = lambda_set(prog, [0.0], [0.0])
         assert ms.vertices.tolist() == [[0.0]]
+
+    def test_a_follower_without_constraints_keeps_its_one_multiplier(self):
+        # p = 0: Lambda at a stationary y is {()}, one vertex of no
+        # coordinates; it used to come out empty
+        ms = lambda_set(instance_free_follower(), [0.3], [0.3])
+        assert not ms.is_empty
+        assert ms.vertices.shape == (1, 0)
+        assert ms.rays.shape == (0, 0)
+        assert lambda_set(instance_free_follower(), [0.3], [0.5]).is_empty
 
     def test_infeasible_point_rejected(self, prog_a):
         with pytest.raises(InfeasiblePointError):
@@ -254,6 +263,15 @@ class TestEstimates:
         est = estimate_optimistic(prog_a, [0.5], "convex", GRID, CAPS)
         assert distance(est.polytope, [0.0]) <= 1e-9
         assert est.truncated  # the (r, beta) ray was capped
+
+    @pytest.mark.parametrize("estimate", [estimate_optimistic, estimate_pessimistic])
+    def test_convex_without_lower_level_constraints(self, estimate):
+        # p = 0: every sampled multiplier set used to come out empty, so the
+        # convex estimate raised EmptyEstimateError; phi_o'(0.3) = -0.4
+        grid = GridSpec(points_per_dim=41, refine_depth=2)
+        est = estimate(instance_free_follower(), [0.3], "convex", grid, CAPS)
+        assert distance(est.polytope, [-0.4]) <= 1e-12
+        assert np.all(np.abs(est.polytope.vertices + 0.4) <= 2e-3)
 
     @pytest.mark.parametrize("name,x,gens", [("a", [0.5], 3), ("b", [0.0], 2)])
     def test_convex_builds_one_system_per_sampled_y(self, monkeypatch, name, x,

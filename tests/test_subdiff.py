@@ -14,6 +14,7 @@ from bilevelsense.errors import (
 from bilevelsense.model import Expr, clarke_generators, eabs
 from bilevelsense.subdiff import (
     Polytope,
+    _rows,
     contains,
     distance,
     fd_subgradient_samples,
@@ -46,6 +47,14 @@ class TestAlgebra:
                           (q.rays, [[-2.0, -3.0]])):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_points_of_no_coordinates_keep_their_count(self):
+        # k points of R^0 are a (k, 0) array; an empty list is (0, dim)
+        assert _rows([np.zeros(0)] * 3, 0).shape == (3, 0)
+        assert _rows(np.zeros((2, 0)), None).shape == (2, 0)
+        assert _rows([], 0).shape == (0, 0)
+        assert _rows([], 2).shape == (0, 2)
+        assert Polytope.from_generators(0, [[]]).vertices.shape == (1, 0)
 
     def test_distance_unit_square(self):
         sq = Polytope.from_generators(

@@ -350,8 +350,7 @@ def test_every_memo_is_declared_through_one_module():
     from bilevelsense import _memo
 
     assert sorted(_memo.REGISTRY) == [
-        "_polyalg._lp", "_polyalg._recession_rays",
-        "_polyalg._smallest_singular_values", "_polyalg._vrep",
+        "_polyalg._lp", "_polyalg._vrep",
         "cq._inner_regularity", "cq._pointbased_cq", "valuefn._coarse_mesh",
         "valuefn._solution_set", "valuefn._solve_lower"]
     for path in sorted(SRC.glob("*.py")):

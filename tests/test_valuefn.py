@@ -336,6 +336,17 @@ def test_dedup_matches_all_pairs_greedy(cloud):
         greedy_dedup_all_pairs(points, resolution)
 
 
+@pytest.mark.parametrize("field", ["points_per_dim", "refine_depth",
+                                   "refine_points", "max_seeds"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, float("nan"), "5"])
+def test_grid_spec_rejects_counts_that_are_not_integers(field, bad):
+    # 11.5 points per axis or a NaN depth used to pass, then raise
+    # TypeError at the first sweep
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer$"):
+        GridSpec(**{field: bad})
+    assert getattr(GridSpec(**{field: np.int64(5)}), field) == 5
+
+
 def test_grid_spec_rejects_a_negative_max_seeds():
     # a refinement level picks up to max_seeds + 2 seeds per x
     with pytest.raises(ValueError, match="max_seeds"):
@@ -356,16 +367,22 @@ def test_grid_spec_rejects_fewer_than_two_refine_points(points):
     ("u_max", -0.5), ("u_max", float("nan")), ("u_max", float("inf")),
     ("log_r_max", 309), ("log_r_max", 400),
     ("max_solution_samples", 0), ("max_solution_samples", -2),
+    ("log_r_min", 0.5), ("log_r_max", float("nan")), ("log_r_max", 1.0),
+    ("max_solution_samples", 2.5),
 ])
 def test_caps_rejects_values_its_searches_cannot_use(field, bad):
     # r_max = -1 certified with a residual its recheck put at inf, a sample
     # cap below 1 and a NaN r_max ended in numpy's and scipy's ValueErrors,
-    # and log_r_max = 400 in an OverflowError inside r_grid
+    # and log_r_max = 400 in an OverflowError inside r_grid; a log_r_min of
+    # 0.5 or a NaN or 1.0 log_r_max raised TypeError inside r_grid
     rule = {"log_r_max": "<= 308", "max_solution_samples": ">= 1"}
     message = f"{field} must be {rule.get(field, 'finite and >= 0')}"
+    if field not in ("r_max", "u_max") and not isinstance(bad, int):
+        message = f"{field} must be an integer"
     with pytest.raises(ValueError, match=rf"^{message}$"):
         Caps(**{field: bad})
-    edge = {"log_r_max": 308, "max_solution_samples": 1}.get(field, 0.0)
+    edge = {"log_r_min": 0, "log_r_max": 308,
+            "max_solution_samples": 1}.get(field, 0.0)
     assert getattr(Caps(**{field: edge}), field) == edge
 
 
@@ -1172,6 +1189,24 @@ def test_solution_keys_stay_apart(prog_c):
                                  box_x=((-5.0, 5.0),)), x, SHARED_GRID)
     info = _solution_set.cache_info()
     assert (info.hits, info.misses) == (2, len(requests))
+
+
+def test_twins_share_one_lower_solution_set(prog_c):
+    # S(x) reads only the band's f values, which a program and its
+    # negated-upper twin share bit for bit, so both read one entry
+    x = [0.3]
+    negp = prog_c.negated_upper()
+    _solution_set.cache_clear()
+    fresh = lower_solutions(negp, x, SHARED_GRID)
+    _solution_set.cache_clear()
+    got = lower_solutions(prog_c, x, SHARED_GRID)
+    assert lower_solutions(negp, x, SHARED_GRID) is got
+    assert lower_solutions(negp.negated_upper(), x, SHARED_GRID) is got
+    info = _solution_set.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    assert np.array_equal(got.points, fresh.points)
+    assert (got.value, got.tol_val, got.finest_cell) == \
+        (fresh.value, fresh.tol_val, fresh.finest_cell)
 
 
 def test_infeasible_solution_sets_are_not_memoised(prog_a):

@@ -7,9 +7,11 @@ containment or certify), which is imported as it is and not modified.
 Operations 0 .. WARMUP-1 run unhashed (WARMUP defaults to 0); the next N
 operations are hashed: one sha256 over their `encode(op, out)` bytes laid
 end to end, with b"failed" for an operation that raised.  Prints the
-sha256 and the CPU seconds of the N hashed operations, and writes no
-bytecode.  Two trees whose outputs on those operations are byte-identical
-print the same sha256.
+sha256 and the CPU seconds of the N hashed operations, then one line per
+memo of `bilevelsense._memo.REGISTRY`: its hits and misses over the N
+hashed operations, from `cache_info()`.  Writes no bytecode.  Two trees
+whose outputs on those operations are byte-identical print the same
+sha256.
 """
 
 import sys
@@ -24,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
+from bilevelsense._memo import REGISTRY  # noqa: E402
 
 
 def main(argv):
@@ -39,6 +42,7 @@ def main(argv):
         except Exception:  # noqa: BLE001 - an operation that raised is a result
             pass
     digest = hashlib.sha256()
+    before = {name: memo.cache_info() for name, memo in REGISTRY.items()}
     start = time.process_time()
     for i in range(warmup, warmup + count):
         op = wl.op(i)
@@ -50,6 +54,10 @@ def main(argv):
     cpu = time.process_time() - start
     print(digest.hexdigest())
     print(f"cpu_s {cpu:.3f}")
+    for name, memo in REGISTRY.items():
+        info, old = memo.cache_info(), before[name]
+        print(f"memo {name} hits {info.hits - old.hits} "
+              f"misses {info.misses - old.misses}")
     return 0
 
 

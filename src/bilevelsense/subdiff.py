@@ -42,9 +42,9 @@ def _rows(points, dim) -> np.ndarray:
     length of the points.  A read-only float64 2-D array is taken as it is,
     so frozen generators are shared; anything else is copied first, so no
     caller's array is frozen; k points of no coordinates stay a (k, 0)
-    array.  Raises DimensionMismatchError when the points
-    have different lengths, or a flat list does not split into points of
-    dim coordinates."""
+    array.  Raises DimensionMismatchError when the points have different
+    lengths, or a flat list does not split into points of dim
+    coordinates."""
     if (isinstance(points, np.ndarray) and points.ndim == 2
             and points.dtype == np.float64 and not points.flags.writeable):
         return points

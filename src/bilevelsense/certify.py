@@ -279,9 +279,11 @@ def certify_value_stationarity(
 
 
 def _search(candidates, r_grid, build):
-    """Solve build(candidate, r) -> (system, decode) or None over every
-    candidate and r; keep the strictly best residual, decoding only
-    improvements."""
+    """Solve build(candidate, r) -> (system, decode) or None over the
+    candidates and r; keep the strictly best residual, decoding only
+    improvements.  Every LP bounds t below by 0 and a later LP replaces
+    best only on t < best - 1e-15, so the walk stops at the first residual
+    of 0: no later candidate is drawn and no later system is built."""
     best = None
     for cand in candidates:
         for r in r_grid:
@@ -294,6 +296,8 @@ def _search(candidates, r_grid, build):
                 continue
             if best is None or t_val < best["residual"] - 1e-15:
                 best = {"residual": t_val, "r": r, **decode(sol)}
+                if t_val <= 0.0:
+                    return best
     return best
 
 

@@ -628,8 +628,10 @@ def _solution_set(which: str, problem: _Problem, x_key: Tuple[float, ...],
     InfeasibleError is not cached; the sweep memo answers a repeat.
     """
     _, band_y, band_f, band_F = _sweep(problem, x_key, grid)
-    keys = band_f if which == "lower" else band_F
-    value = float(keys.min())
+    if which == "lower":
+        keys, value = band_f, float(band_f.min())
+    else:
+        keys, value = band_F, _upper_optimum(band_F, x_key, problem.n)
     band_tol = default_tol_val(value)
     sel = keys <= value + band_tol
     pts = band_y[sel]
@@ -650,23 +652,29 @@ def lower_solutions(prog: BilevelProgram, x,
     return _solution_set("lower", problem, _xkey(x, prog.n), grid)
 
 
+def _upper_optimum(band_F, x, n):
+    """min F over the band; raises DomainError when it is not finite (an
+    F of -inf or NaN on the band, or +inf on all of it).  The message
+    gives no value: phi_p reads it on the negated-upper program, with the
+    opposite sign."""
+    value = float(band_F.min())
+    if not math.isfinite(value):
+        raise DomainError(
+            f"upper-level value is not finite at x={list(_xkey(x, n))}")
+    return value
+
+
 def optimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
-    """phi_o(x) = min F(x, .) over the near-optimal lower-level band."""
+    """phi_o(x) = min F(x, .) over the near-optimal lower-level band;
+    raises DomainError when it is not finite."""
     *_, band_F = _sweep(prog, x, grid)
-    return float(band_F.min())
+    return _upper_optimum(band_F, x, prog.n)
 
 
 def pessimistic_value(prog: BilevelProgram, x, grid: GridSpec = GridSpec()) -> float:
     """phi_p(x) = max F over the band, computed as -phi_o of the negated
     program so the sign identity between the two models is exact."""
     return -optimistic_value(prog.negated_upper(), x, grid)
-
-
-def pessimistic_value_direct(prog: BilevelProgram, x,
-                             grid: GridSpec = GridSpec()) -> float:
-    """Direct max over the band; cross-check path for the sign identity."""
-    *_, band_F = _sweep(prog, x, grid)
-    return float(band_F.max())
 
 
 def optimistic_solutions(prog: BilevelProgram, x,

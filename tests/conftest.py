@@ -78,3 +78,13 @@ def brute_force_lower(prog, x, n_points=4001):
     Fv = np.broadcast_to(
         np.asarray(eval_expr(prog.F, list(x), [ysf]), dtype=float), ysf.shape)
     return float(np.min(fv)), ysf, np.asarray(fv), np.asarray(Fv)
+
+
+def pessimistic_value_direct(prog, x, grid):
+    """Reference phi_p: the direct max of F over the band that
+    `valuefn._sweep` returns, a cross-check of the sign identity
+    phi_p = -phi_o of the negated program that the library uses."""
+    from bilevelsense.valuefn import _sweep
+
+    *_, band_F = _sweep(prog, x, grid)
+    return float(band_F.max())

@@ -43,11 +43,11 @@ from bilevelsense.valuefn import (
     GridSpec,
     optimistic_value,
     pessimistic_value,
-    pessimistic_value_direct,
     value_function,
 )
 from bilevelsense.cli import main as cli_main
 
+from conftest import pessimistic_value_direct
 from instances import (
     instance_a,
     instance_a_constrained,

@@ -18,7 +18,13 @@ from bilevelsense import certify
 from bilevelsense.sensitivity import Caps, _subsample
 from bilevelsense.valuefn import GridSpec, optimistic_solutions
 
-from instances import instance_free_follower
+from instances import (
+    instance_a,
+    instance_a_constrained,
+    instance_b,
+    instance_c,
+    instance_free_follower,
+)
 
 X1 = Expr.x(1)
 Y1 = Expr.y(1)
@@ -770,3 +776,117 @@ def test_recheck_matches_the_hand_written_reference():
                             for v in ("i", "ii", "iii")}
     for branch, kinds in reached.items():
         assert {"finite", "inf"} <= kinds, branch
+
+
+# -- the search stops at its first zero residual -----------------------------------
+
+
+def _full_scan_search(candidates, r_grid, build):
+    """The multiplier search as it was before it stopped at a zero
+    residual: every candidate and r, the strictly best residual kept."""
+    best = None
+    for cand in candidates:
+        for r in r_grid:
+            built = build(cand, r)
+            if built is None:
+                continue
+            system, decode = built
+            t_val, sol = system.lp.minimize_max_violation()
+            if t_val is not None and (best is None
+                                      or t_val < best["residual"] - 1e-15):
+                best = {"residual": t_val, "r": r, **decode(sol)}
+    return best
+
+
+def _stub_search(search, ts, n_r):
+    """Run search over stub candidates and builds whose LPs return the
+    residuals ts in (candidate, r) order (None: infeasible, "skip": no
+    system); return (best, candidates drawn, builds run)."""
+    from types import SimpleNamespace
+
+    drawn, built = [], []
+
+    def candidates():
+        for c in range(len(ts) // n_r):
+            drawn.append(c)
+            yield c
+
+    def build(cand, r):
+        built.append((cand, r))
+        t = ts[cand * n_r + r]
+        if t == "skip":
+            return None
+        lp = SimpleNamespace(minimize_max_violation=lambda: (
+            (None, None) if t is None else (t, (cand, r))))
+        return SimpleNamespace(lp=lp), lambda sol: {"at": sol}
+
+    return search(candidates(), range(n_r), build), drawn, built
+
+
+# (LP residuals, r-grid size, builds up to and including the first one
+# that leaves the best residual at 0)
+STOP_CASES = [
+    ([0.3, 0.0, 0.0], 1, 2),
+    ([0.2, 0.1], 1, 2),
+    ([0.3, 0.0, 0.0, 0.2], 2, 2),
+    ([0.5, None, 0.0, 0.4, 0.0, 0.1], 3, 3),
+    (["skip", 0.0, 0.7], 1, 2),
+    ([0.0, 0.0], 2, 1),
+    # 0.0 is not 1e-15 below 1e-16, so the best stays 1e-16 and the walk
+    # goes on to the end
+    ([1e-16, 0.0, 0.05, 0.0], 2, 4),
+    ([0.4, 0.4 - 1e-16, 0.25, 0.25 - 2e-15], 2, 4),
+]
+
+
+@pytest.mark.parametrize("ts,n_r,builds", STOP_CASES,
+                         ids=[str(k) for k in range(len(STOP_CASES))])
+def test_the_search_stops_at_its_first_zero_residual(ts, n_r, builds):
+    best, drawn, built = _stub_search(certify._search, ts, n_r)
+    assert best == _stub_search(_full_scan_search, ts, n_r)[0]
+    # no build after the first zero residual, and no candidate drawn
+    assert built == [(k // n_r, k % n_r) for k in range(builds)]
+    assert drawn == list(range((builds - 1) // n_r + 1))
+
+
+STOP_PROGRAMS = {
+    "A": (instance_a, (0.5, 1.0)),
+    "A_constrained": (instance_a_constrained, (0.0, 0.5)),
+    "B": (instance_b, (0.0, 0.5)),
+    "C": (instance_c, (0.0, 1.0)),
+    "free_follower": (instance_free_follower, (0.3, 0.5)),
+}
+
+
+def _certified(fn, prog, x, variant, grid):
+    try:
+        return fn(prog, [x], variant, grid, CAPS, with_cq=False).to_json_dict()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return f"raises {type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(STOP_PROGRAMS))
+def test_the_stop_gives_the_full_scan_certificates(name, monkeypatch):
+    make, xs = STOP_PROGRAMS[name]
+    prog, grid = make(), GridSpec(points_per_dim=101, refine_depth=3)
+    results, builds = {}, {}
+    for label, search in (("stop", certify._search),
+                          ("full", _full_scan_search)):
+        calls = []
+
+        def counted(candidates, r_grid, build, search=search, calls=calls):
+            def counting(cand, r):
+                calls.append(None)
+                return build(cand, r)
+            return search(candidates, r_grid, counting)
+
+        monkeypatch.setattr(certify, "_search", counted)
+        results[label] = [
+            _certified(fn, prog, x, variant, grid)
+            for fn in (certify_optimistic, certify_pessimistic)
+            for x in xs for variant in ("i", "ii", "iii")]
+        builds[label] = len(calls)
+    assert results["stop"] == results["full"]
+    assert any(isinstance(c, dict) for c in results["stop"])
+    # the stop skipped systems on this program
+    assert builds["stop"] < builds["full"]

@@ -418,19 +418,139 @@ optimistic
 
 
 @pytest.mark.parametrize("upper,argv", [
-    ("exp(800*x1) + y1", ["estimate", "--x", "0.95"]),
-    ("exp(800*x1) + y1", ["certify", "--x", "0.95"]),
-    ("(x1 - 0.5)^2 + y1", ["certify", "--variant", "i", "--x", "1e308"]),
+    ("min(exp(800*x1), 1) + y1", ["estimate", "--x", "0.95"]),
+    ("min(exp(800*x1), 1) + y1", ["certify", "--x", "0.95"]),
+    ("min((x1 - 0.5)^2, 1) + y1", ["certify", "--variant", "i", "--x", "1e308"]),
 ], ids=["estimate exp", "certify exp", "certify pow"])
 def test_scalar_overflow_exits_two(upper, argv, tmp_path, capsys):
     # x = 0.95 is inside the box; the Clarke generators of F take exp(760)
-    # by math.exp (or (1e308 - 0.5)^2 by **), which raised OverflowError
+    # by math.exp (or (1e308 - 0.5)^2 by **), which raised OverflowError.
+    # The min keeps F finite on the grid, where numpy gives inf, so phi_o
+    # is finite and the scalar pass is what fails
     path = tmp_path / "overflow.blp"
     path.write_text(OVERFLOW_UPPER.format(upper=upper))
     rc = main([argv[0], str(path), *argv[1:], "--grid", "41", "--refine", "1"])
     assert rc == 2
     assert capsys.readouterr().err == \
         "error: DomainError: overflow in a scalar evaluation\n"
+
+
+NAN_GENERATOR = """
+[dims]
+n = 1
+m = 1
+[upper]
+objective = (x1 - 0.5)^2 + y1
+[lower]
+objective = (y1 - x1)^2
+constraint = 0/x1 + y1 - x1
+[box]
+x1 = -1, 1
+y1 = -1, 1
+"""
+
+INFINITE_UPPER = """
+[dims]
+n = 1
+m = 1
+[upper]
+objective = {upper}
+[lower]
+objective = (y1 - x1)^2
+[box]
+x1 = -1, 1
+y1 = -1, 1
+"""
+
+
+def _one_error_line(argv, text, tmp_path, capsys):
+    """Run argv on a file holding text; expect exit 2, no stdout and one
+    `error: ` line, which is returned."""
+    path = tmp_path / "program.blp"
+    path.write_text(text)
+    rc = main([argv[0], str(path), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+class TestClarkeGeneratorNotFinite:
+    # at x = 1e-300 the x-gradient of 0/x1, -0/x1^2, is 0/0: NaN.  linprog
+    # refused the NaN cost (certify) and the SVD did not converge (estimate)
+    WANT = ("error: DomainError: a Clarke generator is not finite at "
+            "x=[1e-300], y=[0.0]\n")
+    GRID = ["--x", "1e-300", "--grid", "21", "--refine", "1"]
+
+    @pytest.mark.parametrize("variant", ["i", "ii", "iii"])
+    def test_certify_exits_two(self, variant, tmp_path, capsys):
+        argv = ["certify", "--variant", variant, *self.GRID]
+        assert _one_error_line(argv, NAN_GENERATOR, tmp_path,
+                               capsys) == self.WANT
+
+    def test_semicompact_estimate_exits_two(self, tmp_path, capsys):
+        argv = ["estimate", "--variant", "semicompact", *self.GRID]
+        assert _one_error_line(argv, NAN_GENERATOR, tmp_path,
+                               capsys) == self.WANT
+
+    def test_cq_with_a_generator_whose_square_overflows_exits_two(
+            self, tmp_path, capsys):
+        # at x = y = 0 the constraint's generators hold entries of 1e308,
+        # whose squared norm is inf: the projector's least squares did not
+        # converge
+        text = NAN_GENERATOR.replace(
+            "0/x1 + y1 - x1", "abs(min((y1 - x1)*abs(1e308), x1))")
+        argv = ["cq", "--x", "0", "--grid", "21", "--refine", "1"]
+        assert _one_error_line(argv, text, tmp_path, capsys) == (
+            "error: DomainError: a Clarke generator is not finite at "
+            "x=[0.0], y=[0.0]\n")
+
+
+class TestUpperValueNotFinite:
+    # F = -exp(1000) + y1 is -inf at every grid point, so phi_o is -inf and
+    # S_o(x) selected no point: cq and the semicontinuous estimate indexed
+    # an empty sample, and sample printed -inf rows
+    MINUS_INF = INFINITE_UPPER.format(upper="0 - exp(1000) + y1")
+
+    def test_cq_exits_two(self, tmp_path, capsys):
+        assert _one_error_line(["cq", "--x", "-0.3"], self.MINUS_INF, tmp_path,
+                               capsys) == \
+            "error: DomainError: upper-level value is not finite at x=[-0.3]\n"
+
+    def test_semicontinuous_estimate_exits_two(self, tmp_path, capsys):
+        argv = ["estimate", "--variant", "semicontinuous", "--x", "-0.3"]
+        assert _one_error_line(argv, self.MINUS_INF, tmp_path, capsys) == \
+            "error: DomainError: upper-level value is not finite at x=[-0.3]\n"
+
+    @pytest.mark.parametrize("which", ["phi_o", "phi_p"])
+    def test_sample_exits_two(self, which, tmp_path, capsys):
+        argv = ["sample", "--which", which, "--range", "-1:1:3"]
+        assert _one_error_line(argv, self.MINUS_INF, tmp_path, capsys) == \
+            "error: DomainError: upper-level value is not finite at x=[-1.0]\n"
+
+    def test_the_lower_value_is_still_sampled(self, tmp_path, capsys):
+        path = tmp_path / "program.blp"
+        path.write_text(self.MINUS_INF)
+        assert main(["sample", str(path), "--which", "phi", "--range",
+                     "-1:1:3"]) == 0
+        assert capsys.readouterr().out == \
+            "x1,value,status\n-1.0,0.0,ok\n0.0,0.0,ok\n1.0,0.0,ok\n"
+
+    @pytest.mark.parametrize("upper,argv,x", [
+        ("exp(800*x1) + y1", ["estimate", "--x", "0.95"], "0.95"),
+        ("exp(800*x1) + y1", ["certify", "--x", "0.95"], "0.95"),
+        ("(x1 - 0.5)^2 + y1", ["certify", "--variant", "i", "--x", "1e308"],
+         "1e+308"),
+    ], ids=["estimate exp", "certify exp", "certify pow"])
+    def test_an_infinite_upper_objective_is_read_before_its_generators(
+            self, upper, argv, x, tmp_path, capsys):
+        # numpy gives F = inf on the whole band, so phi_o is inf before
+        # the scalar pass behind the Clarke generators overflows
+        argv = [*argv, "--grid", "41", "--refine", "1"]
+        assert _one_error_line(argv, OVERFLOW_UPPER.format(upper=upper),
+                               tmp_path, capsys) == \
+            f"error: DomainError: upper-level value is not finite at x=[{x}]\n"
 
 
 NAN_FOLLOWER = """

@@ -188,6 +188,26 @@ class TestClarkeGenerators:
             for a, b in zip(gens, gens_neg):
                 assert np.array_equal(-a, b)
 
+    @pytest.mark.parametrize("e,x,y", [
+        (ediv(Expr.const(0.0), X1), 1e-300, 0.0),
+        (Y1 * 1e300 * 1e300, 0.0, 0.0),
+        (Y1 * 1e200, 0.0, 0.0),
+        (emax(Y1 * 1e200, Y1), 0.0, 0.0),
+    ], ids=["nan", "inf", "squared_norm", "one_of_two"])
+    def test_a_generator_that_is_not_finite_is_a_domain_error(self, e, x, y):
+        # 0/x1 has the x-gradient -0/x1^2, which is 0/0 at x1 = 1e-300; the
+        # other gradients are finite values whose squared norm overflows,
+        # or an overflow in a product the scalar pass does not check
+        with np.errstate(all="ignore"):
+            assert math.isfinite(eval_expr(e, [x], [y]))
+            with pytest.raises(DomainError, match="Clarke generator is not "
+                               "finite at x=\\[.*\\], y=\\[.*\\]"):
+                clarke_generators(e, [x], [y])
+
+    def test_a_large_finite_generator_is_kept(self):
+        gens = clarke_generators(Y1 * 1e150, [0.0], [0.0])
+        assert [g.tolist() for g in gens] == [[0.0, 1e150]]
+
 
 class TestParser:
     def test_minimal_file(self):

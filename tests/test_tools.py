@@ -1,0 +1,40 @@
+"""tools/digest.py: a seed list prints what each seed prints alone, and a
+reader that closes stdout early ends it without a traceback."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+DIGEST = Path(__file__).resolve().parent.parent / "tools" / "digest.py"
+ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+
+
+def _digest(*args):
+    proc = subprocess.run([sys.executable, str(DIGEST), *args],
+                          capture_output=True, text=True, env=ENV, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    return [line for line in proc.stdout.splitlines()
+            if not line.startswith("cpu_s")]
+
+
+def test_a_seed_list_prints_each_seed_as_it_runs_alone():
+    # the first ops of the two seeds share their inputs, so seed 13's memo
+    # lines match its own run only when the memos are cleared between seeds
+    both = _digest("certify", "7,13", "2")
+    alone = _digest("certify", "7", "2") + _digest("certify", "13", "2")
+    assert both == alone
+    assert [line.split("  ")[1] for line in both if "  seed " in line] == \
+        ["seed 7", "seed 13"]
+
+
+def test_a_closed_stdout_ends_it_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, str(DIGEST), "certify", "7,13,29", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first.endswith(b"  seed 7\n")
+    assert err == b""
+    assert proc.returncode == 1

@@ -45,12 +45,11 @@ from bilevelsense.valuefn import (
     optimistic_value,
     pessimistic_solutions,
     pessimistic_value,
-    pessimistic_value_direct,
     sample_curve,
     value_function,
 )
 
-from conftest import brute_force_lower
+from conftest import brute_force_lower, pessimistic_value_direct
 from instances import exact, instance_a, instance_b, instance_c
 
 GRID = GridSpec()
@@ -421,15 +420,25 @@ def test_dedup_of_a_flat_default_grid_solution_set_matches_the_bucket_loop(monke
     assert np.array_equal(np.signbit(sol.points), np.signbit(want))
 
 
-def test_an_upper_objective_nan_on_the_band_gives_an_empty_optimistic_set():
-    # F = inf - inf at every feasible y: phi_o is NaN, S_o(x) selects no
-    # point, and the dedup takes an empty (0, m) array
+@pytest.mark.parametrize("upper", ["nan", "inf", "minus_inf"])
+def test_an_upper_value_that_is_not_finite_raises(upper):
+    # F = inf - inf (NaN), inf or -inf at every feasible y: phi_o and phi_p
+    # are not finite, and S_o(x) would select no point (NaN, -inf) or the
+    # whole band (inf); each value and solution call that reads F raises,
+    # and S(x) and phi, which do not read F, are still returned
     big = Y1 * 1e308 * 1e308
-    prog = BilevelProgram(n=1, m=1, F=big - big, f=Expr.const(0.0),
+    F = {"nan": big - big, "inf": big, "minus_inf": neg(big)}[upper]
+    prog = BilevelProgram(n=1, m=1, F=F, f=Expr.const(0.0),
                           box_x=((-1.0, 1.0),), box_y=((0.5, 1.0),))
+    _solve_lower.cache_clear()
+    _solution_set.cache_clear()
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = optimistic_solutions(prog, [0.0], SHARED_GRID)
-    assert sol.points.shape == (0, 1) and np.isnan(sol.value)
+        for fn in (optimistic_value, pessimistic_value, optimistic_solutions,
+                   pessimistic_solutions):
+            with pytest.raises(DomainError, match="value is not finite"):
+                fn(prog, [0.0], SHARED_GRID)
+        assert lower_value(prog, [0.0], SHARED_GRID) == 0.0
+        assert len(lower_solutions(prog, [0.0], SHARED_GRID).points) > 0
 
 
 def test_dedup_drops_points_exactly_at_resolution():

@@ -145,6 +145,8 @@ def _parse_range(text):
                          "and an integer count") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParseError("--range lo and hi must be finite")
+    if not math.isfinite(hi - lo):
+        raise ParseError(f"--range width hi - lo = {hi - lo} is not finite")
     if count < 1:
         raise ParseError("--range count must be at least 1")
     return lo, hi, count

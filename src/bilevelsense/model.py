@@ -586,9 +586,13 @@ def is_smooth(e: Expr) -> bool:
 
 def _check_interval(lo, hi, line=None, col=None):
     """SemanticsError at (line, col) unless [lo, hi] is a finite nonempty
-    interval."""
+    interval whose width hi - lo is finite too (a wider box meshes NaN
+    grid points)."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise SemanticsError("boxes must be finite nonempty intervals",
+                             line, col)
+    if not math.isfinite(hi - lo):
+        raise SemanticsError(f"box width {hi - lo} of [{lo}, {hi}] is not finite",
                              line, col)
 
 

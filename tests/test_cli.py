@@ -212,6 +212,21 @@ class TestErrorsAndDeterminism:
         assert capsys.readouterr().err == (
             f"error: boxes must be finite nonempty intervals (line {line}, col 6)\n")
 
+    @pytest.mark.parametrize("entry", ["x1 = -1e308, 1e308", "y1 = -1e308, 1e308"])
+    def test_a_box_whose_width_overflows_exits_one_at_its_entry(
+            self, entry, tmp_path, capsys):
+        # np.linspace over a width of inf made NaN grid points: estimate
+        # reported a lower-level optimum of nan
+        old = {"x": "x1 = -1, 1", "y": "y1 = -2, 2"}[entry[0]]
+        text = DEEP_PROBLEM.format(upper="x1 + y1", lower="(y1 - x1)^2")
+        bad = tmp_path / "wide.blp"
+        bad.write_text(text.replace(old, entry))
+        assert main(["estimate", str(bad), "--x", "0"]) == 1
+        line = text.splitlines().index(old) + 1
+        assert capsys.readouterr().err == (
+            "error: box width inf of [-1e+308, 1e+308] is not finite "
+            f"(line {line}, col 6)\n")
+
     @pytest.mark.parametrize("kind", ["non_utf8", "directory"])
     def test_unreadable_problem_file_exit_one(self, tmp_path, kind):
         if kind == "non_utf8":
@@ -598,6 +613,16 @@ class TestLowerOptimumNotANumber:
             "error: DomainError: lower-level optimum is nan at x=[0.0]\n"
 
 
+class TestLowerOptimumInfinite:
+    def test_sample_exits_two_at_the_first_infinite_optimum(self, tmp_path, capsys):
+        # (y1 - x1)^2 overflows at every y of the box once x1 = 5e307, so
+        # the band f <= inf held the whole grid and sample printed an inf row
+        text = DEEP_PROBLEM.format(upper="x1 + y1", lower="(y1 - x1)^2")
+        argv = ["sample", "--which", "phi", "--range", "0:1e308:3"]
+        assert _one_error_line(argv, text, tmp_path, capsys) == \
+            "error: DomainError: lower-level optimum is inf at x=[5e+307]\n"
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("no room")],
                              ids=["bare", "message"])
@@ -682,6 +707,8 @@ class TestFlagValues:
         (["sample", "--range", "0:1"], "--range must be lo:hi:count"),
         (["sample", "--range", "nan:1:3"], "--range lo and hi must be finite"),
         (["sample", "--range", "0:1e999:3"], "--range lo and hi must be finite"),
+        (["sample", "--range", "-1e308:1e308:2"],
+         "--range width hi - lo = inf is not finite"),
         (["sample", "--range", "0:1:-3"], "--range count must be at least 1"),
         (["sample", "--range", "0:1:0"], "--range count must be at least 1"),
         (["sample", "--grid", "2"], "--grid must be at least 3"),

@@ -431,6 +431,14 @@ class TestProgramValidation:
                 box_x=((0.0, math.inf),), box_y=((0.0, 1.0),),
             )
 
+    def test_a_box_whose_width_overflows_is_rejected(self):
+        with pytest.raises(SemanticsError, match=r"^box width inf of "
+                                                 r"\[-1e\+308, 1e\+308\] is not finite$"):
+            BilevelProgram(
+                n=1, m=1, F=X1, f=Y1,
+                box_x=((0.0, 1.0),), box_y=((-1e308, 1e308),),
+            )
+
     def test_negated_upper(self):
         prog = parse_program(MINIMAL_FILE)
         negp = prog.negated_upper()

@@ -763,6 +763,105 @@ def test_a_batch_reads_transcendental_x_subtrees_as_one_x_does():
                                                            SHARED_GRID))
 
 
+# -- the evaluator's column gather ---------------------------------------------
+
+
+def _row_gather_evaluate(f, g, F, x, mesh):
+    """The sweep's evaluator as it was when it took the feasible rows in
+    one boolean row gather, mesh[keep], and evaluated f and F on the
+    strided columns of that copy: the reference the column gather must
+    match bit for bit."""
+    per_row = isinstance(x, np.ndarray)
+    keep = np.ones(len(mesh), dtype=bool)
+    cols = list(mesh.T)
+    for gi in g:
+        keep &= np.asarray(eval_expr(gi, x, cols), dtype=float) <= TOL_FEAS
+    y = mesh[keep]
+    if not len(y):
+        return y, np.zeros(0), np.zeros(0), keep
+    if per_row:
+        x = x[:, keep]
+    cols = list(y.T)
+    return (y, *(np.broadcast_to(np.asarray(eval_expr(e, x, cols), dtype=float),
+                                 (len(y),)) for e in (f, F)), keep)
+
+
+# box edges and window corners that put +0.0 and -0.0 on the meshes
+SIGNED_EDGES = [(-1.0, 1.0), (-1.0, -0.0), (-0.0, 1.0), (0.0, 0.5), (-0.0, 0.0),
+                (-0.25, 0.0)]
+SIGNED_COORDS = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.3, 0.75, 1.0])
+
+
+@st.composite
+def evaluator_cases(draw):
+    """(f, g, F, x, mesh, mask) for m = 1, 2 or 3 and n = 2: f and F read
+    every y and x through exp, log, powers, division, abs, max and min (or
+    F is a constant); the mesh is a memoised coarse grid (x one point), an
+    np.tile stack of one (x per row) or `_mesh` windows (either x); mask
+    is "all", "none" or "some", the rows g keeps.  On a tiled stack "some"
+    keeps a drawn random subset of the rows: g reads x2, which is -1 on
+    the kept rows and 1 elsewhere."""
+    m = draw(st.integers(1, 3))
+    ys = [Expr.y(j + 1) for j in range(m)]
+    x2 = Expr.x(2)
+    f = (eexp(ys[0] * 0.5 - X1) + elog(ys[-1] * ys[-1] + 1.1)
+         + (ys[-1] + x2) ** 3 + emax(ys[0], x2) / (ys[m // 2] * ys[m // 2] + 2.0))
+    F = draw(st.sampled_from([eabs(ys[0] - X1) * ys[-1] + emin(ys[0], ys[-1]),
+                              Expr.const(0.5)]))
+    kind = draw(st.sampled_from(["coarse", "tile", "window"]))
+    count = draw(st.integers(2, 6))
+    if kind == "window":
+        boxes = draw(st.integers(1, 3))
+        lo = np.array([[draw(SIGNED_COORDS) for _ in range(m)] for _ in range(boxes)])
+        width = np.array([[draw(st.sampled_from([0.0, 0.0, 0.25, 0.5]))
+                           for _ in range(m)] for _ in range(boxes)])
+        mesh = valuefn._mesh(lo, lo + width, count)
+    else:
+        box = tuple(draw(st.sampled_from(SIGNED_EDGES)) for _ in range(m))
+        mesh = valuefn._coarse_mesh(box, count)
+        if kind == "tile":
+            mesh = np.tile(mesh, (draw(st.integers(2, 4)), 1))
+    per_row = kind == "tile" or (kind == "window" and draw(st.booleans()))
+    mask = draw(st.sampled_from(["all", "none", "some"]))
+    if per_row:
+        rows = len(mesh)
+        chosen = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+        x = np.array([[draw(SIGNED_COORDS) for _ in range(rows)],
+                      np.where(chosen, -1.0, 1.0)])
+    else:
+        x = [draw(SIGNED_COORDS), draw(SIGNED_COORDS)]
+    if mask == "all":
+        g = ()
+    elif mask == "none":
+        g = (ys[0] * 0.0 + 1.0,)
+    elif per_row and kind == "tile":
+        g = (x2,)
+    else:
+        coeffs = [draw(st.sampled_from([-1.0, 0.5, 1.0])) for _ in range(m)]
+        g = (sum((c * y for c, y in zip(coeffs[1:], ys[1:])), coeffs[0] * ys[0])
+             + X1 * 0.25 - draw(st.sampled_from([-0.5, 0.0, 0.25])),)
+    return f, g, F, x, mesh, mask
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=evaluator_cases())
+def test_the_column_gather_matches_the_row_gather_bit_for_bit(case):
+    f, g, F, x, mesh, mask = case
+    got = valuefn._evaluate(f, g, F, x, mesh)
+    want = _row_gather_evaluate(f, g, F, x, mesh)
+    keep = want[3]
+    assert mask != "all" or keep.all()
+    assert mask != "none" or not keep.any()
+    assert got[0].shape == want[0].shape == (int(keep.sum()), mesh.shape[1])
+    assert got[0].dtype == want[0].dtype == float
+    assert got[0].flags.c_contiguous
+    for a, b in zip(got[:3], want[:3]):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert got[3].dtype == bool and np.array_equal(got[3], keep)
+
+
 # f divides by zero at y1 = 0.125, which no coarse point (step 0.25) but
 # the first windows around the minimiser y1 = 0 (step 0.125) meet: at
 # x1 = 0 the sweep raises on a refinement level, and at x1 = 0.75 and
@@ -1057,6 +1156,9 @@ def _follower(f):
 NAN_FOLLOWER = _follower(eexp(1000.0 * Y1) - eexp(1000.0 * Y1) + (Y1 - X1) ** 2)
 # -exp(1000) is -inf at y1 = 1, so phi is -inf and the band bound is NaN
 MINUS_INF_FOLLOWER = _follower(neg(eexp(1000.0 * Y1)))
+# exp(1000) is inf at every y, so phi is +inf and the band would hold
+# every feasible point
+PLUS_INF_FOLLOWER = _follower(eexp(1000.0 + Y1 * 0.0) + (Y1 - X1) ** 2)
 # finite on the coarse lattice -1, -0.5, ..., 1 (0 below y1 = 0.62, inf at
 # 1), NaN (inf * 0) on (0.62, 0.75), which the first window around the
 # minimiser 0.5 meets at 0.6 + 0.1
@@ -1069,8 +1171,9 @@ LATE_NAN_GRID = GridSpec(points_per_dim=5, refine_depth=1, refine_points=11)
 @pytest.mark.parametrize("prog,grid,phi", [
     (NAN_FOLLOWER, SHARED_GRID, "nan"),
     (MINUS_INF_FOLLOWER, SHARED_GRID, "-inf"),
+    (PLUS_INF_FOLLOWER, SHARED_GRID, "inf"),
     (LATE_NAN_FOLLOWER, LATE_NAN_GRID, "nan"),
-], ids=["nan", "minus_inf", "nan_after_a_level"])
+], ids=["nan", "minus_inf", "plus_inf", "nan_after_a_level"])
 def test_an_optimum_that_is_not_a_number_raises(fn, prog, grid, phi):
     _solve_lower.cache_clear()
     _solution_set.cache_clear()

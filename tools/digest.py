@@ -10,11 +10,13 @@ it prints what a run of that seed alone prints.  Per seed, operations
 0 .. WARMUP-1 run unhashed (WARMUP defaults to 0); the next N operations
 are hashed: one sha256 over their `encode(op, out)` bytes laid end to end,
 with b"failed" for an operation that raised.  Prints, per seed, a line
-`SHA256  seed SEED`, the CPU seconds of the N hashed operations, then one
-line per memo: its hits and misses over the N hashed operations, from
-`cache_info()`.  Writes no bytecode, and exits quietly when stdout closes
-early (`| head -1`).  Two trees whose outputs on those operations are
-byte-identical print the same sha256.
+`SHA256  seed SEED`, the CPU seconds of the N hashed operations
+(`cpu_s`), the minor page faults they took (`minflt`, from
+`resource.getrusage`, so that allocator churn shows next to the hash),
+then one line per memo: its hits and misses over the N hashed
+operations, from `cache_info()`.  Writes no bytecode, and exits quietly
+when stdout closes early (`| head -1`).  Two trees whose outputs on those
+operations are byte-identical print the same sha256.
 """
 
 import sys
@@ -23,6 +25,7 @@ sys.dont_write_bytecode = True
 
 import hashlib  # noqa: E402
 import os  # noqa: E402
+import resource  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -34,7 +37,7 @@ from bilevelsense._memo import REGISTRY  # noqa: E402
 
 
 def digest(workload, seed, count, warmup):
-    """Print the sha256, CPU and memo lines of one seed."""
+    """Print the sha256, CPU, page-fault and memo lines of one seed."""
     for memo in REGISTRY.values():
         memo.cache_clear()
     wl = workloads.LIBRARY[workload](seed)
@@ -45,6 +48,7 @@ def digest(workload, seed, count, warmup):
             pass
     sha = hashlib.sha256()
     before = {name: memo.cache_info() for name, memo in REGISTRY.items()}
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.process_time()
     for i in range(warmup, warmup + count):
         op = wl.op(i)
@@ -54,8 +58,10 @@ def digest(workload, seed, count, warmup):
             out = b"failed"
         sha.update(out)
     cpu = time.process_time() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     print(f"{sha.hexdigest()}  seed {seed}")
     print(f"cpu_s {cpu:.3f}")
+    print(f"minflt {faults}")
     for name, memo in REGISTRY.items():
         info, old = memo.cache_info(), before[name]
         print(f"memo {name} hits {info.hits - old.hits} "

@@ -152,32 +152,133 @@ def standard_vrep(A: np.ndarray, b: np.ndarray,
 
 @memo(_LP_ENTRIES)
 def _lp(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    """(success, fun, x) of `linprog(..., method="highs")`, x None when the
-    solve failed.
+    """(success, fun, x) of HiGHS on min c x subject to A_ub x <= b_ub,
+    A_eq x = b_eq and the (lower, upper) bounds, x None when the solve
+    failed.
 
-    Memoised in an LRU of _LP_ENTRIES entries on every input linprog reads
-    (None for an absent block, so an absent and an empty block differ);
-    HiGHS is deterministic, so a failed solve is memoised too.
-    scipy.optimize is imported here, on a miss.
+    Memoised in an LRU of _LP_ENTRIES entries on every input HiGHS is
+    given (None for an absent block, so an absent and an empty block
+    differ); HiGHS is deterministic, so a failed solve is memoised too.
+    _highs_lp is looked up as a module global on every miss, so a wrapper
+    installed on it sees each solve that runs.
     """
-    from scipy.optimize import linprog
+    return _highs_lp(c, A_ub, b_ub, A_eq, b_eq, bounds)
 
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=list(bounds), method="highs")
-    if not res.success:
+
+# scipy's HiGHS binding and the options of every solve, set on the first
+# LP miss (_highs_lp), so that a run which solves no LP never imports
+# scipy.optimize.
+_HIGHS = None
+# The tolerance of linprog's post-check of an optimal answer: 10 * sqrt(tol)
+# at its default tol = 1e-9.
+_CHECK_TOL = 10 * math.sqrt(1e-9)
+
+
+def _highs():
+    """(binding, options): scipy.optimize._highspy._core and one
+    HighsOptions holding the five values linprog(method="highs") sets.
+    Each solve passes the options to a fresh _Highs, which copies them."""
+    global _HIGHS
+    if _HIGHS is None:
+        from scipy.optimize._highspy import _core as h
+
+        options = h.HighsOptions()
+        options.presolve = "on"
+        options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
+        options.log_to_console = False
+        options.output_flag = False
+        options.simplex_strategy = \
+            h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        _HIGHS = h, options
+    return _HIGHS
+
+
+def _highs_lp(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    """(success, fun, x) of `linprog(..., method="highs")`, bit for bit,
+    from one call of scipy's HiGHS binding.
+
+    The model is the one linprog hands HiGHS: the A_ub rows, then the A_eq
+    rows, as a column-wise sparse matrix without its zeros, row bounds
+    (-inf, b_ub] and [b_eq, b_eq], and None bounds as -inf or inf.  Success
+    is HiGHS's optimal status plus linprog's post-check (_within_tolerance).
+    Data of inconsistent shapes, or with an inf or a nan in c, A_ub, b_ub,
+    A_eq or b_eq, raises ValueError, as linprog does.
+    """
+    h, options = _highs()
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
+    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
+    # None bounds read as nan here, then as -inf below and inf above
+    bnd = np.array(bounds, dtype=float)
+    if (c.shape != (n,) or not n or bnd.shape != (n, 2)
+            or A_ub.shape != (len(b_ub), n) or b_ub.ndim != 1
+            or A_eq.shape != (len(b_eq), n) or b_eq.ndim != 1):
+        raise ValueError("LP data of inconsistent shapes")
+    lb, ub = bnd.T.copy()
+    A = np.vstack((A_ub, A_eq))
+    rhs = np.concatenate((b_ub, b_eq))
+    if not (np.isfinite(c).all() and np.isfinite(A).all()
+            and np.isfinite(rhs).all()):
+        raise ValueError("LP data must not contain inf or nan")
+    lb[np.isnan(lb)] = -np.inf
+    ub[np.isnan(ub)] = np.inf
+    cols, rows = np.nonzero(A.T)  # column by column, rows ascending
+    lp = h.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = len(rhs)
+    lp.a_matrix_.num_col_ = n
+    lp.a_matrix_.num_row_ = len(rhs)
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = np.concatenate((np.full(len(b_ub), -np.inf), b_eq))
+    lp.row_upper_ = rhs
+    lp.a_matrix_.start_ = np.searchsorted(
+        cols, np.arange(n + 1)).astype(np.int32)
+    lp.a_matrix_.index_ = rows.astype(np.int32)
+    lp.a_matrix_.value_ = A[rows, cols]
+    highs = h._Highs()
+    error = h.HighsStatus.kError
+    if (highs.passOptions(options) == error or highs.passModel(lp) == error
+            or highs.run() == error
+            or highs.getModelStatus() != h.HighsModelStatus.kOptimal):
         return False, None, None
-    return True, float(res.fun), np.array(res.x)
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    fun = highs.getInfo().objective_function_value
+    slack = rhs - np.array(solution.row_value)
+    if not _within_tolerance(x, fun, slack[:len(b_ub)], slack[len(b_ub):],
+                             lb, ub):
+        return False, None, None
+    return True, float(fun), x
+
+
+def _within_tolerance(x, fun, slack, con, lb, ub):
+    """linprog's post-check of an optimal answer (scipy's _check_result):
+    no nan anywhere, x within its bounds, every ub slack b_ub - A_ub x at
+    least and every eq residual b_eq - A_eq x at most _CHECK_TOL off."""
+    tol = _CHECK_TOL
+    if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
+            or np.isnan(con).any()):
+        return False
+    return bool(((x >= lb - tol) & (x <= ub + tol)).all()
+                and not (slack < -tol).any() and not (np.abs(con) > tol).any())
 
 
 class LPBuilder:
-    """Tiny indexed LP front end over scipy's HiGHS solver.
+    """Tiny indexed LP front end over HiGHS, through scipy's binding.
 
     Supports hard equality rows, soft rows |row - rhs| <= t with t the
     minimax objective, and plain linear objectives.  Deterministic by
     construction (fixed variable and row order).  Both solve methods hand
     their dense arrays to `_lp`, which answers a repeated LP from its memo
-    and imports scipy.optimize only on a miss, so a run that solves no LP
-    (a `sample` request, say) never loads it.  A solution is shared
+    and calls HiGHS directly on a miss (_highs_lp).  scipy.optimize is
+    imported only on the first miss, so a run that solves no LP (a `sample`
+    request, say) never loads it.  A solution is shared
     read-only with every caller that built the same LP.
     """
 

@@ -182,17 +182,21 @@ def _evaluate(f, g, F, x, mesh: np.ndarray):
     feasible set cannot fire.  x is one point (a list of floats) or an
     (n, len(mesh)) array holding the point of each mesh row.
 
-    The feasible rows are gathered one column at a time and stacked into
-    y, a C-contiguous (k, m) array: the meshes are laid out column by
-    column (`_mesh`), and a boolean gather of each contiguous column is
-    several times faster than one of the mesh's strided rows.  f and F
-    read the gathered columns, and a per-row x is gathered row by row."""
+    The feasible rows are gathered one column at a time and copied into
+    the columns of y, a C-contiguous (k, m) array: the meshes are laid out
+    column by column (`_mesh`), and a boolean gather of each contiguous
+    column is several times faster than one of the mesh's strided rows.
+    Filling an empty y column by column skips np.stack's fixed cost, which
+    dominates on a small m = 1 mesh.  f and F read the gathered columns,
+    and a per-row x is gathered row by row."""
     keep = np.ones(len(mesh), dtype=bool)
     cols = list(mesh.T)
     for gi in g:
         keep &= np.asarray(eval_expr(gi, x, cols), dtype=float) <= TOL_FEAS
     cols = [c[keep] for c in cols]
-    y = np.stack(cols, axis=1)
+    y = np.empty((len(cols[0]), len(cols)), dtype=mesh.dtype)
+    for j, col in enumerate(cols):
+        y[:, j] = col
     if not len(y):
         return y, np.zeros(0), np.zeros(0), keep
     if isinstance(x, np.ndarray):

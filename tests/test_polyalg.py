@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -449,20 +448,21 @@ def test_mutating_a_returned_solution_leaves_the_memo_intact():
     assert np.array_equal(w_want, lp.minimize_max_violation()[1])
 
 
-def _counting_linprog(monkeypatch):
+def _counting_solves(monkeypatch):
+    """A list that grows by one on each HiGHS solve `_lp` makes."""
     calls = []
-    linprog = scipy.optimize.linprog
+    solve = _polyalg._highs_lp
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return solve(*args)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(_polyalg, "_highs_lp", counted)
     return calls
 
 
 def test_failed_solves_are_memoised_and_exceptions_are_not(monkeypatch):
-    calls = _counting_linprog(monkeypatch)
+    calls = _counting_solves(monkeypatch)
     infeasible = (np.array([1.0]), None, None, np.array([[1.0]]),
                   np.array([-1.0]), ((0.0, None),))
     _polyalg._lp.cache_clear()
@@ -470,11 +470,11 @@ def test_failed_solves_are_memoised_and_exceptions_are_not(monkeypatch):
         assert _polyalg._lp(*infeasible) == (False, None, None)
     assert len(calls) == 1
 
-    def broken(*args, **kwargs):
+    def broken(*args):
         calls.append(1)
         raise ValueError("solver failure")
 
-    monkeypatch.setattr(scipy.optimize, "linprog", broken)
+    monkeypatch.setattr(_polyalg, "_highs_lp", broken)
     calls.clear()
     ok = (np.array([1.0]), None, None, None, None, ((0.0, 1.0),))
     for _ in range(2):
@@ -485,7 +485,7 @@ def test_failed_solves_are_memoised_and_exceptions_are_not(monkeypatch):
 
 
 def test_a_second_point_of_the_same_piece_solves_no_lp(monkeypatch):
-    calls = _counting_linprog(monkeypatch)
+    calls = _counting_solves(monkeypatch)
     _polyalg._lp.cache_clear()
     first = _certify_all(PINNED_AFFINE, [0.5], GridSpec())
     assert calls

@@ -88,8 +88,6 @@ def test_decision_memos_are_visible_to_the_tracer():
 def test_lp_memo_sits_behind_the_traced_solve_methods(monkeypatch):
     import inspect
 
-    import scipy.optimize
-
     from bilevelsense import _polyalg
 
     assert _polyalg._lp.cache_info().maxsize == _polyalg._LP_ENTRIES == 256
@@ -100,15 +98,15 @@ def test_lp_memo_sits_behind_the_traced_solve_methods(monkeypatch):
         method = _polyalg.LPBuilder.__dict__[name]
         assert inspect.isfunction(method) and not hasattr(method, "cache_info")
         assert "_lp" in method.__code__.co_names
-    # a miss reaches scipy.optimize.linprog and a hit does not
+    # a miss reaches the HiGHS solve and a hit does not
     calls = []
-    linprog = scipy.optimize.linprog
+    solve = _polyalg._highs_lp
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return linprog(*args, **kwargs)
+        return solve(*args)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(_polyalg, "_highs_lp", counted)
     _polyalg._lp.cache_clear()
     for _ in range(2):
         lp = _polyalg.LPBuilder()

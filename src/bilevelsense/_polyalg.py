@@ -151,18 +151,19 @@ def standard_vrep(A: np.ndarray, b: np.ndarray,
 
 
 @memo(_LP_ENTRIES)
-def _lp(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    """(success, fun, x) of HiGHS on min c x subject to A_ub x <= b_ub,
-    A_eq x = b_eq and the (lower, upper) bounds, x None when the solve
+def _lp(c, A, row_lo, row_hi, lb, ub):
+    """(success, fun, x) of HiGHS on min c x subject to
+    row_lo <= A x <= row_hi and lb <= x <= ub, x None when the solve
     failed.
 
-    Memoised in an LRU of _LP_ENTRIES entries on every input HiGHS is
-    given (None for an absent block, so an absent and an empty block
-    differ); HiGHS is deterministic, so a failed solve is memoised too.
-    _highs_lp is looked up as a module global on every miss, so a wrapper
-    installed on it sees each solve that runs.
+    A holds the ub rows (row_lo -inf) and then the eq rows (row_lo equal
+    to row_hi); a free bound is -inf or inf.  Memoised in an LRU of
+    _LP_ENTRIES entries on the model HiGHS is given; HiGHS is
+    deterministic, so a failed solve is memoised too.  _highs_lp is
+    looked up as a module global on every miss, so a wrapper installed on
+    it sees each solve that runs.
     """
-    return _highs_lp(c, A_ub, b_ub, A_eq, b_eq, bounds)
+    return _highs_lp(c, A, row_lo, row_hi, lb, ub)
 
 
 # scipy's HiGHS binding and the options of every solve, set on the first
@@ -193,54 +194,38 @@ def _highs():
     return _HIGHS
 
 
-def _highs_lp(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    """(success, fun, x) of `linprog(..., method="highs")`, bit for bit,
-    from one call of scipy's HiGHS binding.
+def _highs_lp(c, A, row_lo, row_hi, lb, ub):
+    """(success, fun, x) of one call of scipy's HiGHS binding on the model
+    of `_lp`, bit for bit what `linprog(..., method="highs")` answers for
+    the same LP.
 
-    The model is the one linprog hands HiGHS: the A_ub rows, then the A_eq
-    rows, as a column-wise sparse matrix without its zeros, row bounds
-    (-inf, b_ub] and [b_eq, b_eq], and None bounds as -inf or inf.  Success
-    is HiGHS's optimal status plus linprog's post-check (_within_tolerance).
-    Data of inconsistent shapes, or with an inf or a nan in c, A_ub, b_ub,
-    A_eq or b_eq, raises ValueError, as linprog does.
+    A goes to HiGHS as a column-wise sparse matrix without its zeros.
+    Success is HiGHS's optimal status plus linprog's post-check
+    (_within_tolerance), which takes a row with row_lo == row_hi as an eq
+    row.  An inf or a nan in c, A or row_hi raises ValueError, as linprog
+    does.
     """
     h, options = _highs()
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    A_ub = np.zeros((0, n)) if A_ub is None else np.asarray(A_ub, dtype=float)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    # None bounds read as nan here, then as -inf below and inf above
-    bnd = np.array(bounds, dtype=float)
-    if (c.shape != (n,) or not n or bnd.shape != (n, 2)
-            or A_ub.shape != (len(b_ub), n) or b_ub.ndim != 1
-            or A_eq.shape != (len(b_eq), n) or b_eq.ndim != 1):
-        raise ValueError("LP data of inconsistent shapes")
-    lb, ub = bnd.T.copy()
-    A = np.vstack((A_ub, A_eq))
-    rhs = np.concatenate((b_ub, b_eq))
     if not (np.isfinite(c).all() and np.isfinite(A).all()
-            and np.isfinite(rhs).all()):
+            and np.isfinite(row_hi).all()):
         raise ValueError("LP data must not contain inf or nan")
-    lb[np.isnan(lb)] = -np.inf
-    ub[np.isnan(ub)] = np.inf
-    cols, rows = np.nonzero(A.T)  # column by column, rows ascending
+    n, rows = len(c), len(row_hi)
+    cols, idx = np.nonzero(A.T)  # column by column, rows ascending
     lp = h.HighsLp()
     lp.num_col_ = n
-    lp.num_row_ = len(rhs)
+    lp.num_row_ = rows
     lp.a_matrix_.num_col_ = n
-    lp.a_matrix_.num_row_ = len(rhs)
+    lp.a_matrix_.num_row_ = rows
     lp.a_matrix_.format_ = h.MatrixFormat.kColwise
     lp.col_cost_ = c
     lp.col_lower_ = lb
     lp.col_upper_ = ub
-    lp.row_lower_ = np.concatenate((np.full(len(b_ub), -np.inf), b_eq))
-    lp.row_upper_ = rhs
+    lp.row_lower_ = row_lo
+    lp.row_upper_ = row_hi
     lp.a_matrix_.start_ = np.searchsorted(
         cols, np.arange(n + 1)).astype(np.int32)
-    lp.a_matrix_.index_ = rows.astype(np.int32)
-    lp.a_matrix_.value_ = A[rows, cols]
+    lp.a_matrix_.index_ = idx.astype(np.int32)
+    lp.a_matrix_.value_ = A[idx, cols]
     highs = h._Highs()
     error = h.HighsStatus.kError
     if (highs.passOptions(options) == error or highs.passModel(lp) == error
@@ -250,17 +235,18 @@ def _highs_lp(c, A_ub, b_ub, A_eq, b_eq, bounds):
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     fun = highs.getInfo().objective_function_value
-    slack = rhs - np.array(solution.row_value)
-    if not _within_tolerance(x, fun, slack[:len(b_ub)], slack[len(b_ub):],
-                             lb, ub):
+    slack = row_hi - np.array(solution.row_value)
+    eq = row_lo == row_hi
+    if not _within_tolerance(x, fun, slack[~eq], slack[eq], lb, ub):
         return False, None, None
     return True, float(fun), x
 
 
 def _within_tolerance(x, fun, slack, con, lb, ub):
     """linprog's post-check of an optimal answer (scipy's _check_result):
-    no nan anywhere, x within its bounds, every ub slack b_ub - A_ub x at
-    least and every eq residual b_eq - A_eq x at most _CHECK_TOL off."""
+    no nan anywhere, x within its bounds, and the row slack row_hi - A x
+    at least -_CHECK_TOL on every ub row (slack) and at most _CHECK_TOL
+    off zero on every eq row (con, the residual)."""
     tol = _CHECK_TOL
     if (np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any()
             or np.isnan(con).any()):
@@ -274,12 +260,14 @@ class LPBuilder:
 
     Supports hard equality rows, soft rows |row - rhs| <= t with t the
     minimax objective, and plain linear objectives.  Deterministic by
-    construction (fixed variable and row order).  Both solve methods hand
-    their dense arrays to `_lp`, which answers a repeated LP from its memo
-    and calls HiGHS directly on a miss (_highs_lp).  scipy.optimize is
-    imported only on the first miss, so a run that solves no LP (a `sample`
-    request, say) never loads it.  A solution is shared
-    read-only with every caller that built the same LP.
+    construction (fixed variable and row order).  Both solve methods
+    build the model `_lp` takes (_model: a dense matrix of the ub rows,
+    then the eq rows, with their row bounds, and the variable bounds with
+    None as -inf or inf) and hand it to `_lp`, which answers a repeated
+    LP from its memo and calls HiGHS directly on a miss (_highs_lp).
+    scipy.optimize is imported only on the first miss, so a run that
+    solves no LP (a `sample` request, say) never loads it.  A solution is
+    shared read-only with every caller that built the same LP.
     """
 
     def __init__(self):
@@ -293,8 +281,8 @@ class LPBuilder:
         self.le_rhs: list = []
 
     def var(self, lb=0.0, ub=None) -> int:
-        self.lb.append(lb)
-        self.ub.append(ub)
+        self.lb.append(-np.inf if lb is None else lb)
+        self.ub.append(np.inf if ub is None else ub)
         return len(self.lb) - 1
 
     def eq(self, coeffs: dict, rhs: float):
@@ -311,31 +299,37 @@ class LPBuilder:
 
     def _dense(self, rows, extra=0):
         """rows as a dense array with extra zero columns after the
-        variables', or None when there are no rows."""
-        if not rows:
-            return None
+        variables'."""
         out = np.zeros((len(rows), len(self.lb) + extra))
         for r, coeffs in enumerate(rows):
             for j, c in coeffs.items():
                 out[r, j] = c
         return out
 
+    def _model(self, c, ub_blocks, ub_rhs, extra=0):
+        """The arguments of `_lp` for min c x subject to the rows of
+        ub_blocks <= ub_rhs, then the eq rows, over the variables' bounds
+        and extra (0, inf) columns after them."""
+        row_hi = np.array(ub_rhs + self.eq_rhs)
+        row_lo = row_hi.copy()
+        row_lo[:len(ub_rhs)] = -np.inf
+        A = np.concatenate((*ub_blocks, self._dense(self.eq_rows, extra)))
+        lb = np.array(self.lb + [0.0] * extra, dtype=float)
+        ub = np.array(self.ub + [np.inf] * extra, dtype=float)
+        return c, A, row_lo, row_hi, lb, ub
+
     def minimize_max_violation(self):
         """Returns (optimal t, solution w) or (None, None) if infeasible."""
         n = len(self.lb)
         c = np.zeros(n + 1)
         c[n] = 1.0  # t appended last
-        bounds = (*zip(self.lb, self.ub), (0.0, None))
         # soft rows as S w - t <= rhs and -S w - t <= -rhs
         S = self._dense(self.soft_rows, 1)
-        blocks = [] if S is None else [S, -S]
-        for block in blocks:
-            block[:, n] = -1.0
-        blocks.append(self._dense(self.le_rows, 1))
+        soft = np.vstack((S, -S))
+        soft[:, n] = -1.0
         rhs = self.soft_rhs + [-v for v in self.soft_rhs] + self.le_rhs
-        A_ub = np.vstack([b for b in blocks if b is not None]) if rhs else None
-        success, _, x = _lp(c, A_ub, _rhs(rhs), self._dense(self.eq_rows, 1),
-                            _rhs(self.eq_rhs), bounds)
+        success, _, x = _lp(*self._model(
+            c, (soft, self._dense(self.le_rows, 1)), rhs, 1))
         if not success:
             return None, None
         return float(x[-1]), x[:-1]
@@ -345,14 +339,8 @@ class LPBuilder:
         c = np.zeros(len(self.lb))
         for j, v in coeffs.items():
             c[j] = -v
-        success, fun, x = _lp(c, self._dense(self.le_rows), _rhs(self.le_rhs),
-                              self._dense(self.eq_rows), _rhs(self.eq_rhs),
-                              tuple(zip(self.lb, self.ub)))
+        success, fun, x = _lp(*self._model(
+            c, (self._dense(self.le_rows),), self.le_rhs))
         if not success:
             return None, None
         return -fun, x
-
-
-def _rhs(values):
-    """values as a right-hand side array, or None when there are none."""
-    return np.array(values) if values else None

@@ -241,6 +241,23 @@ def _pointbased_cq(prog, which, xbar, y, caps, grid, seed) -> CQVerdict:
                      seed=seed)
 
 
+def _witness_sum(prog: BilevelProgram, g_dirs, weights, xbar_l, y_l):
+    """The sum of a witness's per-constraint directions g_dirs, or None
+    when a direction of positive weight lies farther than 1e-8 from
+    weight times the hull of its constraint's generators at (xbar_l, y_l)."""
+    total = np.zeros(prog.n + prog.m)
+    for i_str, vec in g_dirs.items():
+        i = int(i_str)
+        vec = np.array(vec)
+        if weights[i] > 0:
+            gi_hull = hull(clarke_generators(prog.g[i], xbar_l, y_l, DEFAULT_TOL_ACTIVE),
+                           dim=prog.n + prog.m)
+            if distance(poly_scale(gi_hull, weights[i]), list(vec)) > 1e-8:
+                return None
+        total += vec
+    return total
+
+
 def recheck_pointbased_witness(prog: BilevelProgram, verdict: CQVerdict,
                                xbar, y):
     """Independent witness re-substitution for a Fails verdict.
@@ -252,18 +269,10 @@ def recheck_pointbased_witness(prog: BilevelProgram, verdict: CQVerdict,
     assert verdict.status == "Fails" and verdict.witness is not None
     w = verdict.witness
     xbar_l, y_l = list(_xkey(xbar, prog.n)), list(_xkey(y, prog.m))
-    n, m = prog.n, prog.m
-    total = np.zeros(n + m)
-    for i_str, vec in w["g_dirs"].items():
-        i = int(i_str)
-        vec = np.array(vec)
-        u_i = w["u"][i]
-        if u_i > 0:
-            gi_hull = hull(clarke_generators(prog.g[i], xbar_l, y_l, DEFAULT_TOL_ACTIVE),
-                           dim=n + m)
-            if distance(poly_scale(gi_hull, u_i), list(vec)) > 1e-8:
-                return False
-        total += vec
+    n = prog.n
+    total = _witness_sum(prog, w["g_dirs"], w["u"], xbar_l, y_l)
+    if total is None:
+        return False
     total += np.array(w["f_vec"])
     total[:n] += np.array(w["phi_vec"])
     if np.max(np.abs(total[n:])) > 1e-7:
@@ -321,16 +330,9 @@ def recheck_mfcq_witness(prog: BilevelProgram, verdict: CQVerdict,
     gamma = np.array(w["gamma"])
     if abs(gamma.sum() - 1.0) > 1e-9 or np.min(gamma) < -1e-12:
         return False
-    total = np.zeros(prog.n + prog.m)
-    for i_str, vec in w["g_dirs"].items():
-        i = int(i_str)
-        vec = np.array(vec)
-        if gamma[i] > 0:
-            gi_hull = hull(clarke_generators(prog.g[i], xbar_l, y_l, DEFAULT_TOL_ACTIVE),
-                           dim=prog.n + prog.m)
-            if distance(poly_scale(gi_hull, gamma[i]), list(vec)) > 1e-8:
-                return False
-        total += vec
+    total = _witness_sum(prog, w["g_dirs"], gamma, xbar_l, y_l)
+    if total is None:
+        return False
     # the witness violates the implication: nontrivial gamma, vanishing sum
     return np.max(np.abs(total)) <= verdict.tol + 1e-9 and gamma.max() > verdict.tol
 

@@ -518,21 +518,21 @@ def _reference_pointbased_cq(prog, which, xbar, y, tol=1e-8, caps=Caps(),
 
 
 def _bytes(a):
-    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+    return a.dtype.str, a.shape, a.tobytes()
 
 
 def _recorded_lp_inputs(monkeypatch):
-    """Every LP handed to `_polyalg._lp`, as bytes (bounds by repr, which
-    keeps the sign of zero and None apart from inf)."""
+    """Every LP handed to `_polyalg._lp`, as bytes (which keep the sign of
+    zero)."""
     from bilevelsense import _polyalg
 
     calls = []
-    linprog = _polyalg._lp
+    lp = _polyalg._lp
 
-    def recorded(c, A_ub, b_ub, A_eq, b_eq, bounds):
-        calls.append([_bytes(c), _bytes(A_ub), _bytes(b_ub), _bytes(A_eq),
-                      _bytes(b_eq), repr(bounds)])
-        return linprog(c, A_ub, b_ub, A_eq, b_eq, bounds)
+    def recorded(c, A, row_lo, row_hi, lb, ub):
+        calls.append([_bytes(c), _bytes(A), _bytes(row_lo), _bytes(row_hi),
+                      _bytes(lb), _bytes(ub)])
+        return lp(c, A, row_lo, row_hi, lb, ub)
 
     monkeypatch.setattr(_polyalg, "_lp", recorded)
     return calls

@@ -1,11 +1,12 @@
 """The direct HiGHS solve behind `_polyalg._lp` against linprog.
 
-`_polyalg._highs_lp` makes the call that `linprog(method="highs")` makes,
-through scipy's binding, without linprog's per-solve option checks.  These
-tests keep linprog as the reference: the same (success, fun, x) bit for
-bit on drawn LPs and on every LP of the golden certifications, the same
-post-check at its tolerance, the same ValueError on data that is not
-finite, and the same HighsOptions.
+`_polyalg._highs_lp` hands HiGHS the model of `_lp` (c, A with the ub rows
+first, row_lo, row_hi, lb, ub) through scipy's binding, without linprog's
+per-solve option checks.  These tests keep linprog as the reference, given
+the same LP as A_ub, b_ub, A_eq, b_eq and bounds: the same (success, fun,
+x) bit for bit on drawn LPs and on every LP of the golden certifications,
+the same post-check at its tolerance, the same ValueError on data that is
+not finite, and the same HighsOptions.
 """
 
 import ast
@@ -28,10 +29,13 @@ from test_polyalg import _same_lp
 SRC = Path(__file__).resolve().parent.parent / "src" / "bilevelsense"
 
 
-def _linprog(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    """(success, fun, x) as `_lp` read them from linprog."""
-    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
-                                 b_eq=b_eq, bounds=list(bounds),
+def _linprog(c, A, row_lo, row_hi, lb, ub):
+    """(success, fun, x) of linprog on the model of `_lp`: the rows whose
+    row_lo is -inf as A_ub and b_ub, the others (row_lo == row_hi) as A_eq
+    and b_eq, and zip(lb, ub) as the bounds."""
+    le = row_lo == -math.inf
+    res = scipy.optimize.linprog(c, A_ub=A[le], b_ub=row_hi[le], A_eq=A[~le],
+                                 b_eq=row_hi[~le], bounds=list(zip(lb, ub)),
                                  method="highs")
     if not res.success:
         return False, None, None
@@ -90,40 +94,44 @@ def test_the_options_are_the_ones_linprog_passes(monkeypatch):
 
 # -- drawn LPs -----------------------------------------------------------------
 
+INF = math.inf
 ENTRIES = st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 3.0))
-LOWER = st.sampled_from((None, 0.0, -0.0, -1.0, 1.0, -math.inf))
-UPPER = st.sampled_from((None, 0.0, -0.0, 1.0, 2.0, math.inf))
+LOWER = st.sampled_from((0.0, -0.0, -1.0, 1.0, -INF))
+UPPER = st.sampled_from((0.0, -0.0, 1.0, 2.0, INF))
 
 
 @st.composite
 def small_lps(draw):
-    """(c, A_ub, b_ub, A_eq, b_eq, bounds) as LPBuilder hands them to `_lp`,
-    with signed zeros, absent and empty blocks, None, infinite and crossed
-    bounds: infeasible and unbounded LPs among them."""
+    """(c, A, row_lo, row_hi, lb, ub) as LPBuilder hands them to `_lp`:
+    the ub rows first, then the eq rows, either set possibly empty, with
+    signed zeros and infinite and crossed bounds: infeasible and unbounded
+    LPs among them."""
     n = draw(st.integers(1, 3))
 
-    def vector(k):
-        return np.array(draw(st.lists(ENTRIES, min_size=k, max_size=k)))
+    def vector(k, entries=ENTRIES):
+        return np.array(draw(st.lists(entries, min_size=k, max_size=k)),
+                        dtype=float)
 
-    def block():
-        rows = draw(st.integers(0, 3))
-        if rows == 0 and draw(st.booleans()):
-            return None, None
-        return vector(rows * n).reshape(rows, n), vector(rows)
-
+    n_ub, n_eq = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     c = vector(n)
-    (A_ub, b_ub), (A_eq, b_eq) = block(), block()
-    bounds = tuple((draw(LOWER), draw(UPPER)) for _ in range(n))
-    return c, A_ub, b_ub, A_eq, b_eq, bounds
+    A = vector((n_ub + n_eq) * n).reshape(n_ub + n_eq, n)
+    row_hi = vector(n_ub + n_eq)
+    row_lo = row_hi.copy()
+    row_lo[:n_ub] = -INF
+    return c, A, row_lo, row_hi, vector(n, LOWER), vector(n, UPPER)
 
 
-INFEASIBLE = (np.array([1.0]), None, None, np.array([[1.0]]),
-              np.array([-1.0]), ((0.0, None),))
-UNBOUNDED = (np.array([-1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([1.0]),
-             None, None, ((0.0, None), (0.0, None)))
-CROSSED = (np.array([1.0]), None, None, None, None, ((1.0, 0.0),))
-EMPTY_UB = (np.array([1.0, -0.0]), np.zeros((0, 2)), np.zeros(0),
-            np.array([[1.0, 1.0]]), np.array([1.0]), ((0.0, None), (-0.0, 2.0)))
+def _model(*values):
+    """The model of `_lp` from nested lists: six float arrays."""
+    return tuple(np.array(v, dtype=float) for v in values)
+
+
+INFEASIBLE = _model([1.0], [[1.0]], [-1.0], [-1.0], [0.0], [INF])
+UNBOUNDED = _model([-1.0, 0.0], [[1.0, -1.0]], [-INF], [1.0], [0.0, 0.0],
+                   [INF, INF])
+CROSSED = _model([1.0], np.zeros((0, 1)), [], [], [1.0], [0.0])
+EMPTY_UB = _model([1.0, -0.0], [[1.0, 1.0]], [1.0], [1.0], [0.0, -0.0],
+                  [INF, 2.0])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -132,7 +140,6 @@ EMPTY_UB = (np.array([1.0, -0.0]), np.zeros((0, 2)), np.zeros(0),
 @example(args=UNBOUNDED)
 @example(args=CROSSED)
 @example(args=EMPTY_UB)
-@example(args=EMPTY_UB[:1] + (None, None) + EMPTY_UB[3:])
 def test_the_direct_solve_matches_linprog_on_drawn_lps(args):
     _assert_same_solve(args)
 
@@ -156,8 +163,7 @@ def test_the_direct_solve_matches_linprog_on_every_golden_lp(monkeypatch):
     lp = _polyalg._lp
 
     def recorded(*args):
-        key = repr([None if a is None else (a.dtype.str, a.shape, a.tobytes())
-                    for a in args[:5]] + [repr(args[5])])
+        key = repr([(a.dtype.str, a.shape, a.tobytes()) for a in args])
         seen.setdefault(key, copy.deepcopy(args))
         return lp(*args)
 
@@ -220,10 +226,10 @@ def test_the_direct_solve_checks_what_linprog_checks(monkeypatch):
     # that linprog's _check_result reads, and its answer decides success
     import scipy.optimize._linprog as linprog_module
 
-    args = (np.array([1.0, -1.0, 0.5]),
-            np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]), np.array([2.0, 1.0]),
-            np.array([[1.0, -0.0, 1.0]]), np.array([1.0]),
-            ((0.0, None), (None, 1.5), (-0.0, 2.0)))
+    args = _model([1.0, -1.0, 0.5],
+                  [[1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, -0.0, 1.0]],
+                  [-INF, -INF, 1.0], [2.0, 1.0, 1.0], [0.0, -INF, -0.0],
+                  [INF, 1.5, 2.0])
     theirs, ours = [], []
     check_result = linprog_module._check_result
 
@@ -250,21 +256,26 @@ def test_the_direct_solve_checks_what_linprog_checks(monkeypatch):
 
 # -- data that is not finite ---------------------------------------------------
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("where", ["c", "A_ub", "b_ub", "A_eq", "b_eq"])
+# (argument, index) of c, and of A and row_hi in the ub row and in the eq
+# row, named by the linprog argument each lands in
+NOT_FINITE_AT = {"c": (0, 0), "A_ub": (1, (0, 1)), "b_ub": (3, 0),
+                 "A_eq": (1, (1, 0)), "b_eq": (3, 1)}
+
+
+@pytest.mark.parametrize("bad", [INF, -INF, math.nan])
+@pytest.mark.parametrize("where", list(NOT_FINITE_AT))
 def test_data_that_is_not_finite_raises_on_both_paths(where, bad):
-    args = dict(c=np.array([1.0, 0.0]), A_ub=np.array([[1.0, 1.0]]),
-                b_ub=np.array([2.0]), A_eq=np.array([[1.0, -1.0]]),
-                b_eq=np.array([0.0]), bounds=((0.0, None), (0.0, None)))
-    args[where] = args[where].copy()
-    args[where].flat[0] = bad
+    args = list(_model([1.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [-INF, 0.0],
+                       [2.0, 0.0], [0.0, 0.0], [INF, INF]))
+    arg, index = NOT_FINITE_AT[where]
+    args[arg][index] = bad
     with pytest.raises(ValueError):
-        _linprog(**args)
+        _linprog(*args)
     with pytest.raises(ValueError):
-        _polyalg._highs_lp(**args)
+        _polyalg._highs_lp(*args)
     _polyalg._lp.cache_clear()
     with pytest.raises(ValueError):
-        _polyalg._lp(*args.values())
+        _polyalg._lp(*args)
     assert _polyalg._lp.cache_info().currsize == 0
 
 

@@ -64,8 +64,8 @@ def _b(z=0.0):
 
 
 def _lp(c0=0.0, lb=0.0):
-    return (np.array([1.0, c0]), None, None, np.array([[1.0, 1.0]]),
-            np.array([1.0]), ((lb, None), (0.0, None)))
+    return (np.array([1.0, c0]), np.array([[1.0, 1.0]]), np.array([1.0]),
+            np.array([1.0]), np.array([lb, 0.0]), np.array([np.inf, np.inf]))
 
 
 def _pointbased(x=0.0, y=0.0):

@@ -398,20 +398,23 @@ def test_lp_hit_equals_a_fresh_solve_on_drawn_programs(case):
 
 def test_lp_keys_stay_apart():
     # the signs of zeros are the memo property's (tests/test_memo.py)
-    c = np.array([1.0, 0.0])
-    A_eq, b_eq = np.array([[1.0, 1.0]]), np.array([1.0])
-    nonneg = ((0.0, None), (0.0, None))
+    c, A, rhs = np.array([1.0, 2.0]), np.array([[1.0, 1.0]]), np.array([1.0])
+    lb, ub = np.zeros(2), np.full(2, np.inf)
     requests = [
-        (c, None, None, A_eq, b_eq, nonneg),
-        # an absent bound and an infinite one
-        (c, None, None, A_eq, b_eq, ((0.0, np.inf), (0.0, None))),
-        # an absent inequality block and an empty one
-        (c, np.zeros((0, 2)), np.zeros(0), A_eq, b_eq, nonneg),
+        (c, A, rhs, rhs, lb, ub),
+        # the same A and right-hand side as a le row
+        (c, A, np.array([-np.inf]), rhs, lb, ub),
+        # a free lower bound and a finite one
+        (c, A, rhs, rhs, np.array([-np.inf, 0.0]), ub),
     ]
     _polyalg._lp.cache_clear()
+    answers = []
     for i, args in enumerate(requests, start=1):
-        assert _polyalg._lp(*args)[0]
+        answers.append(_polyalg._lp(*args))
+        assert answers[-1][0]
         assert _polyalg._lp.cache_info().misses == i
+    # x1 + x2 = 1 is solved at (1, 0), x1 + x2 <= 1 at (0, 0)
+    assert answers[0][1] == 1.0 and answers[1][1] == 0.0
     for args in requests:
         _polyalg._lp(*args)
     info = _polyalg._lp.cache_info()
@@ -463,8 +466,8 @@ def _counting_solves(monkeypatch):
 
 def test_failed_solves_are_memoised_and_exceptions_are_not(monkeypatch):
     calls = _counting_solves(monkeypatch)
-    infeasible = (np.array([1.0]), None, None, np.array([[1.0]]),
-                  np.array([-1.0]), ((0.0, None),))
+    infeasible = (np.array([1.0]), np.array([[1.0]]), np.array([-1.0]),
+                  np.array([-1.0]), np.array([0.0]), np.array([np.inf]))
     _polyalg._lp.cache_clear()
     for _ in range(2):
         assert _polyalg._lp(*infeasible) == (False, None, None)
@@ -476,7 +479,8 @@ def test_failed_solves_are_memoised_and_exceptions_are_not(monkeypatch):
 
     monkeypatch.setattr(_polyalg, "_highs_lp", broken)
     calls.clear()
-    ok = (np.array([1.0]), None, None, None, None, ((0.0, 1.0),))
+    ok = (np.array([1.0]), np.zeros((0, 1)), np.zeros(0), np.zeros(0),
+          np.array([0.0]), np.array([1.0]))
     for _ in range(2):
         with pytest.raises(ValueError, match="solver failure"):
             _polyalg._lp(*ok)

@@ -1,12 +1,15 @@
 """tools/digest.py: a seed list prints what each seed prints alone, and a
-reader that closes stdout early ends it without a traceback."""
+reader that closes stdout early ends it without a traceback.
+tools/code_lines.py: what counts as a code line."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-DIGEST = Path(__file__).resolve().parent.parent / "tools" / "digest.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+DIGEST = TOOLS / "digest.py"
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1")
 
 
@@ -38,3 +41,36 @@ def test_a_closed_stdout_ends_it_quietly():
     assert first.endswith(b"  seed 7\n")
     assert err == b""
     assert proc.returncode == 1
+
+
+SNIPPET = '''"""Module docstring,
+on two lines."""
+
+import os  # a comment after code
+
+# a comment alone
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self, a,
+               b):
+        """Function docstring
+        on two lines."""
+        text = """not a docstring,
+        three lines
+        long"""
+        return (a +
+                b)
+'''
+
+
+def test_code_lines_counts_code_and_skips_docstrings_and_comments():
+    spec = importlib.util.spec_from_file_location("code_lines",
+                                                  TOOLS / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # import 1, class 1, the two-line def 2, the three-line string 3 and
+    # the two-line return 2; docstrings, comments and blank lines none
+    assert tool.code_lines(SNIPPET) == 9

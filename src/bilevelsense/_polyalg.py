@@ -7,7 +7,11 @@ vertex oracle available: desk-scale row counts never exceed m + 2 <= 4.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from itertools import combinations
 from typing import Optional
 
@@ -167,22 +171,61 @@ def _lp(c, A, row_lo, row_hi, lb, ub):
 
 
 # scipy's HiGHS binding and the options of every solve, set on the first
-# LP miss (_highs_lp), so that a run which solves no LP never imports
-# scipy.optimize.
+# LP miss (_highs_lp).  The binding is loaded from its extension file, so
+# that no run imports scipy.optimize and a run which solves no LP loads
+# nothing of scipy.
 _HIGHS = None
 # The tolerance of linprog's post-check of an optimal answer: 10 * sqrt(tol)
 # at its default tol = 1e-9.
 _CHECK_TOL = 10 * math.sqrt(1e-9)
+# The binding's module name, under which _binding loads and registers it.
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _core_file():
+    """The path of the binding's extension file, scipy/optimize/_highspy/
+    _core with one of the interpreter's extension suffixes, or None when
+    scipy is not laid out so.  find_spec("scipy") runs no scipy code."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _binding():
+    """scipy.optimize._highspy._core: the module already in sys.modules,
+    else the one loaded from _core_file() under its own name without
+    running the __init__ of scipy or scipy.optimize, else (no such file)
+    the one imported by name.  A module loaded from its file is in
+    sys.modules, so a later import of scipy.optimize uses it too."""
+    module = sys.modules.get(_CORE)
+    if module is not None:
+        return module
+    path = _core_file()
+    if path is None:
+        from scipy.optimize._highspy import _core
+        return _core
+    spec = importlib.util.spec_from_file_location(_CORE, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_CORE]
+        raise
+    return module
 
 
 def _highs():
-    """(binding, options): scipy.optimize._highspy._core and one
+    """(binding, options): scipy's HiGHS binding (_binding) and one
     HighsOptions holding the five values linprog(method="highs") sets.
     Each solve passes the options to a fresh _Highs, which copies them."""
     global _HIGHS
     if _HIGHS is None:
-        from scipy.optimize._highspy import _core as h
-
+        h = _binding()
         options = h.HighsOptions()
         options.presolve = "on"
         options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
@@ -265,9 +308,10 @@ class LPBuilder:
     then the eq rows, with their row bounds, and the variable bounds with
     None as -inf or inf) and hand it to `_lp`, which answers a repeated
     LP from its memo and calls HiGHS directly on a miss (_highs_lp).
-    scipy.optimize is imported only on the first miss, so a run that
-    solves no LP (a `sample` request, say) never loads it.  A solution is
-    shared read-only with every caller that built the same LP.
+    The binding is loaded from its file on the first miss and
+    scipy.optimize is never imported, so a run that solves no LP (a
+    `sample` request, say) loads nothing of scipy.  A solution is shared
+    read-only with every caller that built the same LP.
     """
 
     def __init__(self):

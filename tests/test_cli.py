@@ -677,8 +677,9 @@ class TestGridBudget:
 
 
 def test_requests_without_lps_leave_scipy_unloaded(instance_c_file, tmp_path):
-    # a sample request solves no LP, so scipy.optimize is never imported;
-    # the first LP imports it
+    # a sample request solves no LP, so nothing of scipy is loaded; the
+    # first LP loads the HiGHS binding from its file, and scipy.optimize
+    # is still never imported
     code = "\n".join([
         "import sys",
         "from bilevelsense import cli",
@@ -689,12 +690,34 @@ def test_requests_without_lps_leave_scipy_unloaded(instance_c_file, tmp_path):
         "lp = LPBuilder()",
         "lp.var(ub=1.0)",
         "assert lp.maximize({0: 1.0})[0] == 1.0",
+        "print('scipy.optimize._highspy._core' in sys.modules)",
         "print('scipy.optimize' in sys.modules)",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "True", "False"]
+
+
+def test_a_cold_certify_loads_the_binding_without_scipy_optimize(
+        instance_a_constrained_file):
+    # `python -m bilevelsense.cli certify`, run by runpy as -m runs it, then
+    # the modules it left loaded: its LPs were solved without the package
+    code = "\n".join([
+        "import runpy, sys",
+        "try:",
+        "    runpy.run_module('bilevelsense.cli', run_name='__main__',"
+        " alter_sys=True)",
+        "except SystemExit as stop:",
+        "    print(stop.code, 'scipy.optimize._highspy._core' in sys.modules,",
+        "          'scipy.optimize' in sys.modules, file=sys.stderr)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "certify", instance_a_constrained_file,
+         "--variant", "ii", "--x", "0.5"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "Certified"
+    assert proc.stderr.split() == ["0", "True", "False"]
 
 
 class TestFlagValues:

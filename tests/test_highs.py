@@ -6,12 +6,18 @@ per-solve option checks.  These tests keep linprog as the reference, given
 the same LP as A_ub, b_ub, A_eq, b_eq and bounds: the same (success, fun,
 x) bit for bit on drawn LPs and on every LP of the golden certifications,
 the same post-check at its tolerance, the same ValueError on data that is
-not finite, and the same HighsOptions.
+not finite, and the same HighsOptions.  The binding itself is loaded from
+its file without scipy.optimize, in a fresh process: the module that a
+later import of scipy.optimize yields, reused once loaded, and imported by
+name, with the same answers, where no file is found.
 """
 
 import ast
 import copy
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +33,7 @@ from test_certify_golden import CASES, run_case
 from test_polyalg import _same_lp
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bilevelsense"
+CORE = "scipy.optimize._highspy._core"
 
 
 def _linprog(c, A, row_lo, row_hi, lb, ub):
@@ -66,6 +73,107 @@ def test_the_installed_scipy_exposes_the_highs_names():
     assert hasattr(h.simplex_constants.SimplexStrategy, "kSimplexStrategyDual")
     # linprog maps infinite bounds to kHighsInf; they are the same float
     assert h.kHighsInf == math.inf
+    # the file `_polyalg._binding` loads: a scipy that moves it would send
+    # every cold run through scipy.optimize's __init__ again
+    path = _polyalg._core_file()
+    assert path is not None and os.path.samefile(path, h.__file__)
+
+
+def test_a_binding_already_loaded_is_reused(monkeypatch):
+    from scipy.optimize._highspy import _core
+
+    def unused():
+        raise AssertionError("looked for the file of a loaded binding")
+
+    monkeypatch.setattr(_polyalg, "_HIGHS", None)
+    monkeypatch.setattr(_polyalg, "_core_file", unused)
+    assert sys.modules[CORE] is _core
+    assert _polyalg._highs()[0] is _core
+
+
+def test_a_binding_that_fails_to_load_is_not_left_registered(monkeypatch,
+                                                             tmp_path):
+    # the module is registered while it runs, and taken out when it raises
+    broken = tmp_path / "_core.py"
+    broken.write_text("import sys\n"
+                      "assert sys.modules[__name__].__file__ == __file__\n"
+                      "raise ImportError('broken binding')\n")
+    monkeypatch.delitem(sys.modules, CORE)
+    monkeypatch.setattr(_polyalg, "_core_file", lambda: str(broken))
+    with pytest.raises(ImportError, match="broken binding"):
+        _polyalg._binding()
+    assert CORE not in sys.modules
+
+
+# One LP with a fractional optimum, an ub row and an eq row, as `_lp` takes
+# it, and a fresh process that prints one line per `answer()`: success,
+# then the bytes of fun and of x.
+COLD_LP = ([-1.0, -2.0, 0.5], [[1.0, 1.0, 1.0], [3.0, -1.0, 0.0]],
+           [-math.inf, 0.7], [1.5, 0.7], [0.0, -math.inf, 0.0],
+           [math.inf, math.inf, 0.25])
+COLD = """
+import importlib.machinery, sys
+import numpy as np
+inf = float("inf")
+{before}
+from bilevelsense import _polyalg
+
+def answer():
+    args = [np.array(v, dtype=float) for v in {lp!r}]
+    ok, fun, x = _polyalg._highs_lp(*args)
+    print(ok, fun.hex(), x.dtype.str, x.tobytes().hex())
+
+{body}
+"""
+
+
+def _cold(body, before=""):
+    """stdout lines of COLD run in a fresh interpreter."""
+    code = COLD.format(before=before, lp=COLD_LP, body=body)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_a_cold_process_loads_the_binding_scipy_optimize_then_imports():
+    # the binding comes from its file, without the package; a later import
+    # of scipy.optimize yields the very module, and the LP solved before
+    # that import, after it and by linprog has the same bits
+    lines = _cold("""
+h = _polyalg._highs()[0]
+answer()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+import scipy.optimize
+from scipy.optimize._highspy import _core
+import scipy.optimize._highspy._core as again
+print(h is _core, again is _core)
+_polyalg._HIGHS = None
+answer()
+print(_polyalg._highs()[0] is h)
+res = scipy.optimize.linprog(
+    np.array({lp[0]!r}), A_ub=np.array({lp[1]!r})[:1], b_ub=[{lp[3][0]!r}],
+    A_eq=np.array({lp[1]!r})[1:], b_eq=[{lp[3][1]!r}],
+    bounds=list(zip({lp[4]!r}, {lp[5]!r})), method="highs")
+print(res.success, float(res.fun).hex(), res.x.dtype.str, res.x.tobytes().hex())
+""".format(lp=COLD_LP))
+    before, loaded, same, after, reused, reference = lines
+    assert before.startswith("True ")
+    assert loaded == repr(sorted([CORE, CORE + ".cb",
+                                  CORE + ".simplex_constants"]))
+    assert same == "True True"
+    assert after == before == reference
+    assert reused == "True"
+
+
+def test_without_the_file_the_binding_is_imported_by_name():
+    # no extension suffix, so no `_core` file: the fallback imports the
+    # binding through scipy.optimize and answers the same LP bit for bit
+    direct = _cold("answer()\nprint('scipy.optimize' in sys.modules)")
+    fallback = _cold("answer()\nprint('scipy.optimize' in sys.modules)",
+                     before="importlib.machinery.EXTENSION_SUFFIXES = []")
+    assert direct[1] == "False" and fallback[1] == "True"
+    assert direct[0] == fallback[0] and direct[0].startswith("True ")
 
 
 def _fields(options):

@@ -184,31 +184,30 @@ _CORE = "scipy.optimize._highspy._core"
 
 def _core_file():
     """The path of the binding's extension file, scipy/optimize/_highspy/
-    _core with one of the interpreter's extension suffixes, or None when
-    scipy is not laid out so.  find_spec("scipy") runs no scipy code."""
+    _core with one of the interpreter's extension suffixes.
+    find_spec("scipy") runs no scipy code.  Raises ImportError, naming the
+    paths it tried, when there is no such file."""
     spec = importlib.util.find_spec("scipy")
-    for root in (spec and spec.submodule_search_locations) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
+    tried = [os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+             for root in (spec and spec.submodule_search_locations) or ()
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    for path in tried:
+        if os.path.isfile(path):
+            return path
+    raise ImportError(f"no extension file of {_CORE}; tried "
+                      f"{tried or 'nothing: scipy is not installed'}",
+                      name=_CORE)
 
 
 def _binding():
     """scipy.optimize._highspy._core: the module already in sys.modules,
     else the one loaded from _core_file() under its own name without
-    running the __init__ of scipy or scipy.optimize, else (no such file)
-    the one imported by name.  A module loaded from its file is in
-    sys.modules, so a later import of scipy.optimize uses it too."""
+    running the __init__ of scipy or scipy.optimize.  The loaded module is
+    in sys.modules, so a later import of scipy.optimize uses it too."""
     module = sys.modules.get(_CORE)
     if module is not None:
         return module
-    path = _core_file()
-    if path is None:
-        from scipy.optimize._highspy import _core
-        return _core
-    spec = importlib.util.spec_from_file_location(_CORE, path)
+    spec = importlib.util.spec_from_file_location(_CORE, _core_file())
     module = importlib.util.module_from_spec(spec)
     sys.modules[_CORE] = module
     try:

@@ -8,14 +8,16 @@ x) bit for bit on drawn LPs and on every LP of the golden certifications,
 the same post-check at its tolerance, the same ValueError on data that is
 not finite, and the same HighsOptions.  The binding itself is loaded from
 its file without scipy.optimize, in a fresh process: the module that a
-later import of scipy.optimize yields, reused once loaded, and imported by
-name, with the same answers, where no file is found.
+later import of scipy.optimize yields, with the same answers, reused once
+loaded; where there is no such file, loading it raises ImportError.
 """
 
 import ast
 import copy
+import importlib.machinery
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,8 +77,15 @@ def test_the_installed_scipy_exposes_the_highs_names():
     assert h.kHighsInf == math.inf
     # the file `_polyalg._binding` loads: a scipy that moves it would send
     # every cold run through scipy.optimize's __init__ again
-    path = _polyalg._core_file()
-    assert path is not None and os.path.samefile(path, h.__file__)
+    assert os.path.samefile(_polyalg._core_file(), h.__file__)
+
+
+def test_without_the_file_loading_the_binding_raises(monkeypatch):
+    # no extension suffix, so no `_core` file: an ImportError that names
+    # the binding, not a by-name import through scipy.optimize
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    with pytest.raises(ImportError, match=re.escape(f"no extension file of {CORE}")):
+        _polyalg._core_file()
 
 
 def test_a_binding_already_loaded_is_reused(monkeypatch):
@@ -112,10 +121,9 @@ COLD_LP = ([-1.0, -2.0, 0.5], [[1.0, 1.0, 1.0], [3.0, -1.0, 0.0]],
            [-math.inf, 0.7], [1.5, 0.7], [0.0, -math.inf, 0.0],
            [math.inf, math.inf, 0.25])
 COLD = """
-import importlib.machinery, sys
+import sys
 import numpy as np
 inf = float("inf")
-{before}
 from bilevelsense import _polyalg
 
 def answer():
@@ -127,9 +135,9 @@ def answer():
 """
 
 
-def _cold(body, before=""):
+def _cold(body):
     """stdout lines of COLD run in a fresh interpreter."""
-    code = COLD.format(before=before, lp=COLD_LP, body=body)
+    code = COLD.format(lp=COLD_LP, body=body)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -164,16 +172,6 @@ print(res.success, float(res.fun).hex(), res.x.dtype.str, res.x.tobytes().hex())
     assert same == "True True"
     assert after == before == reference
     assert reused == "True"
-
-
-def test_without_the_file_the_binding_is_imported_by_name():
-    # no extension suffix, so no `_core` file: the fallback imports the
-    # binding through scipy.optimize and answers the same LP bit for bit
-    direct = _cold("answer()\nprint('scipy.optimize' in sys.modules)")
-    fallback = _cold("answer()\nprint('scipy.optimize' in sys.modules)",
-                     before="importlib.machinery.EXTENSION_SUFFIXES = []")
-    assert direct[1] == "False" and fallback[1] == "True"
-    assert direct[0] == fallback[0] and direct[0].startswith("True ")
 
 
 def _fields(options):

@@ -1,8 +1,6 @@
 """tools/digest.py: a seed list prints what each seed prints alone, and a
 reader that closes stdout early ends it without a traceback.
-tools/code_lines.py: what counts as a code line.
-tools/coldstart.py: one line per timed request, which tells whether it
-loaded scipy.optimize."""
+tools/code_lines.py: what counts as a code line."""
 
 import importlib.util
 import os
@@ -12,7 +10,6 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 DIGEST = TOOLS / "digest.py"
-COLDSTART = TOOLS / "coldstart.py"
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1")
 
 
@@ -77,21 +74,3 @@ def test_code_lines_counts_code_and_skips_docstrings_and_comments():
     # import 1, class 1, the two-line def 2, the three-line string 3 and
     # the two-line return 2; docstrings, comments and blank lines none
     assert tool.code_lines(SNIPPET) == 9
-
-
-def test_coldstart_times_a_request_and_reports_scipy_optimize():
-    # request 3 is `certify --variant ii`, which solves LPs
-    proc = subprocess.run(
-        [sys.executable, str(COLDSTART), "--runs", "1", "--request", "3"],
-        capture_output=True, text=True, env=ENV, timeout=120)
-    assert proc.returncode == 0 and proc.stderr == ""
-    importing, header, request = proc.stdout.splitlines()
-    name, seconds, runs = importing.split("  ")
-    assert name == "import bilevelsense.cli" and runs == "runs 1"
-    assert float(seconds.removeprefix("median_s ")) > 0
-    assert header.split("  ") == ["request", "median_s", "exit",
-                                  "scipy.optimize", "command"]
-    index, seconds, code, loaded, command = request.split("  ")
-    assert (index, code, loaded) == ("3", "0", "no")
-    assert float(seconds) > 0
-    assert command.startswith("certify a.blp --variant ii --x ")

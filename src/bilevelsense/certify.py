@@ -41,6 +41,7 @@ from .sensitivity import (
     _ones,
     _solve_inclusion,
     _subsample,
+    _union,
     estimate_pessimistic,
     lambda_set,
     stationary_cover_hull,
@@ -201,12 +202,15 @@ def _fold_groups(gen_points, gen_meta, w, n_verts):
     return out
 
 
-def _tuple_data(pts, metas, w, n_verts, n, shift=0.0):
-    """(weights, y, x*, u) lists of the aggregation tuples behind hull
-    weights w over pts (n_verts vertices, then rays): folded per source y,
-    Caratheodory-reduced and padded to exactly n + 1 slots.  Each x* is its
-    folded point minus shift."""
-    folded = _fold_groups(pts, metas, w, n_verts)
+def _tuple_data(tagged, w, n, shift=0.0):
+    """(weights, y, x*, u) lists of the aggregation tuples behind the LP
+    weights w of a `_System.cover` block over the TaggedSet tagged (its
+    vertices, then its rays): folded per source y, Caratheodory-reduced
+    and padded to exactly n + 1 slots.  Each x* is its folded point minus
+    shift."""
+    folded = _fold_groups(tagged.generators,
+                          tagged.vertex_meta + tagged.ray_meta, w,
+                          len(tagged.vertex_meta))
     if not folded:
         return [], [], [], []
     points = [f[1] for f in folded]
@@ -325,15 +329,11 @@ def _generators_at(prog, xbar, y):
 
 
 def _cover(prog, xbar, grid, caps):
-    """The stationarity-covector hull over sampled S(xbar): (generator
-    points, vertices first, then rays; vertex count; vertex metadata; ray
-    metadata), or None when the hull is empty."""
-    cover, vmeta, rmeta = stationary_cover_hull(
+    """The stationarity-covector hull over sampled S(xbar), the TaggedSet
+    of `stationary_cover_hull`, or None when the hull is empty."""
+    cover = stationary_cover_hull(
         prog, xbar, lower_solutions(prog, xbar, grid), DEFAULT_TOL_ACTIVE, caps)
-    if cover.is_empty:
-        return None
-    return (np.vstack([cover.vertices, cover.rays]), len(cover.vertices),
-            vmeta, rmeta)
+    return None if cover.polytope.is_empty else cover
 
 
 # -- optimistic variants ---------------------------------------------------------
@@ -415,7 +415,6 @@ def _search_variant_i(prog, xbar, samples, grid, caps):
     cover = _cover(prog, xbar, grid, caps)
     if cover is None:
         return None
-    cover_pts, n_verts, vmeta, rmeta = cover
     active_theta = _active_indices(prog, xbar, [], DEFAULT_TOL_ACTIVE,
                                    upper=True)
 
@@ -427,15 +426,14 @@ def _search_variant_i(prog, xbar, samples, grid, caps):
         y, gens = cand
         s = _System(caps.u_max)
         main, zg = s.stationarity(*gens, r)
-        cov = s.cover(*cover)
+        cov = s.cover(cover)
         theta = s.theta(prog, xbar, active_theta)
         s.rows(False, 0, n, main + _ones(b for _, b in theta) + [(-r, cov)])
         s.rows(True, n, m, main)
 
         def decode(sol):
             v_list, y_list, x_list, u_list = _tuple_data(
-                cover_pts, vmeta + rmeta, np.array([sol[v] for v, _ in cov]),
-                n_verts, n)
+                cover, np.array([sol[v] for v, _ in cov]), n)
             return {
                 "y": tuple(y),
                 "u": _weight_sums(zg.items(), sol, prog.p),
@@ -504,7 +502,6 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps):
     cover = _cover(negp, xbar, grid, caps)
     if cover is None:
         return None
-    cover_pts, n_verts, vmeta, rmeta = cover
     active_theta = _active_indices(negp, xbar, [], DEFAULT_TOL_ACTIVE,
                                    upper=True)
 
@@ -515,36 +512,25 @@ def _search_pessimistic_i(negp, xbar, t_samples, grid, caps):
         r_grid))) for ypt in t_samples}
 
     def build(_, r):
-        tagged = {key: sets[r] for key, sets in t_sets.items()
-                  if not sets[r].polytope.is_empty}
-        if not tagged:
+        tagged = _union(n, [sets[r] for _, sets in sorted(t_sets.items())])
+        if tagged.polytope.is_empty:
             return None
-        vpts, vmetas, rpts, rmetas = [], [], [], []
-        for _, t_set in sorted(tagged.items()):
-            vpts.append(t_set.polytope.vertices)
-            vmetas += t_set.vertex_meta
-            rpts.append(t_set.polytope.rays)
-            rmetas += t_set.ray_meta
-        # every vertex, then every ray: the LP rows and _fold_groups pair
-        # each weight with its own generator
-        pts, meta = np.vstack(vpts + rpts), vmetas + rmetas
         s = _System(caps.u_max)
-        tagged_block = s.cover(pts, len(vmetas), vmetas, rmetas)
-        cov = s.cover(*cover)
+        tagged_block = s.cover(tagged)
+        cov = s.cover(cover)
         theta = s.theta(negp, xbar, active_theta)
         s.rows(False, 0, n, [(1.0, tagged_block), (-r, cov),
                              *[(-1.0, b) for _, b in theta]])
 
         def decode(sol):
             wc = np.array([sol[v] for v, _ in cov])
-            v_list, y_list, x_list, u_list = _tuple_data(
-                cover_pts, vmeta + rmeta, wc, n_verts, n)
+            v_list, y_list, x_list, u_list = _tuple_data(cover, wc, n)
             xi = np.zeros(n)
-            for w, pt in zip(wc, cover_pts):
+            for w, pt in zip(wc, cover.generators):
                 xi += w * pt
             eta, y_t, xstar_t, u_t = _tuple_data(
-                pts, meta, np.array([sol[v] for v, _ in tagged_block]),
-                len(vmetas), n, shift=r * xi)
+                tagged, np.array([sol[v] for v, _ in tagged_block]), n,
+                shift=r * xi)
             return {
                 "eta": eta,
                 "y_t": y_t,

@@ -58,14 +58,13 @@ class Expr:
     """Immutable, interned expression-tree node.
 
     Fields not meaningful for a kind are left at their defaults: `value`
-    for constants, `index` (1-based) for variables, `exponent` for pow,
-    `safe` for div/log nodes whose domain the user has vouched for.
+    for constants, `index` (1-based) for variables, `exponent` for pow.
 
     Nodes are hash-consed: constructing a node equal to a live one returns
     that node, so equality is identity and hashing costs O(1).  The intern
     key is the kind, the children's identities, the value with its type and
-    sign bit (0.0 and -0.0 are different constants), index, exponent and
-    safe.  Copies and unpickled nodes are the interned node.
+    sign bit (0.0 and -0.0 are different constants), index and exponent.
+    Copies and unpickled nodes are the interned node.
     """
 
     kind: str
@@ -73,14 +72,12 @@ class Expr:
     value: float = 0.0
     index: int = 0
     exponent: int = 0
-    safe: bool = False
     _live = WeakValueDictionary()
 
-    def __new__(cls, kind, children=(), value=0.0, index=0, exponent=0,
-                safe=False):
+    def __new__(cls, kind, children=(), value=0.0, index=0, exponent=0):
         children = tuple(children)
         key = (kind, tuple(map(id, children)), type(value), value,
-               math.copysign(1.0, value), index, exponent, safe)
+               math.copysign(1.0, value), index, exponent)
         node = cls._live.get(key)
         if node is not None:
             return node
@@ -95,7 +92,7 @@ class Expr:
             raise ValueError("variable indices are 1-based")
         node = object.__new__(cls)
         node.__dict__.update(kind=kind, children=children, value=value,
-                             index=index, exponent=exponent, safe=safe,
+                             index=index, exponent=exponent,
                              _positions=1 + sum(c._positions for c in children))
         cls._live[key] = node
         return node
@@ -112,7 +109,7 @@ class Expr:
             if expanded:
                 row[id(node)] = len(table)
                 table.append((node.kind, tuple(row[id(c)] for c in node.children),
-                              node.value, node.index, node.exponent, node.safe))
+                              node.value, node.index, node.exponent))
                 continue
             todo.append((node, True))
             todo.extend((c, False) for c in reversed(node.children))
@@ -128,7 +125,7 @@ class Expr:
                 continue
             parts.append(f"Expr(kind={item.kind!r}, children=(")
             todo.append(f"), value={item.value!r}, index={item.index!r}, "
-                        f"exponent={item.exponent!r}, safe={item.safe!r})")
+                        f"exponent={item.exponent!r})")
             kids = item.children
             if len(kids) == 1:
                 todo.append(",")
@@ -199,9 +196,9 @@ class Expr:
 def _unpickle(table) -> Expr:
     """The interned root of an `Expr.__reduce__` table."""
     nodes = []
-    for kind, kids, value, index, exponent, safe in table:
+    for kind, kids, value, index, exponent in table:
         nodes.append(Expr(kind, tuple(nodes[i] for i in kids), value, index,
-                          exponent, safe))
+                          exponent))
     return nodes[-1]
 
 
@@ -231,12 +228,12 @@ def eexp(u: Expr) -> Expr:
     return Expr("exp", (u,))
 
 
-def elog(u: Expr, safe: bool = False) -> Expr:
-    return Expr("log", (u,), safe=safe)
+def elog(u: Expr) -> Expr:
+    return Expr("log", (u,))
 
 
-def ediv(u: Expr, v: Expr, safe: bool = False) -> Expr:
-    return Expr("div", (_as_expr(u), _as_expr(v)), safe=safe)
+def ediv(u: Expr, v: Expr) -> Expr:
+    return Expr("div", (_as_expr(u), _as_expr(v)))
 
 
 # -- the tape ----------------------------------------------------------------
@@ -760,7 +757,7 @@ def _parse_expr(text, line, n, m, col_offset=0) -> Expr:
             for _ in range(negs):
                 value = Expr("neg", (value,))
             if prod:
-                value = Expr(prod[1], (prod[0], value), safe=prod[1] == "div")
+                value = Expr(prod[1], (prod[0], value))
             op, negs, prod = toks[i][1], 0, None
             if op in ("*", "/"):
                 prod, i = (value, _BINARY[op]), i + 1
@@ -787,7 +784,7 @@ def _parse_expr(text, line, n, m, col_offset=0) -> Expr:
                 if len(args) != _FUNCS[opener]:
                     raise ParseError(f"{opener} takes {_FUNCS[opener]} argument(s)",
                                      line, ocol)
-                value = Expr(opener, tuple(args), safe=opener == "log")
+                value = Expr(opener, tuple(args))
             opener, ocol, args, total, prod, negs = stack.pop()
 
 
@@ -801,8 +798,8 @@ def parse_program(text: str) -> BilevelProgram:
     Only constraint= lines repeat: a second n, m, objective, box entry or
     mode word is a ParseError at its line, and so is a box entry for a
     coordinate that [dims] does not declare.
-    '#' starts a comment.  Writing div or log in a problem file is taken as
-    the user's assertion that the expression is domain-safe over the box.
+    '#' starts a comment.  div and log are checked where they are
+    evaluated: a point outside their domain raises DomainError.
     """
     section = None
     dims, box, mode, said = {}, {}, None, set()

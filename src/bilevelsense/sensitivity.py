@@ -242,11 +242,25 @@ def _multiplier_set(kind, system, A, stat_tol) -> MultiplierSet:
 
 @dataclass(frozen=True)
 class TaggedSet:
-    """Polytope whose generators remember the multipliers realizing them."""
+    """A tagged hull: a polytope whose generators remember the multipliers
+    realizing them.  vertex_meta[q] and ray_meta[q] are the {"y", "u"}
+    dicts behind polytope.vertices[q] and polytope.rays[q]: the lower-level
+    point and the constraint multipliers of that generator.
+
+    The one form of a tagged hull, from the inclusion sets through the
+    covector hull to the LP blocks and tuple folds of certify.  An empty
+    set has no generators and no metadata.
+    """
 
     polytope: Polytope
     vertex_meta: Tuple[dict, ...]
     ray_meta: Tuple[dict, ...]
+
+    @property
+    def generators(self) -> np.ndarray:
+        """Every vertex, then every ray, one per row: the order of the
+        weights of an LP block over this set."""
+        return np.vstack([self.polytope.vertices, self.polytope.rays])
 
 
 @dataclass(frozen=True)
@@ -340,8 +354,8 @@ def _solve_inclusion(system: _InclusionSystem, rs,
 
 def _tagged_set(system: _InclusionSystem, verts, rays) -> TaggedSet:
     """The x-projection of one V-representation of system, each generator
-    tagged with its multipliers."""
-    n = system.n
+    tagged with its multipliers.  A ray whose x-part has max-norm at most
+    1e-12 projects to no direction and is dropped."""
 
     def decode(w):
         return {"u": tuple(system.sums(w)[1].tolist()), "y": system.y}
@@ -356,11 +370,31 @@ def _tagged_set(system: _InclusionSystem, verts, rays) -> TaggedSet:
         if np.max(np.abs(pt)) > 1e-12:
             ray_pts.append(pt)
             ray_meta.append(decode(w))
-    if not vert_pts:
+    return _keep_first(system.n, vert_pts, vert_meta, ray_pts, ray_meta)
+
+
+def _keep_first(n, vert_pts, vert_meta, ray_pts, ray_meta) -> TaggedSet:
+    """The tagged set over these generators and their metadata, each
+    generator kept at its first occurrence with that occurrence's metadata
+    (`Polytope.from_generators_indexed`); empty without vertices."""
+    if len(vert_pts) == 0:
         return TaggedSet(Polytope.empty(n), (), ())
     poly, vkeep, rkeep = Polytope.from_generators_indexed(n, vert_pts, ray_pts)
     return TaggedSet(poly, tuple(vert_meta[q] for q in vkeep),
                      tuple(ray_meta[q] for q in rkeep))
+
+
+def _union(n, sets) -> TaggedSet:
+    """The tagged sets laid end to end in R^n: every vertex of each
+    nonempty set in turn, then every ray, each with its metadata.  Nothing
+    is deduplicated, so a weight over the union belongs to one set's
+    generator.  Empty when every set is."""
+    sets = [t for t in sets if not t.polytope.is_empty]
+    return TaggedSet(
+        Polytope(n, [v for t in sets for v in t.polytope.vertices],
+                 [d for t in sets for d in t.polytope.rays]),
+        tuple(q for t in sets for q in t.vertex_meta),
+        tuple(q for t in sets for q in t.ray_meta))
 
 
 def _inclusion_xset(
@@ -391,26 +425,18 @@ def stationary_cover_hull(prog: BilevelProgram, xbar,
                           solutions: SolutionSet,
                           tol_active: float = DEFAULT_TOL_ACTIVE,
                           caps: Caps = Caps(),
-                          stat_tol: Optional[float] = None):
-    """Hull over sampled S(xbar) of the per-y covector sets.
-
-    Returns (polytope, vertex metadata, ray metadata): entry q of each list
-    describes polytope.vertices[q] / polytope.rays[q]; a generator found at
-    several sampled y keeps the first one's.
+                          stat_tol: Optional[float] = None) -> TaggedSet:
+    """Hull over sampled S(xbar) of the per-y covector sets, as one
+    TaggedSet: the union of the per-y sets (`_union`), deduplicated by
+    `_keep_first` as each per-y set is, so a generator found at several
+    sampled y keeps the first one's metadata.  Empty when no sampled y has
+    a covector.
     """
-    vert_pts, vert_meta, ray_pts, ray_meta = [], [], [], []
-    for ypt in _subsample(solutions.points, caps.max_solution_samples):
-        tagged = _inclusion_xset(prog, xbar, ypt, tol_active,
-                                 stat_tol=stat_tol)
-        vert_pts.append(tagged.polytope.vertices)
-        vert_meta += tagged.vertex_meta
-        ray_pts.append(tagged.polytope.rays)
-        ray_meta += tagged.ray_meta
-    if not vert_meta:
-        return Polytope.empty(prog.n), [], []
-    poly, vkeep, rkeep = Polytope.from_generators_indexed(
-        prog.n, np.vstack(vert_pts), np.vstack(ray_pts))
-    return poly, [vert_meta[q] for q in vkeep], [ray_meta[q] for q in rkeep]
+    union = _union(prog.n, [
+        _inclusion_xset(prog, xbar, ypt, tol_active, stat_tol=stat_tol)
+        for ypt in _subsample(solutions.points, caps.max_solution_samples)])
+    return _keep_first(prog.n, union.polytope.vertices, union.vertex_meta,
+                       union.polytope.rays, union.ray_meta)
 
 
 def _subsample(points: np.ndarray, cap: int):
@@ -477,23 +503,22 @@ class _System:
             row[var] = -k
         self.lp.eq(row, value)
 
-    def cover(self, pts, n_verts, vmeta, rmeta):
-        """Block over the hull pts (n_verts vertices, then rays) of
-        generators tagged with their source y (vmeta, rmeta): the vertex
-        weights sum to one, and the ray weights of each source y are at most
-        u_max times that y's vertex weights, so ray mass only lives where
-        vertex mass does."""
-        lam = [self.lp.var() for _ in pts[:n_verts]]
-        mu = [self.lp.var() for _ in pts[n_verts:]]
-        lam_keys = [d["y"] for d in vmeta]
-        mu_keys = [d["y"] for d in rmeta]
+    def cover(self, tagged):
+        """Block over the TaggedSet tagged, its vertices then its rays
+        (`TaggedSet.generators`): the vertex weights sum to one, and the ray
+        weights of each source y are at most u_max times that y's vertex
+        weights, so ray mass only lives where vertex mass does."""
+        lam = [self.lp.var() for _ in tagged.vertex_meta]
+        mu = [self.lp.var() for _ in tagged.ray_meta]
+        lam_keys = [d["y"] for d in tagged.vertex_meta]
+        mu_keys = [d["y"] for d in tagged.ray_meta]
         self.lp.eq({v: 1.0 for v in lam}, 1.0)
         for key in dict.fromkeys(mu_keys):
             row = {mu[q]: 1.0 for q, kk in enumerate(mu_keys) if kk == key}
             row.update((lam[q], -self.u_max)
                        for q, kk in enumerate(lam_keys) if kk == key)
             self.lp.le(row, 0.0)
-        return list(zip(lam + mu, pts))
+        return list(zip(lam + mu, tagged.generators))
 
     def stationarity(self, GF, Gf, Gg, r):
         """Terms of dF + r df + sum_i u_i dg_i: the F and f weights sum to
@@ -624,8 +649,8 @@ def _estimate_core(prog, xbar, variant, grid, caps, ybar):
 
 def _estimate_semicompact(prog, xbar, samples, grid, caps, blur):
     sol_all = lower_solutions(prog, xbar, grid)
-    cover, _, _ = stationary_cover_hull(prog, xbar, sol_all, blur, caps,
-                                        stat_tol=blur)
+    cover = stationary_cover_hull(prog, xbar, sol_all, blur, caps,
+                                  stat_tol=blur).polytope
     if cover.is_empty:
         # no valid lower-level covector tuples exist at any sampled y, so
         # every (y, r) contribution is empty

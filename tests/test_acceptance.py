@@ -254,18 +254,18 @@ def _expression_corpus():
         emax(emax(x, neg(x)), 0.5 * x),
         (y - 1.0) ** 2 + x**2,
         eabs(x) + emin(y, x**2),
-        eexp(0.3 * x) + elog(2.0 + y**2, safe=True),
-        ediv(x, 3.0 + y**2, safe=True),
+        eexp(0.3 * x) + elog(2.0 + y**2),
+        ediv(x, 3.0 + y**2),
         emax(eabs(y - x), 0.25 * x * y),
         x**3 - 2.0 * y**2 + x * y,
         emin(emax(x, y), x + y),
         eabs(x * y - 0.5),
         eexp(0.2 * emin(x, y)),
-        elog(1.5 + eabs(x), safe=True),
+        elog(1.5 + eabs(x)),
         (x - y) ** 2 + eabs(x + y),
         emax(x + y, x - y),
         0.5 * eabs(x) - 0.25 * eabs(y),
-        ediv(y**2, 2.0 + x**2, safe=True),
+        ediv(y**2, 2.0 + x**2),
         emin(x**2, y**2),
     ]
 

@@ -546,8 +546,6 @@ class TestInterning:
         assert Expr("const", value=1.5) is Expr.const(1.5)
         assert Expr("yvar", index=1) is Y1
         assert emax(X1, 0.5) == Expr("max", (X1, Expr.const(0.5)))
-        assert hash(elog(X1, safe=True)) == hash(elog(X1, safe=True))
-        assert elog(X1, safe=True) is not elog(X1)
 
     def test_the_key_holds_the_sign_bit_and_type_of_a_value(self):
         assert Expr.const(0.0) is not Expr.const(-0.0)
@@ -1001,7 +999,7 @@ def _grow(sub):
     pairs = st.tuples(sub, sub)
     return st.one_of(
         sub.map(neg), sub.map(eexp), sub.map(eabs),
-        st.tuples(sub, st.booleans()).map(lambda t: elog(*t)),
+        sub.map(elog),
         st.tuples(sub, st.integers(0, 3)).map(lambda t: t[0] ** t[1]),
         pairs.map(lambda p: p[0] + p[1]), pairs.map(lambda p: p[0] - p[1]),
         pairs.map(lambda p: p[0] * p[1]), pairs.map(lambda p: ediv(*p)),
@@ -1027,7 +1025,7 @@ def _ref_repr(e):
     kids = "".join(f"{_ref_repr(c)}, " for c in e.children)
     kids = kids[:-2] if len(e.children) > 1 else kids[:-1]
     return (f"Expr(kind={e.kind!r}, children=({kids}), value={e.value!r}, "
-            f"index={e.index!r}, exponent={e.exponent!r}, safe={e.safe!r})")
+            f"index={e.index!r}, exponent={e.exponent!r})")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1057,18 +1055,18 @@ def test_tape_passes_match_the_recursive_walkers(e, x, y):
 # -- printing a tree and parsing it back ----------------------------------------
 
 # Every node kind, built as the parser builds it: constants nonnegative and
-# finite, div and log vouched safe, variable indices within n = m = 2.
+# finite, variable indices within n = m = 2.
 _PARSED_TREES = st.recursive(
     st.one_of(st.floats(0, allow_nan=False, allow_infinity=False).map(
                   lambda v: Expr.const(abs(v))),
               st.integers(1, 2).map(Expr.x), st.integers(1, 2).map(Expr.y)),
     lambda sub: st.one_of(
         sub.map(neg), sub.map(eexp), sub.map(eabs),
-        sub.map(lambda u: elog(u, safe=True)),
+        sub.map(elog),
         st.tuples(sub, st.integers(0, 12)).map(lambda t: t[0] ** t[1]),
         st.tuples(st.sampled_from(["add", "sub", "mul", "max", "min"]),
                   sub, sub).map(lambda t: Expr(t[0], t[1:])),
-        st.tuples(sub, sub).map(lambda p: ediv(*p, safe=True))),
+        st.tuples(sub, sub).map(lambda p: ediv(*p))),
     max_leaves=12)
 
 # how tightly each kind binds when printed: 0 a sum, 1 a product, 2 a sign,

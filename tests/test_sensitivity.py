@@ -9,8 +9,17 @@ from hypothesis import strategies as st
 from bilevelsense.errors import InfeasiblePointError, NotApplicableError
 from bilevelsense.model import BilevelProgram, Expr, clarke_generators, neg
 from bilevelsense.sensitivity import (
+    DEFAULT_TOL_ACTIVE,
     Caps,
     MultiplierSet,
+    TaggedSet,
+    _inclusion_system,
+    _inclusion_xset,
+    _InclusionSystem,
+    _solve_inclusion,
+    _subsample,
+    _tagged_set,
+    _union,
     estimate_optimistic,
     estimate_pessimistic,
     estimate_simple_convex,
@@ -225,11 +234,11 @@ class TestLambdaOSet:
 class TestStationaryCover:
     def test_instance_a(self, prog_a):
         sol = lower_solutions(prog_a, [0.5], GRID)
-        cover, vmeta, _ = stationary_cover_hull(prog_a, [0.5], sol)
+        cover = stationary_cover_hull(prog_a, [0.5], sol)
         # unique covector: grad_y f = -1 forces u1 = 1, x-part = -1
-        assert distance(cover, [-1.0]) <= 1e-9
-        assert distance(cover, [0.0]) > 0.5
-        assert vmeta[0]["u"][0] == pytest.approx(1.0)
+        assert distance(cover.polytope, [-1.0]) <= 1e-9
+        assert distance(cover.polytope, [0.0]) > 0.5
+        assert cover.vertex_meta[0]["u"][0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("case", ["pinned", "c_at_0", "c_at_1"])
     def test_metadata_describes_kept_generators(self, case, prog_c):
@@ -241,12 +250,13 @@ class TestStationaryCover:
         prog, x = {"pinned": (instance_pinned(), [0.0]),
                    "c_at_0": (prog_c, [0.0]), "c_at_1": (prog_c, [1.0])}[case]
         sol = lower_solutions(prog, x, GRID)
-        cover, vmeta, rmeta = stationary_cover_hull(prog, x, sol)
-        assert len(vmeta) == len(cover.vertices)
-        assert len(rmeta) == len(cover.rays)
+        cover = stationary_cover_hull(prog, x, sol)
+        poly = cover.polytope
+        assert len(cover.vertex_meta) == len(poly.vertices)
+        assert len(cover.ray_meta) == len(poly.rays)
         n = prog.n
-        for gens, metas, with_f in ((cover.vertices, vmeta, True),
-                                    (cover.rays, rmeta, False)):
+        for gens, metas, with_f in ((poly.vertices, cover.vertex_meta, True),
+                                    (poly.rays, cover.ray_meta, False)):
             for gen, meta in zip(gens, metas):
                 y = list(meta["y"])
                 total = (clarke_generators(prog.f, x, y)[0] if with_f
@@ -256,6 +266,92 @@ class TestStationaryCover:
                         total = total + u_i * clarke_generators(g_i, x, y)[0]
                 assert np.allclose(total[:n], gen, atol=1e-9)
                 assert np.allclose(total[n:], 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("case", ["pinned", "c_at_0", "c_at_1"])
+    def test_the_hull_keeps_the_first_of_the_union(self, case, prog_c):
+        # the hull is the union of the per-y sets deduplicated keep-first,
+        # each kept generator with its first occurrence's metadata
+        from instances import instance_pinned
+
+        prog, x = {"pinned": (instance_pinned(), [0.0]),
+                   "c_at_0": (prog_c, [0.0]), "c_at_1": (prog_c, [1.0])}[case]
+        sol = lower_solutions(prog, x, GRID)
+        union = _union(prog.n, [
+            _inclusion_xset(prog, x, y, DEFAULT_TOL_ACTIVE)
+            for y in _subsample(sol.points, CAPS.max_solution_samples)])
+        poly, vkeep, rkeep = Polytope.from_generators_indexed(
+            prog.n, union.polytope.vertices, union.polytope.rays)
+        cover = stationary_cover_hull(prog, x, sol)
+        assert np.array_equal(cover.polytope.vertices, poly.vertices)
+        assert np.array_equal(cover.polytope.rays, poly.rays)
+        assert cover.vertex_meta == tuple(union.vertex_meta[q] for q in vkeep)
+        assert cover.ray_meta == tuple(union.ray_meta[q] for q in rkeep)
+        # every sampled y gives the same covector, so the hull drops repeats
+        assert len(cover.vertex_meta) < len(union.vertex_meta)
+
+
+def _per_t_sets(prog, x):
+    """Each sampled t's inclusion sets over the r-grid, as pessimistic
+    variant i solves them (the negated-upper system with F, one stack per
+    t), in the order of t."""
+    negp = prog.negated_upper()
+    ts = _subsample(lower_solutions(negp, x, GRID).points,
+                    CAPS.max_solution_samples)
+    return [_solve_inclusion(_inclusion_system(negp, x, t, DEFAULT_TOL_ACTIVE,
+                                               include_F=True), CAPS.r_grid())
+            for t in sorted(ts)]
+
+
+@pytest.mark.parametrize("case", ["c_at_0", "c_at_1", "c_at_-1", "pinned"])
+def test_the_union_lays_every_vertex_then_every_ray(case, prog_c):
+    # instance C at x = +-1 leaves most t with an empty set; the pinned
+    # instance gives each t a ray
+    from instances import instance_pinned
+
+    prog, x = {"c_at_0": (prog_c, [0.0]), "c_at_1": (prog_c, [1.0]),
+               "c_at_-1": (prog_c, [-1.0]),
+               "pinned": (instance_pinned("pessimistic"), [0.0])}[case]
+    per_t = _per_t_sets(prog, x)
+    empty = TaggedSet(Polytope.empty(prog.n), (), ())
+    for k in range(len(CAPS.r_grid())):
+        sets = [sets_t[k] for sets_t in per_t]
+        union = _union(prog.n, [empty] + sets)
+        full = [t for t in sets if not t.polytope.is_empty]
+        verts = [v for t in full for v in t.polytope.vertices.tolist()]
+        rays = [d for t in full for d in t.polytope.rays.tolist()]
+        assert union.polytope.vertices.tolist() == verts
+        assert union.polytope.rays.tolist() == rays
+        assert union.vertex_meta == sum((t.vertex_meta for t in full), ())
+        assert union.ray_meta == sum((t.ray_meta for t in full), ())
+        assert union.generators.tolist() == verts + rays
+    flat = [t for sets_t in per_t for t in sets_t]
+    has_empty = any(t.polytope.is_empty for t in flat)
+    has_ray = any(len(t.polytope.rays) for t in flat)
+    assert (has_empty, has_ray) == {
+        "c_at_0": (False, False), "c_at_1": (True, False),
+        "c_at_-1": (True, False), "pinned": (False, True)}[case]
+
+
+def test_the_union_of_empty_sets_is_empty():
+    union = _union(2, [TaggedSet(Polytope.empty(2), (), ())] * 2)
+    assert union.polytope.is_empty
+    assert union.generators.shape == (0, 2)
+    assert union.vertex_meta == union.ray_meta == ()
+
+
+def test_a_ray_projecting_below_the_threshold_is_dropped():
+    # an f column and a g_1 column with x-parts e_1 and e_2: a ray's x-part
+    # is its weight vector.  A ray whose x-part has max-norm 5e-10 is kept
+    # and one at 5e-13 is dropped, on either side of the 1e-12 threshold.
+    system = _InclusionSystem(2, 1, 1, (0.25,), False, np.zeros((2, 2)),
+                              np.eye(2), (("f", None), ("g", 0)), (0,))
+    tagged = _tagged_set(system, [np.array([1.0, 0.0])],
+                         [np.array([0.0, 5e-10]), np.array([0.0, 5e-13]),
+                          np.array([3e-13, 4e-13])])
+    assert tagged.polytope.vertices.tolist() == [[1.0, 0.0]]
+    assert tagged.vertex_meta == ({"u": (0.0,), "y": (0.25,)},)
+    assert tagged.polytope.rays.tolist() == [[0.0, 5e-10]]
+    assert tagged.ray_meta == ({"u": (5e-10,), "y": (0.25,)},)
 
 
 class TestEstimates:
@@ -439,8 +535,8 @@ def test_simplex_discretization_cross_check(prog_b):
     est = estimate_optimistic(prog_b, xbar, "semicompact", GRID, CAPS)
     blur = grid_blur(GRID, prog_b)
     sol = lower_solutions(prog_b, xbar, GRID)
-    cover, _, _ = stationary_cover_hull(prog_b, xbar, sol, blur, CAPS,
-                                        stat_tol=blur)
+    cover = stationary_cover_hull(prog_b, xbar, sol, blur, CAPS,
+                                  stat_tol=blur).polytope
     cover_pts = [np.array(v) for v in cover.vertices][:3]
     samples = sol.points[:2]
     for ypt in samples:

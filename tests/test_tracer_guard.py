@@ -440,6 +440,16 @@ def test_the_projector_keeps_one_support_and_one_weight_vector():
     assert len(params) == 4, params  # points, metadata, weights, vertex count
 
 
+def test_a_tagged_hull_travels_as_one_tagged_set():
+    # the LP block and the tuple fold take the TaggedSet itself, not the
+    # (points, vertex count, vertex meta, ray meta) 4-tuple the covector
+    # hull once travelled as
+    cover = _function(SRC / "sensitivity.py", "cover")
+    assert [a.arg for a in cover.args.args] == ["self", "tagged"]
+    tuple_data = _function(SRC / "certify.py", "_tuple_data")
+    assert [a.arg for a in tuple_data.args.args] == ["tagged", "w", "n", "shift"]
+
+
 # -- one sweep engine under the traced sweep boundary ------------------------------
 
 

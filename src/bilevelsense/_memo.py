@@ -20,21 +20,28 @@ built.  A memo declared with `copy_out=True` holds
 results that callers may change (a verdict's witness dict), and hands each
 call a deep copy instead.
 
-Exceptions are not memoised.  Each memo has `cache_info()`,
-`cache_clear()` and `__wrapped__`, as `functools.lru_cache` gives them, and
-is listed in REGISTRY under its module and function name.
+Exceptions are not memoised.  Each memo owns its table, one OrderedDict
+in LRU order, and has `cache_info()` (hits, misses, maxsize, currsize),
+`cache_clear()` and `__wrapped__`, as `functools.lru_cache` gives them.
+`stored(*args)` says whether a call's entry is held, without touching the
+LRU order, and `put(args, result)` stores a result computed elsewhere (a
+batch's other calls) under the call's key, as a miss would store it.  Each
+memo is listed in REGISTRY under its module and function name.
 """
 
 from __future__ import annotations
 
 import copy
-from functools import lru_cache, update_wrapper
+from collections import OrderedDict, namedtuple
+from functools import update_wrapper
 from math import copysign
 
 import numpy as np
 
 # "module._function" -> memo, for every memo of the package
 REGISTRY: dict = {}
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def _negative_zeros(values, found, pos=0):
@@ -69,31 +76,41 @@ def _freeze(value):
     return value
 
 
-class _Call(tuple):
-    """A call's key (the tuple, all that hashes and compares) carrying the
-    call's arguments until its lookup is done."""
-
-
 def memo(maxsize: int, copy_out: bool = False):
     """Decorator: an LRU of maxsize entries under the module's key and
     store rules."""
 
     def decorate(fn):
-        @lru_cache(maxsize=maxsize)
-        def lookup(call):
-            return _freeze(fn(*call.args))
+        table = OrderedDict()
+        counts = [0, 0]  # hits, misses
+
+        def hold(key, result):
+            # a key already held (put while its own call ran) keeps its entry
+            table.setdefault(key, result)
+            if len(table) > maxsize:
+                table.popitem(last=False)
 
         def wrapper(*args):
-            call = _Call(_call_key(args))
-            call.args = args
-            result = lookup(call)
-            # a stored key keeps no argument alive
-            del call.args
+            key = _call_key(args)
+            result = table.get(key, table)
+            if result is table:
+                counts[1] += 1
+                result = _freeze(fn(*args))
+                hold(key, result)
+            else:
+                counts[0] += 1
+                table.move_to_end(key)
             return copy.deepcopy(result) if copy_out else result
 
+        def cache_clear():
+            table.clear()
+            counts[:] = [0, 0]
+
         update_wrapper(wrapper, fn)
-        wrapper.cache_info = lookup.cache_info
-        wrapper.cache_clear = lookup.cache_clear
+        wrapper.cache_info = lambda: CacheInfo(*counts, maxsize, len(table))
+        wrapper.cache_clear = cache_clear
+        wrapper.stored = lambda *args: _call_key(args) in table
+        wrapper.put = lambda args, result: hold(_call_key(args), _freeze(result))
         REGISTRY[f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}"] = wrapper
         return wrapper
 

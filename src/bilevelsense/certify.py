@@ -30,7 +30,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import NotApplicableError
-from .cq import _mode_solutions, cq_bundle
+from .cq import cq_bundle
 from .model import BilevelProgram, clarke_generators, eval_expr
 from .sensitivity import (
     Caps,
@@ -61,6 +61,7 @@ from .subdiff import (
 )
 from .valuefn import (
     GridSpec,
+    _mode_solutions,
     _xkey,
     lower_solutions,
     optimistic_solutions,

@@ -46,14 +46,7 @@ from .subdiff import (
     project,
     scale as poly_scale,
 )
-from .valuefn import (
-    GridSpec,
-    _ahead,
-    _xkey,
-    optimistic_solutions,
-    pessimistic_solutions,
-    value_function,
-)
+from .valuefn import GridSpec, _ahead, _mode_solutions, _xkey, value_function
 
 # Bound on each of the two CQ verdict memos, in entries (distinct checks).
 _CQ_ENTRIES = 256
@@ -340,12 +333,6 @@ def recheck_mfcq_witness(prog: BilevelProgram, verdict: CQVerdict,
 # -- inner regularity ----------------------------------------------------------
 
 
-def _mode_solutions(prog: BilevelProgram, x, grid):
-    if prog.mode == "pessimistic":
-        return pessimistic_solutions(prog, x, grid)
-    return optimistic_solutions(prog, x, grid)
-
-
 def check_inner_regularity(
     prog: BilevelProgram,
     kind: str,
@@ -392,12 +379,12 @@ def _inner_regularity(prog, kind, xbar, ybar, radius, n_samples, grid,
             u = rng.normal(size=prog.n)
             u /= np.linalg.norm(u)
             shell.append(xbar_v + rho * u)
-        with _ahead(prog, shell, grid):
-            for x in shell:
-                try:
-                    yield x, _mode_solutions(prog, list(x), grid)
-                except InfeasibleError:
-                    continue
+        _ahead(prog, shell, grid)
+        for x in shell:
+            try:
+                yield x, _mode_solutions(prog, list(x), grid)
+            except InfeasibleError:
+                continue
 
     if kind == "semicompact":
         try:

@@ -43,6 +43,7 @@ from .valuefn import (
     GridSpec,
     SolutionSet,
     _lex_order,
+    _mode_solutions,
     _require_integers,
     _xkey,
     lower_solutions,
@@ -739,7 +740,9 @@ def estimate_simple_convex(
     caps: Caps = Caps(),
 ) -> Estimate:
     """Parameter-independent lower level: the estimate collapses to the
-    hull of the upper objective's x-gradients over sampled best solutions.
+    hull of the upper objective's x-gradients over sampled solutions of
+    prog's mode, the best ones (S_o) or, for a pessimistic program, the
+    worst ones (S_p, Danskin's rule for the max-function phi_p).
 
     Requires f and g to reference no x variable (syntactic) and convex
     data (spot-checked by seeded midpoint tests).
@@ -752,15 +755,15 @@ def estimate_simple_convex(
                 f"lower-level data {label} references x: parameter-dependent")
     if not _midpoint_convexity_ok(prog, (prog.F, prog.f, *prog.g)):
         raise NotApplicableError("midpoint convexity spot-check failed")
-    sol_o = optimistic_solutions(prog, xbar_l, grid)
-    samples = _subsample(sol_o.points, caps.max_solution_samples)
+    sol = _mode_solutions(prog, xbar_l, grid)
+    samples = _subsample(sol.points, caps.max_solution_samples)
     pts = []
     for ypt in samples:
         for gvec in clarke_generators(prog.F, xbar_l, ypt, DEFAULT_TOL_ACTIVE):
             pts.append(gvec[: prog.n])
     return Estimate(
         Polytope.from_generators(prog.n, pts),
-        "simple_convex", "optimistic", tuple(xbar_l),
+        "simple_convex", prog.mode, tuple(xbar_l),
         False, len(samples), caps,
         ("convexity spot-checked by midpoint sampling",),
     )

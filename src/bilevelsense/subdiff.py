@@ -20,13 +20,13 @@ of every affine solve, so it fixes the result's last bits.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import (
+    BudgetError,
     DimensionMismatchError,
     EmptySetError,
     EvaluationError,
@@ -342,6 +342,11 @@ def fd_subgradient_samples(
     (InfeasibleError) are skipped, which is what makes one-sided domain
     boundaries observable.  Estimates within FD_MERGE_TOL (max-norm) merge
     into clusters reported by their means.
+
+    When h has an `ahead` method (a `valuefn.value_function`), it is called
+    once with every stencil point before the first sample, so that h can
+    sweep them together.  A sample's BudgetError or MemoryError is raised
+    as it is, and any other error but InfeasibleError as EvaluationError.
     """
     xbar = np.asarray(xbar, dtype=float)
     n = xbar.size
@@ -360,9 +365,9 @@ def fd_subgradient_samples(
             return h(pt)
         except InfeasibleError:
             return None
+        except (EvaluationError, BudgetError, MemoryError):
+            raise
         except Exception as exc:  # noqa: BLE001 - surface as EvaluationError
-            if isinstance(exc, EvaluationError):
-                raise
             raise EvaluationError(str(exc)) from exc
 
     # per direction: the offset point and the (x + step, x - step) pair of
@@ -378,41 +383,40 @@ def fd_subgradient_samples(
             xm[c] -= h_step
             pairs.append((xp, xm))
         stencils.append((x0, pairs))
-    # a value function can sweep the stencil's points together once it
-    # knows them (`valuefn.value_function`); any other callable is asked
-    # point by point
+    # a value function sweeps the stencil's points together once it knows
+    # them (`valuefn.value_function`); any other callable is asked point by
+    # point
     ahead = getattr(h, "ahead", None)
-    announced = (ahead([pt for _, pairs in stencils for pair in pairs for pt in pair])
-                 if ahead is not None else nullcontext())
+    if ahead is not None:
+        ahead([pt for _, pairs in stencils for pair in pairs for pt in pair])
 
     estimates = []
     skipped = 0
-    with announced:
-        for x0, pairs in stencils:
-            grad = np.zeros(n)
-            ok = True
-            f0 = None
-            for c, (xp, xm) in enumerate(pairs):
-                fp = safe_eval(xp)
-                fm = safe_eval(xm)
-                if fp is not None and fm is not None:
-                    grad[c] = (fp - fm) / (2.0 * h_step)
-                    continue
-                # dom boundary: one-sided difference through the offset point
-                # when exactly one side of the stencil is feasible
-                if f0 is None:
-                    f0 = safe_eval(x0)
-                if f0 is None or (fp is None and fm is None):
-                    ok = False
-                    break
-                if fp is not None:
-                    grad[c] = (fp - f0) / h_step
-                else:
-                    grad[c] = (f0 - fm) / h_step
-            if ok:
-                estimates.append(grad)
+    for x0, pairs in stencils:
+        grad = np.zeros(n)
+        ok = True
+        f0 = None
+        for c, (xp, xm) in enumerate(pairs):
+            fp = safe_eval(xp)
+            fm = safe_eval(xm)
+            if fp is not None and fm is not None:
+                grad[c] = (fp - fm) / (2.0 * h_step)
+                continue
+            # dom boundary: one-sided difference through the offset point
+            # when exactly one side of the stencil is feasible
+            if f0 is None:
+                f0 = safe_eval(x0)
+            if f0 is None or (fp is None and fm is None):
+                ok = False
+                break
+            if fp is not None:
+                grad[c] = (fp - f0) / h_step
             else:
-                skipped += 1
+                grad[c] = (f0 - fm) / h_step
+        if ok:
+            estimates.append(grad)
+        else:
+            skipped += 1
 
     clusters: list = []  # [sum, count, members]
     for g in estimates:

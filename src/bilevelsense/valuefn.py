@@ -19,12 +19,13 @@ share one sweep; the twin reads the band's F values negated, which IEEE
 negation makes exactly the values of the negated F.
 
 A caller that knows the points it will ask for next (the fd oracle's
-stencil, a regularity shell) announces them (`_ahead`); the first miss
-among them sweeps them all in one pass.  The coarse grid is level 0 of
-one level loop: each level stacks the grids of every x (the coarse grids,
-then the windows around every x's refinement seeds, picked in one
-segmented pass) into as few meshes as the stack bound allows, and each x
-still enters the sweep memo through its own request.
+stencil, a regularity shell) announces them (`_ahead`): the points the
+sweep memo does not hold are swept at once, in one pass, and each enters
+the memo under its own key, so that its own request hits.  The coarse
+grid is level 0 of one level loop: each level stacks the grids of every
+x (the coarse grids, then the windows around every x's refinement seeds,
+picked in one segmented pass) into as few meshes as the stack bound
+allows.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import csv
 import io
 import math
 import numbers
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ._memo import _call_key, memo
+from ._memo import REGISTRY, memo
 from .errors import (BudgetError, DimensionMismatchError, DomainError,
                      InfeasibleError, UnsupportedDimensionError)
 from .model import BilevelProgram, Expr, eval_expr
@@ -209,50 +209,38 @@ def _lex_order(ypts: np.ndarray):
     return np.lexsort(tuple(ypts[:, j] for j in range(ypts.shape[1] - 1, -1, -1)))
 
 
-# The sweeps a caller announced (`_ahead`), or None outside an announcement.
-_AHEAD: ContextVar = ContextVar("_AHEAD", default=None)
+# The x the running `_solve_lower` miss sweeps after its own, announced by
+# `_ahead` for the life of that one request.
+_AHEAD: ContextVar = ContextVar("_AHEAD", default=())
 
 
-class _Ahead:
-    """The `_solve_lower` calls a caller announced (`_ahead`): pending, the x
-    of each distinct call not yet swept under the memo's key rule (so -0.0
-    and 0.0 stay apart), in announced order; and the stash, the result or
-    DomainError of each call swept ahead of its own miss."""
-
-    def __init__(self, calls):
-        self.pending = {}
-        for call in calls:
-            self.pending.setdefault(_call_key(call), call[5])
-        self.stash = {}
-
-    def later(self, key):
-        """{key: x} of the pending calls announced after key, when key is
-        pending, and from then on no call is pending (none when key is
-        not pending)."""
-        if key not in self.pending:
-            return {}
-        keys = list(self.pending)
-        later = {k: self.pending[k] for k in keys[keys.index(key) + 1:]}
-        self.pending = {}
-        return later
-
-
-@contextmanager
 def _ahead(prog, points, grid: GridSpec):
-    """Announce, for the life of the context, that prog's sweep (that of
-    prog or of its negated-upper twin) will be asked for at each of points
-    in this order: the first miss among them sweeps it together with every
-    later one (`_solve_lower`).  Announces nothing when a point has the
-    wrong number of coordinates, which its own request then reports."""
-    F, _ = prog.F._peel_negations()
+    """Sweep prog's lower level (that of prog and of its negated-upper
+    twin) at each of points the sweep memo does not hold, in one batch, and
+    store each result in the memo, so that each point's own request hits.
+
+    Makes one `_solve_lower` request, for the first such point; its miss
+    sweeps the others after it, in announced order.  Points equal as tuples
+    are swept once, so one that differs from an earlier one only in the
+    sign of a zero is left to its own request.  A point whose sweep raises
+    DomainError is not stored: it sweeps again, alone, and raises at its
+    own request.  Raises BudgetError as the sweep does.  Announces nothing
+    when a point has the wrong number of coordinates, which its own request
+    then reports."""
     try:
-        calls = [(prog.m, prog.f, prog.g, prog.box_y, F, _xkey(x, prog.n), grid)
-                 for x in points]
+        x_keys = [_xkey(x, prog.n) for x in points]
     except DimensionMismatchError:
-        calls = []
-    token = _AHEAD.set(_Ahead(calls))
+        return
+    held = REGISTRY["valuefn._solve_lower"]
+    problem = (prog.m, prog.f, prog.g, prog.box_y, prog.F._peel_negations()[0])
+    todo = [x for x in dict.fromkeys(x_keys) if not held.stored(*problem, x, grid)]
+    if not todo:
+        return
+    token = _AHEAD.set(todo[1:])
     try:
-        yield
+        _solve_lower(*problem, todo[0], grid)
+    except DomainError:
+        pass
     finally:
         _AHEAD.reset(token)
 
@@ -275,23 +263,18 @@ def _solve_lower(m: int, f: Expr, g: Tuple[Expr, ...],
     LRU of 2048 entries, with F's top-level negations stripped by the
     caller (`_sweep`).
 
-    `_sweep_batch` sweeps.  Outside an announcement (`_ahead`) a miss
-    sweeps its x alone.  A miss of an announced call takes its stashed
-    answer, or else sweeps its x together with every later announced x not
-    yet swept and stashes theirs, so each x still enters the memo through
-    its own miss.
+    `_sweep_batch` sweeps.  A miss sweeps its x alone, or, when it is an
+    announcement's request (`_ahead`), together with the announced x after
+    it, and stores each of theirs that does not raise under its own key.
+    The memo is reached through REGISTRY, since a tracer may rebind the
+    module global to a wrapper.
     """
-    ahead = _AHEAD.get()
-    if ahead is None:
-        swept, = _sweep_batch(m, f, g, box_y, F, [x_key], grid)
-    else:
-        key = _call_key((m, f, g, box_y, F, x_key, grid))
-        swept = ahead.stash.pop(key, ahead)
-        if swept is ahead:
-            later = ahead.later(key)
-            swept, *rest = _sweep_batch(m, f, g, box_y, F, [x_key, *later.values()],
-                                        grid)
-            ahead.stash.update(zip(later, rest))
+    later = _AHEAD.get()
+    swept, *rest = _sweep_batch(m, f, g, box_y, F, [x_key, *later], grid)
+    held = REGISTRY["valuefn._solve_lower"]
+    for x, result in zip(later, rest):
+        if not isinstance(result, DomainError):
+            held.put((m, f, g, box_y, F, x, grid), result)
     if isinstance(swept, DomainError):
         raise swept
     return swept
@@ -702,10 +685,18 @@ def pessimistic_solutions(prog: BilevelProgram, x,
     return SolutionSet(sol.points, -sol.value, sol.tol_val, sol.finest_cell)
 
 
+def _mode_solutions(prog: BilevelProgram, x, grid: GridSpec) -> SolutionSet:
+    """The solution set prog's mode reads: S_p(x) for a pessimistic program
+    (the worst case, Danskin's rule for a max-function), else S_o(x)."""
+    if prog.mode == "pessimistic":
+        return pessimistic_solutions(prog, x, grid)
+    return optimistic_solutions(prog, x, grid)
+
+
 class _ValueFunction:
     """x -> phi(x), phi_o(x) or phi_p(x) of one program on one grid (see
-    `value_function`).  `ahead(points)` is a context in which the sweeps
-    of the points it will be asked for next run together (`_ahead`)."""
+    `value_function`).  `ahead(points)` sweeps, together, the points it
+    will be asked for next (`_ahead`)."""
 
     def __init__(self, prog: BilevelProgram, which: str, grid: GridSpec):
         if which not in ("phi", "phi_o", "phi_p"):
@@ -728,7 +719,8 @@ def value_function(
 ) -> Callable:
     """Callable x -> value for 'phi', 'phi_o' or 'phi_p'; raises
     InfeasibleError outside dom phi (the fd oracle skips those samples).
-    Its `ahead(points)` announces the points it will be asked for next."""
+    Its `ahead(points)` sweeps the points it will be asked for next in one
+    batch."""
     return _ValueFunction(prog, which, grid)
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from bilevelsense.cli import main
 from bilevelsense.errors import BudgetError, ParseError, ToolkitError
 
 from instances import INSTANCE_A_TEXT, INSTANCE_C_TEXT, PINNED_TEXT
+
+NM2 = Path(__file__).resolve().parent.parent / "perfbench" / "problems" / "nm2.blp"
 
 
 @pytest.fixture()
@@ -301,6 +304,39 @@ optimistic
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["status"] == "Certified"
+
+
+SIMPLE_TRACKING = """
+[dims]
+n = 1
+m = 1
+[upper]
+objective = (x1 - y1)^2
+[lower]
+objective = 0*y1
+[box]
+x1 = -1, 1
+y1 = -1, 1
+[mode]
+{mode}
+"""
+
+
+@pytest.mark.parametrize("mode,vertex", [("optimistic", 0.0),
+                                         ("pessimistic", 3.0)])
+def test_simple_estimate_follows_the_mode(mode, vertex, tmp_path):
+    # f is constant, so S(x) is the whole y-box: the best y is x, where
+    # d_x F = 0, and the worst is y = -1, where phi_p = (x + 1)^2 and
+    # d_x F = 2 (x + 1) = 3 at x = 0.5
+    path = tmp_path / f"simple_{mode}.blp"
+    path.write_text(SIMPLE_TRACKING.format(mode=mode))
+    out = tmp_path / f"simple_{mode}.json"
+    rc = main(["estimate", str(path), "--x", "0.5", "--variant", "simple",
+               "--grid", "41", "--refine", "1", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["mode"] == mode
+    assert payload["polytope"]["vertices"] == [[vertex]]
 
 
 class TestBudgetExit:
@@ -656,6 +692,22 @@ class TestGridBudget:
         assert rc == 4
         assert capsys.readouterr().err == (
             "error: budget exceeded: coarse grid of 4097^2 points exceeds "
+            "16777216 points\n")
+
+    def test_a_budget_error_in_the_fd_oracle_exits_four(self, monkeypatch,
+                                                         capsys):
+        # value stationarity samples phi_o with the fd oracle, whose stencil
+        # sweep meets the over-budget m = 2 coarse grid first
+        def no_mesh(*args):
+            raise AssertionError("an over-budget grid was meshed")
+
+        monkeypatch.setattr(valuefn, "_mesh", no_mesh)
+        valuefn._coarse_mesh.cache_clear()
+        rc = main(["certify", str(NM2), "--x", "0.1,0.2", "--variant", "value",
+                   "--grid", "4200", "--refine", "0"])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "error: budget exceeded: coarse grid of 4200^2 points exceeds "
             "16777216 points\n")
 
     def test_the_bound_itself_is_admitted(self, tmp_path, monkeypatch, capsys):

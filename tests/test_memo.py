@@ -13,13 +13,20 @@ and a call with -0.0 there:
 The point sets built from memoised results (solution sets, estimate
 polytopes, multiplier sets) are read-only float64 (k, d) arrays as well,
 so a write into one cannot reach a later hit.
+
+A memo's own table counts and evicts as `functools.lru_cache` does, and
+`stored` and `put` keep to its LRU order.
 """
 
 import dataclasses
+import functools
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bilevelsense import _memo
 from bilevelsense.model import BilevelProgram, Expr, neg
@@ -202,3 +209,59 @@ def test_point_sets_are_read_only(name):
         points += 1.0
     assert exact(POINT_SETS[name]()) == before
     _clear()
+
+
+# -- the table against lru_cache -------------------------------------------------
+
+
+def _echo(k):
+    return k
+
+
+def _test_memo(maxsize):
+    """A memo of _echo, kept out of the package's REGISTRY."""
+    with patch.dict(_memo.REGISTRY):
+        return _memo.memo(maxsize)(_echo)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(maxsize=st.integers(1, 4), keys=st.lists(st.integers(0, 6), max_size=40))
+def test_the_table_counts_and_evicts_as_lru_cache_does(maxsize, keys):
+    ours, theirs = _test_memo(maxsize), functools.lru_cache(maxsize)(_echo)
+    for k in keys:
+        assert ours(k) == theirs(k) == k
+        a, b = ours.cache_info(), theirs.cache_info()
+        assert (a.hits, a.misses, a.maxsize, a.currsize) == \
+            (b.hits, b.misses, b.maxsize, b.currsize)
+    # lru_cache has no membership test, but a hit evicts nothing: the
+    # memo's survivors all hit there, and equal sizes leave no other
+    survivors = [k for k in range(7) if ours.stored(k)]
+    misses = theirs.cache_info().misses
+    for k in survivors:
+        theirs(k)
+    assert theirs.cache_info().misses == misses
+    assert len(survivors) == theirs.cache_info().currsize
+
+
+def test_stored_and_put_keep_the_lru_order():
+    m = _test_memo(2)
+    m(1), m(2)
+    # stored leaves 1 the oldest, so the next miss evicts it
+    assert m.stored(1) and not m.stored(3)
+    m(3)
+    assert [k for k in (1, 2, 3) if m.stored(k)] == [2, 3]
+    # a put of a held key adds no second entry and keeps the held answer
+    m.put((3,), "other")
+    assert m.cache_info().currsize == 2 and m(3) == 3
+    # a put past maxsize evicts the oldest entry, 2, and is frozen as a
+    # miss's result would be; puts count as neither hit nor miss
+    m.put((4,), np.zeros(2))
+    assert [k for k in (2, 3, 4) if m.stored(k)] == [3, 4]
+    assert not m(4).flags.writeable
+    info = m.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 3, 2)
+    # stored follows the key rule: the sign of a zero keeps keys apart
+    m.put((-0.0,), "negative zero")
+    assert m.stored(-0.0) and not m.stored(0.0)
+    m.cache_clear()
+    assert m.cache_info() == (0, 0, 2, 0) and not m.stored(4)

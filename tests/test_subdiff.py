@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilevelsense.errors import (
+    BudgetError,
     DimensionMismatchError,
     InfeasibleError,
     InfeasiblePointError,
@@ -162,6 +163,18 @@ class TestFdSamples:
         res = fd_subgradient_samples(h, [0.0], n_dirs=8, radius=1e-3)
         assert res.n_skipped > 0
         assert sorted(c[0] for c in res.clusters) == pytest.approx([-2.0], abs=1e-9)
+
+    @pytest.mark.parametrize("exc", [BudgetError("over budget"),
+                                     MemoryError("no room")],
+                             ids=["budget", "memory"])
+    def test_a_budget_or_memory_error_is_raised_unwrapped(self, exc):
+        # a plain callable has no `ahead`, so the error comes from a sample
+        def h(x):
+            raise exc
+
+        with pytest.raises(type(exc)) as info:
+            fd_subgradient_samples(h, [0.0], n_dirs=2, radius=1e-3)
+        assert info.value is exc
 
     def test_clusters_inside_generator_hull(self):
         # fd clusters of a convex piecewise-linear function stay within

@@ -1,5 +1,6 @@
-"""tools/digest.py: a seed list prints what each seed prints alone, and a
-reader that closes stdout early ends it without a traceback.
+"""tools/digest.py: a seed list prints what each seed prints alone (the
+sha256, sweep and memo lines), and a reader that closes stdout early ends
+it without a traceback.
 tools/code_lines.py: what counts as a code line."""
 
 import importlib.util
@@ -22,11 +23,15 @@ def _digest(*args):
 
 
 def test_a_seed_list_prints_each_seed_as_it_runs_alone():
-    # the first ops of the two seeds share their inputs, so seed 13's memo
-    # lines match its own run only when the memos are cleared between seeds
+    # the first ops of the two seeds share their inputs, so seed 13's sweep
+    # and memo lines match its own run only when the memos are cleared and
+    # the sweep count restarts between seeds
     both = _digest("certify", "7,13", "2")
     alone = _digest("certify", "7", "2") + _digest("certify", "13", "2")
     assert both == alone
+    sweeps = [line.split() for line in both if line.startswith("sweeps ")]
+    assert [words[:2] + words[3:4] for words in sweeps] == \
+        [["sweeps", "batches", "x"]] * 2
     assert [line.split("  ")[1] for line in both if "  seed " in line] == \
         ["seed 7", "seed 13"]
 

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,8 @@ from bilevelsense.model import (
     neg,
     parse_program,
 )
-from bilevelsense import Caps, valuefn
+from bilevelsense import Caps, _memo, cq, valuefn
+from bilevelsense.cq import check_inner_regularity
 from bilevelsense.subdiff import FD_DIRS, FD_RADIUS, FD_STEP, fd_subgradient_samples
 from bilevelsense.valuefn import (
     TOL_FEAS,
@@ -883,15 +885,17 @@ def test_a_domain_error_at_one_x_is_raised_at_that_x_only():
     for i in (0, 2):
         _assert_is_the_reference_band(got[i], reference_sweep(DIVIDING, xs[i],
                                                               DIVIDING_GRID))
-    # announced together, each x raises or answers at its own request
+    # announced together, each x raises or answers at its own request: the
+    # announcement's one miss stores both answers, and the x that raised is
+    # not held, so it misses again and raises at its own request
     _solve_lower.cache_clear()
-    with value_function(DIVIDING, "phi", DIVIDING_GRID).ahead(xs):
-        assert lower_value(DIVIDING, xs[0], DIVIDING_GRID) == got[0][0]
-        with pytest.raises(DomainError, match="division by zero"):
-            lower_value(DIVIDING, xs[1], DIVIDING_GRID)
-        assert lower_value(DIVIDING, xs[2], DIVIDING_GRID) == got[2][0]
+    value_function(DIVIDING, "phi", DIVIDING_GRID).ahead(xs)
+    assert lower_value(DIVIDING, xs[0], DIVIDING_GRID) == got[0][0]
+    with pytest.raises(DomainError, match="division by zero"):
+        lower_value(DIVIDING, xs[1], DIVIDING_GRID)
+    assert lower_value(DIVIDING, xs[2], DIVIDING_GRID) == got[2][0]
     info = _solve_lower.cache_info()
-    assert (info.misses, info.currsize) == (3, 2)
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 def test_stacked_levels_hold_at_most_the_bound(monkeypatch):
@@ -979,10 +983,8 @@ def test_a_domain_error_on_a_stacked_coarse_level_is_raised_at_that_x_only():
                                                               DIVIDING_GRID))
 
 
-def test_an_announced_stencil_keeps_each_x_s_hits_and_misses(monkeypatch):
-    # an n = 1 fd call asks 12 times for 4 distinct points: 4 misses and 8
-    # hits, announced (one batch of 4) or not (4 batches of one), with the
-    # same clusters
+def _count_batches(monkeypatch):
+    """The size of every `_sweep_batch` call from now on, in order."""
     batches = []
     sweep_batch = valuefn._sweep_batch
 
@@ -991,6 +993,14 @@ def test_an_announced_stencil_keeps_each_x_s_hits_and_misses(monkeypatch):
         return sweep_batch(m, f, g, box_y, F, x_keys, grid)
 
     monkeypatch.setattr(valuefn, "_sweep_batch", counting)
+    return batches
+
+
+def test_an_announced_stencil_is_one_miss_and_a_hit_per_request(monkeypatch):
+    # an n = 1 fd call asks 12 times for 4 distinct points: announced, one
+    # miss sweeps the 4 in one batch and every request hits; unannounced,
+    # 4 misses (4 batches of one) and 8 hits; the clusters are the same
+    batches = _count_batches(monkeypatch)
     h = value_function(instance_a(), "phi_o", SHARED_GRID)
     runs = []
     for oracle in (h, lambda x: h(x)):
@@ -1000,9 +1010,84 @@ def test_an_announced_stencil_keeps_each_x_s_hits_and_misses(monkeypatch):
             oracle, [0.5], n_dirs=FD_DIRS, radius=FD_RADIUS, step=FD_STEP).clusters
         info = _solve_lower.cache_info()
         runs.append(((info.misses, info.hits), list(batches), repr(clusters)))
-    assert runs[0][0] == runs[1][0] == (4, 8)
+    assert (runs[0][0], runs[1][0]) == ((1, 12), (4, 8))
     assert (runs[0][1], runs[1][1]) == ([4], [1, 1, 1, 1])
     assert runs[0][2] == runs[1][2]
+
+
+def _rebind_the_sweep_memo(monkeypatch):
+    """Bind every bilevelsense module attribute that is the sweep memo to a
+    plain wrapper without the memo's attributes, as a layer tracer's
+    install does."""
+    memo = valuefn._solve_lower
+
+    def wrapper(*args):
+        return memo(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.split(".")[0] == "bilevelsense":
+            for attr, val in list(vars(mod).items()):
+                if val is memo:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    assert valuefn._solve_lower is wrapper
+
+
+def _clear_memos():
+    for memo in _memo.REGISTRY.values():
+        memo.cache_clear()
+
+
+def test_look_ahead_runs_under_a_rebound_sweep_memo(monkeypatch):
+    # an fd stencil and a regularity shell, unannounced and then announced
+    # with every module global of the sweep memo bound to a wrapper that
+    # has no `stored` or `put`: the announcements reach the memo through
+    # REGISTRY, each runs one batch, and the results are the same
+    batches = _count_batches(monkeypatch)
+    h = value_function(instance_a(), "phi_o", SHARED_GRID)
+    grid = GridSpec(points_per_dim=41, refine_depth=2)
+
+    def run(oracle):
+        _clear_memos()
+        batches.clear()
+        clusters = fd_subgradient_samples(
+            oracle, [0.5], n_dirs=FD_DIRS, radius=FD_RADIUS, step=FD_STEP).clusters
+        fd_batches = list(batches)
+        batches.clear()
+        verdict = check_inner_regularity(instance_c(), "semicompact", [0.3],
+                                         radius=0.1, grid=grid)
+        return (repr(clusters), verdict), (fd_batches, list(batches))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cq, "_ahead", lambda *args: None)
+        alone, alone_batches = run(lambda x: h(x))
+    _rebind_the_sweep_memo(monkeypatch)
+    got, got_batches = run(h)
+    assert got == alone
+    # n = 1: the stencil's 4 points and the shell's 2 (x -+ rho), each in
+    # one batch; the shell's follows the sweep at xbar
+    assert got_batches == ([4], [1, 2])
+    assert alone_batches == ([1] * 4, [1] * 3)
+    _clear_memos()
+
+
+def test_an_announced_x_the_memo_holds_is_not_swept_again(monkeypatch):
+    batches = _count_batches(monkeypatch)
+    h = value_function(instance_a(), "phi", SHARED_GRID)
+    xs = [[0.4], [0.5], [0.6], [0.5]]
+    _clear_memos()
+    h([0.5])
+    batches.clear()
+    # the held x and the repeat are left out of the one batch
+    h.ahead(xs)
+    assert batches == [2]
+    for x in xs:
+        h(x)
+    # every point is held now, so a second announcement sweeps nothing
+    h.ahead(xs)
+    assert batches == [2]
+    info = _solve_lower.cache_info()
+    assert (info.hits, info.misses) == (4, 2)
+    _clear_memos()
 
 
 # -- seed selection against a full sort ----------------------------------------

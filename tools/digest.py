@@ -13,6 +13,9 @@ with b"failed" for an operation that raised.  Prints, per seed, a line
 `SHA256  seed SEED`, the CPU seconds of the N hashed operations
 (`cpu_s`), the minor page faults they took (`minflt`, from
 `resource.getrusage`, so that allocator churn shows next to the hash),
+the lower-level sweep work they did (`sweeps batches B x X`: B calls of
+`valuefn._sweep_batch`, which sweep X points in all, counted by a wrapper
+bound to that module global, which `_solve_lower` looks up on every miss),
 then one line per memo: its hits and misses over the N hashed
 operations, from `cache_info()`.  Writes no bytecode, and exits quietly
 when stdout closes early (`| head -1`).  Two trees whose outputs on those
@@ -33,11 +36,25 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
+from bilevelsense import valuefn  # noqa: E402
 from bilevelsense._memo import REGISTRY  # noqa: E402
+
+# [batches, points] swept by valuefn._sweep_batch
+SWEPT = [0, 0]
+
+
+def _counted(sweep_batch):
+    def counting(m, f, g, box_y, F, x_keys, grid):
+        SWEPT[0] += 1
+        SWEPT[1] += len(x_keys)
+        return sweep_batch(m, f, g, box_y, F, x_keys, grid)
+
+    return counting
 
 
 def digest(workload, seed, count, warmup):
-    """Print the sha256, CPU, page-fault and memo lines of one seed."""
+    """Print the sha256, CPU, page-fault, sweep and memo lines of one
+    seed."""
     for memo in REGISTRY.values():
         memo.cache_clear()
     wl = workloads.LIBRARY[workload](seed)
@@ -48,6 +65,7 @@ def digest(workload, seed, count, warmup):
             pass
     sha = hashlib.sha256()
     before = {name: memo.cache_info() for name, memo in REGISTRY.items()}
+    SWEPT[:] = [0, 0]
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.process_time()
     for i in range(warmup, warmup + count):
@@ -62,6 +80,7 @@ def digest(workload, seed, count, warmup):
     print(f"{sha.hexdigest()}  seed {seed}")
     print(f"cpu_s {cpu:.3f}")
     print(f"minflt {faults}")
+    print(f"sweeps batches {SWEPT[0]} x {SWEPT[1]}")
     for name, memo in REGISTRY.items():
         info, old = memo.cache_info(), before[name]
         print(f"memo {name} hits {info.hits - old.hits} "
@@ -74,6 +93,7 @@ def main(argv):
         return 1
     workload, count = argv[0], int(argv[2])
     warmup = int(argv[3]) if len(argv) == 4 else 0
+    valuefn._sweep_batch = _counted(valuefn._sweep_batch)
     for seed in argv[1].split(","):
         digest(workload, int(seed), count, warmup)
     return 0

@@ -341,37 +341,46 @@ def _inclusion_system(prog: BilevelProgram, xbar, y, tol_active: float,
 
 def _solve_inclusion(system: _InclusionSystem, rs,
                      stat_tol: Optional[float] = None):
-    """The inclusion sets of a built system, one TaggedSet per r of rs:
-    V-representations at the right-hand sides [0; 1; r] (or [0; 1]
-    without F), enumerated as one stack, each projected to x."""
-    m = system.m
-    B = np.zeros((len(rs), len(system.A)))
-    B[:, m] = 1.0
-    if system.include_F:
-        B[:, m + 1] = rs
+    """The inclusion sets of a built system, one TaggedSet per r of rs,
+    each the x-projection of its V-representation (`_vrep_stack`)."""
     return [_tagged_set(system, verts, rays)
-            for verts, rays in _vrep_fallback(system.A, B, stat_tol)]
+            for verts, rays in _vrep_stack(system, rs, stat_tol)]
+
+
+def _vrep_stack(system: _InclusionSystem, rs, stat_tol):
+    """The V-representations of a built system at the right-hand sides
+    [0; 1; r] (or [0; 1] without F), one per r of rs, enumerated as one
+    stack."""
+    B = np.zeros((len(rs), len(system.A)))
+    B[:, system.m] = 1.0
+    if system.include_F:
+        B[:, system.m + 1] = rs
+    return _vrep_fallback(system.A, B, stat_tol)
+
+
+def _xparts(system: _InclusionSystem, verts, rays):
+    """(X, R, kept): the x-parts proj @ w of the vertex and of the ray
+    weight vectors, one per row, and the mask of the rays kept, those
+    whose x-part has max-norm above 1e-12 (a smaller one projects to no
+    direction).  Each part comes from one stacked matmul, which gives each
+    row the bits of its own product (`tests/test_polyalg.py` pins it)."""
+    cols = system.proj.shape[1]
+    X, R = [(system.proj[None] @ np.reshape(ws, (len(ws), cols, 1)))[:, :, 0]
+            for ws in (verts, rays)]
+    return X, R, np.max(np.abs(R), axis=1) > 1e-12
 
 
 def _tagged_set(system: _InclusionSystem, verts, rays) -> TaggedSet:
     """The x-projection of one V-representation of system, each generator
-    tagged with its multipliers.  A ray whose x-part has max-norm at most
-    1e-12 projects to no direction and is dropped."""
+    tagged with its multipliers; a ray that projects to no direction is
+    dropped (`_xparts`)."""
 
     def decode(w):
         return {"u": tuple(system.sums(w)[1].tolist()), "y": system.y}
 
-    vert_pts, vert_meta = [], []
-    for w in verts:
-        vert_pts.append(system.proj @ w)
-        vert_meta.append(decode(w))
-    ray_pts, ray_meta = [], []
-    for w in rays:
-        pt = system.proj @ w
-        if np.max(np.abs(pt)) > 1e-12:
-            ray_pts.append(pt)
-            ray_meta.append(decode(w))
-    return _keep_first(system.n, vert_pts, vert_meta, ray_pts, ray_meta)
+    X, R, kept = _xparts(system, verts, rays)
+    return _keep_first(system.n, X, [decode(w) for w in verts], R[kept],
+                       [decode(w) for w, k in zip(rays, kept) if k])
 
 
 def _keep_first(n, vert_pts, vert_meta, ray_pts, ray_meta) -> TaggedSet:
@@ -430,14 +439,34 @@ def stationary_cover_hull(prog: BilevelProgram, xbar,
     """Hull over sampled S(xbar) of the per-y covector sets, as one
     TaggedSet: the union of the per-y sets (`_union`), deduplicated by
     `_keep_first` as each per-y set is, so a generator found at several
-    sampled y keeps the first one's metadata.  Empty when no sampled y has
-    a covector.
+    sampled y keeps the first one's metadata.  A y whose system repeats an
+    earlier one's (`_sampled_systems`) is not solved: its set is the
+    earlier set, whose generators the dedup keeps.  Empty when no sampled
+    y has a covector.
     """
+    ys = _subsample(solutions.points, caps.max_solution_samples)
     union = _union(prog.n, [
-        _inclusion_xset(prog, xbar, ypt, tol_active, stat_tol=stat_tol)
-        for ypt in _subsample(solutions.points, caps.max_solution_samples)])
+        _solve_inclusion(system, (0.0,), stat_tol)[0]
+        for system, first in _sampled_systems(prog, xbar, ys, tol_active)
+        if first is system])
     return _keep_first(prog.n, union.polytope.vertices, union.vertex_meta,
                        union.polytope.rays, union.ray_meta)
+
+
+def _sampled_systems(prog: BilevelProgram, xbar, ys, tol_active: float,
+                     include_F: bool = False):
+    """(system, first) per sampled y of ys, in order: the inclusion system
+    at y, built as y comes up, and the system of the first y whose system
+    equals it (the system itself when no earlier one does).  Equal means
+    every field but y: A and proj by shape and bytes, meta, active and
+    include_F.  An equal system has the same V-representations and
+    x-parts, so a repeat adds only generators already seen."""
+    seen = {}
+    for ypt in ys:
+        s = _inclusion_system(prog, xbar, ypt, tol_active, include_F)
+        yield s, seen.setdefault(
+            (s.A.shape, s.A.tobytes(), s.proj.shape, s.proj.tobytes(),
+             s.meta, s.active, s.include_F), s)
 
 
 def _subsample(points: np.ndarray, cap: int):
@@ -662,38 +691,60 @@ def _estimate_semicompact(prog, xbar, samples, grid, caps, blur):
 
 def _shifted_hull(prog, xbar, ys, cover, caps, blur, empty):
     """Hull over y in ys and r in the r-grid of each nonempty inclusion set
-    shifted by -r times cover; each y's system is built once and solved
-    for the whole r-grid.  Raises EmptyEstimateError(empty) when no piece
-    is left (an empty cover leaves none)."""
-    pieces = []
-    r_grid = caps.r_grid()
-    for ypt in ys:
-        system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
-        for r, inc in zip(r_grid, _solve_inclusion(system, r_grid, blur)):
-            if not (inc.polytope.is_empty or cover.is_empty):
-                pieces.append(minkowski_sum(inc.polytope,
-                                            scale(negate(cover), r)))
-    if not pieces:
+    shifted by -r times cover; each distinct y system is built once and
+    solved for the whole r-grid, and a repeated one is skipped.  Raises
+    EmptyEstimateError(empty) when no piece is left (an empty cover leaves
+    none).
+
+    Each piece is laid out in arrays as `minkowski_sum(inclusion set,
+    scale(negate(cover), r))` lays it out: the sums X + C of the inclusion
+    vertices X and the rows C of r times the negated cover vertices (the
+    one zero row at r = 0), then the inclusion rays and r times the
+    negated cover rays (none at r = 0).  One `from_generators` over every
+    piece keeps the first of equal rows, as the per-piece dedups and the
+    `hull` of the pieces do, so the bytes are theirs.
+    """
+    n, r_grid = prog.n, caps.r_grid()
+    verts, rays = [], []
+    for system, first in _sampled_systems(prog, xbar, ys, blur, include_F=True):
+        if first is not system:
+            continue
+        for r, (ws, ds) in zip(r_grid, _vrep_stack(system, r_grid, blur)):
+            if not ws or cover.is_empty:
+                continue
+            X, R, kept = _xparts(system, ws, ds)
+            C = r * -cover.vertices if r else np.zeros((1, n))
+            verts.append((X[:, None] + C[None]).reshape(-1, n))
+            rays += [R[kept], r * -cover.rays] if r else [R[kept]]
+    if not verts:
         raise EmptyEstimateError(empty)
-    return hull(pieces)
+    return Polytope.from_generators(n, np.concatenate(verts),
+                                    np.concatenate(rays))
 
 
 def _estimate_convex(prog, xbar, samples, caps, blur):
     """One include_F inclusion system per sampled y gives both multiplier
     sets (Lambda from the system less F, `_InclusionSystem.without_F`) and
     the x-part hulls of F, f and the active g_i.  An inactive g_i has zero
-    multipliers on every generator, so it contributes no term."""
+    multipliers on every generator, so it contributes no term.  A y whose
+    system repeats an earlier one's adds no piece, and counts as skipped
+    when the earlier one did."""
     pieces = []
     truncated = False
     notes = []
     skipped = 0
-    for ypt in samples:
-        system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
+    empty = []  # the systems whose multiplier sets were empty
+    for system, first in _sampled_systems(prog, xbar, samples, blur,
+                                          include_F=True):
+        if first is not system:
+            skipped += any(first is e for e in empty)
+            continue
         lam_system = system.without_F()
         lam = _multiplier_set("lambda", lam_system, lam_system.A, blur)
         lam_o = _multiplier_set("lambda_o", system, system.A[:-1], blur)
         if lam.is_empty or lam_o.is_empty:
             skipped += 1
+            empty.append(system)
             continue
         gamma_pts, t1 = lam.generator_points(caps)
         rb_pts, t2 = lam_o.generator_points(caps)
@@ -702,22 +753,24 @@ def _estimate_convex(prog, xbar, samples, caps, blur):
         P_fx = system.x_hull(("f", None))
         fx_diff = minkowski_sum(P_fx, negate(P_fx))
         P_gx = {i: system.x_hull(("g", i)) for i in system.active}
+        # -(sum_i gamma_i P_gx[i]) per gamma, None when every gamma_i is 0
+        neg_gsums = []
+        for gamma in gamma_pts:
+            gsum = None
+            for i in system.active:
+                if gamma[i] > 0:
+                    term = scale(P_gx[i], gamma[i])
+                    gsum = term if gsum is None else minkowski_sum(gsum, term)
+            neg_gsums.append(None if gsum is None else negate(gsum))
         for rb in rb_pts:
             r, beta = float(rb[0]), rb[1:]
-            for gamma in gamma_pts:
-                piece = P_Fx
-                piece = minkowski_sum(piece, scale(fx_diff, r))
-                for i in system.active:
-                    if beta[i] > 0:
-                        piece = minkowski_sum(piece, scale(P_gx[i], beta[i]))
-                gsum = None
-                for i in system.active:
-                    if gamma[i] > 0:
-                        term = scale(P_gx[i], gamma[i])
-                        gsum = term if gsum is None else minkowski_sum(gsum, term)
-                if gsum is not None and r > 0:
-                    piece = minkowski_sum(piece, scale(negate(gsum), r))
-                pieces.append(piece)
+            head = minkowski_sum(P_Fx, scale(fx_diff, r))
+            for i in system.active:
+                if beta[i] > 0:
+                    head = minkowski_sum(head, scale(P_gx[i], beta[i]))
+            pieces += [head if neg is None or not r > 0
+                       else minkowski_sum(head, scale(neg, r))
+                       for neg in neg_gsums]
     if skipped:
         notes.append(f"{skipped} sampled y had empty multiplier sets")
     if not pieces:

@@ -42,9 +42,10 @@ def _rows(points, dim) -> np.ndarray:
     length of the points.  A read-only float64 2-D array is taken as it is,
     so frozen generators are shared; anything else is copied first, so no
     caller's array is frozen; k points of no coordinates stay a (k, 0)
-    array.  Raises DimensionMismatchError when the points have different
-    lengths, or a flat list does not split into points of dim
-    coordinates."""
+    array.  Raises DimensionMismatchError when numpy cannot stack the
+    points (their lengths or nestings differ), or a flat list does not
+    split into points of dim coordinates; a coordinate that is not a
+    number raises numpy's ValueError."""
     if (isinstance(points, np.ndarray) and points.ndim == 2
             and points.dtype == np.float64 and not points.flags.writeable):
         return points
@@ -52,8 +53,10 @@ def _rows(points, dim) -> np.ndarray:
     try:
         arr = np.array(rows, dtype=float)
     except ValueError:
-        if len({np.size(row) for row in rows}) > 1:
-            raise DimensionMismatchError("points of different lengths") from None
+        try:  # without a dtype, strings stack and ragged lists do not
+            np.array(rows)
+        except ValueError:
+            raise DimensionMismatchError("points of different shapes") from None
         raise
     dim = arr.shape[-1] if dim is None else dim
     if arr.size == 0 and arr.shape[1:] != (dim,):
@@ -127,13 +130,10 @@ class Polytope:
 
 def _first_rows(arr: np.ndarray):
     """Indices of the first occurrence of each distinct row, in order."""
-    seen = set()
-    out = []
+    first = {}
     for q, key in enumerate(map(tuple, arr.tolist())):
-        if key not in seen:
-            seen.add(key)
-            out.append(q)
-    return out
+        first.setdefault(key, q)
+    return list(first.values())
 
 
 def _kept(arr: np.ndarray, keep):

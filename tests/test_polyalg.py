@@ -237,6 +237,15 @@ def test_batched_linear_algebra_equals_its_per_call_form():
                         assert _same_bits(w[:, 0], w1)
                 for w, r in zip(W, AJ @ W):
                     assert _same_bits(r[:, 0], AJ @ w[:, 0])
+    # the x-parts of the inclusion sets (`sensitivity._xparts`): a 1-2 row
+    # projection, wider than tall, against a stack of 1-12 weight vectors
+    for rows in (1, 2):
+        for cols in range(1, 11):
+            for _ in range(60):
+                proj = _draw(rng, (rows, cols))
+                W = _draw(rng, (int(rng.integers(1, 13)), cols))
+                for w, x in zip(W, proj[None] @ W[:, :, None]):
+                    assert _same_bits(x[:, 0], proj @ w)
 
 
 @st.composite

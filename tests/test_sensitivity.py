@@ -1,13 +1,25 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bilevelsense.errors import InfeasiblePointError, NotApplicableError
-from bilevelsense.model import BilevelProgram, Expr, clarke_generators, neg
+from bilevelsense.errors import (
+    EmptyEstimateError,
+    InfeasiblePointError,
+    NotApplicableError,
+    ToolkitError,
+)
+from bilevelsense.model import (
+    BilevelProgram,
+    Expr,
+    clarke_generators,
+    eval_expr,
+    neg,
+)
 from bilevelsense.sensitivity import (
     DEFAULT_TOL_ACTIVE,
     Caps,
@@ -15,7 +27,10 @@ from bilevelsense.sensitivity import (
     TaggedSet,
     _inclusion_system,
     _inclusion_xset,
+    _estimate_convex,
     _InclusionSystem,
+    _sampled_systems,
+    _shifted_hull,
     _solve_inclusion,
     _subsample,
     _tagged_set,
@@ -23,6 +38,7 @@ from bilevelsense.sensitivity import (
     estimate_optimistic,
     estimate_pessimistic,
     estimate_simple_convex,
+    grid_blur,
     lambda_o_set,
     lambda_set,
     stationary_cover_hull,
@@ -38,7 +54,12 @@ from bilevelsense.subdiff import (
 )
 from bilevelsense.valuefn import GridSpec, lower_solutions, value_function
 
-from instances import exact, instance_free_follower
+from instances import (
+    exact,
+    instance_c,
+    instance_free_follower,
+    instance_pinned,
+)
 from test_valuefn import SHARED_GRID, piecewise_affine_programs
 
 X1 = Expr.x(1)
@@ -760,3 +781,208 @@ def test_drawn_multiplier_sets_match_the_hand_built_columns(monkeypatch, case):
     prog, x = case
     for p in (prog, prog.negated_upper()):
         _assert_multiplier_sets_match_reference(monkeypatch, p, x, SHARED_GRID)
+
+
+# -- the shifted hull in arrays ----------------------------------------------------
+#
+# A test-side copy of `_shifted_hull` as it was when each (y, r) piece was a
+# Polytope: every sampled y's system solved, each nonempty inclusion set
+# summed with the scaled negated cover, and one hull over the pieces.
+
+
+def _reference_shifted_hull(prog, xbar, ys, cover, caps, blur, empty):
+    pieces = []
+    r_grid = caps.r_grid()
+    for ypt in ys:
+        system = _inclusion_system(prog, xbar, ypt, blur, include_F=True)
+        for r, inc in zip(r_grid, _solve_inclusion(system, r_grid, blur)):
+            if not (inc.polytope.is_empty or cover.is_empty):
+                pieces.append(minkowski_sum(inc.polytope,
+                                            scale(negate(cover), r)))
+    if not pieces:
+        raise EmptyEstimateError(empty)
+    return hull(pieces)
+
+
+# Fixed programs next to the drawn ones: instance C, whose F = x*y moves
+# the x-parts with y and leaves A alone; the pinned instance, whose
+# covector sets carry rays; and a follower f = x*y whose covector at x = 0
+# is y itself, so that a covector hull gathers points of several y.
+FIXED_CASES = [
+    (instance_c(), [-0.5]),
+    (instance_c(), [0.3]),
+    (instance_pinned(), [0.0]),
+    (BilevelProgram(n=1, m=1, F=X1 * Y1, f=X1 * Y1,
+                    g=(neg(Y1) - 1.0, Y1 - 1.0),
+                    box_x=((-1.0, 1.0),), box_y=((-1.0, 1.0),)), [0.0]),
+]
+
+
+@st.composite
+def shifted_hull_cases(draw):
+    """(prog, x, ys, cover, caps, blur): a drawn program or one of
+    FIXED_CASES; 1-5 y drawn with repeats from its first sampled
+    lower-level solutions and the feasible lattice points of the box; as
+    cover its covector hull, that hull negated, or a drawn polytope with
+    signed zeros and rays; an r-grid from 10^-3..10^0 up to
+    10^0..10^1."""
+    prog, x = draw(st.one_of(piecewise_affine_programs(),
+                             st.sampled_from(FIXED_CASES)))
+    sols = lower_solutions(prog, x, SHARED_GRID)
+    pool = sols.points[:3].tolist() + [
+        list(y) for y in itertools.product((0.0, -1.0, 0.5), repeat=prog.m)
+        if all(eval_expr(g, x, y) <= 0.0 for g in prog.g)]
+    ys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    blur = grid_blur(SHARED_GRID, prog)
+    kind = draw(st.sampled_from(["covectors", "negated", "drawn", "drawn"]))
+    if kind == "drawn":
+        point = st.lists(st.sampled_from([0.0, -0.0, 1.0, -0.5, 2.0]),
+                         min_size=prog.n, max_size=prog.n)
+        rays = [d for d in draw(st.lists(point, min_size=1, max_size=2))
+                if any(d)]
+        cover = Polytope(prog.n, draw(st.lists(point, min_size=2, max_size=3)),
+                         rays)
+    else:
+        cover = stationary_cover_hull(prog, x, sols, blur, CAPS,
+                                      stat_tol=blur).polytope
+        cover = negate(cover) if kind == "negated" else cover
+    caps = Caps(log_r_min=draw(st.integers(-3, 0)),
+                log_r_max=draw(st.integers(0, 1)))
+    return prog, x, ys, cover, caps, blur
+
+
+def _hull_outcome(fn, *args):
+    try:
+        poly = fn(*args)
+    except ToolkitError as exc:
+        return type(exc).__name__, str(exc)
+    return poly.vertices, poly.rays
+
+
+def _has_negative_zero(arr):
+    return bool(np.any((arr == 0.0) & np.signbit(arr)))
+
+
+def _shifted_hull_features(prog, x, ys, cover, caps, blur):
+    """What a case exercises: repeated systems (at one y or at two), equal
+    A with other x-parts, a piece at r = 0, a piece of several inclusion
+    vertices and several cover vertices, an empty inclusion set and -0.0
+    in the cover."""
+    keys = []
+    features = {"-0.0 in the cover"} if (
+        _has_negative_zero(cover.vertices)
+        or _has_negative_zero(cover.rays)) else set()
+    for ypt in ys:
+        system = _inclusion_system(prog, x, ypt, blur, include_F=True)
+        key = (system.A.tobytes(), system.proj.tobytes(), system.meta,
+               system.active)
+        if key in keys:
+            features.add("repeated system" if ypt in ys[:len(keys)]
+                         else "repeated system at another y")
+        elif key[0] in [k[0] for k in keys]:
+            features.add("equal A, other x-parts")
+        keys.append(key)
+        sets = _solve_inclusion(system, caps.r_grid(), blur)
+        if any(t.polytope.is_empty for t in sets):
+            features.add("empty inclusion set")
+        if not (sets[0].polytope.is_empty or cover.is_empty):
+            features.add("piece at r = 0")
+        if len(cover.vertices) > 1 and any(len(t.polytope.vertices) > 1
+                                           for t in sets[1:]):
+            features.add("vertex grid")
+    return features
+
+
+def test_the_shifted_hull_in_arrays_is_the_polytope_loop():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=shifted_hull_cases())
+    def check(case):
+        args = (*case, "no piece")
+        got = _hull_outcome(_shifted_hull, *args)
+        want = _hull_outcome(_reference_shifted_hull, *args)
+        assert len(got) == len(want)
+        for u, v in zip(got, want):
+            if isinstance(v, np.ndarray):
+                assert u.shape == v.shape
+                assert np.array_equal(u, v)
+                assert np.array_equal(np.signbit(u), np.signbit(v))
+            else:
+                assert u == v
+        if isinstance(want[0], np.ndarray):
+            seen.update(_shifted_hull_features(*case))
+            seen.add("hull")
+            seen.update({"rays"} if len(want[1]) else ())
+            if _has_negative_zero(want[0]) or _has_negative_zero(want[1]):
+                seen.add("-0.0 in the hull")
+
+    check()
+    assert seen >= {"hull", "repeated system", "repeated system at another y",
+                    "equal A, other x-parts", "piece at r = 0", "vertex grid",
+                    "empty inclusion set", "rays", "-0.0 in the cover",
+                    "-0.0 in the hull"}, seen
+
+
+def test_the_covector_hull_skips_only_repeated_systems():
+    # the hull over drawn sample points against the union of every point's
+    # own covector set, deduplicated keep-first: points, metadata and the
+    # sign of zero
+    from bilevelsense.sensitivity import _keep_first
+    from bilevelsense.valuefn import SolutionSet
+
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=shifted_hull_cases())
+    def check(case):
+        prog, x, ys, _, caps, blur = case
+        sol = SolutionSet(np.array(ys), 0.0, 0.0, 0.0)
+        try:
+            got = stationary_cover_hull(prog, x, sol, blur, caps, stat_tol=blur)
+        except InfeasiblePointError as exc:
+            with pytest.raises(InfeasiblePointError, match=re.escape(str(exc))):
+                for y in _subsample(sol.points, caps.max_solution_samples):
+                    _inclusion_xset(prog, x, y, blur, stat_tol=blur)
+            return
+        union = _union(prog.n, [
+            _inclusion_xset(prog, x, y, blur, stat_tol=blur)
+            for y in _subsample(sol.points, caps.max_solution_samples)])
+        want = _keep_first(prog.n, union.polytope.vertices, union.vertex_meta,
+                           union.polytope.rays, union.ray_meta)
+        for u, v in ((got.polytope.vertices, want.polytope.vertices),
+                     (got.polytope.rays, want.polytope.rays)):
+            assert u.shape == v.shape
+            assert np.array_equal(u, v)
+            assert np.array_equal(np.signbit(u), np.signbit(v))
+        assert (got.vertex_meta, got.ray_meta) == (want.vertex_meta,
+                                                   want.ray_meta)
+        ys_kept = {meta["y"] for meta in want.vertex_meta}
+        seen.update({"covers from several y"} if len(ys_kept) > 1 else ())
+        seen.update({"rays"} if len(want.ray_meta) else ())
+
+    check()
+    assert seen >= {"covers from several y", "rays"}, seen
+
+
+def test_a_repeat_of_an_empty_system_still_counts_in_the_convex_note():
+    # f = y has no stationary point inside the box, so the multiplier sets
+    # at y = 0 and y = 0.5 are empty; F and f are affine and g is inactive
+    # there, so both y give one system.  At y = -1 the bound is active and
+    # both sets are nonempty, and its repeat is not counted.
+    prog = BilevelProgram(n=1, m=1, F=X1 + Y1, f=Y1, g=(neg(Y1) - 1.0,),
+                          box_x=((-1.0, 1.0),), box_y=((-1.0, 1.0),))
+    x, ys = [0.2], [[0.0], [-1.0], [0.5], [-1.0]]
+    blur = grid_blur(GRID, prog)
+    firsts = [first for _, first in
+              _sampled_systems(prog, x, ys, blur, include_F=True)]
+    assert firsts[2] is firsts[0] and firsts[3] is firsts[1]
+    assert firsts[1] is not firsts[0]
+    assert lambda_set(prog, x, ys[0], blur, blur).is_empty
+    poly, truncated, notes = _estimate_convex(prog, x, ys, CAPS, blur)
+    assert notes == ["2 sampled y had empty multiplier sets"]
+    alone, truncated_alone, _ = _estimate_convex(prog, x, ys[1:2], CAPS, blur)
+    assert truncated == truncated_alone
+    for u, v in ((poly.vertices, alone.vertices), (poly.rays, alone.rays)):
+        assert np.array_equal(u, v)
+        assert np.array_equal(np.signbit(u), np.signbit(v))

@@ -90,6 +90,17 @@ class TestAlgebra:
             Polytope(2, [[1.0, "a"]])
         assert Polytope(3, flat).vertices.tolist() == [flat]
 
+    def test_nested_ragged_points_are_a_dimension_mismatch(self):
+        # both points have two entries, but one nests them, so numpy cannot
+        # stack them although their lengths agree
+        nested = [[[1.0], [2.0]], [1.0, 2.0]]
+        for build in (lambda: Polytope(2, nested),
+                      lambda: Polytope.from_generators(2, [[0.0, 0.0]], nested),
+                      lambda: hull(nested, 2),
+                      lambda: Polytope(2, [[[1.0], [2.0, 3.0]]])):
+            with pytest.raises(DimensionMismatchError):
+                build()
+
     def test_empty_propagates(self):
         e = Polytope.empty(1)
         assert minkowski_sum(e, interval(0, 1)).is_empty

@@ -1,6 +1,6 @@
 """tools/digest.py: a seed list prints what each seed prints alone (the
-sha256, sweep and memo lines), and a reader that closes stdout early ends
-it without a traceback.
+sha256, sweep and memo lines), a reader that closes stdout early ends it
+without a traceback, and no arguments run the byte-identity set.
 tools/code_lines.py: what counts as a code line."""
 
 import importlib.util
@@ -48,6 +48,38 @@ def test_a_closed_stdout_ends_it_quietly():
     assert proc.returncode == 1
 
 
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_no_arguments_run_the_byte_identity_set(monkeypatch, capsys):
+    # ROADMAP's set: certify 7,13,29 x 280, containment 13 x 60, tabulate
+    # 13 x 300 after 20, each workload under a header; the runs themselves
+    # are recorded, not made
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    tool = _load("digest")
+    monkeypatch.setattr(tool.valuefn, "_sweep_batch", tool.valuefn._sweep_batch)
+    runs = []
+    monkeypatch.setattr(tool, "digest", lambda *args: runs.append(args))
+    assert tool.main([]) == 0
+    assert runs == [("certify", 7, 280, 0), ("certify", 13, 280, 0),
+                    ("certify", 29, 280, 0), ("containment", 13, 60, 0),
+                    ("tabulate", 13, 300, 20)]
+    assert capsys.readouterr().out.splitlines() == [
+        "== certify seeds 7,13,29 ops 280 warmup 0",
+        "== containment seeds 13 ops 60 warmup 0",
+        "== tabulate seeds 13 ops 300 warmup 20"]
+    # with arguments, no header
+    runs.clear()
+    assert tool.main(["containment", "13", "5"]) == 0
+    assert runs == [("containment", 13, 5, 0)]
+    assert capsys.readouterr().out == ""
+
+
 SNIPPET = '''"""Module docstring,
 on two lines."""
 
@@ -72,10 +104,7 @@ class Thing:
 
 
 def test_code_lines_counts_code_and_skips_docstrings_and_comments():
-    spec = importlib.util.spec_from_file_location("code_lines",
-                                                  TOOLS / "code_lines.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _load("code_lines")
     # import 1, class 1, the two-line def 2, the three-line string 3 and
     # the two-line return 2; docstrings, comments and blank lines none
     assert tool.code_lines(SNIPPET) == 9

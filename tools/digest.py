@@ -1,6 +1,6 @@
 """Hash a benchmark workload's outputs in one process.
 
-    OPENBLAS_NUM_THREADS=1 python tools/digest.py WORKLOAD SEEDS N [WARMUP]
+    OPENBLAS_NUM_THREADS=1 python tools/digest.py [WORKLOAD SEEDS N [WARMUP]]
 
 WORKLOAD is a library workload of perfbench/workloads.py (tabulate,
 containment or certify), which is imported as it is and not modified.
@@ -20,6 +20,11 @@ then one line per memo: its hits and misses over the N hashed
 operations, from `cache_info()`.  Writes no bytecode, and exits quietly
 when stdout closes early (`| head -1`).  Two trees whose outputs on those
 operations are byte-identical print the same sha256.
+
+With no arguments it runs the byte-identity set that ROADMAP.md quotes
+(`IDENTITY_SET`: certify seeds 7,13,29 x 280, containment 13 x 60,
+tabulate 13 x 300 after 20), each workload after a header line
+`== WORKLOAD seeds SEEDS ops N warmup WARMUP`.
 """
 
 import sys
@@ -41,6 +46,9 @@ from bilevelsense._memo import REGISTRY  # noqa: E402
 
 # [batches, points] swept by valuefn._sweep_batch
 SWEPT = [0, 0]
+# (workload, seeds, N, warmup) of each run of the byte-identity set
+IDENTITY_SET = (("certify", "7,13,29", 280, 0), ("containment", "13", 60, 0),
+                ("tabulate", "13", 300, 20))
 
 
 def _counted(sweep_batch):
@@ -88,14 +96,18 @@ def digest(workload, seed, count, warmup):
 
 
 def main(argv):
-    if len(argv) not in (3, 4):
+    if len(argv) not in (0, 3, 4):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 1
-    workload, count = argv[0], int(argv[2])
-    warmup = int(argv[3]) if len(argv) == 4 else 0
     valuefn._sweep_batch = _counted(valuefn._sweep_batch)
-    for seed in argv[1].split(","):
-        digest(workload, int(seed), count, warmup)
+    runs = [(argv[0], argv[1], int(argv[2]),
+             int(argv[3]) if len(argv) == 4 else 0)] if argv else IDENTITY_SET
+    for workload, seeds, count, warmup in runs:
+        if not argv:
+            print(f"== {workload} seeds {seeds} ops {count} warmup {warmup}",
+                  flush=True)
+        for seed in seeds.split(","):
+            digest(workload, int(seed), count, warmup)
     return 0
 
 
